@@ -187,7 +187,7 @@ let ablation_quantification () =
   let bench strategy () =
     let man = Bdd.Manager.create () in
     let sym = Network.Symbolic.of_netlist man net in
-    ignore (Img.Reach.reachable ~strategy sym : int)
+    ignore (Img.Reach.reachable ~strategy sym : int * int)
   in
   run_group ~quota:15.0 "ablation: quantification scheduling (reachability)"
     [ Test.make ~name:"monolithic relation"
@@ -195,9 +195,7 @@ let ablation_quantification () =
       Test.make ~name:"partitioned, declaration order"
         (Staged.stage (bench (Img.Image.Partitioned Img.Quantify.Given)));
       Test.make ~name:"partitioned, greedy schedule"
-        (Staged.stage (bench (Img.Image.Partitioned Img.Quantify.Greedy)));
-      Test.make ~name:"partitioned, static lifetime schedule"
-        (Staged.stage (bench (Img.Image.Partitioned Img.Quantify.Lifetime))) ]
+        (Staged.stage (bench (Img.Image.Partitioned Img.Quantify.Greedy))) ]
 
 let ablation_clustering () =
   let row = Circuits.Suite.find "t298" in
@@ -208,33 +206,14 @@ let ablation_clustering () =
     in
     ignore (Equation.Partitioned.solve ~clustering p)
   in
-  let adj t = Img.Partition.Adjacent t and aff t = Img.Partition.Affinity t in
+  let aff t = Img.Partition.Affinity t in
   run_group "ablation: partition clustering (t298)"
     [ Test.make ~name:"fully partitioned"
         (Staged.stage (bench Img.Partition.No_clustering));
-      Test.make ~name:"adjacent, 100 nodes" (Staged.stage (bench (adj 100)));
-      Test.make ~name:"adjacent, 1000 nodes" (Staged.stage (bench (adj 1000)));
-      Test.make ~name:"adjacent, 10000 nodes"
-        (Staged.stage (bench (adj 10000)));
       Test.make ~name:"affinity, 100 nodes" (Staged.stage (bench (aff 100)));
       Test.make ~name:"affinity, 500 nodes (default)"
         (Staged.stage (bench (aff 500)));
       Test.make ~name:"affinity, 1000 nodes" (Staged.stage (bench (aff 1000))) ]
-
-let ablation_q_mode () =
-  let row = Circuits.Suite.find "t298" in
-  let bench q_mode () =
-    let _, p =
-      Equation.Split.problem row.Circuits.Suite.net
-        ~x_latches:row.Circuits.Suite.x_latches
-    in
-    ignore (Equation.Partitioned.solve ~q_mode p)
-  in
-  run_group "ablation: non-conformance computation (t298)"
-    [ Test.make ~name:"one image per output (paper text)"
-        (Staged.stage (bench Equation.Partitioned.Per_output));
-      Test.make ~name:"combined condition, single image"
-        (Staged.stage (bench Equation.Partitioned.Combined)) ]
 
 let ablation_csf () =
   (* worklist vs iterated-sweep CSF extraction: the subset construction
@@ -397,7 +376,7 @@ let ablation_order () =
   let bench interleave () =
     let man = Bdd.Manager.create () in
     let sym = Network.Symbolic.of_netlist man ~interleave net in
-    ignore (Img.Reach.reachable ~strategy:Img.Image.Monolithic sym : int)
+    ignore (Img.Reach.reachable ~strategy:Img.Image.Monolithic sym : int * int)
   in
   run_group ~quota:10.0
     "ablation: cs/ns variable interleaving (monolithic relation, shift16)"
@@ -418,7 +397,6 @@ let () =
     solve_bench ();
     ablation_quantification ();
     ablation_clustering ();
-    ablation_q_mode ();
     ablation_csf ();
     ablation_completion ();
     ablation_affinity ();

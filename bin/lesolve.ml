@@ -175,11 +175,11 @@ let reach_cmd =
     let net = load path in
     let man = Bdd.Manager.create () in
     let sym = Network.Symbolic.of_netlist man net in
-    let r, iters = Img.Reach.frontier_reachable sym in
+    let r, steps = Img.Reach.reachable sym in
     Format.printf "%a@." N.pp_stats net;
     Format.printf "reachable states: %.0f (diameter %d, %d BDD nodes)@."
       (Img.Reach.count_states sym r)
-      (iters - 1)
+      (steps - 1)
       (Bdd.Ops.size man r)
   in
   Cmd.v (Cmd.info "reach" ~doc:"Count reachable states symbolically")

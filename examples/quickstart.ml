@@ -60,7 +60,7 @@ let () =
     (O.size man t_mono) (Bdd.Print.pp man) t_mono;
 
   (* reachable states = the accepting states of the automaton (paper 2) *)
-  let reached = Img.Reach.reachable sym in
+  let reached, _ = Img.Reach.reachable sym in
   Format.printf "Reachable states: %.0f of %d@.@."
     (Img.Reach.count_states sym reached)
     (1 lsl N.num_latches net);

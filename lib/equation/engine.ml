@@ -43,11 +43,7 @@ let note_image ?runtime () =
 
 let image ?runtime man ~strategy rels ~quantify =
   note_image ?runtime ();
-  match strategy with
-  | Img.Image.Monolithic ->
-    Img.Quantify.monolithic_and_exists man rels ~quantify
-  | Img.Image.Partitioned order ->
-    Img.Quantify.and_exists_list man ~order rels ~quantify
+  Img.Image.image man ~strategy rels ~quantify
 
 let run ?runtime ?on_state man ~alphabet make_oracle =
   let enter ph = Option.iter (fun rt -> Runtime.enter_phase rt ph) runtime in

@@ -92,10 +92,9 @@ val image :
   int list ->
   quantify:int list ->
   int
-(** One accounted image computation ({!note_image}): conjoin the
-    relations and existentially quantify [quantify], dispatched on the
-    strategy — the inner step every oracle and the verification fixpoints
-    share. *)
+(** One accounted image computation: {!note_image}, then
+    [Img.Image.image] — the inner step every oracle and the verification
+    fixpoints share. *)
 
 val run :
   ?runtime:Runtime.t ->

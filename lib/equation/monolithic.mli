@@ -9,7 +9,7 @@
     A traditional subset construction (no early trimming) follows, then
     completion and complementation as separate passes.
 
-    Blow-ups surface as {!Budget.Exceeded} (CPU deadline) or
+    Blow-ups surface as {!Runtime.Exceeded} (CPU deadline) or
     {!Bdd.Manager.Node_limit_exceeded} (node budget) — the "CNC" entries.
     With [runtime], the relation building runs in the [Build] phase and the
     subset construction in the [Subset] phase, with partial progress

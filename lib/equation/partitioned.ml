@@ -3,19 +3,15 @@ module O = Bdd.Ops
 
 type stats = { subset_states : int; image_computations : int; peak_nodes : int }
 
-type q_mode = Per_output | Combined
-
-(* Bench ablation: adjacent clustering at thresholds 1/100/1000/10000 gives
-   145/59/63/91 ms on t298 — the sweet spot is a few hundred nodes. The
-   affinity variant keeps the same threshold but merges by support overlap
-   instead of list adjacency. *)
+(* Bench ablation (EXPERIMENTS.md): on t298, affinity clustering roughly
+   halves solve time and is flat across 100–1000-node thresholds. *)
 let default_clustering = Img.Partition.Affinity 500
 
 (* sink positions in the oracle's sink table *)
 let dcn = 0
 and dca = 1
 
-let oracle ?runtime ~strategy ~q_mode ~clustering ~images (p : Problem.t) rs =
+let oracle ?runtime ~strategy ~clustering ~images (p : Problem.t) rs =
   let man = p.Problem.man in
   let pin id = ignore (M.Roots.add rs id : int) in
   let quantified = Problem.hidden_inputs p @ Problem.state_vars p in
@@ -38,36 +34,22 @@ let oracle ?runtime ~strategy ~q_mode ~clustering ~images (p : Problem.t) rs =
     Engine.image ?runtime man ~strategy rels ~quantify:quantified
   in
   (* Q_ζ(u,v): symbols under which some input causes an output of F that
-     does not conform to S. [Per_output] computes one image per output, as
-     described in the paper; [Combined] disjoins the per-output
-     non-conformance conditions once (they range over (i,v,cs) only — the
-     dangerous ns variables are not involved) and runs a single image. *)
+     does not conform to S. The per-output non-conformance conditions range
+     over (i,v,cs) only — the dangerous ns variables are not involved — so
+     they are disjoined once and each subset state runs a single image
+     instead of the paper text's one image per output. The disjunction is
+     forced by the first subset state: computing it during the build moves
+     the collections and with them every traced kernel counter. *)
   let combined_non_conformance =
     lazy (M.Roots.add rs (O.disj man non_conformance))
-  in
-  let non_conforming zeta =
-    match q_mode with
-    | Per_output ->
-      (* each per-output image result must survive the remaining images *)
-      let qs =
-        List.map
-          (fun ncj ->
-            let qj = conjoin_exists (zeta :: ncj :: urel) in
-            M.stack_push man qj;
-            qj)
-          non_conformance
-      in
-      let q = O.disj man qs in
-      M.stack_drop man (List.length qs);
-      q
-    | Combined ->
-      conjoin_exists (zeta :: Lazy.force combined_non_conformance :: urel)
   in
   let successors ~split zeta =
     (* per-iteration intermediates ride the operation stack: each one is an
        operand of a later call in this iteration, and any allocation in
        between may trigger a collection *)
-    let q = non_conforming zeta in
+    let q =
+      conjoin_exists (zeta :: Lazy.force combined_non_conformance :: urel)
+    in
     M.stack_push man q;
     let sr = conjoin_exists ((zeta :: urel) @ trel) in
     M.stack_push man sr;
@@ -94,19 +76,17 @@ let oracle ?runtime ~strategy ~q_mode ~clustering ~images (p : Problem.t) rs =
     is_accepting = (fun _ -> true) }
 
 let solve_arena ?runtime ?(strategy = Img.Image.Partitioned Img.Quantify.Greedy)
-    ?(q_mode = Combined) ?(clustering = default_clustering) ?on_state
+    ?(clustering = default_clustering) ?on_state
     (p : Problem.t) =
   let images = ref 0 in
   let arena, subset_states =
     Engine.run ?runtime ?on_state p.Problem.man ~alphabet:(Problem.alphabet p)
-      (oracle ?runtime ~strategy ~q_mode ~clustering ~images p)
+      (oracle ?runtime ~strategy ~clustering ~images p)
   in
   ( arena,
     { subset_states; image_computations = !images;
       peak_nodes = M.peak_live_nodes p.Problem.man } )
 
-let solve ?runtime ?strategy ?q_mode ?clustering ?on_state p =
-  let arena, stats =
-    solve_arena ?runtime ?strategy ?q_mode ?clustering ?on_state p
-  in
+let solve ?runtime ?strategy ?clustering ?on_state p =
+  let arena, stats = solve_arena ?runtime ?strategy ?clustering ?on_state p in
   (Engine.to_automaton arena, stats)

@@ -26,12 +26,6 @@ type stats = {
   peak_nodes : int;     (** manager node count after solving *)
 }
 
-type q_mode =
-  | Per_output  (** one image computation per output, as in the paper text *)
-  | Combined
-      (** disjoin the per-output non-conformance conditions once and run a
-          single image per subset state (default; same result) *)
-
 val default_clustering : Img.Partition.clustering
 (** [Affinity 500] — affinity-based clustering under a 500-node threshold,
     the bench-ablated sweet spot (see EXPERIMENTS.md). *)
@@ -39,13 +33,12 @@ val default_clustering : Img.Partition.clustering
 val solve :
   ?runtime:Runtime.t ->
   ?strategy:Img.Image.strategy ->
-  ?q_mode:q_mode ->
   ?clustering:Img.Partition.clustering ->
   ?on_state:(int -> unit) ->
   Problem.t ->
   Fsa.Automaton.t * stats
 (** With [runtime], the solver ticks the runtime through the [Build]
-    (relation clustering) and [Subset] phases: {!Budget.Exceeded} is raised
+    (relation clustering) and [Subset] phases: {!Runtime.Exceeded} is raised
     past the deadline and {!Bdd.Manager.Node_limit_exceeded} past the node
     budget (or at an injected fault), with partial progress recorded on the
     runtime. [clustering] (default {!default_clustering}) pre-clusters the
@@ -57,7 +50,6 @@ val solve :
 val solve_arena :
   ?runtime:Runtime.t ->
   ?strategy:Img.Image.strategy ->
-  ?q_mode:q_mode ->
   ?clustering:Img.Partition.clustering ->
   ?on_state:(int -> unit) ->
   Problem.t ->

@@ -2,6 +2,8 @@
    the solver: one [t] per solve_split call, re-attached to each attempt's
    manager as the fallback ladder descends. *)
 
+exception Exceeded
+
 type phase = Build | Subset | Csf | Verify
 
 let phase_name = function
@@ -121,14 +123,14 @@ let create ?deadline ?node_limit ?fault () =
 
 let check_time rt =
   match rt.deadline with
-  | Some d when Sys.time () > d -> raise Budget.Exceeded
+  | Some d when Sys.time () > d -> raise Exceeded
   | Some _ | None -> ()
 
 let fire_phase_fault rt =
   match rt.fault with
   | Some ({ Fault.kind = Fault.Deadline_at ph; _ } as f)
     when ph = rt.phase && Fault.fire f ->
-    raise Budget.Exceeded
+    raise Exceeded
   | Some _ | None -> ()
 
 (* strided: the deadline comparison (a getrusage call) runs every 32nd

@@ -4,12 +4,16 @@
     A {!t} owns the whole resource story of one [solve_split] call: the
     CPU deadline, the BDD node budget, the phase the solver is currently
     in, and an optional injected fault. Every long-running loop in the
-    solver calls {!tick} (replacing the scattered [Budget.check] calls of
-    earlier revisions); image computations additionally call
-    {!tick_image}. Blow-ups surface as {!Budget.Exceeded} (deadline) or
+    solver calls {!tick}; image computations additionally call
+    {!tick_image}. Blow-ups surface as {!Exceeded} (deadline) or
     {!Bdd.Manager.Node_limit_exceeded} (node budget / injected fault),
     which {!Solve.solve_split} converts into its graceful-degradation
     ladder and, ultimately, a structured "could not complete" outcome. *)
+
+exception Exceeded
+(** CPU-time budget exhaustion: the deadline passed (or a [Deadline_at]
+    fault fired). {!Solve.solve_split} turns it into a "could not
+    complete" (CNC) outcome, as in the paper's Table 1. *)
 
 type phase =
   | Build  (** problem construction and relation building *)
@@ -31,7 +35,7 @@ module Fault : sig
         (** raise {!Bdd.Manager.Node_limit_exceeded} at the Kth image
             computation after {!attach} *)
     | Deadline_at of phase
-        (** simulate deadline expiry ({!Budget.Exceeded}) on the first
+        (** simulate deadline expiry ({!Exceeded}) on the first
             tick inside the given phase *)
 
   type t
@@ -94,7 +98,7 @@ val tick : t -> unit
 (** The cheap strided check placed in every solver loop: fires a pending
     [Deadline_at] fault for the current phase, and every 32nd call
     compares [Sys.time ()] against the deadline, raising
-    {!Budget.Exceeded} past it. *)
+    {!Exceeded} past it. *)
 
 val tick_image : t -> unit
 (** {!tick} plus the per-attempt image counter; fires a pending

@@ -2,47 +2,31 @@ module M = Bdd.Manager
 
 type method_ = Partitioned of Img.Image.strategy | Monolithic
 
-let default_partitioned = Partitioned (Img.Image.Partitioned Img.Quantify.Greedy)
+let greedy = Img.Image.Partitioned Img.Quantify.Greedy
+let default_partitioned = Partitioned greedy
 
 let method_label = function
-  | Partitioned Img.Image.Monolithic -> "partitioned/mono-image"
-  | Partitioned (Img.Image.Partitioned Img.Quantify.Given) ->
-    "partitioned/given"
-  | Partitioned (Img.Image.Partitioned Img.Quantify.Greedy) ->
-    "partitioned/greedy"
-  | Partitioned (Img.Image.Partitioned Img.Quantify.Lifetime) ->
-    "partitioned/lifetime"
+  | Partitioned strategy -> "partitioned/" ^ Img.Image.describe strategy
   | Monolithic -> "monolithic"
 
 (* rung 2 of the ladder: the other early-quantification schedule *)
-let alternative_strategy = function
-  | Img.Image.Partitioned Img.Quantify.Greedy ->
-    Img.Image.Partitioned Img.Quantify.Given
-  | Img.Image.Partitioned Img.Quantify.Given
-  | Img.Image.Partitioned Img.Quantify.Lifetime
-  | Img.Image.Monolithic ->
-    Img.Image.Partitioned Img.Quantify.Greedy
+let alternative_strategy strategy =
+  if strategy = greedy then Img.Image.Partitioned Img.Quantify.Given
+  else greedy
 
 (* the same rung also flips the kernel between clustered and unclustered:
    a clustering that blew up is replaced by the fully-partitioned kernel,
    and vice versa *)
 let alternative_clustering = function
   | Img.Partition.No_clustering -> Partitioned.default_clustering
-  | Img.Partition.Adjacent _ | Img.Partition.Affinity _ ->
-    Img.Partition.No_clustering
+  | Img.Partition.Affinity _ -> Img.Partition.No_clustering
 
 let kernel_desc method_ clustering =
   match method_ with
   | Monolithic -> "monolithic-relation"
   | Partitioned strategy ->
-    let schedule =
-      match strategy with
-      | Img.Image.Monolithic -> "mono-image"
-      | Img.Image.Partitioned Img.Quantify.Given -> "given"
-      | Img.Image.Partitioned Img.Quantify.Greedy -> "greedy"
-      | Img.Image.Partitioned Img.Quantify.Lifetime -> "lifetime"
-    in
-    Img.Partition.describe_clustering clustering ^ "/" ^ schedule
+    Img.Partition.describe_clustering clustering
+    ^ "/" ^ Img.Image.describe strategy
 
 type attempt = {
   label : string;
@@ -279,7 +263,7 @@ let solve_split ?node_limit ?time_limit ?(retries = 1) ?(fallback = true)
         Obs.Span.exit span;
         record label t0 "node limit exceeded";
         descend rest
-      | exception Budget.Exceeded ->
+      | exception Runtime.Exceeded ->
         (* the deadline is global: once it has passed, a lower rung cannot
            help, so stop the ladder immediately *)
         Obs.Span.exit span;

@@ -8,6 +8,31 @@ let c_frontier = Obs.Counter.make "verify.frontier_steps"
 let enter_verify runtime =
   Option.iter (fun rt -> Runtime.enter_phase rt Runtime.Verify) runtime
 
+(* Both product-machine checks: reachability over [parts] that fails as
+   soon as a frontier holds a bad state. The images are counted without
+   the runtime ([Engine.image]): they share the unified [image.calls] name
+   but stay out of the fault-injection path. Every frontier, the final
+   empty one included, is one tick and one [verify.frontier_steps]. *)
+let product_reachable runtime man ~parts ~quantify ~rename ~bad init =
+  let tick = Runtime.ticker runtime in
+  let image frontier =
+    let img =
+      Engine.image man ~strategy:(Img.Image.Partitioned Img.Quantify.Greedy)
+        (frontier :: parts) ~quantify
+    in
+    M.stack_push man img;
+    let renamed = O.rename man img rename in
+    M.stack_drop man 1;
+    renamed
+  in
+  let on_frontier _ =
+    tick ();
+    if !Obs.on then Obs.Counter.bump c_frontier
+  in
+  match Img.Reach.fixpoint man ~bad ~on_frontier ~image init with
+  | Img.Reach.Reached _ -> true
+  | Img.Reach.Met_bad -> false
+
 let particular_contained ?runtime (p : Problem.t) (sp : Split.t) (x : A.t) =
   enter_verify runtime;
   let tick = Runtime.ticker runtime in
@@ -60,11 +85,8 @@ let particular_contained ?runtime (p : Problem.t) (sp : Split.t) (x : A.t) =
     !ok
   end
 
-let composition_with_machine ?runtime
-    ?(strategy = Img.Image.Partitioned Img.Quantify.Greedy) (p : Problem.t)
-    (machine : Machine.t) =
+let composition_with_machine ?runtime (p : Problem.t) (machine : Machine.t) =
   enter_verify runtime;
-  let tick = Runtime.ticker runtime in
   let man = p.Problem.man in
   let f = p.Problem.f_sym and s = p.Problem.s_sym in
   let module NS = Network.Symbolic in
@@ -122,17 +144,6 @@ let composition_with_machine ?runtime
     p.Problem.i_vars @ p.Problem.u_vars @ p.Problem.v_vars
     @ Problem.state_vars p @ x_sym.NS.state_vars
   in
-  let rename_pairs = Problem.ns_to_cs p @ NS.ns_to_cs x_sym in
-  (* counter-only accounting ([Engine.image] without the runtime): the
-     fixpoint images share the unified [image.calls] name but stay out of
-     the fault-injection path *)
-  let image frontier =
-    let img = Engine.image man ~strategy (frontier :: parts) ~quantify in
-    M.stack_push man img;
-    let renamed = O.rename man img rename_pairs in
-    M.stack_drop man 1;
-    renamed
-  in
   (* a composed state is bad when for some input the outputs of F (driven
      by the machine's v) and S differ *)
   let bad frontier =
@@ -141,46 +152,12 @@ let composition_with_machine ?runtime
       ~quantify:(p.Problem.i_vars @ p.Problem.v_vars)
     <> M.zero
   in
-  (* rotate the protected fixpoint state so superseded iterates become
-     collectable immediately *)
-  let protect_state id = if not (M.is_const id) then M.protect man id in
-  let release_state id = if not (M.is_const id) then M.release man id in
-  let reached = ref init and frontier = ref init in
-  protect_state !reached;
-  protect_state !frontier;
-  Fun.protect
-    ~finally:(fun () ->
-      release_state !reached;
-      release_state !frontier)
-  @@ fun () ->
-  let rec loop () =
-    tick ();
-    if !Obs.on then Obs.Counter.bump c_frontier;
-    if !frontier = M.zero then true
-    else if bad !frontier then false
-    else begin
-      let img = image !frontier in
-      M.stack_push man img;
-      let fresh = O.bdiff man img !reached in
-      M.stack_push man fresh;
-      let reached' = O.bor man !reached fresh in
-      M.stack_drop man 2;
-      protect_state reached';
-      protect_state fresh;
-      release_state !reached;
-      release_state !frontier;
-      reached := reached';
-      frontier := fresh;
-      loop ()
-    end
-  in
-  loop ()
+  product_reachable runtime man ~parts ~quantify
+    ~rename:(Problem.ns_to_cs p @ NS.ns_to_cs x_sym)
+    ~bad init
 
-let composition_equals_spec ?runtime
-    ?(strategy = Img.Image.Partitioned Img.Quantify.Greedy)
-    (p : Problem.t) (sp : Split.t) =
+let composition_equals_spec ?runtime (p : Problem.t) (sp : Split.t) =
   enter_verify runtime;
-  let tick = Runtime.ticker runtime in
   let man = p.Problem.man in
   let f = p.Problem.f_sym and s = p.Problem.s_sym in
   let module NS = Network.Symbolic in
@@ -211,48 +188,8 @@ let composition_equals_spec ?runtime
   let quantify =
     p.Problem.i_vars @ p.Problem.v_vars @ Problem.state_vars p
   in
-  let rename_pairs =
-    Problem.ns_to_cs p @ List.combine p.Problem.u_vars p.Problem.v_vars
-  in
-  let image frontier =
-    let img = Engine.image man ~strategy (frontier :: parts) ~quantify in
-    M.stack_push man img;
-    let renamed = O.rename man img rename_pairs in
-    M.stack_drop man 1;
-    renamed
-  in
-  let protect_state id = if not (M.is_const id) then M.protect man id in
-  let release_state id = if not (M.is_const id) then M.release man id in
-  let reached = ref init and frontier = ref init in
-  protect_state !reached;
-  protect_state !frontier;
-  Fun.protect
-    ~finally:(fun () ->
-      release_state !reached;
-      release_state !frontier)
-  @@ fun () ->
-  let rec loop () =
-    tick ();
-    if !Obs.on then Obs.Counter.bump c_frontier;
-    if !frontier = M.zero then true
-    else if
-      (* ∃ reachable composed state, ∃ input: outputs of F×X_P and S differ *)
-      O.bdiff man !frontier good <> M.zero
-    then false
-    else begin
-      let img = image !frontier in
-      M.stack_push man img;
-      let fresh = O.bdiff man img !reached in
-      M.stack_push man fresh;
-      let reached' = O.bor man !reached fresh in
-      M.stack_drop man 2;
-      protect_state reached';
-      protect_state fresh;
-      release_state !reached;
-      release_state !frontier;
-      reached := reached';
-      frontier := fresh;
-      loop ()
-    end
-  in
-  loop ()
+  (* ∃ reachable composed state, ∃ input: outputs of F×X_P and S differ *)
+  let bad frontier = O.bdiff man frontier good <> M.zero in
+  product_reachable runtime man ~parts ~quantify
+    ~rename:(Problem.ns_to_cs p @ List.combine p.Problem.u_vars p.Problem.v_vars)
+    ~bad init

@@ -9,7 +9,7 @@
 
     Each check accepts an optional {!Runtime.t}: it then runs in the
     [Verify] phase under the runtime's time/node budget (one tick per
-    explored state or reachability iteration), raising {!Budget.Exceeded}
+    explored state or reachability iteration), raising {!Runtime.Exceeded}
     or {!Bdd.Manager.Node_limit_exceeded} instead of running unbounded
     after the deadline has expired. *)
 
@@ -19,23 +19,14 @@ val particular_contained :
     latch-bank state set is tracked as a BDD over the [v] variables paired
     with each explicit state of [X]. *)
 
-val composition_equals_spec :
-  ?runtime:Runtime.t ->
-  ?strategy:Img.Image.strategy ->
-  Problem.t ->
-  Split.t ->
-  bool
-(** Check (2): product-machine reachability of [F × X_P] against [S] with an
-    output-equality invariant. The [u] variables double as the next-state
-    variables of the latch bank, so the check reuses the problem's
-    partitions unchanged. *)
+val composition_equals_spec : ?runtime:Runtime.t -> Problem.t -> Split.t -> bool
+(** Check (2): product-machine reachability ([Img.Reach.fixpoint]) of
+    [F × X_P] against [S] with an output-equality invariant. The [u]
+    variables double as the next-state variables of the latch bank, so the
+    check reuses the problem's partitions unchanged. *)
 
 val composition_with_machine :
-  ?runtime:Runtime.t ->
-  ?strategy:Img.Image.strategy ->
-  Problem.t ->
-  Machine.t ->
-  bool
+  ?runtime:Runtime.t -> Problem.t -> Machine.t -> bool
 (** The same product-machine check with an arbitrary Moore machine in place
     of [X] — used to certify a sub-solution extracted from the CSF
     ({!Extract}): the composition [F × X'] must still implement [S]

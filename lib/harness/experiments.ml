@@ -221,5 +221,5 @@ let verify_row ?(time_limit = default_time_limit) { part; _ } =
     let rt = R.create ~deadline:(Sys.time () +. time_limit) () in
     match S.verify ~runtime:rt r with
     | checks -> Some checks
-    | exception Equation.Budget.Exceeded -> None)
+    | exception Equation.Runtime.Exceeded -> None)
   | S.Could_not_complete _ -> None

@@ -49,55 +49,55 @@ let setup net1 net2 =
   in
   (man, i_vars, sym1, sym2)
 
-let check ?(strategy = Image.Partitioned Quantify.Greedy) net1 net2 =
+let check net1 net2 =
   let man, i_vars, sym1, sym2 = setup net1 net2 in
-  (* the onion of frontiers and the relation parts live in plain OCaml
-     lists for the whole exploration; freeze rather than pin piecemeal —
-     equivalence checking is an oracle, not the solver's hot path *)
-  M.with_frozen man @@ fun () ->
+  M.with_roots man @@ fun rs ->
+  let pin id = ignore (M.Roots.add rs id : int) in
   let parts = S.transition_parts sym1 @ S.transition_parts sym2 in
-  let rel_parts =
-    List.map (fun (v, fn) -> O.bxnor man (O.var_bdd man v) fn) parts
-  in
   let cs_vars = sym1.S.state_vars @ sym2.S.state_vars in
   let ns_to_cs = S.ns_to_cs sym1 @ S.ns_to_cs sym2 in
-  (* output mismatch condition over (i, cs1, cs2), matched by name *)
-  let diff =
-    O.disj man
-      (List.map
-         (fun (name, fn1) -> O.bxor man fn1 (List.assoc name sym2.S.output_fns))
-         sym1.S.output_fns)
-  in
-  let i_cube = O.cube_of_vars man i_vars in
-  let bad_states = O.exists man i_cube diff in
-  let image frontier =
-    let img =
-      match strategy with
-      | Image.Monolithic ->
-        Quantify.monolithic_and_exists man (frontier :: rel_parts)
-          ~quantify:(i_vars @ cs_vars)
-      | Image.Partitioned order ->
-        Quantify.and_exists_list man ~order (frontier :: rel_parts)
-          ~quantify:(i_vars @ cs_vars)
+  (* the prologue builds lists the collector cannot see: build frozen,
+     then pin what the exploration and the reconstruction keep *)
+  let rel_parts, diff, bad_states, init =
+    M.with_frozen man @@ fun () ->
+    let rel_parts =
+      List.map (fun (v, fn) -> O.bxnor man (O.var_bdd man v) fn) parts
     in
-    O.rename man img ns_to_cs
+    (* output mismatch condition over (i, cs1, cs2), matched by name *)
+    let diff =
+      O.disj man
+        (List.map
+           (fun (name, fn1) ->
+             O.bxor man fn1 (List.assoc name sym2.S.output_fns))
+           sym1.S.output_fns)
+    in
+    let bad_states = O.exists man (O.cube_of_vars man i_vars) diff in
+    (rel_parts, diff, bad_states, O.band man sym1.S.init_cube sym2.S.init_cube)
   in
-  let init = O.band man sym1.S.init_cube sym2.S.init_cube in
-  (* onion of frontiers for counterexample reconstruction *)
-  let rec explore reached frontier onion =
-    if O.band man frontier bad_states <> M.zero then
-      Some (List.rev (frontier :: onion))
-    else begin
-      let fresh = O.bdiff man (image frontier) reached in
-      if fresh = M.zero then None
-      else explore (O.bor man reached fresh) fresh (frontier :: onion)
-    end
+  List.iter pin rel_parts;
+  List.iter pin [ diff; bad_states; init ];
+  let quantify = i_vars @ cs_vars in
+  let image frontier =
+    let img = Quantify.and_exists_list man (frontier :: rel_parts) ~quantify in
+    M.stack_push man img;
+    let renamed = O.rename man img ns_to_cs in
+    M.stack_drop man 1;
+    renamed
   in
-  match explore init init [] with
-  | None -> Equivalent
-  | Some onion ->
+  (* onion of frontiers for counterexample reconstruction, newest first *)
+  let onion = ref [] in
+  let on_frontier frontier =
+    pin frontier;
+    onion := frontier :: !onion
+  in
+  let bad frontier = O.band man frontier bad_states <> M.zero in
+  match Reach.fixpoint man ~bad ~on_frontier ~image init with
+  | Reach.Reached _ -> Equivalent
+  | Reach.Met_bad ->
+    (* the walk back holds cubes and literal lists in plain OCaml values *)
+    M.with_frozen man @@ fun () ->
     (* reconstruct: pick a bad state in the last layer, then walk back *)
-    let layers = Array.of_list onion in
+    let layers = Array.of_list (List.rev !onion) in
     let k = Array.length layers - 1 in
     let pick f vars = Option.get (O.pick_minterm man f vars) in
     let state_cube lits = O.cube_of_literals man lits in

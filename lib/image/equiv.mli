@@ -11,14 +11,11 @@ type result =
           the first network's PI order; feeding it to both networks makes
           their outputs differ at the last cycle *)
 
-val check :
-  ?strategy:Image.strategy ->
-  Network.Netlist.t ->
-  Network.Netlist.t ->
-  result
-(** Exact check. The networks must have the same input and output names
-    (matching is by name, order-independent); raises [Invalid_argument]
-    otherwise. *)
+val check : Network.Netlist.t -> Network.Netlist.t -> result
+(** Exact check: a {!Reach.fixpoint} over the product machine whose [bad]
+    states are those where some input makes the outputs differ. The
+    networks must have the same input and output names (matching is by
+    name, order-independent); raises [Invalid_argument] otherwise. *)
 
 val random_search :
   ?rounds:int ->

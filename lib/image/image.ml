@@ -1,33 +1,11 @@
 type strategy = Monolithic | Partitioned of Quantify.order
 
-let c_calls = Obs.Counter.make "image.calls"
-
-let c_sched_mono = Obs.Counter.make "image.schedule.monolithic"
-let c_sched_given = Obs.Counter.make "image.schedule.given"
-let c_sched_greedy = Obs.Counter.make "image.schedule.greedy"
-let c_sched_lifetime = Obs.Counter.make "image.schedule.lifetime"
-
-let c_schedule = function
-  | Monolithic -> c_sched_mono
-  | Partitioned Quantify.Given -> c_sched_given
-  | Partitioned Quantify.Greedy -> c_sched_greedy
-  | Partitioned Quantify.Lifetime -> c_sched_lifetime
-
-let image strategy (p : Partition.t) ~quantify ~care =
-  if !Obs.on then begin
-    Obs.Counter.bump c_calls;
-    Obs.Counter.bump (c_schedule strategy)
-  end;
-  let rels = care :: p.Partition.parts in
+let image man ~strategy rels ~quantify =
   match strategy with
-  | Monolithic -> Quantify.monolithic_and_exists p.Partition.man rels ~quantify
-  | Partitioned order ->
-    Quantify.and_exists_list p.Partition.man ~order rels ~quantify
+  | Monolithic -> Quantify.monolithic_and_exists man rels ~quantify
+  | Partitioned order -> Quantify.and_exists_list man ~order rels ~quantify
 
-let forward_image strategy p ~inputs ~state_vars ~ns_to_cs ~care =
-  let img = image strategy p ~quantify:(inputs @ state_vars) ~care in
-  Bdd.Ops.rename p.Partition.man img ns_to_cs
-
-let preimage strategy p ~inputs ~next_state_vars ~cs_to_ns ~care =
-  let care_ns = Bdd.Ops.rename p.Partition.man care cs_to_ns in
-  image strategy p ~quantify:(inputs @ next_state_vars) ~care:care_ns
+let describe = function
+  | Monolithic -> "mono-image"
+  | Partitioned Quantify.Given -> "given"
+  | Partitioned Quantify.Greedy -> "greedy"

@@ -1,6 +1,8 @@
-(** Forward image and preimage of state sets under partitioned transition
-    relations — [Img(ns) = ∃ i,cs. T(i,cs,ns) ∧ ξ(cs)] from the paper's
-    introduction. *)
+(** Image computation under partitioned transition relations —
+    [Img(ns) = ∃ i,cs. T(i,cs,ns) ∧ ξ(cs)] from the paper's introduction.
+    {!image} is the library's single dispatch on {!strategy}: the solver's
+    oracles, the §4 checks and {!Reach} all reach the quantification
+    kernels through it. *)
 
 type strategy =
   | Monolithic      (** build the full relation first, then quantify *)
@@ -8,34 +10,14 @@ type strategy =
       (** and-exists sweep with early quantification *)
 
 val image :
-  strategy ->
-  Partition.t ->
-  quantify:int list ->
-  care:int ->
-  int
-(** [image strategy parts ~quantify ~care] is
-    [∃ quantify. care ∧ ∧ parts]. For a forward image, [quantify] is the
-    inputs plus current-state variables and the result ranges over
-    next-state variables; the caller renames [ns → cs] afterwards. *)
+  Bdd.Manager.t -> strategy:strategy -> int list -> quantify:int list -> int
+(** [image man ~strategy rels ~quantify] is [∃ quantify. ∧ rels]. For a
+    forward image, [rels] is the state set followed by the relation parts,
+    [quantify] is the inputs plus current-state variables, and the result
+    ranges over next-state variables; the caller renames [ns → cs]
+    afterwards. The caller keeps [rels] alive for the duration of the
+    call. *)
 
-val forward_image :
-  strategy ->
-  Partition.t ->
-  inputs:int list ->
-  state_vars:int list ->
-  ns_to_cs:(int * int) list ->
-  care:int ->
-  int
-(** Image followed by the [ns → cs] renaming: the successor state set,
-    expressed over current-state variables. *)
-
-val preimage :
-  strategy ->
-  Partition.t ->
-  inputs:int list ->
-  next_state_vars:int list ->
-  cs_to_ns:(int * int) list ->
-  care:int ->
-  int
-(** Predecessor state set of [care] (given over current-state variables),
-    expressed over current-state variables. *)
+val describe : strategy -> string
+(** ["mono-image"], ["given"] or ["greedy"] — used in method labels and
+    attempt reports. *)

@@ -12,22 +12,11 @@ type order =
   | Greedy
       (** at each step pick the conjunct that kills the most quantifiable
           variables while introducing the fewest new ones *)
-  | Lifetime
-      (** static variable-lifetime schedule: conjuncts are ordered once, by
-          the summed lifetime (number of mentioning conjuncts) of their
-          quantifiable variables, so rarely-used variables are quantified at
-          the earliest possible step; no per-step rescoring *)
 
 val and_exists_list :
   Bdd.Manager.t -> ?order:order -> int list -> quantify:int list -> int
 (** [and_exists_list m rels ~quantify] is [∃ quantify. ∧ rels] ([Greedy] by
     default). *)
-
-val and_forall_list :
-  Bdd.Manager.t -> ?order:order -> int list -> quantify:int list -> int
-(** [∀ quantify. ∧ rels], via the dual. Provided for completeness (no early
-    scheduling benefit: computed as the negated existential of the negated
-    monolithic product, so use only on small instances). *)
 
 val monolithic_and_exists :
   Bdd.Manager.t -> int list -> quantify:int list -> int

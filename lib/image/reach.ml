@@ -2,71 +2,62 @@ module M = Bdd.Manager
 module O = Bdd.Ops
 module S = Network.Symbolic
 
-let transition_partition ?(clustering = Partition.No_clustering) (sym : S.t) =
-  let p = Partition.of_functions sym.man (S.transition_parts sym) in
-  Partition.apply p clustering
+type outcome = Reached of { reached : int; steps : int } | Met_bad
 
-let step strategy sym parts care =
-  Image.forward_image strategy parts ~inputs:sym.S.input_vars
-    ~state_vars:sym.S.state_vars ~ns_to_cs:(S.ns_to_cs sym) ~care
-
-(* Fixpoints protect the loop-carried set and re-pin it at each step, so
-   the previous iterate becomes collectable the moment it is superseded. *)
-let reachable ?(strategy = Image.Partitioned Quantify.Greedy)
-    ?(clustering = Partition.No_clustering) (sym : S.t) =
-  let man = sym.S.man in
-  M.with_roots man @@ fun rs ->
-  let parts = transition_partition ~clustering sym in
-  List.iter (fun f -> ignore (M.Roots.add rs f : int)) parts.Partition.parts;
-  let r = ref sym.S.init_cube in
-  M.protect man !r;
-  Fun.protect ~finally:(fun () -> M.release man !r) @@ fun () ->
-  let continue = ref true in
-  while !continue do
-    let img = step strategy sym parts !r in
-    M.stack_push man img;
-    let r' = O.bor man !r img in
-    M.stack_drop man 1;
-    if r' = !r then continue := false
-    else begin
-      M.protect man r';
-      M.release man !r;
-      r := r'
-    end
-  done;
-  !r
-
-let frontier_reachable ?(strategy = Image.Partitioned Quantify.Greedy)
-    (sym : S.t) =
-  let man = sym.S.man in
-  M.with_roots man @@ fun rs ->
-  let parts = transition_partition sym in
-  List.iter (fun f -> ignore (M.Roots.add rs f : int)) parts.Partition.parts;
-  let r = ref sym.S.init_cube and frontier = ref sym.S.init_cube in
-  let iters = ref 0 in
-  M.protect man !r;
+(* The loop-carried sets are protected and re-pinned at each step, so the
+   previous iterate becomes collectable the moment it is superseded; the
+   image and the fresh states ride the operand stack while the next sets
+   are computed from them. *)
+let fixpoint man ?(bad = fun _ -> false) ?(on_frontier = ignore) ~image init =
+  let reached = ref init and frontier = ref init in
+  M.protect man !reached;
   M.protect man !frontier;
   Fun.protect
     ~finally:(fun () ->
-      M.release man !r;
+      M.release man !reached;
       M.release man !frontier)
   @@ fun () ->
-  while !frontier <> M.zero do
-    let img = step strategy sym parts !frontier in
+  let rec loop steps =
+    on_frontier !frontier;
+    if !frontier = M.zero then Reached { reached = !reached; steps }
+    else if bad !frontier then Met_bad
+    else begin
+      let img = image !frontier in
+      M.stack_push man img;
+      let fresh = O.bdiff man img !reached in
+      M.stack_push man fresh;
+      let reached' = O.bor man !reached fresh in
+      M.stack_drop man 2;
+      M.protect man reached';
+      M.protect man fresh;
+      M.release man !reached;
+      M.release man !frontier;
+      reached := reached';
+      frontier := fresh;
+      loop (steps + 1)
+    end
+  in
+  loop 0
+
+let reachable ?(strategy = Image.Partitioned Quantify.Greedy) (sym : S.t) =
+  let man = sym.S.man in
+  M.with_roots man @@ fun rs ->
+  let parts =
+    (Partition.of_functions man (S.transition_parts sym)).Partition.parts
+  in
+  List.iter (fun f -> ignore (M.Roots.add rs f : int)) parts;
+  let quantify = sym.S.input_vars @ sym.S.state_vars in
+  let ns_to_cs = S.ns_to_cs sym in
+  let image frontier =
+    let img = Image.image man ~strategy (frontier :: parts) ~quantify in
     M.stack_push man img;
-    let fresh = O.bdiff man img !r in
-    M.stack_push man fresh;
-    let r' = O.bor man !r fresh in
-    M.stack_drop man 2;
-    M.protect man r';
-    M.release man !r;
-    r := r';
-    M.protect man fresh;
-    M.release man !frontier;
-    frontier := fresh;
-    incr iters
-  done;
-  (!r, !iters)
+    let renamed = O.rename man img ns_to_cs in
+    M.stack_drop man 1;
+    renamed
+  in
+  match fixpoint man ~image sym.S.init_cube with
+  | Reached { reached; steps } -> (reached, steps)
+  | Met_bad -> assert false (* no [bad] predicate *)
 
 let count_states (sym : S.t) set =
   O.sat_count sym.man set (List.length sym.S.state_vars)

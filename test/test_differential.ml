@@ -42,9 +42,9 @@ let mismatch p =
          (E.Csf.num_states csf_part) (E.Csf.num_states csf_mono))
   else None
 
-(* Same oracle for the kernel configurations: the clustered solvers
-   (adjacent and affinity, including the default) must produce a CSF
-   language-equivalent to the unclustered one. *)
+(* Same oracle for the kernel configurations: the affinity-clustered
+   default solver must produce a CSF language-equivalent to the
+   unclustered one. *)
 let mismatch_clustering p =
   let _, prob = E.Split.problem (netlist p) ~x_latches:(x_latches p) in
   let csf_with clustering =
@@ -52,18 +52,14 @@ let mismatch_clustering p =
     E.Csf.csf prob sol
   in
   let reference = csf_with Img.Partition.No_clustering in
-  let check (name, clustering) =
-    let csf = csf_with clustering in
-    if not (Fsa.Language.equivalent reference csf) then
-      Some
-        (Printf.sprintf
-           "clustered CSF (%s) differs from unclustered (%d vs %d states)"
-           name (E.Csf.num_states csf) (E.Csf.num_states reference))
-    else None
-  in
-  List.find_map check
-    [ ("adjacent:200", Img.Partition.Adjacent 200);
-      ("affinity:500 (default)", E.Partitioned.default_clustering) ]
+  let csf = csf_with E.Partitioned.default_clustering in
+  if not (Fsa.Language.equivalent reference csf) then
+    Some
+      (Printf.sprintf
+         "clustered CSF (affinity:500, the default) differs from unclustered \
+          (%d vs %d states)"
+         (E.Csf.num_states csf) (E.Csf.num_states reference))
+  else None
 
 (* GC oracle: a solve under the mark-and-sweep collector (forced to run
    often by a deliberately tiny initial store and a near-zero dead-ratio

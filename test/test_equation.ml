@@ -119,17 +119,6 @@ let test_flows_agree () =
     (fun (name, net, xl) -> ignore (flows_agree name net xl))
     (small_instances ())
 
-let test_q_modes_agree () =
-  List.iter
-    (fun (name, net, xl) ->
-      let _, p = E.Split.problem net ~x_latches:xl in
-      let a, _ = E.Partitioned.solve ~q_mode:E.Partitioned.Combined p in
-      let b, _ = E.Partitioned.solve ~q_mode:E.Partitioned.Per_output p in
-      Alcotest.(check bool) (name ^ ": q modes agree") true (L.equivalent a b))
-    [ ("counter3", G.counter 3, [ "c1" ]);
-      ("traffic", G.traffic_light (), [ "s0" ]);
-      ("gray3", G.gray_counter 3, [ "g1" ]) ]
-
 let test_strategies_agree () =
   let net = G.lfsr 4 in
   let _, p = E.Split.problem net ~x_latches:[ "r1"; "r3" ] in
@@ -378,7 +367,6 @@ let () =
             test_split_composition_behaviour ] );
       ( "flows",
         [ Alcotest.test_case "three flows agree" `Slow test_flows_agree;
-          Alcotest.test_case "q modes agree" `Quick test_q_modes_agree;
           Alcotest.test_case "strategies agree" `Quick test_strategies_agree ] );
       ( "appendix",
         [ Alcotest.test_case "deferred completion" `Quick

@@ -25,9 +25,7 @@ let test_and_exists_agrees () =
     Alcotest.(check int) "greedy = monolithic" mono
       (Q.and_exists_list man ~order:Q.Greedy rels ~quantify);
     Alcotest.(check int) "given = monolithic" mono
-      (Q.and_exists_list man ~order:Q.Given rels ~quantify);
-    Alcotest.(check int) "lifetime = monolithic" mono
-      (Q.and_exists_list man ~order:Q.Lifetime rels ~quantify)
+      (Q.and_exists_list man ~order:Q.Given rels ~quantify)
   done
 
 let test_and_exists_empty_quantify () =
@@ -47,23 +45,13 @@ let test_and_exists_all_quantified () =
   Alcotest.(check int) "sat product" M.one
     (Q.and_exists_list man [ a; a ] ~quantify:[ 0; 1 ])
 
-let test_forall_list () =
-  let man = M.create () in
-  ignore (M.new_vars man 2 : int list);
-  let f = O.bor man (O.var_bdd man 0) (O.var_bdd man 1) in
-  Alcotest.(check int) "forall x0 (x0|x1) = x1" (O.var_bdd man 1)
-    (Q.and_forall_list man [ f ] ~quantify:[ 0 ])
-
 let strategies =
   [ ("monolithic", I.Monolithic);
     ("partitioned-given", I.Partitioned Q.Given);
-    ("partitioned-greedy", I.Partitioned Q.Greedy);
-    ("partitioned-lifetime", I.Partitioned Q.Lifetime) ]
+    ("partitioned-greedy", I.Partitioned Q.Greedy) ]
 
 let clusterings =
   [ ("unclustered", P.No_clustering);
-    ("adjacent-25", P.Adjacent 25);
-    ("adjacent-200", P.Adjacent 200);
     ("affinity-25", P.Affinity 25);
     ("affinity-200", P.Affinity 200) ]
 
@@ -114,7 +102,7 @@ let test_clustered_image_oracle () =
             Alcotest.(check int)
               (Printf.sprintf "%s/%s = naive" cname sname)
               naive
-              (I.image strategy clustered ~quantify ~care))
+              (I.image man ~strategy (care :: clustered.P.parts) ~quantify))
           strategies)
       clusterings
   done
@@ -129,38 +117,21 @@ let test_image_strategies_agree () =
       let man = M.create () in
       let sym = S.of_netlist man net in
       let parts = P.of_functions man (S.transition_parts sym) in
-      let care = sym.S.init_cube in
-      let reference =
-        I.forward_image I.Monolithic parts ~inputs:sym.S.input_vars
-          ~state_vars:sym.S.state_vars ~ns_to_cs:(S.ns_to_cs sym) ~care
+      let forward strategy =
+        O.rename man
+          (I.image man ~strategy
+             (sym.S.init_cube :: parts.P.parts)
+             ~quantify:(sym.S.input_vars @ sym.S.state_vars))
+          (S.ns_to_cs sym)
       in
+      let reference = forward I.Monolithic in
       List.iter
-        (fun (name, strat) ->
+        (fun (name, strategy) ->
           Alcotest.(check int)
             (Printf.sprintf "%s image" name)
-            reference
-            (I.forward_image strat parts ~inputs:sym.S.input_vars
-               ~state_vars:sym.S.state_vars ~ns_to_cs:(S.ns_to_cs sym) ~care))
+            reference (forward strategy))
         strategies)
     nets
-
-let test_preimage_inverts () =
-  (* for a deterministic machine, preimage(image(init)) must contain init *)
-  let man = M.create () in
-  let sym = S.of_netlist man (Circuits.Generators.counter 3) in
-  let parts = P.of_functions man (S.transition_parts sym) in
-  let img =
-    I.forward_image (I.Partitioned Q.Greedy) parts ~inputs:sym.S.input_vars
-      ~state_vars:sym.S.state_vars ~ns_to_cs:(S.ns_to_cs sym)
-      ~care:sym.S.init_cube
-  in
-  let pre =
-    I.preimage (I.Partitioned Q.Greedy) parts ~inputs:sym.S.input_vars
-      ~next_state_vars:sym.S.next_state_vars ~cs_to_ns:(S.cs_to_ns sym)
-      ~care:img
-  in
-  Alcotest.(check int) "init ⊆ preimage of its image" sym.S.init_cube
-    (O.band man sym.S.init_cube pre)
 
 let test_reachable_counts () =
   let cases =
@@ -174,7 +145,7 @@ let test_reachable_counts () =
     (fun (net, expected) ->
       let man = M.create () in
       let sym = S.of_netlist man net in
-      let r = R.reachable sym in
+      let r, _ = R.reachable sym in
       Alcotest.(check (float 1e-9))
         (Printf.sprintf "reach %s" net.Network.Netlist.name)
         expected (R.count_states sym r))
@@ -189,7 +160,7 @@ let test_reachable_matches_explicit () =
     (fun net ->
       let man = M.create () in
       let sym = S.of_netlist man net in
-      let symbolic = R.count_states sym (R.reachable sym) in
+      let symbolic = R.count_states sym (fst (R.reachable sym)) in
       let explicit =
         float_of_int (List.length (Network.Netlist.reachable_states net))
       in
@@ -198,6 +169,19 @@ let test_reachable_matches_explicit () =
         explicit symbolic)
     nets
 
+(* one forward step for the fixpoint tests: the image of [frontier],
+   renamed back to current-state variables *)
+let forward (sym : S.t) parts frontier =
+  let man = sym.S.man in
+  let img =
+    I.image man ~strategy:(I.Partitioned Q.Greedy) (frontier :: parts)
+      ~quantify:(sym.S.input_vars @ sym.S.state_vars)
+  in
+  M.stack_push man img;
+  let next = O.rename man img (S.ns_to_cs sym) in
+  M.stack_drop man 1;
+  next
+
 let test_reachable_strategies_agree () =
   let net = Circuits.Generators.lfsr 6 in
   let man = M.create () in
@@ -205,23 +189,79 @@ let test_reachable_strategies_agree () =
   let a = R.reachable ~strategy:I.Monolithic sym in
   let b = R.reachable ~strategy:(I.Partitioned Q.Greedy) sym in
   let c = R.reachable ~strategy:(I.Partitioned Q.Given) sym in
-  let d = R.reachable ~clustering:(P.Adjacent 100) sym in
-  let e = R.reachable ~clustering:(P.Affinity 100) sym in
-  let f = R.reachable ~strategy:(I.Partitioned Q.Lifetime) sym in
-  Alcotest.(check int) "mono = greedy" a b;
-  Alcotest.(check int) "mono = given" a c;
-  Alcotest.(check int) "mono = adjacent-clustered" a d;
-  Alcotest.(check int) "mono = affinity-clustered" a e;
-  Alcotest.(check int) "mono = lifetime" a f
+  Alcotest.(check (pair int int)) "mono = greedy" a b;
+  Alcotest.(check (pair int int)) "mono = given" a c
 
 let test_frontier_reachable () =
   let man = M.create () in
   let sym = S.of_netlist man (Circuits.Generators.counter 4) in
-  let full = R.reachable sym in
-  let frontier, iters = R.frontier_reachable sym in
-  Alcotest.(check int) "same fixpoint" full frontier;
+  let reached, steps = R.reachable sym in
+  Alcotest.(check (float 1e-9)) "all 16 states" 16.0
+    (R.count_states sym reached);
   (* a 4-bit counter has diameter 15: the frontier loop needs 16 images *)
-  Alcotest.(check int) "iterations = diameter + 1" 16 iters
+  Alcotest.(check int) "steps = diameter + 1" 16 steps;
+  (* the callback sees every frontier, the final empty one included *)
+  let parts = (P.of_functions man (S.transition_parts sym)).P.parts in
+  let frontiers = ref 0 in
+  match
+    R.fixpoint man
+      ~on_frontier:(fun _ -> incr frontiers)
+      ~image:(forward sym parts) sym.S.init_cube
+  with
+  | R.Reached { steps; _ } ->
+    Alcotest.(check int) "one callback per frontier" (steps + 1) !frontiers
+  | R.Met_bad -> Alcotest.fail "no bad predicate, yet bad was met"
+
+(* The shared fixpoint's pin discipline. The image function collects
+   before every image, so anything the fixpoint or the onion callback
+   fails to pin is swept mid-loop. Each run is compared with a
+   collection-free run on the same manager, whose results stay pinned:
+   by canonicity, equal functions have equal ids. *)
+let test_fixpoint_survives_collections () =
+  let man = M.create () in
+  M.set_auto_gc man true;
+  let sym = S.of_netlist man (Circuits.Generators.counter 4) in
+  M.with_roots man @@ fun rs ->
+  let pin f = ignore (M.Roots.add rs f : int) in
+  let parts = (P.of_functions man (S.transition_parts sym)).P.parts in
+  List.iter pin parts;
+  let image ~collect frontier =
+    if collect then ignore (M.collect man : int);
+    forward sym parts frontier
+  in
+  let init = sym.S.init_cube in
+  let reach ~collect =
+    match R.fixpoint man ~image:(image ~collect) init with
+    | R.Reached { reached; steps } ->
+      pin reached;
+      (reached, steps)
+    | R.Met_bad -> Alcotest.fail "no bad predicate, yet bad was met"
+  in
+  let reference = reach ~collect:false in
+  let swept_before = M.gc_nodes_swept man in
+  Alcotest.(check (pair int int)) "reached set and steps" reference
+    (reach ~collect:true);
+  Alcotest.(check bool) "collections swept nodes" true
+    (M.gc_nodes_swept man > swept_before);
+  (* bad: the counter's all-ones state, met on the last frontier *)
+  let all_ones =
+    O.cube_of_literals man (List.map (fun v -> (v, true)) sym.S.state_vars)
+  in
+  pin all_ones;
+  let bad f = O.band man f all_ones <> M.zero in
+  let onion ~collect =
+    let layers = ref [] in
+    let on_frontier f =
+      pin f;
+      layers := f :: !layers
+    in
+    match R.fixpoint man ~bad ~on_frontier ~image:(image ~collect) init with
+    | R.Met_bad -> List.rev !layers
+    | R.Reached _ -> Alcotest.fail "the all-ones state is reachable"
+  in
+  let reference = onion ~collect:false in
+  Alcotest.(check int) "one layer per state" 16 (List.length reference);
+  Alcotest.(check (list int)) "onion layers" reference (onion ~collect:true)
 
 (* --- Equiv ---------------------------------------------------------------- *)
 
@@ -317,23 +357,23 @@ let () =
           Alcotest.test_case "empty quantifier" `Quick
             test_and_exists_empty_quantify;
           Alcotest.test_case "full quantification" `Quick
-            test_and_exists_all_quantified;
-          Alcotest.test_case "forall" `Quick test_forall_list ] );
+            test_and_exists_all_quantified ] );
       ( "partition",
         [ Alcotest.test_case "clustering" `Quick test_cluster_preserves_product;
           Alcotest.test_case "clustered image oracle" `Quick
             test_clustered_image_oracle ] );
       ( "image",
         [ Alcotest.test_case "strategies agree" `Quick
-            test_image_strategies_agree;
-          Alcotest.test_case "preimage" `Quick test_preimage_inverts ] );
+            test_image_strategies_agree ] );
       ( "reach",
         [ Alcotest.test_case "known counts" `Quick test_reachable_counts;
           Alcotest.test_case "matches explicit" `Quick
             test_reachable_matches_explicit;
           Alcotest.test_case "strategies agree" `Quick
             test_reachable_strategies_agree;
-          Alcotest.test_case "frontier" `Quick test_frontier_reachable ] );
+          Alcotest.test_case "frontier" `Quick test_frontier_reachable;
+          Alcotest.test_case "fixpoint under collections" `Quick
+            test_fixpoint_survives_collections ] );
       ( "equiv",
         [ Alcotest.test_case "identical" `Quick test_equiv_identical;
           Alcotest.test_case "vs optimized" `Quick test_equiv_optimized;

@@ -80,7 +80,7 @@ let test_mk_fault_fires_once () =
 
 let test_deadline_enter_phase () =
   let rt = R.create ~deadline:expired () in
-  Alcotest.check_raises "expired deadline" E.Budget.Exceeded (fun () ->
+  Alcotest.check_raises "expired deadline" E.Runtime.Exceeded (fun () ->
       R.enter_phase rt R.Build)
 
 let test_deadline_strided_tick () =
@@ -88,7 +88,7 @@ let test_deadline_strided_tick () =
   (* the deadline comparison is strided: a lone tick does not reach it... *)
   R.tick rt;
   (* ...but a loop's worth of ticks must *)
-  Alcotest.check_raises "32 ticks" E.Budget.Exceeded (fun () ->
+  Alcotest.check_raises "32 ticks" E.Runtime.Exceeded (fun () ->
       for _ = 1 to 32 do
         R.tick rt
       done)
@@ -97,7 +97,7 @@ let test_deadline_fault_fires_once () =
   let rt = R.create ~fault:(F.make (F.Deadline_at R.Subset)) () in
   R.enter_phase rt R.Build;
   R.tick rt;
-  Alcotest.check_raises "deadline fault" E.Budget.Exceeded (fun () ->
+  Alcotest.check_raises "deadline fault" E.Runtime.Exceeded (fun () ->
       R.enter_phase rt R.Subset);
   (* spent: re-entering the phase is now fine *)
   R.enter_phase rt R.Subset;
@@ -141,7 +141,7 @@ let solved_counter3 () =
 let test_csf_budgeted () =
   let r = solved_counter3 () in
   let rt = R.create ~deadline:expired () in
-  Alcotest.check_raises "csf under expired deadline" E.Budget.Exceeded
+  Alcotest.check_raises "csf under expired deadline" E.Runtime.Exceeded
     (fun () ->
       ignore
         (E.Csf.csf ~runtime:rt r.E.Solve.problem r.E.Solve.solution
@@ -150,11 +150,11 @@ let test_csf_budgeted () =
 let test_verify_budgeted () =
   let r = solved_counter3 () in
   let rt = R.create ~deadline:expired () in
-  Alcotest.check_raises "verify under expired deadline" E.Budget.Exceeded
+  Alcotest.check_raises "verify under expired deadline" E.Runtime.Exceeded
     (fun () -> ignore (E.Solve.verify ~runtime:rt r : bool * bool));
   (* the Verify phase is also reachable by fault injection *)
   let rt = R.create ~fault:(F.make (F.Deadline_at R.Verify)) () in
-  Alcotest.check_raises "verify deadline fault" E.Budget.Exceeded (fun () ->
+  Alcotest.check_raises "verify deadline fault" E.Runtime.Exceeded (fun () ->
       ignore (E.Solve.verify ~runtime:rt r : bool * bool));
   (* and with a fresh budget verification still passes *)
   let rt = R.create ~deadline:(Sys.time () +. 60.0) () in
