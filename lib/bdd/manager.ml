@@ -24,16 +24,14 @@ type t = {
      the table is rebuilt after every sweep. *)
   mutable u_slot : int array;
   mutable u_mask : int;
-  (* computed cache: direct-mapped, 4 ints of key + 1 of result per entry;
-     grows (emptying itself — it is lossy anyway) as the node count does.
-     Invalidated wholesale by every collection: a cached result may name a
-     swept id, and a swept slot may be re-filled with a different node. *)
-  mutable c_key_op : int array;
-  mutable c_key_a : int array;
-  mutable c_key_b : int array;
-  mutable c_key_c : int array;
-  mutable c_res : int array;
-  mutable c_mask : int;
+  (* computed cache: direct-mapped, one interleaved array of 4-word
+     entries [op lsl 56 lor a; b; c; result], so a probe touches one cache
+     line; a first word of -1 marks an empty entry. Grows (emptying itself
+     — it is lossy anyway) as the node count does. Invalidated wholesale by
+     every collection: a cached result may name a swept id, and a swept
+     slot may be re-filled with a different node. *)
+  mutable cache : int array;
+  mutable c_mask : int;  (* entries - 1 *)
   mutable n_vars : int;
   mutable names : string array;
   mutable node_limit : int option;
@@ -94,6 +92,23 @@ let per_op prefix =
 let c_lookup_op = per_op "bdd.cache.lookups."
 let c_hit_op = per_op "bdd.cache.hits."
 
+(* cache probes are tallied here, one store per probe: slot [2 op] counts
+   misses and [2 op + 1] hits. The per-op and total lookup/hit counters
+   are derived from the tallies whenever Obs reads its counters. *)
+let probes = Array.make (2 * Array.length op_names) 0
+
+let () =
+  Obs.Counter.on_read (fun () ->
+      for op = 1 to Array.length op_names - 1 do
+        let hits = probes.((2 * op) + 1) in
+        let lookups = probes.(2 * op) + hits in
+        Obs.Counter.add c_lookup_op.(op) lookups;
+        Obs.Counter.add c_hit_op.(op) hits;
+        Obs.Counter.add c_lookup lookups;
+        Obs.Counter.add c_hit hits
+      done;
+      Array.fill probes 0 (Array.length probes) 0)
+
 let zero = 0
 let one = 1
 let terminal_level = max_int
@@ -123,11 +138,7 @@ let create ?(initial_capacity = 1024) () =
       n_nodes = 2;
       u_slot = Array.make usize (-1);
       u_mask = usize - 1;
-      c_key_op = Array.make csize (-1);
-      c_key_a = Array.make csize 0;
-      c_key_b = Array.make csize 0;
-      c_key_c = Array.make csize 0;
-      c_res = Array.make csize 0;
+      cache = Array.make (4 * csize) (-1);
       c_mask = csize - 1;
       n_vars = 0;
       names = [||];
@@ -164,6 +175,10 @@ let hash3 v lo hi =
   let h = h lxor (h lsr 15) in
   h land max_int
 
+(* Every growth below drops a large array; with the kernel's hot path
+   allocating next to nothing, the major GC would otherwise get round to
+   freeing it late and the resident set would grow. [Gc.major_slice 0]
+   pays down that debt right away. *)
 let grow_nodes m =
   if !Obs.on then Obs.Counter.bump c_grow_nodes;
   let cap = Array.length m.var_of in
@@ -175,7 +190,8 @@ let grow_nodes m =
   in
   m.var_of <- extend m.var_of terminal_level;
   m.low_of <- extend m.low_of (-1);
-  m.high_of <- extend m.high_of (-1)
+  m.high_of <- extend m.high_of (-1);
+  ignore (Gc.major_slice 0 : int)
 
 (* the [max_cache_bits] cap is checked by the caller (on the allocation
    path, where paying a call per [mk] just to bounce off the cap inside
@@ -183,30 +199,29 @@ let grow_nodes m =
 let grow_cache m =
   if !Obs.on then Obs.Counter.bump c_grow_cache;
   let size' = 2 * (m.c_mask + 1) in
-  m.c_key_op <- Array.make size' (-1);
-  m.c_key_a <- Array.make size' 0;
-  m.c_key_b <- Array.make size' 0;
-  m.c_key_c <- Array.make size' 0;
-  m.c_res <- Array.make size' 0;
-  m.c_mask <- size' - 1
+  m.cache <- Array.make (4 * size') (-1);
+  m.c_mask <- size' - 1;
+  ignore (Gc.major_slice 0 : int)
+
+(* first empty unique-table slot on the probe sequence of (v, lo, hi) *)
+let free_slot m v lo hi =
+  let mask = m.u_mask in
+  let h = ref (hash3 v lo hi land mask) in
+  while m.u_slot.(!h) >= 0 do
+    h := (!h + 1) land mask
+  done;
+  !h
+
+let insert_unique m id =
+  m.u_slot.(free_slot m m.var_of.(id) m.low_of.(id) m.high_of.(id)) <- id
 
 let rehash_unique m =
   if !Obs.on then Obs.Counter.bump c_rehash;
-  let size' = 2 * (m.u_mask + 1) in
-  let slot' = Array.make size' (-1) in
-  let mask' = size' - 1 in
-  Array.iter
-    (fun id ->
-      if id >= 0 then begin
-        let h = ref (hash3 m.var_of.(id) m.low_of.(id) m.high_of.(id) land mask') in
-        while slot'.(!h) >= 0 do
-          h := (!h + 1) land mask'
-        done;
-        slot'.(!h) <- id
-      end)
-    m.u_slot;
-  m.u_slot <- slot';
-  m.u_mask <- mask'
+  let old = m.u_slot in
+  m.u_slot <- Array.make (2 * Array.length old) (-1);
+  m.u_mask <- Array.length m.u_slot - 1;
+  Array.iter (fun id -> if id >= 0 then insert_unique m id) old;
+  ignore (Gc.major_slice 0 : int)
 
 let num_nodes m = m.n_entries
 let live_nodes m = m.n_entries
@@ -365,18 +380,11 @@ let collect m =
   m.gc_swept_total <- m.gc_swept_total + !swept;
   (* rebuild the unique table over the live nodes at its current size *)
   Array.fill m.u_slot 0 (Array.length m.u_slot) (-1);
-  let mask = m.u_mask in
   for id = 2 to top - 1 do
-    if m.var_of.(id) <> free_level then begin
-      let h = ref (hash3 m.var_of.(id) m.low_of.(id) m.high_of.(id) land mask) in
-      while m.u_slot.(!h) >= 0 do
-        h := (!h + 1) land mask
-      done;
-      m.u_slot.(!h) <- id
-    end
+    if m.var_of.(id) <> free_level then insert_unique m id
   done;
   (* a cached result may name a dead id; drop the whole (lossy) cache *)
-  Array.fill m.c_key_op 0 (Array.length m.c_key_op) (-1);
+  Array.fill m.cache 0 (Array.length m.cache) (-1);
   (* the support memo is keyed by node id: entries for swept ids would be
      resurrected wrongly when the id is reused *)
   let dead_keys =
@@ -405,112 +413,120 @@ let est_dead_ratio m =
   else
     float_of_int (m.n_entries - m.live_after_gc) /. float_of_int m.n_entries
 
+let may_collect m =
+  m.auto_gc && m.frozen = 0 && est_dead_ratio m >= m.gc_threshold
+
+(* a collection under [mk]: pin its operands first — the caller cannot
+   know a collection happens under this particular [mk] *)
+let collect_pinned m lo hi =
+  stack_push m lo;
+  stack_push m hi;
+  let swept = collect m in
+  stack_drop m 2;
+  swept
+
+(* [mk]'s miss path, out of line so the probe loop stays small. [slot] is
+   the free unique-table slot the probe ended on; a collection rebuilds
+   the table, so the slot is re-derived after one. *)
+let[@inline never] insert m v lo hi slot =
+  let runs = m.gc_runs in
+  (* the node budget bounds *live* nodes: when the entry count hits the
+     limit, reclaim dead entries first and only fail if the live set
+     itself does not fit. [est_dead_ratio] drops to 0 right after a
+     collection, so a saturated live set cannot thrash here. *)
+  (match m.node_limit with
+   | Some lim when m.n_entries >= lim ->
+     if not (may_collect m) then raise Node_limit_exceeded;
+     ignore (collect_pinned m lo hi : int);
+     if m.n_entries >= lim then raise Node_limit_exceeded
+   | Some _ | None -> ());
+  (match m.alloc_hook with Some f -> f () | None -> ());
+  if m.free_head < 0 && m.n_nodes >= Array.length m.var_of then begin
+    if may_collect m then begin
+      let swept = collect_pinned m lo hi in
+      (* anti-thrash: a collection that reclaimed under 1/8 of the
+         store would have us collecting again almost immediately *)
+      if swept < Array.length m.var_of / 8 then grow_nodes m
+    end
+    else grow_nodes m
+  end;
+  let slot = if m.gc_runs = runs then slot else free_slot m v lo hi in
+  let id =
+    if m.free_head >= 0 then begin
+      let id = m.free_head in
+      m.free_head <- m.low_of.(id);
+      m.free_count <- m.free_count - 1;
+      id
+    end
+    else begin
+      let id = m.n_nodes in
+      m.n_nodes <- id + 1;
+      id
+    end
+  in
+  m.n_entries <- m.n_entries + 1;
+  if m.n_entries > m.peak_live then m.peak_live <- m.n_entries;
+  if !Obs.on then begin
+    Obs.Counter.bump c_alloc;
+    Obs.Gauge.set_max g_peak m.n_entries;
+    Obs.Gauge.set g_live m.n_entries
+  end;
+  m.var_of.(id) <- v;
+  m.low_of.(id) <- lo;
+  m.high_of.(id) <- hi;
+  m.u_slot.(slot) <- id;
+  (* keep the load factor under 1/2 *)
+  if 2 * m.n_entries > m.u_mask then rehash_unique m;
+  (* keep the (lossy) computed cache proportional to the live count;
+     the [max_cache_bits] cap is checked here, not in [grow_cache] *)
+  if m.n_entries > m.c_mask && m.c_mask + 1 < cache_cap then grow_cache m;
+  id
+
 let mk m v lo hi =
   if lo = hi then lo
   else begin
     if !Obs.on then Obs.Counter.bump c_mk;
     let mask = m.u_mask in
     let h = ref (hash3 v lo hi land mask) in
-    let found = ref (-1) in
-    let continue = ref true in
-    while !continue do
-      let id = m.u_slot.(!h) in
-      if id < 0 then continue := false
-      else if m.var_of.(id) = v && m.low_of.(id) = lo && m.high_of.(id) = hi
-      then begin
-        found := id;
-        continue := false
-      end
-      else h := (!h + 1) land mask
+    let id = ref m.u_slot.(!h) in
+    while
+      !id >= 0
+      && not (m.var_of.(!id) = v && m.low_of.(!id) = lo && m.high_of.(!id) = hi)
+    do
+      h := (!h + 1) land mask;
+      id := m.u_slot.(!h)
     done;
-    if !found >= 0 then begin
+    if !id >= 0 then begin
       if !Obs.on then Obs.Counter.bump c_unique_hit;
-      !found
+      !id
     end
-    else begin
-      let slot = ref !h in
-      (* a collection rebuilds the unique table: re-derive the free slot
-         for the pending insertion afterwards *)
-      let collect_pinned () =
-        (* pin our own operands — the caller cannot know a collection
-           happens under this particular [mk] *)
-        stack_push m lo;
-        stack_push m hi;
-        let swept = collect m in
-        stack_drop m 2;
-        let mask = m.u_mask in
-        let h' = ref (hash3 v lo hi land mask) in
-        while m.u_slot.(!h') >= 0 do
-          h' := (!h' + 1) land mask
-        done;
-        slot := !h';
-        swept
-      in
-      let may_collect () =
-        m.auto_gc && m.frozen = 0 && est_dead_ratio m >= m.gc_threshold
-      in
-      (* the node budget bounds *live* nodes: when the entry count hits the
-         limit, reclaim dead entries first and only fail if the live set
-         itself does not fit. [est_dead_ratio] drops to 0 right after a
-         collection, so a saturated live set cannot thrash here. *)
-      (match m.node_limit with
-       | Some lim when m.n_entries >= lim ->
-         if may_collect () then begin
-           ignore (collect_pinned () : int);
-           if m.n_entries >= lim then raise Node_limit_exceeded
-         end
-         else raise Node_limit_exceeded
-       | Some _ | None -> ());
-      (match m.alloc_hook with Some f -> f () | None -> ());
-      let id =
-        if m.free_head >= 0 then begin
-          let id = m.free_head in
-          m.free_head <- m.low_of.(id);
-          m.free_count <- m.free_count - 1;
-          id
-        end
-        else begin
-          if m.n_nodes >= Array.length m.var_of then begin
-            if may_collect () then begin
-              let swept = collect_pinned () in
-              (* anti-thrash: a collection that reclaimed under 1/8 of the
-                 store would have us collecting again almost immediately *)
-              if swept < Array.length m.var_of / 8 then grow_nodes m
-            end
-            else grow_nodes m
-          end;
-          if m.free_head >= 0 then begin
-            let id = m.free_head in
-            m.free_head <- m.low_of.(id);
-            m.free_count <- m.free_count - 1;
-            id
-          end
-          else begin
-            let id = m.n_nodes in
-            m.n_nodes <- id + 1;
-            id
-          end
-        end
-      in
-      m.n_entries <- m.n_entries + 1;
-      if m.n_entries > m.peak_live then m.peak_live <- m.n_entries;
-      if !Obs.on then begin
-        Obs.Counter.bump c_alloc;
-        Obs.Gauge.set_max g_peak m.n_entries;
-        Obs.Gauge.set g_live m.n_entries
-      end;
-      m.var_of.(id) <- v;
-      m.low_of.(id) <- lo;
-      m.high_of.(id) <- hi;
-      m.u_slot.(!slot) <- id;
-      (* keep the load factor under 1/2 *)
-      if 2 * m.n_entries > m.u_mask then rehash_unique m;
-      (* keep the (lossy) computed cache proportional to the live count;
-         the [max_cache_bits] cap is checked here, not in [grow_cache] *)
-      if m.n_entries > m.c_mask && m.c_mask + 1 < cache_cap then grow_cache m;
-      id
-    end
+    else insert m v lo hi !h
   end
+
+(* [dag_size] marks a node by moving its level above [size_mark] (levels
+   are far below it) and unmarks in a second walk: no visited table, no
+   allocation. Both walks recurse lo-first, at most one level per variable
+   deep. *)
+let size_mark = 1 lsl 48
+
+let rec size_walk m id n =
+  if id < 2 || m.var_of.(id) >= size_mark then n
+  else begin
+    m.var_of.(id) <- m.var_of.(id) + size_mark;
+    size_walk m m.high_of.(id) (size_walk m m.low_of.(id) (n + 1))
+  end
+
+let rec size_unmark m id =
+  if id >= 2 && m.var_of.(id) >= size_mark then begin
+    m.var_of.(id) <- m.var_of.(id) - size_mark;
+    size_unmark m m.low_of.(id);
+    size_unmark m m.high_of.(id)
+  end
+
+let dag_size m roots =
+  let n = List.fold_left (fun n r -> size_walk m r n) 0 roots in
+  List.iter (size_unmark m) roots;
+  n
 
 let var m id = m.var_of.(id)
 let low m id = m.low_of.(id)
@@ -552,37 +568,29 @@ let cache_slot m op a b c =
   h land m.c_mask
 
 let cache_find m op a b c =
-  let s = cache_slot m op a b c in
-  let hit =
-    m.c_key_op.(s) = op && m.c_key_a.(s) = a && m.c_key_b.(s) = b
-    && m.c_key_c.(s) = c
-  in
+  let t = m.cache in
+  let s = 4 * cache_slot m op a b c in
+  let hit = t.(s) = (op lsl 56) lor a && t.(s + 1) = b && t.(s + 2) = c in
   if !Obs.on then begin
-    Obs.Counter.bump c_lookup;
-    if op > 0 && op < Array.length c_lookup_op then
-      Obs.Counter.bump c_lookup_op.(op);
-    if hit then begin
-      Obs.Counter.bump c_hit;
-      if op > 0 && op < Array.length c_hit_op then
-        Obs.Counter.bump c_hit_op.(op)
-    end
+    let i = (2 * op) + Bool.to_int hit in
+    probes.(i) <- probes.(i) + 1
   end;
-  if hit then Some m.c_res.(s) else None
+  if hit then t.(s + 3) else -1
 
 let cache_store m op a b c r =
-  let s = cache_slot m op a b c in
-  m.c_key_op.(s) <- op;
-  m.c_key_a.(s) <- a;
-  m.c_key_b.(s) <- b;
-  m.c_key_c.(s) <- c;
-  m.c_res.(s) <- r
+  let t = m.cache in
+  let s = 4 * cache_slot m op a b c in
+  t.(s) <- (op lsl 56) lor a;
+  t.(s + 1) <- b;
+  t.(s + 2) <- c;
+  t.(s + 3) <- r
 
 let clear_caches m =
   if !Obs.on then begin
     Obs.Counter.bump c_clear;
     Obs.Trace.point "bdd.cache.clear"
   end;
-  Array.fill m.c_key_op 0 (Array.length m.c_key_op) (-1);
+  Array.fill m.cache 0 (Array.length m.cache) (-1);
   Hashtbl.reset m.support_memo
 
 let support_memo m = m.support_memo

@@ -95,6 +95,10 @@ val high : t -> int -> int
 val is_const : int -> bool
 (** True on [zero] and [one]. *)
 
+val dag_size : t -> int list -> int
+(** Number of distinct decision nodes reachable from the given roots
+    (constants excluded). Allocates nothing; {!Ops.size_shared} is this. *)
+
 val num_nodes : t -> int
 (** Live nodes currently resident in the manager (constants included).
     Before the first collection this equals the historical "total nodes
@@ -208,10 +212,12 @@ val gc_runs : t -> int
 val gc_nodes_swept : t -> int
 (** Total nodes reclaimed over the manager's lifetime. *)
 
-val cache_find : t -> int -> int -> int -> int -> int option
-(** [cache_find m op a b c] looks up the computed cache. The [op] tag
-    namespaces operations; [a b c] are operand node ids (use 0 for unused
-    slots in a way that cannot collide for the same op). *)
+val cache_find : t -> int -> int -> int -> int -> int
+(** [cache_find m op a b c] looks up the computed cache: the stored result
+    (a node id, so [>= 0]) on a hit, [-1] on a miss. The [op] tag, one of
+    {!Op}, namespaces operations; [a b c] are non-negative operands, node
+    ids or small tags (use 0 for unused slots in a way that cannot collide
+    for the same op). *)
 
 val cache_store : t -> int -> int -> int -> int -> int -> unit
 (** [cache_store m op a b c r] memoizes a result. The cache is a lossy

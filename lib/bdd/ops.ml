@@ -8,6 +8,16 @@ module M = Manager
    in an OCaml local. [mk] pins its own two arguments, so results that
    flow straight into an enclosing [mk] need no extra pin. *)
 
+(* The recursive cores below ([bnot], [ite], [exists], [and_exists]) are
+   the kernel's innermost loops and allocate nothing of their own: cache
+   probes return -1 on a miss instead of an option, cofactors are taken
+   inline rather than as tuples, and levels are compared with the
+   int-typed [imin] (the polymorphic [min] is a C call without flambda).
+   Each operand's level is read once: under dune's dev profile, which
+   compiles with -opaque, every [Manager] accessor is a full call. *)
+
+let imin (a : int) b = if a <= b then a else b
+
 let var_bdd m v = M.mk m v M.zero M.one
 let nvar_bdd m v = M.mk m v M.one M.zero
 
@@ -15,9 +25,9 @@ let rec bnot m f =
   if f = M.zero then M.one
   else if f = M.one then M.zero
   else
-    match M.cache_find m M.Op.bnot f 0 0 with
-    | Some r -> r
-    | None ->
+    let r = M.cache_find m M.Op.bnot f 0 0 in
+    if r >= 0 then r
+    else begin
       let lo = bnot m (M.low m f) in
       M.stack_push m lo;
       let hi = bnot m (M.high m f) in
@@ -25,10 +35,7 @@ let rec bnot m f =
       let r = M.mk m (M.var m f) lo hi in
       M.cache_store m M.Op.bnot f 0 0 r;
       r
-
-(* Cofactors of [f] w.r.t. the variable [v], assuming v <= var f. *)
-let cofactors m f v =
-  if M.var m f = v then (M.low m f, M.high m f) else (f, f)
+    end
 
 let rec ite m f g h =
   if f = M.one then g
@@ -36,20 +43,29 @@ let rec ite m f g h =
   else if g = h then g
   else if g = M.one && h = M.zero then f
   else
-    match M.cache_find m M.Op.ite f g h with
-    | Some r -> r
-    | None ->
-      let v = min (M.var m f) (min (M.var m g) (M.var m h)) in
-      let f0, f1 = cofactors m f v in
-      let g0, g1 = cofactors m g v in
-      let h0, h1 = cofactors m h v in
-      let lo = ite m f0 g0 h0 in
+    let r = M.cache_find m M.Op.ite f g h in
+    if r >= 0 then r
+    else begin
+      let vf = M.var m f and vg = M.var m g and vh = M.var m h in
+      let v = imin vf (imin vg vh) in
+      let lo =
+        ite m
+          (if vf = v then M.low m f else f)
+          (if vg = v then M.low m g else g)
+          (if vh = v then M.low m h else h)
+      in
       M.stack_push m lo;
-      let hi = ite m f1 g1 h1 in
+      let hi =
+        ite m
+          (if vf = v then M.high m f else f)
+          (if vg = v then M.high m g else g)
+          (if vh = v then M.high m h else h)
+      in
       M.stack_drop m 1;
       let r = M.mk m v lo hi in
       M.cache_store m M.Op.ite f g h r;
       r
+    end
 
 let band m f g = ite m f g M.zero
 let bor m f g = ite m f M.one g
@@ -114,22 +130,21 @@ let cube_of_literals m lits =
       if pos then M.mk m v M.zero acc else M.mk m v acc M.zero)
     sorted M.one
 
+(* Skip the quantified variables of [cube] above level [top]. *)
+let rec skip_above m cube top =
+  if cube <> M.one && M.var m cube < top then skip_above m (M.high m cube) top
+  else cube
+
 let rec exists m cube f =
   if M.is_const f || cube = M.one then f
   else begin
-    (* Skip quantified variables above the top variable of [f]. *)
-    let rec advance cube =
-      if cube <> M.one && M.var m cube < M.var m f then
-        advance (M.high m cube)
-      else cube
-    in
-    let cube = advance cube in
+    let v = M.var m f in
+    let cube = skip_above m cube v in
     if cube = M.one then f
     else
-      match M.cache_find m M.Op.exists f cube 0 with
-      | Some r -> r
-      | None ->
-        let v = M.var m f in
+      let r = M.cache_find m M.Op.exists f cube 0 in
+      if r >= 0 then r
+      else begin
         let cv = M.var m cube in
         let r =
           if cv = v then begin
@@ -155,6 +170,7 @@ let rec exists m cube f =
         in
         M.cache_store m M.Op.exists f cube 0 r;
         r
+      end
   end
 
 let forall m cube f =
@@ -174,45 +190,48 @@ let rec and_exists m cube f g =
   else if f = g then exists m cube f
   else if cube = M.one then band m f g
   else begin
-    let top = min (M.var m f) (M.var m g) in
-    let rec advance cube =
-      if cube <> M.one && M.var m cube < top then advance (M.high m cube)
-      else cube
-    in
-    let cube = advance cube in
+    let top = imin (M.var m f) (M.var m g) in
+    let cube = skip_above m cube top in
     if cube = M.one then band m f g
     else
       (* Normalize operand order: ∧ commutes, so cache both orders once. *)
-      let f, g = if f <= g then (f, g) else (g, f) in
-      match M.cache_find m M.Op.and_exists f g cube with
-      | Some r -> r
-      | None ->
-        let f0, f1 = cofactors m f top in
-        let g0, g1 = cofactors m g top in
+      let a = imin f g and b = if f <= g then g else f in
+      let r = M.cache_find m M.Op.and_exists a b cube in
+      if r >= 0 then r
+      else begin
+        let a_top = M.var m a = top and b_top = M.var m b = top in
+        (* quantify [top] away (merge the cofactors with [bor]) or keep it *)
+        let quantify = M.var m cube = top in
+        let cube' = if quantify then M.high m cube else cube in
+        let lo =
+          and_exists m cube'
+            (if a_top then M.low m a else a)
+            (if b_top then M.low m b else b)
+        in
         let r =
-          if M.var m cube = top then begin
-            let cube' = M.high m cube in
-            let lo = and_exists m cube' f0 g0 in
-            if lo = M.one then M.one
-            else begin
-              M.stack_push m lo;
-              let hi = and_exists m cube' f1 g1 in
+          if quantify && lo = M.one then M.one
+          else begin
+            M.stack_push m lo;
+            let hi =
+              and_exists m cube'
+                (if a_top then M.high m a else a)
+                (if b_top then M.high m b else b)
+            in
+            if quantify then begin
               M.stack_push m hi;
               let r = bor m lo hi in
               M.stack_drop m 2;
               r
             end
-          end
-          else begin
-            let lo = and_exists m cube f0 g0 in
-            M.stack_push m lo;
-            let hi = and_exists m cube f1 g1 in
-            M.stack_drop m 1;
-            M.mk m top lo hi
+            else begin
+              M.stack_drop m 1;
+              M.mk m top lo hi
+            end
           end
         in
-        M.cache_store m M.Op.and_exists f g cube r;
+        M.cache_store m M.Op.and_exists a b cube r;
         r
+      end
   end
 
 let cofactor m f v b =
@@ -225,9 +244,9 @@ let cofactor m f v b =
       if fv > v then f
       else if fv = v then if b then M.high m f else M.low m f
       else
-        match M.cache_find m M.Op.constrain f lit 0 with
-        | Some r -> r
-        | None ->
+        let r = M.cache_find m M.Op.constrain f lit 0 in
+        if r >= 0 then r
+        else begin
           let lo = walk (M.low m f) in
           M.stack_push m lo;
           let hi = walk (M.high m f) in
@@ -235,6 +254,7 @@ let cofactor m f v b =
           let r = M.mk m fv lo hi in
           M.cache_store m M.Op.constrain f lit 0 r;
           r
+        end
   in
   walk f
 
@@ -251,9 +271,9 @@ let rec cofactor_cube m f cube =
     else if cv = fv then
       cofactor_cube m (if branch_high then M.high m f else M.low m f) next_cube
     else
-      match M.cache_find m M.Op.constrain f cube 1 with
-      | Some r -> r
-      | None ->
+      let r = M.cache_find m M.Op.constrain f cube 1 in
+      if r >= 0 then r
+      else begin
         let lo = cofactor_cube m (M.low m f) cube in
         M.stack_push m lo;
         let hi = cofactor_cube m (M.high m f) cube in
@@ -261,15 +281,16 @@ let rec cofactor_cube m f cube =
         let r = M.mk m fv lo hi in
         M.cache_store m M.Op.constrain f cube 1 r;
         r
+      end
   end
 
 let rec compose m f v g =
   if M.is_const f || M.var m f > v then f
   else if M.var m f = v then ite m g (M.high m f) (M.low m f)
   else
-    match M.cache_find m M.Op.compose f g v with
-    | Some r -> r
-    | None ->
+    let r = M.cache_find m M.Op.compose f g v in
+    if r >= 0 then r
+    else begin
       let lo = compose m (M.low m f) v g in
       M.stack_push m lo;
       let hi = compose m (M.high m f) v g in
@@ -281,6 +302,7 @@ let rec compose m f v g =
       M.stack_drop m 3;
       M.cache_store m M.Op.compose f g v r;
       r
+    end
 
 (* the private memo holds intermediate ids the collector cannot see, so
    the whole traversal runs frozen (allocation grows the store instead) *)
@@ -363,19 +385,7 @@ let rename m f pairs =
         | Some b -> Some (var_bdd m b)
         | None -> None)
 
-let size_shared m fs =
-  let visited = Hashtbl.create 64 in
-  let count = ref 0 in
-  let rec go f =
-    if (not (M.is_const f)) && not (Hashtbl.mem visited f) then begin
-      Hashtbl.add visited f ();
-      incr count;
-      go (M.low m f);
-      go (M.high m f)
-    end
-  in
-  List.iter go fs;
-  !count
+let size_shared = M.dag_size
 
 let size m f = size_shared m [ f ]
 

@@ -105,12 +105,24 @@ module Counter = struct
   let dummy = { name = ""; v = 0 }
   let bump c = c.v <- c.v + 1
   let add c n = c.v <- c.v + n
-  let value c = c.v
+
+  (* folds of tallies that hot paths keep outside the registry; run before
+     every read and before [reset] *)
+  let folds : (unit -> unit) list ref = ref []
+  let on_read f = folds := f :: !folds
+  let fold_pending () = List.iter (fun f -> f ()) !folds
+
+  let value c =
+    fold_pending ();
+    c.v
 
   let find name =
+    fold_pending ();
     match Hashtbl.find_opt registry name with Some c -> c.v | None -> 0
 
-  let all () = sorted_cells registry
+  let all () =
+    fold_pending ();
+    sorted_cells registry
 end
 
 module Gauge = struct
@@ -348,6 +360,8 @@ module Span = struct
 end
 
 let reset () =
+  (* folded first, so tallies pending at the reset are dropped too *)
+  Counter.fold_pending ();
   Hashtbl.iter (fun _ c -> c.v <- 0) Counter.registry;
   Hashtbl.iter (fun _ c -> c.v <- 0) Gauge.registry;
   Timer.reset ();

@@ -61,6 +61,13 @@ module Counter : sig
   val find : string -> int
   (** Current value by name; [0] when no such counter is registered. *)
 
+  val on_read : (unit -> unit) -> unit
+  (** Register a fold run before every read ({!value}, {!find}, {!all},
+      the snapshot) and before {!reset}. A hot path that tallies into
+      its own array (one store per event, several counters derived from
+      it) registers a function that adds the pending tallies to named
+      counters and zeroes them. *)
+
   val all : unit -> (string * int) list
   (** All registered counters, sorted by name. *)
 end

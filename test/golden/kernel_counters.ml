@@ -1,0 +1,36 @@
+(* Node-stream golden: the BDD kernel's deterministic work counters for
+   Table-1 rows t298 and t349, each solved with the default partitioned
+   flow ([Solve.solve_split ~method_:default_partitioned], GC on) and Obs
+   on. Every count depends only on the sequence of [mk] calls and cache
+   probes, so a kernel refactor that keeps this file byte-identical keeps
+   the node stream, and with it the rungs the ladder-budget benchmark
+   expects. A diff here is a change of the node stream: accept an
+   intended one with [dune promote]. *)
+
+let counters =
+  [ "bdd.mk_calls"; "bdd.nodes_created"; "bdd.unique.hits"; "bdd.gc.runs";
+    "bdd.gc.nodes_swept" ]
+  @ List.concat_map
+      (fun op -> [ "bdd.cache.lookups." ^ op; "bdd.cache.hits." ^ op ])
+      [ "ite"; "not"; "exists"; "forall"; "and_exists"; "compose";
+        "constrain" ]
+
+let () =
+  List.iter
+    (fun name ->
+      let row = Circuits.Suite.find name in
+      Obs.reset ();
+      Obs.set_enabled true;
+      let outcome =
+        Equation.Solve.solve_split ~method_:Equation.Solve.default_partitioned
+          row.Circuits.Suite.net ~x_latches:row.Circuits.Suite.x_latches
+      in
+      Obs.set_enabled false;
+      (match outcome with
+       | Equation.Solve.Completed _ -> ()
+       | Equation.Solve.Could_not_complete _ ->
+         failwith (name ^ ": could not complete"));
+      List.iter
+        (fun c -> Printf.printf "%s %s %d\n" name c (Obs.Counter.find c))
+        counters)
+    [ "t298"; "t349" ]

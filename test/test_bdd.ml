@@ -263,6 +263,72 @@ let test_cache_lossy_is_sound () =
   Alcotest.(check int) "recompute after clear" M.zero
     (O.band m all (O.bnot m (List.hd fs)))
 
+(* --- computed-cache probe ---------------------------------------------- *)
+
+let ops =
+  M.Op.[ ite; bnot; exists; forall; and_exists; compose; constrain ]
+
+let test_cache_probe_results () =
+  let m = fresh_man () in
+  Alcotest.(check int) "a miss is -1" (-1) (M.cache_find m M.Op.ite 5 6 7);
+  (* the constants are ordinary results, not miss markers *)
+  List.iter
+    (fun r ->
+      M.cache_store m M.Op.ite 5 6 7 r;
+      Alcotest.(check int) (Printf.sprintf "stored %d is a hit" r) r
+        (M.cache_find m M.Op.ite 5 6 7))
+    [ M.zero; M.one; 42 ]
+
+let test_cache_ops_never_alias () =
+  let m = fresh_man () in
+  List.iteri
+    (fun k op ->
+      (* an empty cache holding one entry: every other tag must miss *)
+      M.clear_caches m;
+      M.cache_store m op 3 4 5 (100 + k);
+      Alcotest.(check int) "own tag hits" (100 + k) (M.cache_find m op 3 4 5);
+      List.iter
+        (fun op' ->
+          if op' <> op then
+            Alcotest.(check int)
+              (Printf.sprintf "tag %d does not see tag %d's entry" op' op)
+              (-1)
+              (M.cache_find m op' 3 4 5))
+        ops)
+    ops
+
+let test_cache_emptied () =
+  let m = fresh_man () in
+  let stored () =
+    M.cache_store m M.Op.ite 2 3 4 M.one;
+    Alcotest.(check int) "stored" M.one (M.cache_find m M.Op.ite 2 3 4)
+  in
+  stored ();
+  M.clear_caches m;
+  Alcotest.(check int) "clear_caches empties" (-1) (M.cache_find m M.Op.ite 2 3 4);
+  stored ();
+  ignore (M.collect m : int);
+  Alcotest.(check int) "collect empties" (-1) (M.cache_find m M.Op.ite 2 3 4);
+  (* growth: raw [mk] never touches the cache, so only a growth can drop
+     the entry; minterm cubes over 12 variables add fresh nodes *)
+  let m = M.create () in
+  let vars = M.new_vars m 12 in
+  M.cache_store m M.Op.ite 2 3 4 M.one;
+  Obs.set_enabled true;
+  Obs.reset ();
+  Fun.protect ~finally:(fun () -> Obs.set_enabled false) @@ fun () ->
+  let grows () = Obs.Counter.find "bdd.cache.grows" in
+  let i = ref 0 in
+  while grows () = 0 do
+    Alcotest.(check int) "kept until the cache grows" M.one
+      (M.cache_find m M.Op.ite 2 3 4);
+    ignore
+      (O.cube_of_literals m (List.map (fun v -> (v, (!i lsr v) land 1 = 1)) vars)
+        : int);
+    incr i
+  done;
+  Alcotest.(check int) "growth empties" (-1) (M.cache_find m M.Op.ite 2 3 4)
+
 let test_pick_minterm () =
   let m = fresh_man () in
   let f = fbuild m (F_and (F_not (F_var 1), F_var 3)) in
@@ -584,6 +650,12 @@ let () =
           Alcotest.test_case "var names" `Quick test_var_names;
           Alcotest.test_case "lossy cache soundness" `Quick
             test_cache_lossy_is_sound;
+          Alcotest.test_case "cache probe results" `Quick
+            test_cache_probe_results;
+          Alcotest.test_case "cache op tags never alias" `Quick
+            test_cache_ops_never_alias;
+          Alcotest.test_case "cache emptied by clear, collect, growth" `Quick
+            test_cache_emptied;
           Alcotest.test_case "pick minterm" `Quick test_pick_minterm;
           Alcotest.test_case "serialize roundtrip" `Quick
             test_serialize_roundtrip;

@@ -227,6 +227,97 @@ let test_clear_caches_gc_interleaving () =
   Alcotest.(check int) "same result after both" fg (O.band m f g);
   Alcotest.(check (list bool)) "truth table stable" tt (truth_table m fg)
 
+(* --- [mk]'s insert path under collection pressure ------------------------------ *)
+
+(* a random function over [nv] variables, with every intermediate pinned on
+   the operand stack so collections inside [mk] are sound; after an
+   exception the caller resets the stack *)
+let rec pinned_random m rng nv depth =
+  if depth = 0 then
+    let v = Random.State.int rng nv in
+    if Random.State.bool rng then O.var_bdd m v else O.nvar_bdd m v
+  else begin
+    let a = pinned_random m rng nv (depth - 1) in
+    M.stack_push m a;
+    let b = pinned_random m rng nv (depth - 1) in
+    M.stack_push m b;
+    let r =
+      match Random.State.int rng 3 with
+      | 0 -> O.band m a b
+      | 1 -> O.bor m a b
+      | _ -> O.bxor m a b
+    in
+    M.stack_drop m 2;
+    r
+  end
+
+(* A 16-node store, auto-GC at threshold 0 and a small live-node limit:
+   nearly every store-full [mk] collects, and some [mk]s collect at the
+   limit and then fail. Each collection rebuilds the unique table under a
+   pending insertion, which must land on a freshly derived free slot. *)
+let test_insert_under_pressure () =
+  let nv = 8 in
+  let m = M.create ~initial_capacity:16 () in
+  ignore (M.new_vars m nv : int list);
+  M.set_auto_gc m true;
+  M.set_gc_threshold m 0.0;
+  M.set_node_limit m (Some 300);
+  let rng = Random.State.make [| 11 |] in
+  let envs = Helpers.all_envs ~nvars:nv () in
+  let tt f = List.map (O.eval m f) envs in
+  let kept = Queue.create () in  (* protected roots, with truth tables *)
+  let recounts = ref 0 and limit_hits = ref 0 in
+  (* a misplaced insertion is healed by the next collection's table
+     rebuild, so canonicity is probed after every step *)
+  let check_canonical what =
+    let live = Hashtbl.create 256 in
+    Queue.iter
+      (fun (f, _) -> Hashtbl.iter (Hashtbl.replace live) (reachable m f))
+      kept;
+    Hashtbl.iter
+      (fun id () ->
+        if M.mk m (M.var m id) (M.low m id) (M.high m id) <> id then
+          Alcotest.failf "%s: a second mk of node %d's triple missed it" what
+            id)
+      live;
+    live
+  in
+  let check_consistent what =
+    incr recounts;
+    let live = check_canonical what in
+    Queue.iter
+      (fun (f, t) ->
+        Alcotest.(check (list bool)) (what ^ ": function unchanged") t (tt f))
+      kept;
+    ignore (M.collect m : int);
+    Alcotest.(check int) (what ^ ": live count = recount from the roots")
+      (2 + Hashtbl.length live) (M.live_nodes m)
+  in
+  for step = 1 to 400 do
+    match pinned_random m rng nv 4 with
+    | f ->
+      M.protect m f;
+      Queue.add (f, tt f) kept;
+      if Queue.length kept > 12 then M.release m (fst (Queue.pop kept));
+      let what = Printf.sprintf "step %d" step in
+      if step mod 50 = 0 then check_consistent what
+      else ignore (check_canonical what : (int, unit) Hashtbl.t)
+    | exception M.Node_limit_exceeded ->
+      incr limit_hits;
+      M.reset_op_stack m;
+      check_consistent (Printf.sprintf "limit hit at step %d" step);
+      (* make room: drop the older half of the kept functions *)
+      for _ = 1 to Queue.length kept / 2 do
+        M.release m (fst (Queue.pop kept))
+      done
+  done;
+  Alcotest.(check bool) "the node limit was hit" true (!limit_hits > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "collections inside mk (%d runs, %d explicit)"
+       (M.gc_runs m) !recounts)
+    true
+    (M.gc_runs m > 2 * !recounts)
+
 (* --- observability ------------------------------------------------------------ *)
 
 let test_gc_counters () =
@@ -294,7 +385,9 @@ let () =
       ( "limits",
         [ Alcotest.test_case "node limit bounds live nodes" `Quick
             test_node_limit_is_live_count;
-          Alcotest.test_case "gc off grows only" `Quick test_gc_off_grows_only ]
+          Alcotest.test_case "gc off grows only" `Quick test_gc_off_grows_only;
+          Alcotest.test_case "insert under collection pressure" `Quick
+            test_insert_under_pressure ]
       );
       ( "caches",
         [ Alcotest.test_case "clear_caches/GC interleaving" `Quick

@@ -352,6 +352,32 @@ let test_solve_populates_counters () =
              || (d = 2 && String.length name > 6 && String.sub name 0 6 = "phase."))
            seen false))
 
+(* The kernel tallies cache probes in its own array and derives the named
+   per-op and total counters when Obs reads them: the totals must equal
+   the per-op sums, and a reset must also drop tallies not yet read. *)
+let test_cache_tallies_fold_on_read () =
+  with_obs (fun () ->
+      let ops =
+        [ "ite"; "not"; "exists"; "forall"; "and_exists"; "compose";
+          "constrain" ]
+      in
+      let sum prefix =
+        List.fold_left (fun a op -> a + Obs.Counter.find (prefix ^ op)) 0 ops
+      in
+      ignore (solve_counter ());
+      let lookups = Obs.Counter.find "bdd.cache.lookups" in
+      Alcotest.(check bool) "probes counted" true (lookups > 0);
+      Alcotest.(check int) "lookups = sum of per-op lookups" lookups
+        (sum "bdd.cache.lookups.");
+      Alcotest.(check int) "hits = sum of per-op hits"
+        (Obs.Counter.find "bdd.cache.hits") (sum "bdd.cache.hits.");
+      Alcotest.(check int) "a second read adds nothing" lookups
+        (Obs.Counter.find "bdd.cache.lookups");
+      ignore (solve_counter ());
+      Obs.reset ();
+      Alcotest.(check int) "reset drops unread tallies" 0
+        (Obs.Counter.find "bdd.cache.lookups"))
+
 let test_cnc_flushes_partial_stats () =
   with_obs (fun () ->
       let row = Circuits.Suite.find "t298" in
@@ -396,5 +422,7 @@ let () =
         [ Alcotest.test_case "snapshot json" `Quick test_snapshot_json;
           Alcotest.test_case "counters populated" `Quick
             test_solve_populates_counters;
+          Alcotest.test_case "cache tallies fold on read" `Quick
+            test_cache_tallies_fold_on_read;
           Alcotest.test_case "cnc partial stats" `Quick
             test_cnc_flushes_partial_stats ] ) ]
