@@ -9,8 +9,8 @@
    and id-keyed memo tables (subset-construction P_zeta memo, support memo)
    stay valid across collections. Reachability is defined by explicitly
    pinned roots: the [protect]/[release] table, registered root sets, and an
-   internal operand stack that the recursive operations in [Ops] use to pin
-   intermediate results for the duration of a call. *)
+   internal operand stack that the recursive operations at the end of this
+   file use to pin intermediate results for the duration of a call. *)
 
 type root_set = { mutable rs_ids : int array; mutable rs_n : int }
 
@@ -288,7 +288,10 @@ let stack_push m id =
   m.op_stack.(m.op_top) <- id;
   m.op_top <- m.op_top + 1
 
-let stack_drop m n = m.op_top <- max 0 (m.op_top - n)
+(* an int test, not the polymorphic [max] (a C call without flambda) *)
+let stack_drop m n =
+  let top = m.op_top - n in
+  m.op_top <- (if top > 0 then top else 0)
 
 (* called at ladder safe points (Runtime.attach): an exception that unwound
    through an operation leaves its pins behind, harmlessly conservative
@@ -557,7 +560,9 @@ let var_name m v =
 
 let set_var_name m v s = if v >= 0 && v < m.n_vars then m.names.(v) <- s
 
-let cache_slot m op a b c =
+(* inlined into the recursions at the end of this file, so a cache probe
+   or store costs no call *)
+let[@inline] cache_slot m op a b c =
   let h =
     (op * 0x27d4eb2f)
     lxor (a * 0x9e3779b1)
@@ -567,7 +572,7 @@ let cache_slot m op a b c =
   let h = h lxor (h lsr 13) in
   h land m.c_mask
 
-let cache_find m op a b c =
+let[@inline] cache_find m op a b c =
   let t = m.cache in
   let s = 4 * cache_slot m op a b c in
   let hit = t.(s) = (op lsl 56) lor a && t.(s + 1) = b && t.(s + 2) = c in
@@ -577,7 +582,7 @@ let cache_find m op a b c =
   end;
   if hit then t.(s + 3) else -1
 
-let cache_store m op a b c r =
+let[@inline] cache_store m op a b c r =
   let t = m.cache in
   let s = 4 * cache_slot m op a b c in
   t.(s) <- (op lsl 56) lor a;
@@ -604,3 +609,245 @@ module Op = struct
   let compose = 6
   let constrain = 7
 end
+
+(* --- the computed-cache recursions -------------------------------------- *)
+
+(* The kernel's recursive operations live here, in the module that owns
+   the node store, unique table, computed cache and operand stack, so
+   their [var]/[low]/[high]/[mk]/[cache_find]/[cache_store]/[stack_push]
+   calls are same-module calls the native compiler can inline. Under
+   dune's dev profile, which compiles with -opaque, the same calls made
+   from another module are full calls of unknown arity. [Ops] re-exports
+   these and builds the derived operations on them.
+
+   GC discipline: the caller keeps the operands alive (pinned directly or
+   reachable from a pinned root), and each operation pins every
+   already-computed intermediate on the operand stack before making
+   further recursive calls, so a collection triggered by an inner [mk]
+   can never sweep a partial result held only in an OCaml local. [mk]
+   pins its own two arguments, so results that flow straight into an
+   enclosing [mk] need no extra pin. A node an operation keys cache
+   entries on is pinned for the same reason.
+
+   The recursions allocate nothing of their own: cache probes return -1
+   on a miss instead of an option, cofactors are taken inline rather
+   than as tuples, and levels are compared with the int-typed [imin]
+   (the polymorphic [min] is a C call without flambda). *)
+
+let imin (a : int) b = if a <= b then a else b
+
+let rec bnot m f =
+  if f = zero then one
+  else if f = one then zero
+  else
+    let r = cache_find m Op.bnot f 0 0 in
+    if r >= 0 then r
+    else begin
+      let lo = bnot m (low m f) in
+      stack_push m lo;
+      let hi = bnot m (high m f) in
+      stack_drop m 1;
+      let r = mk m (var m f) lo hi in
+      cache_store m Op.bnot f 0 0 r;
+      r
+    end
+
+let rec ite m f g h =
+  if f = one then g
+  else if f = zero then h
+  else if g = h then g
+  else if g = one && h = zero then f
+  else
+    let r = cache_find m Op.ite f g h in
+    if r >= 0 then r
+    else begin
+      let vf = var m f and vg = var m g and vh = var m h in
+      let v = imin vf (imin vg vh) in
+      let lo =
+        ite m
+          (if vf = v then low m f else f)
+          (if vg = v then low m g else g)
+          (if vh = v then low m h else h)
+      in
+      stack_push m lo;
+      let hi =
+        ite m
+          (if vf = v then high m f else f)
+          (if vg = v then high m g else g)
+          (if vh = v then high m h else h)
+      in
+      stack_drop m 1;
+      let r = mk m v lo hi in
+      cache_store m Op.ite f g h r;
+      r
+    end
+
+(* Skip the quantified variables of [cube] above level [top]. *)
+let rec skip_above m cube top =
+  if cube <> one && var m cube < top then skip_above m (high m cube) top
+  else cube
+
+let rec exists m cube f =
+  if is_const f || cube = one then f
+  else begin
+    let v = var m f in
+    let cube = skip_above m cube v in
+    if cube = one then f
+    else
+      let r = cache_find m Op.exists f cube 0 in
+      if r >= 0 then r
+      else begin
+        let cv = var m cube in
+        let r =
+          if cv = v then begin
+            let cube' = high m cube in
+            let lo = exists m cube' (low m f) in
+            if lo = one then one
+            else begin
+              stack_push m lo;
+              let hi = exists m cube' (high m f) in
+              stack_push m hi;
+              let r = ite m lo one hi in
+              stack_drop m 2;
+              r
+            end
+          end
+          else begin
+            let lo = exists m cube (low m f) in
+            stack_push m lo;
+            let hi = exists m cube (high m f) in
+            stack_drop m 1;
+            mk m v lo hi
+          end
+        in
+        cache_store m Op.exists f cube 0 r;
+        r
+      end
+  end
+
+let rec and_exists m cube f g =
+  if f = zero || g = zero then zero
+  else if f = one && g = one then one
+  else if f = one then exists m cube g
+  else if g = one then exists m cube f
+  else if f = g then exists m cube f
+  else if cube = one then ite m f g zero
+  else begin
+    let top = imin (var m f) (var m g) in
+    let cube = skip_above m cube top in
+    if cube = one then ite m f g zero
+    else
+      (* Normalize operand order: ∧ commutes, so cache both orders once. *)
+      let a = imin f g and b = if f <= g then g else f in
+      let r = cache_find m Op.and_exists a b cube in
+      if r >= 0 then r
+      else begin
+        let a_top = var m a = top and b_top = var m b = top in
+        (* quantify [top] away (merge the cofactors with ∨) or keep it *)
+        let quantify = var m cube = top in
+        let cube' = if quantify then high m cube else cube in
+        let lo =
+          and_exists m cube'
+            (if a_top then low m a else a)
+            (if b_top then low m b else b)
+        in
+        let r =
+          if quantify && lo = one then one
+          else begin
+            stack_push m lo;
+            let hi =
+              and_exists m cube'
+                (if a_top then high m a else a)
+                (if b_top then high m b else b)
+            in
+            if quantify then begin
+              stack_push m hi;
+              let r = ite m lo one hi in
+              stack_drop m 2;
+              r
+            end
+            else begin
+              stack_drop m 1;
+              mk m top lo hi
+            end
+          end
+        in
+        cache_store m Op.and_exists a b cube r;
+        r
+      end
+  end
+
+let cofactor m f v b =
+  let lit = if b then mk m v zero one else mk m v one zero in
+  (* ∃v. f ∧ lit computed directly: walk to v and take the branch. *)
+  let rec walk f =
+    if is_const f then f
+    else
+      let fv = var m f in
+      if fv > v then f
+      else if fv = v then if b then high m f else low m f
+      else
+        let r = cache_find m Op.constrain f lit 0 in
+        if r >= 0 then r
+        else begin
+          let lo = walk (low m f) in
+          stack_push m lo;
+          let hi = walk (high m f) in
+          stack_drop m 1;
+          let r = mk m fv lo hi in
+          cache_store m Op.constrain f lit 0 r;
+          r
+        end
+  in
+  (* the cache entries are keyed on [lit]'s id: pinned, so a collection
+     inside [walk] cannot sweep it and hand the id to another literal *)
+  stack_push m lit;
+  let r = walk f in
+  stack_drop m 1;
+  r
+
+let rec cofactor_cube m f cube =
+  if cube = one || is_const f then f
+  else begin
+    let cv = var m cube in
+    let next_cube, branch_high =
+      if high m cube = zero then (low m cube, false)
+      else (high m cube, true)
+    in
+    let fv = var m f in
+    if cv < fv then cofactor_cube m f next_cube
+    else if cv = fv then
+      cofactor_cube m (if branch_high then high m f else low m f) next_cube
+    else
+      let r = cache_find m Op.constrain f cube 1 in
+      if r >= 0 then r
+      else begin
+        let lo = cofactor_cube m (low m f) cube in
+        stack_push m lo;
+        let hi = cofactor_cube m (high m f) cube in
+        stack_drop m 1;
+        let r = mk m fv lo hi in
+        cache_store m Op.constrain f cube 1 r;
+        r
+      end
+  end
+
+let rec compose m f v g =
+  if is_const f || var m f > v then f
+  else if var m f = v then ite m g (high m f) (low m f)
+  else
+    let r = cache_find m Op.compose f g v in
+    if r >= 0 then r
+    else begin
+      let lo = compose m (low m f) v g in
+      stack_push m lo;
+      let hi = compose m (high m f) v g in
+      stack_push m hi;
+      (* [g] may mention variables above [var f], so rebuild with ite. *)
+      let vb = mk m (var m f) zero one in
+      stack_push m vb;
+      let r = ite m vb hi lo in
+      stack_drop m 3;
+      cache_store m Op.compose f g v r;
+      r
+    end

@@ -166,7 +166,7 @@ val with_roots : t -> (Roots.set -> 'a) -> 'a
 
 val stack_push : t -> int -> unit
 (** Pin an intermediate on the internal operand stack. Used by the
-    recursive operations in {!Ops} to protect already-computed partial
+    kernel's recursive operations to protect already-computed partial
     results across their remaining recursive calls; strictly LIFO with
     {!stack_drop}. *)
 
@@ -232,6 +232,22 @@ val support_memo : t -> (int, int list) Hashtbl.t
 
 val clear_caches : t -> unit
 (** Drop all memoized operation results (never required for correctness). *)
+
+(** {2 Computed-cache recursions}
+
+    The kernel's recursive operations, defined here next to the node
+    store and computed cache they use (a same-module call can be inlined;
+    under [-opaque] a cross-module one cannot). {!Ops} re-exports each
+    under the same name and documents it; use them through {!Ops}. Each
+    pins its own intermediates; the caller keeps the operands alive. *)
+
+val bnot : t -> int -> int
+val ite : t -> int -> int -> int -> int
+val exists : t -> int -> int -> int
+val and_exists : t -> int -> int -> int -> int
+val cofactor : t -> int -> int -> bool -> int
+val cofactor_cube : t -> int -> int -> int
+val compose : t -> int -> int -> int -> int
 
 (** Operation tags for the shared computed cache. Each distinct recursive
     operation must use a distinct tag. *)

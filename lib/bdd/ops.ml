@@ -1,71 +1,28 @@
 module M = Manager
 
-(* GC discipline for every recursive operation below: the caller keeps the
-   operands alive (pinned directly or reachable from a pinned root), and
-   the operation pins each already-computed intermediate on the manager's
-   operand stack before making further recursive calls, so a collection
-   triggered by an inner [mk] can never sweep a partial result held only
-   in an OCaml local. [mk] pins its own two arguments, so results that
-   flow straight into an enclosing [mk] need no extra pin. *)
-
-(* The recursive cores below ([bnot], [ite], [exists], [and_exists]) are
-   the kernel's innermost loops and allocate nothing of their own: cache
-   probes return -1 on a miss instead of an option, cofactors are taken
-   inline rather than as tuples, and levels are compared with the
-   int-typed [imin] (the polymorphic [min] is a C call without flambda).
-   Each operand's level is read once: under dune's dev profile, which
-   compiles with -opaque, every [Manager] accessor is a full call. *)
-
-let imin (a : int) b = if a <= b then a else b
+(* The computed-cache recursions ([bnot], [ite], [exists], [and_exists],
+   [cofactor], [cofactor_cube], [compose]) live in [Manager], next to the
+   node store and computed cache they probe: dune's dev profile compiles
+   with -opaque, so every [Manager] accessor, [mk] and cache probe called
+   from here would be a full cross-module call in the kernel's innermost
+   loops. With them there, a release-profile build runs the solver
+   benchmark's table1-large within 1% of the dev build (it was 11-15%
+   faster when they lived here). This module re-exports them and builds the derived
+   operations on top, under the same GC discipline (see [Manager]): the
+   caller keeps the operands alive, and an intermediate that a later
+   operation could sweep is pinned on the operand stack until it is
+   consumed. Keep cache probes out of this module. *)
 
 let var_bdd m v = M.mk m v M.zero M.one
 let nvar_bdd m v = M.mk m v M.one M.zero
 
-let rec bnot m f =
-  if f = M.zero then M.one
-  else if f = M.one then M.zero
-  else
-    let r = M.cache_find m M.Op.bnot f 0 0 in
-    if r >= 0 then r
-    else begin
-      let lo = bnot m (M.low m f) in
-      M.stack_push m lo;
-      let hi = bnot m (M.high m f) in
-      M.stack_drop m 1;
-      let r = M.mk m (M.var m f) lo hi in
-      M.cache_store m M.Op.bnot f 0 0 r;
-      r
-    end
-
-let rec ite m f g h =
-  if f = M.one then g
-  else if f = M.zero then h
-  else if g = h then g
-  else if g = M.one && h = M.zero then f
-  else
-    let r = M.cache_find m M.Op.ite f g h in
-    if r >= 0 then r
-    else begin
-      let vf = M.var m f and vg = M.var m g and vh = M.var m h in
-      let v = imin vf (imin vg vh) in
-      let lo =
-        ite m
-          (if vf = v then M.low m f else f)
-          (if vg = v then M.low m g else g)
-          (if vh = v then M.low m h else h)
-      in
-      M.stack_push m lo;
-      let hi =
-        ite m
-          (if vf = v then M.high m f else f)
-          (if vg = v then M.high m g else g)
-          (if vh = v then M.high m h else h)
-      in
-      M.stack_drop m 1;
-      let r = M.mk m v lo hi in
-      M.cache_store m M.Op.ite f g h r;
-      r
-    end
+let bnot = M.bnot
+let ite = M.ite
+let exists = M.exists
+let and_exists = M.and_exists
+let cofactor = M.cofactor
+let cofactor_cube = M.cofactor_cube
+let compose = M.compose
 
 let band m f g = ite m f g M.zero
 let bor m f g = ite m f M.one g
@@ -130,49 +87,6 @@ let cube_of_literals m lits =
       if pos then M.mk m v M.zero acc else M.mk m v acc M.zero)
     sorted M.one
 
-(* Skip the quantified variables of [cube] above level [top]. *)
-let rec skip_above m cube top =
-  if cube <> M.one && M.var m cube < top then skip_above m (M.high m cube) top
-  else cube
-
-let rec exists m cube f =
-  if M.is_const f || cube = M.one then f
-  else begin
-    let v = M.var m f in
-    let cube = skip_above m cube v in
-    if cube = M.one then f
-    else
-      let r = M.cache_find m M.Op.exists f cube 0 in
-      if r >= 0 then r
-      else begin
-        let cv = M.var m cube in
-        let r =
-          if cv = v then begin
-            let cube' = M.high m cube in
-            let lo = exists m cube' (M.low m f) in
-            if lo = M.one then M.one
-            else begin
-              M.stack_push m lo;
-              let hi = exists m cube' (M.high m f) in
-              M.stack_push m hi;
-              let r = bor m lo hi in
-              M.stack_drop m 2;
-              r
-            end
-          end
-          else begin
-            let lo = exists m cube (M.low m f) in
-            M.stack_push m lo;
-            let hi = exists m cube (M.high m f) in
-            M.stack_drop m 1;
-            M.mk m v lo hi
-          end
-        in
-        M.cache_store m M.Op.exists f cube 0 r;
-        r
-      end
-  end
-
 let forall m cube f =
   let nf = bnot m f in
   M.stack_push m nf;
@@ -181,128 +95,6 @@ let forall m cube f =
   let r = bnot m e in
   M.stack_drop m 2;
   r
-
-let rec and_exists m cube f g =
-  if f = M.zero || g = M.zero then M.zero
-  else if f = M.one && g = M.one then M.one
-  else if f = M.one then exists m cube g
-  else if g = M.one then exists m cube f
-  else if f = g then exists m cube f
-  else if cube = M.one then band m f g
-  else begin
-    let top = imin (M.var m f) (M.var m g) in
-    let cube = skip_above m cube top in
-    if cube = M.one then band m f g
-    else
-      (* Normalize operand order: ∧ commutes, so cache both orders once. *)
-      let a = imin f g and b = if f <= g then g else f in
-      let r = M.cache_find m M.Op.and_exists a b cube in
-      if r >= 0 then r
-      else begin
-        let a_top = M.var m a = top and b_top = M.var m b = top in
-        (* quantify [top] away (merge the cofactors with [bor]) or keep it *)
-        let quantify = M.var m cube = top in
-        let cube' = if quantify then M.high m cube else cube in
-        let lo =
-          and_exists m cube'
-            (if a_top then M.low m a else a)
-            (if b_top then M.low m b else b)
-        in
-        let r =
-          if quantify && lo = M.one then M.one
-          else begin
-            M.stack_push m lo;
-            let hi =
-              and_exists m cube'
-                (if a_top then M.high m a else a)
-                (if b_top then M.high m b else b)
-            in
-            if quantify then begin
-              M.stack_push m hi;
-              let r = bor m lo hi in
-              M.stack_drop m 2;
-              r
-            end
-            else begin
-              M.stack_drop m 1;
-              M.mk m top lo hi
-            end
-          end
-        in
-        M.cache_store m M.Op.and_exists a b cube r;
-        r
-      end
-  end
-
-let cofactor m f v b =
-  let lit = if b then var_bdd m v else nvar_bdd m v in
-  (* ∃v. f ∧ lit computed directly: walk to v and take the branch. *)
-  let rec walk f =
-    if M.is_const f then f
-    else
-      let fv = M.var m f in
-      if fv > v then f
-      else if fv = v then if b then M.high m f else M.low m f
-      else
-        let r = M.cache_find m M.Op.constrain f lit 0 in
-        if r >= 0 then r
-        else begin
-          let lo = walk (M.low m f) in
-          M.stack_push m lo;
-          let hi = walk (M.high m f) in
-          M.stack_drop m 1;
-          let r = M.mk m fv lo hi in
-          M.cache_store m M.Op.constrain f lit 0 r;
-          r
-        end
-  in
-  walk f
-
-let rec cofactor_cube m f cube =
-  if cube = M.one || M.is_const f then f
-  else begin
-    let cv = M.var m cube in
-    let next_cube, branch_high =
-      if M.high m cube = M.zero then (M.low m cube, false)
-      else (M.high m cube, true)
-    in
-    let fv = M.var m f in
-    if cv < fv then cofactor_cube m f next_cube
-    else if cv = fv then
-      cofactor_cube m (if branch_high then M.high m f else M.low m f) next_cube
-    else
-      let r = M.cache_find m M.Op.constrain f cube 1 in
-      if r >= 0 then r
-      else begin
-        let lo = cofactor_cube m (M.low m f) cube in
-        M.stack_push m lo;
-        let hi = cofactor_cube m (M.high m f) cube in
-        M.stack_drop m 1;
-        let r = M.mk m fv lo hi in
-        M.cache_store m M.Op.constrain f cube 1 r;
-        r
-      end
-  end
-
-let rec compose m f v g =
-  if M.is_const f || M.var m f > v then f
-  else if M.var m f = v then ite m g (M.high m f) (M.low m f)
-  else
-    let r = M.cache_find m M.Op.compose f g v in
-    if r >= 0 then r
-    else begin
-      let lo = compose m (M.low m f) v g in
-      M.stack_push m lo;
-      let hi = compose m (M.high m f) v g in
-      M.stack_push m hi;
-      (* [g] may mention variables above [var f], so rebuild with ite. *)
-      let vb = var_bdd m (M.var m f) in
-      M.stack_push m vb;
-      let r = ite m vb hi lo in
-      M.stack_drop m 3;
-      M.cache_store m M.Op.compose f g v r;
-      r
-    end
 
 (* the private memo holds intermediate ids the collector cannot see, so
    the whole traversal runs frozen (allocation grows the store instead) *)

@@ -1,7 +1,10 @@
 (* Node-stream golden: the BDD kernel's deterministic work counters for
    Table-1 rows t298 and t349, each solved with the default partitioned
    flow ([Solve.solve_split ~method_:default_partitioned], GC on) and Obs
-   on. Every count depends only on the sequence of [mk] calls and cache
+   on, plus t349 under a 10k live-node budget (the ladder-budget case
+   that fails first try and completes on reorder-retry; its row also
+   names the rung that completed, and its counts cover every attempt).
+   Every count depends only on the sequence of [mk] calls and cache
    probes, so a kernel refactor that keeps this file byte-identical keeps
    the node stream, and with it the rungs the ladder-budget benchmark
    expects. A diff here is a change of the node stream: accept an
@@ -15,22 +18,32 @@ let counters =
       [ "ite"; "not"; "exists"; "forall"; "and_exists"; "compose";
         "constrain" ]
 
+let rows = [ ("t298", None); ("t349", None); ("t349", Some 10_000) ]
+
 let () =
   List.iter
-    (fun name ->
+    (fun (name, node_limit) ->
       let row = Circuits.Suite.find name in
+      let label =
+        match node_limit with
+        | None -> name
+        | Some n -> Printf.sprintf "%s@%dk" name (n / 1000)
+      in
       Obs.reset ();
       Obs.set_enabled true;
       let outcome =
-        Equation.Solve.solve_split ~method_:Equation.Solve.default_partitioned
-          row.Circuits.Suite.net ~x_latches:row.Circuits.Suite.x_latches
+        Equation.Solve.solve_split ?node_limit
+          ~method_:Equation.Solve.default_partitioned row.Circuits.Suite.net
+          ~x_latches:row.Circuits.Suite.x_latches
       in
       Obs.set_enabled false;
       (match outcome with
-       | Equation.Solve.Completed _ -> ()
+       | Equation.Solve.Completed r ->
+         if node_limit <> None then
+           Printf.printf "%s solved_by %s\n" label r.Equation.Solve.solved_by
        | Equation.Solve.Could_not_complete _ ->
-         failwith (name ^ ": could not complete"));
+         failwith (label ^ ": could not complete"));
       List.iter
-        (fun c -> Printf.printf "%s %s %d\n" name c (Obs.Counter.find c))
+        (fun c -> Printf.printf "%s %s %d\n" label c (Obs.Counter.find c))
         counters)
-    [ "t298"; "t349" ]
+    rows
