@@ -58,21 +58,6 @@ let node_limit_arg =
   let doc = "BDD-node budget before giving up (CNC)." in
   Arg.(value & opt int 20_000_000 & info [ "node-limit" ] ~doc)
 
-let retries_arg =
-  let doc =
-    "Reorder-and-retry attempts after a node-limit failure, before falling \
-     back to a cheaper method."
-  in
-  Arg.(value & opt int 1 & info [ "retries" ] ~doc)
-
-let no_fallback_arg =
-  let doc =
-    "Disable the graceful-degradation ladder: fail with CNC instead of \
-     trying the alternative quantification schedule and the monolithic \
-     method."
-  in
-  Arg.(value & flag & info [ "no-fallback" ] ~doc)
-
 let no_gc_arg =
   let doc =
     "Disable BDD garbage collection: managers grow instead of collecting, \
@@ -229,15 +214,14 @@ let solve_cmd =
     let doc = "Write the CSF in the .aut exchange format." in
     Arg.(value & opt (some string) None & info [ "aut" ] ~doc)
   in
-  let run path latches method_ time_limit node_limit retries no_fallback no_gc
-      verify dot minimize aut stats trace =
+  let run path latches method_ time_limit node_limit no_gc verify dot minimize
+      aut stats trace =
     guard @@ fun () ->
     obs_setup ~stats ~trace;
     let net = load path in
     match
-      E.Solve.solve_split ~node_limit ~time_limit ~retries
-        ~fallback:(not no_fallback) ~gc:(not no_gc) ~method_ net
-        ~x_latches:latches
+      E.Solve.solve_split ~node_limit ~time_limit ~gc:(not no_gc) ~method_
+        net ~x_latches:latches
     with
     | E.Solve.Could_not_complete { cpu_seconds; reason; progress } ->
       (* flush the partial counters of the failed attempts before exiting *)
@@ -285,8 +269,7 @@ let solve_cmd =
        ~doc:"Compute the complete sequential flexibility of a latch split")
     Term.(
       const run $ network_arg $ latches_arg $ method_arg $ time_limit_arg
-      $ node_limit_arg $ retries_arg $ no_fallback_arg $ no_gc_arg
-      $ verify_arg $ dot_arg $ minimize_arg $ aut_arg $ stats_arg $ trace_arg)
+      $ node_limit_arg $ no_gc_arg $ verify_arg $ dot_arg $ minimize_arg $ aut_arg $ stats_arg $ trace_arg)
 
 (* --- resynth ----------------------------------------------------------------- *)
 
@@ -580,15 +563,14 @@ let table1_cmd =
     in
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
   in
-  let run time_limit node_limit retries no_fallback verify json =
+  let run time_limit node_limit verify json =
     guard @@ fun () ->
     if json <> None then begin
       Obs.set_enabled true;
       Obs.reset ()
     end;
     let results =
-      Harness.Experiments.run_table1 ~time_limit ~node_limit ~retries
-        ~fallback:(not no_fallback)
+      Harness.Experiments.run_table1 ~time_limit ~node_limit
         ~progress:(fun name -> Format.eprintf "running %s...@." name)
         ()
     in
@@ -612,8 +594,7 @@ let table1_cmd =
   Cmd.v
     (Cmd.info "table1" ~doc:"Reproduce the paper's Table 1 on the analog suite")
     Term.(
-      const run $ time_arg $ nodes_arg $ retries_arg $ no_fallback_arg
-      $ verify_arg $ json_arg)
+      const run $ time_arg $ nodes_arg $ verify_arg $ json_arg)
 
 let () =
   let doc = "language-equation solving with partitioned representations" in

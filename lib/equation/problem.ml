@@ -183,7 +183,7 @@ let x_input_vars t = List.sort compare (t.u_vars @ t.observed_i)
 (* Rebuild the instance in a fresh manager whose variable order is the
    FORCE heuristic's placement over the relation-part supports (the
    rebuild-based analog of dynamic reordering — see Bdd.Reorder). Used by
-   the fallback ladder after a node-limit blow-up: the old manager keeps
+   the degradation ladder after a node-limit blow-up: the old manager keeps
    only the compact final parts' worth of nodes alive in the copy, and the
    retry starts from a fresh allocation budget. The caller must lift the
    old manager's node limit and allocation hook first (Runtime.detach):

@@ -92,7 +92,7 @@ val reorder : t -> t
     from the FORCE heuristic applied to the relation-part supports (the
     rebuild-based analog of dynamic reordering). Only the final partition
     BDDs are migrated, so the new manager starts from a compact node count
-    and a fresh allocation budget — the fallback ladder's first rung after
-    a node-limit blow-up. The old manager's node limit and allocation hook
+    and a fresh allocation budget — the degradation ladder's reorder-retry
+    rung after a node-limit blow-up. The old manager's node limit and allocation hook
     must be lifted before calling (see {!Runtime.detach}): forming the
     relation parts can allocate a few nodes in the old manager. *)

@@ -1,6 +1,6 @@
 (* Phase-scoped resource governance and deterministic fault injection for
    the solver: one [t] per solve_split call, re-attached to each attempt's
-   manager as the fallback ladder descends. *)
+   manager as the degradation ladder descends. *)
 
 exception Exceeded
 
@@ -106,10 +106,6 @@ type t = {
   mutable ticks : int;
   mutable images : int;
   mutable subset_states : int;
-  (* human-readable description of the image kernel the current attempt
-     runs with (clustering + schedule), stamped by the solver so failed
-     attempts can report which kernel configuration died *)
-  mutable kernel : string;
   (* open observability span of the current phase; closed on the next
      [enter_phase], or unwound by the enclosing attempt span when the
      attempt raises (Obs.Span.exit closes abandoned children) *)
@@ -119,7 +115,7 @@ type t = {
 let create ?deadline ?node_limit ?fault () =
   { deadline; node_limit; fault;
     phase = Build; ticks = 0; images = 0; subset_states = 0;
-    kernel = ""; phase_span = None }
+    phase_span = None }
 
 let check_time rt =
   match rt.deadline with
@@ -185,12 +181,6 @@ let detach _rt man =
 
 let note_subset_states rt n =
   if n > rt.subset_states then rt.subset_states <- n
-
-let note_kernel rt desc =
-  rt.kernel <- desc;
-  if !Obs.on then Obs.Trace.point ~detail:desc "solve.kernel"
-
-let kernel rt = rt.kernel
 
 let subset_states rt = rt.subset_states
 let images rt = rt.images

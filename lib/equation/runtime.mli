@@ -79,7 +79,7 @@ val attach : t -> Bdd.Manager.t -> unit
 (** Point the runtime at the manager of the current solve attempt: sets
     the manager's node limit, installs the [Mk_fail] allocation hook when
     such a fault is still live, and resets the per-attempt image and
-    subset-state counters. Call once per attempt (the fallback ladder
+    subset-state counters. Call once per attempt (the degradation ladder
     attaches each fresh or reordered manager in turn). *)
 
 val detach : t -> Bdd.Manager.t -> unit
@@ -110,14 +110,6 @@ val note_subset_states : t -> int -> unit
 
 val subset_states : t -> int
 (** Subset states recorded since the last {!attach}. *)
-
-val note_kernel : t -> string -> unit
-(** Record which image-kernel configuration (clustering + quantification
-    schedule) the current attempt runs with — e.g. ["affinity:500/greedy"];
-    emitted as a trace point and reported with failed attempts. *)
-
-val kernel : t -> string
-(** The last {!note_kernel} value ([""] before the first attempt). *)
 
 val images : t -> int
 (** Image computations since the last {!attach}. *)

@@ -1,32 +1,12 @@
 module M = Bdd.Manager
 
-type method_ = Partitioned of Img.Image.strategy | Monolithic
+type method_ = Partitioned | Monolithic
 
-let greedy = Img.Image.Partitioned Img.Quantify.Greedy
-let default_partitioned = Partitioned greedy
+let default_partitioned = Partitioned
 
 let method_label = function
-  | Partitioned strategy -> "partitioned/" ^ Img.Image.describe strategy
+  | Partitioned -> "partitioned/greedy"
   | Monolithic -> "monolithic"
-
-(* rung 2 of the ladder: the other early-quantification schedule *)
-let alternative_strategy strategy =
-  if strategy = greedy then Img.Image.Partitioned Img.Quantify.Given
-  else greedy
-
-(* the same rung also flips the kernel between clustered and unclustered:
-   a clustering that blew up is replaced by the fully-partitioned kernel,
-   and vice versa *)
-let alternative_clustering = function
-  | Img.Partition.No_clustering -> Partitioned.default_clustering
-  | Img.Partition.Affinity _ -> Img.Partition.No_clustering
-
-let kernel_desc method_ clustering =
-  match method_ with
-  | Monolithic -> "monolithic-relation"
-  | Partitioned strategy ->
-    Img.Partition.describe_clustering clustering
-    ^ "/" ^ Img.Image.describe strategy
 
 type attempt = {
   label : string;
@@ -68,50 +48,53 @@ type outcome =
       progress : progress;
     }
 
-(* One step of the degradation ladder. [Fresh] rebuilds the problem from
-   scratch in a new manager; [Gc_retry] collects garbage on the failed
-   attempt's manager and retries the same configuration in place (the
-   failed attempt released its construction roots, so a blow-up dominated
-   by dead intermediates fits after a sweep); [Reorder_retry] migrates the
-   previous attempt's problem into a FORCE-reordered fresh manager. Every
-   step carries the partition clustering its kernel runs with. *)
-type step =
-  | Fresh of method_ * Img.Partition.clustering
-  | Gc_retry of method_ * Img.Partition.clustering
-  | Reorder_retry of Img.Image.strategy * Img.Partition.clustering
+(* The rungs of the degradation ladder. [First] builds the problem in a
+   fresh manager and runs the paper's configuration: greedy early
+   quantification over the affinity-clustered partition. [Gc_retry]
+   collects garbage on the failed attempt's manager and retries the same
+   configuration in place (the failed attempt released its construction
+   roots, so a blow-up dominated by dead intermediates fits after a
+   sweep). [Reorder_retry] migrates the failed attempt's problem into a
+   FORCE-reordered fresh manager and retries it. [Given] rebuilds from
+   scratch and runs the unclustered partition with the given quantification
+   order: a different kernel, not a cheaper one, and in the budget sweep of
+   EXPERIMENTS.md the only rescue of t444 at 80k nodes. [Mono] is the one
+   attempt of a [Monolithic] request. *)
+type rung = First | Gc_retry | Reorder_retry | Given | Mono
 
-let step_label = function
-  | Fresh (m, _) -> method_label m
-  | Gc_retry _ -> "gc-retry"
-  | Reorder_retry _ -> "reorder-retry"
+let rung_label = function
+  | First -> method_label Partitioned
+  | Gc_retry -> "gc-retry"
+  | Reorder_retry -> "reorder-retry"
+  | Given -> "partitioned/given"
+  | Mono -> method_label Monolithic
 
-let step_kernel = function
-  | Fresh (m, clustering) | Gc_retry (m, clustering) ->
-    kernel_desc m clustering
-  | Reorder_retry (strategy, clustering) ->
-    kernel_desc (Partitioned strategy) clustering
+(* the image kernel a rung runs: clustering and quantification schedule *)
+let rung_kernel = function
+  | First | Gc_retry | Reorder_retry ->
+    Img.Partition.describe_clustering Partitioned.default_clustering
+    ^ "/greedy"
+  | Given -> "unclustered/given"
+  | Mono -> "monolithic-relation"
 
-let ladder ~method_ ~clustering ~retries ~fallback ~gc =
-  match method_ with
-  | Monolithic -> [ Fresh (Monolithic, Img.Partition.No_clustering) ]
-  | Partitioned strategy ->
-    List.concat
-      [ [ Fresh (Partitioned strategy, clustering) ];
-        (* collecting is much cheaper than the reorder rebuild: try it
-           first when the manager runs with GC enabled *)
-        (if gc then [ Gc_retry (Partitioned strategy, clustering) ] else []);
-        List.init (max 0 retries) (fun _ ->
-            Reorder_retry (strategy, clustering));
-        (if fallback then
-           [ Fresh
-               ( Partitioned (alternative_strategy strategy),
-                 alternative_clustering clustering );
-             Fresh (Monolithic, Img.Partition.No_clustering) ]
-         else []) ]
+let ladder ~gc = function
+  | Monolithic -> [ Mono ]
+  | Partitioned ->
+    (* collecting is much cheaper than the reorder rebuild: try it first
+       when the manager runs with GC enabled *)
+    (First :: (if gc then [ Gc_retry ] else [])) @ [ Reorder_retry; Given ]
 
-let solve_split ?node_limit ?time_limit ?(retries = 1) ?(fallback = true)
-    ?(clustering = Partitioned.default_clustering) ?fault ?(gc = true)
-    ~method_ net ~x_latches =
+let solve_split ?node_limit ?time_limit ?fault ?(gc = true) ~method_ net
+    ~x_latches =
+  (match node_limit with
+   | Some n when n < 1 ->
+     invalid_arg (Printf.sprintf "node limit must be at least 1 (got %d)" n)
+   | Some _ | None -> ());
+  (* written so that NaN is rejected too *)
+  (match time_limit with
+   | Some t when not (t > 0.0) ->
+     invalid_arg (Printf.sprintf "time limit must be positive (got %g)" t)
+   | Some _ | None -> ());
   let start = Sys.time () in
   let deadline = Option.map (fun limit -> start +. limit) time_limit in
   let fault =
@@ -122,21 +105,70 @@ let solve_split ?node_limit ?time_limit ?(retries = 1) ?(fallback = true)
   (* the manager of the attempt currently running, for post-mortem stats *)
   let current_man = ref None in
   let last = ref None in
+  let fresh () =
+    let man = M.create () in
+    M.set_auto_gc man gc;
+    current_man := Some man;
+    Runtime.attach rt man;
+    Runtime.enter_phase rt Runtime.Build;
+    let sp, p = Split.problem ~man net ~x_latches in
+    last := Some (sp, p);
+    (sp, p)
+  in
   (* one attempt = problem setup + solve + CSF extraction; every rung
      routes through the engine ([solve_arena]) and the CSF worklist runs
      on the arena the engine produced *)
-  let solve_with p clustering = function
-    | Partitioned strategy ->
-      let arena, stats =
-        Partitioned.solve_arena ~runtime:rt ~strategy ~clustering p
-      in
-      (arena, stats.Partitioned.subset_states)
-    | Monolithic ->
-      let arena, stats = Monolithic.solve_arena ~runtime:rt p in
-      (arena, stats.Monolithic.subset_states)
-  in
-  let finish (sp, p) method_ clustering =
-    let arena, subset_states = solve_with p clustering method_ in
+  let run_rung rung =
+    if !Obs.on then Obs.Trace.point ~detail:(rung_kernel rung) "solve.kernel";
+    let sp, p =
+      match (rung, !last) with
+      | (First | Given | Mono), _ | (Gc_retry | Reorder_retry), None ->
+        (* a retry after an attempt that died while still constructing the
+           problem has nothing to collect or migrate: it starts afresh *)
+        fresh ()
+      | Gc_retry, Some (sp, prev) ->
+        (* reclaim every node the failed attempt left dead on the same
+           manager before paying for a reorder rebuild; the collection also
+           wipes the operation caches *)
+        Runtime.detach rt prev.Problem.man;
+        (* temporaries the failed attempt left on the operation stack are
+           stale: drop them before collecting so they don't keep the failed
+           construction alive *)
+        M.reset_op_stack prev.Problem.man;
+        ignore (M.collect prev.Problem.man : int);
+        current_man := Some prev.Problem.man;
+        Runtime.attach rt prev.Problem.man;
+        Runtime.enter_phase rt Runtime.Build;
+        (sp, prev)
+      | Reorder_retry, Some (sp, prev) ->
+        (* drop the stale operation caches, migrate to a reordered fresh
+           manager, and retry with the remaining budget *)
+        Runtime.detach rt prev.Problem.man;
+        M.clear_caches prev.Problem.man;
+        let p = Problem.reorder prev in
+        M.set_auto_gc p.Problem.man gc;
+        last := Some (sp, p);
+        current_man := Some p.Problem.man;
+        Runtime.attach rt p.Problem.man;
+        Runtime.enter_phase rt Runtime.Build;
+        (sp, p)
+    in
+    let arena, subset_states =
+      match rung with
+      | Mono ->
+        let arena, stats = Monolithic.solve_arena ~runtime:rt p in
+        (arena, stats.Monolithic.subset_states)
+      | Given ->
+        let arena, stats =
+          Partitioned.solve_arena ~runtime:rt
+            ~strategy:(Img.Image.Partitioned Img.Quantify.Given)
+            ~clustering:Img.Partition.No_clustering p
+        in
+        (arena, stats.Partitioned.subset_states)
+      | First | Gc_retry | Reorder_retry ->
+        let arena, stats = Partitioned.solve_arena ~runtime:rt p in
+        (arena, stats.Partitioned.subset_states)
+    in
     let solution = Engine.to_automaton arena in
     (* phase boundary: the subset construction released its roots, so
        everything but the arena, the solution automaton and the problem's
@@ -145,57 +177,8 @@ let solve_split ?node_limit ?time_limit ?(retries = 1) ?(fallback = true)
     let csf, csf_deletions = Csf.of_arena ~runtime:rt p arena in
     (sp, p, solution, csf, csf_deletions, subset_states)
   in
-  let rec run_step step =
-    Runtime.note_kernel rt (step_kernel step);
-    match step with
-    | Fresh (m, clustering) ->
-      let man = M.create () in
-      M.set_auto_gc man gc;
-      current_man := Some man;
-      Runtime.attach rt man;
-      Runtime.enter_phase rt Runtime.Build;
-      let sp, p = Split.problem ~man net ~x_latches in
-      last := Some (sp, p);
-      finish (sp, p) m clustering
-    | Gc_retry (m, clustering) when !last = None ->
-      (* the failed attempt died while still constructing the problem:
-         nothing worth collecting survives, so retry from scratch *)
-      run_step (Fresh (m, clustering))
-    | Gc_retry (m, clustering) ->
-      let sp, prev = Option.get !last in
-      (* reclaim every node the failed attempt left dead on the same
-         manager before paying for a reorder rebuild; the collection also
-         wipes the operation caches *)
-      Runtime.detach rt prev.Problem.man;
-      (* temporaries the failed attempt left on the operation stack are
-         stale: drop them before collecting so they don't keep the failed
-         construction alive *)
-      M.reset_op_stack prev.Problem.man;
-      ignore (M.collect prev.Problem.man : int);
-      current_man := Some prev.Problem.man;
-      Runtime.attach rt prev.Problem.man;
-      Runtime.enter_phase rt Runtime.Build;
-      finish (sp, prev) m clustering
-    | Reorder_retry (strategy, clustering) when !last = None ->
-      (* the failed attempt died while still constructing the problem:
-         there is nothing to migrate, so retry from scratch *)
-      run_step (Fresh (Partitioned strategy, clustering))
-    | Reorder_retry (strategy, clustering) ->
-      let sp, prev = Option.get !last in
-      (* drop the stale operation caches, migrate to a reordered fresh
-         manager, and retry the partitioned strategy with the remaining
-         budget *)
-      Runtime.detach rt prev.Problem.man;
-      M.clear_caches prev.Problem.man;
-      let p = Problem.reorder prev in
-      M.set_auto_gc p.Problem.man gc;
-      last := Some (sp, p);
-      current_man := Some p.Problem.man;
-      Runtime.attach rt p.Problem.man;
-      Runtime.enter_phase rt Runtime.Build;
-      finish (sp, p) (Partitioned strategy) clustering
-  in
-  let record label t0 failure =
+  let record rung t0 failure =
+    let label = rung_label rung in
     (* flush partial stats of the failed attempt into the trace, so a
        Could_not_complete snapshot still shows where each rung died *)
     Obs.Trace.point
@@ -206,7 +189,7 @@ let solve_split ?node_limit ?time_limit ?(retries = 1) ?(fallback = true)
       "solve.attempt_failed";
     attempts :=
       { label;
-        kernel = Runtime.kernel rt;
+        kernel = rung_kernel rung;
         phase = Runtime.phase rt;
         subset_states = Runtime.subset_states rt;
         peak_nodes =
@@ -248,30 +231,28 @@ let solve_split ?node_limit ?time_limit ?(retries = 1) ?(fallback = true)
   in
   let rec descend = function
     | [] -> cnc "node limit exceeded"
-    | step :: rest -> (
-      let label = step_label step in
+    | rung :: rest -> (
       let t0 = Sys.time () in
       (* the attempt span is the parent of the Runtime phase spans; exiting
          it (on success or failure) also unwinds any phase span the attempt
          left open *)
-      let span = Obs.Span.enter ("attempt." ^ label) in
-      match run_step step with
+      let span = Obs.Span.enter ("attempt." ^ rung_label rung) in
+      match run_rung rung with
       | result ->
         Obs.Span.exit span;
-        complete label result
+        complete (rung_label rung) result
       | exception M.Node_limit_exceeded ->
         Obs.Span.exit span;
-        record label t0 "node limit exceeded";
+        record rung t0 "node limit exceeded";
         descend rest
       | exception Runtime.Exceeded ->
         (* the deadline is global: once it has passed, a lower rung cannot
            help, so stop the ladder immediately *)
         Obs.Span.exit span;
-        record label t0 "time limit exceeded";
+        record rung t0 "time limit exceeded";
         cnc "time limit exceeded")
   in
-  Obs.Span.with_ "solve" (fun () ->
-      descend (ladder ~method_ ~clustering ~retries ~fallback ~gc))
+  Obs.Span.with_ "solve" (fun () -> descend (ladder ~gc method_))
 
 let verify ?runtime r =
   ( Verify.particular_contained ?runtime r.problem r.split r.csf,

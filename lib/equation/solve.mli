@@ -2,44 +2,48 @@
     the most general prefix-closed solution with the chosen method, extract
     the CSF, and optionally verify it — all under a {!Runtime.t} resource
     budget that converts blow-ups into structured CNC outcomes (Table 1's
-    "CNC") and recovers from node-limit blow-ups with a graceful-degradation
-    ladder:
+    "CNC").
 
-    + collect garbage on the failed attempt's manager
-      ({!Bdd.Manager.collect}) and retry the same configuration in place —
-      the cheapest rung, skipped when [gc:false];
-    + clear the operation caches, migrate the instance to a FORCE-reordered
-      fresh manager ({!Problem.reorder}) and retry the partitioned strategy
-      (up to [retries] times, default 1);
-    + fall back to the alternative early-quantification schedule;
-    + fall back to the [Monolithic] method;
+    A [Partitioned] request recovers from node-limit blow-ups with one fixed
+    degradation ladder:
+
+    + ["partitioned/greedy"]: greedy early quantification over the
+      affinity-clustered partition, in a fresh manager;
+    + ["gc-retry"]: collect garbage on the failed attempt's manager
+      ({!Bdd.Manager.collect}) and retry in place — the cheapest rung,
+      skipped when [gc:false];
+    + ["reorder-retry"]: clear the operation caches, migrate the instance
+      to a FORCE-reordered fresh manager ({!Problem.reorder}) and retry;
+    + ["partitioned/given"]: rebuild from scratch and run the unclustered
+      partition with the given quantification order;
     + report {!Could_not_complete} with the full attempt history.
 
     Deadline exhaustion stops the ladder immediately — with no time left, a
-    cheaper method cannot help. A [Monolithic] request is already the bottom
-    rung and is attempted once. *)
+    different kernel cannot help. A [Monolithic] request makes a single
+    attempt: in the paper's Table 1 the monolithic flow fails exactly where
+    the partitioned one struggles, so it is no rung of the ladder. *)
 
 type method_ =
-  | Partitioned of Img.Image.strategy
-      (** the paper's flow; the strategy selects how the inner image
-          computations are performed *)
+  | Partitioned  (** the paper's flow on the partitioned representation *)
   | Monolithic  (** the traditional flow on monolithic relations *)
 
 val default_partitioned : method_
-(** [Partitioned (Partitioned Greedy)] — the configuration the paper
-    advocates. *)
+(** [Partitioned] — the configuration the paper advocates. *)
 
 val method_label : method_ -> string
-(** Short human-readable label, e.g. ["partitioned/greedy"]. *)
+(** ["partitioned/greedy"] or ["monolithic"]: the label of the first
+    attempt of a request. *)
 
 (** One failed solve attempt, oldest first in the histories below. *)
 type attempt = {
   label : string;
-      (** which rung: {!method_label}, ["gc-retry"] or ["reorder-retry"] *)
+      (** which rung: {!method_label}, ["gc-retry"], ["reorder-retry"] or
+          ["partitioned/given"] *)
   kernel : string;
       (** image-kernel configuration of the rung — clustering and
           quantification schedule, e.g. ["affinity:500/greedy"],
-          ["unclustered/given"] or ["monolithic-relation"] *)
+          ["unclustered/given"] or ["monolithic-relation"]; emitted as the
+          [solve.kernel] trace point when the rung starts *)
   phase : Runtime.phase;  (** phase reached when the attempt failed *)
   subset_states : int;  (** subset states explored before the failure *)
   peak_nodes : int;  (** the attempt's manager node count at failure *)
@@ -60,7 +64,7 @@ type report = {
   method_ : method_;  (** the method that was requested *)
   solved_by : string;
       (** label of the attempt that succeeded (equals
-          [method_label method_] when no fallback was needed) *)
+          [method_label method_] when the first attempt succeeded) *)
   problem : Problem.t;
   split : Split.t;
   solution : Fsa.Automaton.t;  (** most general prefix-closed solution *)
@@ -86,9 +90,6 @@ type outcome =
 val solve_split :
   ?node_limit:int ->
   ?time_limit:float ->
-  ?retries:int ->
-  ?fallback:bool ->
-  ?clustering:Img.Partition.clustering ->
   ?fault:Runtime.Fault.t ->
   ?gc:bool ->
   method_:method_ ->
@@ -96,19 +97,15 @@ val solve_split :
   x_latches:string list ->
   outcome
 (** A fresh BDD manager per attempt, so methods can be timed independently.
+    [node_limit] is the node budget of every attempt's manager;
     [time_limit] is CPU seconds for the whole computation, across all
-    attempts. [retries] (default 1) bounds the reorder-and-retry rung;
-    [fallback:false] disables the method-degradation rungs (alternative
-    schedule, monolithic). [clustering] (default
-    {!Partitioned.default_clustering}) selects the partition clustering of
-    the first rungs; the alternative-schedule rung flips it between
-    clustered and unclustered, so a clustering that blows up is retried
-    fully partitioned (and vice versa). [fault] injects a deterministic
-    fault for testing; when omitted, the [LESOLVE_FAULT] environment
-    variable is consulted ({!Runtime.Fault.from_env}). [gc] (default
-    [true]) enables mark-and-sweep collection on every manager the solve
-    creates, an explicit collection between the subset-construction and
-    CSF phases, and the gc-retry rung of the ladder; [gc:false] restores
+    attempts. Raises [Invalid_argument] when [node_limit < 1] or when
+    [time_limit] is not a positive number (NaN included). [fault] injects a
+    deterministic fault for testing; when omitted, the [LESOLVE_FAULT]
+    environment variable is consulted ({!Runtime.Fault.from_env}). [gc]
+    (default [true]) enables mark-and-sweep collection on every manager the
+    solve creates, an explicit collection between the subset-construction
+    and CSF phases, and the gc-retry rung of the ladder; [gc:false] restores
     the grow-only allocation behaviour. *)
 
 val verify : ?runtime:Runtime.t -> report -> bool * bool

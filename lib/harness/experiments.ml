@@ -90,22 +90,20 @@ let with_stats solve =
       gc_dead_ratio; completed } )
 
 let run_row ?(time_limit = default_time_limit)
-    ?(node_limit = default_node_limit) ?retries ?fallback
-    (row : Circuits.Suite.row) =
+    ?(node_limit = default_node_limit) (row : Circuits.Suite.row) =
   let solve method_ () =
-    S.solve_split ~node_limit ~time_limit ?retries ?fallback ~method_
+    S.solve_split ~node_limit ~time_limit ~method_
       row.Circuits.Suite.net ~x_latches:row.Circuits.Suite.x_latches
   in
   let part, part_stats = with_stats (solve S.default_partitioned) in
   let mono, mono_stats = with_stats (solve S.Monolithic) in
   { row; part; mono; part_stats; mono_stats }
 
-let run_table1 ?time_limit ?node_limit ?retries ?fallback
-    ?(progress = fun _ -> ()) () =
+let run_table1 ?time_limit ?node_limit ?(progress = fun _ -> ()) () =
   List.map
     (fun row ->
       progress row.Circuits.Suite.name;
-      run_row ?time_limit ?node_limit ?retries ?fallback row)
+      run_row ?time_limit ?node_limit row)
     (Circuits.Suite.table1 ())
 
 let states_cell = function
@@ -126,8 +124,6 @@ let ratio_cell part mono =
 let attempts_of = function
   | S.Completed r -> r.S.attempts
   | S.Could_not_complete { progress; _ } -> progress.S.attempts
-
-let fallbacks_of outcome = List.length (attempts_of outcome)
 
 let print_table1 fmt results =
   Format.fprintf fmt

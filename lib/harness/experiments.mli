@@ -1,7 +1,7 @@
 (** The Table-1 reproduction harness, shared by the benchmark executable and
     the CLI: runs each suite row with both methods under a resource budget
-    and formats the table with the paper's columns, plus the attempt/
-    fallback history recorded by the solver's degradation ladder. *)
+    and formats the table with the paper's columns, plus the attempt
+    history recorded by the solver's degradation ladder. *)
 
 type method_stats = {
   time_s : float;  (** CPU seconds of the solve (budget time on CNC) *)
@@ -50,16 +50,12 @@ val default_node_limit : int
 val run_row :
   ?time_limit:float ->
   ?node_limit:int ->
-  ?retries:int ->
-  ?fallback:bool ->
   Circuits.Suite.row ->
   row_result
 
 val run_table1 :
   ?time_limit:float ->
   ?node_limit:int ->
-  ?retries:int ->
-  ?fallback:bool ->
   ?progress:(string -> unit) ->
   unit ->
   row_result list
@@ -70,9 +66,6 @@ val print_table1 : Format.formatter -> row_result list -> unit
 
 val attempts_of : Equation.Solve.outcome -> Equation.Solve.attempt list
 (** The failed attempts behind an outcome (empty for a first-try success). *)
-
-val fallbacks_of : Equation.Solve.outcome -> int
-(** [List.length (attempts_of outcome)]. *)
 
 val describe_attempt : Equation.Solve.attempt -> string
 (** One-line human-readable description of a failed attempt. *)

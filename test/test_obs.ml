@@ -382,7 +382,7 @@ let test_cnc_flushes_partial_stats () =
   with_obs (fun () ->
       let row = Circuits.Suite.find "t298" in
       let outcome =
-        E.Solve.solve_split ~node_limit:100 ~retries:0 ~fallback:false
+        E.Solve.solve_split ~node_limit:100
           ~method_:E.Solve.default_partitioned row.Circuits.Suite.net
           ~x_latches:row.Circuits.Suite.x_latches
       in

@@ -1,7 +1,7 @@
 (* Tests for the solver runtime: phase-scoped budgets, deterministic fault
    injection, and the graceful-degradation ladder in Solve.solve_split.
    Fault injection makes every failure path reachable deterministically —
-   each CNC reason, each failure phase, and each fallback rung — without
+   each CNC reason, each failure phase, and each rung of the ladder — without
    relying on real blow-ups; one real (fault-free) instance then shows a
    node budget that defeats plain partitioned solving being recovered by
    the ladder. *)
@@ -164,11 +164,11 @@ let test_verify_budgeted () =
 
 (* --- the degradation ladder, driven by injected faults ----------------------- *)
 
-(* Most ladder-shape tests pin [gc:false]: they probe the reorder/fallback
-   rungs, and with collection enabled the cheaper gc-retry rung would
-   recover first (its own tests are below). *)
-let solve_c3 ?retries ?fallback ?gc fault =
-  E.Solve.solve_split ?retries ?fallback ?gc
+(* Tests of the reorder and alternative rungs pin [gc:false]: with
+   collection enabled the cheaper gc-retry rung would recover first (its
+   own tests are below). *)
+let solve_c3 ?gc fault =
+  E.Solve.solve_split ?gc
     ~fault:(Result.get_ok (F.of_string fault))
     ~method_:E.Solve.default_partitioned (G.counter 3)
     ~x_latches:[ "c1"; "c2" ]
@@ -182,34 +182,55 @@ let report_of = function
   | E.Solve.Could_not_complete { reason; _ } ->
     Alcotest.failf "expected completion, got CNC: %s" reason
 
+let labels attempts =
+  List.map (fun (a : E.Solve.attempt) -> a.E.Solve.label) attempts
+
 let test_cnc_build_phase () =
-  (* the 40th allocation happens while the problem is still being built *)
-  let reason, progress =
-    cnc_of (solve_c3 ~retries:0 ~fallback:false ~gc:false "mk:40")
-  in
+  (* the 40th allocation happens while the problem is still being built,
+     and four firings outlast every rung *)
+  let reason, progress = cnc_of (solve_c3 "mk:40:4") in
   Alcotest.(check string) "reason" "node limit exceeded" reason;
   Alcotest.(check string) "phase" "build"
     (R.phase_name progress.E.Solve.phase_reached);
-  match progress.E.Solve.attempts with
-  | [ a ] ->
-    Alcotest.(check string) "label" "partitioned/greedy" a.E.Solve.label;
-    Alcotest.(check string) "failure" "node limit exceeded" a.E.Solve.failure
-  | l -> Alcotest.failf "expected 1 attempt, got %d" (List.length l)
+  List.iter
+    (fun (a : E.Solve.attempt) ->
+      Alcotest.(check string) (a.E.Solve.label ^ " phase") "build"
+        (R.phase_name a.E.Solve.phase);
+      Alcotest.(check string) (a.E.Solve.label ^ " failure")
+        "node limit exceeded" a.E.Solve.failure)
+    progress.E.Solve.attempts
 
 let test_cnc_subset_phase () =
-  (* the first image computation happens inside the subset construction *)
-  let reason, progress =
-    cnc_of (solve_c3 ~retries:0 ~fallback:false ~gc:false "image:1")
-  in
+  (* the first image computation of every rung happens inside the subset
+     construction *)
+  let reason, progress = cnc_of (solve_c3 "image:1:4") in
   Alcotest.(check string) "reason" "node limit exceeded" reason;
   Alcotest.(check string) "phase" "subset"
     (R.phase_name progress.E.Solve.phase_reached);
-  Alcotest.(check int) "one attempt" 1 (List.length progress.E.Solve.attempts)
+  Alcotest.(check int) "every rung ran" 4
+    (List.length progress.E.Solve.attempts)
+
+let test_ladder_shape () =
+  (* a fault that outlasts every rung walks the whole fixed ladder, with
+     each rung's kernel tag *)
+  let _, progress = cnc_of (solve_c3 "mk:40:4") in
+  Alcotest.(check (list string)) "labels with GC"
+    [ "partitioned/greedy"; "gc-retry"; "reorder-retry"; "partitioned/given" ]
+    (labels progress.E.Solve.attempts);
+  Alcotest.(check (list string)) "kernels"
+    [ "affinity:500/greedy"; "affinity:500/greedy"; "affinity:500/greedy";
+      "unclustered/given" ]
+    (List.map (fun (a : E.Solve.attempt) -> a.E.Solve.kernel)
+       progress.E.Solve.attempts);
+  let _, progress = cnc_of (solve_c3 ~gc:false "mk:40:4") in
+  Alcotest.(check (list string)) "labels without GC"
+    [ "partitioned/greedy"; "reorder-retry"; "partitioned/given" ]
+    (labels progress.E.Solve.attempts)
 
 let test_cnc_csf_phase_stops_ladder () =
-  (* a deadline failure must stop the ladder even with fallbacks enabled:
-     with no time left a cheaper method cannot help *)
-  let reason, progress = cnc_of (solve_c3 ~retries:2 ~fallback:true "deadline:csf") in
+  (* a deadline failure must stop the ladder: with no time left another
+     kernel cannot help *)
+  let reason, progress = cnc_of (solve_c3 "deadline:csf") in
   Alcotest.(check string) "reason" "time limit exceeded" reason;
   Alcotest.(check string) "phase" "csf"
     (R.phase_name progress.E.Solve.phase_reached);
@@ -242,39 +263,19 @@ let test_ladder_gc_retry_from_build () =
   let r = report_of (solve_c3 "mk:40") in
   Alcotest.(check string) "solved by" "gc-retry" r.E.Solve.solved_by;
   Alcotest.(check (list string)) "attempt labels" [ "partitioned/greedy" ]
-    (List.map (fun (a : E.Solve.attempt) -> a.E.Solve.label)
-       r.E.Solve.attempts)
+    (labels r.E.Solve.attempts)
 
 let test_ladder_alternative_schedule () =
+  let clean = report_of (solve_c3 "mk:1000000") in
   let r = report_of (solve_c3 ~gc:false "mk:40:2") in
   Alcotest.(check string) "solved by" "partitioned/given" r.E.Solve.solved_by;
   Alcotest.(check (list string)) "attempt labels"
     [ "partitioned/greedy"; "reorder-retry" ]
-    (List.map (fun (a : E.Solve.attempt) -> a.E.Solve.label)
-       r.E.Solve.attempts)
-
-let test_ladder_monolithic () =
-  let clean = report_of (solve_c3 "mk:1000000") in
-  let r = report_of (solve_c3 ~gc:false "mk:40:3") in
-  Alcotest.(check string) "solved by" "monolithic" r.E.Solve.solved_by;
-  Alcotest.(check (list string)) "attempt labels"
-    [ "partitioned/greedy"; "reorder-retry"; "partitioned/given" ]
-    (List.map (fun (a : E.Solve.attempt) -> a.E.Solve.label)
-       r.E.Solve.attempts);
+    (labels r.E.Solve.attempts);
   Alcotest.(check int) "same CSF" clean.E.Solve.csf_states r.E.Solve.csf_states
 
-let test_no_fallback_truncates_ladder () =
-  let reason, progress =
-    cnc_of (solve_c3 ~retries:1 ~fallback:false ~gc:false "mk:40:4")
-  in
-  Alcotest.(check string) "reason" "node limit exceeded" reason;
-  Alcotest.(check (list string)) "only the retry rung ran"
-    [ "partitioned/greedy"; "reorder-retry" ]
-    (List.map (fun (a : E.Solve.attempt) -> a.E.Solve.label)
-       progress.E.Solve.attempts)
-
 let test_monolithic_single_attempt () =
-  (* a Monolithic request is already the bottom rung: no ladder *)
+  (* a Monolithic request is no rung of the ladder: one attempt *)
   match
     E.Solve.solve_split ~fault:(F.make (F.Mk_fail 40))
       ~method_:E.Solve.Monolithic (G.counter 3) ~x_latches:[ "c1"; "c2" ]
@@ -284,54 +285,56 @@ let test_monolithic_single_attempt () =
     Alcotest.(check int) "one attempt" 1 (List.length progress.E.Solve.attempts)
   | E.Solve.Completed _ -> Alcotest.fail "expected CNC"
 
+let test_invalid_budgets () =
+  let solve ?node_limit ?time_limit () =
+    E.Solve.solve_split ?node_limit ?time_limit
+      ~method_:E.Solve.default_partitioned (G.counter 3)
+      ~x_latches:[ "c1"; "c2" ]
+  in
+  let rejects ?node_limit ?time_limit what =
+    match solve ?node_limit ?time_limit () with
+    | _ -> Alcotest.failf "%s accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejects ~node_limit:0 "node limit 0";
+  rejects ~node_limit:(-5) "node limit -5";
+  rejects ~time_limit:0.0 "time limit 0";
+  rejects ~time_limit:(-1.0) "time limit -1";
+  rejects ~time_limit:Float.nan "time limit NaN";
+  (* the smallest node budget is a budget, not a usage error *)
+  ignore (cnc_of (solve ~node_limit:1 ()))
+
 (* --- a real node budget recovered by the ladder ------------------------------ *)
 
-(* t298 under a 60k-node budget with the unclustered kernel: plain
-   partitioned solving exhausts the budget mid-subset-construction, but
-   migrating to a FORCE-reordered manager brings the same computation under
-   it (the acceptance scenario for the ladder). Clustering is disabled so
-   the scenario stays a real blow-up — the affinity-clustered default kernel
-   fits this instance inside the budget on the first try. *)
+(* t526 under a 150k-node budget with grow-only managers: plain partitioned
+   solving exhausts the budget in the subset construction, but migrating
+   to a FORCE-reordered manager brings the same computation under it (the
+   acceptance scenario for the ladder). *)
 let test_real_circuit_ladder_recovery () =
-  let row = Circuits.Suite.find "t298" in
-  let solve ?(gc = false) ~retries ~fallback () =
-    E.Solve.solve_split ~node_limit:60_000 ~retries ~fallback ~gc
-      ~clustering:Img.Partition.No_clustering
+  let row = Circuits.Suite.find "t526" in
+  let solve ~gc =
+    E.Solve.solve_split ~node_limit:150_000 ~gc
       ~method_:E.Solve.default_partitioned row.Circuits.Suite.net
       ~x_latches:row.Circuits.Suite.x_latches
   in
-  (* without GC or the ladder: CNC in the subset phase (grow-only
-     allocation makes the 60k budget a real blow-up) *)
-  let reason, progress = cnc_of (solve ~retries:0 ~fallback:false ()) in
-  Alcotest.(check string) "plain CNC" "node limit exceeded" reason;
-  Alcotest.(check string) "phase" "subset"
-    (R.phase_name progress.E.Solve.phase_reached);
-  Alcotest.(check bool) "partial subset progress" true
-    (progress.E.Solve.subset_states_explored > 0);
-  (* with the ladder: the reorder-retry rung completes under the budget *)
-  let r = report_of (solve ~retries:1 ~fallback:true ()) in
+  let r = report_of (solve ~gc:false) in
+  (match r.E.Solve.attempts with
+   | [ a ] ->
+     Alcotest.(check string) "first attempt" "partitioned/greedy"
+       a.E.Solve.label;
+     Alcotest.(check string) "died in" "subset" (R.phase_name a.E.Solve.phase);
+     Alcotest.(check int) "after one subset state" 1 a.E.Solve.subset_states
+   | l -> Alcotest.failf "expected 1 failed attempt, got %d" (List.length l));
   Alcotest.(check string) "solved by" "reorder-retry" r.E.Solve.solved_by;
-  Alcotest.(check bool) "under budget" true (r.E.Solve.peak_nodes <= 60_000);
-  (* with GC enabled the node limit bounds *live* nodes, so collections
-     fit the same run under the budget without leaving the first rungs *)
-  let g = report_of (solve ~gc:true ~retries:1 ~fallback:true ()) in
+  Alcotest.(check int) "CSF states" 34 r.E.Solve.csf_states;
+  Alcotest.(check bool) "under budget" true (r.E.Solve.peak_nodes <= 150_000);
+  (* with GC enabled the node limit bounds *live* nodes, and the solve
+     completes under the same budget with the same CSF *)
+  let g = report_of (solve ~gc:true) in
   Alcotest.(check bool) "gc run under budget" true
-    (g.E.Solve.peak_nodes <= 60_000);
-  Alcotest.(check bool) "gc run stayed on the cheap rungs" true
-    (List.mem g.E.Solve.solved_by
-       [ "partitioned/greedy"; "gc-retry"; "reorder-retry" ]);
-  Alcotest.(check int) "gc run same CSF" g.E.Solve.csf_states
-    r.E.Solve.csf_states;
-  (* and the recovered CSF matches the unconstrained one *)
-  match
-    E.Solve.solve_split ~method_:E.Solve.default_partitioned
-      row.Circuits.Suite.net ~x_latches:row.Circuits.Suite.x_latches
-  with
-  | E.Solve.Completed clean ->
-    Alcotest.(check int) "same CSF" clean.E.Solve.csf_states
-      r.E.Solve.csf_states
-  | E.Solve.Could_not_complete _ ->
-    Alcotest.fail "unconstrained run must complete"
+    (g.E.Solve.peak_nodes <= 150_000);
+  Alcotest.(check int) "gc run same CSF" r.E.Solve.csf_states
+    g.E.Solve.csf_states
 
 let () =
   Alcotest.run "runtime"
@@ -368,11 +371,12 @@ let () =
             test_ladder_gc_retry_from_build;
           Alcotest.test_case "alternative-schedule rung" `Quick
             test_ladder_alternative_schedule;
-          Alcotest.test_case "monolithic rung" `Quick test_ladder_monolithic;
-          Alcotest.test_case "no-fallback truncation" `Quick
-            test_no_fallback_truncates_ladder;
+          Alcotest.test_case "fault outlasting every rung" `Quick
+            test_ladder_shape;
           Alcotest.test_case "monolithic is a single attempt" `Quick
-            test_monolithic_single_attempt ] );
+            test_monolithic_single_attempt;
+          Alcotest.test_case "invalid budgets rejected" `Quick
+            test_invalid_budgets ] );
       ( "recovery",
         [ Alcotest.test_case "real circuit recovered by ladder" `Slow
             test_real_circuit_ladder_recovery ] ) ]
