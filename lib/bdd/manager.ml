@@ -25,13 +25,15 @@ type t = {
   mutable u_slot : int array;
   mutable u_mask : int;
   (* computed cache: direct-mapped, one interleaved array of 4-word
-     entries [op lsl 56 lor a; b; c; result], so a probe touches one cache
-     line; a first word of -1 marks an empty entry. Grows (emptying itself
-     — it is lossy anyway) as the node count does. Invalidated wholesale by
-     every collection: a cached result may name a swept id, and a swept
-     slot may be re-filled with a different node. *)
+     entries [epoch lor op lsl 32 lor a; b; c; result], so a probe touches
+     one cache line; a first word of -1 marks an empty entry. Grows
+     (emptying itself — it is lossy anyway) as the node count does.
+     Invalidated wholesale ([invalidate_cache]) by every collection: a
+     cached result may name a swept id, and a swept slot may be re-filled
+     with a different node. *)
   mutable cache : int array;
   mutable c_mask : int;  (* entries - 1 *)
+  mutable c_epoch : int;  (* the current epoch, pre-shifted by [epoch_shift] *)
   mutable n_vars : int;
   mutable names : string array;
   mutable node_limit : int option;
@@ -121,6 +123,17 @@ let initial_cache_bits = 12
 let max_cache_bits = 22
 let cache_cap = 1 lsl max_cache_bits
 
+(* The first word of a cache entry packs the operand [a] (a node id) in
+   bits 0-31, the op tag in bits 32-34 and the epoch in the
+   [epoch_bits] above them. Node ids therefore stay below [max_ids]
+   ([grow_nodes] enforces it). The epoch field wraps every 256
+   collections, at the cost of one fill of the array; it is that narrow
+   so that a test crosses the wrap in well under a second. *)
+let op_shift = 32
+let max_ids = 1 lsl op_shift
+let epoch_shift = 35
+let epoch_bits = 8
+
 let default_gc_threshold = 0.25
 
 let create ?(initial_capacity = 1024) () =
@@ -140,6 +153,7 @@ let create ?(initial_capacity = 1024) () =
       u_mask = usize - 1;
       cache = Array.make (4 * csize) (-1);
       c_mask = csize - 1;
+      c_epoch = 0;
       n_vars = 0;
       names = [||];
       node_limit = None;
@@ -180,9 +194,11 @@ let hash3 v lo hi =
    freeing it late and the resident set would grow. [Gc.major_slice 0]
    pays down that debt right away. *)
 let grow_nodes m =
-  if !Obs.on then Obs.Counter.bump c_grow_nodes;
   let cap = Array.length m.var_of in
-  let cap' = 2 * cap in
+  (* a computed-cache key holds a node id in 32 bits *)
+  if cap >= max_ids then raise Node_limit_exceeded;
+  if !Obs.on then Obs.Counter.bump c_grow_nodes;
+  let cap' = if 2 * cap > max_ids then max_ids else 2 * cap in
   let extend a fill =
     let a' = Array.make cap' fill in
     Array.blit a 0 a' 0 cap;
@@ -314,10 +330,22 @@ let gc_threshold m = m.gc_threshold
 let gc_runs m = m.gc_runs
 let gc_nodes_swept m = m.gc_swept_total
 
+(* Every entry stored before this call stops matching, since probes
+   carry the new epoch. The array itself is only emptied when the epoch
+   field wraps and an old epoch could come round again. *)
+let invalidate_cache m =
+  let e = m.c_epoch + (1 lsl epoch_shift) in
+  if e lsr epoch_shift = 1 lsl epoch_bits then begin
+    Array.fill m.cache 0 (Array.length m.cache) (-1);
+    m.c_epoch <- 0
+  end
+  else m.c_epoch <- e
+
 (* --- mark and sweep ----------------------------------------------------- *)
 
 let collect m =
   if m.frozen > 0 then invalid_arg "Manager.collect: manager is frozen";
+  let span = Obs.Span.enter "bdd.gc" in
   let top = m.n_nodes in
   let mark = Bytes.make top '\000' in
   Bytes.set mark 0 '\001';
@@ -386,8 +414,8 @@ let collect m =
   for id = 2 to top - 1 do
     if m.var_of.(id) <> free_level then insert_unique m id
   done;
-  (* a cached result may name a dead id; drop the whole (lossy) cache *)
-  Array.fill m.cache 0 (Array.length m.cache) (-1);
+  (* a cached result may name a dead id: invalidate every entry *)
+  invalidate_cache m;
   (* the support memo is keyed by node id: entries for swept ids would be
      resurrected wrongly when the id is reused *)
   let dead_keys =
@@ -406,6 +434,7 @@ let collect m =
     Obs.Trace.point "bdd.gc"
       ~detail:(Printf.sprintf "swept=%d live=%d" !swept m.n_entries)
   end;
+  Obs.Span.exit span;
   !swept
 
 (* estimated dead ratio: every allocation since the last sweep is treated
@@ -531,6 +560,32 @@ let dag_size m roots =
   List.iter (size_unmark m) roots;
   n
 
+(* [support] marks nodes the way [dag_size] does and records each level
+   it meets in a per-call byte map, then unmarks with [size_unmark].
+   Results are memoized by root id. *)
+let rec support_walk m seen id =
+  if id >= 2 && m.var_of.(id) < size_mark then begin
+    let v = m.var_of.(id) in
+    Bytes.set seen v '\001';
+    m.var_of.(id) <- v + size_mark;
+    support_walk m seen m.low_of.(id);
+    support_walk m seen m.high_of.(id)
+  end
+
+let support m f =
+  match Hashtbl.find_opt m.support_memo f with
+  | Some vars -> vars
+  | None ->
+    let seen = Bytes.make m.n_vars '\000' in
+    support_walk m seen f;
+    size_unmark m f;
+    let vars = ref [] in
+    for v = m.n_vars - 1 downto 0 do
+      if Bytes.get seen v <> '\000' then vars := v :: !vars
+    done;
+    Hashtbl.replace m.support_memo f !vars;
+    !vars
+
 let var m id = m.var_of.(id)
 let low m id = m.low_of.(id)
 let high m id = m.high_of.(id)
@@ -575,7 +630,11 @@ let[@inline] cache_slot m op a b c =
 let[@inline] cache_find m op a b c =
   let t = m.cache in
   let s = 4 * cache_slot m op a b c in
-  let hit = t.(s) = (op lsl 56) lor a && t.(s + 1) = b && t.(s + 2) = c in
+  let hit =
+    t.(s) = m.c_epoch lor (op lsl op_shift) lor a
+    && t.(s + 1) = b
+    && t.(s + 2) = c
+  in
   if !Obs.on then begin
     let i = (2 * op) + Bool.to_int hit in
     probes.(i) <- probes.(i) + 1
@@ -585,7 +644,7 @@ let[@inline] cache_find m op a b c =
 let[@inline] cache_store m op a b c r =
   let t = m.cache in
   let s = 4 * cache_slot m op a b c in
-  t.(s) <- (op lsl 56) lor a;
+  t.(s) <- m.c_epoch lor (op lsl op_shift) lor a;
   t.(s + 1) <- b;
   t.(s + 2) <- c;
   t.(s + 3) <- r
@@ -595,10 +654,8 @@ let clear_caches m =
     Obs.Counter.bump c_clear;
     Obs.Trace.point "bdd.cache.clear"
   end;
-  Array.fill m.cache 0 (Array.length m.cache) (-1);
+  invalidate_cache m;
   Hashtbl.reset m.support_memo
-
-let support_memo m = m.support_memo
 
 module Op = struct
   let ite = 1

@@ -99,6 +99,13 @@ val dag_size : t -> int list -> int
 (** Number of distinct decision nodes reachable from the given roots
     (constants excluded). Allocates nothing; {!Ops.size_shared} is this. *)
 
+val support : t -> int -> int list
+(** The variables a node depends on, ascending; {!Ops.support} is this.
+    Memoized by node id: nodes are immutable, so entries never go stale,
+    and the collector drops the entries of swept ids before the ids can
+    be reused. Like {!dag_size}, a miss marks the nodes it visits in
+    place and unmarks them before returning. *)
+
 val num_nodes : t -> int
 (** Live nodes currently resident in the manager (constants included).
     Before the first collection this equals the historical "total nodes
@@ -190,7 +197,8 @@ val collect : t -> int
     swept. All unpinned, unreachable nodes are freed; the unique table is
     rebuilt over the live nodes; the computed cache is invalidated;
     support-memo entries for dead ids are dropped. Live ids are never
-    moved. Raises [Invalid_argument] inside {!with_frozen}. *)
+    moved. Raises [Invalid_argument] inside {!with_frozen}. Timed as the
+    [bdd.gc] span when Obs is on. *)
 
 val set_auto_gc : t -> bool -> unit
 (** Enable or disable {!mk}-triggered collection (default: disabled —
@@ -215,20 +223,17 @@ val gc_nodes_swept : t -> int
 val cache_find : t -> int -> int -> int -> int -> int
 (** [cache_find m op a b c] looks up the computed cache: the stored result
     (a node id, so [>= 0]) on a hit, [-1] on a miss. The [op] tag, one of
-    {!Op}, namespaces operations; [a b c] are non-negative operands, node
-    ids or small tags (use 0 for unused slots in a way that cannot collide
+    {!Op}, namespaces operations; [a] is a node id (below 2{^32}, which
+    the store never exceeds), [b c] are non-negative operands, node ids
+    or small tags (use 0 for unused slots in a way that cannot collide
     for the same op). *)
 
 val cache_store : t -> int -> int -> int -> int -> int -> unit
 (** [cache_store m op a b c r] memoizes a result. The cache is a lossy
     direct-mapped table: entries may be overwritten at any time, which only
-    costs recomputation. Every collection empties the cache, so a hit can
-    never name a swept id. *)
-
-val support_memo : t -> (int, int list) Hashtbl.t
-(** Memo table from node id to its (sorted) support, shared by {!Ops.support}
-    callers. Nodes are immutable, so entries never go stale; the collector
-    removes entries whose key id was swept before the id can be reused. *)
+    costs recomputation. Every collection invalidates the cache (entries
+    carry an epoch that the collection moves on), so a hit can never name
+    a swept id. *)
 
 val clear_caches : t -> unit
 (** Drop all memoized operation results (never required for correctness). *)

@@ -119,26 +119,7 @@ let subst m f lookup =
   in
   go f
 
-let support m f =
-  match Hashtbl.find_opt (M.support_memo m) f with
-  | Some vars -> vars
-  | None ->
-    let visited = Hashtbl.create 64 in
-    let vars = Hashtbl.create 16 in
-    let rec go f =
-      if (not (M.is_const f)) && not (Hashtbl.mem visited f) then begin
-        Hashtbl.add visited f ();
-        Hashtbl.replace vars (M.var m f) ();
-        go (M.low m f);
-        go (M.high m f)
-      end
-    in
-    go f;
-    let result =
-      List.sort compare (Hashtbl.fold (fun v () acc -> v :: acc) vars [])
-    in
-    Hashtbl.replace (M.support_memo m) f result;
-    result
+let support = M.support
 
 let support_union m fs =
   List.sort_uniq compare (List.concat_map (support m) fs)

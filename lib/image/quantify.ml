@@ -1,3 +1,11 @@
+(* Conjoin-and-quantify, the core of the partitioned image (paper §3.2):
+   [∃ Q. r₁ ∧ … ∧ rₖ] is built one conjunct at a time, and each variable
+   of [Q] is quantified in the step after which no unprocessed conjunct
+   mentions it, so the monolithic product never exists. Every step is one
+   [and_exists] call. The scheduling around it reads only supports and
+   keeps its state in arrays indexed by variable: it creates no BDD node
+   and costs a few array reads per support variable. *)
+
 module M = Bdd.Manager
 module O = Bdd.Ops
 
@@ -6,14 +14,21 @@ type order = Given | Greedy
 let c_conj = Obs.Counter.make "image.conjunctions"
 let g_peak_intermediate = Obs.Gauge.make "image.peak_intermediate"
 
-(* [∃ quantify. ∧ rels] with early quantification: a variable is quantified
-   at the first step after which no unprocessed conjunct mentions it. [occ]
-   tracks, per quantifiable variable, how many unprocessed conjuncts use
-   it. *)
+(* [∃ quantify. ∧ rels]. The schedule's state, indexed by variable:
+   - [pending.(v)]: [v] is still to be quantified (in [quantify], not yet
+     gone from the accumulator);
+   - [occ.(v)]: how many unprocessed conjuncts mention [v] (counted for
+     the variables of [quantify] only);
+   - [in_acc.(v)]: [v] is in the accumulator's support.
+   [Greedy] scores a conjunct [2 * dead - fresh]: [dead] counts its
+   pending variables that it alone still mentions, [fresh] its variables
+   the accumulator does not have yet. The first conjunct with the highest
+   score wins. *)
 let and_exists_list m ?(order = Greedy) rels ~quantify =
-  let qset = Hashtbl.create 16 in
-  List.iter (fun v -> Hashtbl.replace qset v ()) quantify;
-  let quantifiable v = Hashtbl.mem qset v in
+  let n = M.num_vars m in
+  let pending = Array.make n false in
+  (* variables outside the manager occur in no conjunct: nothing to do *)
+  List.iter (fun v -> if v >= 0 && v < n then pending.(v) <- true) quantify;
   let parts = Array.of_list rels in
   (* pin the conjuncts for the whole sweep; the accumulator is re-pinned
      step by step so each dead intermediate becomes collectable as soon as
@@ -22,48 +37,54 @@ let and_exists_list m ?(order = Greedy) rels ~quantify =
   Array.iter (M.stack_push m) parts;
   let supports = Array.map (O.support m) parts in
   let used = Array.make (Array.length parts) false in
-  let occ = Hashtbl.create 16 in
-  let bump v d =
-    Hashtbl.replace occ v (d + Option.value ~default:0 (Hashtbl.find_opt occ v))
-  in
+  let occ = Array.make n 0 in
   Array.iter
-    (fun supp -> List.iter (fun v -> if quantifiable v then bump v 1) supp)
+    (List.iter (fun v -> if pending.(v) then occ.(v) <- occ.(v) + 1))
     supports;
   let acc = ref M.one in
   let acc_supp = ref [] in
-  let score k =
-    let dead = ref 0 and fresh = ref 0 in
-    List.iter
-      (fun v ->
-        if quantifiable v && Hashtbl.find occ v = 1 then incr dead;
-        if not (List.mem v !acc_supp) then incr fresh)
-      supports.(k);
-    (2 * !dead) - !fresh
+  let in_acc = Array.make n false in
+  let rec score dead fresh = function
+    | [] -> (2 * dead) - fresh
+    | v :: vs ->
+      score
+        (if pending.(v) && occ.(v) = 1 then dead + 1 else dead)
+        (if in_acc.(v) then fresh else fresh + 1)
+        vs
   in
   let pick () =
-    let best = ref (-1) in
-    (match order with
-     | Given ->
-       (try
-          for k = 0 to Array.length parts - 1 do
-            if not used.(k) then begin
-              best := k;
-              raise Exit
-            end
-          done
-        with Exit -> ())
-     | Greedy ->
-       let best_score = ref min_int in
-       for k = 0 to Array.length parts - 1 do
-         if not used.(k) then begin
-           let s = score k in
-           if s > !best_score then begin
-             best_score := s;
-             best := k
-           end
-         end
-       done);
-    !best
+    match order with
+    | Given ->
+      let k = ref 0 in
+      while used.(!k) do
+        incr k
+      done;
+      !k
+    | Greedy ->
+      let best = ref (-1) and best_score = ref min_int in
+      for k = 0 to Array.length parts - 1 do
+        if not used.(k) then begin
+          let s = score 0 0 supports.(k) in
+          if s > !best_score then begin
+            best_score := s;
+            best := k
+          end
+        end
+      done;
+      !best
+  in
+  (* the pending variables of [vs] that no unprocessed conjunct mentions,
+     prepended to [acc]; each leaves [pending] as it is found, so it is
+     collected once, and is quantified by this step *)
+  let dying acc vs =
+    List.fold_left
+      (fun acc v ->
+        if pending.(v) && occ.(v) = 0 then begin
+          pending.(v) <- false;
+          v :: acc
+        end
+        else acc)
+      acc vs
   in
   let finally () =
     M.stack_drop m (Array.length parts);
@@ -74,13 +95,10 @@ let and_exists_list m ?(order = Greedy) rels ~quantify =
   for _ = 1 to steps do
     let k = pick () in
     used.(k) <- true;
-    List.iter (fun v -> if quantifiable v then bump v (-1)) supports.(k);
-    let dying =
-      List.filter
-        (fun v -> quantifiable v && Hashtbl.find occ v = 0)
-        (List.sort_uniq compare (supports.(k) @ !acc_supp))
-    in
-    let cube = O.cube_of_vars m dying in
+    List.iter
+      (fun v -> if pending.(v) then occ.(v) <- occ.(v) - 1)
+      supports.(k);
+    let cube = O.cube_of_vars m (dying (dying [] supports.(k)) !acc_supp) in
     M.stack_push m cube;
     let acc' = O.and_exists m cube !acc parts.(k) in
     M.stack_drop m 1;
@@ -91,10 +109,9 @@ let and_exists_list m ?(order = Greedy) rels ~quantify =
       Obs.Counter.bump c_conj;
       Obs.Gauge.set_max g_peak_intermediate (O.size m !acc)
     end;
-    (* A quantified variable is gone from the accumulator; forget it so it
-       is not considered "dying" again. *)
-    List.iter (fun v -> Hashtbl.remove qset v) dying;
-    acc_supp := O.support m !acc
+    List.iter (fun v -> in_acc.(v) <- false) !acc_supp;
+    acc_supp := O.support m !acc;
+    List.iter (fun v -> in_acc.(v) <- true) !acc_supp
   done;
   !acc
 

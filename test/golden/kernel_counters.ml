@@ -1,9 +1,12 @@
 (* Node-stream golden: the BDD kernel's deterministic work counters for
-   Table-1 rows t298 and t349, each solved with the default partitioned
-   flow ([Solve.solve_split ~method_:default_partitioned], GC on) and Obs
-   on, plus t349 under a 10k live-node budget (the ladder-budget case
-   that fails first try and completes on reorder-retry; its row also
-   names the rung that completed, and its counts cover every attempt).
+   Table-1 rows t298, t349, t444 and t526, each solved with the default
+   partitioned flow ([Solve.solve_split ~method_:default_partitioned], GC
+   on) and Obs on, plus t349 under a 10k live-node budget (the
+   ladder-budget case that fails first try and completes on
+   reorder-retry; its row also names the rung that completed, and its
+   counts cover every attempt).
+   t444 and t526 cover the large-store paths: a large computed cache,
+   many collections, and wide image accumulators.
    Every count depends only on the sequence of [mk] calls and cache
    probes, so a kernel refactor that keeps this file byte-identical keeps
    the node stream, and with it the rungs the ladder-budget benchmark
@@ -18,7 +21,9 @@ let counters =
       [ "ite"; "not"; "exists"; "forall"; "and_exists"; "compose";
         "constrain" ]
 
-let rows = [ ("t298", None); ("t349", None); ("t349", Some 10_000) ]
+let rows =
+  [ ("t298", None); ("t349", None); ("t349", Some 10_000); ("t444", None);
+    ("t526", None) ]
 
 let () =
   List.iter

@@ -34,9 +34,9 @@ let rec fbuild m = function
   | F_xor (f, g) -> O.bxor m (fbuild m f) (fbuild m g)
   | F_ite (f, g, h) -> O.ite m (fbuild m f) (fbuild m g) (fbuild m h)
 
-let formula_gen nvars =
+let formula_sized nvars =
   let open QCheck.Gen in
-  sized @@ fix (fun self n ->
+  fix (fun self n ->
       if n <= 0 then
         oneof
           [ map (fun v -> F_var v) (int_bound (nvars - 1));
@@ -52,6 +52,8 @@ let formula_gen nvars =
              map3
                (fun f g h -> F_ite (f, g, h))
                (self (n / 3)) (self (n / 3)) (self (n / 3))) ])
+
+let formula_gen nvars = QCheck.Gen.sized (formula_sized nvars)
 
 let rec formula_print = function
   | F_var v -> Printf.sprintf "x%d" v
@@ -610,6 +612,210 @@ let prop_compose =
           O.eval m r env = feval env' f)
         (all_envs ()))
 
+(* --- support by marking -------------------------------------------------- *)
+
+(* the reference support: every level met on a visited-table walk *)
+let reference_support m f =
+  let seen = Hashtbl.create 16 and levels = Hashtbl.create 16 in
+  let rec go f =
+    if (not (M.is_const f)) && not (Hashtbl.mem seen f) then begin
+      Hashtbl.replace seen f ();
+      Hashtbl.replace levels (M.var m f) ();
+      go (M.low m f);
+      go (M.high m f)
+    end
+  in
+  go f;
+  List.sort compare (Hashtbl.fold (fun v () acc -> v :: acc) levels [])
+
+(* Each formula is built, checked and released in turn. Under [Pressure]
+   a collection follows, so the next formula's nodes reuse the swept ids
+   and a support memo entry left behind for a swept id would be read
+   back for a different node. *)
+let prop_support_reference =
+  QCheck.Test.make ~count:200 ~name:"support = reference walk"
+    QCheck.(pair config_arb
+              (list_of_size (QCheck.Gen.int_range 1 6) (formula_arb nvars)))
+    (fun (cfg, fs) ->
+      let m = config_man cfg in
+      List.for_all
+        (fun f ->
+          let b = pin m (fbuild m f) in
+          (* the second call reads the memo *)
+          let ok =
+            O.support m b = reference_support m b
+            && O.support m b = reference_support m b
+          in
+          if not (M.is_const b) then M.release m b;
+          if cfg = Pressure then ignore (M.collect m : int);
+          ok)
+        fs)
+
+(* [support] and [dag_size] mark nodes by moving their level; afterwards
+   every id of the store, constants and free slots included, must read
+   back the level it had before *)
+let prop_marks_cleared =
+  QCheck.Test.make ~count:200 ~name:"support and dag_size leave no mark"
+    QCheck.(pair config_arb
+              (list_of_size (QCheck.Gen.int_range 1 6) (formula_arb nvars)))
+    (fun (cfg, fs) ->
+      let m = config_man cfg in
+      (* a shared DAG: every root pinned; under [Pressure] the garbage of
+         the construction is swept first, leaving free slots *)
+      let roots =
+        M.zero :: M.one :: List.map (fun f -> pin m (fbuild m f)) fs
+      in
+      if cfg = Pressure then ignore (M.collect m : int);
+      let levels () = Array.init (M.store_size m) (M.var m) in
+      let before = levels () in
+      List.iter (fun r -> ignore (O.support m r : int list)) roots;
+      ignore (M.dag_size m roots : int);
+      levels () = before)
+
+(* --- the epoch-tagged computed cache ------------------------------------- *)
+
+(* [∃ vs. φ] at [bits], where [tt] is [φ]'s truth table *)
+let exists_tt tt vs bits =
+  let rec go bits = function
+    | [] -> tt.(bits)
+    | v :: vs -> go (bits land lnot (1 lsl v)) vs || go (bits lor (1 lsl v)) vs
+  in
+  go bits vs
+
+let bit bits v = bits land (1 lsl v) <> 0
+let tables k = Array.init (1 lsl nvars) k
+
+(* whether [r] is an ordered BDD over the manager's variables: levels
+   strictly increase along every edge, so a stale cache hit that wired a
+   cycle into the store fails here instead of sending [O.eval] round it
+   forever *)
+let rec ordered m r =
+  M.is_const r
+  || (M.var m r >= 0 && M.var m r < nvars
+      && List.for_all
+           (fun c -> M.var m c > M.var m r && ordered m c)
+           [ M.low m r; M.high m r ])
+
+(* whether [r]'s truth table is [tt] *)
+let exact m r tt =
+  ordered m r && tables (fun bits -> O.eval m r (bit bits)) = tt
+
+(* The literals of all [nvars] variables in both polarities, in a random
+   order, as [(variable, positive)] pairs with their truth tables *)
+let shuffled_literals rand =
+  let lits =
+    Array.init (2 * nvars) (fun i -> (i mod nvars, i < nvars))
+  in
+  QCheck.Gen.shuffle_a lits rand;
+  (lits, Array.map (fun (v, pos) -> tables (fun bits -> bit bits v = pos)) lits)
+
+(* A round of ite, exists and and_exists on the literals alone, with
+   collection off. It starts on an empty store, whose free list hands out
+   ids 2, 3, … in order, so every such round puts its literals on the
+   same ids, each time for other variables and polarities: its cache keys
+   recur with new meanings. *)
+let literal_round m rand =
+  M.set_auto_gc m false;
+  let lits, tts = shuffled_literals rand in
+  let ids =
+    Array.map
+      (fun (v, pos) -> if pos then O.var_bdd m v else O.nvar_bdd m v)
+      lits
+  in
+  let n = Array.length ids in
+  let ok = ref true in
+  for i = 0 to n - 1 do
+    let v, pos = lits.(i) in
+    for j = 0 to n - 1 do
+      (* a positive literal is the cube of its variable *)
+      if pos && i <> j then begin
+        let j' = (j + 1) mod n in
+        let conj = Array.map2 ( && ) tts.(j) tts.(j') in
+        ok :=
+          !ok
+          && exact m (O.exists m ids.(i) ids.(j))
+               (tables (exists_tt tts.(j) [ v ]))
+          && exact m (O.and_exists m ids.(i) ids.(j) ids.(j'))
+               (tables (exists_tt conj [ v ]))
+      end;
+      for k = 0 to n - 1 do
+        if i <> j && j <> k && i <> k then
+          ok :=
+            !ok
+            && exact m (O.ite m ids.(i) ids.(j) ids.(k))
+                 (tables (fun b ->
+                      if tts.(i).(b) then tts.(j).(b) else tts.(k).(b)))
+      done
+    done
+  done;
+  !ok
+
+(* A round on small random formulas: ite, and_exists, exists and
+   cofactor, each checked against truth tables, under [Pressure] when
+   [armed] *)
+let formula_round m rand ~armed =
+  M.set_auto_gc m false;
+  let gen () =
+    QCheck.Gen.(
+      generate1 ~rand (sized_size (int_bound 6) (formula_sized nvars)))
+  in
+  let f = gen () and g = gen () and h = gen () in
+  let bf = pin m (fbuild m f) and bg = pin m (fbuild m g) in
+  let bh = pin m (fbuild m h) in
+  let vs =
+    List.filter (fun _ -> Random.State.bool rand) (List.init nvars Fun.id)
+  in
+  let cube = pin m (O.cube_of_vars m vs) in
+  let v = Random.State.int rand nvars and pol = Random.State.bool rand in
+  let tf = truth_table f and tg = truth_table g and th = truth_table h in
+  if armed then arm Pressure m;
+  (* each result is checked before the next operation can sweep it *)
+  let ok =
+    exact m (O.ite m bf bg bh)
+      (tables (fun b -> if tf.(b) then tg.(b) else th.(b)))
+    && exact m (O.and_exists m cube bf bg)
+         (tables (exists_tt (Array.map2 ( && ) tf tg) vs))
+    && exact m (O.exists m cube bf) (tables (exists_tt tf vs))
+    &&
+    let r = O.cofactor m bf v pol in
+    ordered m r && agrees_fixed m tf [ (v, pol) ] r
+  in
+  List.iter
+    (fun r -> if not (M.is_const r) then M.release m r)
+    [ bf; bg; bh; cube ];
+  ok
+
+(* Rounds under [Pressure], each ending in a collection that sweeps all
+   of it, until the collections have wrapped the cache's epoch field (256
+   collections) twice. Each round's nodes reuse the ids the last one
+   freed, so an entry from an earlier epoch that still matched would hand
+   back a node of another function. Literal rounds run after collections
+   1, 2, 4, …, 512: a skipped epoch bump shows at the second, and an
+   epoch that comes round again without the array being emptied shows
+   when the one after collection 512 probes, at the same epoch, the
+   entries the one after collection 256 left. Formula rounds run after
+   every other collection, armed as in the other [Pressure] properties
+   except shortly before a literal round, so that no collection inside
+   them shifts the literal rounds off their counts. *)
+let prop_epoch_wrap =
+  QCheck.Test.make ~count:4 ~name:"ops exact across computed-cache epoch wraps"
+    (* a seed has nothing to shrink *)
+    (QCheck.make ~print:string_of_int QCheck.Gen.nat)
+    (fun seed ->
+      let rand = Random.State.make [| seed |] in
+      let m = config_man Pressure in
+      let ok = ref true and next = ref 1 in
+      while !ok && M.gc_runs m < 600 do
+        let runs = M.gc_runs m in
+        if runs >= !next then begin
+          next := 2 * runs;
+          ok := literal_round m rand
+        end
+        else ok := formula_round m rand ~armed:(!next - runs > 64);
+        ignore (M.collect m : int)
+      done;
+      !ok)
+
 let prop_sat_count =
   QCheck.Test.make ~count:200 ~name:"sat_count = brute count"
     (formula_arb nvars) (fun f ->
@@ -729,7 +935,8 @@ let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_build_semantics; prop_not_involutive; prop_exists_semantics;
       prop_forall_semantics; prop_and_exists; prop_cofactor;
-      prop_cofactor_cube; prop_compose; prop_sat_count;
+      prop_cofactor_cube; prop_compose; prop_support_reference;
+      prop_marks_cleared; prop_epoch_wrap; prop_sat_count;
       prop_rename_roundtrip; prop_subst_semantics; prop_cubes_partition;
       prop_exists_nested; prop_compose_sequential;
       prop_isop_exact; prop_isop_interval; prop_isop_irredundant ]

@@ -227,6 +227,26 @@ let test_clear_caches_gc_interleaving () =
   Alcotest.(check int) "same result after both" fg (O.band m f g);
   Alcotest.(check (list bool)) "truth table stable" tt (truth_table m fg)
 
+(* an entry stored before a collection never hits after it: not after
+   the first collection, and not when the cache's epoch field wraps and
+   an old epoch comes round again (every 256 collections) *)
+let test_collect_invalidates_entries () =
+  let m = Helpers.fresh_man ~nvars () in
+  let f = majority m in
+  M.protect m f;
+  let g = O.var_bdd m 3 in
+  M.protect m g;
+  let fg = O.band m f g in
+  M.protect m fg;
+  Alcotest.(check int) "stored by band" fg (M.cache_find m M.Op.ite f g M.zero);
+  for k = 1 to 600 do
+    ignore (M.collect m : int);
+    if M.cache_find m M.Op.ite f g M.zero <> -1 then
+      Alcotest.failf "an entry stored before collection 1 hits after %d" k
+  done;
+  Alcotest.(check int) "recomputed" fg (O.band m f g);
+  Alcotest.(check int) "stored again" fg (M.cache_find m M.Op.ite f g M.zero)
+
 (* --- [mk]'s insert path under collection pressure ------------------------------ *)
 
 (* a random function over [nv] variables, with every intermediate pinned on
@@ -391,7 +411,9 @@ let () =
       );
       ( "caches",
         [ Alcotest.test_case "clear_caches/GC interleaving" `Quick
-            test_clear_caches_gc_interleaving ] );
+            test_clear_caches_gc_interleaving;
+          Alcotest.test_case "collect invalidates earlier entries" `Quick
+            test_collect_invalidates_entries ] );
       ( "obs",
         [ Alcotest.test_case "gc counters and gauges" `Quick test_gc_counters ]
       );

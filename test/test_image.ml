@@ -45,6 +45,31 @@ let test_and_exists_all_quantified () =
   Alcotest.(check int) "sat product" M.one
     (Q.and_exists_list man [ a; a ] ~quantify:[ 0; 1 ])
 
+(* The schedule's bookkeeping against the monolithic [∃ quantify. ∧ rels]
+   on random conjunct lists, empty ones included. Each conjunct is a
+   random function of variables 0-5 xor variable 6, so variable 6 occurs
+   in every conjunct and variable 7 in none; [quantify] always names both
+   and names every variable it draws twice. *)
+let prop_and_exists_list_reference =
+  QCheck.Test.make ~count:300
+    ~name:"and_exists_list = exists of the conjunction"
+    QCheck.(triple small_nat (int_range 0 6)
+              (list_of_size (QCheck.Gen.int_range 0 8) (int_bound 7)))
+    (fun (seed, k, drawn) ->
+      let rng = Random.State.make [| seed |] in
+      let man = M.create () in
+      ignore (M.new_vars man 8 : int list);
+      let x6 = O.var_bdd man 6 in
+      let rels = List.init k (fun _ -> O.bxor man (random_bdd man 6 rng) x6) in
+      let quantify = (6 :: 7 :: drawn) @ drawn in
+      let mono =
+        O.exists man (O.cube_of_vars man quantify) (O.conj man rels)
+      in
+      (k > 0 || mono = M.one)
+      && List.for_all
+           (fun order -> Q.and_exists_list man ~order rels ~quantify = mono)
+           [ Q.Greedy; Q.Given ])
+
 let strategies =
   [ ("monolithic", I.Monolithic);
     ("partitioned-given", I.Partitioned Q.Given);
@@ -357,7 +382,8 @@ let () =
           Alcotest.test_case "empty quantifier" `Quick
             test_and_exists_empty_quantify;
           Alcotest.test_case "full quantification" `Quick
-            test_and_exists_all_quantified ] );
+            test_and_exists_all_quantified;
+          QCheck_alcotest.to_alcotest prop_and_exists_list_reference ] );
       ( "partition",
         [ Alcotest.test_case "clustering" `Quick test_cluster_preserves_product;
           Alcotest.test_case "clustered image oracle" `Quick
