@@ -13,9 +13,10 @@
      itself lives in examples/quickstart.ml).
 
    - Ablations for the design choices the paper calls out (DESIGN.md §5):
-     early-quantification scheduling, partition clustering, one-image-per-
-     output vs combined non-conformance, deferred completion (Theorem 1),
-     and the cs/ns variable interleaving.
+     early-quantification scheduling, one-image-per-output vs combined
+     non-conformance, deferred completion (Theorem 1), and the cs/ns
+     variable interleaving. (The partition-clustering threshold sweep that
+     fixed the solver's 500-node constant is recorded in EXPERIMENTS.md.)
 
    Usage:  dune exec bench/main.exe [-- --quick | --table-only | --csf-rows]
      --quick       skip the full Table 1 (run micro-benchmarks only)
@@ -177,6 +178,29 @@ let solve_bench () =
 
 (* --- ablations ---------------------------------------------------------------- *)
 
+(* Reachable states of [sym] with the forward step built from
+   [conjoin_exists man rels ~quantify] (the state set first in [rels]), so
+   the reachability ablations can contrast the monolithic relation with
+   the partitioned schedules. *)
+let reach_by conjoin_exists (sym : Network.Symbolic.t) =
+  let module M = Bdd.Manager in
+  let module S = Network.Symbolic in
+  let man = sym.S.man in
+  M.with_roots man @@ fun rs ->
+  let parts =
+    List.map (M.Roots.add rs)
+      (Img.Partition.of_functions man (S.transition_parts sym))
+  in
+  let quantify = sym.S.input_vars @ sym.S.state_vars in
+  let image frontier =
+    let img = conjoin_exists man (frontier :: parts) ~quantify in
+    M.stack_push man img;
+    let renamed = Bdd.Ops.rename man img (S.ns_to_cs sym) in
+    M.stack_drop man 1;
+    renamed
+  in
+  ignore (Img.Reach.fixpoint man ~image sym.S.init_cube : Img.Reach.outcome)
+
 let ablation_quantification () =
   (* early quantification on reachability images (paper §1: the machinery
      language-equation solving inherits) *)
@@ -184,36 +208,20 @@ let ablation_quantification () =
     Circuits.Generators.random_logic ~seed:4 ~inputs:8 ~outputs:4 ~latches:18
       ~levels:4 ()
   in
-  let bench strategy () =
+  let bench conjoin_exists () =
     let man = Bdd.Manager.create () in
-    let sym = Network.Symbolic.of_netlist man net in
-    ignore (Img.Reach.reachable ~strategy sym : int * int)
+    reach_by conjoin_exists (Network.Symbolic.of_netlist man net)
+  in
+  let partitioned order man rels ~quantify =
+    Img.Quantify.and_exists_list man ~order rels ~quantify
   in
   run_group ~quota:15.0 "ablation: quantification scheduling (reachability)"
     [ Test.make ~name:"monolithic relation"
-        (Staged.stage (bench Img.Image.Monolithic));
+        (Staged.stage (bench Img.Quantify.monolithic_and_exists));
       Test.make ~name:"partitioned, declaration order"
-        (Staged.stage (bench (Img.Image.Partitioned Img.Quantify.Given)));
+        (Staged.stage (bench (partitioned Img.Quantify.Given)));
       Test.make ~name:"partitioned, greedy schedule"
-        (Staged.stage (bench (Img.Image.Partitioned Img.Quantify.Greedy))) ]
-
-let ablation_clustering () =
-  let row = Circuits.Suite.find "t298" in
-  let bench clustering () =
-    let _, p =
-      Equation.Split.problem row.Circuits.Suite.net
-        ~x_latches:row.Circuits.Suite.x_latches
-    in
-    ignore (Equation.Partitioned.solve ~clustering p)
-  in
-  let aff t = Img.Partition.Affinity t in
-  run_group "ablation: partition clustering (t298)"
-    [ Test.make ~name:"fully partitioned"
-        (Staged.stage (bench Img.Partition.No_clustering));
-      Test.make ~name:"affinity, 100 nodes" (Staged.stage (bench (aff 100)));
-      Test.make ~name:"affinity, 500 nodes (default)"
-        (Staged.stage (bench (aff 500)));
-      Test.make ~name:"affinity, 1000 nodes" (Staged.stage (bench (aff 1000))) ]
+        (Staged.stage (bench (partitioned Img.Quantify.Greedy))) ]
 
 let ablation_csf () =
   (* worklist vs iterated-sweep CSF extraction: the subset construction
@@ -368,15 +376,15 @@ let ablation_gc_threshold () =
       Test.make ~name:"threshold 0.90" (Staged.stage (solve true 0.90)) ]
 
 let ablation_order () =
-  (* with the monolithic image strategy the transition-relation BDD is
-     actually built, so the variable order's effect is direct: interleaved
-     cs/ns keeps the shift-register relation linear, blocked makes it
+  (* with the monolithic image the transition-relation BDD is actually
+     built, so the variable order's effect is direct: interleaved cs/ns
+     keeps the shift-register relation linear, blocked makes it
      exponential in the register length *)
   let net = Circuits.Generators.shift_register 16 in
   let bench interleave () =
     let man = Bdd.Manager.create () in
     let sym = Network.Symbolic.of_netlist man ~interleave net in
-    ignore (Img.Reach.reachable ~strategy:Img.Image.Monolithic sym : int * int)
+    reach_by Img.Quantify.monolithic_and_exists sym
   in
   run_group ~quota:10.0
     "ablation: cs/ns variable interleaving (monolithic relation, shift16)"
@@ -396,7 +404,6 @@ let () =
     fig3_bench ();
     solve_bench ();
     ablation_quantification ();
-    ablation_clustering ();
     ablation_csf ();
     ablation_completion ();
     ablation_affinity ();

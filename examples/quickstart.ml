@@ -54,7 +54,7 @@ let () =
   let t_parts =
     Img.Partition.of_functions man (Network.Symbolic.transition_parts sym)
   in
-  let t_mono = Img.Partition.monolithic t_parts in
+  let t_mono = Img.Partition.monolithic man t_parts in
   Format.printf
     "Monolithic transition relation T(i,cs,ns) (%d BDD nodes):@.  %a@.@."
     (O.size man t_mono) (Bdd.Print.pp man) t_mono;

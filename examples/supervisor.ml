@@ -57,13 +57,13 @@ let () =
   let p =
     Eq.Problem.make ~f ~s ~u_names:[ "is_hot" ] ~v_names:[ "heat" ] ()
   in
-  let solution, stats = Eq.Partitioned.solve p in
+  let arena, stats = Eq.Partitioned.solve_arena p in
   Format.printf "Most general prefix-closed solution: %s@."
-    (Fsa.Print.summary solution);
+    (Fsa.Print.summary (Eq.Engine.to_automaton arena));
   Format.printf "  (%d subset states, %d image computations)@.@."
     stats.Eq.Partitioned.subset_states
     stats.Eq.Partitioned.image_computations;
-  let csf = Eq.Csf.csf p solution in
+  let csf, _ = Eq.Csf.of_arena p arena in
   if Fsa.Automaton.is_empty_language csf then
     Format.printf "No controller exists.@."
   else begin
@@ -101,8 +101,8 @@ let () =
     Eq.Problem.make ~observed_inputs:[ "demand" ] ~f:(plant ()) ~s:(spec ())
       ~u_names:[ "is_hot" ] ~v_names:[ "heat" ] ()
   in
-  let solution_obs, _ = Eq.Partitioned.solve p_obs in
-  let csf_obs = Eq.Csf.csf p_obs solution_obs in
+  let arena_obs, _ = Eq.Partitioned.solve_arena p_obs in
+  let csf_obs, _ = Eq.Csf.of_arena p_obs arena_obs in
   Format.printf
     "@.With the controller observing `demand` as well (footnote 6):@.";
   Format.printf "CSF: %s (alphabet %s)@."

@@ -39,8 +39,8 @@ let () =
     (fun (a, b) ->
       let x_latches = [ a; b ] in
       let sp, p = E.Split.problem net ~x_latches in
-      let solution, _ = E.Partitioned.solve p in
-      let csf = E.Csf.csf p solution in
+      let arena, _ = E.Partitioned.solve_arena p in
+      let csf, _ = E.Csf.of_arena p arena in
       let strict =
         not
           (Fsa.Language.subset csf (E.Split.particular_solution p sp))

@@ -38,11 +38,3 @@ let iter_minterms m f vars k =
       end
   in
   go f (List.sort compare vars) []
-
-let count_minterms_int m f nvars =
-  let x = Ops.sat_count m f nvars in
-  if x > float_of_int max_int then
-    invalid_arg "Cube.count_minterms_int: overflow"
-  else int_of_float (Float.round x)
-
-let of_assignment = Ops.cube_of_literals

@@ -15,10 +15,3 @@ val iter_minterms : Manager.t -> int -> int list -> (literal list -> unit) -> un
 (** [iter_minterms m f vars k] calls [k] on every minterm of [f] over the
     variable set [vars] (must include the support of [f]). Exponential in
     [vars]; intended for tests and tiny alphabets. *)
-
-val count_minterms_int : Manager.t -> int -> int -> int
-(** [count_minterms_int m f nvars] is [sat_count] rounded to an int
-    (raises [Invalid_argument] if it does not fit). *)
-
-val of_assignment : Manager.t -> literal list -> int
-(** BDD of a conjunction of literals (alias of {!Ops.cube_of_literals}). *)

@@ -41,8 +41,6 @@ let bxnor m f g =
   M.stack_drop m 1;
   r
 
-let bimp m f g = ite m f g M.one
-
 let bdiff m f g =
   let ng = bnot m g in
   M.stack_push m ng;

@@ -30,6 +30,3 @@ val reorder :
     migrates the roots, and returns [(new_manager, new_roots, var_map)].
     Variable names are preserved. *)
 
-val size_with_order : Manager.t -> order:int list -> int list -> int
-(** Shared node count the roots would have under the given order (builds
-    and discards a scratch manager). Useful to evaluate candidate orders. *)

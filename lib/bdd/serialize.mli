@@ -18,8 +18,3 @@ val load :
     with a descriptive message on malformed input: unparsable integer
     fields, a node referencing an undefined id, a variable index out of
     range, an unrecognized line, or a missing [roots] line. *)
-
-val dump_file : string -> Manager.t -> int list -> unit
-
-val load_file :
-  Manager.t -> ?import_names:bool -> ?var_map:(int -> int) -> string -> int list

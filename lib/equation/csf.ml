@@ -151,9 +151,6 @@ let of_arena ?runtime (p : Problem.t) (a : Engine.arena) =
       !deletions )
   end
 
-let csf ?runtime (p : Problem.t) x =
-  fst (of_arena ?runtime p (Engine.arena_of_automaton x))
-
 (* The pre-worklist reference implementation: iterated full sweeps over a
    materialized automaton. Kept for the worklist-vs-sweep differential
    oracle and as the complexity baseline quoted in DESIGN.md. *)

@@ -21,19 +21,14 @@ val of_arena :
     the [Csf] phase and honours the time/node budget (one tick per
     worklist examination). *)
 
-val csf : ?runtime:Runtime.t -> Problem.t -> Fsa.Automaton.t -> Fsa.Automaton.t
-(** [csf p x] applies PrefixClose (delete non-accepting states) and
-    Progressive (deletion of states that are not input-progressive with
-    respect to the [u] variables), then trims — {!of_arena} over
-    {!Engine.arena_of_automaton}, for automata built outside the
-    engine. *)
-
 val csf_sweep :
   ?runtime:Runtime.t -> Problem.t -> Fsa.Automaton.t -> Fsa.Automaton.t
 (** The pre-worklist reference implementation: [Fsa.Ops.prefix_close]
-    followed by iterated [Fsa.Ops.progressive] sweeps. Language-equivalent
-    to {!csf}; kept as the differential oracle for the worklist and as the
-    complexity baseline (it still bumps [csf.passes] per sweep). *)
+    followed by iterated [Fsa.Ops.progressive] sweeps, then a trim. It
+    takes any automaton, including one built outside the engine such as
+    the explicit Algorithm 1 oracle's. Language-equivalent to
+    {!of_arena}; kept as the differential oracle for the worklist and as
+    the complexity baseline (it still bumps [csf.passes] per sweep). *)
 
 val num_states : Fsa.Automaton.t -> int
 (** The "States(X)" column of Table 1. *)

@@ -41,10 +41,6 @@ let note_image ?runtime () =
   if !Obs.on then Obs.Counter.bump c_image;
   Option.iter Runtime.tick_image runtime
 
-let image ?runtime man ~strategy rels ~quantify =
-  note_image ?runtime ();
-  Img.Image.image man ~strategy rels ~quantify
-
 let run ?runtime ?on_state man ~alphabet make_oracle =
   let enter ph = Option.iter (fun rt -> Runtime.enter_phase rt ph) runtime in
   let tick = Runtime.ticker runtime in
@@ -174,30 +170,3 @@ let to_automaton a =
   Fsa.Automaton.of_arcs a.man ~alphabet:a.alphabet ~initial:a.initial
     ~accepting:(Array.copy a.accepting) ~names:(Array.copy a.names)
     ~src:a.arc_src ~guard:a.arc_guard ~dst:a.arc_dst
-
-let arena_of_automaton (x : Fsa.Automaton.t) =
-  let n = Fsa.Automaton.num_states x in
-  let total =
-    Array.fold_left (fun acc l -> acc + List.length l) 0 x.Fsa.Automaton.edges
-  in
-  let arc_src = Array.make total 0 in
-  let arc_guard = Array.make total 0 in
-  let arc_dst = Array.make total 0 in
-  let i = ref 0 in
-  for s = 0 to n - 1 do
-    List.iter
-      (fun (g, d) ->
-        arc_src.(!i) <- s;
-        arc_guard.(!i) <- g;
-        arc_dst.(!i) <- d;
-        incr i)
-      x.Fsa.Automaton.edges.(s)
-  done;
-  { man = x.Fsa.Automaton.man;
-    alphabet = x.Fsa.Automaton.alphabet;
-    initial = x.Fsa.Automaton.initial;
-    accepting = Array.copy x.Fsa.Automaton.accepting;
-    names = Array.copy x.Fsa.Automaton.names;
-    arc_src;
-    arc_guard;
-    arc_dst }

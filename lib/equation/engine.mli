@@ -85,17 +85,6 @@ val note_image : ?runtime:Runtime.t -> unit -> unit
     image; {!Verify} uses the counter-only form so its fixpoint images
     share the same name without entering the fault-injection path. *)
 
-val image :
-  ?runtime:Runtime.t ->
-  Bdd.Manager.t ->
-  strategy:Img.Image.strategy ->
-  int list ->
-  quantify:int list ->
-  int
-(** One accounted image computation: {!note_image}, then
-    [Img.Image.image] — the inner step every oracle and the verification
-    fixpoints share. *)
-
 val run :
   ?runtime:Runtime.t ->
   ?on_state:(int -> unit) ->
@@ -114,9 +103,3 @@ val run :
 val to_automaton : arena -> Fsa.Automaton.t
 (** Validated [Fsa.Automaton] with the arena's states in order and each
     state's arcs in emission order. *)
-
-val arena_of_automaton : Fsa.Automaton.t -> arena
-(** View an existing automaton as an arena (states and edge order
-    preserved), so arena-based passes like {!Csf.of_arena} also accept
-    automata built outside the engine. Guards are already pinned by the
-    automaton. *)

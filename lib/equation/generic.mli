@@ -7,10 +7,10 @@
     X := Determinize; Complete; Complement
     v}
 
-    (PrefixClose and Progressive are applied by {!Csf.csf} as in the other
-    flows.) Exponential in the network sizes; used to cross-validate the
-    symbolic flows on small instances and for the deferred-completion
-    ablation (Appendix, Theorem 1 / Corollary 1). *)
+    (PrefixClose and Progressive are applied by {!Csf.csf_sweep}.)
+    Exponential in the network sizes; used to cross-validate the symbolic
+    flows on small instances and for the deferred-completion ablation
+    (Appendix, Theorem 1 / Corollary 1). *)
 
 val solve : ?complete_f:bool -> Problem.t -> Fsa.Automaton.t
 (** Most general prefix-closed solution over the [(u,v)] alphabet.

@@ -3,23 +3,32 @@ module O = Bdd.Ops
 
 type stats = { subset_states : int; image_computations : int; peak_nodes : int }
 
-(* Bench ablation (EXPERIMENTS.md): on t298, affinity clustering roughly
-   halves solve time and is flat across 100–1000-node thresholds. *)
-let default_clustering = Img.Partition.Affinity 500
+(* The two image kernels. Greedy runs on the partition clustered by
+   affinity under a 500-node threshold: on t298 that roughly halves solve
+   time and is flat across 100–1000-node thresholds (the clustering sweep
+   of EXPERIMENTS.md). Given runs on the unclustered parts. *)
+let cluster_threshold = 500
+
+let kernel_label = function
+  | Img.Image.Partitioned Img.Quantify.Greedy ->
+    Printf.sprintf "affinity:%d/greedy" cluster_threshold
+  | Img.Image.Partitioned Img.Quantify.Given -> "unclustered/given"
 
 (* sink positions in the oracle's sink table *)
 let dcn = 0
 and dca = 1
 
-let oracle ?runtime ~strategy ~clustering ~images (p : Problem.t) rs =
+let oracle ?runtime ~strategy ~images (p : Problem.t) rs =
   let man = p.Problem.man in
   let pin id = ignore (M.Roots.add rs id : int) in
   let quantified = Problem.hidden_inputs p @ Problem.state_vars p in
   let ns_cube = O.cube_of_vars man (Problem.next_state_vars p) in
   pin ns_cube;
   let cluster parts =
-    (Img.Partition.apply (Img.Partition.of_relations man parts) clustering)
-      .Img.Partition.parts
+    (match strategy with
+     | Img.Image.Partitioned Img.Quantify.Greedy ->
+       Img.Partition.cluster_affinity man ~threshold:cluster_threshold parts
+     | Img.Image.Partitioned Img.Quantify.Given -> parts)
     |> List.map (fun part -> M.Roots.add rs part)
   in
   let urel = cluster (Problem.u_relation_parts p) in
@@ -31,7 +40,8 @@ let oracle ?runtime ~strategy ~clustering ~images (p : Problem.t) rs =
   List.iter pin non_conformance;
   let conjoin_exists rels =
     incr images;
-    Engine.image ?runtime man ~strategy rels ~quantify:quantified
+    Engine.note_image ?runtime ();
+    Img.Image.image man ~strategy rels ~quantify:quantified
   in
   (* Q_ζ(u,v): symbols under which some input causes an output of F that
      does not conform to S. The per-output non-conformance conditions range
@@ -76,17 +86,16 @@ let oracle ?runtime ~strategy ~clustering ~images (p : Problem.t) rs =
     is_accepting = (fun _ -> true) }
 
 let solve_arena ?runtime ?(strategy = Img.Image.Partitioned Img.Quantify.Greedy)
-    ?(clustering = default_clustering) ?on_state
-    (p : Problem.t) =
+    ?on_state (p : Problem.t) =
   let images = ref 0 in
   let arena, subset_states =
     Engine.run ?runtime ?on_state p.Problem.man ~alphabet:(Problem.alphabet p)
-      (oracle ?runtime ~strategy ~clustering ~images p)
+      (oracle ?runtime ~strategy ~images p)
   in
   ( arena,
     { subset_states; image_computations = !images;
       peak_nodes = M.peak_live_nodes p.Problem.man } )
 
-let solve ?runtime ?strategy ?clustering ?on_state p =
-  let arena, stats = solve_arena ?runtime ?strategy ?clustering ?on_state p in
+let solve ?runtime ?strategy ?on_state p =
+  let arena, stats = solve_arena ?runtime ?strategy ?on_state p in
   (Engine.to_automaton arena, stats)

@@ -18,7 +18,8 @@
 
     The returned automaton is already the complemented (most general
     prefix-closed) solution: subset states and [DCA] accepting, [DCN] not.
-    Apply {!Csf.csf} to obtain the CSF. *)
+    Apply {!Csf.of_arena} to the arena of {!solve_arena} to obtain the
+    CSF. *)
 
 type stats = {
   subset_states : int;  (** subset states explored (excluding the sinks) *)
@@ -26,14 +27,18 @@ type stats = {
   peak_nodes : int;     (** manager node count after solving *)
 }
 
-val default_clustering : Img.Partition.clustering
-(** [Affinity 500] — affinity-based clustering under a 500-node threshold,
-    the bench-ablated sweet spot (see EXPERIMENTS.md). *)
+val kernel_label : Img.Image.strategy -> string
+(** The image kernel a strategy selects, which is also the partition it
+    runs on: ["affinity:500/greedy"] for [Partitioned Greedy] (the
+    default), the greedy schedule over the relation parts clustered by
+    {!Img.Partition.cluster_affinity} under a 500-node threshold (the
+    bench-ablated sweet spot, see EXPERIMENTS.md); ["unclustered/given"]
+    for [Partitioned Given], the given order over one conjunct per
+    latch/output. *)
 
 val solve :
   ?runtime:Runtime.t ->
   ?strategy:Img.Image.strategy ->
-  ?clustering:Img.Partition.clustering ->
   ?on_state:(int -> unit) ->
   Problem.t ->
   Fsa.Automaton.t * stats
@@ -41,16 +46,13 @@ val solve :
     (relation clustering) and [Subset] phases: {!Runtime.Exceeded} is raised
     past the deadline and {!Bdd.Manager.Node_limit_exceeded} past the node
     budget (or at an injected fault), with partial progress recorded on the
-    runtime. [clustering] (default {!default_clustering}) pre-clusters the
-    relation parts before the subset construction;
-    [Img.Partition.No_clustering] keeps one conjunct per latch/output.
-    [on_state] is a progress callback invoked with each subset state index
-    as it is expanded. *)
+    runtime. [strategy] (default [Partitioned Greedy]) picks one of the two
+    kernels of {!kernel_label}. [on_state] is a progress callback invoked
+    with each subset state index as it is expanded. *)
 
 val solve_arena :
   ?runtime:Runtime.t ->
   ?strategy:Img.Image.strategy ->
-  ?clustering:Img.Partition.clustering ->
   ?on_state:(int -> unit) ->
   Problem.t ->
   Engine.arena * stats

@@ -187,9 +187,6 @@ let images rt = rt.images
 let deadline rt = rt.deadline
 let node_limit rt = rt.node_limit
 
-let remaining_time rt =
-  Option.map (fun d -> Float.max 0.0 (d -. Sys.time ())) rt.deadline
-
 let ticker = function
   | Some rt -> fun () -> tick rt
   | None -> fun () -> ()

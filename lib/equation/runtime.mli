@@ -117,10 +117,6 @@ val images : t -> int
 val deadline : t -> float option
 val node_limit : t -> int option
 
-val remaining_time : t -> float option
-(** Seconds left before the deadline ([Some 0.] once expired); [None]
-    without a deadline. *)
-
 val ticker : t option -> unit -> unit
 (** [ticker (Some rt)] is [fun () -> tick rt]; [ticker None] is a no-op.
     Convenience for code paths with an optional runtime. *)

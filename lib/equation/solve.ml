@@ -69,12 +69,13 @@ let rung_label = function
   | Given -> "partitioned/given"
   | Mono -> method_label Monolithic
 
+let given = Img.Image.Partitioned Img.Quantify.Given
+
 (* the image kernel a rung runs: clustering and quantification schedule *)
 let rung_kernel = function
   | First | Gc_retry | Reorder_retry ->
-    Img.Partition.describe_clustering Partitioned.default_clustering
-    ^ "/greedy"
-  | Given -> "unclustered/given"
+    Partitioned.kernel_label (Img.Image.Partitioned Img.Quantify.Greedy)
+  | Given -> Partitioned.kernel_label given
   | Mono -> "monolithic-relation"
 
 let ladder ~gc = function
@@ -160,9 +161,7 @@ let solve_split ?node_limit ?time_limit ?fault ?(gc = true) ~method_ net
         (arena, stats.Monolithic.subset_states)
       | Given ->
         let arena, stats =
-          Partitioned.solve_arena ~runtime:rt
-            ~strategy:(Img.Image.Partitioned Img.Quantify.Given)
-            ~clustering:Img.Partition.No_clustering p
+          Partitioned.solve_arena ~runtime:rt ~strategy:given p
         in
         (arena, stats.Partitioned.subset_states)
       | First | Gc_retry | Reorder_retry ->

@@ -41,9 +41,10 @@ type attempt = {
           ["partitioned/given"] *)
   kernel : string;
       (** image-kernel configuration of the rung — clustering and
-          quantification schedule, e.g. ["affinity:500/greedy"],
-          ["unclustered/given"] or ["monolithic-relation"]; emitted as the
-          [solve.kernel] trace point when the rung starts *)
+          quantification schedule: {!Partitioned.kernel_label} of the
+          rung's strategy (["affinity:500/greedy"] or
+          ["unclustered/given"]) or ["monolithic-relation"]; emitted as
+          the [solve.kernel] trace point when the rung starts *)
   phase : Runtime.phase;  (** phase reached when the attempt failed *)
   subset_states : int;  (** subset states explored before the failure *)
   peak_nodes : int;  (** the attempt's manager node count at failure *)

@@ -10,20 +10,16 @@ let enter_verify runtime =
 
 (* Both product-machine checks: reachability over [parts] that fails as
    soon as a frontier holds a bad state. The images are counted without
-   the runtime ([Engine.image]): they share the unified [image.calls] name
-   but stay out of the fault-injection path. Every frontier, the final
-   empty one included, is one tick and one [verify.frontier_steps]. *)
+   the runtime ([Engine.note_image ()]): they share the unified
+   [image.calls] name but stay out of the fault-injection path. Every
+   frontier, the final empty one included, is one tick and one
+   [verify.frontier_steps]. *)
 let product_reachable runtime man ~parts ~quantify ~rename ~bad init =
   let tick = Runtime.ticker runtime in
   let image frontier =
-    let img =
-      Engine.image man ~strategy:(Img.Image.Partitioned Img.Quantify.Greedy)
-        (frontier :: parts) ~quantify
-    in
-    M.stack_push man img;
-    let renamed = O.rename man img rename in
-    M.stack_drop man 1;
-    renamed
+    Engine.note_image ();
+    Img.Image.forward man ~strategy:(Img.Image.Partitioned Img.Quantify.Greedy)
+      ~parts ~quantify ~rename frontier
   in
   let on_frontier _ =
     tick ();

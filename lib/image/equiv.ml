@@ -60,9 +60,7 @@ let check net1 net2 =
      then pin what the exploration and the reconstruction keep *)
   let rel_parts, diff, bad_states, init =
     M.with_frozen man @@ fun () ->
-    let rel_parts =
-      List.map (fun (v, fn) -> O.bxnor man (O.var_bdd man v) fn) parts
-    in
+    let rel_parts = Partition.of_functions man parts in
     (* output mismatch condition over (i, cs1, cs2), matched by name *)
     let diff =
       O.disj man
@@ -76,13 +74,9 @@ let check net1 net2 =
   in
   List.iter pin rel_parts;
   List.iter pin [ diff; bad_states; init ];
-  let quantify = i_vars @ cs_vars in
-  let image frontier =
-    let img = Quantify.and_exists_list man (frontier :: rel_parts) ~quantify in
-    M.stack_push man img;
-    let renamed = O.rename man img ns_to_cs in
-    M.stack_drop man 1;
-    renamed
+  let image =
+    Image.forward man ~strategy:(Image.Partitioned Quantify.Greedy)
+      ~parts:rel_parts ~quantify:(i_vars @ cs_vars) ~rename:ns_to_cs
   in
   (* onion of frontiers for counterexample reconstruction, newest first *)
   let onion = ref [] in

@@ -1,11 +1,11 @@
-type strategy = Monolithic | Partitioned of Quantify.order
+type strategy = Partitioned of Quantify.order
 
-let image man ~strategy rels ~quantify =
-  match strategy with
-  | Monolithic -> Quantify.monolithic_and_exists man rels ~quantify
-  | Partitioned order -> Quantify.and_exists_list man ~order rels ~quantify
+let image man ~strategy:(Partitioned order) rels ~quantify =
+  Quantify.and_exists_list man ~order rels ~quantify
 
-let describe = function
-  | Monolithic -> "mono-image"
-  | Partitioned Quantify.Given -> "given"
-  | Partitioned Quantify.Greedy -> "greedy"
+let forward man ~strategy ~parts ~quantify ~rename frontier =
+  let img = image man ~strategy (frontier :: parts) ~quantify in
+  Bdd.Manager.stack_push man img;
+  let renamed = Bdd.Ops.rename man img rename in
+  Bdd.Manager.stack_drop man 1;
+  renamed

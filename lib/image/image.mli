@@ -1,11 +1,11 @@
 (** Image computation under partitioned transition relations —
     [Img(ns) = ∃ i,cs. T(i,cs,ns) ∧ ξ(cs)] from the paper's introduction.
     {!image} is the library's single dispatch on {!strategy}: the solver's
-    oracles, the §4 checks and {!Reach} all reach the quantification
-    kernels through it. *)
+    oracles reach the quantification kernel through it, and {!forward}
+    adds the renaming step that the fixpoints of {!Reach}, {!Equiv} and
+    the §4 checks share. *)
 
 type strategy =
-  | Monolithic      (** build the full relation first, then quantify *)
   | Partitioned of Quantify.order
       (** and-exists sweep with early quantification *)
 
@@ -14,10 +14,20 @@ val image :
 (** [image man ~strategy rels ~quantify] is [∃ quantify. ∧ rels]. For a
     forward image, [rels] is the state set followed by the relation parts,
     [quantify] is the inputs plus current-state variables, and the result
-    ranges over next-state variables; the caller renames [ns → cs]
-    afterwards. The caller keeps [rels] alive for the duration of the
-    call. *)
+    ranges over next-state variables. The caller keeps [rels] alive for
+    the duration of the call. *)
 
-val describe : strategy -> string
-(** ["mono-image"], ["given"] or ["greedy"] — used in method labels and
-    attempt reports. *)
+val forward :
+  Bdd.Manager.t ->
+  strategy:strategy ->
+  parts:int list ->
+  quantify:int list ->
+  rename:(int * int) list ->
+  int ->
+  int
+(** [forward man ~strategy ~parts ~quantify ~rename frontier] is the image
+    of [frontier] under [parts], renamed back to current-state variables
+    by the [rename] pairs (next-state → current-state). The image rides the
+    operand stack while it is renamed, so a collection in between cannot
+    sweep it; the caller keeps [frontier] and [parts] alive, and the result
+    is not protected. *)

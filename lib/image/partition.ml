@@ -1,16 +1,11 @@
 module O = Bdd.Ops
 
-type t = { man : Bdd.Manager.t; parts : int list }
-
 (* constructors and clustering hold part lists the collector cannot see,
    so they run frozen; the finished partition's parts are the caller's to
    pin for however long the partition is used *)
 let of_functions man pairs =
   Bdd.Manager.with_frozen man @@ fun () ->
-  { man;
-    parts = List.map (fun (v, fn) -> O.bxnor man (O.var_bdd man v) fn) pairs }
-
-let of_relations man parts = { man; parts }
+  List.map (fun (v, fn) -> O.bxnor man (O.var_bdd man v) fn) pairs
 
 (* Support-overlap (Jaccard) affinity of two conjuncts. Constant parts have
    empty support; give them affinity 1 so they merge away for free. *)
@@ -26,12 +21,12 @@ let jaccard s1 s2 =
   let inter, union = go s1 s2 0 0 in
   if union = 0 then 1.0 else float_of_int inter /. float_of_int union
 
-let cluster_affinity t ~threshold =
-  if threshold <= 1 then t
+let cluster_affinity man ~threshold parts =
+  if threshold <= 1 then parts
   else begin
-    Bdd.Manager.with_frozen t.man @@ fun () ->
-    let supp p = List.sort_uniq compare (O.support t.man p) in
-    let items = ref (List.map (fun p -> (p, supp p)) t.parts) in
+    Bdd.Manager.with_frozen man @@ fun () ->
+    let supp p = List.sort_uniq compare (O.support man p) in
+    let items = ref (List.map (fun p -> (p, supp p)) parts) in
     (* pairs whose conjunction exceeded the threshold, by BDD id *)
     let blocked = Hashtbl.create 16 in
     let continue = ref true in
@@ -56,8 +51,8 @@ let cluster_affinity t ~threshold =
       | None -> continue := false
       | Some (i, j, key) ->
         let pi = fst arr.(i) and pj = fst arr.(j) in
-        let candidate = O.band t.man pi pj in
-        if O.size t.man candidate <= threshold then begin
+        let candidate = O.band man pi pj in
+        if O.size man candidate <= threshold then begin
           let merged = (candidate, supp candidate) in
           let out = ref [] in
           Array.iteri
@@ -69,23 +64,11 @@ let cluster_affinity t ~threshold =
         end
         else Hashtbl.replace blocked key ()
     done;
-    { t with parts = List.map fst !items }
+    List.map fst !items
   end
 
-type clustering = No_clustering | Affinity of int
-
-let apply t = function
-  | No_clustering -> t
-  | Affinity threshold -> cluster_affinity t ~threshold
-
-let describe_clustering = function
-  | No_clustering -> "unclustered"
-  | Affinity threshold -> Printf.sprintf "affinity:%d" threshold
-
-let monolithic t =
-  List.iter (Bdd.Manager.stack_push t.man) t.parts;
-  let r = O.conj t.man t.parts in
-  Bdd.Manager.stack_drop t.man (List.length t.parts);
+let monolithic man parts =
+  List.iter (Bdd.Manager.stack_push man) parts;
+  let r = O.conj man parts in
+  Bdd.Manager.stack_drop man (List.length parts);
   r
-
-let size t = O.size_shared t.man t.parts

@@ -39,21 +39,15 @@ let fixpoint man ?(bad = fun _ -> false) ?(on_frontier = ignore) ~image init =
   in
   loop 0
 
-let reachable ?(strategy = Image.Partitioned Quantify.Greedy) (sym : S.t) =
+let reachable (sym : S.t) =
   let man = sym.S.man in
   M.with_roots man @@ fun rs ->
-  let parts =
-    (Partition.of_functions man (S.transition_parts sym)).Partition.parts
-  in
+  let parts = Partition.of_functions man (S.transition_parts sym) in
   List.iter (fun f -> ignore (M.Roots.add rs f : int)) parts;
-  let quantify = sym.S.input_vars @ sym.S.state_vars in
-  let ns_to_cs = S.ns_to_cs sym in
-  let image frontier =
-    let img = Image.image man ~strategy (frontier :: parts) ~quantify in
-    M.stack_push man img;
-    let renamed = O.rename man img ns_to_cs in
-    M.stack_drop man 1;
-    renamed
+  let image =
+    Image.forward man ~strategy:(Image.Partitioned Quantify.Greedy) ~parts
+      ~quantify:(sym.S.input_vars @ sym.S.state_vars)
+      ~rename:(S.ns_to_cs sym)
   in
   match fixpoint man ~image sym.S.init_cube with
   | Reached { reached; steps } -> (reached, steps)

@@ -31,10 +31,10 @@ val fixpoint :
     alive whatever else it uses, and [on_frontier] must pin a frontier it
     keeps beyond the call. The returned set is not protected. *)
 
-val reachable : ?strategy:Image.strategy -> Network.Symbolic.t -> int * int
+val reachable : Network.Symbolic.t -> int * int
 (** [(states, steps)]: the reachable states, as a BDD over the network's
-    current-state variables, and the number of images {!fixpoint} computed.
-    Default strategy: partitioned/greedy. *)
+    current-state variables, and the number of images {!fixpoint} computed
+    ({!Image.forward}, partitioned/greedy). *)
 
 val count_states : Network.Symbolic.t -> int -> float
 (** Number of states in a set over the network's state variables. *)

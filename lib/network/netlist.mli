@@ -74,9 +74,6 @@ val step : t -> state -> bool array -> bool array * state
 (** [step n st inputs] is [(outputs, next_state)]; [inputs] in PI order,
     [outputs] in PO order. *)
 
-val eval_net : t -> state -> bool array -> net -> bool
-(** Value of one net under a state and input vector. *)
-
 val reachable_states : ?limit:int -> t -> state list
 (** Explicit breadth-first reachable-state enumeration over all input
     vectors. Exponential; intended for tests on small networks. Stops with

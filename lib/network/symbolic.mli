@@ -47,6 +47,3 @@ val cs_to_ns : t -> (int * int) list
 (** Renaming pairs [cs -> ns]. *)
 
 val ns_to_cs : t -> (int * int) list
-
-val eval_state : t -> Netlist.state -> int
-(** Characteristic cube (over [state_vars]) of one explicit latch state. *)

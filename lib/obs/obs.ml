@@ -233,7 +233,6 @@ module Trace = struct
 
   let ring = ref (Array.make 4096 none)
   let n_recorded = ref 0
-  let sink : (event -> unit) option ref = ref None
 
   let set_capacity c =
     let c = max c 16 in
@@ -242,7 +241,6 @@ module Trace = struct
 
   let capacity () = Array.length !ring
   let recorded () = !n_recorded
-  let set_sink s = sink := s
 
   let record ~kind ~name ~detail ~dur =
     let e =
@@ -250,8 +248,7 @@ module Trace = struct
         detail; dur }
     in
     incr n_recorded;
-    !ring.(e.seq mod Array.length !ring) <- e;
-    match !sink with Some f -> f e | None -> ()
+    !ring.(e.seq mod Array.length !ring) <- e
 
   let point ?(detail = "") name =
     if !on then record ~kind:Point ~name ~detail ~dur:0.0

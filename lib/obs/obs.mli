@@ -135,10 +135,6 @@ module Trace : sig
   val point : ?detail:string -> string -> unit
   (** Record an instantaneous event at the current span depth. *)
 
-  val set_sink : (event -> unit) option -> unit
-  (** Mirror every recorded event to a callback (in addition to the
-      ring buffer). The sink must not call back into [Obs]. *)
-
   val to_json : unit -> string
   (** The retained window as a JSON object:
       [{"recorded":N,"capacity":C,"dropped":D,"events":[...]}]. *)

@@ -20,8 +20,8 @@ let () =
     | None -> failwith ("unknown golden instance: " ^ name)
   in
   let _, p = Equation.Split.problem net ~x_latches in
-  let solution, _ = Equation.Partitioned.solve p in
-  let csf = Equation.Csf.csf p solution in
+  let arena, _ = Equation.Partitioned.solve_arena p in
+  let csf, _ = Equation.Csf.of_arena p arena in
   match Equation.Extract.moore_sub_solution ~heuristic:Equation.Extract.First p csf with
   | None -> failwith ("no Moore sub-solution for " ^ name)
   | Some machine -> print_string (Equation.Kiss.to_kiss2 machine)

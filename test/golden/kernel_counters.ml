@@ -37,7 +37,8 @@ let () =
       let label, node_limit, fault =
         match budget with
         | Unbounded -> (name, None, None)
-        | Node_limit n -> (Printf.sprintf "%s@%dk" name (n / 1000), Some n, None)
+        | Node_limit n ->
+          (Printf.sprintf "%s@%dk" name (n / 1000), Some n, None)
         | Fault_rungs k ->
           ( Printf.sprintf "%s@mk:40:%d" name k,
             None,

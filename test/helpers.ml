@@ -51,11 +51,20 @@ let sim_run net steps input_fn =
       st := st';
       out)
 
+(* the CSF of the partitioned and the monolithic flow, extracted from the
+   engine's arena *)
+let partitioned_csf ?strategy p =
+  let arena, _ = Equation.Partitioned.solve_arena ?strategy p in
+  fst (Equation.Csf.of_arena p arena)
+
+let monolithic_csf p =
+  let arena, _ = Equation.Monolithic.solve_arena p in
+  fst (Equation.Csf.of_arena p arena)
+
 (* split a netlist, solve with the partitioned flow, extract the CSF *)
 let csf_of net x_latches =
   let sp, p = Equation.Split.problem net ~x_latches in
-  let solution, _ = Equation.Partitioned.solve p in
-  (sp, p, Equation.Csf.csf p solution)
+  (sp, p, partitioned_csf p)
 
 (* assert that two roots (possibly in different managers over the same
    variable indices) denote the same Boolean function *)

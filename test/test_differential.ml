@@ -32,32 +32,29 @@ let x_latches p =
    Returns [None] on agreement, [Some msg] on a discrepancy. *)
 let mismatch p =
   let _, prob = E.Split.problem (netlist p) ~x_latches:(x_latches p) in
-  let part_sol, _ = E.Partitioned.solve prob in
-  let mono_sol, _ = E.Monolithic.solve prob in
-  let csf_part = E.Csf.csf prob part_sol in
-  let csf_mono = E.Csf.csf prob mono_sol in
+  let csf_part = Helpers.partitioned_csf prob in
+  let csf_mono = Helpers.monolithic_csf prob in
   if not (Fsa.Language.equivalent csf_part csf_mono) then
     Some
       (Printf.sprintf "CSF languages differ (partitioned %d states, monolithic %d states)"
          (E.Csf.num_states csf_part) (E.Csf.num_states csf_mono))
   else None
 
-(* Same oracle for the kernel configurations: the affinity-clustered
-   default solver must produce a CSF language-equivalent to the
-   unclustered one. *)
+(* Same oracle for the two image kernels: the default solver (greedy
+   over the affinity-clustered partition) must produce a CSF
+   language-equivalent to the given order over the unclustered parts. *)
 let mismatch_clustering p =
   let _, prob = E.Split.problem (netlist p) ~x_latches:(x_latches p) in
-  let csf_with clustering =
-    let sol, _ = E.Partitioned.solve ~clustering prob in
-    E.Csf.csf prob sol
+  let reference =
+    Helpers.partitioned_csf ~strategy:(Img.Image.Partitioned Img.Quantify.Given)
+      prob
   in
-  let reference = csf_with Img.Partition.No_clustering in
-  let csf = csf_with E.Partitioned.default_clustering in
+  let csf = Helpers.partitioned_csf prob in
   if not (Fsa.Language.equivalent reference csf) then
     Some
       (Printf.sprintf
-         "clustered CSF (affinity:500, the default) differs from unclustered \
-          (%d vs %d states)"
+         "clustered CSF (affinity:500/greedy, the default) differs from \
+          unclustered/given (%d vs %d states)"
          (E.Csf.num_states csf) (E.Csf.num_states reference))
   else None
 
@@ -79,8 +76,7 @@ let mismatch_gc p =
       Bdd.Manager.set_gc_threshold man 0.05;
       ignore (Bdd.Manager.collect man : int)
     end;
-    let sol, _ = E.Partitioned.solve prob in
-    E.Csf.csf prob sol
+    Helpers.partitioned_csf prob
   in
   let reference = csf_with false in
   let collected = csf_with true in

@@ -1,6 +1,7 @@
 (* Tests for the img library: early-quantification scheduling agrees with
-   the monolithic computation, images agree across strategies, clustering
-   preserves semantics, and symbolic reachability matches explicit state
+   the monolithic computation ([Quantify.monolithic_and_exists], the
+   reference), images agree across strategies, clustering preserves
+   semantics, and symbolic reachability matches explicit state
    enumeration. *)
 
 module M = Bdd.Manager
@@ -71,14 +72,11 @@ let prop_and_exists_list_reference =
            [ Q.Greedy; Q.Given ])
 
 let strategies =
-  [ ("monolithic", I.Monolithic);
-    ("partitioned-given", I.Partitioned Q.Given);
+  [ ("partitioned-given", I.Partitioned Q.Given);
     ("partitioned-greedy", I.Partitioned Q.Greedy) ]
 
-let clusterings =
-  [ ("unclustered", P.No_clustering);
-    ("affinity-25", P.Affinity 25);
-    ("affinity-200", P.Affinity 200) ]
+(* affinity thresholds; 0 keeps the partition unclustered *)
+let thresholds = [ 0; 25; 200 ]
 
 let test_cluster_preserves_product () =
   let rng = Random.State.make [| 23 |] in
@@ -86,18 +84,18 @@ let test_cluster_preserves_product () =
     let man = M.create () in
     ignore (M.new_vars man 8 : int list);
     let parts = List.init 6 (fun _ -> random_bdd man 8 rng) in
-    let p = P.of_relations man parts in
     List.iter
-      (fun (name, clustering) ->
-        let clustered = P.apply p clustering in
+      (fun threshold ->
+        let clustered = P.cluster_affinity man ~threshold parts in
         Alcotest.(check int)
-          (Printf.sprintf "%s: same product" name)
-          (P.monolithic p) (P.monolithic clustered);
+          (Printf.sprintf "affinity-%d: same product" threshold)
+          (P.monolithic man parts)
+          (P.monolithic man clustered);
         Alcotest.(check bool)
-          (Printf.sprintf "%s: no more parts than before" name)
+          (Printf.sprintf "affinity-%d: no more parts than before" threshold)
           true
-          (List.length clustered.P.parts <= List.length p.P.parts))
-      clusterings
+          (List.length clustered <= List.length parts))
+      thresholds
   done
 
 (* The oracle the whole fused-kernel rewrite is checked against: for 50
@@ -113,24 +111,30 @@ let test_clustered_image_oracle () =
     let parts = List.init 7 (fun _ -> random_bdd man nvars rng) in
     let care = random_bdd man nvars rng in
     let quantify = [ 0; 2; 4; 6; 8 ] in
-    let p = P.of_relations man parts in
     let naive =
       O.exists man
         (O.cube_of_vars man quantify)
-        (O.band man care (P.monolithic p))
+        (O.band man care (P.monolithic man parts))
     in
     List.iter
-      (fun (cname, clustering) ->
-        let clustered = P.apply p clustering in
+      (fun threshold ->
+        let clustered = P.cluster_affinity man ~threshold parts in
         List.iter
           (fun (sname, strategy) ->
             Alcotest.(check int)
-              (Printf.sprintf "%s/%s = naive" cname sname)
+              (Printf.sprintf "affinity-%d/%s = naive" threshold sname)
               naive
-              (I.image man ~strategy (care :: clustered.P.parts) ~quantify))
+              (I.image man ~strategy (care :: clustered) ~quantify))
           strategies)
-      clusterings
+      thresholds
   done
+
+(* the reference forward step: conjoin everything, quantify, rename (the
+   collector is off in these tests, so nothing needs pinning) *)
+let monolithic_forward man ~parts ~quantify ~rename frontier =
+  O.rename man
+    (Q.monolithic_and_exists man (frontier :: parts) ~quantify)
+    rename
 
 let test_image_strategies_agree () =
   let nets =
@@ -142,19 +146,17 @@ let test_image_strategies_agree () =
       let man = M.create () in
       let sym = S.of_netlist man net in
       let parts = P.of_functions man (S.transition_parts sym) in
-      let forward strategy =
-        O.rename man
-          (I.image man ~strategy
-             (sym.S.init_cube :: parts.P.parts)
-             ~quantify:(sym.S.input_vars @ sym.S.state_vars))
-          (S.ns_to_cs sym)
+      let quantify = sym.S.input_vars @ sym.S.state_vars in
+      let rename = S.ns_to_cs sym in
+      let reference =
+        monolithic_forward man ~parts ~quantify ~rename sym.S.init_cube
       in
-      let reference = forward I.Monolithic in
       List.iter
         (fun (name, strategy) ->
           Alcotest.(check int)
             (Printf.sprintf "%s image" name)
-            reference (forward strategy))
+            reference
+            (I.forward man ~strategy ~parts ~quantify ~rename sym.S.init_cube))
         strategies)
     nets
 
@@ -196,24 +198,35 @@ let test_reachable_matches_explicit () =
 
 (* one forward step for the fixpoint tests: the image of [frontier],
    renamed back to current-state variables *)
-let forward (sym : S.t) parts frontier =
-  let man = sym.S.man in
-  let img =
-    I.image man ~strategy:(I.Partitioned Q.Greedy) (frontier :: parts)
-      ~quantify:(sym.S.input_vars @ sym.S.state_vars)
-  in
-  M.stack_push man img;
-  let next = O.rename man img (S.ns_to_cs sym) in
-  M.stack_drop man 1;
-  next
+let forward ?(strategy = I.Partitioned Q.Greedy) (sym : S.t) parts =
+  I.forward sym.S.man ~strategy ~parts
+    ~quantify:(sym.S.input_vars @ sym.S.state_vars)
+    ~rename:(S.ns_to_cs sym)
 
+let reach_with man ~image init =
+  match R.fixpoint man ~image init with
+  | R.Reached { reached; steps } -> (reached, steps)
+  | R.Met_bad -> Alcotest.fail "no bad predicate, yet bad was met"
+
+(* [reachable] (greedy) and the fixpoint driven by the given-order and the
+   monolithic image reach the same set in the same number of steps *)
 let test_reachable_strategies_agree () =
   let net = Circuits.Generators.lfsr 6 in
   let man = M.create () in
   let sym = S.of_netlist man net in
-  let a = R.reachable ~strategy:I.Monolithic sym in
-  let b = R.reachable ~strategy:(I.Partitioned Q.Greedy) sym in
-  let c = R.reachable ~strategy:(I.Partitioned Q.Given) sym in
+  let parts = P.of_functions man (S.transition_parts sym) in
+  let a =
+    reach_with man sym.S.init_cube
+      ~image:
+        (monolithic_forward man ~parts
+           ~quantify:(sym.S.input_vars @ sym.S.state_vars)
+           ~rename:(S.ns_to_cs sym))
+  in
+  let b = R.reachable sym in
+  let c =
+    reach_with man sym.S.init_cube
+      ~image:(forward ~strategy:(I.Partitioned Q.Given) sym parts)
+  in
   Alcotest.(check (pair int int)) "mono = greedy" a b;
   Alcotest.(check (pair int int)) "mono = given" a c
 
@@ -226,7 +239,7 @@ let test_frontier_reachable () =
   (* a 4-bit counter has diameter 15: the frontier loop needs 16 images *)
   Alcotest.(check int) "steps = diameter + 1" 16 steps;
   (* the callback sees every frontier, the final empty one included *)
-  let parts = (P.of_functions man (S.transition_parts sym)).P.parts in
+  let parts = P.of_functions man (S.transition_parts sym) in
   let frontiers = ref 0 in
   match
     R.fixpoint man
@@ -248,7 +261,7 @@ let test_fixpoint_survives_collections () =
   let sym = S.of_netlist man (Circuits.Generators.counter 4) in
   M.with_roots man @@ fun rs ->
   let pin f = ignore (M.Roots.add rs f : int) in
-  let parts = (P.of_functions man (S.transition_parts sym)).P.parts in
+  let parts = P.of_functions man (S.transition_parts sym) in
   List.iter pin parts;
   let image ~collect frontier =
     if collect then ignore (M.collect man : int);

@@ -139,13 +139,12 @@ let solved_counter3 () =
   | E.Solve.Could_not_complete _ -> Alcotest.fail "counter3 must complete"
 
 let test_csf_budgeted () =
-  let r = solved_counter3 () in
+  let _, p = E.Split.problem (G.counter 3) ~x_latches:[ "c1"; "c2" ] in
+  let arena, _ = E.Partitioned.solve_arena p in
   let rt = R.create ~deadline:expired () in
   Alcotest.check_raises "csf under expired deadline" E.Runtime.Exceeded
     (fun () ->
-      ignore
-        (E.Csf.csf ~runtime:rt r.E.Solve.problem r.E.Solve.solution
-          : Fsa.Automaton.t))
+      ignore (E.Csf.of_arena ~runtime:rt p arena : Fsa.Automaton.t * int))
 
 let test_verify_budgeted () =
   let r = solved_counter3 () in
