@@ -709,35 +709,45 @@ let rec bnot m f =
       r
     end
 
+(* [ite] first rewrites to the standard triple (Brace, Rudell and Bryant,
+   DAC 1990): ite(f,f,h) = ite(f,1,h) and ite(f,g,f) = ite(f,g,0), and
+   AND (h = 0) and OR (g = 1) take the smaller id first, so both operand
+   orders share one cache entry. *)
 let rec ite m f g h =
+  let g = if g = f then one else g in
+  let h = if h = f then zero else h in
   if f = one then g
   else if f = zero then h
   else if g = h then g
   else if g = one && h = zero then f
-  else
-    let r = cache_find m Op.ite f g h in
-    if r >= 0 then r
-    else begin
-      let vf = var m f and vg = var m g and vh = var m h in
-      let v = imin vf (imin vg vh) in
-      let lo =
-        ite m
-          (if vf = v then low m f else f)
-          (if vg = v then low m g else g)
-          (if vh = v then low m h else h)
-      in
-      stack_push m lo;
-      let hi =
-        ite m
-          (if vf = v then high m f else f)
-          (if vg = v then high m g else g)
-          (if vh = v then high m h else h)
-      in
-      stack_drop m 1;
-      let r = mk m v lo hi in
-      cache_store m Op.ite f g h r;
-      r
-    end
+  else if h = zero && g < f then ite_triple m g f zero
+  else if g = one && h < f then ite_triple m h one f
+  else ite_triple m f g h
+
+and ite_triple m f g h =
+  let r = cache_find m Op.ite f g h in
+  if r >= 0 then r
+  else begin
+    let vf = var m f and vg = var m g and vh = var m h in
+    let v = imin vf (imin vg vh) in
+    let lo =
+      ite m
+        (if vf = v then low m f else f)
+        (if vg = v then low m g else g)
+        (if vh = v then low m h else h)
+    in
+    stack_push m lo;
+    let hi =
+      ite m
+        (if vf = v then high m f else f)
+        (if vg = v then high m g else g)
+        (if vh = v then high m h else h)
+    in
+    stack_drop m 1;
+    let r = mk m v lo hi in
+    cache_store m Op.ite f g h r;
+    r
+  end
 
 (* Skip the quantified variables of [cube] above level [top]. *)
 let rec skip_above m cube top =

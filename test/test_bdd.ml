@@ -612,6 +612,54 @@ let prop_compose =
           O.eval m r env = feval env' f)
         (all_envs ()))
 
+(* the standard-triple rewrite of [ite]: ite(f,f,h) is f or h, ite(f,g,f)
+   is f and g *)
+let prop_ite_standard_triples =
+  QCheck.Test.make ~count:200
+    ~name:"ite(f,f,h) = ite(f,1,h) and ite(f,g,f) = ite(f,g,0)"
+    QCheck.(quad config_arb (formula_arb nvars) (formula_arb nvars)
+              (formula_arb nvars))
+    (fun (cfg, f, g, h) ->
+      let m = config_man cfg in
+      let bf = pin m (fbuild m f) and bg = pin m (fbuild m g)
+      and bh = pin m (fbuild m h) in
+      arm cfg m;
+      let ffh = pin m (O.ite m bf bf bh) in
+      let f1h = pin m (O.ite m bf M.one bh) in
+      let fgf = pin m (O.ite m bf bg bf) in
+      let fg0 = O.ite m bf bg M.zero in
+      ffh = f1h && fgf = fg0
+      && semantics_agree m (F_or (f, h)) ffh
+      && semantics_agree m (F_and (f, g)) fgf)
+
+let with_obs f =
+  Obs.set_enabled true;
+  Obs.reset ();
+  Fun.protect ~finally:(fun () -> Obs.set_enabled false) f
+
+(* AND and OR key the computed cache with the smaller id first: the second
+   operand order returns the same id from one cache probe that hits *)
+let prop_commutative_keys =
+  QCheck.Test.make ~count:200 ~name:"band/bor: both orders share a cache entry"
+    QCheck.(triple config_arb (formula_arb nvars) (formula_arb nvars))
+    (fun (cfg, f, g) ->
+      let m = config_man cfg in
+      let bf = pin m (fbuild m f) and bg = pin m (fbuild m g) in
+      arm cfg m;
+      let terminal = M.is_const bf || M.is_const bg || bf = bg in
+      let ite_probes () =
+        ( Obs.Counter.find "bdd.cache.lookups.ite",
+          Obs.Counter.find "bdd.cache.hits.ite" )
+      in
+      let both_orders op =
+        let r = pin m (op m bf bg) in
+        let lookups, hits = ite_probes () in
+        let r' = op m bg bf in
+        r = r'
+        && (terminal || ite_probes () = (lookups + 1, hits + 1))
+      in
+      with_obs (fun () -> both_orders O.band && both_orders O.bor))
+
 (* --- support by marking -------------------------------------------------- *)
 
 (* the reference support: every level met on a visited-table walk *)
@@ -935,7 +983,8 @@ let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_build_semantics; prop_not_involutive; prop_exists_semantics;
       prop_forall_semantics; prop_and_exists; prop_cofactor;
-      prop_cofactor_cube; prop_compose; prop_support_reference;
+      prop_cofactor_cube; prop_compose; prop_ite_standard_triples;
+      prop_commutative_keys; prop_support_reference;
       prop_marks_cleared; prop_epoch_wrap; prop_sat_count;
       prop_rename_roundtrip; prop_subst_semantics; prop_cubes_partition;
       prop_exists_nested; prop_compose_sequential;
