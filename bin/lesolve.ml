@@ -113,28 +113,39 @@ let obs_emit ~stats ~trace =
   Option.iter (fun d -> write d (Obs.Stats.snapshot ())) stats;
   Option.iter (fun d -> write d (Obs.Trace.to_json ())) trace
 
-(* attempt history shared by the solve/resynth outcome reports *)
-let print_attempts attempts =
+(* attempt history shared by the solve/resynth outcome reports: the failed
+   attempts, then the rungs the ladder skipped (these lines must not start
+   with "attempt:") *)
+let print_attempts attempts skipped =
   List.iter
     (fun a ->
       Format.printf "  attempt: %s@." (Harness.Experiments.describe_attempt a))
-    attempts
+    attempts;
+  List.iter
+    (fun (label, why) ->
+      Format.printf "  skipped: %s (%s)@." label (E.Solve.describe_skip why))
+    skipped
 
 let report_cnc cpu_seconds reason (progress : E.Solve.progress) =
+  let stopped =
+    List.exists (fun (_, why) -> why = E.Solve.Same_build)
+      progress.E.Solve.skipped
+  in
   Format.printf
-    "CNC after %.1fs: %s (reached %s phase; %d subset states, %d BDD nodes)@."
+    "CNC after %.1fs: %s%s (reached %s phase; %d subset states, %d BDD nodes)@."
     cpu_seconds reason
+    (if stopped then " while building the problem, ladder stopped" else "")
     (E.Runtime.phase_name progress.E.Solve.phase_reached)
     progress.E.Solve.subset_states_explored
     progress.E.Solve.peak_nodes_seen;
-  print_attempts progress.E.Solve.attempts;
+  print_attempts progress.E.Solve.attempts progress.E.Solve.skipped;
   exit 2
 
 let report_recovery (r : E.Solve.report) =
   match r.E.Solve.attempts with
   | [] -> ()
   | attempts ->
-    print_attempts attempts;
+    print_attempts attempts r.E.Solve.skipped;
     Format.printf "recovered via %s after %d failed attempt(s)@."
       r.E.Solve.solved_by (List.length attempts)
 

@@ -14,6 +14,8 @@
 
 type root_set = { mutable rs_ids : int array; mutable rs_n : int }
 
+type limit_failure = Live_set | Deferred
+
 type t = {
   mutable var_of : int array;
   mutable low_of : int array;
@@ -37,6 +39,9 @@ type t = {
   mutable n_vars : int;
   mutable names : string array;
   mutable node_limit : int option;
+  (* why the last [Node_limit_exceeded] was raised; [None] when the
+     allocation hook raised it or [set_node_limit] ran since *)
+  mutable limit_failure : limit_failure option;
   (* called on every fresh node allocation, before the node is committed;
      raising from the hook leaves the manager unchanged. Used for
      deterministic fault injection (Equation.Runtime). *)
@@ -157,6 +162,7 @@ let create ?(initial_capacity = 1024) () =
       n_vars = 0;
       names = [||];
       node_limit = None;
+      limit_failure = None;
       alloc_hook = None;
       support_memo = Hashtbl.create 256;
       n_entries = 2;
@@ -196,7 +202,10 @@ let hash3 v lo hi =
 let grow_nodes m =
   let cap = Array.length m.var_of in
   (* a computed-cache key holds a node id in 32 bits *)
-  if cap >= max_ids then raise Node_limit_exceeded;
+  if cap >= max_ids then begin
+    m.limit_failure <- None;
+    raise Node_limit_exceeded
+  end;
   if !Obs.on then Obs.Counter.bump c_grow_nodes;
   let cap' = if 2 * cap > max_ids then max_ids else 2 * cap in
   let extend a fill =
@@ -244,7 +253,11 @@ let live_nodes m = m.n_entries
 let peak_live_nodes m = m.peak_live
 let store_size m = m.n_nodes
 let free_nodes m = m.free_count
-let set_node_limit m lim = m.node_limit <- lim
+let set_node_limit m lim =
+  m.node_limit <- lim;
+  m.limit_failure <- None
+
+let limit_failure m = m.limit_failure
 let set_alloc_hook m hook = m.alloc_hook <- hook
 
 (* --- root pinning ------------------------------------------------------- *)
@@ -468,11 +481,23 @@ let[@inline never] insert m v lo hi slot =
      collection, so a saturated live set cannot thrash here. *)
   (match m.node_limit with
    | Some lim when m.n_entries >= lim ->
-     if not (may_collect m) then raise Node_limit_exceeded;
+     if not (may_collect m) then begin
+       m.limit_failure <- Some Deferred;
+       raise Node_limit_exceeded
+     end;
      ignore (collect_pinned m lo hi : int);
-     if m.n_entries >= lim then raise Node_limit_exceeded
+     if m.n_entries >= lim then begin
+       m.limit_failure <- Some Live_set;
+       raise Node_limit_exceeded
+     end
    | Some _ | None -> ());
-  (match m.alloc_hook with Some f -> f () | None -> ());
+  (match m.alloc_hook with
+   | Some f -> (
+     try f ()
+     with e ->
+       m.limit_failure <- None;
+       raise e)
+   | None -> ());
   if m.free_head < 0 && m.n_nodes >= Array.length m.var_of then begin
     if may_collect m then begin
       let swept = collect_pinned m lo hi in

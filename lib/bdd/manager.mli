@@ -126,7 +126,23 @@ val free_nodes : t -> int
 (** Slots currently on the free list, waiting for reuse by {!mk}. *)
 
 val set_node_limit : t -> int option -> unit
-(** Set or clear the live-node limit ([Node_limit_exceeded]). *)
+(** Set or clear the live-node limit ([Node_limit_exceeded]). Also clears
+    the {!limit_failure} record. *)
+
+(** Why the node limit raised {!Node_limit_exceeded}. *)
+type limit_failure =
+  | Live_set
+      (** the manager collected at the limit and the live count was still
+          at the limit: the live set itself does not fit *)
+  | Deferred
+      (** the manager was at the limit but could not collect: inside
+          {!with_frozen}, with automatic collection off, or with an
+          estimated dead ratio under the threshold *)
+
+val limit_failure : t -> limit_failure option
+(** The reason for the last {!Node_limit_exceeded} this manager raised at
+    its node limit. [None] when no raise was recorded since the last
+    {!set_node_limit}, or when the allocation hook raised last. *)
 
 val set_alloc_hook : t -> (unit -> unit) option -> unit
 (** Install (or clear) a callback invoked on every {e fresh} node

@@ -18,11 +18,18 @@ type attempt = {
   failure : string;
 }
 
+type skip_reason = Same_live_set | Same_build
+
+let describe_skip = function
+  | Same_live_set -> "live set filled the budget after a collection"
+  | Same_build -> "would rebuild the problem under the same limit"
+
 type progress = {
   phase_reached : Runtime.phase;
   subset_states_explored : int;
   peak_nodes_seen : int;
   attempts : attempt list;
+  skipped : (string * skip_reason) list;
 }
 
 type report = {
@@ -38,6 +45,7 @@ type report = {
   cpu_seconds : float;
   peak_nodes : int;
   attempts : attempt list;
+  skipped : (string * skip_reason) list;
 }
 
 type outcome =
@@ -103,6 +111,7 @@ let solve_split ?node_limit ?time_limit ?fault ?(gc = true) ~method_ net
   in
   let rt = Runtime.create ?deadline ?node_limit ?fault () in
   let attempts = ref [] in
+  let skipped = ref [] in
   (* the manager of the attempt currently running, for post-mortem stats *)
   let current_man = ref None in
   let last = ref None in
@@ -125,7 +134,9 @@ let solve_split ?node_limit ?time_limit ?fault ?(gc = true) ~method_ net
       match (rung, !last) with
       | (First | Given | Mono), _ | (Gc_retry | Reorder_retry), None ->
         (* a retry after an attempt that died while still constructing the
-           problem has nothing to collect or migrate: it starts afresh *)
+           problem has nothing to collect or migrate: it starts afresh.
+           Only an injected fault gets here; a death at the node limit
+           ends the ladder (see [descend]) *)
         fresh ()
       | Gc_retry, Some (sp, prev) ->
         (* reclaim every node the failed attempt left dead on the same
@@ -211,7 +222,7 @@ let solve_split ?node_limit ?time_limit ?fault ?(gc = true) ~method_ net
         reason;
         progress =
           { phase_reached; subset_states_explored; peak_nodes_seen;
-            attempts = history } }
+            attempts = history; skipped = List.rev !skipped } }
   in
   let complete label (sp, p, solution, csf, csf_deletions, subset_states) =
     Completed
@@ -226,7 +237,15 @@ let solve_split ?node_limit ?time_limit ?fault ?(gc = true) ~method_ net
         subset_states;
         cpu_seconds = Sys.time () -. start;
         peak_nodes = M.peak_live_nodes p.Problem.man;
-        attempts = List.rev !attempts }
+        attempts = List.rev !attempts;
+        skipped = List.rev !skipped }
+  in
+  let skip rung why =
+    let label = rung_label rung in
+    Obs.Trace.point
+      ~detail:(Printf.sprintf "%s: %s" label (describe_skip why))
+      "solve.rung_skipped";
+    skipped := (label, why) :: !skipped
   in
   let rec descend = function
     | [] -> cnc "node limit exceeded"
@@ -240,10 +259,24 @@ let solve_split ?node_limit ?time_limit ?fault ?(gc = true) ~method_ net
       | result ->
         Obs.Span.exit span;
         complete (rung_label rung) result
-      | exception M.Node_limit_exceeded ->
+      | exception M.Node_limit_exceeded -> (
         Obs.Span.exit span;
         record rung t0 "node limit exceeded";
-        descend rest
+        (* skip every rung that would only replay a failure the manager
+           proved; an injected fault leaves no reason, so skips nothing *)
+        match (Option.bind !current_man M.limit_failure, !last, rest) with
+        | Some _, None, _ ->
+          (* the attempt died inside [Split.problem]: every later rung
+             rebuilds the same problem under the same limit *)
+          List.iter (fun r -> skip r Same_build) rest;
+          cnc "node limit exceeded"
+        | Some M.Live_set, Some _, Gc_retry :: rest ->
+          (* gc-retry reruns the same kernel on the same problem and
+             manager: the live set that did not fit after a collection is
+             made of the same canonical BDDs, whatever the garbage *)
+          skip Gc_retry Same_live_set;
+          descend rest
+        | _ -> descend rest)
       | exception Runtime.Exceeded ->
         (* the deadline is global: once it has passed, a lower rung cannot
            help, so stop the ladder immediately *)

@@ -18,6 +18,13 @@
       partition with the given quantification order;
     + report {!Could_not_complete} with the full attempt history.
 
+    The ladder skips a rung that would only replay a failure the failed
+    attempt's manager proved ({!Bdd.Manager.limit_failure}): gc-retry when
+    the live set still filled the budget after a collection, and every
+    later rung when the first attempt hit the node limit inside
+    {!Split.problem}. Skipped rungs are listed with their reason
+    ([skipped]). Injected faults record no reason and skip nothing.
+
     Deadline exhaustion stops the ladder immediately — with no time left, a
     different kernel cannot help. A [Monolithic] request makes a single
     attempt: in the paper's Table 1 the monolithic flow fails exactly where
@@ -52,6 +59,23 @@ type attempt = {
   failure : string;  (** ["node limit exceeded"] or ["time limit exceeded"] *)
 }
 
+(** Why the ladder skipped a rung: the failed attempt's manager
+    ({!Bdd.Manager.limit_failure}) proved that the rung would only replay
+    the failure. *)
+type skip_reason =
+  | Same_live_set
+      (** gc-retry after a failure whose manager collected at the limit and
+          still had the limit's worth of live nodes
+          ({!Bdd.Manager.Live_set}): the retry rebuilds the same live set *)
+  | Same_build
+      (** any rung after a first attempt that hit the node limit inside
+          {!Split.problem}: it would rebuild the same problem under the same
+          limit, so the ladder ends there *)
+
+val describe_skip : skip_reason -> string
+(** One line for a skip, e.g. ["live set filled the budget after a
+    collection"]. *)
+
 (** Structured partial progress carried by a CNC outcome (the top-level
     fields summarize the final attempt). *)
 type progress = {
@@ -59,6 +83,8 @@ type progress = {
   subset_states_explored : int;
   peak_nodes_seen : int;
   attempts : attempt list;
+  skipped : (string * skip_reason) list;
+      (** rungs the ladder skipped (label, reason), in ladder order *)
 }
 
 type report = {
@@ -78,6 +104,8 @@ type report = {
   cpu_seconds : float;  (** total, including failed attempts *)
   peak_nodes : int;
   attempts : attempt list;  (** failed attempts preceding the success *)
+  skipped : (string * skip_reason) list;
+      (** rungs the ladder skipped on the way (label, reason) *)
 }
 
 type outcome =

@@ -156,6 +156,16 @@ let print_attempts fmt results =
         (fun a ->
           Format.fprintf fmt "  %s %s: %s@." name which (describe_attempt a))
         attempts;
+      let skipped =
+        match outcome with
+        | S.Completed r -> r.S.skipped
+        | S.Could_not_complete { progress; _ } -> progress.S.skipped
+      in
+      List.iter
+        (fun (label, why) ->
+          Format.fprintf fmt "  %s %s: skipped %s (%s)@." name which label
+            (S.describe_skip why))
+        skipped;
       (match outcome with
        | S.Completed r ->
          Format.fprintf fmt "  %s %s: recovered via %s@." name which

@@ -218,6 +218,59 @@ let test_node_limit () =
   in
   Alcotest.check_raises "limit fires" M.Node_limit_exceeded blow
 
+(* [limit_failure] records why the node limit raised: the live set still
+   at the limit after a collection, or a collection the manager was not
+   allowed to make. A raise from the allocation hook, and a new limit,
+   leave no reason. *)
+let test_limit_failure () =
+  let m = M.create () in
+  ignore (M.new_vars m 20 : int list);
+  let f =
+    List.fold_left (fun acc v -> O.bxor m acc (O.var_bdd m v)) M.zero
+      (List.init 10 Fun.id)
+  in
+  M.protect m f;
+  ignore (M.collect m : int);
+  M.set_auto_gc m true;
+  M.set_gc_threshold m 0.0;
+  (* the pinned parity function fills the budget; var 15 is a fresh node *)
+  M.set_node_limit m (Some (M.live_nodes m));
+  let reason = Alcotest.testable (fun fmt r ->
+      Format.pp_print_string fmt
+        (match r with
+         | None -> "none"
+         | Some M.Live_set -> "live set"
+         | Some M.Deferred -> "deferred")) ( = )
+  in
+  let raises what f =
+    Alcotest.check_raises what M.Node_limit_exceeded (fun () ->
+        ignore (f () : int))
+  in
+  Alcotest.check reason "nothing raised yet" None (M.limit_failure m);
+  raises "live set" (fun () -> O.var_bdd m 15);
+  Alcotest.check reason "collected, still full" (Some M.Live_set)
+    (M.limit_failure m);
+  M.set_node_limit m (Some (M.live_nodes m));
+  Alcotest.check reason "set_node_limit clears" None (M.limit_failure m);
+  raises "frozen" (fun () -> M.with_frozen m (fun () -> O.var_bdd m 15));
+  Alcotest.check reason "frozen window" (Some M.Deferred) (M.limit_failure m);
+  M.set_auto_gc m false;
+  raises "auto-GC off" (fun () -> O.var_bdd m 15);
+  Alcotest.check reason "auto-GC off" (Some M.Deferred) (M.limit_failure m);
+  M.set_auto_gc m true;
+  M.set_gc_threshold m 0.5;
+  raises "dead ratio" (fun () -> O.var_bdd m 15);
+  Alcotest.check reason "dead ratio under threshold" (Some M.Deferred)
+    (M.limit_failure m);
+  M.set_gc_threshold m 0.0;
+  raises "live set again" (fun () -> O.var_bdd m 15);
+  (* unpinned, the parity function is swept by the next collection, so the
+     allocation gets past the limit and the hook raises *)
+  M.release m f;
+  M.set_alloc_hook m (Some (fun () -> raise M.Node_limit_exceeded));
+  raises "hook" (fun () -> O.var_bdd m 15);
+  Alcotest.check reason "hook raise" None (M.limit_failure m)
+
 let test_print () =
   let m = fresh_man () in
   M.set_var_name m 0 "a";
@@ -1011,6 +1064,7 @@ let () =
           Alcotest.test_case "cube enumeration" `Quick test_cube_enumeration;
           Alcotest.test_case "minterms" `Quick test_minterms;
           Alcotest.test_case "node limit" `Quick test_node_limit;
+          Alcotest.test_case "limit failure reasons" `Quick test_limit_failure;
           Alcotest.test_case "print" `Quick test_print;
           Alcotest.test_case "support union + shared size" `Quick
             test_support_union_and_shared_size;

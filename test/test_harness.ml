@@ -158,7 +158,8 @@ let test_print_table1_format () =
               { E.Solve.phase_reached = E.Runtime.Build;
                 subset_states_explored = 0;
                 peak_nodes_seen = 0;
-                attempts = [] } } }
+                attempts = [];
+                skipped = [] } } }
   in
   let out = Format.asprintf "%a" H.print_table1 [ r; cnc ] in
   let contains = Helpers.contains in

@@ -303,6 +303,75 @@ let test_invalid_budgets () =
   (* the smallest node budget is a budget, not a usage error *)
   ignore (cnc_of (solve ~node_limit:1 ()))
 
+(* --- rungs skipped on a failure the manager proved --------------------------- *)
+
+let skipped_labels skipped = List.map fst skipped
+
+let test_skip_after_build_failure () =
+  (* counter:3 as [lesolve gen] writes it, split on c1,c2, does not fit 50
+     nodes while the problem is still being built: every later rung would
+     rebuild it under the same limit, so the ladder ends after one attempt *)
+  let net = Network.Blif.parse_string (Network.Blif.to_string (G.counter 3)) in
+  let solve ~gc =
+    cnc_of
+      (E.Solve.solve_split ~node_limit:50 ~gc
+         ~method_:E.Solve.default_partitioned net ~x_latches:[ "c1"; "c2" ])
+  in
+  let reason, progress = solve ~gc:true in
+  Alcotest.(check string) "reason" "node limit exceeded" reason;
+  Alcotest.(check (list string)) "one attempt" [ "partitioned/greedy" ]
+    (labels progress.E.Solve.attempts);
+  Alcotest.(check string) "phase" "build"
+    (R.phase_name progress.E.Solve.phase_reached);
+  Alcotest.(check (list string)) "skipped"
+    [ "gc-retry"; "reorder-retry"; "partitioned/given" ]
+    (skipped_labels progress.E.Solve.skipped);
+  Alcotest.(check bool) "every skip a rebuild" true
+    (List.for_all (fun (_, why) -> why = E.Solve.Same_build)
+       progress.E.Solve.skipped);
+  let _, progress = solve ~gc:false in
+  Alcotest.(check (list string)) "one attempt without GC"
+    [ "partitioned/greedy" ] (labels progress.E.Solve.attempts);
+  Alcotest.(check (list string)) "skipped without GC"
+    [ "reorder-retry"; "partitioned/given" ]
+    (skipped_labels progress.E.Solve.skipped)
+
+let test_faults_skip_nothing () =
+  (* an injected fault leaves the manager no reason: no rung is skipped *)
+  let _, progress = cnc_of (solve_c3 "mk:40:4") in
+  Alcotest.(check (list string)) "nothing skipped" []
+    (skipped_labels progress.E.Solve.skipped)
+
+let solve_row ~node_limit name =
+  let row = Circuits.Suite.find name in
+  report_of
+    (E.Solve.solve_split ~node_limit ~method_:E.Solve.default_partitioned
+       row.Circuits.Suite.net ~x_latches:row.Circuits.Suite.x_latches)
+
+let test_live_set_skips_gc_retry () =
+  (* t526 at 150k nodes: the first attempt collects at the limit and the
+     live set still fills it, so gc-retry, which would rebuild the same
+     live set, is skipped *)
+  let r = solve_row ~node_limit:150_000 "t526" in
+  Alcotest.(check (list string)) "attempts" [ "partitioned/greedy" ]
+    (labels r.E.Solve.attempts);
+  Alcotest.(check (list string)) "skipped" [ "gc-retry" ]
+    (skipped_labels r.E.Solve.skipped);
+  Alcotest.(check bool) "because of the live set" true
+    (List.for_all (fun (_, why) -> why = E.Solve.Same_live_set)
+       r.E.Solve.skipped);
+  Alcotest.(check string) "solved by" "reorder-retry" r.E.Solve.solved_by;
+  Alcotest.(check int) "CSF states" 34 r.E.Solve.csf_states
+
+let test_gc_retry_still_rescues () =
+  (* t444 at 300k nodes: the first failure is not a live-set overflow, and
+     gc-retry still completes it *)
+  let r = solve_row ~node_limit:300_000 "t444" in
+  Alcotest.(check string) "solved by" "gc-retry" r.E.Solve.solved_by;
+  Alcotest.(check (list string)) "nothing skipped" []
+    (skipped_labels r.E.Solve.skipped);
+  Alcotest.(check int) "CSF states" 977 r.E.Solve.csf_states
+
 (* --- a real node budget recovered by the ladder ------------------------------ *)
 
 (* t526 under a 150k-node budget with grow-only managers: plain partitioned
@@ -375,7 +444,15 @@ let () =
           Alcotest.test_case "monolithic is a single attempt" `Quick
             test_monolithic_single_attempt;
           Alcotest.test_case "invalid budgets rejected" `Quick
-            test_invalid_budgets ] );
+            test_invalid_budgets;
+          Alcotest.test_case "build failure ends the ladder" `Quick
+            test_skip_after_build_failure;
+          Alcotest.test_case "faults skip no rung" `Quick
+            test_faults_skip_nothing ] );
       ( "recovery",
         [ Alcotest.test_case "real circuit recovered by ladder" `Slow
-            test_real_circuit_ladder_recovery ] ) ]
+            test_real_circuit_ladder_recovery;
+          Alcotest.test_case "live-set failure skips gc-retry" `Slow
+            test_live_set_skips_gc_retry;
+          Alcotest.test_case "gc-retry still rescues t444" `Slow
+            test_gc_retry_still_rescues ] ) ]
