@@ -202,10 +202,7 @@ let hash3 v lo hi =
 let grow_nodes m =
   let cap = Array.length m.var_of in
   (* a computed-cache key holds a node id in 32 bits *)
-  if cap >= max_ids then begin
-    m.limit_failure <- None;
-    raise Node_limit_exceeded
-  end;
+  if cap >= max_ids then raise Node_limit_exceeded;
   if !Obs.on then Obs.Counter.bump c_grow_nodes;
   let cap' = if 2 * cap > max_ids then max_ids else 2 * cap in
   let extend a fill =

@@ -221,6 +221,9 @@ let test_ladder_shape () =
       "unclustered/given" ]
     (List.map (fun (a : E.Solve.attempt) -> a.E.Solve.kernel)
        progress.E.Solve.attempts);
+  (* an injected fault leaves the manager no failure record: no skips *)
+  Alcotest.(check int) "nothing skipped" 0
+    (List.length progress.E.Solve.skipped);
   let _, progress = cnc_of (solve_c3 ~gc:false "mk:40:4") in
   Alcotest.(check (list string)) "labels without GC"
     [ "partitioned/greedy"; "reorder-retry"; "partitioned/given" ]
@@ -336,12 +339,6 @@ let test_skip_after_build_failure () =
     [ "reorder-retry"; "partitioned/given" ]
     (skipped_labels progress.E.Solve.skipped)
 
-let test_faults_skip_nothing () =
-  (* an injected fault leaves the manager no reason: no rung is skipped *)
-  let _, progress = cnc_of (solve_c3 "mk:40:4") in
-  Alcotest.(check (list string)) "nothing skipped" []
-    (skipped_labels progress.E.Solve.skipped)
-
 let solve_row ~node_limit name =
   let row = Circuits.Suite.find name in
   report_of
@@ -446,9 +443,7 @@ let () =
           Alcotest.test_case "invalid budgets rejected" `Quick
             test_invalid_budgets;
           Alcotest.test_case "build failure ends the ladder" `Quick
-            test_skip_after_build_failure;
-          Alcotest.test_case "faults skip no rung" `Quick
-            test_faults_skip_nothing ] );
+            test_skip_after_build_failure ] );
       ( "recovery",
         [ Alcotest.test_case "real circuit recovered by ladder" `Slow
             test_real_circuit_ladder_recovery;
