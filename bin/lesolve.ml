@@ -132,7 +132,8 @@ let report_cnc cpu_seconds reason (progress : E.Solve.progress) =
       progress.E.Solve.skipped
   in
   Format.printf
-    "CNC after %.1fs: %s%s (reached %s phase; %d subset states, %d BDD nodes)@."
+    "CNC after %.1fs: %s%s (reached %s phase; %d subset states, %d BDD \
+     nodes resident at peak)@."
     cpu_seconds reason
     (if stopped then " while building the problem, ladder stopped" else "")
     (E.Runtime.phase_name progress.E.Solve.phase_reached)
@@ -242,7 +243,7 @@ let solve_cmd =
       report_recovery r;
       Format.printf
         "CSF: %d states (%d subset states, %d worklist deletions), %.3fs, \
-         %d BDD nodes@."
+         %d BDD nodes resident at peak@."
         r.E.Solve.csf_states r.E.Solve.subset_states r.E.Solve.csf_deletions
         r.E.Solve.cpu_seconds r.E.Solve.peak_nodes;
       let csf =

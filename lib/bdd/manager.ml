@@ -21,11 +21,18 @@ type t = {
   mutable low_of : int array;
   mutable high_of : int array;
   mutable n_nodes : int;  (* store top: one past the highest id ever used *)
-  (* unique table: open addressing into [u_slot], -1 = empty; keys are the
-     (var, low, high) of the node stored at the slot. Only live ids appear:
-     the table is rebuilt after every sweep. *)
+  (* unique table: open addressing into [u_slot], -1 = empty. A slot packs
+     a node id in bits 0-31 and a 27-bit fingerprint of the hash of the
+     (var, low, high) it was inserted under in bits 32-58; a probe reads
+     the node's triple only on a fingerprint match. A sweep leaves swept
+     ids in place as stale entries: a swept id has level [free_level],
+     and a reused one holds the triple it stores now, so a stale entry
+     never matches wrongly. [u_used] counts the occupied slots, live and
+     stale; when they pass 3/4 of the table, [insert] rebuilds it over
+     the live ids. *)
   mutable u_slot : int array;
   mutable u_mask : int;
+  mutable u_used : int;
   (* computed cache: direct-mapped, one interleaved array of 4-word
      entries [epoch lor op lsl 32 lor a; b; c; result], so a probe touches
      one cache line; a first word of -1 marks an empty entry. Grows
@@ -50,6 +57,7 @@ type t = {
   (* --- garbage collection state --- *)
   mutable n_entries : int;  (* live node count, constants included *)
   mutable peak_live : int;
+  mutable live_peak : int;  (* largest [live_after_gc] *)
   mutable free_head : int;  (* free list threaded through [low_of]; -1 = empty *)
   mutable free_count : int;
   pinned : (int, int) Hashtbl.t;  (* node id -> pin count *)
@@ -57,6 +65,7 @@ type t = {
   mutable op_stack : int array;  (* operand pins, LIFO (cf. BuDDy PUSHREF) *)
   mutable op_top : int;
   mutable frozen : int;  (* > 0: allocation may not trigger a collection *)
+  mutable window_allocs : int;  (* allocations in the current frozen window *)
   mutable auto_gc : bool;
   mutable gc_threshold : float;  (* estimated dead ratio that justifies a GC *)
   mutable live_after_gc : int;  (* live count right after the last sweep *)
@@ -74,6 +83,7 @@ let c_mk = Obs.Counter.make "bdd.mk_calls"
 let c_unique_hit = Obs.Counter.make "bdd.unique.hits"
 let c_alloc = Obs.Counter.make "bdd.nodes_created"
 let c_rehash = Obs.Counter.make "bdd.unique.rehashes"
+let c_purge = Obs.Counter.make "bdd.unique.purges"
 let c_grow_nodes = Obs.Counter.make "bdd.nodes.grows"
 let c_grow_cache = Obs.Counter.make "bdd.cache.grows"
 let c_clear = Obs.Counter.make "bdd.cache.clears"
@@ -84,6 +94,9 @@ let c_gc_runs = Obs.Counter.make "bdd.gc.runs"
 let c_gc_swept = Obs.Counter.make "bdd.gc.nodes_swept"
 let c_gc_live_after = Obs.Counter.make "bdd.gc.live_after"
 let g_live = Obs.Gauge.make "bdd.live_nodes"
+let g_live_peak = Obs.Gauge.make "bdd.live_peak"
+let c_frozen_allocs = Obs.Counter.make "bdd.frozen.allocs"
+let g_frozen_window = Obs.Gauge.make "bdd.frozen.window_max"
 
 (* per-operation cache counters, indexed by the [Op] tag below; slot 0 is
    unused and maps to the dummy cell *)
@@ -139,6 +152,15 @@ let max_ids = 1 lsl op_shift
 let epoch_shift = 35
 let epoch_bits = 8
 
+(* A unique-table slot is [id lor fp_tag h]: the id in bits 0-31 (below
+   [max_ids], like a cache key's), and bits 24-50 of the triple's hash
+   [h] in bits 32-58. Those hash bits lie above the slot index bits of
+   any table up to 2^24 slots, so neighbours in one probe run rarely
+   agree on them. *)
+let id_mask = max_ids - 1
+let fp_mask = (1 lsl 27) - 1
+let[@inline] fp_tag h = ((h lsr 24) land fp_mask) lsl op_shift
+
 let default_gc_threshold = 0.25
 
 let create ?(initial_capacity = 1024) () =
@@ -156,6 +178,7 @@ let create ?(initial_capacity = 1024) () =
       n_nodes = 2;
       u_slot = Array.make usize (-1);
       u_mask = usize - 1;
+      u_used = 0;
       cache = Array.make (4 * csize) (-1);
       c_mask = csize - 1;
       c_epoch = 0;
@@ -167,6 +190,7 @@ let create ?(initial_capacity = 1024) () =
       support_memo = Hashtbl.create 256;
       n_entries = 2;
       peak_live = 2;
+      live_peak = 2;
       free_head = -1;
       free_count = 0;
       pinned = Hashtbl.create 64;
@@ -174,6 +198,7 @@ let create ?(initial_capacity = 1024) () =
       op_stack = Array.make 256 0;
       op_top = 0;
       frozen = 0;
+      window_allocs = 0;
       (* collection is opt-in: it is only sound once every id the client
          holds is pinned or reachable from a pinned root, which the solver
          guarantees (and enables GC) but raw-API users need not *)
@@ -225,29 +250,37 @@ let grow_cache m =
   m.c_mask <- size' - 1;
   ignore (Gc.major_slice 0 : int)
 
-(* first empty unique-table slot on the probe sequence of (v, lo, hi) *)
-let free_slot m v lo hi =
-  let mask = m.u_mask in
-  let h = ref (hash3 v lo hi land mask) in
-  while m.u_slot.(!h) >= 0 do
-    h := (!h + 1) land mask
+(* Rebuild the unique table at [size] slots (a power of two) over the
+   store's live ids, in id order: a growth when [size] is larger, a purge
+   of the stale entries when it is the same. *)
+let rebuild_unique m size =
+  let grown = size > Array.length m.u_slot in
+  if !Obs.on then Obs.Counter.bump (if grown then c_rehash else c_purge);
+  if grown then m.u_slot <- Array.make size (-1)
+  else Array.fill m.u_slot 0 size (-1);
+  let mask = size - 1 in
+  m.u_mask <- mask;
+  let used = ref 0 in
+  for id = 2 to m.n_nodes - 1 do
+    let v = m.var_of.(id) in
+    if v <> free_level then begin
+      let h = hash3 v m.low_of.(id) m.high_of.(id) in
+      let i = ref (h land mask) in
+      while m.u_slot.(!i) >= 0 do
+        i := (!i + 1) land mask
+      done;
+      m.u_slot.(!i) <- id lor fp_tag h;
+      incr used
+    end
   done;
-  !h
-
-let insert_unique m id =
-  m.u_slot.(free_slot m m.var_of.(id) m.low_of.(id) m.high_of.(id)) <- id
-
-let rehash_unique m =
-  if !Obs.on then Obs.Counter.bump c_rehash;
-  let old = m.u_slot in
-  m.u_slot <- Array.make (2 * Array.length old) (-1);
-  m.u_mask <- Array.length m.u_slot - 1;
-  Array.iter (fun id -> if id >= 0 then insert_unique m id) old;
-  ignore (Gc.major_slice 0 : int)
+  m.u_used <- !used;
+  if grown then ignore (Gc.major_slice 0 : int)
 
 let num_nodes m = m.n_entries
 let live_nodes m = m.n_entries
 let peak_live_nodes m = m.peak_live
+let live_peak m = m.live_peak
+let unique_occupied m = m.u_used
 let store_size m = m.n_nodes
 let free_nodes m = m.free_count
 let set_node_limit m lim =
@@ -325,6 +358,7 @@ let stack_drop m n =
 let reset_op_stack m = m.op_top <- 0
 
 let with_frozen m f =
+  if m.frozen = 0 then m.window_allocs <- 0;
   m.frozen <- m.frozen + 1;
   Fun.protect ~finally:(fun () -> m.frozen <- m.frozen - 1) f
 
@@ -417,14 +451,11 @@ let collect m =
   done;
   m.n_entries <- m.n_entries - !swept;
   m.live_after_gc <- m.n_entries;
+  if m.n_entries > m.live_peak then m.live_peak <- m.n_entries;
   m.gc_runs <- m.gc_runs + 1;
   m.gc_swept_total <- m.gc_swept_total + !swept;
-  (* rebuild the unique table over the live nodes at its current size *)
-  Array.fill m.u_slot 0 (Array.length m.u_slot) (-1);
-  for id = 2 to top - 1 do
-    if m.var_of.(id) <> free_level then insert_unique m id
-  done;
-  (* a cached result may name a dead id: invalidate every entry *)
+  (* the unique table keeps the swept ids as stale entries (see [t]); a
+     cached result may name a dead id: invalidate every entry *)
   invalidate_cache m;
   (* the support memo is keyed by node id: entries for swept ids would be
      resurrected wrongly when the id is reused *)
@@ -441,6 +472,7 @@ let collect m =
     Obs.Counter.add c_gc_swept !swept;
     Obs.Counter.add c_gc_live_after m.n_entries;
     Obs.Gauge.set g_live m.n_entries;
+    Obs.Gauge.set_max g_live_peak m.n_entries;
     Obs.Trace.point "bdd.gc"
       ~detail:(Printf.sprintf "swept=%d live=%d" !swept m.n_entries)
   end;
@@ -468,10 +500,10 @@ let collect_pinned m lo hi =
   swept
 
 (* [mk]'s miss path, out of line so the probe loop stays small. [slot] is
-   the free unique-table slot the probe ended on; a collection rebuilds
-   the table, so the slot is re-derived after one. *)
-let[@inline never] insert m v lo hi slot =
-  let runs = m.gc_runs in
+   the empty unique-table slot the probe ended on and [tag] the triple's
+   fingerprint; a collection leaves the table alone, so the slot is still
+   empty after one. *)
+let[@inline never] insert m v lo hi tag slot =
   (* the node budget bounds *live* nodes: when the entry count hits the
      limit, reclaim dead entries first and only fail if the live set
      itself does not fit. [est_dead_ratio] drops to 0 right after a
@@ -504,7 +536,6 @@ let[@inline never] insert m v lo hi slot =
     end
     else grow_nodes m
   end;
-  let slot = if m.gc_runs = runs then slot else free_slot m v lo hi in
   let id =
     if m.free_head >= 0 then begin
       let id = m.free_head in
@@ -523,14 +554,23 @@ let[@inline never] insert m v lo hi slot =
   if !Obs.on then begin
     Obs.Counter.bump c_alloc;
     Obs.Gauge.set_max g_peak m.n_entries;
-    Obs.Gauge.set g_live m.n_entries
+    Obs.Gauge.set g_live m.n_entries;
+    if m.frozen > 0 then begin
+      Obs.Counter.bump c_frozen_allocs;
+      m.window_allocs <- m.window_allocs + 1;
+      Obs.Gauge.set_max g_frozen_window m.window_allocs
+    end
   end;
   m.var_of.(id) <- v;
   m.low_of.(id) <- lo;
   m.high_of.(id) <- hi;
-  m.u_slot.(slot) <- id;
-  (* keep the load factor under 1/2 *)
-  if 2 * m.n_entries > m.u_mask then rehash_unique m;
+  m.u_slot.(slot) <- id lor tag;
+  m.u_used <- m.u_used + 1;
+  (* keep the live load factor under 1/2 by doubling, and the occupied
+     one (live plus stale) under 3/4 by purging the stale entries *)
+  let size = m.u_mask + 1 in
+  if 2 * m.n_entries > m.u_mask then rebuild_unique m (2 * size)
+  else if 4 * m.u_used > 3 * size then rebuild_unique m size;
   (* keep the (lossy) computed cache proportional to the live count;
      the [max_cache_bits] cap is checked here, not in [grow_cache] *)
   if m.n_entries > m.c_mask && m.c_mask + 1 < cache_cap then grow_cache m;
@@ -540,21 +580,28 @@ let mk m v lo hi =
   if lo = hi then lo
   else begin
     if !Obs.on then Obs.Counter.bump c_mk;
+    let h = hash3 v lo hi in
+    let tag = fp_tag h in
     let mask = m.u_mask in
-    let h = ref (hash3 v lo hi land mask) in
-    let id = ref m.u_slot.(!h) in
+    let i = ref (h land mask) in
+    let w = ref m.u_slot.(!i) in
+    (* [w lxor tag < max_ids]: the fingerprints agree *)
     while
-      !id >= 0
-      && not (m.var_of.(!id) = v && m.low_of.(!id) = lo && m.high_of.(!id) = hi)
+      !w >= 0
+      && not
+           (!w lxor tag < max_ids
+           &&
+           let id = !w land id_mask in
+           m.var_of.(id) = v && m.low_of.(id) = lo && m.high_of.(id) = hi)
     do
-      h := (!h + 1) land mask;
-      id := m.u_slot.(!h)
+      i := (!i + 1) land mask;
+      w := m.u_slot.(!i)
     done;
-    if !id >= 0 then begin
+    if !w >= 0 then begin
       if !Obs.on then Obs.Counter.bump c_unique_hit;
-      !id
+      !w land id_mask
     end
-    else insert m v lo hi !h
+    else insert m v lo hi tag !i
   end
 
 (* [dag_size] marks a node by moving its level above [size_mark] (levels
@@ -731,19 +778,75 @@ let rec bnot m f =
       r
     end
 
+(* AND and OR as two-operand recursions on ite's cache entries:
+   [band f g] = ite(f, g, 0) under the key (a, b, 0) and [bor f g] =
+   ite(f, 1, g) under (a, 1, b), where a is the smaller id, so both
+   operand orders share one entry and [ite] reaches the same entries.
+   Each makes the probes and [mk] calls that [ite_triple] makes on that
+   triple, without reading a third operand. *)
+let rec band m f g =
+  if f = g || g = one then f
+  else if f = one then g
+  else if f = zero || g = zero then zero
+  else begin
+    let a = imin f g and b = if f <= g then g else f in
+    let r = cache_find m Op.ite a b zero in
+    if r >= 0 then r
+    else begin
+      let va = var m a and vb = var m b in
+      let v = imin va vb in
+      let lo =
+        band m (if va = v then low m a else a) (if vb = v then low m b else b)
+      in
+      stack_push m lo;
+      let hi =
+        band m (if va = v then high m a else a)
+          (if vb = v then high m b else b)
+      in
+      stack_drop m 1;
+      let r = mk m v lo hi in
+      cache_store m Op.ite a b zero r;
+      r
+    end
+  end
+
+let rec bor m f g =
+  if f = g || g = zero then f
+  else if f = zero then g
+  else if f = one || g = one then one
+  else begin
+    let a = imin f g and b = if f <= g then g else f in
+    let r = cache_find m Op.ite a one b in
+    if r >= 0 then r
+    else begin
+      let va = var m a and vb = var m b in
+      let v = imin va vb in
+      let lo =
+        bor m (if va = v then low m a else a) (if vb = v then low m b else b)
+      in
+      stack_push m lo;
+      let hi =
+        bor m (if va = v then high m a else a)
+          (if vb = v then high m b else b)
+      in
+      stack_drop m 1;
+      let r = mk m v lo hi in
+      cache_store m Op.ite a one b r;
+      r
+    end
+  end
+
 (* [ite] first rewrites to the standard triple (Brace, Rudell and Bryant,
-   DAC 1990): ite(f,f,h) = ite(f,1,h) and ite(f,g,f) = ite(f,g,0), and
-   AND (h = 0) and OR (g = 1) take the smaller id first, so both operand
-   orders share one cache entry. *)
+   DAC 1990): ite(f,f,h) = ite(f,1,h) and ite(f,g,f) = ite(f,g,0). It
+   hands AND (h = 0) and OR (g = 1) to [band] and [bor]. *)
 let rec ite m f g h =
   let g = if g = f then one else g in
   let h = if h = f then zero else h in
   if f = one then g
   else if f = zero then h
   else if g = h then g
-  else if g = one && h = zero then f
-  else if h = zero && g < f then ite_triple m g f zero
-  else if g = one && h < f then ite_triple m h one f
+  else if h = zero then band m f g
+  else if g = one then bor m f h
   else ite_triple m f g h
 
 and ite_triple m f g h =
@@ -796,7 +899,7 @@ let rec exists m cube f =
               stack_push m lo;
               let hi = exists m cube' (high m f) in
               stack_push m hi;
-              let r = ite m lo one hi in
+              let r = bor m lo hi in
               stack_drop m 2;
               r
             end
@@ -820,11 +923,11 @@ let rec and_exists m cube f g =
   else if f = one then exists m cube g
   else if g = one then exists m cube f
   else if f = g then exists m cube f
-  else if cube = one then ite m f g zero
+  else if cube = one then band m f g
   else begin
     let top = imin (var m f) (var m g) in
     let cube = skip_above m cube top in
-    if cube = one then ite m f g zero
+    if cube = one then band m f g
     else
       (* Normalize operand order: ∧ commutes, so cache both orders once. *)
       let a = imin f g and b = if f <= g then g else f in
@@ -851,7 +954,7 @@ let rec and_exists m cube f g =
             in
             if quantify then begin
               stack_push m hi;
-              let r = ite m lo one hi in
+              let r = bor m lo hi in
               stack_drop m 2;
               r
             end

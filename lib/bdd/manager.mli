@@ -115,8 +115,14 @@ val live_nodes : t -> int
 (** Synonym of {!num_nodes}, for symmetry with {!peak_live_nodes}. *)
 
 val peak_live_nodes : t -> int
-(** High-water mark of the live node count — the memory figure reported
-    by the solver and the benchmarks. *)
+(** High-water mark of {!live_nodes}, which counts a dead node until a
+    collection sweeps it: the peak {e resident} node count, reported by
+    the solver and the benchmarks. *)
+
+val live_peak : t -> int
+(** The largest live count right after a collection (constants
+    included; 2 before the first collection): the largest set of nodes
+    a collection found reachable. *)
 
 val store_size : t -> int
 (** One past the highest node id ever allocated (free slots included);
@@ -124,6 +130,14 @@ val store_size : t -> int
 
 val free_nodes : t -> int
 (** Slots currently on the free list, waiting for reuse by {!mk}. *)
+
+val unique_occupied : t -> int
+(** Occupied unique-table slots: one per decision node inserted since the
+    table was last rebuilt, whether it is still live or was swept since.
+    A collection leaves the table alone; {!mk} rebuilds it over the live
+    nodes when the occupied slots pass 3/4 of it, and doubles it when
+    the live count passes 1/2 of it. Right after a rebuild this is the
+    number of live decision nodes. *)
 
 val set_node_limit : t -> int option -> unit
 (** Set or clear the live-node limit ([Node_limit_exceeded]). Also clears
@@ -210,11 +224,12 @@ val with_frozen : t -> (unit -> 'a) -> 'a
 
 val collect : t -> int
 (** Run a mark-and-sweep collection now and return the number of nodes
-    swept. All unpinned, unreachable nodes are freed; the unique table is
-    rebuilt over the live nodes; the computed cache is invalidated;
-    support-memo entries for dead ids are dropped. Live ids are never
-    moved. Raises [Invalid_argument] inside {!with_frozen}. Timed as the
-    [bdd.gc] span when Obs is on. *)
+    swept. All unpinned, unreachable nodes are freed; their unique-table
+    entries stay behind as stale entries that never match (see
+    {!unique_occupied}); the computed cache is invalidated; support-memo
+    entries for dead ids are dropped. Live ids are never moved. Raises
+    [Invalid_argument] inside {!with_frozen}. Timed as the [bdd.gc] span
+    when Obs is on. *)
 
 val set_auto_gc : t -> bool -> unit
 (** Enable or disable {!mk}-triggered collection (default: disabled —
@@ -264,6 +279,8 @@ val clear_caches : t -> unit
 
 val bnot : t -> int -> int
 val ite : t -> int -> int -> int -> int
+val band : t -> int -> int -> int
+val bor : t -> int -> int -> int
 val exists : t -> int -> int -> int
 val and_exists : t -> int -> int -> int -> int
 val cofactor : t -> int -> int -> bool -> int

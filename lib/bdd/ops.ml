@@ -1,31 +1,31 @@
 module M = Manager
 
-(* The computed-cache recursions ([bnot], [ite], [exists], [and_exists],
-   [cofactor], [cofactor_cube], [compose]) live in [Manager], next to the
-   node store and computed cache they probe: dune's dev profile compiles
-   with -opaque, so every [Manager] accessor, [mk] and cache probe called
-   from here would be a full cross-module call in the kernel's innermost
-   loops. With them there, a release-profile build runs the solver
-   benchmark's table1-large within 1% of the dev build (it was 11-15%
-   faster when they lived here). This module re-exports them and builds the derived
-   operations on top, under the same GC discipline (see [Manager]): the
-   caller keeps the operands alive, and an intermediate that a later
-   operation could sweep is pinned on the operand stack until it is
-   consumed. Keep cache probes out of this module. *)
+(* The computed-cache recursions ([bnot], [ite], [band], [bor], [exists],
+   [and_exists], [cofactor], [cofactor_cube], [compose]) live in
+   [Manager], next to the node store and computed cache they probe:
+   dune's dev profile compiles with -opaque, so every [Manager] accessor,
+   [mk] and cache probe called from here would be a full cross-module
+   call in the kernel's innermost loops. With them there, a
+   release-profile build runs the solver benchmark's table1-large within
+   1% of the dev build (it was 11-15% faster when they lived here). This
+   module re-exports them and builds the derived operations on top, under
+   the same GC discipline (see [Manager]): the caller keeps the operands
+   alive, and an intermediate that a later operation could sweep is
+   pinned on the operand stack until it is consumed. Keep cache probes
+   out of this module. *)
 
 let var_bdd m v = M.mk m v M.zero M.one
 let nvar_bdd m v = M.mk m v M.one M.zero
 
 let bnot = M.bnot
 let ite = M.ite
+let band = M.band
+let bor = M.bor
 let exists = M.exists
 let and_exists = M.and_exists
 let cofactor = M.cofactor
 let cofactor_cube = M.cofactor_cube
 let compose = M.compose
-
-let band m f g = ite m f g M.zero
-let bor m f g = ite m f M.one g
 
 let bxor m f g =
   let ng = bnot m g in

@@ -11,7 +11,13 @@ val nvar_bdd : Manager.t -> int -> int
 
 val bnot : Manager.t -> int -> int
 val band : Manager.t -> int -> int -> int
+(** [band m f g] is [f ∧ g], the same node and computed-cache entry as
+    [ite m f g zero]. *)
+
 val bor : Manager.t -> int -> int -> int
+(** [bor m f g] is [f ∨ g], the same node and computed-cache entry as
+    [ite m f one g]. *)
+
 val bxor : Manager.t -> int -> int -> int
 val bxnor : Manager.t -> int -> int -> int
 

@@ -713,6 +713,46 @@ let prop_commutative_keys =
       in
       with_obs (fun () -> both_orders O.band && both_orders O.bor))
 
+(* AND and OR run as two-operand recursions on ite's cache entries:
+   [band f g] stores ite's (a, b, 0) entry and [bor f g] its (a, 1, b)
+   entry, with a < b, and an [ite] that normalises to either triple
+   leaves the entry the pair recursion then hits *)
+let prop_pair_recursions =
+  QCheck.Test.make ~count:200 ~name:"band/bor = ite, on ite's cache entries"
+    QCheck.(triple config_arb (formula_arb nvars) (formula_arb nvars))
+    (fun (cfg, f, g) ->
+      let m = config_man cfg in
+      let bf = pin m (fbuild m f) and bg = pin m (fbuild m g) in
+      arm cfg m;
+      let keyed = not (M.is_const bf || M.is_const bg || bf = bg) in
+      let a = min bf bg and b = max bf bg in
+      let conj = pin m (O.band m bf bg) in
+      let conj_entry =
+        (not keyed) || M.cache_find m M.Op.ite a b M.zero = conj
+      in
+      let disj = pin m (O.bor m bf bg) in
+      let disj_entry =
+        (not keyed) || M.cache_find m M.Op.ite a M.one b = disj
+      in
+      (* ite(g, f, g) = ite(g, f, 0) and ite(f, f, g) = ite(f, 1, g) *)
+      let hit_after_ite ite_form pair r =
+        M.clear_caches m;
+        let r' = pin m (ite_form ()) in
+        let lookups = Obs.Counter.find "bdd.cache.lookups.ite" in
+        let hits = Obs.Counter.find "bdd.cache.hits.ite" in
+        let r'' = pair m bf bg in
+        r' = r && r'' = r
+        && ((not keyed)
+           || (Obs.Counter.find "bdd.cache.lookups.ite" = lookups + 1
+              && Obs.Counter.find "bdd.cache.hits.ite" = hits + 1))
+      in
+      conj_entry && disj_entry
+      && semantics_agree m (F_and (f, g)) conj
+      && semantics_agree m (F_or (f, g)) disj
+      && with_obs (fun () ->
+             hit_after_ite (fun () -> O.ite m bg bf bg) O.band conj
+             && hit_after_ite (fun () -> O.ite m bf bf bg) O.bor disj))
+
 (* --- support by marking -------------------------------------------------- *)
 
 (* the reference support: every level met on a visited-table walk *)
@@ -1037,7 +1077,7 @@ let qcheck_cases =
     [ prop_build_semantics; prop_not_involutive; prop_exists_semantics;
       prop_forall_semantics; prop_and_exists; prop_cofactor;
       prop_cofactor_cube; prop_compose; prop_ite_standard_triples;
-      prop_commutative_keys; prop_support_reference;
+      prop_commutative_keys; prop_pair_recursions; prop_support_reference;
       prop_marks_cleared; prop_epoch_wrap; prop_sat_count;
       prop_rename_roundtrip; prop_subst_semantics; prop_cubes_partition;
       prop_exists_nested; prop_compose_sequential;

@@ -115,9 +115,30 @@ let test_rebuilt_unique_table_canonical () =
   M.protect m f;
   make_garbage m 30;
   ignore (M.collect m : int);
-  (* canonicity across the rebuild: recomputing a live function must find
-     the surviving node, not allocate a duplicate *)
+  (* canonicity across the collection, which leaves swept entries in the
+     table: recomputing a live function must find the surviving node, not
+     allocate a duplicate *)
   Alcotest.(check int) "recomputation hits the live node" f (majority m)
+
+(* a swept id stays in the unique table under its old triple; once the id
+   holds another triple, that entry must not answer for the old one *)
+let test_stale_entry_never_answers () =
+  let m = M.create () in
+  ignore (M.new_vars m nvars : int list);
+  let old = M.mk m 2 M.zero M.one in
+  ignore (M.collect m : int);
+  let reused = M.mk m 3 M.one M.zero in
+  Alcotest.(check int) "the swept id is reused first" old reused;
+  let again = M.mk m 2 M.zero M.one in
+  Alcotest.(check bool) "the old triple gets a fresh id" true (again <> old);
+  Alcotest.(check (list int)) "the fresh node holds the old triple"
+    [ 2; M.zero; M.one ]
+    [ M.var m again; M.low m again; M.high m again ];
+  Alcotest.(check (list int)) "the reused id keeps its new triple"
+    [ 3; M.one; M.zero ]
+    [ M.var m reused; M.low m reused; M.high m reused ];
+  Alcotest.(check int) "the old triple is canonical again" again
+    (M.mk m 2 M.zero M.one)
 
 let test_collect_inside_frozen_rejected () =
   let m = Helpers.fresh_man ~nvars () in
@@ -273,8 +294,8 @@ let rec pinned_random m rng nv depth =
 
 (* A 16-node store, auto-GC at threshold 0 and a small live-node limit:
    nearly every store-full [mk] collects, and some [mk]s collect at the
-   limit and then fail. Each collection rebuilds the unique table under a
-   pending insertion, which must land on a freshly derived free slot. *)
+   limit and then fail. Each collection runs under a pending insertion,
+   which must still land on the unique-table slot its probe found. *)
 let test_insert_under_pressure () =
   let nv = 8 in
   let m = M.create ~initial_capacity:16 () in
@@ -287,8 +308,8 @@ let test_insert_under_pressure () =
   let tt f = List.map (O.eval m f) envs in
   let kept = Queue.create () in  (* protected roots, with truth tables *)
   let recounts = ref 0 and limit_hits = ref 0 in
-  (* a misplaced insertion is healed by the next collection's table
-     rebuild, so canonicity is probed after every step *)
+  (* a misplaced insertion is healed by the next table rebuild, so
+     canonicity is probed after every step *)
   let check_canonical what =
     let live = Hashtbl.create 256 in
     Queue.iter
@@ -337,6 +358,65 @@ let test_insert_under_pressure () =
        (M.gc_runs m) !recounts)
     true
     (M.gc_runs m > 2 * !recounts)
+
+(* Random operations on a 16-slot store that collects at nearly every
+   store-full [mk] (threshold 0), so swept ids are reused and the unique
+   table fills with stale entries. Afterwards every live node is found
+   under its own triple and no two live nodes share one; then one [mk] at
+   a time until a same-size rebuild (a purge) happens, which must leave
+   exactly the live decision nodes in the table. *)
+let prop_unique_table_under_reuse =
+  QCheck.Test.make ~count:50 ~name:"unique table under collections and id reuse"
+    QCheck.small_nat (fun seed ->
+      let nv = 8 in
+      let m = M.create ~initial_capacity:16 () in
+      ignore (M.new_vars m nv : int list);
+      M.set_auto_gc m true;
+      M.set_gc_threshold m 0.0;
+      let rng = Random.State.make [| seed |] in
+      let kept = Queue.create () in
+      for _ = 1 to 40 do
+        let f = pinned_random m rng nv 3 in
+        M.protect m f;
+        Queue.add f kept;
+        if Queue.length kept > 6 then M.release m (Queue.pop kept)
+      done;
+      ignore (M.collect m : int);
+      let live = Hashtbl.create 256 in
+      Queue.iter
+        (fun f -> Hashtbl.iter (Hashtbl.replace live) (reachable m f))
+        kept;
+      let triples = Hashtbl.create 256 in
+      let canonical =
+        Hashtbl.fold
+          (fun id () ok ->
+            let v = M.var m id and lo = M.low m id and hi = M.high m id in
+            let fresh = not (Hashtbl.mem triples (v, lo, hi)) in
+            Hashtbl.replace triples (v, lo, hi) ();
+            ok && fresh && M.mk m v lo hi = id)
+          live true
+      in
+      Obs.set_enabled true;
+      Obs.reset ();
+      Fun.protect ~finally:(fun () -> Obs.set_enabled false) @@ fun () ->
+      let purges () = Obs.Counter.find "bdd.unique.purges" in
+      let after_purge = ref None and i = ref 0 in
+      while !after_purge = None && !i < 20_000 do
+        (* a fresh minterm chain, one [mk] at a time *)
+        let f = ref M.one in
+        for v = nv - 1 downto 0 do
+          let p = purges () in
+          f :=
+            if (!i lsr v) land 1 = 1 then M.mk m v M.zero !f
+            else M.mk m v !f M.zero;
+          if !after_purge = None && purges () > p then
+            after_purge := Some (M.unique_occupied m, M.live_nodes m - 2)
+        done;
+        incr i
+      done;
+      match !after_purge with
+      | None -> false
+      | Some (occupied, live_decision) -> canonical && occupied = live_decision)
 
 (* --- observability ------------------------------------------------------------ *)
 
@@ -391,6 +471,8 @@ let () =
         [ Alcotest.test_case "sweep, pin and reuse" `Quick test_sweep_and_reuse;
           Alcotest.test_case "unique table rebuilt canonically" `Quick
             test_rebuilt_unique_table_canonical;
+          Alcotest.test_case "stale unique entry never answers" `Quick
+            test_stale_entry_never_answers;
           Alcotest.test_case "collect rejected while frozen" `Quick
             test_collect_inside_frozen_rejected;
           Alcotest.test_case "freezing defers auto-GC" `Quick
@@ -407,7 +489,8 @@ let () =
             test_node_limit_is_live_count;
           Alcotest.test_case "gc off grows only" `Quick test_gc_off_grows_only;
           Alcotest.test_case "insert under collection pressure" `Quick
-            test_insert_under_pressure ]
+            test_insert_under_pressure;
+          QCheck_alcotest.to_alcotest prop_unique_table_under_reuse ]
       );
       ( "caches",
         [ Alcotest.test_case "clear_caches/GC interleaving" `Quick
