@@ -217,7 +217,7 @@ let ablation_quantification () =
   in
   run_group ~quota:15.0 "ablation: quantification scheduling (reachability)"
     [ Test.make ~name:"monolithic relation"
-        (Staged.stage (bench Img.Quantify.monolithic_and_exists));
+        (Staged.stage (bench Reference.Quantify.monolithic_and_exists));
       Test.make ~name:"partitioned, declaration order"
         (Staged.stage (bench (partitioned Img.Quantify.Given)));
       Test.make ~name:"partitioned, greedy schedule"
@@ -243,7 +243,7 @@ let ablation_csf () =
       Test.make ~name:"iterated full sweeps (reference)"
         (Staged.stage (fun () ->
              ignore
-               (Equation.Csf.csf_sweep p (Equation.Engine.to_automaton arena)
+               (Reference.Csf.csf_sweep p (Equation.Engine.to_automaton arena)
                  : Fsa.Automaton.t))) ]
 
 (* Per-row companion to the t298 ablation above: every Table-1 row's
@@ -286,7 +286,7 @@ let csf_rows () =
       let sw =
         time_cpu (fun () ->
             ignore
-              (Equation.Csf.csf_sweep p (Equation.Engine.to_automaton arena)
+              (Reference.Csf.csf_sweep p (Equation.Engine.to_automaton arena)
                 : Fsa.Automaton.t))
       in
       Printf.printf "  %-6s %9d %9d %7.1fus %9.1fus\n"
@@ -301,7 +301,7 @@ let ablation_completion () =
   let net = Circuits.Generators.counter 3 in
   let bench complete_f () =
     let _, p = Equation.Split.problem net ~x_latches:[ "c1"; "c2" ] in
-    ignore (Equation.Generic.solve ~complete_f p : Fsa.Automaton.t)
+    ignore (Reference.Generic.solve ~complete_f p : Fsa.Automaton.t)
   in
   run_group "ablation: eager vs deferred completion of F (Theorem 1)"
     [ Test.make ~name:"eager (Complete(F) before product)"
@@ -333,8 +333,8 @@ let ablation_affinity () =
         ~v_names:sp.Equation.Split.v_names ()
     in
     Bdd.Manager.set_node_limit p.Equation.Problem.man (Some 3_000_000);
-    match Equation.Partitioned.solve p with
-    | _ -> ()
+    match Equation.Partitioned.solve_arena p with
+    | arena, _ -> ignore (Equation.Engine.to_automaton arena : Fsa.Automaton.t)
     | exception Bdd.Manager.Node_limit_exceeded -> ()
   in
   run_group ~quota:10.0
@@ -362,8 +362,8 @@ let ablation_gc_threshold () =
     Bdd.Manager.set_auto_gc man gc;
     Bdd.Manager.set_gc_threshold man threshold;
     Bdd.Manager.set_node_limit man (Some 200_000);
-    match Equation.Partitioned.solve p with
-    | _ -> ()
+    match Equation.Partitioned.solve_arena p with
+    | arena, _ -> ignore (Equation.Engine.to_automaton arena : Fsa.Automaton.t)
     | exception Bdd.Manager.Node_limit_exceeded -> ()
   in
   run_group ~quota:10.0
@@ -384,7 +384,7 @@ let ablation_order () =
   let bench interleave () =
     let man = Bdd.Manager.create () in
     let sym = Network.Symbolic.of_netlist man ~interleave net in
-    reach_by Img.Quantify.monolithic_and_exists sym
+    reach_by Reference.Quantify.monolithic_and_exists sym
   in
   run_group ~quota:10.0
     "ablation: cs/ns variable interleaving (monolithic relation, shift16)"

@@ -67,6 +67,19 @@ let no_gc_arg =
 
 let load path = Network.Blif.parse_file path
 
+(* Deterministic fault injection for the solve and resynth commands
+   (syntax of [Runtime.Fault.of_string]). Only the CLI reads it: the
+   library takes a fault as an argument and reads no environment. *)
+let fault_env = "LESOLVE_FAULT"
+
+let fault_of_env () =
+  match Sys.getenv_opt fault_env with
+  | None | Some "" -> None
+  | Some s -> (
+    match E.Runtime.Fault.of_string s with
+    | Ok f -> Some f
+    | Error msg -> invalid_arg (fault_env ^ ": " ^ msg))
+
 (* --- observability flags ---------------------------------------------------- *)
 
 let stats_arg =
@@ -231,9 +244,10 @@ let solve_cmd =
     guard @@ fun () ->
     obs_setup ~stats ~trace;
     let net = load path in
+    let fault = fault_of_env () in
     match
-      E.Solve.solve_split ~node_limit ~time_limit ~gc:(not no_gc) ~method_
-        net ~x_latches:latches
+      E.Solve.solve_split ~node_limit ~time_limit ?fault ~gc:(not no_gc)
+        ~method_ net ~x_latches:latches
     with
     | E.Solve.Could_not_complete { cpu_seconds; reason; progress } ->
       (* flush the partial counters of the failed attempts before exiting *)
@@ -307,8 +321,9 @@ let resynth_cmd =
     guard @@ fun () ->
     obs_setup ~stats ~trace;
     let net = load path in
+    let fault = fault_of_env () in
     match
-      E.Solve.solve_split ~node_limit ~time_limit
+      E.Solve.solve_split ~node_limit ~time_limit ?fault
         ~method_:E.Solve.default_partitioned net ~x_latches:latches
     with
     | E.Solve.Could_not_complete { cpu_seconds; reason; progress } ->

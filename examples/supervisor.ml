@@ -57,12 +57,13 @@ let () =
   let p =
     Eq.Problem.make ~f ~s ~u_names:[ "is_hot" ] ~v_names:[ "heat" ] ()
   in
-  let arena, stats = Eq.Partitioned.solve_arena p in
+  (* the runtime counts the image computations *)
+  let rt = Eq.Runtime.create () in
+  let arena, subset_states = Eq.Partitioned.solve_arena ~runtime:rt p in
   Format.printf "Most general prefix-closed solution: %s@."
     (Fsa.Print.summary (Eq.Engine.to_automaton arena));
   Format.printf "  (%d subset states, %d image computations)@.@."
-    stats.Eq.Partitioned.subset_states
-    stats.Eq.Partitioned.image_computations;
+    subset_states (Eq.Runtime.images rt);
   let csf, _ = Eq.Csf.of_arena p arena in
   if Fsa.Automaton.is_empty_language csf then
     Format.printf "No controller exists.@."

@@ -5,7 +5,7 @@ module A = Automaton
 (* Signature of a state under the current partition: for each target class,
    the guard leading into it. Classes are numbered; BDD canonicity makes the
    signature comparable structurally. *)
-let signature man (t : A.t) class_of s =
+let signature man succ class_of s =
   let by_class = Hashtbl.create 8 in
   List.iter
     (fun (g, d) ->
@@ -13,19 +13,15 @@ let signature man (t : A.t) class_of s =
       match Hashtbl.find_opt by_class c with
       | Some g0 -> Hashtbl.replace by_class c (O.bor man g0 g)
       | None -> Hashtbl.replace by_class c g)
-    t.edges.(s);
+    succ.(s);
   List.sort compare (Hashtbl.fold (fun c g acc -> (c, g) :: acc) by_class [])
 
-(* Partition refinement shared by DFA minimization and bisimulation
-   reduction: refine by acceptance + per-class guards until stable, then
-   build the quotient with class representatives. *)
-let refine_quotient (t : A.t) =
-  let man = t.A.man in
+let refine man ~seed succ =
   (* signatures hold merged guard ids in tables while still allocating *)
   M.with_frozen man @@ fun () ->
-  let n = A.num_states t in
-  let class_of = Array.init n (fun s -> if t.accepting.(s) then 1 else 0) in
-  (* seed with the classes actually present: when acceptance is uniform
+  let n = Array.length seed in
+  let class_of = Array.copy seed in
+  (* seed with the classes actually present: when the seed is uniform
      there is one class, not two, and a first pass splitting into exactly
      two must still count as a change *)
   let num_classes =
@@ -40,7 +36,7 @@ let refine_quotient (t : A.t) =
     let next = Array.make n 0 in
     let count = ref 0 in
     for s = 0 to n - 1 do
-      let key = (class_of.(s), signature man t class_of s) in
+      let key = (class_of.(s), signature man succ class_of s) in
       let c =
         match Hashtbl.find_opt table key with
         | Some c -> c
@@ -59,14 +55,23 @@ let refine_quotient (t : A.t) =
   let k = !num_classes in
   let rep = Array.make k (-1) in
   for s = n - 1 downto 0 do rep.(class_of.(s)) <- s done;
-  let accepting = Array.init k (fun c -> t.accepting.(rep.(c))) in
-  let names =
-    Array.init k (fun c -> A.state_name t rep.(c))
-  in
   let edges =
     Array.init k (fun c ->
-        List.map (fun (cls, g) -> (g, cls)) (signature man t class_of rep.(c)))
+        List.map (fun (cls, g) -> (g, cls)) (signature man succ class_of rep.(c)))
   in
+  (class_of, rep, edges)
+
+(* Partition refinement seeded by acceptance, then the quotient with class
+   representatives; shared by DFA minimization and bisimulation
+   reduction. *)
+let refine_quotient (t : A.t) =
+  let man = t.A.man in
+  (* the merged guards are unpinned until [A.make] pins them *)
+  M.with_frozen man @@ fun () ->
+  let seed = Array.map (fun a -> if a then 1 else 0) t.accepting in
+  let class_of, rep, edges = refine man ~seed t.edges in
+  let accepting = Array.map (fun s -> t.accepting.(s)) rep in
+  let names = Array.map (A.state_name t) rep in
   A.make man ~alphabet:t.alphabet ~initial:class_of.(t.initial) ~accepting
     ~edges ~names ()
 

@@ -98,15 +98,14 @@ let g_live_peak = Obs.Gauge.make "bdd.live_peak"
 let c_frozen_allocs = Obs.Counter.make "bdd.frozen.allocs"
 let g_frozen_window = Obs.Gauge.make "bdd.frozen.window_max"
 
-(* per-operation cache counters, indexed by the [Op] tag below; slot 0 is
-   unused and maps to the dummy cell *)
+(* per-operation cache counters, indexed by the [Op] tag below; the
+   unused slots (0, 4 and 6) map to the dummy cell *)
 let op_names =
-  [| ""; "ite"; "not"; "exists"; "forall"; "and_exists"; "compose";
-     "constrain" |]
+  [| ""; "ite"; "not"; "exists"; ""; "and_exists"; ""; "constrain" |]
 
 let per_op prefix =
-  Array.mapi
-    (fun i n -> if i = 0 then Obs.Counter.dummy else Obs.Counter.make (prefix ^ n))
+  Array.map
+    (fun n -> if n = "" then Obs.Counter.dummy else Obs.Counter.make (prefix ^ n))
     op_names
 
 let c_lookup_op = per_op "bdd.cache.lookups."
@@ -726,13 +725,14 @@ let clear_caches m =
   invalidate_cache m;
   Hashtbl.reset m.support_memo
 
+(* Tags 4 and 6 are unused. The tag feeds the cache hash, so the others
+   keep their numbers: renumbering them would move lossy-cache evictions
+   and with them the node stream. *)
 module Op = struct
   let ite = 1
   let bnot = 2
   let exists = 3
-  let forall = 4
   let and_exists = 5
-  let compose = 6
   let constrain = 7
 end
 
@@ -969,35 +969,6 @@ let rec and_exists m cube f g =
       end
   end
 
-let cofactor m f v b =
-  let lit = if b then mk m v zero one else mk m v one zero in
-  (* ∃v. f ∧ lit computed directly: walk to v and take the branch. *)
-  let rec walk f =
-    if is_const f then f
-    else
-      let fv = var m f in
-      if fv > v then f
-      else if fv = v then if b then high m f else low m f
-      else
-        let r = cache_find m Op.constrain f lit 0 in
-        if r >= 0 then r
-        else begin
-          let lo = walk (low m f) in
-          stack_push m lo;
-          let hi = walk (high m f) in
-          stack_drop m 1;
-          let r = mk m fv lo hi in
-          cache_store m Op.constrain f lit 0 r;
-          r
-        end
-  in
-  (* the cache entries are keyed on [lit]'s id: pinned, so a collection
-     inside [walk] cannot sweep it and hand the id to another literal *)
-  stack_push m lit;
-  let r = walk f in
-  stack_drop m 1;
-  r
-
 let rec cofactor_cube m f cube =
   if cube = one || is_const f then f
   else begin
@@ -1023,23 +994,3 @@ let rec cofactor_cube m f cube =
         r
       end
   end
-
-let rec compose m f v g =
-  if is_const f || var m f > v then f
-  else if var m f = v then ite m g (high m f) (low m f)
-  else
-    let r = cache_find m Op.compose f g v in
-    if r >= 0 then r
-    else begin
-      let lo = compose m (low m f) v g in
-      stack_push m lo;
-      let hi = compose m (high m f) v g in
-      stack_push m hi;
-      (* [g] may mention variables above [var f], so rebuild with ite. *)
-      let vb = mk m (var m f) zero one in
-      stack_push m vb;
-      let r = ite m vb hi lo in
-      stack_drop m 3;
-      cache_store m Op.compose f g v r;
-      r
-    end

@@ -283,18 +283,14 @@ val band : t -> int -> int -> int
 val bor : t -> int -> int -> int
 val exists : t -> int -> int -> int
 val and_exists : t -> int -> int -> int -> int
-val cofactor : t -> int -> int -> bool -> int
 val cofactor_cube : t -> int -> int -> int
-val compose : t -> int -> int -> int -> int
 
 (** Operation tags for the shared computed cache. Each distinct recursive
-    operation must use a distinct tag. *)
+    operation must use a distinct tag below 8. *)
 module Op : sig
   val ite : int
   val bnot : int
   val exists : int
-  val forall : int
   val and_exists : int
-  val compose : int
   val constrain : int
 end

@@ -1,7 +1,7 @@
 module M = Manager
 
 (* The computed-cache recursions ([bnot], [ite], [band], [bor], [exists],
-   [and_exists], [cofactor], [cofactor_cube], [compose]) live in
+   [and_exists], [cofactor_cube]) live in
    [Manager], next to the node store and computed cache they probe:
    dune's dev profile compiles with -opaque, so every [Manager] accessor,
    [mk] and cache probe called from here would be a full cross-module
@@ -23,9 +23,7 @@ let band = M.band
 let bor = M.bor
 let exists = M.exists
 let and_exists = M.and_exists
-let cofactor = M.cofactor
 let cofactor_cube = M.cofactor_cube
-let compose = M.compose
 
 let bxor m f g =
   let ng = bnot m g in

@@ -49,14 +49,8 @@ val and_exists : Manager.t -> int -> int -> int -> int
 (** [and_exists m cube f g] is [∃ vars(cube). f ∧ g] without building
     [f ∧ g] (the relational-product primitive of image computation). *)
 
-val cofactor : Manager.t -> int -> int -> bool -> int
-(** [cofactor m f v b] is f with variable [v] fixed to [b]. *)
-
 val cofactor_cube : Manager.t -> int -> int -> int
 (** [cofactor_cube m f cube] fixes every literal of [cube] in [f]. *)
-
-val compose : Manager.t -> int -> int -> int -> int
-(** [compose m f v g] substitutes function [g] for variable [v] in [f]. *)
 
 val subst : Manager.t -> int -> (int -> int option) -> int
 (** [subst m f lookup] simultaneously substitutes [lookup v] (a node) for

@@ -21,14 +21,5 @@ val of_arena :
     the [Csf] phase and honours the time/node budget (one tick per
     worklist examination). *)
 
-val csf_sweep :
-  ?runtime:Runtime.t -> Problem.t -> Fsa.Automaton.t -> Fsa.Automaton.t
-(** The pre-worklist reference implementation: [Fsa.Ops.prefix_close]
-    followed by iterated [Fsa.Ops.progressive] sweeps, then a trim. It
-    takes any automaton, including one built outside the engine such as
-    the explicit Algorithm 1 oracle's. Language-equivalent to
-    {!of_arena}; kept as the differential oracle for the worklist and as
-    the complexity baseline (it still bumps [csf.passes] per sweep). *)
-
 val num_states : Fsa.Automaton.t -> int
 (** The "States(X)" column of Table 1. *)

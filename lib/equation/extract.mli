@@ -32,8 +32,8 @@ val moore_sub_solution :
     for the CSF of a latch split, whose particular solution is Moore, as
     long as extraction follows choices compatible with it, but may happen
     for hand-made automata. The CSF must be deterministic and
-    input-progressive w.r.t. [u] (as produced by {!Csf.csf}); its states
-    must all be accepting. *)
+    input-progressive w.r.t. [u] (as produced by {!Csf.of_arena}); its
+    states must all be accepting. *)
 
 val resynthesize :
   ?heuristic:heuristic ->

@@ -93,61 +93,15 @@ let output_bits t s =
   List.map (fun v -> List.assoc v lits) t.v_vars
 
 let minimize t =
-  let man = t.man in
-  (* signature guards are merged in tables while still allocating *)
-  M.with_frozen man @@ fun () ->
-  let n = num_states t in
-  (* initial partition: by output cube (canonical BDD ids compare directly) *)
-  let class_of = Array.make n 0 in
-  let assign_classes key_of =
-    let table = Hashtbl.create 16 in
-    let count = ref 0 in
-    let next = Array.make n 0 in
-    for s = 0 to n - 1 do
-      let key = key_of s in
-      let c =
-        match Hashtbl.find_opt table key with
-        | Some c -> c
-        | None ->
-          let c = !count in
-          incr count;
-          Hashtbl.replace table key c;
-          c
-      in
-      next.(s) <- c
-    done;
-    Array.blit next 0 class_of 0 n;
-    !count
-  in
-  let signature s =
-    (* per successor class, the u guard leading into it *)
-    let by_class = Hashtbl.create 8 in
-    List.iter
-      (fun (g, d) ->
-        let c = class_of.(d) in
-        match Hashtbl.find_opt by_class c with
-        | Some g0 -> Hashtbl.replace by_class c (O.bor man g0 g)
-        | None -> Hashtbl.replace by_class c g)
-      t.next.(s);
-    List.sort compare (Hashtbl.fold (fun c g acc -> (c, g) :: acc) by_class [])
-  in
-  let num = ref (assign_classes (fun s -> (t.outputs.(s), []))) in
-  let changed = ref true in
-  while !changed do
-    let num' = assign_classes (fun s -> (t.outputs.(s), signature s)) in
-    changed := num' <> !num;
-    num := num'
-  done;
-  let k = !num in
-  let rep = Array.make k (-1) in
-  for s = n - 1 downto 0 do rep.(class_of.(s)) <- s done;
+  (* the merged guards are unpinned until [pin] *)
+  M.with_frozen t.man @@ fun () ->
+  (* output cubes are canonical ids: equal outputs, equal seed *)
+  let class_of, rep, next = Fsa.Minimize.refine t.man ~seed:t.outputs t.next in
   pin
     { t with
       initial = class_of.(t.initial);
-      outputs = Array.init k (fun c -> t.outputs.(rep.(c)));
-      next =
-        Array.init k (fun c ->
-            List.map (fun (c', g) -> (g, c')) (signature rep.(c))) }
+      outputs = Array.map (fun s -> t.outputs.(s)) rep;
+      next }
 
 let bits_needed n =
   let rec go b = if 1 lsl b >= n then b else go (b + 1) in

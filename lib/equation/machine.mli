@@ -42,7 +42,8 @@ val output_bits : t -> int -> bool list
 
 val minimize : t -> t
 (** Classic Moore minimization: merge states with equal outputs and
-    compatible successor structure (partition refinement). The result
+    compatible successor structure ({!Fsa.Minimize.refine} seeded by the
+    output cubes). The result
     computes the same input/output function with the fewest states. *)
 
 val to_netlist : ?name:string -> t -> Network.Netlist.t

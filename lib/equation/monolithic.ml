@@ -2,16 +2,10 @@ module M = Bdd.Manager
 module O = Bdd.Ops
 module S = Network.Symbolic
 
-type stats = { subset_states : int; hidden_relation_nodes : int; peak_nodes : int }
-
-let relation_of_functions man pairs =
-  O.conj man
-    (List.map (fun (v, fn) -> O.bxnor man (O.var_bdd man v) fn) pairs)
-
 (* sink position in the oracle's sink table *)
 let dca = 0
 
-let oracle ?runtime ~hidden_size (p : Problem.t) rs =
+let oracle ?runtime (p : Problem.t) rs =
   let tick = Runtime.ticker runtime in
   let man = p.Problem.man in
   let f = p.Problem.f_sym and s = p.Problem.s_sym in
@@ -25,14 +19,14 @@ let oracle ?runtime ~hidden_size (p : Problem.t) rs =
     M.with_frozen man @@ fun () ->
     (* monolithic transition-output relations *)
     let to_f =
-      relation_of_functions man
+      O.conj man @@ Img.Partition.of_functions man
         (List.combine f.S.next_state_vars f.S.next_fns
         @ List.combine p.Problem.u_vars p.Problem.f_out_u
         @ List.combine p.Problem.o_vars p.Problem.f_out_o)
     in
     tick ();
     let to_s =
-      relation_of_functions man
+      O.conj man @@ Img.Partition.of_functions man
         (List.combine s.S.next_state_vars s.S.next_fns
         @ List.combine p.Problem.o_vars p.Problem.s_out_o)
     in
@@ -72,7 +66,6 @@ let oracle ?runtime ~hidden_size (p : Problem.t) rs =
     (d, hidden, O.cube_of_vars man cs_vars, O.cube_of_vars man ns_vars)
   in
   List.iter pin [ d; hidden; cs_cube; ns_cube ];
-  hidden_size := O.size man hidden;
   let start =
     M.Roots.add rs
       (M.with_frozen man @@ fun () ->
@@ -102,15 +95,5 @@ let oracle ?runtime ~hidden_size (p : Problem.t) rs =
     is_accepting = (fun zeta -> O.band man zeta d = M.zero) }
 
 let solve_arena ?runtime (p : Problem.t) =
-  let hidden_size = ref 0 in
-  let arena, subset_states =
-    Engine.run ?runtime p.Problem.man ~alphabet:(Problem.alphabet p)
-      (oracle ?runtime ~hidden_size p)
-  in
-  ( arena,
-    { subset_states; hidden_relation_nodes = !hidden_size;
-      peak_nodes = M.peak_live_nodes p.Problem.man } )
-
-let solve ?runtime p =
-  let arena, stats = solve_arena ?runtime p in
-  (Engine.to_automaton arena, stats)
+  Engine.run ?runtime p.Problem.man ~alphabet:(Problem.alphabet p)
+    (oracle ?runtime p)

@@ -15,14 +15,6 @@
     subset construction in the [Subset] phase, with partial progress
     recorded on the runtime. *)
 
-type stats = {
-  subset_states : int;
-  hidden_relation_nodes : int;  (** size of [∃i,o. TO_F ∧ TO'_S] *)
-  peak_nodes : int;
-}
-
-val solve : ?runtime:Runtime.t -> Problem.t -> Fsa.Automaton.t * stats
-
-val solve_arena : ?runtime:Runtime.t -> Problem.t -> Engine.arena * stats
-(** Same construction as {!solve}, returning the engine's arc arena
-    instead of a materialized automaton (see {!Partitioned.solve_arena}). *)
+val solve_arena : ?runtime:Runtime.t -> Problem.t -> Engine.arena * int
+(** The solution's arc arena and the number of subset states explored, as
+    {!Partitioned.solve_arena} returns them. *)

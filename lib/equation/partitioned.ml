@@ -1,8 +1,6 @@
 module M = Bdd.Manager
 module O = Bdd.Ops
 
-type stats = { subset_states : int; image_computations : int; peak_nodes : int }
-
 (* The two image kernels. Greedy runs on the partition clustered by
    affinity under a 500-node threshold: on t298 that roughly halves solve
    time and is flat across 100–1000-node thresholds (the clustering sweep
@@ -18,7 +16,7 @@ let kernel_label = function
 let dcn = 0
 and dca = 1
 
-let oracle ?runtime ~strategy ~images (p : Problem.t) rs =
+let oracle ?runtime ~strategy (p : Problem.t) rs =
   let man = p.Problem.man in
   let pin id = ignore (M.Roots.add rs id : int) in
   let quantified = Problem.hidden_inputs p @ Problem.state_vars p in
@@ -39,7 +37,6 @@ let oracle ?runtime ~strategy ~images (p : Problem.t) rs =
   in
   List.iter pin non_conformance;
   let conjoin_exists rels =
-    incr images;
     Engine.note_image ?runtime ();
     Img.Image.image man ~strategy rels ~quantify:quantified
   in
@@ -87,15 +84,5 @@ let oracle ?runtime ~strategy ~images (p : Problem.t) rs =
 
 let solve_arena ?runtime ?(strategy = Img.Image.Partitioned Img.Quantify.Greedy)
     ?on_state (p : Problem.t) =
-  let images = ref 0 in
-  let arena, subset_states =
-    Engine.run ?runtime ?on_state p.Problem.man ~alphabet:(Problem.alphabet p)
-      (oracle ?runtime ~strategy ~images p)
-  in
-  ( arena,
-    { subset_states; image_computations = !images;
-      peak_nodes = M.peak_live_nodes p.Problem.man } )
-
-let solve ?runtime ?strategy ?on_state p =
-  let arena, stats = solve_arena ?runtime ?strategy ?on_state p in
-  (Engine.to_automaton arena, stats)
+  Engine.run ?runtime ?on_state p.Problem.man ~alphabet:(Problem.alphabet p)
+    (oracle ?runtime ~strategy p)

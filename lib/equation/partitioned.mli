@@ -16,16 +16,10 @@
     - symbols in neither [P_ζ] nor [Q_ζ] go to the accepting completion sink
       [DCA].
 
-    The returned automaton is already the complemented (most general
+    The returned arena is already the complemented (most general
     prefix-closed) solution: subset states and [DCA] accepting, [DCN] not.
-    Apply {!Csf.of_arena} to the arena of {!solve_arena} to obtain the
-    CSF. *)
-
-type stats = {
-  subset_states : int;  (** subset states explored (excluding the sinks) *)
-  image_computations : int;
-  peak_nodes : int;     (** manager node count after solving *)
-}
+    Apply {!Csf.of_arena} to it to obtain the CSF, or
+    {!Engine.to_automaton} to materialize the solution itself. *)
 
 val kernel_label : Img.Image.strategy -> string
 (** The image kernel a strategy selects, which is also the partition it
@@ -36,27 +30,20 @@ val kernel_label : Img.Image.strategy -> string
     for [Partitioned Given], the given order over one conjunct per
     latch/output. *)
 
-val solve :
+val solve_arena :
   ?runtime:Runtime.t ->
   ?strategy:Img.Image.strategy ->
   ?on_state:(int -> unit) ->
   Problem.t ->
-  Fsa.Automaton.t * stats
-(** With [runtime], the solver ticks the runtime through the [Build]
+  Engine.arena * int
+(** The solution's arc arena and the number of subset states explored
+    (excluding the sinks). Image computations are counted on the runtime
+    ({!Runtime.images}) and on the [image.calls] counter.
+
+    With [runtime], the solver ticks the runtime through the [Build]
     (relation clustering) and [Subset] phases: {!Runtime.Exceeded} is raised
     past the deadline and {!Bdd.Manager.Node_limit_exceeded} past the node
     budget (or at an injected fault), with partial progress recorded on the
     runtime. [strategy] (default [Partitioned Greedy]) picks one of the two
     kernels of {!kernel_label}. [on_state] is a progress callback invoked
     with each subset state index as it is expanded. *)
-
-val solve_arena :
-  ?runtime:Runtime.t ->
-  ?strategy:Img.Image.strategy ->
-  ?on_state:(int -> unit) ->
-  Problem.t ->
-  Engine.arena * stats
-(** Same construction as {!solve}, returning the engine's arc arena
-    instead of a materialized automaton — the input of the worklist CSF
-    extraction ({!Csf.of_arena}). [solve p] is
-    [Engine.to_automaton (fst (solve_arena p))]. *)

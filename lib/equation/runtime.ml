@@ -86,16 +86,6 @@ module Fault = struct
       | Deadline_at ph -> Printf.sprintf "deadline:%s" (phase_name ph)
     in
     if f.left = 1 then base else Printf.sprintf "%s:%d" base f.left
-
-  let env_var = "LESOLVE_FAULT"
-
-  let from_env () =
-    match Sys.getenv_opt env_var with
-    | None | Some "" -> None
-    | Some s -> (
-      match of_string s with
-      | Ok f -> Some f
-      | Error msg -> invalid_arg (env_var ^ ": " ^ msg))
 end
 
 type t = {

@@ -52,20 +52,13 @@ module Fault : sig
   (** Firings left; [0] once the fault is spent. *)
 
   val of_string : string -> (t, string) result
-  (** Parse the [LESOLVE_FAULT] syntax: [KIND:ARG[:TIMES]] where the
-      forms are [mk:N], [image:K] and [deadline:PHASE] with [PHASE] one
-      of [build|subset|csf|verify]; the optional [TIMES] field is the
-      firing count. Examples: ["mk:5000"], ["image:3:2"],
-      ["deadline:csf"]. *)
+  (** Parse the fault syntax of the CLI's [LESOLVE_FAULT] variable:
+      [KIND:ARG[:TIMES]] where the forms are [mk:N], [image:K] and
+      [deadline:PHASE] with [PHASE] one of [build|subset|csf|verify]; the
+      optional [TIMES] field is the firing count. Examples: ["mk:5000"],
+      ["image:3:2"], ["deadline:csf"]. *)
 
   val to_string : t -> string
-
-  val env_var : string
-  (** ["LESOLVE_FAULT"]. *)
-
-  val from_env : unit -> t option
-  (** Read and parse {!env_var}; [None] when unset or empty. Raises
-      [Invalid_argument] on a malformed value. *)
 end
 
 type t

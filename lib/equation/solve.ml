@@ -33,11 +33,9 @@ type progress = {
 }
 
 type report = {
-  method_ : method_;
   solved_by : string;
   problem : Problem.t;
   split : Split.t;
-  solution : Fsa.Automaton.t;
   csf : Fsa.Automaton.t;
   csf_states : int;
   csf_deletions : int;
@@ -106,9 +104,6 @@ let solve_split ?node_limit ?time_limit ?fault ?(gc = true) ~method_ net
    | Some _ | None -> ());
   let start = Sys.time () in
   let deadline = Option.map (fun limit -> start +. limit) time_limit in
-  let fault =
-    match fault with Some _ as f -> f | None -> Runtime.Fault.from_env ()
-  in
   let rt = Runtime.create ?deadline ?node_limit ?fault () in
   let attempts = ref [] in
   let skipped = ref [] in
@@ -167,25 +162,17 @@ let solve_split ?node_limit ?time_limit ?fault ?(gc = true) ~method_ net
     in
     let arena, subset_states =
       match rung with
-      | Mono ->
-        let arena, stats = Monolithic.solve_arena ~runtime:rt p in
-        (arena, stats.Monolithic.subset_states)
-      | Given ->
-        let arena, stats =
-          Partitioned.solve_arena ~runtime:rt ~strategy:given p
-        in
-        (arena, stats.Partitioned.subset_states)
+      | Mono -> Monolithic.solve_arena ~runtime:rt p
+      | Given -> Partitioned.solve_arena ~runtime:rt ~strategy:given p
       | First | Gc_retry | Reorder_retry ->
-        let arena, stats = Partitioned.solve_arena ~runtime:rt p in
-        (arena, stats.Partitioned.subset_states)
+        Partitioned.solve_arena ~runtime:rt p
     in
-    let solution = Engine.to_automaton arena in
     (* phase boundary: the subset construction released its roots, so
-       everything but the arena, the solution automaton and the problem's
-       own functions is dead — reclaim it before the CSF phase *)
+       everything but the arena's guards and the problem's own functions
+       is dead — reclaim it before the CSF phase *)
     if gc then ignore (M.collect p.Problem.man : int);
     let csf, csf_deletions = Csf.of_arena ~runtime:rt p arena in
-    (sp, p, solution, csf, csf_deletions, subset_states)
+    (sp, p, csf, csf_deletions, subset_states)
   in
   let record rung t0 failure =
     let label = rung_label rung in
@@ -224,13 +211,11 @@ let solve_split ?node_limit ?time_limit ?fault ?(gc = true) ~method_ net
           { phase_reached; subset_states_explored; peak_nodes_seen;
             attempts = history; skipped = List.rev !skipped } }
   in
-  let complete label (sp, p, solution, csf, csf_deletions, subset_states) =
+  let complete label (sp, p, csf, csf_deletions, subset_states) =
     Completed
-      { method_;
-        solved_by = label;
+      { solved_by = label;
         problem = p;
         split = sp;
-        solution;
         csf;
         csf_states = Csf.num_states csf;
         csf_deletions;

@@ -88,13 +88,11 @@ type progress = {
 }
 
 type report = {
-  method_ : method_;  (** the method that was requested *)
   solved_by : string;
-      (** label of the attempt that succeeded (equals
-          [method_label method_] when the first attempt succeeded) *)
+      (** label of the attempt that succeeded (equals the requested
+          method's {!method_label} when the first attempt succeeded) *)
   problem : Problem.t;
   split : Split.t;
-  solution : Fsa.Automaton.t;  (** most general prefix-closed solution *)
   csf : Fsa.Automaton.t;
   csf_states : int;
   csf_deletions : int;
@@ -130,8 +128,8 @@ val solve_split :
     [time_limit] is CPU seconds for the whole computation, across all
     attempts. Raises [Invalid_argument] when [node_limit < 1] or when
     [time_limit] is not a positive number (NaN included). [fault] injects a
-    deterministic fault for testing; when omitted, the [LESOLVE_FAULT]
-    environment variable is consulted ({!Runtime.Fault.from_env}). [gc]
+    deterministic fault for testing; the library reads no environment
+    variable, so without [fault] no fault is injected. [gc]
     (default [true]) enables mark-and-sweep collection on every manager the
     solve creates, an explicit collection between the subset-construction
     and CSF phases, and the gc-retry rung of the ladder; [gc:false] restores

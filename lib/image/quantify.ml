@@ -114,17 +114,3 @@ let and_exists_list m ?(order = Greedy) rels ~quantify =
     List.iter (fun v -> in_acc.(v) <- true) !acc_supp
   done;
   !acc
-
-let monolithic_and_exists m rels ~quantify =
-  List.iter (M.stack_push m) rels;
-  let product = O.conj m rels in
-  M.stack_push m product;
-  if !Obs.on then begin
-    Obs.Counter.add c_conj (max 0 (List.length rels - 1));
-    Obs.Gauge.set_max g_peak_intermediate (O.size m product)
-  end;
-  let cube = O.cube_of_vars m quantify in
-  M.stack_push m cube;
-  let r = O.exists m cube product in
-  M.stack_drop m (List.length rels + 2);
-  r

@@ -17,7 +17,3 @@ val and_exists_list :
   Bdd.Manager.t -> ?order:order -> int list -> quantify:int list -> int
 (** [and_exists_list m rels ~quantify] is [∃ quantify. ∧ rels] ([Greedy] by
     default). *)
-
-val monolithic_and_exists :
-  Bdd.Manager.t -> int list -> quantify:int list -> int
-(** The contrast case: conjoin everything first, then quantify. *)

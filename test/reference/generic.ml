@@ -1,4 +1,4 @@
-module A = Fsa.Automaton
+module Problem = Equation.Problem
 module Ops = Fsa.Ops
 module S = Network.Symbolic
 

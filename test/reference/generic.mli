@@ -12,7 +12,7 @@
     flows on small instances and for the deferred-completion ablation
     (Appendix, Theorem 1 / Corollary 1). *)
 
-val solve : ?complete_f:bool -> Problem.t -> Fsa.Automaton.t
+val solve : ?complete_f:bool -> Equation.Problem.t -> Fsa.Automaton.t
 (** Most general prefix-closed solution over the [(u,v)] alphabet.
     [complete_f] (default [true]) runs line 5's [Complete(F)]; with
     [false], completion of [F] is skipped — by Corollary 1 the language is

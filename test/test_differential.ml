@@ -91,13 +91,13 @@ let mismatch_gc p =
 
 (* Worklist-vs-sweep CSF oracle: the arena worklist extraction
    ([Csf.of_arena], the solve path) must be language-equivalent to the
-   sweep-based reference ([Csf.csf_sweep]) on the arenas both engine
-   oracles produce. *)
+   sweep-based reference ([Reference.Csf.csf_sweep]) on the arenas both
+   engine oracles produce. *)
 let mismatch_worklist p =
   let _, prob = E.Split.problem (netlist p) ~x_latches:(x_latches p) in
   let check name arena =
     let worklist, _ = E.Csf.of_arena prob arena in
-    let sweep = E.Csf.csf_sweep prob (E.Engine.to_automaton arena) in
+    let sweep = Reference.Csf.csf_sweep prob (E.Engine.to_automaton arena) in
     if not (Fsa.Language.equivalent worklist sweep) then
       Some
         (Printf.sprintf

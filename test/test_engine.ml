@@ -85,7 +85,9 @@ let test_guards_protected () =
   ignore (M.collect man : int);
   let x = E.Engine.to_automaton arena in
   Alcotest.(check int) "guard of Z0 under a=1 is true" M.one
-    (O.cofactor man (fst (List.hd x.Fsa.Automaton.edges.(0))) a true)
+    (O.cofactor_cube man
+       (fst (List.hd x.Fsa.Automaton.edges.(0)))
+       (O.var_bdd man a))
 
 (* the automaton keeps the arena's states in order and each state's arcs
    in emission order *)
@@ -124,7 +126,7 @@ let test_worklist_csf_on_arena () =
   let _, p = E.Split.problem net ~x_latches:[ "x1"; "x2" ] in
   let arena, _ = E.Partitioned.solve_arena p in
   let worklist, deletions = E.Csf.of_arena p arena in
-  let sweep = E.Csf.csf_sweep p (E.Engine.to_automaton arena) in
+  let sweep = Reference.Csf.csf_sweep p (E.Engine.to_automaton arena) in
   Alcotest.(check bool) "deletions non-negative" true (deletions >= 0);
   Alcotest.(check int) "same state count"
     (E.Csf.num_states sweep) (E.Csf.num_states worklist);

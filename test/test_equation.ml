@@ -97,7 +97,7 @@ let test_split_composition_behaviour () =
 
 (* the explicit Algorithm 1 oracle builds an automaton, not an engine
    arena: its CSF comes from the reference sweeps *)
-let generic_csf p = E.Csf.csf_sweep p (E.Generic.solve p)
+let generic_csf p = Reference.Csf.csf_sweep p (Reference.Generic.solve p)
 
 let flows_agree name net x_latches =
   let sp, p, csf_part = Helpers.csf_of net x_latches in
@@ -124,12 +124,12 @@ let test_flows_agree () =
 let test_strategies_agree () =
   let net = G.lfsr 4 in
   let _, p = E.Split.problem net ~x_latches:[ "r1"; "r3" ] in
-  let given, _ =
-    E.Partitioned.solve ~strategy:(Img.Image.Partitioned Img.Quantify.Given) p
+  let solve order =
+    E.Engine.to_automaton
+      (fst (E.Partitioned.solve_arena ~strategy:(Img.Image.Partitioned order) p))
   in
-  let greedy, _ =
-    E.Partitioned.solve ~strategy:(Img.Image.Partitioned Img.Quantify.Greedy) p
-  in
+  let given = solve Img.Quantify.Given in
+  let greedy = solve Img.Quantify.Greedy in
   Alcotest.(check bool) "given = greedy" true (L.equivalent given greedy)
 
 (* --- Appendix: deferred completion (Corollary 1) --------------------------- *)
@@ -138,8 +138,8 @@ let test_deferred_completion () =
   List.iter
     (fun (name, net, xl) ->
       let _, p = E.Split.problem net ~x_latches:xl in
-      let with_completion = E.Generic.solve ~complete_f:true p in
-      let without = E.Generic.solve ~complete_f:false p in
+      let with_completion = Reference.Generic.solve ~complete_f:true p in
+      let without = Reference.Generic.solve ~complete_f:false p in
       Alcotest.(check bool)
         (name ^ ": Corollary 1")
         true
@@ -190,13 +190,14 @@ let test_verify_detects_wrong_solution () =
 
 let test_solution_shape () =
   let _, p = E.Split.problem (G.counter 3) ~x_latches:[ "c1"; "c2" ] in
-  let arena, stats = E.Partitioned.solve_arena p in
+  let rt = E.Runtime.create () in
+  let arena, _ = E.Partitioned.solve_arena ~runtime:rt p in
   let sol = E.Engine.to_automaton arena in
   Alcotest.(check bool) "solution deterministic" true
     (A.is_deterministic sol);
   Alcotest.(check bool) "solution complete" true (A.is_complete sol);
   Alcotest.(check bool) "has image computations" true
-    (stats.E.Partitioned.image_computations > 0);
+    (E.Runtime.images rt > 0);
   let csf, _ = E.Csf.of_arena p arena in
   (* CSF states are all accepting and input-progressive *)
   Alcotest.(check bool) "csf all accepting" true

@@ -1,6 +1,6 @@
 (* Tests for the img library: early-quantification scheduling agrees with
-   the monolithic computation ([Quantify.monolithic_and_exists], the
-   reference), images agree across strategies, clustering preserves
+   the monolithic computation ([Reference.Quantify.monolithic_and_exists],
+   the reference), images agree across strategies, clustering preserves
    semantics, and symbolic reachability matches explicit state
    enumeration. *)
 
@@ -22,7 +22,7 @@ let test_and_exists_agrees () =
     ignore (M.new_vars man nvars : int list);
     let rels = List.init 5 (fun _ -> random_bdd man nvars rng) in
     let quantify = [ 1; 3; 5 ] in
-    let mono = Q.monolithic_and_exists man rels ~quantify in
+    let mono = Reference.Quantify.monolithic_and_exists man rels ~quantify in
     Alcotest.(check int) "greedy = monolithic" mono
       (Q.and_exists_list man ~order:Q.Greedy rels ~quantify);
     Alcotest.(check int) "given = monolithic" mono
@@ -133,7 +133,7 @@ let test_clustered_image_oracle () =
    collector is off in these tests, so nothing needs pinning) *)
 let monolithic_forward man ~parts ~quantify ~rename frontier =
   O.rename man
-    (Q.monolithic_and_exists man (frontier :: parts) ~quantify)
+    (Reference.Quantify.monolithic_and_exists man (frontier :: parts) ~quantify)
     rename
 
 let test_image_strategies_agree () =
