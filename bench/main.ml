@@ -6,7 +6,7 @@
      with both the partitioned and the monolithic flow under a resource
      budget, printed with the paper's columns (Name, i/o/cs, Fcs/Xcs,
      States(X), Part,s, Mono,s, Ratio; CNC on budget exhaustion). These are
-     single wall-clock runs, as in the paper.
+     single runs, as in the paper, each row in its own forked process.
 
    - FIGURE 3 (the worked example): a Bechamel micro-benchmark of deriving
      and completing the example automaton (the printable reproduction
@@ -62,6 +62,55 @@ let run_group ?(quota = 2.0) name tests =
 
 (* --- Table 1 ---------------------------------------------------------------- *)
 
+(* What a row's child process sends back: its BENCH_table1.json entry,
+   its table line, its failed attempts (count and description) and the
+   S4 checks of its partitioned CSF *)
+type row_report = {
+  circuit : Obs.Json.t;
+  line : string;
+  failed : int;
+  attempts : string;
+  checks : (bool * bool) option;
+}
+
+(* [f ()] in a forked child, its result marshalled back through a pipe:
+   each row is timed in a fresh copy of this process's small heap, not in
+   the heap the rows before it filled *)
+let in_child f =
+  flush_all ();
+  let rd, wr = Unix.pipe () in
+  match Unix.fork () with
+  | 0 ->
+    Unix.close rd;
+    let oc = Unix.out_channel_of_descr wr in
+    (match f () with
+     | v ->
+       Marshal.to_channel oc v [];
+       close_out oc;
+       Unix._exit 0
+     | exception e ->
+       prerr_endline (Printexc.to_string e);
+       Unix._exit 2)
+  | pid ->
+    Unix.close wr;
+    let ic = Unix.in_channel_of_descr rd in
+    let v = try Some (Marshal.from_channel ic) with End_of_file -> None in
+    close_in ic;
+    ignore (Unix.waitpid [] pid : int * Unix.process_status);
+    v
+
+let report_row row =
+  let r = Harness.Experiments.run_row row in
+  let failed =
+    List.length (Harness.Experiments.attempts_of r.part)
+    + List.length (Harness.Experiments.attempts_of r.mono)
+  in
+  { circuit = Harness.Experiments.circuit_json r;
+    line = Format.asprintf "%a" Harness.Experiments.print_table1_row r;
+    failed;
+    attempts = Format.asprintf "%a" Harness.Experiments.print_attempts [ r ];
+    checks = Harness.Experiments.verify_row r }
+
 let table1 () =
   Printf.printf
     "== TABLE 1: partitioned vs monolithic computation of the CSF ==\n\
@@ -73,47 +122,46 @@ let table1 () =
      and cache-hit counters *)
   Obs.set_enabled true;
   Obs.reset ();
-  let results =
-    Harness.Experiments.run_table1
-      ~progress:(fun name -> Printf.eprintf "  running %s...\n%!" name)
-      ()
+  let rows = Circuits.Suite.table1 () in
+  let reports =
+    List.map
+      (fun (row : Circuits.Suite.row) ->
+        Printf.eprintf "  running %s...\n%!" row.name;
+        match (in_child (fun () -> report_row row) : row_report option) with
+        | Some r -> r
+        | None -> failwith ("Table-1 row " ^ row.name ^ " failed"))
+      rows
   in
   Obs.set_enabled false;
-  Harness.Experiments.write_bench_json "BENCH_table1.json" results;
+  Harness.Experiments.write_bench_json "BENCH_table1.json"
+    (List.map (fun r -> r.circuit) reports);
   Printf.printf "wrote BENCH_table1.json\n";
-  Harness.Experiments.print_table1 Format.std_formatter results;
+  Harness.Experiments.print_table1_header Format.std_formatter;
+  List.iter (fun r -> print_string r.line) reports;
   (* degradation-ladder activity: failed attempts behind every outcome *)
-  let failed =
-    List.fold_left
-      (fun acc (r : Harness.Experiments.row_result) ->
-        acc
-        + List.length (Harness.Experiments.attempts_of r.part)
-        + List.length (Harness.Experiments.attempts_of r.mono))
-      0 results
-  in
+  let failed = List.fold_left (fun acc r -> acc + r.failed) 0 reports in
   if failed = 0 then
     Printf.printf "\nno run needed the degradation ladder\n"
   else begin
     Printf.printf "\ndegradation-ladder activity (%d failed attempt(s)):\n"
       failed;
-    Harness.Experiments.print_attempts Format.std_formatter results
+    List.iter (fun r -> print_string r.attempts) reports
   end;
   Printf.printf "\npaper analogs (original rows this suite stands in for):\n";
   List.iter
-    (fun (r : Harness.Experiments.row_result) ->
-      Printf.printf "  %-8s ~ %s\n" r.row.Circuits.Suite.name
-        r.row.Circuits.Suite.paper_analog)
-    results;
+    (fun (row : Circuits.Suite.row) ->
+      Printf.printf "  %-8s ~ %s\n" row.name row.paper_analog)
+    rows;
   (* the paper formally verified each CSF; do the same for completed rows *)
   Printf.printf "\nverification of completed partitioned runs (paper S4):\n";
-  List.iter
-    (fun (r : Harness.Experiments.row_result) ->
-      match Harness.Experiments.verify_row r with
+  List.iter2
+    (fun (row : Circuits.Suite.row) r ->
+      match r.checks with
       | Some (contained, equal) ->
-        Printf.printf "  %-8s X_P in X: %b   F x X_P = S: %b\n"
-          r.row.Circuits.Suite.name contained equal
+        Printf.printf "  %-8s X_P in X: %b   F x X_P = S: %b\n" row.name
+          contained equal
       | None -> ())
-    results;
+    rows reports;
   flush stdout
 
 (* --- Figure 3 micro-benchmark ------------------------------------------------ *)

@@ -603,7 +603,8 @@ let table1_cmd =
     in
     (match json with
      | Some f ->
-       Harness.Experiments.write_bench_json ~time_limit ~node_limit f results;
+       Harness.Experiments.write_bench_json ~time_limit ~node_limit f
+         (List.map Harness.Experiments.circuit_json results);
        Format.eprintf "wrote %s@." f
      | None -> ());
     Harness.Experiments.print_table1 Format.std_formatter results;

@@ -18,8 +18,9 @@ type limit_failure = Live_set | Deferred
 
 type t = {
   mutable var_of : int array;
-  mutable low_of : int array;
-  mutable high_of : int array;
+  (* a node's children packed as [lo lor (hi lsl kid_shift)]; a swept
+     slot holds the raw free-list link instead, which may be -1 *)
+  mutable kids_of : int array;
   mutable n_nodes : int;  (* store top: one past the highest id ever used *)
   (* unique table: open addressing into [u_slot], -1 = empty. A slot packs
      a node id in bits 0-31 and a 27-bit fingerprint of the hash of the
@@ -33,9 +34,9 @@ type t = {
   mutable u_slot : int array;
   mutable u_mask : int;
   mutable u_used : int;
-  (* computed cache: direct-mapped, one interleaved array of 4-word
-     entries [epoch lor op lsl 32 lor a; b; c; result], so a probe touches
-     one cache line; a first word of -1 marks an empty entry. Grows
+  (* computed cache: direct-mapped, one interleaved array of 2-word
+     entries (see [cache_key]), so a probe touches one cache line; a first
+     word of -1 marks an empty entry. Grows
      (emptying itself — it is lossy anyway) as the node count does.
      Invalidated wholesale ([invalidate_cache]) by every collection: a
      cached result may name a swept id, and a swept slot may be re-filled
@@ -58,7 +59,7 @@ type t = {
   mutable n_entries : int;  (* live node count, constants included *)
   mutable peak_live : int;
   mutable live_peak : int;  (* largest [live_after_gc] *)
-  mutable free_head : int;  (* free list threaded through [low_of]; -1 = empty *)
+  mutable free_head : int;  (* free list threaded through [kids_of]; -1 = empty *)
   mutable free_count : int;
   pinned : (int, int) Hashtbl.t;  (* node id -> pin count *)
   mutable root_sets : root_set list;
@@ -132,33 +133,38 @@ let zero = 0
 let one = 1
 let terminal_level = max_int
 
-(* variable sentinel marking a swept (free-listed) slot; [low_of] holds the
-   next free slot while a slot carries this mark *)
+(* variable sentinel marking a swept (free-listed) slot; [kids_of] holds
+   the next free slot while a slot carries this mark *)
 let free_level = -2
 
 let initial_cache_bits = 12
 let max_cache_bits = 22
 let cache_cap = 1 lsl max_cache_bits
 
-(* The first word of a cache entry packs the operand [a] (a node id) in
-   bits 0-31, the op tag in bits 32-34 and the epoch in the
-   [epoch_bits] above them. Node ids therefore stay below [max_ids]
-   ([grow_nodes] enforces it). The epoch field wraps every 256
-   collections, at the cost of one fill of the array; it is that narrow
-   so that a test crosses the wrap in well under a second. *)
-let op_shift = 32
-let max_ids = 1 lsl op_shift
-let epoch_shift = 35
-let epoch_bits = 8
+(* Node ids fit in [kid_shift] = 26 bits ([grow_nodes] stops the store
+   at [max_nodes]), so two of them share a word: a node's children in
+   [kids_of], and the operands of a computed-cache entry. An entry is two
+   words: [cache_key] packs [a] in bits 0-25, [b] in bits 26-51, the op
+   tag in bits 52-54 and the epoch in the [epoch_bits] above them (bit 62,
+   the sign, stays clear, so a key is never the empty mark -1); the
+   second word is [c lsl kid_shift lor result]. The epoch field wraps
+   every 128 collections, at the cost of one fill of the array; it is
+   that narrow so that a test crosses the wrap in well under a second. *)
+let kid_shift = 26
+let max_nodes = 1 lsl kid_shift
+let id_mask = max_nodes - 1
+let op_shift = 2 * kid_shift
+let epoch_shift = op_shift + 3
+let epoch_bits = 7
 
-(* A unique-table slot is [id lor fp_tag h]: the id in bits 0-31 (below
-   [max_ids], like a cache key's), and bits 24-50 of the triple's hash
-   [h] in bits 32-58. Those hash bits lie above the slot index bits of
-   any table up to 2^24 slots, so neighbours in one probe run rarely
-   agree on them. *)
-let id_mask = max_ids - 1
+(* A unique-table slot is [id lor fp_tag h]: the id in bits 0-31 (ids
+   stay below [max_nodes], so bits 26-31 are 0), and bits 24-50 of the
+   triple's hash [h] in bits 32-58. Those hash bits lie above the slot
+   index bits of any table up to 2^24 slots, so neighbours in one probe
+   run rarely agree on them. *)
+let fp_shift = 32
 let fp_mask = (1 lsl 27) - 1
-let[@inline] fp_tag h = ((h lsr 24) land fp_mask) lsl op_shift
+let[@inline] fp_tag h = ((h lsr 24) land fp_mask) lsl fp_shift
 
 let default_gc_threshold = 0.25
 
@@ -172,13 +178,12 @@ let create ?(initial_capacity = 1024) () =
   let m =
     {
       var_of = Array.make cap terminal_level;
-      low_of = Array.make cap (-1);
-      high_of = Array.make cap (-1);
+      kids_of = Array.make cap (-1);
       n_nodes = 2;
       u_slot = Array.make usize (-1);
       u_mask = usize - 1;
       u_used = 0;
-      cache = Array.make (4 * csize) (-1);
+      cache = Array.make (2 * csize) (-1);
       c_mask = csize - 1;
       c_epoch = 0;
       n_vars = 0;
@@ -208,10 +213,8 @@ let create ?(initial_capacity = 1024) () =
       gc_swept_total = 0;
     }
   in
-  m.low_of.(0) <- 0;
-  m.high_of.(0) <- 0;
-  m.low_of.(1) <- 1;
-  m.high_of.(1) <- 1;
+  m.kids_of.(0) <- 0;
+  m.kids_of.(1) <- 1 lor (1 lsl kid_shift);
   m
 
 let hash3 v lo hi =
@@ -219,24 +222,26 @@ let hash3 v lo hi =
   let h = h lxor (h lsr 15) in
   h land max_int
 
+let[@inline] low m id = m.kids_of.(id) land id_mask
+let[@inline] high m id = m.kids_of.(id) lsr kid_shift
+
 (* Every growth below drops a large array; with the kernel's hot path
    allocating next to nothing, the major GC would otherwise get round to
    freeing it late and the resident set would grow. [Gc.major_slice 0]
    pays down that debt right away. *)
 let grow_nodes m =
   let cap = Array.length m.var_of in
-  (* a computed-cache key holds a node id in 32 bits *)
-  if cap >= max_ids then raise Node_limit_exceeded;
+  (* [kids_of] and the computed cache hold node ids in 26 bits *)
+  if cap >= max_nodes then raise Node_limit_exceeded;
   if !Obs.on then Obs.Counter.bump c_grow_nodes;
-  let cap' = if 2 * cap > max_ids then max_ids else 2 * cap in
+  let cap' = if 2 * cap > max_nodes then max_nodes else 2 * cap in
   let extend a fill =
     let a' = Array.make cap' fill in
     Array.blit a 0 a' 0 cap;
     a'
   in
   m.var_of <- extend m.var_of terminal_level;
-  m.low_of <- extend m.low_of (-1);
-  m.high_of <- extend m.high_of (-1);
+  m.kids_of <- extend m.kids_of (-1);
   ignore (Gc.major_slice 0 : int)
 
 (* the [max_cache_bits] cap is checked by the caller (on the allocation
@@ -245,7 +250,7 @@ let grow_nodes m =
 let grow_cache m =
   if !Obs.on then Obs.Counter.bump c_grow_cache;
   let size' = 2 * (m.c_mask + 1) in
-  m.cache <- Array.make (4 * size') (-1);
+  m.cache <- Array.make (2 * size') (-1);
   m.c_mask <- size' - 1;
   ignore (Gc.major_slice 0 : int)
 
@@ -263,7 +268,7 @@ let rebuild_unique m size =
   for id = 2 to m.n_nodes - 1 do
     let v = m.var_of.(id) in
     if v <> free_level then begin
-      let h = hash3 v m.low_of.(id) m.high_of.(id) in
+      let h = hash3 v (low m id) (high m id) in
       let i = ref (h land mask) in
       while m.u_slot.(!i) >= 0 do
         i := (!i + 1) land mask
@@ -415,7 +420,7 @@ let collect m =
         let id = !stack.(!sp) in
         if Bytes.get mark id = '\000' then begin
           Bytes.set mark id '\001';
-          let lo = m.low_of.(id) and hi = m.high_of.(id) in
+          let lo = low m id and hi = high m id in
           if Bytes.get mark lo = '\000' then push lo;
           if Bytes.get mark hi = '\000' then push hi
         end
@@ -442,8 +447,7 @@ let collect m =
     if m.var_of.(id) = free_level || Bytes.get mark id = '\000' then begin
       if m.var_of.(id) <> free_level then incr swept;
       m.var_of.(id) <- free_level;
-      m.low_of.(id) <- m.free_head;
-      m.high_of.(id) <- -1;
+      m.kids_of.(id) <- m.free_head;
       m.free_head <- id;
       m.free_count <- m.free_count + 1
     end
@@ -538,7 +542,7 @@ let[@inline never] insert m v lo hi tag slot =
   let id =
     if m.free_head >= 0 then begin
       let id = m.free_head in
-      m.free_head <- m.low_of.(id);
+      m.free_head <- m.kids_of.(id);
       m.free_count <- m.free_count - 1;
       id
     end
@@ -561,8 +565,7 @@ let[@inline never] insert m v lo hi tag slot =
     end
   end;
   m.var_of.(id) <- v;
-  m.low_of.(id) <- lo;
-  m.high_of.(id) <- hi;
+  m.kids_of.(id) <- lo lor (hi lsl kid_shift);
   m.u_slot.(slot) <- id lor tag;
   m.u_used <- m.u_used + 1;
   (* keep the live load factor under 1/2 by doubling, and the occupied
@@ -581,17 +584,18 @@ let mk m v lo hi =
     if !Obs.on then Obs.Counter.bump c_mk;
     let h = hash3 v lo hi in
     let tag = fp_tag h in
+    let kids = lo lor (hi lsl kid_shift) in
     let mask = m.u_mask in
     let i = ref (h land mask) in
     let w = ref m.u_slot.(!i) in
-    (* [w lxor tag < max_ids]: the fingerprints agree *)
+    (* [w lxor tag < 1 lsl fp_shift]: the fingerprints agree *)
     while
       !w >= 0
       && not
-           (!w lxor tag < max_ids
+           (!w lxor tag < 1 lsl fp_shift
            &&
            let id = !w land id_mask in
-           m.var_of.(id) = v && m.low_of.(id) = lo && m.high_of.(id) = hi)
+           m.var_of.(id) = v && m.kids_of.(id) = kids)
     do
       i := (!i + 1) land mask;
       w := m.u_slot.(!i)
@@ -613,14 +617,14 @@ let rec size_walk m id n =
   if id < 2 || m.var_of.(id) >= size_mark then n
   else begin
     m.var_of.(id) <- m.var_of.(id) + size_mark;
-    size_walk m m.high_of.(id) (size_walk m m.low_of.(id) (n + 1))
+    size_walk m (high m id) (size_walk m (low m id) (n + 1))
   end
 
 let rec size_unmark m id =
   if id >= 2 && m.var_of.(id) >= size_mark then begin
     m.var_of.(id) <- m.var_of.(id) - size_mark;
-    size_unmark m m.low_of.(id);
-    size_unmark m m.high_of.(id)
+    size_unmark m (low m id);
+    size_unmark m (high m id)
   end
 
 let dag_size m roots =
@@ -636,8 +640,8 @@ let rec support_walk m seen id =
     let v = m.var_of.(id) in
     Bytes.set seen v '\001';
     m.var_of.(id) <- v + size_mark;
-    support_walk m seen m.low_of.(id);
-    support_walk m seen m.high_of.(id)
+    support_walk m seen (low m id);
+    support_walk m seen (high m id)
   end
 
 let support m f =
@@ -655,8 +659,6 @@ let support m f =
     !vars
 
 let var m id = m.var_of.(id)
-let low m id = m.low_of.(id)
-let high m id = m.high_of.(id)
 let is_const id = id < 2
 let num_vars m = m.n_vars
 
@@ -695,27 +697,25 @@ let[@inline] cache_slot m op a b c =
   let h = h lxor (h lsr 13) in
   h land m.c_mask
 
+let[@inline] cache_key m op a b =
+  m.c_epoch lor (op lsl op_shift) lor (b lsl kid_shift) lor a
+
 let[@inline] cache_find m op a b c =
   let t = m.cache in
-  let s = 4 * cache_slot m op a b c in
-  let hit =
-    t.(s) = m.c_epoch lor (op lsl op_shift) lor a
-    && t.(s + 1) = b
-    && t.(s + 2) = c
-  in
+  let s = 2 * cache_slot m op a b c in
+  let r = t.(s + 1) in
+  let hit = t.(s) = cache_key m op a b && r lsr kid_shift = c in
   if !Obs.on then begin
     let i = (2 * op) + Bool.to_int hit in
     probes.(i) <- probes.(i) + 1
   end;
-  if hit then t.(s + 3) else -1
+  if hit then r land id_mask else -1
 
 let[@inline] cache_store m op a b c r =
   let t = m.cache in
-  let s = 4 * cache_slot m op a b c in
-  t.(s) <- m.c_epoch lor (op lsl op_shift) lor a;
-  t.(s + 1) <- b;
-  t.(s + 2) <- c;
-  t.(s + 3) <- r
+  let s = 2 * cache_slot m op a b c in
+  t.(s) <- cache_key m op a b;
+  t.(s + 1) <- (c lsl kid_shift) lor r
 
 let clear_caches m =
   if !Obs.on then begin

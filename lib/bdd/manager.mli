@@ -139,6 +139,12 @@ val unique_occupied : t -> int
     the live count passes 1/2 of it. Right after a rebuild this is the
     number of live decision nodes. *)
 
+val max_nodes : int
+(** The node store's capacity, 2{^26} ids (constants included): node
+    ids fit in 26 bits, so two share a word in the store and in the
+    computed cache. Creating a node past it raises
+    {!Node_limit_exceeded}, whatever the node limit. *)
+
 val set_node_limit : t -> int option -> unit
 (** Set or clear the live-node limit ([Node_limit_exceeded]). Also clears
     the {!limit_failure} record. *)
@@ -254,13 +260,13 @@ val gc_nodes_swept : t -> int
 val cache_find : t -> int -> int -> int -> int -> int
 (** [cache_find m op a b c] looks up the computed cache: the stored result
     (a node id, so [>= 0]) on a hit, [-1] on a miss. The [op] tag, one of
-    {!Op}, namespaces operations; [a] is a node id (below 2{^32}, which
-    the store never exceeds), [b c] are non-negative operands, node ids
-    or small tags (use 0 for unused slots in a way that cannot collide
-    for the same op). *)
+    {!Op}, namespaces operations; [a b c] are node ids (below
+    {!max_nodes}, which the store never exceeds) or constants (use 0 for
+    unused slots in a way that cannot collide for the same op). *)
 
 val cache_store : t -> int -> int -> int -> int -> int -> unit
-(** [cache_store m op a b c r] memoizes a result. The cache is a lossy
+(** [cache_store m op a b c r] memoizes a result [r], a node id, under
+    operands as for {!cache_find}. The cache is a lossy
     direct-mapped table: entries may be overwritten at any time, which only
     costs recomputation. Every collection invalidates the cache (entries
     carry an epoch that the collection moves on), so a hit can never name

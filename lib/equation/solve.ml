@@ -96,6 +96,10 @@ let solve_split ?node_limit ?time_limit ?fault ?(gc = true) ~method_ net
   (match node_limit with
    | Some n when n < 1 ->
      invalid_arg (Printf.sprintf "node limit must be at least 1 (got %d)" n)
+   | Some n when n > M.max_nodes ->
+     invalid_arg
+       (Printf.sprintf "node limit must be at most %d (got %d)"
+          M.max_nodes n)
    | Some _ | None -> ());
   (* written so that NaN is rejected too *)
   (match time_limit with

@@ -126,8 +126,9 @@ val solve_split :
 (** A fresh BDD manager per attempt, so methods can be timed independently.
     [node_limit] is the node budget of every attempt's manager;
     [time_limit] is CPU seconds for the whole computation, across all
-    attempts. Raises [Invalid_argument] when [node_limit < 1] or when
-    [time_limit] is not a positive number (NaN included). [fault] injects a
+    attempts. Raises [Invalid_argument] when [node_limit] is below 1 or
+    above {!Bdd.Manager.max_nodes}, or when [time_limit] is not a
+    positive number (NaN included). [fault] injects a
     deterministic fault for testing; the library reads no environment
     variable, so without [fault] no fault is injected. [gc]
     (default [true]) enables mark-and-sweep collection on every manager the

@@ -125,20 +125,23 @@ let attempts_of = function
   | S.Completed r -> r.S.attempts
   | S.Could_not_complete { progress; _ } -> progress.S.attempts
 
-let print_table1 fmt results =
+let print_table1_header fmt =
   Format.fprintf fmt
     "%-8s %-10s %-8s %10s %8s %8s %7s@."
-    "Name" "i/o/cs" "Fcs/Xcs" "States(X)" "Part,s" "Mono,s" "Ratio";
-  List.iter
-    (fun { row; part; mono; _ } ->
-      let i, o, cs, fcs, xcs = Circuits.Suite.profile row in
-      Format.fprintf fmt "%-8s %-10s %-8s %10s %8s %8s %7s@."
-        row.Circuits.Suite.name
-        (Printf.sprintf "%d/%d/%d" i o cs)
-        (Printf.sprintf "%d/%d" fcs xcs)
-        (states_cell part) (time_cell part) (time_cell mono)
-        (ratio_cell part mono))
-    results
+    "Name" "i/o/cs" "Fcs/Xcs" "States(X)" "Part,s" "Mono,s" "Ratio"
+
+let print_table1_row fmt { row; part; mono; _ } =
+  let i, o, cs, fcs, xcs = Circuits.Suite.profile row in
+  Format.fprintf fmt "%-8s %-10s %-8s %10s %8s %8s %7s@."
+    row.Circuits.Suite.name
+    (Printf.sprintf "%d/%d/%d" i o cs)
+    (Printf.sprintf "%d/%d" fcs xcs)
+    (states_cell part) (time_cell part) (time_cell mono)
+    (ratio_cell part mono)
+
+let print_table1 fmt results =
+  print_table1_header fmt;
+  List.iter (print_table1_row fmt) results
 
 let describe_attempt (a : S.attempt) =
   Printf.sprintf
@@ -198,26 +201,24 @@ let method_stats_fields (s : method_stats) =
     ("gc_dead_ratio", Obs.Json.Float s.gc_dead_ratio);
     ("completed", Obs.Json.Bool s.completed) ]
 
+let circuit_json { row; part_stats; mono_stats; _ } =
+  Obs.Json.Obj
+    (("name", Obs.Json.String row.Circuits.Suite.name)
+     :: method_stats_fields part_stats
+    @ [ ("monolithic", Obs.Json.Obj (method_stats_fields mono_stats)) ])
+
 let bench_json ?(time_limit = default_time_limit)
-    ?(node_limit = default_node_limit) results =
+    ?(node_limit = default_node_limit) circuits =
   Obs.Json.Obj
     [ ("suite", Obs.Json.String "table1");
       ("time_limit_s", Obs.Json.Float time_limit);
       ("node_limit", Obs.Json.Int node_limit);
-      ( "circuits",
-        Obs.Json.List
-          (List.map
-             (fun { row; part_stats; mono_stats; _ } ->
-               Obs.Json.Obj
-                 (("name", Obs.Json.String row.Circuits.Suite.name)
-                  :: method_stats_fields part_stats
-                 @ [ ("monolithic", Obs.Json.Obj (method_stats_fields mono_stats))
-                   ]))
-             results) ) ]
+      ("circuits", Obs.Json.List circuits) ]
 
-let write_bench_json ?time_limit ?node_limit path results =
+let write_bench_json ?time_limit ?node_limit path circuits =
   let oc = open_out path in
-  output_string oc (Obs.Json.to_string (bench_json ?time_limit ?node_limit results));
+  output_string oc
+    (Obs.Json.to_string (bench_json ?time_limit ?node_limit circuits));
   output_char oc '\n';
   close_out oc
 

@@ -62,7 +62,11 @@ val run_table1 :
 
 val print_table1 : Format.formatter -> row_result list -> unit
 (** The paper's Table 1 layout: Name, i/o/cs, Fcs/Xcs, States(X), Part,s,
-    Mono,s, Ratio (with CNC entries where a run exhausted its budget). *)
+    Mono,s, Ratio (with CNC entries where a run exhausted its budget).
+    {!print_table1_header} followed by {!print_table1_row} per row. *)
+
+val print_table1_header : Format.formatter -> unit
+val print_table1_row : Format.formatter -> row_result -> unit
 
 val attempts_of : Equation.Solve.outcome -> Equation.Solve.attempt list
 (** The failed attempts behind an outcome (empty for a first-try success). *)
@@ -75,9 +79,13 @@ val print_attempts : Format.formatter -> row_result list -> unit
     run eventually completed. Prints nothing for rows that completed on the
     first try. *)
 
+val circuit_json : row_result -> Obs.Json.t
+(** A row's entry in {!bench_json}'s ["circuits"] list. *)
+
 val bench_json :
-  ?time_limit:float -> ?node_limit:int -> row_result list -> Obs.Json.t
-(** The machine-readable baseline: [{"suite":"table1", "time_limit_s":...,
+  ?time_limit:float -> ?node_limit:int -> Obs.Json.t list -> Obs.Json.t
+(** The machine-readable baseline over the {!circuit_json} entries of
+    the rows: [{"suite":"table1", "time_limit_s":...,
     "node_limit":..., "circuits":[{"name":..., "time_s":..., "peak_nodes":...,
     "image_calls":..., "cache_hit_rate":..., "and_exists_lookups":...,
     "and_exists_hits":..., "and_exists_hit_rate":..., "split_memo_hits":...,
@@ -90,7 +98,7 @@ val bench_json :
     run. *)
 
 val write_bench_json :
-  ?time_limit:float -> ?node_limit:int -> string -> row_result list -> unit
+  ?time_limit:float -> ?node_limit:int -> string -> Obs.Json.t list -> unit
 (** Write {!bench_json} (plus a trailing newline) to a file. *)
 
 val verify_row : ?time_limit:float -> row_result -> (bool * bool) option

@@ -19,7 +19,7 @@ let g_peak_intermediate = Obs.Gauge.make "image.peak_intermediate"
      gone from the accumulator);
    - [occ.(v)]: how many unprocessed conjuncts mention [v] (counted for
      the variables of [quantify] only);
-   - [in_acc.(v)]: [v] is in the accumulator's support.
+   - [in_acc.(v)]: [v] is in the accumulator's support ([Greedy] only).
    [Greedy] scores a conjunct [2 * dead - fresh]: [dead] counts its
    pending variables that it alone still mentions, [fresh] its variables
    the accumulator does not have yet. The first conjunct with the highest
@@ -73,10 +73,11 @@ let and_exists_list m ?(order = Greedy) rels ~quantify =
       done;
       !best
   in
-  (* the pending variables of [vs] that no unprocessed conjunct mentions,
-     prepended to [acc]; each leaves [pending] as it is found, so it is
-     collected once, and is quantified by this step *)
-  let dying acc vs =
+  (* the pending variables of [vs] that no unprocessed conjunct mentions;
+     each leaves [pending] as it is found, so it is quantified once. A
+     pending variable's [occ] reaches 0 only on the step that processes
+     its last conjunct, so the step's own support finds every one. *)
+  let dying vs =
     List.fold_left
       (fun acc v ->
         if pending.(v) && occ.(v) = 0 then begin
@@ -84,7 +85,7 @@ let and_exists_list m ?(order = Greedy) rels ~quantify =
           v :: acc
         end
         else acc)
-      acc vs
+      [] vs
   in
   let finally () =
     M.stack_drop m (Array.length parts);
@@ -98,7 +99,7 @@ let and_exists_list m ?(order = Greedy) rels ~quantify =
     List.iter
       (fun v -> if pending.(v) then occ.(v) <- occ.(v) - 1)
       supports.(k);
-    let cube = O.cube_of_vars m (dying (dying [] supports.(k)) !acc_supp) in
+    let cube = O.cube_of_vars m (dying supports.(k)) in
     M.stack_push m cube;
     let acc' = O.and_exists m cube !acc parts.(k) in
     M.stack_drop m 1;
@@ -109,8 +110,10 @@ let and_exists_list m ?(order = Greedy) rels ~quantify =
       Obs.Counter.bump c_conj;
       Obs.Gauge.set_max g_peak_intermediate (O.size m !acc)
     end;
-    List.iter (fun v -> in_acc.(v) <- false) !acc_supp;
-    acc_supp := O.support m !acc;
-    List.iter (fun v -> in_acc.(v) <- true) !acc_supp
+    if order = Greedy then begin
+      List.iter (fun v -> in_acc.(v) <- false) !acc_supp;
+      acc_supp := O.support m !acc;
+      List.iter (fun v -> in_acc.(v) <- true) !acc_supp
+    end
   done;
   !acc

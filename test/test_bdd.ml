@@ -338,6 +338,48 @@ let test_cache_ops_never_alias () =
         ops)
     ops
 
+(* An entry packs [a] and [b] into one word with the tag and epoch, and
+   [c] with the result into another, 26 bits per id. Round-trip every tag
+   at the fields' edges. At the initial cache size the slot depends only
+   on the low 25 bits of each operand, so an operand that differs in its
+   top id bit alone probes the same entry and must miss on the packed
+   compare. *)
+let test_cache_packed_edges () =
+  let m = M.create () in
+  let top = M.max_nodes - 1 and top_bit = M.max_nodes / 2 in
+  let triples =
+    [ (top, top, top); (M.zero, M.zero, M.zero); (top, M.zero, top);
+      (M.one, top, M.one); (top_bit, top_bit, top_bit) ]
+  in
+  List.iter
+    (fun op ->
+      List.iter
+        (fun (a, b, c) ->
+          List.iter
+            (fun r ->
+              M.clear_caches m;
+              M.cache_store m op a b c r;
+              let find a b c = M.cache_find m op a b c in
+              if find a b c <> r then
+                Alcotest.failf "tag %d (%d, %d, %d) -> %d: got %d" op a b c r
+                  (find a b c);
+              List.iter
+                (fun (what, a', b', c') ->
+                  if find a' b' c' <> -1 then
+                    Alcotest.failf "tag %d (%d, %d, %d): %s hits" op a b c what)
+                [ ("a flipped in its top bit", a lxor top_bit, b, c);
+                  ("b flipped in its top bit", a, b lxor top_bit, c);
+                  ("c flipped in its top bit", a, b, c lxor top_bit) ];
+              List.iter
+                (fun op' ->
+                  if op' <> op && M.cache_find m op' a b c <> -1 then
+                    Alcotest.failf "tag %d sees tag %d's (%d, %d, %d)" op' op
+                      a b c)
+                ops)
+            [ M.zero; M.one; top ])
+        triples)
+    ops
+
 let test_cache_emptied () =
   let m = fresh_man () in
   let stored () =
@@ -823,17 +865,17 @@ let formula_round m rand ~armed =
   ok
 
 (* Rounds under [Pressure], each ending in a collection that sweeps all
-   of it, until the collections have wrapped the cache's epoch field (256
-   collections) twice. Each round's nodes reuse the ids the last one
+   of it, until the collections have wrapped the cache's epoch field (128
+   collections) four times. Each round's nodes reuse the ids the last one
    freed, so an entry from an earlier epoch that still matched would hand
    back a node of another function. Literal rounds run after collections
    1, 2, 4, …, 512: a skipped epoch bump shows at the second, and an
    epoch that comes round again without the array being emptied shows
-   when the one after collection 512 probes, at the same epoch, the
-   entries the one after collection 256 left. Formula rounds run after
-   every other collection, armed as in the other [Pressure] properties
-   except shortly before a literal round, so that no collection inside
-   them shifts the literal rounds off their counts. *)
+   when the ones after collections 256 and 512 probe, at the same epoch,
+   the entries the one after the previous wrap left. Formula rounds run
+   after every other collection, armed as in the other [Pressure]
+   properties except shortly before a literal round, so that no
+   collection inside them shifts the literal rounds off their counts. *)
 let prop_epoch_wrap =
   QCheck.Test.make ~count:4 ~name:"ops exact across computed-cache epoch wraps"
     (* a seed has nothing to shrink *)
@@ -1009,6 +1051,8 @@ let () =
             test_cache_probe_results;
           Alcotest.test_case "cache op tags never alias" `Quick
             test_cache_ops_never_alias;
+          Alcotest.test_case "cache entries at the packed fields' edges"
+            `Quick test_cache_packed_edges;
           Alcotest.test_case "cache emptied by clear, collect, growth" `Quick
             test_cache_emptied;
           Alcotest.test_case "pick minterm" `Quick test_pick_minterm;

@@ -250,7 +250,7 @@ let test_clear_caches_gc_interleaving () =
 
 (* an entry stored before a collection never hits after it: not after
    the first collection, and not when the cache's epoch field wraps and
-   an old epoch comes round again (every 256 collections) *)
+   an old epoch comes round again (every 128 collections) *)
 let test_collect_invalidates_entries () =
   let m = Helpers.fresh_man ~nvars () in
   let f = majority m in

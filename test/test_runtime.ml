@@ -300,11 +300,14 @@ let test_invalid_budgets () =
   in
   rejects ~node_limit:0 "node limit 0";
   rejects ~node_limit:(-5) "node limit -5";
+  rejects ~node_limit:(M.max_nodes + 1) "node limit above the store";
   rejects ~time_limit:0.0 "time limit 0";
   rejects ~time_limit:(-1.0) "time limit -1";
   rejects ~time_limit:Float.nan "time limit NaN";
-  (* the smallest node budget is a budget, not a usage error *)
-  ignore (cnc_of (solve ~node_limit:1 ()))
+  (* the smallest and largest node budgets are budgets, not usage
+     errors *)
+  ignore (cnc_of (solve ~node_limit:1 ()));
+  ignore (solve ~node_limit:M.max_nodes () : E.Solve.outcome)
 
 (* --- rungs skipped on a failure the manager proved --------------------------- *)
 
