@@ -457,68 +457,6 @@ let equiv_cmd =
        ~doc:"Check sequential equivalence of two circuits (exact, symbolic)")
     Term.(const run $ network_arg $ second_arg)
 
-(* --- optimize ------------------------------------------------------------------ *)
-
-let optimize_cmd =
-  let out_arg =
-    let doc = "Output BLIF file (default: stdout)." in
-    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~doc)
-  in
-  let run path out =
-    guard @@ fun () ->
-    let net = load path in
-    let opt = Network.Transform.optimize net in
-    Format.eprintf "%s@." (Network.Transform.stats_delta net opt);
-    let text = Network.Blif.to_string opt in
-    match out with
-    | Some f ->
-      let oc = open_out f in
-      output_string oc text;
-      close_out oc;
-      Format.eprintf "wrote %s@." f
-    | None -> print_string text
-  in
-  Cmd.v
-    (Cmd.info "optimize"
-       ~doc:"Constant-propagate, share and sweep a circuit's logic")
-    Term.(const run $ network_arg $ out_arg)
-
-(* --- aig -------------------------------------------------------------------- *)
-
-let aig_cmd =
-  let in_arg =
-    let doc = "Input circuit (.blif or .aag, by extension)." in
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
-  in
-  let out_arg =
-    let doc = "Output file (.blif or .aag, by extension)." in
-    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~doc)
-  in
-  let load_any path =
-    if Filename.check_suffix path ".aag" then
-      Network.Aig.to_netlist (Network.Aig.parse_file path)
-    else load path
-  in
-  let run path out =
-    guard @@ fun () ->
-    let net = load_any path in
-    let aig = Network.Aig.of_netlist net in
-    Format.eprintf "%a; %d AND gates@." N.pp_stats net
-      (Network.Aig.num_ands aig);
-    match out with
-    | Some f when Filename.check_suffix f ".aag" ->
-      Network.Aig.write_file f aig;
-      Format.eprintf "wrote %s@." f
-    | Some f ->
-      Network.Blif.write_file f (Network.Aig.to_netlist aig);
-      Format.eprintf "wrote %s@." f
-    | None -> print_string (Network.Aig.to_aag aig)
-  in
-  Cmd.v
-    (Cmd.info "aig"
-       ~doc:"Convert between BLIF and ASCII AIGER (with structural hashing)")
-    Term.(const run $ in_arg $ out_arg)
-
 (* --- simulate ------------------------------------------------------------------ *)
 
 let simulate_cmd =
@@ -530,14 +468,14 @@ let simulate_cmd =
     let doc = "Random seed for the stimulus." in
     Arg.(value & opt int 0 & info [ "seed" ] ~doc)
   in
-  let vcd_arg =
-    let doc = "Write the waveform to this VCD file." in
-    Arg.(value & opt (some string) None & info [ "vcd" ] ~doc)
-  in
-  let run path cycles seed vcd =
+  let run path cycles seed =
     guard @@ fun () ->
     let net = load path in
-    let trace = Network.Vcd.random_trace ~seed net cycles in
+    let rng = Random.State.make [| seed |] in
+    let ni = N.num_inputs net in
+    let trace =
+      List.init cycles (fun _ -> Array.init ni (fun _ -> Random.State.bool rng))
+    in
     (* print a compact textual table *)
     let in_names = List.map (fun id -> N.net_name net id) net.N.inputs in
     let out_names = List.map fst net.N.outputs in
@@ -554,16 +492,11 @@ let simulate_cmd =
         in
         Format.printf "%5d %s | %s@." t (bits inputs) (bits out);
         st := st')
-      trace;
-    match vcd with
-    | Some f ->
-      Network.Vcd.write_file f net trace;
-      Format.eprintf "wrote %s@." f
-    | None -> ()
+      trace
   in
   Cmd.v
-    (Cmd.info "simulate" ~doc:"Random-simulate a circuit (optionally to VCD)")
-    Term.(const run $ network_arg $ cycles_arg $ seed_arg $ vcd_arg)
+    (Cmd.info "simulate" ~doc:"Random-simulate a circuit")
+    Term.(const run $ network_arg $ cycles_arg $ seed_arg)
 
 (* --- table1 ------------------------------------------------------------------ *)
 
@@ -631,4 +564,4 @@ let () =
        (Cmd.group
           (Cmd.info "lesolve" ~version:"1.0" ~doc)
           [ info_cmd; reach_cmd; split_cmd; solve_cmd; resynth_cmd; gen_cmd;
-            equiv_cmd; optimize_cmd; simulate_cmd; aig_cmd; table1_cmd ]))
+            equiv_cmd; simulate_cmd; table1_cmd ]))

@@ -117,6 +117,3 @@ let successors t s symbol_cube =
     (fun (g, d) ->
       if O.band t.man g symbol_cube <> M.zero then Some d else None)
     t.edges.(s)
-
-let rename_states t f =
-  { t with names = Array.init (num_states t) f }

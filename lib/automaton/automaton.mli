@@ -76,6 +76,3 @@ val is_empty_language : t -> bool
 val successors : t -> state -> int -> state list
 (** [successors t s symbol_cube] — destinations whose guard admits the given
     symbol (a full assignment cube of the alphabet). *)
-
-val rename_states : t -> (state -> string) -> t
-(** Replace state labels. *)

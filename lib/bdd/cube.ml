@@ -17,24 +17,3 @@ let cubes m f =
   let acc = ref [] in
   iter_cubes m f (fun c -> acc := c :: !acc);
   List.rev !acc
-
-let iter_minterms m f vars k =
-  let rec go f vars acc =
-    match vars with
-    | [] -> if f = M.one then k (List.rev acc)
-    | v :: rest ->
-      if f <> M.zero then begin
-        let lo, hi =
-          if (not (M.is_const f)) && M.var m f = v then
-            (M.low m f, M.high m f)
-          else begin
-            (* [vars] covers the support, so var f > v here. *)
-            assert (M.is_const f || M.var m f > v);
-            (f, f)
-          end
-        in
-        go lo rest ((v, false) :: acc);
-        go hi rest ((v, true) :: acc)
-      end
-  in
-  go f (List.sort compare vars) []

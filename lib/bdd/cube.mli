@@ -1,4 +1,4 @@
-(** Enumeration of the cubes and minterms of a BDD. *)
+(** Enumeration of the cubes of a BDD. *)
 
 type literal = int * bool
 (** A literal is a variable paired with its polarity ([true] = positive). *)
@@ -10,8 +10,3 @@ val iter_cubes : Manager.t -> int -> (literal list -> unit) -> unit
 
 val cubes : Manager.t -> int -> literal list list
 (** All path-cubes of [f], as a list. *)
-
-val iter_minterms : Manager.t -> int -> int list -> (literal list -> unit) -> unit
-(** [iter_minterms m f vars k] calls [k] on every minterm of [f] over the
-    variable set [vars] (must include the support of [f]). Exponential in
-    [vars]; intended for tests and tiny alphabets. *)

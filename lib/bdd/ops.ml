@@ -117,9 +117,6 @@ let subst m f lookup =
 
 let support = M.support
 
-let support_union m fs =
-  List.sort_uniq compare (List.concat_map (support m) fs)
-
 let rename m f pairs =
   M.with_frozen m @@ fun () ->
   let map = Hashtbl.create 16 in

@@ -64,9 +64,6 @@ val rename : Manager.t -> int -> (int * int) list -> int
 val support : Manager.t -> int -> int list
 (** Variables occurring in [f], sorted by level. *)
 
-val support_union : Manager.t -> int list -> int list
-(** Sorted union of the supports of a list of nodes. *)
-
 val size : Manager.t -> int -> int
 (** Number of distinct decision nodes reachable from [f] (constants not
     counted). *)

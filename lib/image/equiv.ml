@@ -133,64 +133,3 @@ let check net1 net2 =
       target := state_cube state_lits
     done;
     Different !trace
-
-let random_search ?(rounds = 2000) ?(seed = 0) (net1 : N.t) (net2 : N.t) =
-  let in1, _ = interface_names net1 in
-  let rng = Random.State.make [| seed |] in
-  let ni = List.length in1 in
-  (* inputs for net2 permuted by name *)
-  let perm =
-    List.map
-      (fun id ->
-        let n = N.net_name net2 id in
-        let rec idx k = function
-          | [] -> invalid_arg "Equiv.random_search: input names differ"
-          | m :: rest -> if m = n then k else idx (k + 1) rest
-        in
-        idx 0 in1)
-      net2.N.inputs
-  in
-  let out_perm =
-    List.map
-      (fun (n, _) ->
-        let rec idx k = function
-          | [] -> invalid_arg "Equiv.random_search: output names differ"
-          | (m, _) :: rest -> if m = n then k else idx (k + 1) rest
-        in
-        idx 0 net1.N.outputs)
-      net2.N.outputs
-  in
-  let episode () =
-    let st1 = ref (N.initial_state net1) in
-    let st2 = ref (N.initial_state net2) in
-    let trace = ref [] in
-    let len = 1 + Random.State.int rng 20 in
-    let rec step k =
-      if k = len then None
-      else begin
-        let inputs = Array.init ni (fun _ -> Random.State.bool rng) in
-        trace := inputs :: !trace;
-        let o1, s1 = N.step net1 !st1 inputs in
-        let o2, s2 =
-          N.step net2 !st2
-            (Array.of_list (List.map (fun j -> inputs.(j)) perm))
-        in
-        let mismatch =
-          List.exists2
-            (fun j (o2v : bool) -> o1.(j) <> o2v)
-            out_perm (Array.to_list o2)
-        in
-        if mismatch then Some (List.rev !trace)
-        else begin
-          st1 := s1;
-          st2 := s2;
-          step (k + 1)
-        end
-      end
-    in
-    step 0
-  in
-  let rec go n = if n = 0 then None else
-      match episode () with Some t -> Some t | None -> go (n - 1)
-  in
-  go (max 1 (rounds / 10))

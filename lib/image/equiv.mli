@@ -1,8 +1,7 @@
 (** Sequential equivalence checking of two networks with identical
     interfaces: symbolic product-machine reachability with an
     output-equality invariant, producing a shortest distinguishing input
-    sequence on failure. A random co-simulation front end is provided for
-    cheap bug hunting. *)
+    sequence on failure. *)
 
 type result =
   | Equivalent
@@ -16,12 +15,3 @@ val check : Network.Netlist.t -> Network.Netlist.t -> result
     states are those where some input makes the outputs differ. The
     networks must have the same input and output names (matching is by
     name, order-independent); raises [Invalid_argument] otherwise. *)
-
-val random_search :
-  ?rounds:int ->
-  ?seed:int ->
-  Network.Netlist.t ->
-  Network.Netlist.t ->
-  bool array list option
-(** Random co-simulation; [Some trace] witnesses a difference, [None]
-    proves nothing. *)

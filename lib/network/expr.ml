@@ -28,15 +28,6 @@ let support e =
   go e;
   List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) seen [])
 
-let rec map_vars f = function
-  | Var k -> f k
-  | Const b -> Const b
-  | Not e -> Not (map_vars f e)
-  | And (a, b) -> And (map_vars f a, map_vars f b)
-  | Or (a, b) -> Or (map_vars f a, map_vars f b)
-  | Xor (a, b) -> Xor (map_vars f a, map_vars f b)
-  | Ite (c, a, b) -> Ite (map_vars f c, map_vars f a, map_vars f b)
-
 let to_bdd m env e =
   let module O = Bdd.Ops in
   let rec go = function
@@ -81,24 +72,3 @@ let of_cover ~ncols rows =
       invalid_arg "Expr.of_cover: mixed output phases";
     let union = disj (List.map (fun (p, _) -> row_expr p) rows) in
     if value then union else Not union
-
-let rec pp ~names fmt = function
-  | Var k -> Format.pp_print_string fmt (names k)
-  | Const b -> Format.pp_print_bool fmt b
-  | Not e -> Format.fprintf fmt "!%a" (pp_atom ~names) e
-  | And (a, b) ->
-    Format.fprintf fmt "%a & %a" (pp_atom ~names) a (pp_atom ~names) b
-  | Or (a, b) ->
-    Format.fprintf fmt "%a | %a" (pp_atom ~names) a (pp_atom ~names) b
-  | Xor (a, b) ->
-    Format.fprintf fmt "%a ^ %a" (pp_atom ~names) a (pp_atom ~names) b
-  | Ite (c, a, b) ->
-    Format.fprintf fmt "ite(%a, %a, %a)" (pp ~names) c (pp ~names) a
-      (pp ~names) b
-
-and pp_atom ~names fmt e =
-  match e with
-  | Var _ | Const _ | Not _ | Ite _ -> pp ~names fmt e
-  | And _ | Or _ | Xor _ -> Format.fprintf fmt "(%a)" (pp ~names) e
-
-let equal = ( = )

@@ -18,9 +18,6 @@ val eval : (int -> bool) -> t -> bool
 val support : t -> int list
 (** Sorted list of fanin indices actually used. *)
 
-val map_vars : (int -> t) -> t -> t
-(** Simultaneous substitution of expressions for fanin variables. *)
-
 val to_bdd : Bdd.Manager.t -> (int -> int) -> t -> int
 (** [to_bdd m env e] builds the BDD of [e], with [env k] the BDD of fanin
     [k]. *)
@@ -34,6 +31,3 @@ val of_cover : ncols:int -> (string * bool) list -> t
 
 val conj : t list -> t
 val disj : t list -> t
-
-val pp : names:(int -> string) -> Format.formatter -> t -> unit
-val equal : t -> t -> bool

@@ -58,10 +58,6 @@ let set_latch_input b latch data =
 
 let add_output b name net = b.boutputs <- (name, net) :: b.boutputs
 
-let const_net b value =
-  add_node b ~name:(if value then "const1" else "const0")
-    (Expr.Const value) [||]
-
 let freeze b =
   let drivers = Array.of_list (List.rev b.elems) in
   let net_names = Array.of_list (List.rev b.bnames) in

@@ -42,9 +42,6 @@ val set_latch_input : builder -> net -> net -> unit
 
 val add_output : builder -> string -> net -> unit
 
-val const_net : builder -> bool -> net
-(** A net driven by a constant. *)
-
 val freeze : builder -> t
 (** Validate (every latch connected, combinational part acyclic) and seal.
     Raises [Invalid_argument] on malformed networks. *)

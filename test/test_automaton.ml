@@ -336,8 +336,6 @@ let test_successors_and_names () =
   let sym = O.cube_of_literals man [ (a, true) ] in
   Alcotest.(check (list int)) "successor under a" [ 1 ]
     (A.successors t 0 sym);
-  let renamed = A.rename_states t (fun s -> Printf.sprintf "q%d" s) in
-  Alcotest.(check string) "renamed" "q1" (A.state_name renamed 1);
   Alcotest.(check bool) "summary mentions determinism" true
     (let s = Fsa.Print.summary t in
      String.length s > 0)

@@ -178,13 +178,6 @@ let test_cube_enumeration () =
   let back = O.disj m (List.map (O.cube_of_literals m) cs) in
   Alcotest.(check int) "cubes rebuild f" f back
 
-let test_minterms () =
-  let m = fresh_man () in
-  let f = fbuild m (F_or (F_var 0, F_var 1)) in
-  let count = ref 0 in
-  Bdd.Cube.iter_minterms m f [ 0; 1 ] (fun _ -> incr count);
-  Alcotest.(check int) "three minterms" 3 !count
-
 let test_node_limit () =
   let m = M.create () in
   let vars = M.new_vars m 20 in
@@ -269,11 +262,10 @@ let test_print () =
   Alcotest.(check bool) "dot has digraph" true
     (String.length dot > 8 && String.sub dot 0 8 = "digraph ")
 
-let test_support_union_and_shared_size () =
+let test_shared_size () =
   let m = fresh_man () in
   let f = fbuild m (F_and (F_var 0, F_var 1)) in
   let g = fbuild m (F_and (F_var 1, F_var 2)) in
-  Alcotest.(check (list int)) "union" [ 0; 1; 2 ] (O.support_union m [ f; g ]);
   (* shared size <= sum of sizes *)
   Alcotest.(check bool) "sharing bound" true
     (O.size_shared m [ f; g ] <= O.size m f + O.size m g);
@@ -1038,12 +1030,10 @@ let () =
           Alcotest.test_case "cofactor" `Quick test_cofactor;
           Alcotest.test_case "cofactor cube" `Quick test_cofactor_cube;
           Alcotest.test_case "cube enumeration" `Quick test_cube_enumeration;
-          Alcotest.test_case "minterms" `Quick test_minterms;
           Alcotest.test_case "node limit" `Quick test_node_limit;
           Alcotest.test_case "limit failure reasons" `Quick test_limit_failure;
           Alcotest.test_case "print" `Quick test_print;
-          Alcotest.test_case "support union + shared size" `Quick
-            test_support_union_and_shared_size;
+          Alcotest.test_case "shared size" `Quick test_shared_size;
           Alcotest.test_case "var names" `Quick test_var_names;
           Alcotest.test_case "lossy cache soundness" `Quick
             test_cache_lossy_is_sound;

@@ -193,172 +193,6 @@ let test_blif_errors () =
      | exception B.Parse_error _ -> true
      | _ -> false)
 
-(* --- Transform ------------------------------------------------------------- *)
-
-let test_simplify_expr () =
-  let module T = Network.Transform in
-  Alcotest.(check bool) "x & !x = 0" true
-    (T.simplify_expr (E.And (E.Var 0, E.Not (E.Var 0))) = E.Const false);
-  Alcotest.(check bool) "x | 1 = 1" true
-    (T.simplify_expr (E.Or (E.Var 0, E.Const true)) = E.Const true);
-  Alcotest.(check bool) "x ^ x = 0" true
-    (T.simplify_expr (E.Xor (E.Var 0, E.Var 0)) = E.Const false);
-  Alcotest.(check bool) "!!x = x" true
-    (T.simplify_expr (E.Not (E.Not (E.Var 3))) = E.Var 3);
-  Alcotest.(check bool) "ite(c,x,x) = x" true
-    (T.simplify_expr (E.Ite (E.Var 0, E.Var 1, E.Var 1)) = E.Var 1);
-  Alcotest.(check bool) "ite(c,1,0) = c" true
-    (T.simplify_expr (E.Ite (E.Var 0, E.Const true, E.Const false)) = E.Var 0)
-
-let test_optimize_preserves_behaviour () =
-  let nets =
-    [ Circuits.Generators.counter 4;
-      Circuits.Generators.traffic_light ();
-      Circuits.Generators.arbiter 3;
-      Circuits.Generators.vending ();
-      Circuits.Generators.fifo_ctrl 2;
-      Circuits.Generators.random_logic ~seed:8 ~inputs:4 ~outputs:3
-        ~latches:6 ~levels:4 () ]
-  in
-  List.iter
-    (fun net ->
-      let opt = Network.Transform.optimize net in
-      Alcotest.(check bool)
-        (net.N.name ^ ": behaviour preserved")
-        true
-        (behaviour_equivalent net opt 300);
-      Alcotest.(check bool)
-        (net.N.name ^ ": no growth")
-        true
-        (N.num_nodes opt <= N.num_nodes net))
-    nets
-
-let test_optimize_removes_redundancy () =
-  (* a circuit with a constant subtree, a duplicate node and dead logic *)
-  let b = N.create "junky" in
-  let a = N.add_input b "a" in
-  let const0 = N.add_node b ~name:"k0" (E.And (E.Var 0, E.Not (E.Var 0))) [| a |] in
-  let masked = N.add_node b ~name:"masked" (E.Or (E.Var 0, E.Var 1)) [| a; const0 |] in
-  let dup1 = N.add_node b ~name:"dup1" (E.Not (E.Var 0)) [| masked |] in
-  let dup2 = N.add_node b ~name:"dup2" (E.Not (E.Var 0)) [| masked |] in
-  let _dead = N.add_node b ~name:"dead" (E.Xor (E.Var 0, E.Var 1)) [| dup1; dup2 |] in
-  let out = N.add_node b ~name:"out" (E.And (E.Var 0, E.Var 1)) [| dup1; dup2 |] in
-  N.add_output b "y" out;
-  let net = N.freeze b in
-  let opt = Network.Transform.optimize net in
-  Alcotest.(check bool) "behaviour preserved" true
-    (behaviour_equivalent net opt 100);
-  (* masked|0 collapses to a, dup1 = dup2 = !a merge, out = !a & !a = !a,
-     dead logic dropped: a single node remains *)
-  Alcotest.(check bool)
-    (Printf.sprintf "shrunk to %d nodes" (N.num_nodes opt))
-    true
-    (N.num_nodes opt <= 2)
-
-(* --- AIG ------------------------------------------------------------------- *)
-
-let aig_behaviour_equivalent net aig rounds =
-  let ni = N.num_inputs net in
-  let st_n = ref (N.initial_state net) in
-  let st_a = ref (Array.of_list (Array.to_list aig.Network.Aig.latch_init)) in
-  let rng = Random.State.make [| 31 |] in
-  let ok = ref true in
-  for _ = 1 to rounds do
-    let inputs = Array.init ni (fun _ -> Random.State.bool rng) in
-    let o_n, s_n = N.step net !st_n inputs in
-    let o_a, s_a = Network.Aig.eval aig inputs !st_a in
-    if o_n <> o_a then ok := false;
-    st_n := s_n;
-    st_a := s_a
-  done;
-  !ok
-
-let test_aig_roundtrip_families () =
-  List.iter
-    (fun net ->
-      let aig = Network.Aig.of_netlist net in
-      Alcotest.(check bool)
-        (net.N.name ^ ": aig simulates like the netlist")
-        true
-        (aig_behaviour_equivalent net aig 200);
-      let back = Network.Aig.to_netlist aig in
-      Alcotest.(check bool)
-        (net.N.name ^ ": netlist roundtrip (exact)")
-        true
-        (let renamed =
-           (* to_netlist names the model "aig"; equivalence is by interface *)
-           back
-         in
-         Img.Equiv.check net renamed = Img.Equiv.Equivalent))
-    [ Circuits.Generators.counter 4;
-      Circuits.Generators.traffic_light ();
-      Circuits.Generators.vending ();
-      Circuits.Generators.random_logic ~seed:12 ~inputs:3 ~outputs:2
-        ~latches:4 ~levels:3 () ]
-
-let test_aig_strashing () =
-  (* building x&y twice yields one gate *)
-  let b = Network.Aig.create ~inputs:[ "x"; "y" ] ~latches:[] in
-  let x = Network.Aig.input_lit b 0 and y = Network.Aig.input_lit b 1 in
-  let g1 = Network.Aig.mk_and b x y in
-  let g2 = Network.Aig.mk_and b y x in
-  Alcotest.(check int) "hash hit" g1 g2;
-  Alcotest.(check int) "x & x = x" x (Network.Aig.mk_and b x x);
-  Alcotest.(check int) "x & !x = 0" Network.Aig.lit_false
-    (Network.Aig.mk_and b x (Network.Aig.lit_not x));
-  Network.Aig.add_output b "o" g1;
-  let t = Network.Aig.freeze b in
-  Alcotest.(check int) "one gate" 1 (Network.Aig.num_ands t)
-
-let test_aag_roundtrip () =
-  let net = Circuits.Generators.lfsr 5 in
-  let aig = Network.Aig.of_netlist net in
-  let text = Network.Aig.to_aag aig in
-  let back = Network.Aig.of_aag text in
-  Alcotest.(check int) "inputs" aig.Network.Aig.num_inputs
-    back.Network.Aig.num_inputs;
-  Alcotest.(check int) "ands" (Network.Aig.num_ands aig)
-    (Network.Aig.num_ands back);
-  Alcotest.(check bool) "behaviour preserved" true
-    (aig_behaviour_equivalent net back 200);
-  (* symbol table preserved *)
-  Alcotest.(check string) "input name" "en" back.Network.Aig.input_names.(0)
-
-let test_aag_parse_errors () =
-  Alcotest.(check bool) "bad header" true
-    (match Network.Aig.of_aag "not an aag\n" with
-     | exception Network.Aig.Parse_error _ -> true
-     | _ -> false);
-  Alcotest.(check bool) "truncated" true
-    (match Network.Aig.of_aag "aag 3 1 1 1 1\n2\n" with
-     | exception Network.Aig.Parse_error _ -> true
-     | _ -> false)
-
-(* --- VCD ------------------------------------------------------------------- *)
-
-let test_vcd_structure () =
-  let net = Circuits.Generators.counter 2 in
-  let trace = Network.Vcd.random_trace ~seed:4 net 10 in
-  let vcd = Network.Vcd.of_trace net trace in
-  let contains needle = Helpers.contains needle vcd in
-  Alcotest.(check bool) "timescale" true (contains "$timescale 1ns $end");
-  Alcotest.(check bool) "module scope" true (contains "$scope module counter2");
-  Alcotest.(check bool) "declares en" true (contains " en $end");
-  Alcotest.(check bool) "declares carry" true (contains " carry $end");
-  Alcotest.(check bool) "declares latch c0" true (contains " c0 $end");
-  Alcotest.(check bool) "has timestamps" true (contains "#0\n");
-  Alcotest.(check bool) "final timestamp" true (contains "#10\n")
-
-let test_vcd_change_only_encoding () =
-  (* constant-zero input: after the first cycle nothing changes except the
-     counter bits, so the dump stays small *)
-  let net = Circuits.Generators.counter 2 in
-  let quiet = List.init 20 (fun _ -> [| false |]) in
-  let busy = List.init 20 (fun _ -> [| true |]) in
-  Alcotest.(check bool) "quiet dump smaller" true
-    (String.length (Network.Vcd.of_trace net quiet)
-     < String.length (Network.Vcd.of_trace net busy))
-
 (* --- Symbolic ------------------------------------------------------------- *)
 
 let test_symbolic_matches_simulation () =
@@ -444,22 +278,6 @@ let () =
           Alcotest.test_case "continuations" `Quick
             test_blif_continuation_and_comments;
           Alcotest.test_case "errors" `Quick test_blif_errors ] );
-      ( "transform",
-        [ Alcotest.test_case "simplify expr" `Quick test_simplify_expr;
-          Alcotest.test_case "optimize preserves behaviour" `Quick
-            test_optimize_preserves_behaviour;
-          Alcotest.test_case "optimize removes redundancy" `Quick
-            test_optimize_removes_redundancy ] );
-      ( "aig",
-        [ Alcotest.test_case "roundtrip families" `Quick
-            test_aig_roundtrip_families;
-          Alcotest.test_case "strashing" `Quick test_aig_strashing;
-          Alcotest.test_case "aag roundtrip" `Quick test_aag_roundtrip;
-          Alcotest.test_case "aag errors" `Quick test_aag_parse_errors ] );
-      ( "vcd",
-        [ Alcotest.test_case "structure" `Quick test_vcd_structure;
-          Alcotest.test_case "change-only encoding" `Quick
-            test_vcd_change_only_encoding ] );
       ( "symbolic",
         [ Alcotest.test_case "matches simulation" `Quick
             test_symbolic_matches_simulation;
