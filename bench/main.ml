@@ -429,7 +429,22 @@ let ablation_order () =
   let net = Circuits.Generators.shift_register 16 in
   let bench interleave () =
     let man = Bdd.Manager.create () in
-    let sym = Network.Symbolic.of_netlist man ~interleave net in
+    let sym =
+      if interleave then Network.Symbolic.of_netlist man net
+      else begin
+        let vars suffix ids =
+          List.map
+            (fun id ->
+              Bdd.Manager.new_var ~name:(Network.Netlist.net_name net id ^ suffix)
+                man)
+            ids
+        in
+        let input_vars = vars "" net.Network.Netlist.inputs in
+        let state_vars = vars "" net.Network.Netlist.latches in
+        let next_state_vars = vars "'" net.Network.Netlist.latches in
+        Network.Symbolic.build man ~input_vars ~state_vars ~next_state_vars net
+      end
+    in
     reach_by Reference.Quantify.monolithic_and_exists sym
   in
   run_group ~quota:10.0

@@ -1,11 +1,16 @@
 (* lesolve — command-line driver for the language-equation solver.
 
    Subcommands:
-     info    <blif>                       network statistics
-     reach   <blif>                       symbolic reachable-state count
-     split   <blif> -x l1,l2 [-o out]     latch splitting (writes F as BLIF)
-     solve   <blif> -x l1,l2 [...]        compute the CSF of a latch split
-     table1  [...]                        reproduce the paper's Table 1 *)
+     info     <blif>                      network statistics
+     reach    <blif>                      symbolic reachable-state count
+     split    <blif> -x l1,l2 [-o out]    latch splitting (writes F as BLIF)
+     solve    <blif> -x l1,l2 [...]       compute the CSF of a latch split
+     resynth  <blif> -x l1,l2 [...]       extract a Moore sub-solution of the
+                                          CSF and synthesize it as BLIF
+     gen      <spec> [-o out]             generate a benchmark circuit
+     equiv    <blif> <blif>               sequential equivalence check
+     simulate <blif> [-n cycles]          random simulation
+     table1   [...]                       reproduce the paper's Table 1 *)
 
 module N = Network.Netlist
 module E = Equation
@@ -57,13 +62,6 @@ let time_limit_arg =
 let node_limit_arg =
   let doc = "BDD-node budget before giving up (CNC)." in
   Arg.(value & opt int 20_000_000 & info [ "node-limit" ] ~doc)
-
-let no_gc_arg =
-  let doc =
-    "Disable BDD garbage collection: managers grow instead of collecting, \
-     and the ladder skips the gc-retry rung."
-  in
-  Arg.(value & flag & info [ "no-gc" ] ~doc)
 
 let load path = Network.Blif.parse_file path
 
@@ -239,15 +237,15 @@ let solve_cmd =
     let doc = "Write the CSF in the .aut exchange format." in
     Arg.(value & opt (some string) None & info [ "aut" ] ~doc)
   in
-  let run path latches method_ time_limit node_limit no_gc verify dot minimize
+  let run path latches method_ time_limit node_limit verify dot minimize
       aut stats trace =
     guard @@ fun () ->
     obs_setup ~stats ~trace;
     let net = load path in
     let fault = fault_of_env () in
     match
-      E.Solve.solve_split ~node_limit ~time_limit ?fault ~gc:(not no_gc)
-        ~method_ net ~x_latches:latches
+      E.Solve.solve_split ~node_limit ~time_limit ?fault ~method_ net
+        ~x_latches:latches
     with
     | E.Solve.Could_not_complete { cpu_seconds; reason; progress } ->
       (* flush the partial counters of the failed attempts before exiting *)
@@ -295,7 +293,7 @@ let solve_cmd =
        ~doc:"Compute the complete sequential flexibility of a latch split")
     Term.(
       const run $ network_arg $ latches_arg $ method_arg $ time_limit_arg
-      $ node_limit_arg $ no_gc_arg $ verify_arg $ dot_arg $ minimize_arg $ aut_arg $ stats_arg $ trace_arg)
+      $ node_limit_arg $ verify_arg $ dot_arg $ minimize_arg $ aut_arg $ stats_arg $ trace_arg)
 
 (* --- resynth ----------------------------------------------------------------- *)
 
@@ -388,19 +386,26 @@ let gen_cmd =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~doc)
   in
   let build spec =
+    let int field =
+      match int_of_string_opt field with
+      | Some n -> n
+      | None ->
+        failwith
+          (Printf.sprintf "bad circuit spec %s: %S is not an integer" spec
+             field)
+    in
     match String.split_on_char ':' spec with
-    | [ "counter"; n ] -> Circuits.Generators.counter (int_of_string n)
-    | [ "gray"; n ] -> Circuits.Generators.gray_counter (int_of_string n)
-    | [ "shift"; n ] -> Circuits.Generators.shift_register (int_of_string n)
-    | [ "lfsr"; n ] -> Circuits.Generators.lfsr (int_of_string n)
-    | [ "johnson"; n ] -> Circuits.Generators.johnson (int_of_string n)
-    | [ "arbiter"; n ] -> Circuits.Generators.arbiter (int_of_string n)
+    | [ "counter"; n ] -> Circuits.Generators.counter (int n)
+    | [ "gray"; n ] -> Circuits.Generators.gray_counter (int n)
+    | [ "shift"; n ] -> Circuits.Generators.shift_register (int n)
+    | [ "lfsr"; n ] -> Circuits.Generators.lfsr (int n)
+    | [ "johnson"; n ] -> Circuits.Generators.johnson (int n)
+    | [ "arbiter"; n ] -> Circuits.Generators.arbiter (int n)
     | [ "traffic" ] -> Circuits.Generators.traffic_light ()
     | [ "detector"; p ] -> Circuits.Generators.pattern_detector p
     | [ "rnd"; seed; i; o; l; lev ] ->
-      Circuits.Generators.random_logic ~seed:(int_of_string seed)
-        ~inputs:(int_of_string i) ~outputs:(int_of_string o)
-        ~latches:(int_of_string l) ~levels:(int_of_string lev) ()
+      Circuits.Generators.random_logic ~seed:(int seed) ~inputs:(int i)
+        ~outputs:(int o) ~latches:(int l) ~levels:(int lev) ()
     | [ name ] -> (
       match Circuits.Suite.find name with
       | row -> row.Circuits.Suite.net
@@ -470,6 +475,9 @@ let simulate_cmd =
   in
   let run path cycles seed =
     guard @@ fun () ->
+    if cycles < 0 then
+      invalid_arg
+        (Printf.sprintf "--cycles must be at least 0 (got %d)" cycles);
     let net = load path in
     let rng = Random.State.make [| seed |] in
     let ni = N.num_inputs net in

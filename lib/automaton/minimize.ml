@@ -61,12 +61,16 @@ let refine man ~seed succ =
   in
   (class_of, rep, edges)
 
-(* Partition refinement seeded by acceptance, then the quotient with class
-   representatives; shared by DFA minimization and bisimulation
-   reduction. *)
-let refine_quotient (t : A.t) =
+let minimize (t : A.t) =
+  if not (A.is_deterministic t) then
+    invalid_arg "Minimize.minimize: not deterministic";
+  if not (A.is_complete t) then
+    invalid_arg "Minimize.minimize: not complete";
+  let t = Ops.trim t in
   let man = t.A.man in
-  (* the merged guards are unpinned until [A.make] pins them *)
+  (* partition refinement seeded by acceptance, then the quotient with class
+     representatives; the merged guards are unpinned until [A.make] pins
+     them *)
   M.with_frozen man @@ fun () ->
   let seed = Array.map (fun a -> if a then 1 else 0) t.accepting in
   let class_of, rep, edges = refine man ~seed t.edges in
@@ -74,12 +78,3 @@ let refine_quotient (t : A.t) =
   let names = Array.map (A.state_name t) rep in
   A.make man ~alphabet:t.alphabet ~initial:class_of.(t.initial) ~accepting
     ~edges ~names ()
-
-let minimize (t : A.t) =
-  if not (A.is_deterministic t) then
-    invalid_arg "Minimize.minimize: not deterministic";
-  if not (A.is_complete t) then
-    invalid_arg "Minimize.minimize: not complete";
-  refine_quotient (Ops.trim t)
-
-let bisimulation_quotient (t : A.t) = refine_quotient (Ops.trim t)

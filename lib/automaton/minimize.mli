@@ -4,13 +4,6 @@
 
 val minimize : Automaton.t -> Automaton.t
 
-val bisimulation_quotient : Automaton.t -> Automaton.t
-(** The coarsest-bisimulation quotient. Unlike {!minimize}, this works on
-    nondeterministic and incomplete automata; bisimilarity implies language
-    equality, so the quotient is always language-preserving (though not
-    necessarily minimal for nondeterministic languages). Useful to shrink an
-    automaton before an expensive subset construction. *)
-
 val refine :
   Bdd.Manager.t ->
   seed:int array ->

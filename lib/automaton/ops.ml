@@ -167,7 +167,7 @@ let determinize (t : A.t) =
   List.iter (fun (k, g, d) -> edges.(k) <- (g, d) :: edges.(k)) !edges_acc;
   A.pin { t with initial; accepting; edges; names }
 
-let product_with ~accept (a : A.t) (b : A.t) =
+let product (a : A.t) (b : A.t) =
   if a.man != b.man then invalid_arg "Ops.product: distinct managers";
   let man = a.man in
   M.with_frozen man @@ fun () ->
@@ -205,7 +205,7 @@ let product_with ~accept (a : A.t) (b : A.t) =
   let n = !count in
   let pairs = Array.of_list (List.rev !rev_pairs) in
   let accepting =
-    Array.map (fun (sa, sb) -> accept a.accepting.(sa) b.accepting.(sb)) pairs
+    Array.map (fun (sa, sb) -> a.accepting.(sa) && b.accepting.(sb)) pairs
   in
   let names =
     Array.map (fun (sa, sb) -> a.names.(sa) ^ "|" ^ b.names.(sb)) pairs
@@ -213,21 +213,6 @@ let product_with ~accept (a : A.t) (b : A.t) =
   let edges = Array.make n [] in
   List.iter (fun (k, g, d) -> edges.(k) <- (g, d) :: edges.(k)) !edges_acc;
   A.pin { A.man; alphabet; initial; accepting; edges; names }
-
-let product = product_with ~accept:( && )
-
-(* Boolean language combinations need totality: determinize and complete
-   both operands over the common alphabet first. *)
-let boolean_combination op (a : A.t) (b : A.t) =
-  let alphabet = List.sort_uniq compare (a.A.alphabet @ b.A.alphabet) in
-  let expand t = { t with A.alphabet } in
-  let norm t = complete (determinize (expand t)) in
-  trim (product_with ~accept:op (norm a) (norm b))
-
-let union a b = boolean_combination ( || ) a b
-let intersection a b = boolean_combination ( && ) a b
-let difference a b = boolean_combination (fun x y -> x && not y) a b
-let symmetric_difference a b = boolean_combination ( <> ) a b
 
 let hide (t : A.t) vars =
   M.with_frozen t.man @@ fun () ->

@@ -24,22 +24,6 @@ val product : Automaton.t -> Automaton.t -> Automaton.t
 (** Synchronous product over the union of the alphabets; accepting iff both
     components accept. Both automata must share one BDD manager. *)
 
-val union : Automaton.t -> Automaton.t -> Automaton.t
-(** Language union over the common (united) alphabet. Both operands are
-    determinized and completed internally, so the result is deterministic
-    and complete. *)
-
-val intersection : Automaton.t -> Automaton.t -> Automaton.t
-(** Language intersection; unlike {!product} the result is complete (the
-    operands are completed first). *)
-
-val difference : Automaton.t -> Automaton.t -> Automaton.t
-(** [difference a b] accepts [L(a) \ L(b)]. *)
-
-val symmetric_difference : Automaton.t -> Automaton.t -> Automaton.t
-(** Accepts exactly the words on which [a] and [b] disagree; its emptiness
-    is language equivalence. *)
-
 val hide : Automaton.t -> int list -> Automaton.t
 (** Existentially quantify the listed variables out of every guard and drop
     them from the alphabet (the paper's restriction ⇓; typically introduces

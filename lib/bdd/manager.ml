@@ -367,14 +367,12 @@ let with_frozen m f =
   Fun.protect ~finally:(fun () -> m.frozen <- m.frozen - 1) f
 
 let set_auto_gc m b = m.auto_gc <- b
-let auto_gc m = m.auto_gc
 
 let set_gc_threshold m r =
   if not (r >= 0.0 && r <= 1.0) then
     invalid_arg "Manager.set_gc_threshold: ratio outside [0,1]";
   m.gc_threshold <- r
 
-let gc_threshold m = m.gc_threshold
 let gc_runs m = m.gc_runs
 let gc_nodes_swept m = m.gc_swept_total
 

@@ -242,14 +242,10 @@ val set_auto_gc : t -> bool -> unit
     see the module docs on why collection is opt-in). Explicit
     {!collect} works either way. *)
 
-val auto_gc : t -> bool
-
 val set_gc_threshold : t -> float -> unit
 (** Estimated dead ratio (in [0,1]) that a full store must reach before
     {!mk} collects rather than grows. Default 0.25. Raises
     [Invalid_argument] outside [0,1]. *)
-
-val gc_threshold : t -> float
 
 val gc_runs : t -> int
 (** Collections performed over the manager's lifetime. *)

@@ -6,8 +6,5 @@ val pp : Manager.t -> Format.formatter -> int -> unit
 
 val to_string : Manager.t -> int -> string
 
-val pp_cube : Manager.t -> Format.formatter -> Cube.literal list -> unit
-(** Print one cube as a product of literals, e.g. [i & !cs1]. *)
-
 val to_dot : Manager.t -> ?name:string -> int list -> string
 (** DOT graph of (the shared structure of) a list of roots. *)

@@ -12,21 +12,18 @@ val migrate :
     destination variable [var_map v] (which must exist in [dst]). Works for
     any permutation. *)
 
-val force_order :
-  Manager.t -> ?hyperedges:int list list -> int list -> int list
-(** A FORCE-style ordering heuristic: iteratively place each variable at the
-    centre of gravity of the hyperedges containing it. The hyperedges
-    default to the supports of the given roots, but callers with structural
-    knowledge (e.g. the per-part supports of a partitioned relation) should
-    pass them explicitly — a single conjoined function carries no locality
-    information. Returns all the manager's variables, best order first. *)
-
 val reorder :
   Manager.t ->
   ?hyperedges:int list list ->
   int list ->
   Manager.t * int list * (int -> int)
-(** [reorder man roots] creates a fresh manager ordered by {!force_order},
-    migrates the roots, and returns [(new_manager, new_roots, var_map)].
-    Variable names are preserved. *)
+(** [reorder man roots] creates a fresh manager ordered by a FORCE-style
+    heuristic, migrates the roots, and returns
+    [(new_manager, new_roots, var_map)]. Variable names are preserved.
+
+    FORCE iteratively places each variable at the centre of gravity of the
+    hyperedges containing it. The hyperedges default to the supports of the
+    given roots, but callers with structural knowledge (e.g. the per-part
+    supports of a partitioned relation) should pass them explicitly — a
+    single conjoined function carries no locality information. *)
 

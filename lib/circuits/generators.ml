@@ -1,8 +1,15 @@
 module N = Network.Netlist
 module E = Network.Expr
 
+(* generator parameters arrive from the command line: reject an
+   out-of-range one with a message that names the family and its bound *)
+let at_least family what lo n =
+  if n < lo then
+    invalid_arg
+      (Printf.sprintf "%s: %s must be at least %d (got %d)" family what lo n)
+
 let counter n =
-  assert (n > 0);
+  at_least "counter" "width" 1 n;
   let b = N.create (Printf.sprintf "counter%d" n) in
   let en = N.add_input b "en" in
   let latches =
@@ -34,7 +41,7 @@ let counter n =
   N.freeze b
 
 let gray_counter n =
-  assert (n > 0);
+  at_least "gray" "width" 1 n;
   let b = N.create (Printf.sprintf "gray%d" n) in
   let en = N.add_input b "en" in
   let latches =
@@ -72,7 +79,7 @@ let gray_counter n =
   N.freeze b
 
 let shift_register n =
-  assert (n > 0);
+  at_least "shift" "length" 1 n;
   let b = N.create (Printf.sprintf "shift%d" n) in
   let sin = N.add_input b "sin" in
   let latches =
@@ -94,7 +101,14 @@ let shift_register n =
 
 let pattern_detector pattern =
   let n = String.length pattern in
-  assert (n > 0);
+  at_least "detector" "pattern length" 1 n;
+  String.iter
+    (fun c ->
+      if c <> '0' && c <> '1' then
+        invalid_arg
+          (Printf.sprintf "detector: pattern %S has a character other than 0/1"
+             pattern))
+    pattern;
   let b = N.create (Printf.sprintf "detect_%s" pattern) in
   let sin = N.add_input b "sin" in
   let latches =
@@ -114,10 +128,9 @@ let pattern_detector pattern =
   N.add_output b "hit" hit;
   N.freeze b
 
-let lfsr ?taps n =
-  assert (n > 1);
-  let taps = match taps with Some t -> t | None -> [ n - 1; n - 2 ] in
-  assert (List.for_all (fun t -> t >= 0 && t < n) taps);
+let lfsr n =
+  at_least "lfsr" "width" 2 n;
+  let taps = [ n - 1; n - 2 ] in
   let b = N.create (Printf.sprintf "lfsr%d" n) in
   let en = N.add_input b "en" in
   let latches =
@@ -150,7 +163,7 @@ let lfsr ?taps n =
   N.freeze b
 
 let johnson n =
-  assert (n > 0);
+  at_least "johnson" "length" 1 n;
   let b = N.create (Printf.sprintf "johnson%d" n) in
   let en = N.add_input b "en" in
   let latches =
@@ -212,7 +225,7 @@ let traffic_light () =
   N.freeze b
 
 let arbiter n =
-  assert (n > 1);
+  at_least "arbiter" "request count" 2 n;
   let b = N.create (Printf.sprintf "arbiter%d" n) in
   let reqs = List.init n (fun k -> N.add_input b (Printf.sprintf "req%d" k)) in
   let tokens =
@@ -247,28 +260,6 @@ let arbiter n =
       N.set_latch_input b tok next)
     tokens;
   List.iteri (fun k g -> N.add_output b (Printf.sprintf "gnt%d" k) g) grants;
-  N.freeze b
-
-let serial_adder () =
-  let b = N.create "serial_adder" in
-  let a = N.add_input b "a" in
-  let bb = N.add_input b "b" in
-  let carry = N.add_latch b ~name:"carry" ~init:false () in
-  let fanins = [| a; bb; carry |] in
-  let sum =
-    N.add_node b ~name:"sum"
-      (E.Xor (E.Xor (E.Var 0, E.Var 1), E.Var 2))
-      fanins
-  in
-  let cout =
-    N.add_node b ~name:"cout"
-      (E.Or
-         ( E.And (E.Var 0, E.Var 1),
-           E.And (E.Var 2, E.Or (E.Var 0, E.Var 1)) ))
-      fanins
-  in
-  N.set_latch_input b carry cout;
-  N.add_output b "sum" sum;
   N.freeze b
 
 (* credit counted in nickels, saturating at 3 (= 15 cents) *)
@@ -319,125 +310,11 @@ let vending () =
   N.add_output b "maxed" maxed;
   N.freeze b
 
-let elevator floors =
-  assert (floors >= 2 && floors <= 4);
-  let b = N.create (Printf.sprintf "elevator%d" floors) in
-  let up = N.add_input b "up" in
-  let down = N.add_input b "down" in
-  let pos =
-    List.init floors (fun k ->
-        N.add_latch b ~name:(Printf.sprintf "fl%d" k) ~init:(k = 0) ())
-  in
-  let arr = Array.of_list pos in
-  let fanins = Array.append [| up; down |] arr in
-  let v_up = E.Var 0 and v_down = E.Var 1 in
-  let v_fl k = E.Var (2 + k) in
-  List.iteri
-    (fun k latch ->
-      (* reach floor k from below (up), from above (down), or stay *)
-      let from_below =
-        if k = 0 then E.Const false
-        else E.And (v_up, E.And (E.Not v_down, v_fl (k - 1)))
-      in
-      let from_above =
-        if k = floors - 1 then E.Const false
-        else E.And (v_down, E.And (E.Not v_up, v_fl (k + 1)))
-      in
-      let moving_away =
-        E.Or
-          ( (if k = floors - 1 then E.Const false
-             else E.And (v_up, E.Not v_down)),
-            if k = 0 then E.Const false else E.And (v_down, E.Not v_up) )
-      in
-      let stay = E.And (v_fl k, E.Not moving_away) in
-      let next = E.Or (from_below, E.Or (from_above, stay)) in
-      N.set_latch_input b latch
-        (N.add_node b ~name:(Printf.sprintf "nx%d" k) next fanins))
-    pos;
-  N.add_output b "at_bottom" arr.(0);
-  N.add_output b "at_top" arr.(floors - 1);
-  N.freeze b
-
-let fifo_ctrl bits =
-  assert (bits >= 1 && bits <= 4);
-  let b = N.create (Printf.sprintf "fifo%d" bits) in
-  let push = N.add_input b "push" in
-  let pop = N.add_input b "pop" in
-  let mk_reg prefix n =
-    List.init n (fun k ->
-        N.add_latch b ~name:(Printf.sprintf "%s%d" prefix k) ~init:false ())
-  in
-  let wr = mk_reg "wr" bits in
-  let rd = mk_reg "rd" bits in
-  let cnt = mk_reg "cnt" (bits + 1) in
-  let all = Array.of_list (push :: pop :: (wr @ rd @ cnt)) in
-  let v k = E.Var k in
-  let v_push = v 0 and v_pop = v 1 in
-  let wr_off = 2 and rd_off = 2 + bits and cnt_off = 2 + (2 * bits) in
-  (* count semantics *)
-  let full =
-    (* cnt = 2^bits: the top bit of the (bits+1)-wide counter *)
-    v (cnt_off + bits)
-  in
-  let empty =
-    E.conj (List.init (bits + 1) (fun k -> E.Not (v (cnt_off + k))))
-  in
-  let do_push = E.And (v_push, E.Not full) in
-  let do_pop = E.And (v_pop, E.Not empty) in
-  (* pointer increment: ripple through lower bits *)
-  let incremented off k enable =
-    let lower = List.init k (fun j -> v (off + j)) in
-    E.Ite (E.And (enable, E.conj lower), E.Not (v (off + k)), v (off + k))
-  in
-  List.iteri
-    (fun k latch ->
-      N.set_latch_input b latch
-        (N.add_node b
-           ~name:(Printf.sprintf "nwr%d" k)
-           (incremented wr_off k do_push)
-           all))
-    wr;
-  List.iteri
-    (fun k latch ->
-      N.set_latch_input b latch
-        (N.add_node b
-           ~name:(Printf.sprintf "nrd%d" k)
-           (incremented rd_off k do_pop)
-           all))
-    rd;
-  (* count: +1 on push-only, -1 on pop-only *)
-  let inc_only = E.And (do_push, E.Not do_pop) in
-  let dec_only = E.And (do_pop, E.Not do_push) in
-  List.iteri
-    (fun k latch ->
-      let lower_ones = E.conj (List.init k (fun j -> v (cnt_off + j))) in
-      let lower_zeros =
-        E.conj (List.init k (fun j -> E.Not (v (cnt_off + j))))
-      in
-      let next =
-        E.Ite
-          ( inc_only,
-            E.Xor (v (cnt_off + k), lower_ones),
-            E.Ite
-              ( dec_only,
-                E.Xor (v (cnt_off + k), lower_zeros),
-                v (cnt_off + k) ) )
-      in
-      N.set_latch_input b latch
-        (N.add_node b ~name:(Printf.sprintf "ncnt%d" k) next all))
-    cnt;
-  let full_o = N.add_node b ~name:"full" (E.Var 0) [| List.nth cnt bits |] in
-  N.add_output b "full" full_o;
-  let empty_o =
-    N.add_node b ~name:"empty"
-      (E.conj (List.init (bits + 1) (fun k -> E.Not (E.Var k))))
-      (Array.of_list cnt)
-  in
-  N.add_output b "empty" empty_o;
-  N.freeze b
-
 let random_logic ?(seed = 1) ~inputs ~outputs ~latches ~levels () =
-  assert (inputs > 0 && outputs > 0 && latches > 0 && levels > 0);
+  at_least "rnd" "inputs" 1 inputs;
+  at_least "rnd" "outputs" 1 outputs;
+  at_least "rnd" "latches" 1 latches;
+  at_least "rnd" "levels" 1 levels;
   let rng = Random.State.make [| seed; inputs; outputs; latches; levels |] in
   let b =
     N.create (Printf.sprintf "rnd_i%d_o%d_l%d_s%d" inputs outputs latches seed)

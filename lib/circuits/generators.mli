@@ -1,7 +1,12 @@
 (** Parameterized sequential circuit families. These stand in for the
     ISCAS'89 benchmarks used by the paper (see DESIGN.md, substitution 2):
     each family produces a multi-level network with latches whose splitting
-    yields language-equation instances of controllable difficulty. *)
+    yields language-equation instances of controllable difficulty.
+
+    A size out of a family's range ([counter 0], [lfsr 1], [arbiter 1], a
+    [random_logic] count below 1) or a detector pattern that is empty or
+    has a character other than ['0']/['1'] raises [Invalid_argument] with
+    a message naming the family and its bound. *)
 
 val counter : int -> Network.Netlist.t
 (** [counter n]: n-bit binary up-counter with an enable input; outputs the
@@ -18,9 +23,9 @@ val pattern_detector : string -> Network.Netlist.t
     latches and raises its output when the window equals the pattern
     (a string of ['0']/['1']). *)
 
-val lfsr : ?taps:int list -> int -> Network.Netlist.t
-(** Fibonacci LFSR with an enable input and the last stage as output.
-    Default taps: the two final stages. Latch 0 initializes to 1 so the
+val lfsr : int -> Network.Netlist.t
+(** Fibonacci LFSR with an enable input and the last stage as output,
+    tapping the two final stages. Latch 0 initializes to 1 so the
     register leaves the all-zero state. *)
 
 val johnson : int -> Network.Netlist.t
@@ -35,23 +40,10 @@ val arbiter : int -> Network.Netlist.t
 (** Round-robin token arbiter: [n] request inputs, [n] grant outputs, [n]
     one-hot token latches; the token advances when its holder is idle. *)
 
-val serial_adder : unit -> Network.Netlist.t
-(** Bit-serial adder: inputs [a], [b] (LSB first), one carry latch, output
-    the sum bit. *)
-
 val vending : unit -> Network.Netlist.t
 (** A 15-cent vending machine: inputs [nickel]/[dime], 2 state latches
     counting the credit in nickels (saturating at 15), outputs [dispense]
     (credit reached) and [maxed] (credit at the saturation point). *)
-
-val elevator : int -> Network.Netlist.t
-(** [elevator floors] (2..4): one-hot floor register, inputs [up]/[down],
-    outputs [at_bottom]/[at_top]. *)
-
-val fifo_ctrl : int -> Network.Netlist.t
-(** FIFO controller with [2^bits] slots: read/write pointers and a count
-    register ([3*bits] latches in total), inputs [push]/[pop], outputs
-    [full]/[empty]. Pushes when full and pops when empty are ignored. *)
 
 val random_logic :
   ?seed:int ->

@@ -2,7 +2,7 @@ module M = Bdd.Manager
 module O = Bdd.Ops
 module A = Fsa.Automaton
 
-type heuristic = First | Prefer_self_loops | Prefer of int
+type heuristic = First | Prefer_self_loops
 
 (* Moore extraction is a safety game: a CSF state is *viable* when some
    output v̂ exists such that, for every input u, the (unique) transition
@@ -62,9 +62,6 @@ let moore_sub_solution ?(heuristic = First) (p : Problem.t) (csf : A.t) =
         let pool =
           match heuristic with
           | First -> v_ok
-          | Prefer set ->
-            let inter = O.band man v_ok set in
-            if inter <> M.zero then inter else v_ok
           | Prefer_self_loops ->
             let self =
               O.disj man
@@ -127,9 +124,9 @@ let moore_sub_solution ?(heuristic = First) (p : Problem.t) (csf : A.t) =
     end
   end
 
-let resynthesize ?heuristic ?(minimize = true) p csf =
+let resynthesize ?heuristic p csf =
   match moore_sub_solution ?heuristic p csf with
   | None -> None
   | Some m ->
-    let m = if minimize then Machine.minimize m else m in
+    let m = Machine.minimize m in
     Some (Machine.to_netlist m, m)

@@ -13,14 +13,11 @@
 
     - [First]: any admissible output (the BDD's first minterm);
     - [Prefer_self_loops]: prefer an output whose transitions maximize
-      self-loops (tends to reduce the synthesized next-state logic);
-    - [Prefer of cube]: prefer outputs inside a given set (e.g. to bias
-      toward the original latch bank's encoding). *)
+      self-loops (tends to reduce the synthesized next-state logic). *)
 
 type heuristic =
   | First
   | Prefer_self_loops
-  | Prefer of int
 
 val moore_sub_solution :
   ?heuristic:heuristic ->
@@ -37,11 +34,10 @@ val moore_sub_solution :
 
 val resynthesize :
   ?heuristic:heuristic ->
-  ?minimize:bool ->
   Problem.t ->
   Fsa.Automaton.t ->
   (Network.Netlist.t * Machine.t) option
-(** Extract, Moore-minimize (default on), and synthesize as a circuit
+(** Extract, Moore-minimize, and synthesize as a circuit
     (binary state encoding). The netlist's inputs/outputs carry the
     problem's [u]/[v] names, so it drops into the hole left by
     {!Split.split}. *)

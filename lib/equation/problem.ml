@@ -148,7 +148,6 @@ let state_vars t = t.f_sym.S.state_vars @ t.s_sym.S.state_vars
 let next_state_vars t = t.f_sym.S.next_state_vars @ t.s_sym.S.next_state_vars
 
 let ns_to_cs t = S.ns_to_cs t.f_sym @ S.ns_to_cs t.s_sym
-let cs_to_ns t = S.cs_to_ns t.f_sym @ S.cs_to_ns t.s_sym
 
 (* The relation-part builders accumulate unpinned part ids in plain lists
    while still allocating, so they run frozen; the finished parts are the

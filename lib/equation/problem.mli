@@ -60,7 +60,6 @@ val state_vars : t -> int list
 val next_state_vars : t -> int list
 
 val ns_to_cs : t -> (int * int) list
-val cs_to_ns : t -> (int * int) list
 
 val conformance_parts : t -> int list
 (** Per-output conformance [c_j(i,v,cs) = O^F_j ↔ O^S_j]; their conjunction

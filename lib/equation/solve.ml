@@ -84,15 +84,13 @@ let rung_kernel = function
   | Given -> Partitioned.kernel_label given
   | Mono -> "monolithic-relation"
 
-let ladder ~gc = function
+let ladder = function
   | Monolithic -> [ Mono ]
   | Partitioned ->
-    (* collecting is much cheaper than the reorder rebuild: try it first
-       when the manager runs with GC enabled *)
-    (First :: (if gc then [ Gc_retry ] else [])) @ [ Reorder_retry; Given ]
+    (* collecting is much cheaper than the reorder rebuild: try it first *)
+    [ First; Gc_retry; Reorder_retry; Given ]
 
-let solve_split ?node_limit ?time_limit ?fault ?(gc = true) ~method_ net
-    ~x_latches =
+let solve_split ?node_limit ?time_limit ?fault ~method_ net ~x_latches =
   (match node_limit with
    | Some n when n < 1 ->
      invalid_arg (Printf.sprintf "node limit must be at least 1 (got %d)" n)
@@ -116,7 +114,7 @@ let solve_split ?node_limit ?time_limit ?fault ?(gc = true) ~method_ net
   let last = ref None in
   let fresh () =
     let man = M.create () in
-    M.set_auto_gc man gc;
+    M.set_auto_gc man true;
     current_man := Some man;
     Runtime.attach rt man;
     Runtime.enter_phase rt Runtime.Build;
@@ -157,7 +155,7 @@ let solve_split ?node_limit ?time_limit ?fault ?(gc = true) ~method_ net
         Runtime.detach rt prev.Problem.man;
         M.clear_caches prev.Problem.man;
         let p = Problem.reorder prev in
-        M.set_auto_gc p.Problem.man gc;
+        M.set_auto_gc p.Problem.man true;
         last := Some (sp, p);
         current_man := Some p.Problem.man;
         Runtime.attach rt p.Problem.man;
@@ -174,7 +172,7 @@ let solve_split ?node_limit ?time_limit ?fault ?(gc = true) ~method_ net
     (* phase boundary: the subset construction released its roots, so
        everything but the arena's guards and the problem's own functions
        is dead — reclaim it before the CSF phase *)
-    if gc then ignore (M.collect p.Problem.man : int);
+    ignore (M.collect p.Problem.man : int);
     let csf, csf_deletions = Csf.of_arena ~runtime:rt p arena in
     (sp, p, csf, csf_deletions, subset_states)
   in
@@ -273,7 +271,7 @@ let solve_split ?node_limit ?time_limit ?fault ?(gc = true) ~method_ net
         record rung t0 "time limit exceeded";
         cnc "time limit exceeded")
   in
-  Obs.Span.with_ "solve" (fun () -> descend (ladder ~gc method_))
+  Obs.Span.with_ "solve" (fun () -> descend (ladder method_))
 
 let verify ?runtime r =
   ( Verify.particular_contained ?runtime r.problem r.split r.csf,

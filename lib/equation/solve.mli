@@ -10,8 +10,7 @@
     + ["partitioned/greedy"]: greedy early quantification over the
       affinity-clustered partition, in a fresh manager;
     + ["gc-retry"]: collect garbage on the failed attempt's manager
-      ({!Bdd.Manager.collect}) and retry in place — the cheapest rung,
-      skipped when [gc:false];
+      ({!Bdd.Manager.collect}) and retry in place — the cheapest rung;
     + ["reorder-retry"]: clear the operation caches, migrate the instance
       to a FORCE-reordered fresh manager ({!Problem.reorder}) and retry;
     + ["partitioned/given"]: rebuild from scratch and run the unclustered
@@ -118,7 +117,6 @@ val solve_split :
   ?node_limit:int ->
   ?time_limit:float ->
   ?fault:Runtime.Fault.t ->
-  ?gc:bool ->
   method_:method_ ->
   Network.Netlist.t ->
   x_latches:string list ->
@@ -130,11 +128,9 @@ val solve_split :
     above {!Bdd.Manager.max_nodes}, or when [time_limit] is not a
     positive number (NaN included). [fault] injects a
     deterministic fault for testing; the library reads no environment
-    variable, so without [fault] no fault is injected. [gc]
-    (default [true]) enables mark-and-sweep collection on every manager the
-    solve creates, an explicit collection between the subset-construction
-    and CSF phases, and the gc-retry rung of the ladder; [gc:false] restores
-    the grow-only allocation behaviour. *)
+    variable, so without [fault] no fault is injected. Every manager the
+    solve creates collects garbage automatically, and the solve collects
+    once more between the subset-construction and CSF phases. *)
 
 val verify : ?runtime:Runtime.t -> report -> bool * bool
 (** [(particular_contained, composition_equals_spec)] for a completed run.

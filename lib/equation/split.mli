@@ -20,10 +20,9 @@ type t = {
 }
 
 val split : Network.Netlist.t -> x_latches:string list -> t
-(** Raises [Invalid_argument] when a named latch does not exist or when all
-    latches would be split away (F must stay a sequential network is not
-    required — an F with zero latches is fine — but splitting zero latches
-    is rejected as meaningless). *)
+(** Raises [Invalid_argument] when a named latch does not exist or when
+    [x_latches] is empty (splitting zero latches is meaningless). Splitting
+    every latch is allowed: F is then combinational. *)
 
 val problem :
   ?man:Bdd.Manager.t ->

@@ -12,36 +12,6 @@ type t = {
   init_cube : int;
 }
 
-let allocate man ?(interleave = true) (net : Netlist.t) =
-  let input_vars =
-    List.map (fun id -> M.new_var ~name:(Netlist.net_name net id) man) net.inputs
-  in
-  if interleave then begin
-    let pairs =
-      List.map
-        (fun id ->
-          let name = Netlist.net_name net id in
-          let cs = M.new_var ~name man in
-          let ns = M.new_var ~name:(name ^ "'") man in
-          (cs, ns))
-        net.latches
-    in
-    (input_vars, List.map fst pairs, List.map snd pairs)
-  end
-  else begin
-    let cs =
-      List.map
-        (fun id -> M.new_var ~name:(Netlist.net_name net id) man)
-        net.latches
-    in
-    let ns =
-      List.map
-        (fun id -> M.new_var ~name:(Netlist.net_name net id ^ "'") man)
-        net.latches
-    in
-    (input_vars, cs, ns)
-  end
-
 let build man ~input_vars ~state_vars ~next_state_vars (net : Netlist.t) =
   if List.length input_vars <> List.length net.inputs then
     invalid_arg "Symbolic.build: input variable count mismatch";
@@ -88,13 +58,24 @@ let build man ~input_vars ~state_vars ~next_state_vars (net : Netlist.t) =
   { man; net; input_vars; state_vars; next_state_vars; next_fns; output_fns;
     init_cube }
 
-let of_netlist man ?interleave net =
-  let input_vars, state_vars, next_state_vars = allocate man ?interleave net in
-  build man ~input_vars ~state_vars ~next_state_vars net
+let of_netlist man (net : Netlist.t) =
+  let input_vars =
+    List.map (fun id -> M.new_var ~name:(Netlist.net_name net id) man) net.inputs
+  in
+  let pairs =
+    List.map
+      (fun id ->
+        let name = Netlist.net_name net id in
+        let cs = M.new_var ~name man in
+        let ns = M.new_var ~name:(name ^ "'") man in
+        (cs, ns))
+      net.latches
+  in
+  build man ~input_vars ~state_vars:(List.map fst pairs)
+    ~next_state_vars:(List.map snd pairs) net
 
 let output_fn t name = List.assoc name t.output_fns
 
 let transition_parts t = List.combine t.next_state_vars t.next_fns
 
-let cs_to_ns t = List.combine t.state_vars t.next_state_vars
 let ns_to_cs t = List.combine t.next_state_vars t.state_vars

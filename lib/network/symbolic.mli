@@ -14,14 +14,6 @@ type t = {
   init_cube : int;            (** characteristic cube of the initial state *)
 }
 
-val allocate :
-  Bdd.Manager.t -> ?interleave:bool -> Netlist.t -> int list * int list * int list
-(** [allocate man net] creates fresh BDD variables for a network and returns
-    [(input_vars, state_vars, next_state_vars)]. With [interleave] (default
-    [true]) each latch's [cs] and [ns] variables are adjacent in the order —
-    the standard good order for image computation; otherwise all [cs]
-    variables precede all [ns] variables. Input variables come first. *)
-
 val build :
   Bdd.Manager.t ->
   input_vars:int list ->
@@ -33,8 +25,10 @@ val build :
     equation solver shares one manager across [F] and [S], so it controls
     the global order). Lengths must match the network's PI/latch counts. *)
 
-val of_netlist : Bdd.Manager.t -> ?interleave:bool -> Netlist.t -> t
-(** [allocate] + [build]. *)
+val of_netlist : Bdd.Manager.t -> Netlist.t -> t
+(** [build] over fresh variables: the inputs' first, then each latch's
+    [cs] and [ns] variables adjacent in the order — the standard good order
+    for image computation. *)
 
 val output_fn : t -> string -> int
 (** The BDD of one named primary output. Raises [Not_found]. *)
@@ -42,8 +36,5 @@ val output_fn : t -> string -> int
 val transition_parts : t -> (int * int) list
 (** [(ns_var, T_k)] pairs: the partition [{T_k(i,cs,ns_k) = ns_k ↔ T_k}]
     is formed by the caller when relations (not functions) are needed. *)
-
-val cs_to_ns : t -> (int * int) list
-(** Renaming pairs [cs -> ns]. *)
 
 val ns_to_cs : t -> (int * int) list

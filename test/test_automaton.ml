@@ -263,7 +263,15 @@ let test_minimize () =
   Alcotest.(check int) "two classes" 2 (A.num_states m);
   Alcotest.(check bool) "language preserved" true (L.equivalent t m);
   Alcotest.(check int) "idempotent" 2
-    (A.num_states (Fsa.Minimize.minimize m))
+    (A.num_states (Fsa.Minimize.minimize m));
+  let nondet =
+    A.make man ~alphabet:[ a ] ~initial:0 ~accepting:[| false; true |]
+      ~edges:[| [ (va, 0); (va, 1) ]; [] |]
+      ()
+  in
+  Alcotest.check_raises "minimize rejects nondet"
+    (Invalid_argument "Minimize.minimize: not deterministic") (fun () ->
+      ignore (Fsa.Minimize.minimize nondet : A.t))
 
 (* --- language queries ------------------------------------------------------ *)
 
@@ -353,49 +361,6 @@ let test_change_support_noop () =
   let t = even_a man a in
   let same = Ops.change_support t [ a ] in
   Alcotest.(check bool) "identity support change" true (L.equivalent t same)
-
-let test_bisimulation_quotient () =
-  let man, a, _ = setup () in
-  let va = O.var_bdd man a in
-  (* two copies of the same nondeterministic structure glued at the root *)
-  let t =
-    A.make man ~alphabet:[ a ] ~initial:0
-      ~accepting:[| false; false; false; true; true |]
-      ~edges:
-        [| [ (va, 1); (va, 2) ];
-           [ (M.one, 3) ];
-           [ (M.one, 4) ];
-           [];
-           [] |]
-      ()
-  in
-  let q = Fsa.Minimize.bisimulation_quotient t in
-  Alcotest.(check bool) "language preserved" true (L.equivalent t q);
-  Alcotest.(check bool) "states reduced" true (A.num_states q < A.num_states t);
-  (* works where minimize refuses *)
-  Alcotest.check_raises "minimize rejects nondet"
-    (Invalid_argument "Minimize.minimize: not deterministic") (fun () ->
-      ignore (Fsa.Minimize.minimize t : A.t))
-
-let test_boolean_ops () =
-  let man, a, _ = setup () in
-  let even = even_a man a in
-  let odd = Ops.complement even in
-  let everything = Ops.union even odd in
-  Alcotest.(check bool) "union is everything" true
-    (L.equivalent everything
-       (A.make man ~alphabet:even.A.alphabet ~initial:0
-          ~accepting:[| true |]
-          ~edges:[| [ (M.one, 0) ] |]
-          ()));
-  Alcotest.(check bool) "intersection empty" true
-    (A.is_empty_language (Ops.intersection even odd));
-  Alcotest.(check bool) "difference = even" true
-    (L.equivalent (Ops.difference everything odd) even);
-  Alcotest.(check bool) "symmetric difference of equals empty" true
-    (A.is_empty_language (Ops.symmetric_difference even even));
-  Alcotest.(check bool) "symmetric difference detects difference" false
-    (A.is_empty_language (Ops.symmetric_difference even odd))
 
 let test_aut_roundtrip () =
   let man, a, _ = setup () in
@@ -487,20 +452,6 @@ let build_auto man a b d =
    used to count two, mistake its first split for stability, and stop a
    pass early — quotients computed against the never-rechecked partition
    could change the language. *)
-let test_bisim_uniform_acceptance () =
-  let man, a, b = setup () in
-  let t =
-    build_auto man a b
-      { d_states = 3;
-        d_accepting = [ true; true; true ];
-        d_edges =
-          [ (0, 12, 1); (1, 9, 0); (1, 14, 0); (2, 13, 0); (0, 13, 0);
-            (0, 10, 2) ] }
-  in
-  let q = Fsa.Minimize.bisimulation_quotient t in
-  Alcotest.(check bool) "language preserved" true
-    (words_set t ~max_len:3 = words_set q ~max_len:3)
-
 let prop_theorem1 =
   QCheck.Test.make ~count:150
     ~name:"Theorem 1: Complete(Det(A)) = Det(Complete(A))" auto_arb (fun d ->
@@ -585,14 +536,6 @@ let prop_determinize_idempotent =
       let d2 = Ops.determinize d1 in
       A.is_deterministic d2 && L.equivalent d1 d2)
 
-let prop_union_commutes =
-  QCheck.Test.make ~count:100 ~name:"union commutes, intersection distributes"
-    (QCheck.pair auto_arb auto_arb) (fun (da, db) ->
-      let man, a, b = setup () in
-      let ta = build_auto man a b da and tb = build_auto man a b db in
-      L.equivalent (Ops.union ta tb) (Ops.union tb ta)
-      && L.subset (Ops.intersection ta tb) (Ops.union ta tb))
-
 let prop_counterexample_is_witness =
   QCheck.Test.make ~count:100 ~name:"counterexample words are true witnesses"
     (QCheck.pair auto_arb auto_arb) (fun (da, db) ->
@@ -601,15 +544,6 @@ let prop_counterexample_is_witness =
       match L.counterexample ta tb with
       | None -> L.subset ta tb
       | Some w -> L.accepts ta w && not (L.accepts tb w))
-
-let prop_bisim_preserves_language =
-  QCheck.Test.make ~count:120
-    ~name:"bisimulation quotient preserves the language" auto_arb (fun d ->
-      let man, a, b = setup () in
-      let t = build_auto man a b d in
-      let q = Fsa.Minimize.bisimulation_quotient t in
-      A.num_states q <= A.num_states t
-      && words_set t ~max_len:3 = words_set q ~max_len:3)
 
 let prop_hide_expand_roundtrip =
   QCheck.Test.make ~count:100
@@ -626,8 +560,7 @@ let qcheck_cases =
     [ prop_theorem1; prop_determinize_preserves; prop_complete_preserves;
       prop_complement_involutive; prop_complement_commutes_with_complete;
       prop_minimize_preserves; prop_product_subset;
-      prop_bisim_preserves_language; prop_determinize_idempotent;
-      prop_union_commutes; prop_counterexample_is_witness;
+      prop_determinize_idempotent; prop_counterexample_is_witness;
       prop_hide_expand_roundtrip ]
 
 let () =
@@ -661,11 +594,6 @@ let () =
             test_successors_and_names;
           Alcotest.test_case "empty automaton" `Quick test_empty_automaton;
           Alcotest.test_case "support noop" `Quick test_change_support_noop;
-          Alcotest.test_case "bisimulation quotient" `Quick
-            test_bisimulation_quotient;
-          Alcotest.test_case "bisim uniform acceptance" `Quick
-            test_bisim_uniform_acceptance;
-          Alcotest.test_case "boolean ops" `Quick test_boolean_ops;
           Alcotest.test_case "aut roundtrip" `Quick test_aut_roundtrip;
           Alcotest.test_case "aut errors" `Quick test_aut_errors;
           Alcotest.test_case "pp + dot" `Quick test_pp_and_dot ] );

@@ -82,8 +82,8 @@ let test_pattern_detector () =
   Alcotest.(check bool) "hit after exact pattern" true out.(0)
 
 let test_lfsr_maximal_period () =
-  (* taps (3,2) give a maximal-length 4-bit LFSR: period 15 *)
-  let net = G.lfsr ~taps:[ 3; 2 ] 4 in
+  (* the default taps (3,2) give a maximal-length 4-bit LFSR: period 15 *)
+  let net = G.lfsr 4 in
   Alcotest.(check int) "15 reachable states" 15
     (List.length (N.reachable_states net))
 
@@ -149,28 +149,6 @@ let test_arbiter_no_starvation_when_idle () =
   Alcotest.(check int) "token visited all positions" 4
     (Hashtbl.length positions)
 
-let test_serial_adder () =
-  let net = G.serial_adder () in
-  (* add 13 + 11 = 24 bit-serially over 6 cycles (LSB first) *)
-  let a = [ true; false; true; true; false; false ] in
-  let bb = [ true; true; false; true; false; false ] in
-  let st = ref (N.initial_state net) in
-  let sum_bits =
-    List.map2
-      (fun x y ->
-        let out, st' = N.step net !st [| x; y |] in
-        st := st';
-        out.(0))
-      a bb
-  in
-  let value =
-    List.fold_left
-      (fun acc (k, bit) -> if bit then acc lor (1 lsl k) else acc)
-      0
-      (List.mapi (fun k bit -> (k, bit)) sum_bits)
-  in
-  Alcotest.(check int) "13 + 11 = 24" 24 value
-
 let test_vending () =
   let net = G.vending () in
   let step st n d =
@@ -191,61 +169,34 @@ let test_vending () =
   let out, _ = step st false false in
   Alcotest.(check bool) "5+10 dispenses" true out.(0)
 
-let test_elevator () =
-  let net = G.elevator 3 in
-  Alcotest.(check int) "one-hot states only" 3
-    (List.length (N.reachable_states net));
-  let st = N.initial_state net in
-  let out, st1 = N.step net st [| true; false |] in
-  Alcotest.(check bool) "starts at bottom" true out.(0);
-  let out, st2 = N.step net st1 [| true; false |] in
-  Alcotest.(check bool) "left bottom" false out.(0);
-  let out, _ = N.step net st2 [| true; false |] in
-  Alcotest.(check bool) "reached top" true out.(1);
-  (* up+down together: stay *)
-  let _, st' = N.step net st [| true; true |] in
-  Alcotest.(check bool) "conflicting request holds position" true (st = st')
-
-let test_fifo_ctrl () =
-  let net = G.fifo_ctrl 2 in
-  let st = ref (N.initial_state net) in
-  let step push pop =
-    let out, st' = N.step net !st [| push; pop |] in
-    st := st';
-    out
+let test_out_of_range () =
+  (* every family rejects a size outside its range, and a detector pattern
+     with a character other than 0/1, naming the family in the message *)
+  let rejects what family f =
+    match f () with
+    | _ -> Alcotest.failf "%s accepted" what
+    | exception Invalid_argument msg ->
+      Alcotest.(check bool)
+        (what ^ " names " ^ family)
+        true
+        (String.starts_with ~prefix:(family ^ ": ") msg)
   in
-  let out = step false false in
-  Alcotest.(check bool) "initially empty" true out.(1);
-  Alcotest.(check bool) "not full" false out.(0);
-  (* push 4 times -> full *)
-  for _ = 1 to 4 do ignore (step true false) done;
-  let out = step false false in
-  Alcotest.(check bool) "full after 4 pushes" true out.(0);
-  (* extra push must be ignored: still full, 4 pops drain exactly *)
-  ignore (step true false);
-  for _ = 1 to 4 do ignore (step false true) done;
-  let out = step false false in
-  Alcotest.(check bool) "empty after 4 pops" true out.(1);
-  (* pop when empty is ignored *)
-  ignore (step false true);
-  let out = step false false in
-  Alcotest.(check bool) "still empty" true out.(1)
-
-let test_fifo_count_invariant () =
-  (* symbolic check: reachable states keep count = wr - rd (mod wrap) and
-     count <= capacity *)
-  let net = G.fifo_ctrl 2 in
-  let states = N.reachable_states net in
+  rejects "counter 0" "counter" (fun () -> G.counter 0);
+  rejects "gray 0" "gray" (fun () -> G.gray_counter 0);
+  rejects "shift 0" "shift" (fun () -> G.shift_register 0);
+  rejects "lfsr 1" "lfsr" (fun () -> G.lfsr 1);
+  rejects "johnson 0" "johnson" (fun () -> G.johnson 0);
+  rejects "arbiter 1" "arbiter" (fun () -> G.arbiter 1);
+  rejects "empty pattern" "detector" (fun () -> G.pattern_detector "");
+  rejects "pattern 1x1" "detector" (fun () -> G.pattern_detector "1x1");
+  rejects "rnd with no inputs" "rnd" (fun () ->
+      G.random_logic ~seed:1 ~inputs:0 ~outputs:1 ~latches:1 ~levels:1 ());
+  (* the smallest sizes in range still build *)
   List.iter
-    (fun st ->
-      (* layout: wr0 wr1 rd0 rd1 cnt0 cnt1 cnt2 *)
-      let bit k = if st.(k) then 1 else 0 in
-      let wr = bit 0 + (2 * bit 1) in
-      let rd = bit 2 + (2 * bit 3) in
-      let cnt = bit 4 + (2 * bit 5) + (4 * bit 6) in
-      Alcotest.(check bool) "count bounded" true (cnt <= 4);
-      Alcotest.(check int) "pointer arithmetic" ((rd + cnt) mod 4) wr)
-    states
+    (fun net -> ignore (N.num_latches net : int))
+    [ G.counter 1; G.gray_counter 1; G.shift_register 1; G.lfsr 2;
+      G.johnson 1; G.arbiter 2; G.pattern_detector "0";
+      G.random_logic ~seed:1 ~inputs:1 ~outputs:1 ~latches:1 ~levels:1 () ]
 
 let test_parallel_composition () =
   let a = G.counter 2 and b = G.shift_register 3 in
@@ -343,12 +294,9 @@ let () =
             test_arbiter_invariants;
           Alcotest.test_case "arbiter rotation" `Quick
             test_arbiter_no_starvation_when_idle;
-          Alcotest.test_case "serial adder" `Quick test_serial_adder;
           Alcotest.test_case "vending" `Quick test_vending;
-          Alcotest.test_case "elevator" `Quick test_elevator;
-          Alcotest.test_case "fifo controller" `Quick test_fifo_ctrl;
-          Alcotest.test_case "fifo invariant" `Quick
-            test_fifo_count_invariant ] );
+          Alcotest.test_case "out-of-range parameters" `Quick
+            test_out_of_range ] );
       ( "composition",
         [ Alcotest.test_case "parallel" `Quick test_parallel_composition ] );
       ( "random logic",

@@ -172,24 +172,6 @@ let test_extraction_contained_and_certified () =
           ("self-loops", E.Extract.Prefer_self_loops) ])
     (instances ())
 
-let test_extraction_prefer_bank () =
-  (* biasing the choice toward the latch bank's outputs reproduces a machine
-     whose behaviour is language-equivalent to the bank on counter4 *)
-  let sp, p, csf = csf_of (G.counter 4) [ "c1"; "c2" ] in
-  let man = p.E.Problem.man in
-  (* prefer v = current bank state is not expressible statically, but
-     preferring v = 00 everywhere still must yield a valid machine *)
-  let zero_cube =
-    O.cube_of_literals man
-      (List.map (fun v -> (v, false)) p.E.Problem.v_vars)
-  in
-  (match E.Extract.moore_sub_solution ~heuristic:(E.Extract.Prefer zero_cube) p csf with
-   | None -> Alcotest.fail "expected a machine"
-   | Some m ->
-     Alcotest.(check bool) "certified" true
-       (E.Verify.composition_with_machine p m));
-  ignore sp
-
 let test_extraction_empty_csf () =
   let _, p = E.Split.problem (G.counter 3) ~x_latches:[ "c0" ] in
   let empty =
@@ -287,8 +269,6 @@ let () =
       ( "extraction",
         [ Alcotest.test_case "contained + certified" `Slow
             test_extraction_contained_and_certified;
-          Alcotest.test_case "prefer heuristic" `Quick
-            test_extraction_prefer_bank;
           Alcotest.test_case "empty CSF" `Quick test_extraction_empty_csf;
           Alcotest.test_case "no Moore choice" `Quick
             test_extraction_no_moore_choice ] );

@@ -249,7 +249,7 @@ let test_symbolic_init_cube () =
 
 let test_symbolic_interleave_order () =
   let man = Bdd.Manager.create () in
-  let sym = S.of_netlist man ~interleave:true (Circuits.Generators.counter 2) in
+  let sym = S.of_netlist man (Circuits.Generators.counter 2) in
   List.iter2
     (fun cs ns ->
       Alcotest.(check int) "ns immediately after cs" (cs + 1) ns)

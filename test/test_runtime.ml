@@ -163,11 +163,10 @@ let test_verify_budgeted () =
 
 (* --- the degradation ladder, driven by injected faults ----------------------- *)
 
-(* Tests of the reorder and alternative rungs pin [gc:false]: with
-   collection enabled the cheaper gc-retry rung would recover first (its
-   own tests are below). *)
-let solve_c3 ?gc fault =
-  E.Solve.solve_split ?gc
+(* Each rung is reached by a fault's firing count: a fault that fires [n]
+   times fails the first [n] rungs. *)
+let solve_c3 fault =
+  E.Solve.solve_split
     ~fault:(Result.get_ok (F.of_string fault))
     ~method_:E.Solve.default_partitioned (G.counter 3)
     ~x_latches:[ "c1"; "c2" ]
@@ -213,7 +212,7 @@ let test_ladder_shape () =
   (* a fault that outlasts every rung walks the whole fixed ladder, with
      each rung's kernel tag *)
   let _, progress = cnc_of (solve_c3 "mk:40:4") in
-  Alcotest.(check (list string)) "labels with GC"
+  Alcotest.(check (list string)) "labels"
     [ "partitioned/greedy"; "gc-retry"; "reorder-retry"; "partitioned/given" ]
     (labels progress.E.Solve.attempts);
   Alcotest.(check (list string)) "kernels"
@@ -223,11 +222,7 @@ let test_ladder_shape () =
        progress.E.Solve.attempts);
   (* an injected fault leaves the manager no failure record: no skips *)
   Alcotest.(check int) "nothing skipped" 0
-    (List.length progress.E.Solve.skipped);
-  let _, progress = cnc_of (solve_c3 ~gc:false "mk:40:4") in
-  Alcotest.(check (list string)) "labels without GC"
-    [ "partitioned/greedy"; "reorder-retry"; "partitioned/given" ]
-    (labels progress.E.Solve.attempts)
+    (List.length progress.E.Solve.skipped)
 
 let test_cnc_csf_phase_stops_ladder () =
   (* a deadline failure must stop the ladder: with no time left another
@@ -244,10 +239,14 @@ let test_cnc_csf_phase_stops_ladder () =
     (progress.E.Solve.peak_nodes_seen > 0)
 
 let test_ladder_reorder_retry () =
+  (* two firings fail the greedy attempt and its gc-retry; the reordered
+     manager completes *)
   let clean = report_of (solve_c3 "mk:1000000") in
-  let r = report_of (solve_c3 ~gc:false "mk:400") in
+  let r = report_of (solve_c3 "mk:400:2") in
   Alcotest.(check string) "solved by" "reorder-retry" r.E.Solve.solved_by;
-  Alcotest.(check int) "one failed attempt" 1 (List.length r.E.Solve.attempts);
+  Alcotest.(check (list string)) "attempt labels"
+    [ "partitioned/greedy"; "gc-retry" ]
+    (labels r.E.Solve.attempts);
   Alcotest.(check int) "same CSF" clean.E.Solve.csf_states r.E.Solve.csf_states
 
 let test_ladder_gc_retry () =
@@ -269,10 +268,10 @@ let test_ladder_gc_retry_from_build () =
 
 let test_ladder_alternative_schedule () =
   let clean = report_of (solve_c3 "mk:1000000") in
-  let r = report_of (solve_c3 ~gc:false "mk:40:2") in
+  let r = report_of (solve_c3 "mk:40:3") in
   Alcotest.(check string) "solved by" "partitioned/given" r.E.Solve.solved_by;
   Alcotest.(check (list string)) "attempt labels"
-    [ "partitioned/greedy"; "reorder-retry" ]
+    [ "partitioned/greedy"; "gc-retry"; "reorder-retry" ]
     (labels r.E.Solve.attempts);
   Alcotest.(check int) "same CSF" clean.E.Solve.csf_states r.E.Solve.csf_states
 
@@ -318,12 +317,11 @@ let test_skip_after_build_failure () =
      nodes while the problem is still being built: every later rung would
      rebuild it under the same limit, so the ladder ends after one attempt *)
   let net = Network.Blif.parse_string (Network.Blif.to_string (G.counter 3)) in
-  let solve ~gc =
+  let reason, progress =
     cnc_of
-      (E.Solve.solve_split ~node_limit:50 ~gc
-         ~method_:E.Solve.default_partitioned net ~x_latches:[ "c1"; "c2" ])
+      (E.Solve.solve_split ~node_limit:50 ~method_:E.Solve.default_partitioned
+         net ~x_latches:[ "c1"; "c2" ])
   in
-  let reason, progress = solve ~gc:true in
   Alcotest.(check string) "reason" "node limit exceeded" reason;
   Alcotest.(check (list string)) "one attempt" [ "partitioned/greedy" ]
     (labels progress.E.Solve.attempts);
@@ -334,13 +332,7 @@ let test_skip_after_build_failure () =
     (skipped_labels progress.E.Solve.skipped);
   Alcotest.(check bool) "every skip a rebuild" true
     (List.for_all (fun (_, why) -> why = E.Solve.Same_build)
-       progress.E.Solve.skipped);
-  let _, progress = solve ~gc:false in
-  Alcotest.(check (list string)) "one attempt without GC"
-    [ "partitioned/greedy" ] (labels progress.E.Solve.attempts);
-  Alcotest.(check (list string)) "skipped without GC"
-    [ "reorder-retry"; "partitioned/given" ]
-    (skipped_labels progress.E.Solve.skipped)
+       progress.E.Solve.skipped)
 
 let solve_row ~node_limit name =
   let row = Circuits.Suite.find name in
@@ -374,35 +366,13 @@ let test_gc_retry_still_rescues () =
 
 (* --- a real node budget recovered by the ladder ------------------------------ *)
 
-(* t526 under a 150k-node budget with grow-only managers: plain partitioned
-   solving exhausts the budget in the subset construction, but migrating
-   to a FORCE-reordered manager brings the same computation under it (the
-   acceptance scenario for the ladder). *)
+(* t526 under a 150k-node budget: the node limit bounds live nodes, and
+   the ladder completes the solve under the budget with the CSF of an
+   unbounded run (the acceptance scenario for the ladder). *)
 let test_real_circuit_ladder_recovery () =
-  let row = Circuits.Suite.find "t526" in
-  let solve ~gc =
-    E.Solve.solve_split ~node_limit:150_000 ~gc
-      ~method_:E.Solve.default_partitioned row.Circuits.Suite.net
-      ~x_latches:row.Circuits.Suite.x_latches
-  in
-  let r = report_of (solve ~gc:false) in
-  (match r.E.Solve.attempts with
-   | [ a ] ->
-     Alcotest.(check string) "first attempt" "partitioned/greedy"
-       a.E.Solve.label;
-     Alcotest.(check string) "died in" "subset" (R.phase_name a.E.Solve.phase);
-     Alcotest.(check int) "after one subset state" 1 a.E.Solve.subset_states
-   | l -> Alcotest.failf "expected 1 failed attempt, got %d" (List.length l));
-  Alcotest.(check string) "solved by" "reorder-retry" r.E.Solve.solved_by;
-  Alcotest.(check int) "CSF states" 34 r.E.Solve.csf_states;
+  let r = solve_row ~node_limit:150_000 "t526" in
   Alcotest.(check bool) "under budget" true (r.E.Solve.peak_nodes <= 150_000);
-  (* with GC enabled the node limit bounds *live* nodes, and the solve
-     completes under the same budget with the same CSF *)
-  let g = report_of (solve ~gc:true) in
-  Alcotest.(check bool) "gc run under budget" true
-    (g.E.Solve.peak_nodes <= 150_000);
-  Alcotest.(check int) "gc run same CSF" r.E.Solve.csf_states
-    g.E.Solve.csf_states
+  Alcotest.(check int) "CSF states" 34 r.E.Solve.csf_states
 
 let () =
   Alcotest.run "runtime"
