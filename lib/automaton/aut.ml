@@ -1,10 +1,5 @@
 module M = Bdd.Manager
-module O = Bdd.Ops
 module A = Automaton
-
-exception Parse_error of int * string
-
-let fail line msg = raise (Parse_error (line, msg))
 
 let to_string ?(name = "automaton") (t : A.t) =
   let man = t.man in
@@ -29,133 +24,17 @@ let to_string ?(name = "automaton") (t : A.t) =
   pr ".accepting%s\n"
     (String.concat "" (List.map (fun s -> " " ^ sname s) accepting));
   pr ".trans\n";
-  let col =
-    let tbl = Hashtbl.create 8 in
-    List.iteri (fun k v -> Hashtbl.replace tbl v k) t.alphabet;
-    tbl
-  in
-  let width = List.length t.alphabet in
+  let rows = Bdd.Isop.cover_rows man ~columns:t.alphabet in
   for s = 0 to n - 1 do
     List.iter
       (fun (g, d) ->
-        List.iter
-          (fun cube ->
-            let row = Bytes.make width '-' in
-            List.iter
-              (fun (v, pos) ->
-                Bytes.set row (Hashtbl.find col v) (if pos then '1' else '0'))
-              cube;
-            pr "%s %s %s\n" (Bytes.to_string row) (sname s) (sname d))
-          (Bdd.Isop.cover man g))
+        List.iter (fun row -> pr "%s %s %s\n" row (sname s) (sname d)) (rows g))
       t.edges.(s)
   done;
   pr ".end\n";
   Buffer.contents buf
 
-let tokens s =
-  String.split_on_char ' ' s
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun t -> t <> "")
-
-let parse_string man ?vars text =
-  (* guards accumulate in [edges] before [make] pins them: build frozen *)
-  M.with_frozen man @@ fun () ->
-  let lines =
-    List.mapi (fun k l -> (k + 1, String.trim l)) (String.split_on_char '\n' text)
-    |> List.filter_map (fun (k, l) ->
-           let l =
-             match String.index_opt l '#' with
-             | Some i -> String.trim (String.sub l 0 i)
-             | None -> l
-           in
-           if l = "" then None else Some (k, l))
-  in
-  let alphabet = ref None in
-  let states = ref None in
-  let initial = ref None in
-  let accepting = ref [] in
-  let trans = ref [] in
-  let in_trans = ref false in
-  List.iter
-    (fun (lineno, line) ->
-      match tokens line with
-      | ".aut" :: _ -> ()
-      | ".alphabet" :: names ->
-        let vars =
-          match vars with
-          | Some vs ->
-            if List.length vs <> List.length names then
-              fail lineno "alphabet arity mismatch with supplied vars";
-            vs
-          | None -> List.map (fun n -> M.new_var ~name:n man) names
-        in
-        alphabet := Some vars
-      | ".states" :: names -> states := Some names
-      | ".initial" :: [ s ] -> initial := Some s
-      | ".accepting" :: ss -> accepting := ss
-      | ".trans" :: [] -> in_trans := true
-      | ".end" :: _ -> in_trans := false
-      | [ cube; src; dst ] when !in_trans ->
-        trans := (lineno, cube, src, dst) :: !trans
-      | _ -> fail lineno "unexpected line")
-    lines;
-  let alphabet =
-    match !alphabet with
-    | Some a -> a
-    | None -> fail 0 "missing .alphabet"
-  in
-  let state_names =
-    match !states with Some s -> s | None -> fail 0 "missing .states"
-  in
-  let index = Hashtbl.create 16 in
-  List.iteri (fun k n -> Hashtbl.replace index n k) state_names;
-  let lookup lineno s =
-    match Hashtbl.find_opt index s with
-    | Some k -> k
-    | None -> fail lineno (Printf.sprintf "unknown state %s" s)
-  in
-  let n = List.length state_names in
-  let initial =
-    match !initial with
-    | Some s -> lookup 0 s
-    | None -> fail 0 "missing .initial"
-  in
-  let accepting_arr = Array.make n false in
-  List.iter (fun s -> accepting_arr.(lookup 0 s) <- true) !accepting;
-  let edges = Array.make n [] in
-  let alpha = Array.of_list alphabet in
-  List.iter
-    (fun (lineno, cube, src, dst) ->
-      if String.length cube <> Array.length alpha then
-        fail lineno "cube width does not match the alphabet";
-      let lits = ref [] in
-      String.iteri
-        (fun k c ->
-          match c with
-          | '1' -> lits := (alpha.(k), true) :: !lits
-          | '0' -> lits := (alpha.(k), false) :: !lits
-          | '-' -> ()
-          | _ -> fail lineno "bad cube character")
-        cube;
-      let guard = O.cube_of_literals man !lits in
-      let s = lookup lineno src and d = lookup lineno dst in
-      edges.(s) <- (guard, d) :: edges.(s))
-    !trans;
-  (* merge parallel rows into one guard per destination *)
-  let t =
-    A.make man ~alphabet ~initial ~accepting:accepting_arr ~edges
-      ~names:(Array.of_list state_names) ()
-  in
-  Ops.normalize_edges t
-
 let write_file path t =
   let oc = open_out path in
   output_string oc (to_string t);
   close_out oc
-
-let parse_file man ?vars path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
-  parse_string man ?vars text

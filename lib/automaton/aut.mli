@@ -1,5 +1,6 @@
 (** A textual exchange format for symbolic automata, modeled on the format
-    of the BALM/MVSIS tools the paper was implemented in:
+    of the BALM/MVSIS tools the paper was implemented in. Write-only: the
+    CSF is written for those tools, and nothing here reads it back.
 
     {v
     .aut <name>
@@ -16,15 +17,5 @@
     Guards are printed as irredundant covers; parallel rows between the same
     states denote the union of their cubes. *)
 
-exception Parse_error of int * string
-
 val to_string : ?name:string -> Automaton.t -> string
-
-val parse_string :
-  Bdd.Manager.t -> ?vars:int list -> string -> Automaton.t
-(** Parse one automaton. Fresh alphabet variables are allocated (named from
-    the [.alphabet] line) unless [vars] supplies existing ones (one per
-    column, in order). *)
-
 val write_file : string -> Automaton.t -> unit
-val parse_file : Bdd.Manager.t -> ?vars:int list -> string -> Automaton.t

@@ -55,6 +55,21 @@ let isop m lower upper = fst (isop_with_bdd m lower upper)
 
 let cover m f = isop m f f
 
+let cover_rows m ~columns =
+  let width = List.length columns in
+  let col = Hashtbl.create width in
+  List.iteri (fun k v -> Hashtbl.replace col v k) columns;
+  fun f ->
+    List.map
+      (fun cube ->
+        let row = Bytes.make width '-' in
+        List.iter
+          (fun (v, pos) ->
+            Bytes.set row (Hashtbl.find col v) (if pos then '1' else '0'))
+          cube;
+        Bytes.to_string row)
+      (cover m f)
+
 let cover_bdd m cubes =
   M.with_frozen m @@ fun () ->
   O.disj m (List.map (O.cube_of_literals m) cubes)

@@ -28,16 +28,11 @@ let migrate ~src ~dst ~var_map roots =
   if !Obs.on then Obs.Counter.add c_migrated (Hashtbl.length memo);
   roots'
 
-let force_order m ?hyperedges roots =
+let force_order m hyperedges =
   let n = M.num_vars m in
   if n = 0 then []
   else begin
-    let hyperedges =
-      match hyperedges with
-      | Some e -> List.filter (fun s -> s <> []) e
-      | None ->
-        List.filter (fun s -> s <> []) (List.map (O.support m) roots)
-    in
+    let hyperedges = List.filter (fun s -> s <> []) hyperedges in
     let position = Array.init n float_of_int in
     let iterations = 3 * (1 + (n / 8)) in
     for _ = 1 to iterations do
@@ -78,12 +73,12 @@ let manager_with_order src order =
     order;
   (dst, fun v -> var_map.(v))
 
-let reorder m ?hyperedges roots =
+let reorder m ~hyperedges roots =
   if !Obs.on then begin
     Obs.Counter.bump c_reorders;
     Obs.Trace.point "bdd.reorder"
   end;
-  let order = force_order m ?hyperedges roots in
+  let order = force_order m hyperedges in
   let dst, var_map = manager_with_order m order in
   let roots' = migrate ~src:m ~dst ~var_map roots in
   (dst, roots', var_map)

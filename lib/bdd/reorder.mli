@@ -14,16 +14,15 @@ val migrate :
 
 val reorder :
   Manager.t ->
-  ?hyperedges:int list list ->
+  hyperedges:int list list ->
   int list ->
   Manager.t * int list * (int -> int)
-(** [reorder man roots] creates a fresh manager ordered by a FORCE-style
-    heuristic, migrates the roots, and returns
+(** [reorder man ~hyperedges roots] creates a fresh manager ordered by a
+    FORCE-style heuristic, migrates the roots, and returns
     [(new_manager, new_roots, var_map)]. Variable names are preserved.
 
     FORCE iteratively places each variable at the centre of gravity of the
-    hyperedges containing it. The hyperedges default to the supports of the
-    given roots, but callers with structural knowledge (e.g. the per-part
-    supports of a partitioned relation) should pass them explicitly — a
+    hyperedges (variable sets) containing it. The caller supplies them from
+    its structure, e.g. the per-part supports of a partitioned relation: a
     single conjoined function carries no locality information. *)
 

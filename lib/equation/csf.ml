@@ -8,15 +8,13 @@ let c_deletions = Obs.Counter.make "csf.worklist_deletions"
 
    PrefixClose seeds the alive set with the accepting states; Progressive
    deletes states that are not input-progressive over the [u] variables
-   with respect to the current alive set. The old implementation iterated
-   full sweeps over a materialized automaton — O(passes × states × arcs)
-   with as many passes as the longest deletion chain. Here the reverse-arc
-   index is built once; every alive state is examined once, and a deletion
-   re-enqueues only the deleted state's predecessors (the only states whose
+   with respect to the current alive set. The reverse-arc index is built
+   once; every alive state is examined once, and a deletion re-enqueues
+   only the deleted state's predecessors (the only states whose
    progressiveness it can change). Each arc is therefore re-traversed at
    most once per deletion of its destination — O(arcs + deletions ×
-   max-in-degree-neighbourhood) instead of a full sweep per pass — and the
-   result is converted to [Fsa.Automaton] only after the final trim. *)
+   max-in-degree-neighbourhood) — and the result is converted to
+   [Fsa.Automaton] only after the final trim. *)
 let of_arena ?runtime (p : Problem.t) (a : Engine.arena) =
   Option.iter (fun rt -> Runtime.enter_phase rt Runtime.Csf) runtime;
   let tick = Runtime.ticker runtime in
@@ -26,7 +24,7 @@ let of_arena ?runtime (p : Problem.t) (a : Engine.arena) =
   let deletions = ref 0 in
   let inputs = Problem.x_input_vars p in
   (* the loop holds guard disjunctions only transiently but walks ids while
-     allocating; run frozen like the sweeps it replaces *)
+     allocating; run frozen *)
   M.with_frozen man @@ fun () ->
   let outputs =
     List.filter (fun v -> not (List.mem v inputs)) a.Engine.alphabet

@@ -73,14 +73,16 @@ let run ?runtime ?on_state man ~alphabet make_oracle =
       k
   in
   ignore (intern oracle.start : int);
-  let split_memo = Subset.memo_table () in
+  let split_memo =
+    Subset.memo_splitter ?runtime man ~roots:rs ~alphabet
+      ~ns_cube:oracle.ns_cube
+  in
   (* split into (guard, successor) classes, rename each successor back to
      current-state space and pin it before any further allocation *)
   let split p =
     List.map
       (fun (g, s) -> (g, State (M.Roots.add rs (O.rename man s oracle.rename))))
-      (Subset.split_successors ?runtime ~memo:split_memo ~roots:rs man ~p
-         ~alphabet ~ns_cube:oracle.ns_cube)
+      (split_memo p)
   in
   let sinks = Array.of_list oracle.sinks in
   let sink_used = Array.map (fun _ -> false) sinks in

@@ -5,13 +5,13 @@
     subset construction: explore subset states from a start state,
     intern each state by its canonical BDD, split the successor relation
     into (guard, successor) arcs, and route the uncovered symbols to
-    completion sinks. The engine owns everything the two flows used to
-    duplicate: the frontier queue, the interning table, the arc arena,
-    the root-set/pinning discipline, the {!Subset.memo} wiring and the
-    Runtime/Obs accounting. A flow reduces to a {!oracle} — its start
-    state, its sinks, and a successor function — so a third flow is a
-    one-file addition and the {!Solve} ladder swaps oracles instead of
-    calling divergent entry points.
+    completion sinks. The engine owns what the two flows share: the
+    frontier queue, the interning table, the arc arena, the
+    root-set/pinning discipline, the memoized splitter
+    ({!Subset.memo_splitter}) and the Runtime/Obs accounting. A flow
+    reduces to a {!oracle} — its start state, its sinks, and a successor
+    function — so a third flow is a one-file addition and the {!Solve}
+    ladder swaps oracles instead of calling divergent entry points.
 
     The construction's result is an {!arena}: flat int-indexed arrays of
     states and arcs, cheaper to traverse than the [Fsa.Automaton] record

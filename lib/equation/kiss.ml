@@ -1,18 +1,7 @@
-module M = Bdd.Manager
-module O = Bdd.Ops
-
-exception Parse_error of int * string
-
-let fail line msg = raise (Parse_error (line, msg))
-
 let to_kiss2 (t : Machine.t) =
   let man = t.Machine.man in
   let nu = List.length t.Machine.u_vars in
-  let col =
-    let tbl = Hashtbl.create 8 in
-    List.iteri (fun k v -> Hashtbl.replace tbl v k) t.Machine.u_vars;
-    tbl
-  in
+  let cover = Bdd.Isop.cover_rows man ~columns:t.Machine.u_vars in
   let rows = ref [] in
   Array.iteri
     (fun s outgoing ->
@@ -23,17 +12,9 @@ let to_kiss2 (t : Machine.t) =
       List.iter
         (fun (g, d) ->
           List.iter
-            (fun cube ->
-              let row = Bytes.make nu '-' in
-              List.iter
-                (fun (v, pos) ->
-                  Bytes.set row (Hashtbl.find col v) (if pos then '1' else '0'))
-                cube;
-              rows :=
-                Printf.sprintf "%s s%d s%d %s" (Bytes.to_string row) s d
-                  out_bits
-                :: !rows)
-            (Bdd.Isop.cover man g))
+            (fun row ->
+              rows := Printf.sprintf "%s s%d s%d %s" row s d out_bits :: !rows)
+            (cover g))
         outgoing)
     t.Machine.next;
   let rows = List.rev !rows in
@@ -48,126 +29,7 @@ let to_kiss2 (t : Machine.t) =
   pr ".e\n";
   Buffer.contents buf
 
-let tokens s =
-  String.split_on_char ' ' s
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun t -> t <> "")
-
-let of_kiss2 man ?u_vars ?v_vars text =
-  (* guards accumulate in plain arrays before [Machine.make] pins them *)
-  M.with_frozen man @@ fun () ->
-  let ni = ref None and no = ref None and reset = ref None in
-  let rows = ref [] in
-  List.iteri
-    (fun k line ->
-      let lineno = k + 1 in
-      let line = String.trim line in
-      if line <> "" then
-        match tokens line with
-        | ".i" :: [ n ] -> ni := Some (int_of_string n)
-        | ".o" :: [ n ] -> no := Some (int_of_string n)
-        | ".p" :: _ | ".s" :: _ -> ()
-        | ".r" :: [ s ] -> reset := Some s
-        | ".e" :: _ -> ()
-        | [ cube; src; dst; out ] -> rows := (lineno, cube, src, dst, out) :: !rows
-        | _ -> fail lineno "unexpected line")
-    (String.split_on_char '\n' text);
-  let ni = match !ni with Some n -> n | None -> fail 0 "missing .i" in
-  let no = match !no with Some n -> n | None -> fail 0 "missing .o" in
-  let rows = List.rev !rows in
-  let u_vars =
-    match u_vars with
-    | Some vs ->
-      if List.length vs <> ni then fail 0 ".i arity mismatch";
-      vs
-    | None -> M.new_vars ~prefix:"u" man ni
-  in
-  let v_vars =
-    match v_vars with
-    | Some vs ->
-      if List.length vs <> no then fail 0 ".o arity mismatch";
-      vs
-    | None -> M.new_vars ~prefix:"v" man no
-  in
-  (* collect state names in order of first appearance, reset first *)
-  let index = Hashtbl.create 16 in
-  let count = ref 0 in
-  let intern s =
-    match Hashtbl.find_opt index s with
-    | Some k -> k
-    | None ->
-      let k = !count in
-      incr count;
-      Hashtbl.replace index s k;
-      k
-  in
-  (match !reset with
-   | Some s -> ignore (intern s : int)
-   | None -> ());
-  List.iter
-    (fun (_, _, src, dst, _) ->
-      ignore (intern src : int);
-      ignore (intern dst : int))
-    rows;
-  let n = !count in
-  if n = 0 then fail 0 "no states";
-  let outputs = Array.make n (-1) in
-  let next = Array.make n [] in
-  let u_arr = Array.of_list u_vars in
-  List.iter
-    (fun (lineno, cube, src, dst, out) ->
-      if String.length cube <> ni then fail lineno "input cube width";
-      if String.length out <> no then fail lineno "output width";
-      let s = intern src and d = intern dst in
-      let lits = ref [] in
-      String.iteri
-        (fun k c ->
-          match c with
-          | '1' -> lits := (u_arr.(k), true) :: !lits
-          | '0' -> lits := (u_arr.(k), false) :: !lits
-          | '-' -> ()
-          | _ -> fail lineno "bad input cube character")
-        cube;
-      let guard = O.cube_of_literals man !lits in
-      let out_cube =
-        O.cube_of_literals man
-          (List.mapi
-             (fun k v ->
-               match out.[k] with
-               | '1' -> (v, true)
-               | '0' -> (v, false)
-               | _ -> fail lineno "don't-care outputs are not Moore")
-             v_vars)
-      in
-      if outputs.(s) >= 0 && outputs.(s) <> out_cube then
-        fail lineno "not Moore-consistent: conflicting outputs from a state";
-      outputs.(s) <- out_cube;
-      next.(s) <- (guard, d) :: next.(s))
-    rows;
-  Array.iteri
-    (fun s o -> if o < 0 then fail 0 (Printf.sprintf "state %d has no rows" s))
-    outputs;
-  (* merge parallel rows to the same destination *)
-  let merge edges =
-    let by_dest = Hashtbl.create 8 in
-    List.iter
-      (fun (g, d) ->
-        let g0 = Option.value ~default:M.zero (Hashtbl.find_opt by_dest d) in
-        Hashtbl.replace by_dest d (O.bor man g0 g))
-      edges;
-    Hashtbl.fold (fun d g acc -> (g, d) :: acc) by_dest []
-  in
-  Machine.make man ~u_vars ~v_vars ~initial:0 ~outputs
-    ~next:(Array.map merge next)
-
 let write_file path t =
   let oc = open_out path in
   output_string oc (to_kiss2 t);
   close_out oc
-
-let parse_file man ?u_vars ?v_vars path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
-  of_kiss2 man ?u_vars ?v_vars text

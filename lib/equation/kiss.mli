@@ -1,5 +1,6 @@
 (** KISS2 interchange for the extracted machines (the FSM format of SIS /
-    MVSIS / BALM, the toolchain of the paper).
+    MVSIS / BALM, the toolchain of the paper). Write-only: machines are
+    written for those tools, and nothing here reads them back.
 
     A Moore machine is emitted in the (Mealy-style) KISS2 row format with
     the source state's output on every outgoing row:
@@ -15,21 +16,5 @@
     .e
     v} *)
 
-exception Parse_error of int * string
-
 val to_kiss2 : Machine.t -> string
-
-val of_kiss2 :
-  Bdd.Manager.t ->
-  ?u_vars:int list ->
-  ?v_vars:int list ->
-  string ->
-  Machine.t
-(** Parse a KISS2 FSM as a Moore machine. Fails with [Parse_error] when the
-    description is not Moore-consistent (two rows leaving the same state
-    with different outputs) or when outputs contain don't-cares. Alphabet
-    variables are allocated fresh unless supplied. *)
-
 val write_file : string -> Machine.t -> unit
-val parse_file :
-  Bdd.Manager.t -> ?u_vars:int list -> ?v_vars:int list -> string -> Machine.t

@@ -5,38 +5,6 @@ let c_calls = Obs.Counter.make "subset.split_calls"
 let c_arcs = Obs.Counter.make "subset.arcs"
 let c_memo_hits = Obs.Counter.make "subset.split_memo_hits"
 
-(* Distinct subset states often induce the same successor relation [P_ζ]
-   (canonical BDDs make the coincidence detectable by id equality), so the
-   enumeration below is memoized per solve on the canonical id of [p]. The
-   table belongs to one manager and one [ns_cube]; callers create one table
-   per construction. Reuse across managers or cubes would silently return
-   garbage (node ids only mean anything relative to both), so the table is
-   stamped by its first use and any later mismatch fails fast. A caller
-   that lets the manager collect garbage during the construction must pass
-   [roots] so the memo keys and the arcs stay live: a swept-and-reused id
-   would otherwise alias a different function on a later hit. *)
-type memo = {
-  tbl : (int, (int * int) list) Hashtbl.t;
-  mutable owner : (Bdd.Manager.t * int) option;
-}
-
-let memo_table () : memo = { tbl = Hashtbl.create 64; owner = None }
-
-let check_owner (memo : memo) man ns_cube =
-  match memo.owner with
-  | None -> memo.owner <- Some (man, ns_cube)
-  | Some (m, c) ->
-    if m != man then
-      invalid_arg
-        "Subset.split_successors: memo table reused with a different \
-         manager (node ids are per-manager; create one table per \
-         construction)";
-    if c <> ns_cube then
-      invalid_arg
-        "Subset.split_successors: memo table reused with a different \
-         ns_cube (cached arcs quantify the original cube; create one \
-         table per construction)"
-
 let describe_symbol man lits =
   String.concat " "
     (List.map
@@ -44,16 +12,8 @@ let describe_symbol man lits =
          Printf.sprintf "%s=%d" (M.var_name man v) (if b then 1 else 0))
        lits)
 
-let split_successors ?runtime ?memo ?roots man ~p ~alphabet ~ns_cube =
+let split_successors ?runtime man ~p ~alphabet ~ns_cube =
   if !Obs.on then Obs.Counter.bump c_calls;
-  Option.iter (fun m -> check_owner m man ns_cube) memo;
-  match
-    match memo with None -> None | Some m -> Hashtbl.find_opt m.tbl p
-  with
-  | Some arcs ->
-    if !Obs.on then Obs.Counter.bump c_memo_hits;
-    arcs
-  | None ->
   let tick = Runtime.ticker runtime in
   (* the loop below holds [domain] and the accumulated arcs in OCaml
      locals across further allocation: run it frozen *)
@@ -87,15 +47,32 @@ let split_successors ?runtime ?memo ?roots man ~p ~alphabet ~ns_cube =
       go (O.bdiff man domain guard) ((guard, successor) :: acc)
     end
   in
-  let arcs = go (O.exists man ns_cube p) [] in
-  (match roots with
-   | Some rs ->
-     ignore (M.Roots.add rs p : int);
-     List.iter
-       (fun (guard, successor) ->
-         ignore (M.Roots.add rs guard : int);
-         ignore (M.Roots.add rs successor : int))
-       arcs
-   | None -> ());
-  Option.iter (fun m -> Hashtbl.replace m.tbl p arcs) memo;
-  arcs
+  go (O.exists man ns_cube p) []
+
+(* Distinct subset states often induce the same successor relation [P_ζ]
+   (canonical BDDs make the coincidence detectable by id equality), so
+   the engine memoizes the enumeration on the canonical id of [p]. The
+   table lives in the closure, so it serves one manager and one [ns_cube]
+   only. The manager may collect during the construction, so the memo
+   keys and the arcs are added to [roots]: a swept-and-reused id would
+   otherwise alias a different function on a later hit. *)
+let memo_splitter ?runtime man ~roots ~alphabet ~ns_cube =
+  let memo = Hashtbl.create 64 in
+  fun p ->
+    match Hashtbl.find_opt memo p with
+    | Some arcs ->
+      if !Obs.on then begin
+        Obs.Counter.bump c_calls;
+        Obs.Counter.bump c_memo_hits
+      end;
+      arcs
+    | None ->
+      let arcs = split_successors ?runtime man ~p ~alphabet ~ns_cube in
+      ignore (M.Roots.add roots p : int);
+      List.iter
+        (fun (guard, successor) ->
+          ignore (M.Roots.add roots guard : int);
+          ignore (M.Roots.add roots successor : int))
+        arcs;
+      Hashtbl.replace memo p arcs;
+      arcs

@@ -3,21 +3,8 @@
     variables), enumerate the distinct successor subset states and the guard
     under which each is reached. *)
 
-type memo
-(** A per-construction successor-splitting cache, keyed on the canonical BDD
-    id of [p]: distinct subset states frequently share a successor relation,
-    and a memo hit skips the whole enumeration (every image-splitting BDD
-    operation). A table is only valid for a single manager and a single
-    [ns_cube]: it is stamped with both on first use, and a later call with
-    a different manager or cube raises [Invalid_argument] instead of
-    silently returning arcs that mean nothing in the new context. *)
-
-val memo_table : unit -> memo
-
 val split_successors :
   ?runtime:Runtime.t ->
-  ?memo:memo ->
-  ?roots:Bdd.Manager.Roots.set ->
   Bdd.Manager.t ->
   p:int ->
   alphabet:int list ->
@@ -30,14 +17,24 @@ val split_successors :
     successor class, so a state with very many classes still honours the
     budget.
 
-    The enumeration itself runs with garbage collection frozen. A caller
-    that keeps a [memo] across allocating work in a collecting manager must
-    pass [roots]: the memo key [p] and every arc component are then added
-    to the set, keeping the memoized ids live for the lifetime of the
-    construction.
+    The enumeration itself runs with garbage collection frozen.
 
     Raises [Invalid_argument] with a description of the offending symbol
     when the inputs break the contract — when [alphabet] does not cover
     the support of [∃ns. P], or when an alphabet variable also occurs in
-    [ns_cube] (so no symbol has a well-defined successor class) — and
-    when [memo] was first used with a different manager or [ns_cube]. *)
+    [ns_cube] (so no symbol has a well-defined successor class). *)
+
+val memo_splitter :
+  ?runtime:Runtime.t ->
+  Bdd.Manager.t ->
+  roots:Bdd.Manager.Roots.set ->
+  alphabet:int list ->
+  ns_cube:int ->
+  int ->
+  (int * int) list
+(** [memo_splitter man ~roots ~alphabet ~ns_cube] is [fun p ->
+    split_successors man ~p ~alphabet ~ns_cube], memoized on the
+    canonical BDD id of [p] for one construction: distinct subset states
+    frequently share a successor relation, and a memo hit skips the whole
+    enumeration. Each memoized [p] and every component of its arcs are
+    added to [roots], so they stay live while the manager collects. *)

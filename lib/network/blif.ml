@@ -209,19 +209,11 @@ let to_string (t : Netlist.t) =
         else begin
           (* emit an irredundant SOP cover computed via a scratch BDD *)
           let man = Bdd.Manager.create () in
-          ignore (Bdd.Manager.new_vars man k : int list);
+          let columns = Bdd.Manager.new_vars man k in
           let bdd = Expr.to_bdd man (fun j -> Bdd.Ops.var_bdd man j) fn in
-          if bdd = Bdd.Manager.one then pr "%s 1\n" (String.make k '-')
-          else
-            List.iter
-              (fun cube ->
-                let row = Bytes.make k '-' in
-                List.iter
-                  (fun (v, pos) ->
-                    Bytes.set row v (if pos then '1' else '0'))
-                  cube;
-                pr "%s 1\n" (Bytes.to_string row))
-              (Bdd.Isop.cover man bdd)
+          List.iter
+            (fun row -> pr "%s 1\n" row)
+            (Bdd.Isop.cover_rows man ~columns bdd)
         end)
     t.drivers;
   (* primary outputs driven directly by another named net need a buffer *)

@@ -111,7 +111,11 @@ let test_post_reorder_queries () =
     let g = Helpers.random_bdd ~depth:4 man nvars rng in
     let vars = [ 1; 2; 5 ] in
     let r = O.and_exists man (O.cube_of_vars man vars) f g in
-    let dst, roots, var_map = Bdd.Reorder.reorder man [ f; g; r ] in
+    let roots = [ f; g; r ] in
+    let dst, roots, var_map =
+      Bdd.Reorder.reorder man ~hyperedges:(List.map (O.support man) roots)
+        roots
+    in
     let f', g', r_migrated =
       match roots with
       | [ a; b; c ] -> (a, b, c)

@@ -362,36 +362,6 @@ let test_change_support_noop () =
   let same = Ops.change_support t [ a ] in
   Alcotest.(check bool) "identity support change" true (L.equivalent t same)
 
-let test_aut_roundtrip () =
-  let man, a, _ = setup () in
-  let t = nondet_a man a in
-  let text = Fsa.Aut.to_string ~name:"nd" t in
-  let back = Fsa.Aut.parse_string man ~vars:t.A.alphabet text in
-  Alcotest.(check bool) "roundtrip language" true (L.equivalent t back);
-  (* fresh-variable parse: same structure in a fresh manager *)
-  let man2 = Bdd.Manager.create () in
-  let fresh = Fsa.Aut.parse_string man2 text in
-  Alcotest.(check int) "states preserved" (A.num_states t)
-    (A.num_states fresh);
-  Alcotest.(check int) "alphabet arity preserved"
-    (List.length t.A.alphabet)
-    (List.length fresh.A.alphabet)
-
-let test_aut_errors () =
-  let man = Bdd.Manager.create () in
-  let bad1 = ".aut x\n.alphabet a\n.states s0\n.initial s9\n.trans\n.end\n" in
-  Alcotest.(check bool) "unknown initial" true
-    (match Fsa.Aut.parse_string man bad1 with
-     | exception Fsa.Aut.Parse_error _ -> true
-     | _ -> false);
-  let bad2 =
-    ".aut x\n.alphabet a\n.states s0\n.initial s0\n.trans\n11 s0 s0\n.end\n"
-  in
-  Alcotest.(check bool) "cube width mismatch" true
-    (match Fsa.Aut.parse_string man bad2 with
-     | exception Fsa.Aut.Parse_error _ -> true
-     | _ -> false)
-
 let test_pp_and_dot () =
   let man, a, _ = setup () in
   let t = even_a man a in
@@ -594,8 +564,6 @@ let () =
             test_successors_and_names;
           Alcotest.test_case "empty automaton" `Quick test_empty_automaton;
           Alcotest.test_case "support noop" `Quick test_change_support_noop;
-          Alcotest.test_case "aut roundtrip" `Quick test_aut_roundtrip;
-          Alcotest.test_case "aut errors" `Quick test_aut_errors;
           Alcotest.test_case "pp + dot" `Quick test_pp_and_dot ] );
       ( "language",
         [ Alcotest.test_case "subset + counterexample" `Quick

@@ -417,7 +417,9 @@ let test_pick_minterm () =
 let test_migrate_preserves_semantics () =
   let m = fresh_man () in
   let f = fbuild m (F_ite (F_var 1, F_var 3, F_xor (F_var 0, F_var 4))) in
-  let dst, roots, var_map = Bdd.Reorder.reorder m [ f ] in
+  let dst, roots, var_map =
+    Bdd.Reorder.reorder m ~hyperedges:[ O.support m f ] [ f ]
+  in
   (match roots with
    | [ f' ] ->
      List.iter
@@ -987,6 +989,33 @@ let prop_isop_irredundant =
         cover
       || cover = [])
 
+(* the rows name variables by column, in any column order: reading each
+   row back as a cube over [columns] rebuilds f *)
+let prop_cover_rows =
+  QCheck.Test.make ~count:200 ~name:"cover rows decode to a cover of f"
+    QCheck.(pair (formula_arb nvars) small_nat)
+    (fun (f, seed) ->
+      let m = fresh_man () in
+      let b = fbuild m f in
+      let rng = Random.State.make [| seed |] in
+      let columns =
+        List.init nvars (fun v -> (Random.State.bits rng, v))
+        |> List.sort compare |> List.map snd
+      in
+      let rows = Bdd.Isop.cover_rows m ~columns b in
+      let decode row =
+        List.concat
+          (List.mapi
+             (fun k v ->
+               match row.[k] with
+               | '1' -> [ (v, true) ]
+               | '0' -> [ (v, false) ]
+               | _ -> [])
+             columns)
+      in
+      List.for_all (fun row -> String.length row = nvars) rows
+      && Bdd.Isop.cover_bdd m (List.map decode rows) = b)
+
 let prop_cubes_partition =
   QCheck.Test.make ~count:150 ~name:"cubes are disjoint and cover f"
     (formula_arb nvars) (fun f ->
@@ -1011,7 +1040,8 @@ let qcheck_cases =
       prop_marks_cleared; prop_epoch_wrap; prop_sat_count;
       prop_rename_roundtrip; prop_subst_semantics; prop_cubes_partition;
       prop_exists_nested; prop_compose_sequential;
-      prop_isop_exact; prop_isop_interval; prop_isop_irredundant ]
+      prop_isop_exact; prop_isop_interval; prop_isop_irredundant;
+      prop_cover_rows ]
 
 let () =
   Alcotest.run "bdd"

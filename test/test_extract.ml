@@ -194,50 +194,6 @@ let test_extraction_no_moore_choice () =
   Alcotest.(check bool) "no Moore sub-solution" true
     (E.Extract.moore_sub_solution p t = None)
 
-(* --- KISS2 ------------------------------------------------------------------ *)
-
-let test_kiss2_roundtrip () =
-  let _, _, _, m = two_state_machine () in
-  let text = E.Kiss.to_kiss2 m in
-  let back =
-    E.Kiss.of_kiss2 m.E.Machine.man ~u_vars:m.E.Machine.u_vars
-      ~v_vars:m.E.Machine.v_vars text
-  in
-  Alcotest.(check int) "states" (E.Machine.num_states m)
-    (E.Machine.num_states back);
-  Alcotest.(check bool) "same behaviour" true
-    (Fsa.Language.equivalent
-       (E.Machine.to_automaton m)
-       (E.Machine.to_automaton back))
-
-let test_kiss2_extracted_roundtrip () =
-  let _, p, csf = csf_of (G.counter 4) [ "c1"; "c2" ] in
-  match E.Extract.moore_sub_solution p csf with
-  | None -> Alcotest.fail "expected machine"
-  | Some m ->
-    let m = E.Machine.minimize m in
-    let text = E.Kiss.to_kiss2 m in
-    let back =
-      E.Kiss.of_kiss2 p.E.Problem.man ~u_vars:m.E.Machine.u_vars
-        ~v_vars:m.E.Machine.v_vars text
-    in
-    Alcotest.(check bool) "behaviour preserved" true
-      (Fsa.Language.equivalent
-         (E.Machine.to_automaton m)
-         (E.Machine.to_automaton back))
-
-let test_aut_file_io () =
-  (* CSF -> .aut file -> parse -> same language *)
-  let _, p, csf = csf_of (G.counter 3) [ "c1" ] in
-  let path = Filename.temp_file "csf" ".aut" in
-  Fsa.Aut.write_file path csf;
-  let back =
-    Fsa.Aut.parse_file p.E.Problem.man ~vars:csf.Fsa.Automaton.alphabet path
-  in
-  Sys.remove path;
-  Alcotest.(check bool) "file roundtrip" true
-    (Fsa.Language.equivalent csf back)
-
 let test_composition_rejects_wrong_bank () =
   (* a latch bank starting from the wrong state must fail check (2) *)
   let sp, p = E.Split.problem (G.lfsr 4) ~x_latches:[ "r0"; "r1" ] in
@@ -246,14 +202,6 @@ let test_composition_rejects_wrong_bank () =
   let wrong = { sp with E.Split.x_init = List.map not sp.E.Split.x_init } in
   Alcotest.(check bool) "mis-initialized bank fails" false
     (E.Verify.composition_equals_spec p wrong)
-
-let test_kiss2_rejects_mealy () =
-  let man = M.create () in
-  let text = ".i 1\n.o 1\n.p 2\n.s 1\n.r s0\n0 s0 s0 0\n1 s0 s0 1\n.e\n" in
-  Alcotest.(check bool) "mealy rejected" true
-    (match E.Kiss.of_kiss2 man text with
-     | exception E.Kiss.Parse_error _ -> true
-     | _ -> false)
 
 let () =
   Alcotest.run "extract"
@@ -273,11 +221,5 @@ let () =
           Alcotest.test_case "no Moore choice" `Quick
             test_extraction_no_moore_choice ] );
       ( "io+verify",
-        [ Alcotest.test_case "aut file io" `Quick test_aut_file_io;
-          Alcotest.test_case "wrong bank rejected" `Quick
-            test_composition_rejects_wrong_bank ] );
-      ( "kiss2",
-        [ Alcotest.test_case "roundtrip" `Quick test_kiss2_roundtrip;
-          Alcotest.test_case "extracted machine" `Quick
-            test_kiss2_extracted_roundtrip;
-          Alcotest.test_case "rejects mealy" `Quick test_kiss2_rejects_mealy ] ) ]
+        [ Alcotest.test_case "wrong bank rejected" `Quick
+            test_composition_rejects_wrong_bank ] ) ]

@@ -88,29 +88,24 @@ let test_split_successors_overlap_rejected () =
   Helpers.check_invalid_arg "alphabet/ns overlap" "a=0" (fun () ->
       E.Subset.split_successors man ~p ~alphabet:[ 0 ] ~ns_cube)
 
-(* A memo table is stamped with its first (manager, ns_cube) use; reuse
-   under a different manager or cube would silently serve arcs whose node
-   ids mean something else, so it must fail fast instead. *)
-let test_split_memo_misuse () =
+(* The memoized splitter enumerates a relation once: a repeated [p] gets
+   the very arcs of the first call back from the table, equal to what the
+   unmemoized enumeration gives. *)
+let test_split_memo () =
   let man = M.create () in
   ignore (M.new_vars man 4 : int list);
   let p = O.var_bdd man 2 in
   let ns_cube = O.cube_of_vars man [ 2; 3 ] in
-  let memo = E.Subset.memo_table () in
-  let split man ~p ~ns_cube =
-    E.Subset.split_successors ~memo man ~p ~alphabet:[ 0; 1 ] ~ns_cube
+  M.with_roots man @@ fun roots ->
+  let split =
+    E.Subset.memo_splitter man ~roots ~alphabet:[ 0; 1 ] ~ns_cube
   in
-  let first = split man ~p ~ns_cube in
-  Alcotest.(check (list (pair int int))) "same owner is served from the memo"
-    first
-    (split man ~p ~ns_cube);
-  Helpers.check_invalid_arg "ns_cube mismatch" "ns_cube" (fun () ->
-      split man ~p ~ns_cube:(O.cube_of_vars man [ 3 ]));
-  let other = M.create () in
-  ignore (M.new_vars other 4 : int list);
-  Helpers.check_invalid_arg "manager mismatch" "manager" (fun () ->
-      split other ~p:(O.var_bdd other 2)
-        ~ns_cube:(O.cube_of_vars other [ 2; 3 ]))
+  let first = split p in
+  Alcotest.(check (list (pair int int))) "memoized = unmemoized"
+    (E.Subset.split_successors man ~p ~alphabet:[ 0; 1 ] ~ns_cube)
+    first;
+  Alcotest.(check bool) "same relation is served from the memo" true
+    (split p == first)
 
 (* --- Harness ------------------------------------------------------------------ *)
 
@@ -179,8 +174,8 @@ let () =
           Alcotest.test_case "single" `Quick test_split_successors_single;
           Alcotest.test_case "alphabet/ns overlap rejected" `Quick
             test_split_successors_overlap_rejected;
-          Alcotest.test_case "memo misuse fails fast" `Quick
-            test_split_memo_misuse ] );
+          Alcotest.test_case "memo serves a repeated relation" `Quick
+            test_split_memo ] );
       ( "experiments",
         [ Alcotest.test_case "run row" `Quick test_run_row_completes;
           Alcotest.test_case "cnc row" `Quick test_run_row_cnc;
