@@ -17,14 +17,20 @@ type root_set = { mutable rs_ids : int array; mutable rs_n : int }
 type limit_failure = Live_set | Deferred
 
 type t = {
-  mutable var_of : int array;
+  (* a node's level as a 32-bit integer, 4 bytes per node ([var]) *)
+  mutable var_of : Bytes.t;
   (* a node's children packed as [lo lor (hi lsl kid_shift)]; a swept
      slot holds the raw free-list link instead, which may be -1 *)
   mutable kids_of : int array;
+  (* [collect]'s mark bytes, one per store slot, kept between
+     collections: the sweep clears every mark it finds, so between
+     collections only the constants' two bytes are set *)
+  mutable mark : Bytes.t;
   mutable n_nodes : int;  (* store top: one past the highest id ever used *)
-  (* unique table: open addressing into [u_slot], -1 = empty. A slot packs
-     a node id in bits 0-31 and a 27-bit fingerprint of the hash of the
-     (var, low, high) it was inserted under in bits 32-58; a probe reads
+  (* unique table: open addressing over [u_mask + 1] slots, two to a
+     word of [u_slot] (see [u_get]); a slot of 0 is empty. A slot packs
+     a node id in bits 0-25 and a 5-bit fingerprint of the hash of the
+     (var, low, high) it was inserted under in bits 26-30; a probe reads
      the node's triple only on a fingerprint match. A sweep leaves swept
      ids in place as stale entries: a swept id has level [free_level],
      and a reused one holds the triple it stores now, so a stale entry
@@ -98,6 +104,9 @@ let g_live = Obs.Gauge.make "bdd.live_nodes"
 let g_live_peak = Obs.Gauge.make "bdd.live_peak"
 let c_frozen_allocs = Obs.Counter.make "bdd.frozen.allocs"
 let g_frozen_window = Obs.Gauge.make "bdd.frozen.window_max"
+let g_store_bytes = Obs.Gauge.make "bdd.mem.store_bytes"
+let g_unique_bytes = Obs.Gauge.make "bdd.mem.unique_bytes"
+let g_cache_bytes = Obs.Gauge.make "bdd.mem.cache_bytes"
 
 (* per-operation cache counters, indexed by the [Op] tag below; the
    unused slots (0, 4 and 6) map to the dummy cell *)
@@ -131,11 +140,36 @@ let () =
 
 let zero = 0
 let one = 1
-let terminal_level = max_int
+
+(* Levels are stored in 32 bits. [size_mark] (bit 30) is the marking
+   walks' flag, so a level stays below it: the constants' level is the
+   largest one under it, and variables stop one short of that. *)
+let size_mark = 1 lsl 30
+let terminal_level = size_mark - 1
 
 (* variable sentinel marking a swept (free-listed) slot; [kids_of] holds
    the next free slot while a slot carries this mark *)
 let free_level = -2
+
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32"
+external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32"
+
+let[@inline] var m id = Int32.to_int (get32 m.var_of (4 * id))
+let[@inline] set_var m id v = set32 m.var_of (4 * id) (Int32.of_int v)
+
+(* [old]'s levels extended to [n] nodes with [terminal_level] *)
+let levels old n =
+  let b = Bytes.extend old 0 ((4 * n) - Bytes.length old) in
+  for id = Bytes.length old / 4 to n - 1 do
+    set32 b (4 * id) (Int32.of_int terminal_level)
+  done;
+  b
+
+(* [n] mark bytes: outside [collect] only the constants are marked *)
+let marks n =
+  let b = Bytes.make n '\000' in
+  Bytes.fill b 0 2 '\001';
+  b
 
 let initial_cache_bits = 12
 let max_cache_bits = 22
@@ -157,16 +191,36 @@ let op_shift = 2 * kid_shift
 let epoch_shift = op_shift + 3
 let epoch_bits = 7
 
-(* A unique-table slot is [id lor fp_tag h]: the id in bits 0-31 (ids
-   stay below [max_nodes], so bits 26-31 are 0), and bits 24-50 of the
-   triple's hash [h] in bits 32-58. Those hash bits lie above the slot
-   index bits of any table up to 2^24 slots, so neighbours in one probe
-   run rarely agree on them. *)
-let fp_shift = 32
-let fp_mask = (1 lsl 27) - 1
-let[@inline] fp_tag h = ((h lsr 24) land fp_mask) lsl fp_shift
+(* A unique-table slot is [id lor fp_tag h], 31 bits: the id in bits
+   0-25 and bits 24-28 of the triple's hash [h] in bits 26-30. Those
+   hash bits lie above the slot index bits of any table up to 2^24
+   slots, so neighbours in one probe run rarely agree on them. An id is
+   at least 2 (the constants are never interned), so an occupied slot is
+   never 0. Slot [i] is the half [i land 1] of word [i lsr 1]. *)
+let slot_bits = 31
+let slot_mask = (1 lsl slot_bits) - 1
+let[@inline] fp_tag h = ((h lsr 24) land 31) lsl kid_shift
+
+let[@inline] u_get a i =
+  (a.(i lsr 1) lsr ((i land 1) * slot_bits)) land slot_mask
+
+(* only ever fills an empty slot *)
+let[@inline] u_set a i s =
+  let w = i lsr 1 in
+  a.(w) <- a.(w) lor (s lsl ((i land 1) * slot_bits))
 
 let default_gc_threshold = 0.25
+
+(* the footprint gauges, set at creation and on each growth (a word of
+   an [int array] is 8 bytes) *)
+let note_footprint m =
+  if !Obs.on then begin
+    Obs.Gauge.set_max g_store_bytes
+      (Bytes.length m.var_of + (8 * Array.length m.kids_of)
+     + Bytes.length m.mark);
+    Obs.Gauge.set_max g_unique_bytes (8 * Array.length m.u_slot);
+    Obs.Gauge.set_max g_cache_bytes (8 * Array.length m.cache)
+  end
 
 let create ?(initial_capacity = 1024) () =
   let cap = max initial_capacity 16 in
@@ -177,10 +231,11 @@ let create ?(initial_capacity = 1024) () =
   let csize = 1 lsl initial_cache_bits in
   let m =
     {
-      var_of = Array.make cap terminal_level;
+      var_of = levels Bytes.empty cap;
       kids_of = Array.make cap (-1);
+      mark = marks cap;
       n_nodes = 2;
-      u_slot = Array.make usize (-1);
+      u_slot = Array.make (usize / 2) 0;
       u_mask = usize - 1;
       u_used = 0;
       cache = Array.make (2 * csize) (-1);
@@ -215,6 +270,7 @@ let create ?(initial_capacity = 1024) () =
   in
   m.kids_of.(0) <- 0;
   m.kids_of.(1) <- 1 lor (1 lsl kid_shift);
+  note_footprint m;
   m
 
 let hash3 v lo hi =
@@ -230,18 +286,17 @@ let[@inline] high m id = m.kids_of.(id) lsr kid_shift
    freeing it late and the resident set would grow. [Gc.major_slice 0]
    pays down that debt right away. *)
 let grow_nodes m =
-  let cap = Array.length m.var_of in
+  let cap = Array.length m.kids_of in
   (* [kids_of] and the computed cache hold node ids in 26 bits *)
   if cap >= max_nodes then raise Node_limit_exceeded;
   if !Obs.on then Obs.Counter.bump c_grow_nodes;
   let cap' = if 2 * cap > max_nodes then max_nodes else 2 * cap in
-  let extend a fill =
-    let a' = Array.make cap' fill in
-    Array.blit a 0 a' 0 cap;
-    a'
-  in
-  m.var_of <- extend m.var_of terminal_level;
-  m.kids_of <- extend m.kids_of (-1);
+  let kids = Array.make cap' (-1) in
+  Array.blit m.kids_of 0 kids 0 cap;
+  m.kids_of <- kids;
+  m.var_of <- levels m.var_of cap';
+  m.mark <- marks cap';
+  note_footprint m;
   ignore (Gc.major_slice 0 : int)
 
 (* the [max_cache_bits] cap is checked by the caller (on the allocation
@@ -252,33 +307,37 @@ let grow_cache m =
   let size' = 2 * (m.c_mask + 1) in
   m.cache <- Array.make (2 * size') (-1);
   m.c_mask <- size' - 1;
+  note_footprint m;
   ignore (Gc.major_slice 0 : int)
 
 (* Rebuild the unique table at [size] slots (a power of two) over the
    store's live ids, in id order: a growth when [size] is larger, a purge
    of the stale entries when it is the same. *)
 let rebuild_unique m size =
-  let grown = size > Array.length m.u_slot in
+  let grown = size > m.u_mask + 1 in
   if !Obs.on then Obs.Counter.bump (if grown then c_rehash else c_purge);
-  if grown then m.u_slot <- Array.make size (-1)
-  else Array.fill m.u_slot 0 size (-1);
+  if grown then m.u_slot <- Array.make (size / 2) 0
+  else Array.fill m.u_slot 0 (size / 2) 0;
   let mask = size - 1 in
   m.u_mask <- mask;
   let used = ref 0 in
   for id = 2 to m.n_nodes - 1 do
-    let v = m.var_of.(id) in
+    let v = var m id in
     if v <> free_level then begin
       let h = hash3 v (low m id) (high m id) in
       let i = ref (h land mask) in
-      while m.u_slot.(!i) >= 0 do
+      while u_get m.u_slot !i <> 0 do
         i := (!i + 1) land mask
       done;
-      m.u_slot.(!i) <- id lor fp_tag h;
+      u_set m.u_slot !i (id lor fp_tag h);
       incr used
     end
   done;
   m.u_used <- !used;
-  if grown then ignore (Gc.major_slice 0 : int)
+  if grown then begin
+    note_footprint m;
+    ignore (Gc.major_slice 0 : int)
+  end
 
 let num_nodes m = m.n_entries
 let live_nodes m = m.n_entries
@@ -393,9 +452,7 @@ let collect m =
   if m.frozen > 0 then invalid_arg "Manager.collect: manager is frozen";
   let span = Obs.Span.enter "bdd.gc" in
   let top = m.n_nodes in
-  let mark = Bytes.make top '\000' in
-  Bytes.set mark 0 '\001';
-  Bytes.set mark 1 '\001';
+  let mark = m.mark in
   (* iterative DFS from every pinned root; the depth of a BDD is bounded by
      the variable count but sibling chains are not, so use an explicit
      stack rather than recursion *)
@@ -411,7 +468,7 @@ let collect m =
     incr sp
   in
   let visit root =
-    if root >= 2 && root < top && m.var_of.(root) <> free_level then begin
+    if root >= 2 && root < top && var m root <> free_level then begin
       push root;
       while !sp > 0 do
         decr sp;
@@ -437,18 +494,20 @@ let collect m =
   done;
   (* sweep: thread dead slots onto the free list (downwards, so the lowest
      dead id is reused first — deterministic and store-compacting in
-     tendency even without moving live nodes) *)
+     tendency even without moving live nodes), and clear the marks *)
   let swept = ref 0 in
   m.free_head <- -1;
   m.free_count <- 0;
   for id = top - 1 downto 2 do
-    if m.var_of.(id) = free_level || Bytes.get mark id = '\000' then begin
-      if m.var_of.(id) <> free_level then incr swept;
-      m.var_of.(id) <- free_level;
+    let v = var m id in
+    if v = free_level || Bytes.get mark id = '\000' then begin
+      if v <> free_level then incr swept;
+      set_var m id free_level;
       m.kids_of.(id) <- m.free_head;
       m.free_head <- id;
       m.free_count <- m.free_count + 1
     end
+    else Bytes.set mark id '\000'
   done;
   m.n_entries <- m.n_entries - !swept;
   m.live_after_gc <- m.n_entries;
@@ -463,7 +522,7 @@ let collect m =
   let dead_keys =
     Hashtbl.fold
       (fun id _ acc ->
-        if id >= 2 && (id >= top || m.var_of.(id) = free_level) then id :: acc
+        if id >= 2 && (id >= top || var m id = free_level) then id :: acc
         else acc)
       m.support_memo []
   in
@@ -528,12 +587,12 @@ let[@inline never] insert m v lo hi tag slot =
        m.limit_failure <- None;
        raise e)
    | None -> ());
-  if m.free_head < 0 && m.n_nodes >= Array.length m.var_of then begin
+  if m.free_head < 0 && m.n_nodes >= Array.length m.kids_of then begin
     if may_collect m then begin
       let swept = collect_pinned m lo hi in
       (* anti-thrash: a collection that reclaimed under 1/8 of the
          store would have us collecting again almost immediately *)
-      if swept < Array.length m.var_of / 8 then grow_nodes m
+      if swept < Array.length m.kids_of / 8 then grow_nodes m
     end
     else grow_nodes m
   end;
@@ -562,14 +621,14 @@ let[@inline never] insert m v lo hi tag slot =
       Obs.Gauge.set_max g_frozen_window m.window_allocs
     end
   end;
-  m.var_of.(id) <- v;
+  set_var m id v;
   m.kids_of.(id) <- lo lor (hi lsl kid_shift);
-  m.u_slot.(slot) <- id lor tag;
+  u_set m.u_slot slot (id lor tag);
   m.u_used <- m.u_used + 1;
-  (* keep the live load factor under 1/2 by doubling, and the occupied
-     one (live plus stale) under 3/4 by purging the stale entries *)
+  (* keep the live load factor at most 1/2 by doubling, and the occupied
+     one (live plus stale) at most 3/4 by purging the stale entries *)
   let size = m.u_mask + 1 in
-  if 2 * m.n_entries > m.u_mask then rebuild_unique m (2 * size)
+  if 2 * m.n_entries > size then rebuild_unique m (2 * size)
   else if 4 * m.u_used > 3 * size then rebuild_unique m size;
   (* keep the (lossy) computed cache proportional to the live count;
      the [max_cache_bits] cap is checked here, not in [grow_cache] *)
@@ -585,42 +644,40 @@ let mk m v lo hi =
     let kids = lo lor (hi lsl kid_shift) in
     let mask = m.u_mask in
     let i = ref (h land mask) in
-    let w = ref m.u_slot.(!i) in
-    (* [w lxor tag < 1 lsl fp_shift]: the fingerprints agree *)
+    let w = ref (u_get m.u_slot !i) in
+    (* [w lxor tag < 1 lsl kid_shift]: the fingerprints agree *)
     while
-      !w >= 0
+      !w <> 0
       && not
-           (!w lxor tag < 1 lsl fp_shift
+           (!w lxor tag < 1 lsl kid_shift
            &&
            let id = !w land id_mask in
-           m.var_of.(id) = v && m.kids_of.(id) = kids)
+           var m id = v && m.kids_of.(id) = kids)
     do
       i := (!i + 1) land mask;
-      w := m.u_slot.(!i)
+      w := u_get m.u_slot !i
     done;
-    if !w >= 0 then begin
+    if !w <> 0 then begin
       if !Obs.on then Obs.Counter.bump c_unique_hit;
       !w land id_mask
     end
     else insert m v lo hi tag !i
   end
 
-(* [dag_size] marks a node by moving its level above [size_mark] (levels
-   are far below it) and unmarks in a second walk: no visited table, no
-   allocation. Both walks recurse lo-first, at most one level per variable
-   deep. *)
-let size_mark = 1 lsl 48
-
+(* [dag_size] marks a node by setting bit 30 of its level ([size_mark];
+   levels are below it) and unmarks in a second walk: no visited table,
+   no allocation. Both walks recurse lo-first, at most one level per
+   variable deep. *)
 let rec size_walk m id n =
-  if id < 2 || m.var_of.(id) >= size_mark then n
+  if id < 2 || var m id >= size_mark then n
   else begin
-    m.var_of.(id) <- m.var_of.(id) + size_mark;
+    set_var m id (var m id lor size_mark);
     size_walk m (high m id) (size_walk m (low m id) (n + 1))
   end
 
 let rec size_unmark m id =
-  if id >= 2 && m.var_of.(id) >= size_mark then begin
-    m.var_of.(id) <- m.var_of.(id) - size_mark;
+  if id >= 2 && var m id >= size_mark then begin
+    set_var m id (var m id lxor size_mark);
     size_unmark m (low m id);
     size_unmark m (high m id)
   end
@@ -630,38 +687,42 @@ let dag_size m roots =
   List.iter (size_unmark m) roots;
   n
 
-(* [support] marks nodes the way [dag_size] does and records each level
-   it meets in a per-call byte map, then unmarks with [size_unmark].
-   Results are memoized by root id. *)
+(* [support_once] marks nodes the way [dag_size] does and records each
+   level it meets in a per-call byte map, then unmarks with
+   [size_unmark]. [support] memoizes it by root id. *)
 let rec support_walk m seen id =
-  if id >= 2 && m.var_of.(id) < size_mark then begin
-    let v = m.var_of.(id) in
+  if id >= 2 && var m id < size_mark then begin
+    let v = var m id in
     Bytes.set seen v '\001';
-    m.var_of.(id) <- v + size_mark;
+    set_var m id (v lor size_mark);
     support_walk m seen (low m id);
     support_walk m seen (high m id)
   end
+
+let support_once m f =
+  let seen = Bytes.make m.n_vars '\000' in
+  support_walk m seen f;
+  size_unmark m f;
+  let vars = ref [] in
+  for v = m.n_vars - 1 downto 0 do
+    if Bytes.get seen v <> '\000' then vars := v :: !vars
+  done;
+  !vars
 
 let support m f =
   match Hashtbl.find_opt m.support_memo f with
   | Some vars -> vars
   | None ->
-    let seen = Bytes.make m.n_vars '\000' in
-    support_walk m seen f;
-    size_unmark m f;
-    let vars = ref [] in
-    for v = m.n_vars - 1 downto 0 do
-      if Bytes.get seen v <> '\000' then vars := v :: !vars
-    done;
-    Hashtbl.replace m.support_memo f !vars;
-    !vars
+    let vars = support_once m f in
+    Hashtbl.replace m.support_memo f vars;
+    vars
 
-let var m id = m.var_of.(id)
 let is_const id = id < 2
 let num_vars m = m.n_vars
 
 let new_var ?name m =
   let v = m.n_vars in
+  if v >= terminal_level then invalid_arg "Manager.new_var: too many variables";
   m.n_vars <- v + 1;
   (* grow geometrically: the old per-variable copy made registering n
      variables O(n^2) *)

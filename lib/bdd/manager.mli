@@ -58,7 +58,9 @@ val one : int
 
 val new_var : ?name:string -> t -> int
 (** [new_var m] registers a fresh variable at the next level and returns its
-    variable index (= its level). Optionally give it a [name] for printing. *)
+    variable index (= its level). Optionally give it a [name] for printing.
+    Levels are stored in 32 bits: raises [Invalid_argument] past level
+    2{^30}-2. *)
 
 val new_vars : ?prefix:string -> t -> int -> int list
 (** [new_vars m n] registers [n] fresh variables named [prefix0..]. *)
@@ -79,12 +81,8 @@ val mk : t -> int -> int -> int -> int
     itself for the duration. *)
 
 val var : t -> int -> int
-(** [var m id] is the variable (level) of node [id]; a large sentinel
-    ([terminal_level]) for constants. *)
-
-val terminal_level : int
-(** Sentinel level of the two constant nodes; strictly greater than any
-    variable level. *)
+(** [var m id] is the variable (level) of node [id]; for the constants,
+    a sentinel greater than any variable's level. *)
 
 val low : t -> int -> int
 (** Low (else) child. Meaningless on constants. *)
@@ -103,8 +101,13 @@ val support : t -> int -> int list
 (** The variables a node depends on, ascending; {!Ops.support} is this.
     Memoized by node id: nodes are immutable, so entries never go stale,
     and the collector drops the entries of swept ids before the ids can
-    be reused. Like {!dag_size}, a miss marks the nodes it visits in
-    place and unmarks them before returning. *)
+    be reused. A miss is {!support_once}. *)
+
+val support_once : t -> int -> int list
+(** {!support} without the memo, for a node whose support is asked for
+    once: it neither reads nor adds a memo entry. Like {!dag_size}, it
+    marks the nodes it visits in place and unmarks them before
+    returning. *)
 
 val num_nodes : t -> int
 (** Live nodes currently resident in the manager (constants included).

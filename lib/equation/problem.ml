@@ -157,17 +157,13 @@ let conformance_parts t =
   List.map2 (fun fo so -> O.bxnor t.man fo so) t.f_out_o t.s_out_o
 
 let u_relation_parts t =
-  M.with_frozen t.man @@ fun () ->
-  List.map2
-    (fun uv ufn -> O.bxnor t.man (O.var_bdd t.man uv) ufn)
-    t.u_vars t.f_out_u
+  Img.Partition.of_functions t.man (List.combine t.u_vars t.f_out_u)
 
 let transition_parts t =
-  M.with_frozen t.man @@ fun () ->
-  List.map2
-    (fun nsv fn -> O.bxnor t.man (O.var_bdd t.man nsv) fn)
-    (t.f_sym.S.next_state_vars @ t.s_sym.S.next_state_vars)
-    (t.f_sym.S.next_fns @ t.s_sym.S.next_fns)
+  Img.Partition.of_functions t.man
+    (List.combine
+       (t.f_sym.S.next_state_vars @ t.s_sym.S.next_state_vars)
+       (t.f_sym.S.next_fns @ t.s_sym.S.next_fns))
 
 let initial_cube t = O.band t.man t.f_sym.S.init_cube t.s_sym.S.init_cube
 

@@ -93,7 +93,7 @@ let and_exists_list m ?(order = Greedy) rels ~quantify =
   in
   Fun.protect ~finally @@ fun () ->
   let steps = Array.length parts in
-  for _ = 1 to steps do
+  for step = 1 to steps do
     let k = pick () in
     used.(k) <- true;
     List.iter
@@ -110,9 +110,11 @@ let and_exists_list m ?(order = Greedy) rels ~quantify =
       Obs.Counter.bump c_conj;
       Obs.Gauge.set_max g_peak_intermediate (O.size m !acc)
     end;
-    if order = Greedy then begin
+    (* an accumulator's support is asked for once, so it is not memoized;
+       with at most one conjunct left the next pick is forced *)
+    if order = Greedy && steps - step > 1 then begin
       List.iter (fun v -> in_acc.(v) <- false) !acc_supp;
-      acc_supp := O.support m !acc;
+      acc_supp := M.support_once m !acc;
       List.iter (fun v -> in_acc.(v) <- true) !acc_supp
     end
   done;

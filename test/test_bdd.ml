@@ -372,6 +372,41 @@ let test_cache_packed_edges () =
         triples)
     ops
 
+(* Levels are stored in 32 bits: a BDD over variables numbered past 16
+   bits keeps its support and size, and after a collection each live
+   node is found again under its own (var, low, high). *)
+let test_wide_levels () =
+  let m = M.create () in
+  ignore (M.new_vars m 70_010 : int list);
+  let x = O.var_bdd m in
+  (* x70000 xor x70003 xor (x70004 and x70009): a node at 70000 and two
+     at each level below it *)
+  let f =
+    O.bxor m
+      (O.bxor m (x 70_000) (x 70_003))
+      (O.band m (x 70_004) (x 70_009))
+  in
+  M.protect m f;
+  let vs = [ 70_000; 70_003; 70_004; 70_009 ] in
+  Alcotest.(check (list int)) "support" vs (O.support m f);
+  Alcotest.(check (list int)) "support_once" vs (M.support_once m f);
+  Alcotest.(check int) "dag_size" 7 (M.dag_size m [ f ]);
+  Alcotest.(check int) "root level unmarked" 70_000 (M.var m f);
+  ignore (M.collect m : int);
+  let rec nodes id acc =
+    if M.is_const id || List.mem id acc then acc
+    else nodes (M.high m id) (nodes (M.low m id) (id :: acc))
+  in
+  let live = nodes f [] in
+  Alcotest.(check int) "live decision nodes" 7 (List.length live);
+  List.iter
+    (fun id ->
+      Alcotest.(check int)
+        (Printf.sprintf "node %d found again" id)
+        id
+        (M.mk m (M.var m id) (M.low m id) (M.high m id)))
+    live
+
 let test_cache_emptied () =
   let m = fresh_man () in
   let stored () =
@@ -1075,6 +1110,7 @@ let () =
             `Quick test_cache_packed_edges;
           Alcotest.test_case "cache emptied by clear, collect, growth" `Quick
             test_cache_emptied;
+          Alcotest.test_case "levels past 16 bits" `Quick test_wide_levels;
           Alcotest.test_case "pick minterm" `Quick test_pick_minterm;
           Alcotest.test_case "migrate semantics" `Quick
             test_migrate_preserves_semantics;

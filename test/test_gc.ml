@@ -418,6 +418,67 @@ let prop_unique_table_under_reuse =
       | None -> false
       | Some (occupied, live_decision) -> canonical && occupied = live_decision)
 
+(* Random [mk]/[collect] rounds on a store that starts at 16 slots: the
+   kept set grows round by round, so the unique table doubles, and the
+   collections leave stale entries behind, so it purges. After every
+   round each live node, looked up again under its own triple, must come
+   back to the same id; with hundreds of ids in the table, the probes
+   cross both slots of its packed words. *)
+let prop_unique_slots_under_growth =
+  QCheck.Test.make ~count:30 ~name:"unique slots under purges and growths"
+    QCheck.small_nat (fun seed ->
+      let nv = 10 in
+      let m = M.create ~initial_capacity:16 () in
+      ignore (M.new_vars m nv : int list);
+      M.set_auto_gc m true;
+      M.set_gc_threshold m 0.0;
+      let rng = Random.State.make [| seed |] in
+      Obs.set_enabled true;
+      Obs.reset ();
+      Fun.protect ~finally:(fun () -> Obs.set_enabled false) @@ fun () ->
+      let kept = Queue.create () in
+      let same_ids () =
+        let live = Hashtbl.create 256 in
+        Queue.iter
+          (fun f -> Hashtbl.iter (Hashtbl.replace live) (reachable m f))
+          kept;
+        Hashtbl.fold
+          (fun id () ok ->
+            ok && M.mk m (M.var m id) (M.low m id) (M.high m id) = id)
+          live true
+      in
+      let ok = ref true in
+      for round = 1 to 30 do
+        for _ = 1 to 4 do
+          let f = pinned_random m rng nv 4 in
+          M.protect m f;
+          Queue.add f kept
+        done;
+        if Queue.length kept > 2 * round then M.release m (Queue.pop kept);
+        if round mod 3 = 0 then ignore (M.collect m : int);
+        ok := !ok && same_ids ()
+      done;
+      !ok
+      && Obs.Counter.find "bdd.unique.purges" > 0
+      && Obs.Counter.find "bdd.unique.rehashes" > 0)
+
+(* The unique table doubles when the live count passes half its slots,
+   not when it reaches half: a 1024-node store starts with 2048 slots
+   (4 bytes each) and keeps them at exactly 1024 live nodes. *)
+let test_unique_half_load () =
+  Obs.set_enabled true;
+  Obs.reset ();
+  Fun.protect ~finally:(fun () -> Obs.set_enabled false) @@ fun () ->
+  let m = M.create ~initial_capacity:1024 () in
+  let unique_bytes () = Obs.Gauge.find "bdd.mem.unique_bytes" in
+  Alcotest.(check int) "2048 slots of 4 bytes" (2048 * 4) (unique_bytes ());
+  let vs = M.new_vars m 1022 in
+  List.iter (fun v -> ignore (M.mk m v M.zero M.one : int)) vs;
+  Alcotest.(check int) "half the slots live" 1024 (M.live_nodes m);
+  Alcotest.(check int) "not doubled at half" (2048 * 4) (unique_bytes ());
+  ignore (M.mk m 0 M.one M.zero : int);
+  Alcotest.(check int) "doubled past half" (4096 * 4) (unique_bytes ())
+
 (* --- observability ------------------------------------------------------------ *)
 
 let test_gc_counters () =
@@ -490,7 +551,10 @@ let () =
           Alcotest.test_case "gc off grows only" `Quick test_gc_off_grows_only;
           Alcotest.test_case "insert under collection pressure" `Quick
             test_insert_under_pressure;
-          QCheck_alcotest.to_alcotest prop_unique_table_under_reuse ]
+          QCheck_alcotest.to_alcotest prop_unique_table_under_reuse;
+          QCheck_alcotest.to_alcotest prop_unique_slots_under_growth;
+          Alcotest.test_case "unique table kept at half load" `Quick
+            test_unique_half_load ]
       );
       ( "caches",
         [ Alcotest.test_case "clear_caches/GC interleaving" `Quick
