@@ -40,14 +40,15 @@ type t = {
   mutable u_slot : int array;
   mutable u_mask : int;
   mutable u_used : int;
-  (* computed cache: direct-mapped, one interleaved array of 2-word
-     entries (see [cache_key]), so a probe touches one cache line; a first
-     word of -1 marks an empty entry. Grows
-     (emptying itself — it is lossy anyway) as the node count does.
-     Invalidated wholesale ([invalidate_cache]) by every collection: a
-     cached result may name a swept id, and a swept slot may be re-filled
-     with a different node. *)
-  mutable cache : int array;
+  (* computed cache: direct-mapped, interleaved 2-word entries (see
+     [cache_key]), so a probe touches one cache line; a first word of -1
+     marks an empty entry. The entries are held in chunks of
+     [chunk_words] words (see [grow_cache]); while the cache fits in one
+     chunk, that chunk is exactly its size. Grows (emptying itself — it
+     is lossy anyway) as the node count does. Invalidated wholesale
+     ([invalidate_cache]) by every collection: a cached result may name a
+     swept id, and a swept slot may be re-filled with a different node. *)
+  mutable cache : int array array;
   mutable c_mask : int;  (* entries - 1 *)
   mutable c_epoch : int;  (* the current epoch, pre-shifted by [epoch_shift] *)
   mutable n_vars : int;
@@ -175,6 +176,13 @@ let initial_cache_bits = 12
 let max_cache_bits = 22
 let cache_cap = 1 lsl max_cache_bits
 
+(* A cache chunk holds 2^16 words (512 KB). An entry starts at an even
+   word and a chunk's length is even, so an entry's two words never
+   straddle two chunks. *)
+let chunk_bits = 16
+let chunk_words = 1 lsl chunk_bits
+let chunk_mask = chunk_words - 1
+
 (* Node ids fit in [kid_shift] = 26 bits ([grow_nodes] stops the store
    at [max_nodes]), so two of them share a word: a node's children in
    [kids_of], and the operands of a computed-cache entry. An entry is two
@@ -219,7 +227,7 @@ let note_footprint m =
       (Bytes.length m.var_of + (8 * Array.length m.kids_of)
      + Bytes.length m.mark);
     Obs.Gauge.set_max g_unique_bytes (8 * Array.length m.u_slot);
-    Obs.Gauge.set_max g_cache_bytes (8 * Array.length m.cache)
+    Obs.Gauge.set_max g_cache_bytes (16 * (m.c_mask + 1))
   end
 
 let create ?(initial_capacity = 1024) () =
@@ -238,7 +246,7 @@ let create ?(initial_capacity = 1024) () =
       u_slot = Array.make (usize / 2) 0;
       u_mask = usize - 1;
       u_used = 0;
-      cache = Array.make (2 * csize) (-1);
+      cache = [| Array.make (2 * csize) (-1) |];
       c_mask = csize - 1;
       c_epoch = 0;
       n_vars = 0;
@@ -281,7 +289,8 @@ let hash3 v lo hi =
 let[@inline] low m id = m.kids_of.(id) land id_mask
 let[@inline] high m id = m.kids_of.(id) lsr kid_shift
 
-(* Every growth below drops a large array; with the kernel's hot path
+(* Every growth below allocates a large array and, but for a cache past
+   one chunk, drops the one it replaces; with the kernel's hot path
    allocating next to nothing, the major GC would otherwise get round to
    freeing it late and the resident set would grow. [Gc.major_slice 0]
    pays down that debt right away. *)
@@ -299,13 +308,29 @@ let grow_nodes m =
   note_footprint m;
   ignore (Gc.major_slice 0 : int)
 
-(* the [max_cache_bits] cap is checked by the caller (on the allocation
-   path, where paying a call per [mk] just to bounce off the cap inside
-   showed up in profiles) *)
+(* The cache grows in place: the chunks it has are emptied and fresh
+   ones appended, so the old cache is never resident beside the new one
+   (a dropped array is freed only when a major GC cycle ends). While the
+   cache fits in one chunk, that chunk is replaced instead; sizes are
+   powers of two, so a cache that outgrows one chunk is made of full
+   ones. The [max_cache_bits] cap is checked by the caller (on the
+   allocation path, where paying a call per [mk] just to bounce off the
+   cap inside showed up in profiles). *)
 let grow_cache m =
   if !Obs.on then Obs.Counter.bump c_grow_cache;
   let size' = 2 * (m.c_mask + 1) in
-  m.cache <- Array.make (2 * size') (-1);
+  let words = 2 * size' in
+  if words <= chunk_words then m.cache <- [| Array.make words (-1) |]
+  else begin
+    let old = m.cache in
+    m.cache <-
+      Array.init (words / chunk_words) (fun k ->
+          if k < Array.length old then begin
+            Array.fill old.(k) 0 chunk_words (-1);
+            old.(k)
+          end
+          else Array.make chunk_words (-1))
+  end;
   m.c_mask <- size' - 1;
   note_footprint m;
   ignore (Gc.major_slice 0 : int)
@@ -441,7 +466,7 @@ let gc_nodes_swept m = m.gc_swept_total
 let invalidate_cache m =
   let e = m.c_epoch + (1 lsl epoch_shift) in
   if e lsr epoch_shift = 1 lsl epoch_bits then begin
-    Array.fill m.cache 0 (Array.length m.cache) (-1);
+    Array.iter (fun t -> Array.fill t 0 (Array.length t) (-1)) m.cache;
     m.c_epoch <- 0
   end
   else m.c_epoch <- e
@@ -759,9 +784,11 @@ let[@inline] cache_slot m op a b c =
 let[@inline] cache_key m op a b =
   m.c_epoch lor (op lsl op_shift) lor (b lsl kid_shift) lor a
 
+(* entry [s]'s chunk is [m.cache.(s lsr chunk_bits)], and its first word
+   is at [s land chunk_mask] there *)
 let[@inline] cache_find m op a b c =
-  let t = m.cache in
   let s = 2 * cache_slot m op a b c in
+  let t = m.cache.(s lsr chunk_bits) and s = s land chunk_mask in
   let r = t.(s + 1) in
   let hit = t.(s) = cache_key m op a b && r lsr kid_shift = c in
   if !Obs.on then begin
@@ -771,8 +798,8 @@ let[@inline] cache_find m op a b c =
   if hit then r land id_mask else -1
 
 let[@inline] cache_store m op a b c r =
-  let t = m.cache in
   let s = 2 * cache_slot m op a b c in
+  let t = m.cache.(s lsr chunk_bits) and s = s land chunk_mask in
   t.(s) <- cache_key m op a b;
   t.(s + 1) <- (c lsl kid_shift) lor r
 

@@ -274,5 +274,6 @@ let solve_split ?node_limit ?time_limit ?fault ~method_ net ~x_latches =
   Obs.Span.with_ "solve" (fun () -> descend (ladder method_))
 
 let verify ?runtime r =
-  ( Verify.particular_contained ?runtime r.problem r.split r.csf,
-    Verify.composition_equals_spec ?runtime r.problem r.split )
+  Obs.Span.with_ "verify" (fun () ->
+      ( Verify.particular_contained ?runtime r.problem r.split r.csf,
+        Verify.composition_equals_spec ?runtime r.problem r.split ))

@@ -135,4 +135,5 @@ val solve_split :
 val verify : ?runtime:Runtime.t -> report -> bool * bool
 (** [(particular_contained, composition_equals_spec)] for a completed run.
     With [runtime], verification runs in the [Verify] phase under the
-    runtime's budget instead of unbounded. *)
+    runtime's budget instead of unbounded. Runs under the Obs span
+    ["verify"]. *)

@@ -21,8 +21,7 @@ let counters =
     "bdd.gc.nodes_swept" ]
   @ List.concat_map
       (fun op -> [ "bdd.cache.lookups." ^ op; "bdd.cache.hits." ^ op ])
-      [ "ite"; "not"; "exists"; "forall"; "and_exists"; "compose";
-        "constrain" ]
+      [ "ite"; "not"; "exists"; "and_exists"; "constrain" ]
 
 type budget = Unbounded | Node_limit of int | Fault_rungs of int
 

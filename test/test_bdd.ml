@@ -439,6 +439,127 @@ let test_cache_emptied () =
   done;
   Alcotest.(check int) "growth empties" (-1) (M.cache_find m M.Op.ite 2 3 4)
 
+(* --- the chunked computed cache ------------------------------------------ *)
+
+(* The computed cache is held in chunks of 2^16 words (2^15 two-word
+   entries) once it outgrows one. These tests drive a manager's cache to
+   two chunks and then four with distinct single-variable nodes (about 66k
+   of them), and pick their keys with a copy of [Manager.cache_slot]'s
+   hash so that the entries land in distinct slots across the chunks. *)
+
+let chunk_entries = 1 lsl 15
+
+let cache_slot ~entries op a b c =
+  let h =
+    (op * 0x27d4eb2f)
+    lxor (a * 0x9e3779b1)
+    lxor (b * 0x85ebca77)
+    lxor (c * 0xc2b2ae3d)
+  in
+  (h lxor (h lsr 13)) land (entries - 1)
+
+let key i = (2 + i, 3 + (2 * i), 5 + (3 * i))
+
+(* [n] keys of tag ite with distinct slots in a cache of [entries] *)
+let spread_keys ~entries n =
+  let used = Hashtbl.create n in
+  let rec go i acc =
+    if List.length acc = n then List.rev acc
+    else
+      let a, b, c = key i in
+      let s = cache_slot ~entries M.Op.ite a b c in
+      if Hashtbl.mem used s then go (i + 1) acc
+      else begin
+        Hashtbl.add used s ();
+        go (i + 1) (key i :: acc)
+      end
+  in
+  go 0 []
+
+let chunks_of ~entries keys =
+  List.sort_uniq compare
+    (List.map
+       (fun (a, b, c) -> cache_slot ~entries M.Op.ite a b c / chunk_entries)
+       keys)
+
+(* a manager with Obs on whose cache is grown to [entries] by fresh
+   nodes, one per variable; checks the footprint gauge on the way *)
+let grow_cache_to m next_var entries =
+  let grows () = Obs.Counter.find "bdd.cache.grows" in
+  let size () = (1 lsl 12) lsl grows () in
+  while size () < entries do
+    let before = size () in
+    ignore (M.mk m !next_var M.zero M.one : int);
+    incr next_var;
+    if size () > before then
+      Alcotest.(check int) "bdd.mem.cache_bytes = 16 x entries"
+        (16 * size ()) (Obs.Gauge.find "bdd.mem.cache_bytes")
+  done;
+  Alcotest.(check int) "grown to the size asked" entries (size ())
+
+let with_chunked_cache f =
+  Obs.set_enabled true;
+  Obs.reset ();
+  Fun.protect ~finally:(fun () -> Obs.set_enabled false) @@ fun () ->
+  let m = M.create () in
+  ignore (M.new_vars m 70_000 : int list);
+  let next_var = ref 0 in
+  grow_cache_to m next_var (2 * chunk_entries);
+  f m (grow_cache_to m next_var)
+
+let store_all m keys =
+  List.iter (fun (a, b, c) -> M.cache_store m M.Op.ite a b c (a + 1)) keys
+
+let check_all m what expect keys =
+  List.iter
+    (fun (a, b, c) ->
+      let r = M.cache_find m M.Op.ite a b c in
+      if r <> expect (a + 1) then
+        Alcotest.failf "%s: (%d, %d, %d) gives %d" what a b c r)
+    keys
+
+let test_cache_chunks_grow () =
+  with_chunked_cache @@ fun m grow_to ->
+  let entries = 2 * chunk_entries in
+  (* the copy of the slot hash agrees with the kernel's: two keys in one
+     slot evict each other *)
+  let slot (a, b, c) = cache_slot ~entries M.Op.ite a b c in
+  let rec same i =
+    if slot (key i) = slot (key 0) then key i else same (i + 1)
+  in
+  let (a, b, c), (a', b', c') = (key 0, same 1) in
+  M.cache_store m M.Op.ite a b c M.one;
+  M.cache_store m M.Op.ite a' b' c' M.one;
+  Alcotest.(check int) "a key in the same slot evicts" (-1)
+    (M.cache_find m M.Op.ite a b c);
+  let keys = spread_keys ~entries 256 in
+  Alcotest.(check (list int)) "keys in both chunks" [ 0; 1 ]
+    (chunks_of ~entries keys);
+  store_all m keys;
+  check_all m "two chunks, stored" Fun.id keys;
+  grow_to (2 * entries);
+  check_all m "emptied by growth to four chunks" (fun _ -> -1) keys;
+  Alcotest.(check (list int)) "keys in all four chunks" [ 0; 1; 2; 3 ]
+    (chunks_of ~entries:(2 * entries) keys);
+  store_all m keys;
+  check_all m "four chunks, stored" Fun.id keys
+
+let test_cache_chunks_wrap () =
+  with_chunked_cache @@ fun m _ ->
+  let keys = spread_keys ~entries:(2 * chunk_entries) 256 in
+  store_all m keys;
+  check_all m "stored" Fun.id keys;
+  (* the 128th collection brings the epoch back round to the one the
+     keys were stored under, past the wrap that must empty every chunk *)
+  for _ = 1 to 127 do
+    ignore (M.collect m : int);
+    check_all m "after a collection" (fun _ -> -1) keys
+  done;
+  ignore (M.collect m : int);
+  Alcotest.(check int) "no entry hits after the wrap" 0
+    (List.length
+       (List.filter (fun (a, b, c) -> M.cache_find m M.Op.ite a b c <> -1) keys))
+
 let test_pick_minterm () =
   let m = fresh_man () in
   let f = fbuild m (F_and (F_not (F_var 1), F_var 3)) in
@@ -1116,4 +1237,9 @@ let () =
             test_migrate_preserves_semantics;
           Alcotest.test_case "force order" `Quick
             test_force_order_improves_shift_relation ] );
+      ( "chunked",
+        [ Alcotest.test_case "growth empties every chunk" `Quick
+            test_cache_chunks_grow;
+          Alcotest.test_case "epoch wrap empties every chunk" `Quick
+            test_cache_chunks_wrap ] );
       ("properties", qcheck_cases) ]

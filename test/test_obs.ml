@@ -375,6 +375,21 @@ let test_cache_tallies_fold_on_read () =
       Alcotest.(check int) "reset drops unread tallies" 0
         (Obs.Counter.find "bdd.cache.lookups"))
 
+(* [Solve.verify] is timed under its own span, so [--verify --stats]
+   reports the §4 checks *)
+let test_verify_timed () =
+  match solve_counter () with
+  | E.Solve.Could_not_complete _ -> Alcotest.fail "counter:3 should solve"
+  | E.Solve.Completed r ->
+    with_obs (fun () ->
+        let contained, equal = E.Solve.verify r in
+        Alcotest.(check (pair bool bool)) "checks pass" (true, true)
+          (contained, equal);
+        match Obs.Timer.find "verify" with
+        | Some (_, _, count) ->
+          Alcotest.(check int) "timers.verify count" 1 count
+        | None -> Alcotest.fail "no verify timer")
+
 let test_cnc_flushes_partial_stats () =
   with_obs (fun () ->
       let row = Circuits.Suite.find "t298" in
@@ -422,4 +437,5 @@ let () =
           Alcotest.test_case "cache tallies fold on read" `Quick
             test_cache_tallies_fold_on_read;
           Alcotest.test_case "cnc partial stats" `Quick
-            test_cnc_flushes_partial_stats ] ) ]
+            test_cnc_flushes_partial_stats;
+          Alcotest.test_case "verify timed" `Quick test_verify_timed ] ) ]
