@@ -395,7 +395,8 @@ let ablation_gc_threshold () =
   (* the dead-ratio trigger of the mark-and-sweep collector: below the
      threshold a full node store grows, at or above it the manager collects
      in place. 0.0 collects on every full store (maximum sweeping, maximum
-     mark cost), 1.0 effectively never collects (grow-only, like --no-gc).
+     mark cost), 1.0 effectively never collects (grow-only, like a manager
+     with automatic collection off).
      A tight node budget makes the collector load-bearing: runs that cannot
      reclaim enough dead nodes hit the live-node limit and fail over to the
      degradation ladder. *)

@@ -18,8 +18,8 @@ let state_name t s = t.names.(s)
 (* Pin every guard against garbage collection: automata outlive the
    constructions that build them (solver phases run between constructing a
    CSF and consuming it, and may collect in between), so guards are
-   protected for the manager's lifetime. Shared guards are pinned once per
-   automaton that carries them (protect is reference counted). *)
+   protected for the manager's lifetime. A guard shared by several
+   automata is pinned once per automaton, which is harmless. *)
 let pin t =
   Array.iter (List.iter (fun (g, _) -> M.protect t.man g)) t.edges;
   t

@@ -8,9 +8,10 @@
    [mk] consumes before growing the store, so live node ids are never moved
    and id-keyed memo tables (subset-construction P_zeta memo, support memo)
    stay valid across collections. Reachability is defined by explicitly
-   pinned roots: the [protect]/[release] table, registered root sets, and an
-   internal operand stack that the recursive operations at the end of this
-   file use to pin intermediate results for the duration of a call. *)
+   pinned roots: registered root sets (one of them, [lifelong], holds the
+   [protect] pins for the manager's lifetime) and an internal operand
+   stack that the recursive operations at the end of this file use to pin
+   intermediate results for the duration of a call. *)
 
 type root_set = { mutable rs_ids : int array; mutable rs_n : int }
 
@@ -68,8 +69,8 @@ type t = {
   mutable live_peak : int;  (* largest [live_after_gc] *)
   mutable free_head : int;  (* free list threaded through [kids_of]; -1 = empty *)
   mutable free_count : int;
-  pinned : (int, int) Hashtbl.t;  (* node id -> pin count *)
-  mutable root_sets : root_set list;
+  lifelong : root_set;  (* [protect]'s pins, never released *)
+  mutable root_sets : root_set list;  (* [lifelong] included *)
   mutable op_stack : int array;  (* operand pins, LIFO (cf. BuDDy PUSHREF) *)
   mutable op_top : int;
   mutable frozen : int;  (* > 0: allocation may not trigger a collection *)
@@ -230,6 +231,8 @@ let note_footprint m =
     Obs.Gauge.set_max g_cache_bytes (16 * (m.c_mask + 1))
   end
 
+let empty_root_set () = { rs_ids = Array.make 16 0; rs_n = 0 }
+
 let create ?(initial_capacity = 1024) () =
   let cap = max initial_capacity 16 in
   let usize = 2 * cap in
@@ -237,6 +240,7 @@ let create ?(initial_capacity = 1024) () =
   let rec pow2 k = if k >= usize then k else pow2 (2 * k) in
   let usize = pow2 16 in
   let csize = 1 lsl initial_cache_bits in
+  let lifelong = empty_root_set () in
   let m =
     {
       var_of = levels Bytes.empty cap;
@@ -260,8 +264,8 @@ let create ?(initial_capacity = 1024) () =
       live_peak = 2;
       free_head = -1;
       free_count = 0;
-      pinned = Hashtbl.create 64;
-      root_sets = [];
+      lifelong;
+      root_sets = [ lifelong ];
       op_stack = Array.make 256 0;
       op_top = 0;
       frozen = 0;
@@ -364,7 +368,6 @@ let rebuild_unique m size =
     ignore (Gc.major_slice 0 : int)
   end
 
-let num_nodes m = m.n_entries
 let live_nodes m = m.n_entries
 let peak_live_nodes m = m.peak_live
 let live_peak m = m.live_peak
@@ -380,26 +383,11 @@ let set_alloc_hook m hook = m.alloc_hook <- hook
 
 (* --- root pinning ------------------------------------------------------- *)
 
-let protect m id =
-  if id >= 2 then
-    match Hashtbl.find_opt m.pinned id with
-    | Some n -> Hashtbl.replace m.pinned id (n + 1)
-    | None -> Hashtbl.replace m.pinned id 1
-
-let release m id =
-  if id >= 2 then
-    match Hashtbl.find_opt m.pinned id with
-    | Some 1 -> Hashtbl.remove m.pinned id
-    | Some n -> Hashtbl.replace m.pinned id (n - 1)
-    | None -> invalid_arg "Manager.release: node is not protected"
-
-let protected m id = id < 2 || Hashtbl.mem m.pinned id
-
 module Roots = struct
   type set = root_set
 
   let create m =
-    let s = { rs_ids = Array.make 16 0; rs_n = 0 } in
+    let s = empty_root_set () in
     m.root_sets <- s :: m.root_sets;
     s
 
@@ -421,6 +409,8 @@ end
 let with_roots m f =
   let s = Roots.create m in
   Fun.protect ~finally:(fun () -> Roots.release m s) (fun () -> f s)
+
+let protect m id = ignore (Roots.add m.lifelong id : int)
 
 (* operand stack: recursive operations pin already-computed intermediates
    here across their remaining recursive calls; [mk] pins its own operands
@@ -507,7 +497,6 @@ let collect m =
       done
     end
   in
-  Hashtbl.iter (fun id _ -> visit id) m.pinned;
   List.iter
     (fun s ->
       for i = 0 to s.rs_n - 1 do

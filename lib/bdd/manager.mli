@@ -14,12 +14,16 @@
     list that {!mk} consumes before growing the store. Live ids never move
     (no compaction), so id-keyed client tables stay valid across
     collections. Reachability is defined by explicit roots only — the
-    manager cannot see ids held in OCaml data structures:
+    manager cannot see ids held in OCaml data structures. There are three
+    mechanisms:
 
-    - {!protect}/{!release} pin long-lived roots (reference counted);
-    - {!Roots} sets and {!with_roots} pin scoped groups of roots;
-    - an internal operand stack ({!stack_push}/{!stack_drop}) pins
-      intermediates inside recursive operations;
+    - {!Roots} sets pin groups of roots until the set is released
+      ({!with_roots} scopes one to a call). One set is registered by
+      {!create} and never released: {!protect} adds to it, for nodes
+      that live as long as the manager;
+    - an operand stack ({!stack_push}/{!stack_drop}) pins
+      intermediates inside recursive operations and the loop-carried
+      iterates of the image and reachability loops;
     - {!with_frozen} defers collection entirely for code that holds
       unpinned ids (private memo tables, bulk constructions) — the store
       grows instead.
@@ -109,13 +113,11 @@ val support_once : t -> int -> int list
     marks the nodes it visits in place and unmarks them before
     returning. *)
 
-val num_nodes : t -> int
-(** Live nodes currently resident in the manager (constants included).
-    Before the first collection this equals the historical "total nodes
-    ever created". *)
-
 val live_nodes : t -> int
-(** Synonym of {!num_nodes}, for symmetry with {!peak_live_nodes}. *)
+(** Nodes currently resident in the manager (constants included): the
+    live ones and, until a collection sweeps them, the dead ones. Right
+    after a {!collect} it is the number of nodes reachable from the
+    roots. *)
 
 val peak_live_nodes : t -> int
 (** High-water mark of {!live_nodes}, which counts a dead node until a
@@ -177,21 +179,8 @@ val set_alloc_hook : t -> (unit -> unit) option -> unit
 
 (** {2 Garbage collection API} *)
 
-val protect : t -> int -> unit
-(** [protect m id] pins [id] (and thereby everything reachable from it)
-    against collection. Reference counted: [n] protects need [n]
-    releases. Constants need no pinning and are accepted as no-ops. *)
-
-val release : t -> int -> unit
-(** Undo one {!protect}. Raises [Invalid_argument] if [id] is not
-    currently protected (catching unbalanced pin bugs early). *)
-
-val protected : t -> int -> bool
-(** Whether [id] is directly pinned (constants always are). Reachability
-    from other roots is not consulted. *)
-
-(** Scoped root sets: a set groups pinned ids so a whole construction can
-    be released at once (or automatically via {!with_roots}). *)
+(** Root sets: a set groups pinned ids so a whole construction can be
+    released at once (or automatically via {!with_roots}). *)
 module Roots : sig
   type set
 
@@ -206,6 +195,12 @@ module Roots : sig
   (** Unregister the set, unpinning every id it holds. *)
 end
 
+val protect : t -> int -> unit
+(** [protect m id] pins [id] (and thereby everything reachable from it)
+    for the manager's lifetime: it adds [id] to a root set that {!create}
+    registers and nothing releases. Pinning an id twice is harmless.
+    Constants need no pinning and are accepted as no-ops. *)
+
 val with_roots : t -> (Roots.set -> 'a) -> 'a
 (** [with_roots m f] runs [f] with a fresh root set, releasing it when
     [f] returns or raises. *)
@@ -213,8 +208,10 @@ val with_roots : t -> (Roots.set -> 'a) -> 'a
 val stack_push : t -> int -> unit
 (** Pin an intermediate on the internal operand stack. Used by the
     kernel's recursive operations to protect already-computed partial
-    results across their remaining recursive calls; strictly LIFO with
-    {!stack_drop}. *)
+    results across their remaining recursive calls, and by the image and
+    reachability loops for their loop-carried sets; strictly LIFO with
+    {!stack_drop}. An exception that unwinds past a push leaves its pin
+    behind until {!reset_op_stack}. *)
 
 val stack_drop : t -> int -> unit
 (** Pop the [n] most recent operand pins. *)

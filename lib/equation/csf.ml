@@ -30,9 +30,11 @@ let of_arena ?runtime (p : Problem.t) (a : Engine.arena) =
     List.filter (fun v -> not (List.mem v inputs)) a.Engine.alphabet
   in
   let out_cube = O.cube_of_vars man outputs in
-  (* forward and reverse adjacency over the flat arc arrays, in CSR form:
-     arc indices grouped by source, predecessor sources grouped by
-     destination — built once, before any deletion *)
+  (* forward and reverse adjacency over the flat arc arrays, in CSR form,
+     built once, before any deletion. The engine emits arcs by ascending
+     source (see [Engine.arena]), so the arcs of state [s] are already the
+     index range [fwd_off.(s)] to [fwd_off.(s + 1) - 1]; the predecessor
+     sources are grouped by destination. *)
   let fwd_off = Array.make (n + 1) 0 in
   let rev_off = Array.make (n + 1) 0 in
   for i = 0 to m - 1 do
@@ -47,13 +49,10 @@ let of_arena ?runtime (p : Problem.t) (a : Engine.arena) =
     acc_f := !acc_f + f;
     acc_r := !acc_r + r
   done;
-  let fwd_arc = Array.make m 0 in
   let rev_src = Array.make m 0 in
-  let fwd_fill = Array.copy fwd_off and rev_fill = Array.copy rev_off in
+  let rev_fill = Array.copy rev_off in
   for i = 0 to m - 1 do
     let s = a.Engine.arc_src.(i) and d = a.Engine.arc_dst.(i) in
-    fwd_arc.(fwd_fill.(s)) <- i;
-    fwd_fill.(s) <- fwd_fill.(s) + 1;
     rev_src.(rev_fill.(d)) <- s;
     rev_fill.(d) <- rev_fill.(d) + 1
   done;
@@ -74,8 +73,7 @@ let of_arena ?runtime (p : Problem.t) (a : Engine.arena) =
      leads to an alive state *)
   let progressive s =
     let d = ref M.zero in
-    for j = fwd_off.(s) to fwd_off.(s + 1) - 1 do
-      let i = fwd_arc.(j) in
+    for i = fwd_off.(s) to fwd_off.(s + 1) - 1 do
       if alive.(a.Engine.arc_dst.(i)) then
         d := O.bor man !d a.Engine.arc_guard.(i)
     done;
@@ -108,8 +106,8 @@ let of_arena ?runtime (p : Problem.t) (a : Engine.arena) =
       | [] -> ()
       | s :: rest ->
         stack := rest;
-        for j = fwd_off.(s) to fwd_off.(s + 1) - 1 do
-          let d = a.Engine.arc_dst.(fwd_arc.(j)) in
+        for i = fwd_off.(s) to fwd_off.(s + 1) - 1 do
+          let d = a.Engine.arc_dst.(i) in
           if alive.(d) && not (seen.(d)) then begin
             seen.(d) <- true;
             stack := d :: !stack
@@ -132,8 +130,7 @@ let of_arena ?runtime (p : Problem.t) (a : Engine.arena) =
       if seen.(s) then begin
         names.(index.(s)) <- a.Engine.names.(s);
         let out = ref [] in
-        for j = fwd_off.(s + 1) - 1 downto fwd_off.(s) do
-          let i = fwd_arc.(j) in
+        for i = fwd_off.(s + 1) - 1 downto fwd_off.(s) do
           let d = a.Engine.arc_dst.(i) in
           if seen.(d) then out := (a.Engine.arc_guard.(i), index.(d)) :: !out
         done;

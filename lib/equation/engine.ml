@@ -162,7 +162,8 @@ let run ?runtime ?on_state man ~alphabet make_oracle =
       end)
     sink_id;
   (* the arena outlives this root set: protect its guards for the
-     manager's lifetime (mirrors Automaton.pin; constants are no-ops) *)
+     manager's lifetime (mirrors Automaton.pin; constants are no-ops, a
+     guard on several arcs is pinned once per arc) *)
   Array.iter (fun g -> M.protect man g) arc_guard;
   ( { man; alphabet; initial = 0; accepting; names; arc_src; arc_guard;
       arc_dst },

@@ -63,7 +63,12 @@ type oracle = {
     order, then the used sinks in declaration order. Arcs are flat
     parallel arrays in emission order (core arcs first, then the sink
     self-loops); every guard is protected for the manager's lifetime, so
-    the arena survives the inter-phase collections of the solve ladder. *)
+    the arena survives the inter-phase collections of the solve ladder.
+
+    [arc_src] is non-decreasing: the core states are expanded in index
+    order (a FIFO queue), each emitting its arcs together, and the sink
+    self-loops follow in ascending id. So the arcs of state [s] form one
+    contiguous index range, which {!Csf.of_arena} relies on. *)
 type arena = {
   man : Bdd.Manager.t;
   alphabet : int list;

@@ -21,8 +21,8 @@ let is_total_v_cube man v_vars cube =
 
 (* Machines outlive the construction that produced them: protect every BDD
    the record holds (output cubes and transition guards) so a later
-   collection cannot sweep them. Protection is refcounted and never
-   released — machines are few and small. *)
+   collection cannot sweep them. The pins last for the manager's
+   lifetime — machines are few and small. *)
 let pin t =
   Array.iter (M.protect t.man) t.outputs;
   Array.iter (List.iter (fun (g, _) -> M.protect t.man g)) t.next;

@@ -30,10 +30,12 @@ let and_exists_list m ?(order = Greedy) rels ~quantify =
   (* variables outside the manager occur in no conjunct: nothing to do *)
   List.iter (fun v -> if v >= 0 && v < n then pending.(v) <- true) quantify;
   let parts = Array.of_list rels in
-  (* pin the conjuncts for the whole sweep; the accumulator is re-pinned
-     step by step so each dead intermediate becomes collectable as soon as
-     the next one replaces it — that rotation is where the GC recovers the
-     image computation's peak *)
+  (* pin the conjuncts for the whole sweep, and the accumulator above
+     them; each step replaces the accumulator's pin, so a dead
+     intermediate becomes collectable as soon as the next one supersedes
+     it — that rotation is where the GC recovers the image computation's
+     peak. Like the kernel's recursions, an exception leaves these pins
+     for the next [reset_op_stack]. *)
   Array.iter (M.stack_push m) parts;
   let supports = Array.map (O.support m) parts in
   let used = Array.make (Array.length parts) false in
@@ -42,6 +44,7 @@ let and_exists_list m ?(order = Greedy) rels ~quantify =
     (List.iter (fun v -> if pending.(v) then occ.(v) <- occ.(v) + 1))
     supports;
   let acc = ref M.one in
+  M.stack_push m !acc;
   let acc_supp = ref [] in
   let in_acc = Array.make n false in
   let rec score dead fresh = function
@@ -87,11 +90,6 @@ let and_exists_list m ?(order = Greedy) rels ~quantify =
         else acc)
       [] vs
   in
-  let finally () =
-    M.stack_drop m (Array.length parts);
-    if not (M.is_const !acc) then M.release m !acc
-  in
-  Fun.protect ~finally @@ fun () ->
   let steps = Array.length parts in
   for step = 1 to steps do
     let k = pick () in
@@ -102,9 +100,10 @@ let and_exists_list m ?(order = Greedy) rels ~quantify =
     let cube = O.cube_of_vars m (dying supports.(k)) in
     M.stack_push m cube;
     let acc' = O.and_exists m cube !acc parts.(k) in
-    M.stack_drop m 1;
-    if not (M.is_const acc') then M.protect m acc';
-    if not (M.is_const !acc) then M.release m !acc;
+    (* the cube and the old accumulator go, the new one is pinned: no
+       allocation in between *)
+    M.stack_drop m 2;
+    M.stack_push m acc';
     acc := acc';
     if !Obs.on then begin
       Obs.Counter.bump c_conj;
@@ -118,4 +117,5 @@ let and_exists_list m ?(order = Greedy) rels ~quantify =
       List.iter (fun v -> in_acc.(v) <- true) !acc_supp
     end
   done;
+  M.stack_drop m (steps + 1);
   !acc

@@ -4,40 +4,36 @@ module S = Network.Symbolic
 
 type outcome = Reached of { reached : int; steps : int } | Met_bad
 
-(* The loop-carried sets are protected and re-pinned at each step, so the
-   previous iterate becomes collectable the moment it is superseded; the
-   image and the fresh states ride the operand stack while the next sets
-   are computed from them. *)
+(* The reached set and the frontier ride the operand stack, and each step
+   replaces both pins at once, so the previous iterate becomes collectable
+   the moment it is superseded; the image and the fresh states sit above
+   them while the next sets are computed from them. Like the kernel's
+   recursions, an exception leaves the pins for the next
+   [reset_op_stack]. *)
 let fixpoint man ?(bad = fun _ -> false) ?(on_frontier = ignore) ~image init =
-  let reached = ref init and frontier = ref init in
-  M.protect man !reached;
-  M.protect man !frontier;
-  Fun.protect
-    ~finally:(fun () ->
-      M.release man !reached;
-      M.release man !frontier)
-  @@ fun () ->
-  let rec loop steps =
-    on_frontier !frontier;
-    if !frontier = M.zero then Reached { reached = !reached; steps }
-    else if bad !frontier then Met_bad
+  M.stack_push man init;
+  M.stack_push man init;
+  let rec loop reached frontier steps =
+    on_frontier frontier;
+    if frontier = M.zero then Reached { reached; steps }
+    else if bad frontier then Met_bad
     else begin
-      let img = image !frontier in
+      let img = image frontier in
       M.stack_push man img;
-      let fresh = O.bdiff man img !reached in
+      let fresh = O.bdiff man img reached in
       M.stack_push man fresh;
-      let reached' = O.bor man !reached fresh in
-      M.stack_drop man 2;
-      M.protect man reached';
-      M.protect man fresh;
-      M.release man !reached;
-      M.release man !frontier;
-      reached := reached';
-      frontier := fresh;
-      loop (steps + 1)
+      let reached' = O.bor man reached fresh in
+      (* the image, the fresh states and both old pins go, the new sets
+         are pinned: no allocation in between *)
+      M.stack_drop man 4;
+      M.stack_push man reached';
+      M.stack_push man fresh;
+      loop reached' fresh (steps + 1)
     end
   in
-  loop 0
+  let outcome = loop init init 0 in
+  M.stack_drop man 2;
+  outcome
 
 let reachable (sym : S.t) =
   let man = sym.S.man in

@@ -25,9 +25,10 @@ val fixpoint :
     the final, empty frontier; the stop on an empty frontier; [bad frontier]
     (default: never); [image frontier].
 
-    Pinning: the reached set and the frontier stay protected for the whole
-    loop (so [image], [bad] and [on_frontier] may allocate and collect),
-    and each superseded iterate is released at once. [image] must keep
+    Pinning: the reached set and the frontier stay on the operand stack
+    for the whole loop (so [image], [bad] and [on_frontier] may allocate
+    and collect), and each superseded iterate is dropped at once; an
+    exception leaves them there until {!Bdd.Manager.reset_op_stack}. [image] must keep
     alive whatever else it uses, and [on_frontier] must pin a frontier it
     keeps beyond the call. The returned set is not protected. *)
 

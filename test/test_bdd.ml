@@ -208,7 +208,8 @@ let test_limit_failure () =
     List.fold_left (fun acc v -> O.bxor m acc (O.var_bdd m v)) M.zero
       (List.init 10 Fun.id)
   in
-  M.protect m f;
+  let rs = M.Roots.create m in
+  ignore (M.Roots.add rs f : int);
   ignore (M.collect m : int);
   M.set_auto_gc m true;
   M.set_gc_threshold m 0.0;
@@ -245,7 +246,7 @@ let test_limit_failure () =
   raises "live set again" (fun () -> O.var_bdd m 15);
   (* unpinned, the parity function is swept by the next collection, so the
      allocation gets past the limit and the hook raises *)
-  M.release m f;
+  M.Roots.release m rs;
   M.set_alloc_hook m (Some (fun () -> raise M.Node_limit_exceeded));
   raises "hook" (fun () -> O.var_bdd m 15);
   Alcotest.check reason "hook raise" None (M.limit_failure m)
@@ -643,7 +644,9 @@ let arm cfg m =
     M.set_gc_threshold m 0.0
   end
 
-(* pin an operand, or a result that later operations must not sweep *)
+(* pin an operand, or a result that later operations must not sweep, for
+   the manager's lifetime; a pin that is dropped again goes in a root set
+   instead *)
 let pin m r =
   M.protect m r;
   r
@@ -732,9 +735,11 @@ let prop_cofactor =
       arm cfg m;
       List.for_all
         (fun (v, pol) ->
-          let lit = pin m (O.cube_of_literals m [ (v, pol) ]) in
-          let r = O.cofactor_cube m b lit in
-          M.release m lit;
+          let r =
+            M.with_roots m @@ fun rs ->
+            let lit = M.Roots.add rs (O.cube_of_literals m [ (v, pol) ]) in
+            O.cofactor_cube m b lit
+          in
           agrees_fixed m tt [ (v, pol) ] r)
         lits)
 
@@ -868,13 +873,13 @@ let prop_support_reference =
       let m = config_man cfg in
       List.for_all
         (fun f ->
-          let b = pin m (fbuild m f) in
-          (* the second call reads the memo *)
           let ok =
+            M.with_roots m @@ fun rs ->
+            let b = M.Roots.add rs (fbuild m f) in
+            (* the second call reads the memo *)
             O.support m b = reference_support m b
             && O.support m b = reference_support m b
           in
-          if not (M.is_const b) then M.release m b;
           if cfg = Pressure then ignore (M.collect m : int);
           ok)
         fs)
@@ -988,31 +993,27 @@ let formula_round m rand ~armed =
       generate1 ~rand (sized_size (int_bound 6) (formula_sized nvars)))
   in
   let f = gen () and g = gen () and h = gen () in
-  let bf = pin m (fbuild m f) and bg = pin m (fbuild m g) in
-  let bh = pin m (fbuild m h) in
+  M.with_roots m @@ fun rs ->
+  let bf = M.Roots.add rs (fbuild m f) and bg = M.Roots.add rs (fbuild m g) in
+  let bh = M.Roots.add rs (fbuild m h) in
   let vs =
     List.filter (fun _ -> Random.State.bool rand) (List.init nvars Fun.id)
   in
-  let cube = pin m (O.cube_of_vars m vs) in
+  let cube = M.Roots.add rs (O.cube_of_vars m vs) in
   let v = Random.State.int rand nvars and pol = Random.State.bool rand in
-  let lit = pin m (O.cube_of_literals m [ (v, pol) ]) in
+  let lit = M.Roots.add rs (O.cube_of_literals m [ (v, pol) ]) in
   let tf = truth_table f and tg = truth_table g and th = truth_table h in
   if armed then arm Pressure m;
-  (* each result is checked before the next operation can sweep it *)
-  let ok =
-    exact m (O.ite m bf bg bh)
-      (tables (fun b -> if tf.(b) then tg.(b) else th.(b)))
-    && exact m (O.and_exists m cube bf bg)
-         (tables (exists_tt (Array.map2 ( && ) tf tg) vs))
-    && exact m (O.exists m cube bf) (tables (exists_tt tf vs))
-    &&
-    let r = O.cofactor_cube m bf lit in
-    ordered m r && agrees_fixed m tf [ (v, pol) ] r
-  in
-  List.iter
-    (fun r -> if not (M.is_const r) then M.release m r)
-    [ bf; bg; bh; cube; lit ];
-  ok
+  (* each result is checked before the next operation can sweep it; the
+     round's pins go when it returns *)
+  exact m (O.ite m bf bg bh)
+    (tables (fun b -> if tf.(b) then tg.(b) else th.(b)))
+  && exact m (O.and_exists m cube bf bg)
+       (tables (exists_tt (Array.map2 ( && ) tf tg) vs))
+  && exact m (O.exists m cube bf) (tables (exists_tt tf vs))
+  &&
+  let r = O.cofactor_cube m bf lit in
+  ordered m r && agrees_fixed m tf [ (v, pol) ] r
 
 (* Rounds under [Pressure], each ending in a collection that sweeps all
    of it, until the collections have wrapped the cache's epoch field (128

@@ -133,6 +133,32 @@ let test_worklist_csf_on_arena () =
   Alcotest.(check bool) "same language" true
     (Fsa.Language.equivalent worklist sweep)
 
+(* both flows emit arcs by ascending source, the sink self-loops last (the
+   [Engine.arena] invariant the worklist CSF relies on to take a state's
+   arcs as one index range); some seed must reach a sink *)
+let test_arcs_by_source () =
+  let sinks_seen = ref 0 in
+  for seed = 1 to 12 do
+    let net =
+      Circuits.Generators.random_logic ~seed ~inputs:2 ~outputs:1 ~latches:3
+        ~levels:2 ()
+    in
+    let _, p = E.Split.problem net ~x_latches:[ "x1"; "x2" ] in
+    List.iter
+      (fun (flow, (arena, n_core)) ->
+        let src = arena.E.Engine.arc_src in
+        for i = 1 to Array.length src - 1 do
+          if src.(i) < src.(i - 1) then
+            Alcotest.failf "%s flow, seed %d: arc %d's source %d follows %d"
+              flow seed i src.(i) src.(i - 1)
+        done;
+        if E.Engine.num_states arena > n_core then incr sinks_seen)
+      [ ("partitioned", E.Partitioned.solve_arena p);
+        ("monolithic", E.Monolithic.solve_arena p) ]
+  done;
+  Alcotest.(check bool) "some arena has sink self-loops" true
+    (!sinks_seen > 0)
+
 let () =
   Alcotest.run "engine"
     [ ( "oracle",
@@ -146,4 +172,6 @@ let () =
             test_to_automaton_preserves_arena ] );
       ( "csf",
         [ Alcotest.test_case "worklist matches sweep on an arena" `Quick
-            test_worklist_csf_on_arena ] ) ]
+            test_worklist_csf_on_arena;
+          Alcotest.test_case "both flows emit arcs by source" `Quick
+            test_arcs_by_source ] ) ]

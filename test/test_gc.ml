@@ -1,5 +1,5 @@
 (* Tests for the in-place mark-and-sweep collector: sweep/reuse mechanics,
-   pin discipline (protect/release, root sets, freezing), the live-node
+   pin discipline (lifelong pins, root sets, freezing), the live-node
    semantics of the node limit, cache/GC interleaving, the observability
    counters, and the geometric growth of the variable tables. Semantic
    checks are truth-table exact over all environments (5 variables). *)
@@ -159,18 +159,20 @@ let test_frozen_defers_auto_gc () =
 
 (* --- pin discipline ----------------------------------------------------------- *)
 
-let test_protect_refcounted () =
+(* [protect] pins for the manager's lifetime: a pin outlives a root set
+   released after it, and pinning an id twice is harmless *)
+let test_protect_for_good () =
   let m = Helpers.fresh_man ~nvars () in
   let f = majority m in
   M.protect m f;
   M.protect m f;
-  M.release m f;
-  Alcotest.(check bool) "still pinned after one release" true (M.protected m f);
   let tt = truth_table m f in
+  M.with_roots m (fun rs ->
+      ignore (M.Roots.add rs (O.bxor m (O.var_bdd m 3) (O.var_bdd m 4)) : int));
   ignore (M.collect m : int);
-  Alcotest.(check (list bool)) "survives while pinned" tt (truth_table m f);
-  M.release m f;
-  Helpers.check_invalid_arg "over-release" "protect" (fun () -> M.release m f)
+  Alcotest.(check (list bool)) "survives the collection" tt (truth_table m f);
+  Alcotest.(check int) "live count = recount from the pin"
+    (2 + Hashtbl.length (reachable m f)) (M.live_nodes m)
 
 let test_roots_set_scoped () =
   let m = Helpers.fresh_man ~nvars () in
@@ -199,6 +201,94 @@ let test_auto_gc_respects_pins () =
   make_garbage m 500;
   Alcotest.(check bool) "the collector ran" true (M.gc_runs m > 0);
   Alcotest.(check (list bool)) "pinned function intact" tt (truth_table m f)
+
+(* After [Quantify.and_exists_list], [Image.forward] and [Reach.fixpoint]
+   return, a collection must leave exactly the nodes reachable from the
+   caller's own pins: a loop that kept a superseded iterate on the operand
+   stack, or an exit that left a pin there, shows as extra live nodes. The
+   loops run on a 16-slot store that collects at nearly every store-full
+   [mk], so their results are also checked against a grow-only run. The
+   fixpoint runs to both exits, [Reached] (a 4-bit counter's 16 states)
+   and [Met_bad] (state 5, tested by a nested [and_exists_list]). *)
+let test_loops_leave_only_caller_pins () =
+  let module S = Network.Symbolic in
+  let setup ~gc =
+    let m = M.create ~initial_capacity:16 () in
+    (* [of_netlist] protects the network's functions for good *)
+    let sym = S.of_netlist m (Circuits.Generators.counter 4) in
+    let parts = Img.Partition.of_functions m (S.transition_parts sym) in
+    let rs = M.Roots.create m in
+    List.iter (fun f -> ignore (M.Roots.add rs f : int)) parts;
+    if gc then begin
+      M.set_auto_gc m true;
+      M.set_gc_threshold m 0.0
+    end;
+    (m, sym, parts, rs)
+  in
+  let m, sym, parts, rs = setup ~gc:true in
+  let m0, sym0, parts0, _ = setup ~gc:false in
+  let state5 =
+    M.Roots.add rs
+      (O.cube_of_literals m
+         (List.mapi (fun k v -> (v, (5 lsr k) land 1 = 1)) sym.S.state_vars))
+  in
+  let pins =
+    state5 :: sym.S.init_cube :: parts
+    @ sym.S.next_fns @ List.map snd sym.S.output_fns
+  in
+  let only_pins_live what =
+    ignore (M.collect m : int);
+    let live = Hashtbl.create 256 in
+    List.iter
+      (fun r -> Hashtbl.iter (Hashtbl.replace live) (reachable m r))
+      pins;
+    Alcotest.(check int)
+      (what ^ ": live count = recount from the caller's pins")
+      (2 + Hashtbl.length live) (M.live_nodes m)
+  in
+  let n = M.num_vars m in
+  let table m f =
+    List.init (1 lsl n) (fun bits ->
+        O.eval m f (fun v -> bits land (1 lsl v) <> 0))
+  in
+  let quantify sym = sym.S.input_vars @ sym.S.state_vars in
+  let conj sym parts =
+    Img.Quantify.and_exists_list sym.S.man (sym.S.init_cube :: parts)
+      ~quantify:(quantify sym)
+  in
+  Alcotest.(check (list bool)) "and_exists_list result"
+    (table m0 (conj sym0 parts0)) (table m (conj sym parts));
+  only_pins_live "and_exists_list";
+  let image sym parts =
+    Img.Image.forward sym.S.man
+      ~strategy:(Img.Image.Partitioned Img.Quantify.Greedy) ~parts
+      ~quantify:(quantify sym) ~rename:(S.ns_to_cs sym)
+  in
+  Alcotest.(check (list bool)) "Image.forward result"
+    (table m0 (image sym0 parts0 sym0.S.init_cube))
+    (table m (image sym parts sym.S.init_cube));
+  only_pins_live "Image.forward";
+  (match Img.Reach.fixpoint m ~image:(image sym parts) sym.S.init_cube with
+   | Img.Reach.Reached { reached; steps } ->
+     Alcotest.(check (pair (float 0.) int)) "16 states in 16 images"
+       (16.0, 16) (Img.Reach.count_states sym reached, steps)
+   | Img.Reach.Met_bad -> Alcotest.fail "no bad predicate");
+  only_pins_live "fixpoint, Reached";
+  let bad frontier =
+    Img.Quantify.and_exists_list m [ frontier; state5 ]
+      ~quantify:sym.S.state_vars
+    <> M.zero
+  in
+  (match
+     Img.Reach.fixpoint m ~bad ~image:(image sym parts) sym.S.init_cube
+   with
+   | Img.Reach.Met_bad -> ()
+   | Img.Reach.Reached _ -> Alcotest.fail "state 5 is reachable");
+  only_pins_live "fixpoint, Met_bad";
+  Alcotest.(check bool)
+    (Printf.sprintf "collections inside the loops (%d runs, 4 explicit)"
+       (M.gc_runs m))
+    true (M.gc_runs m > 4)
 
 (* --- the node limit bounds live nodes ----------------------------------------- *)
 
@@ -270,6 +360,12 @@ let test_collect_invalidates_entries () =
 
 (* --- [mk]'s insert path under collection pressure ------------------------------ *)
 
+(* pin [f] in a root set of its own, so that it can be released alone *)
+let pin_alone m f =
+  let s = M.Roots.create m in
+  ignore (M.Roots.add s f : int);
+  s
+
 (* a random function over [nv] variables, with every intermediate pinned on
    the operand stack so collections inside [mk] are sound; after an
    exception the caller resets the stack *)
@@ -306,14 +402,19 @@ let test_insert_under_pressure () =
   let rng = Random.State.make [| 11 |] in
   let envs = Helpers.all_envs ~nvars:nv () in
   let tt f = List.map (O.eval m f) envs in
-  let kept = Queue.create () in  (* protected roots, with truth tables *)
+  (* pinned roots, each with its root set and truth table *)
+  let kept = Queue.create () in
+  let release_oldest () =
+    let s, _, _ = Queue.pop kept in
+    M.Roots.release m s
+  in
   let recounts = ref 0 and limit_hits = ref 0 in
   (* a misplaced insertion is healed by the next table rebuild, so
      canonicity is probed after every step *)
   let check_canonical what =
     let live = Hashtbl.create 256 in
     Queue.iter
-      (fun (f, _) -> Hashtbl.iter (Hashtbl.replace live) (reachable m f))
+      (fun (_, f, _) -> Hashtbl.iter (Hashtbl.replace live) (reachable m f))
       kept;
     Hashtbl.iter
       (fun id () ->
@@ -327,7 +428,7 @@ let test_insert_under_pressure () =
     incr recounts;
     let live = check_canonical what in
     Queue.iter
-      (fun (f, t) ->
+      (fun (_, f, t) ->
         Alcotest.(check (list bool)) (what ^ ": function unchanged") t (tt f))
       kept;
     ignore (M.collect m : int);
@@ -337,9 +438,9 @@ let test_insert_under_pressure () =
   for step = 1 to 400 do
     match pinned_random m rng nv 4 with
     | f ->
-      M.protect m f;
-      Queue.add (f, tt f) kept;
-      if Queue.length kept > 12 then M.release m (fst (Queue.pop kept));
+      let s = pin_alone m f in
+      Queue.add (s, f, tt f) kept;
+      if Queue.length kept > 12 then release_oldest ();
       let what = Printf.sprintf "step %d" step in
       if step mod 50 = 0 then check_consistent what
       else ignore (check_canonical what : (int, unit) Hashtbl.t)
@@ -349,7 +450,7 @@ let test_insert_under_pressure () =
       check_consistent (Printf.sprintf "limit hit at step %d" step);
       (* make room: drop the older half of the kept functions *)
       for _ = 1 to Queue.length kept / 2 do
-        M.release m (fst (Queue.pop kept))
+        release_oldest ()
       done
   done;
   Alcotest.(check bool) "the node limit was hit" true (!limit_hits > 0);
@@ -377,14 +478,13 @@ let prop_unique_table_under_reuse =
       let kept = Queue.create () in
       for _ = 1 to 40 do
         let f = pinned_random m rng nv 3 in
-        M.protect m f;
-        Queue.add f kept;
-        if Queue.length kept > 6 then M.release m (Queue.pop kept)
+        Queue.add (pin_alone m f, f) kept;
+        if Queue.length kept > 6 then M.Roots.release m (fst (Queue.pop kept))
       done;
       ignore (M.collect m : int);
       let live = Hashtbl.create 256 in
       Queue.iter
-        (fun f -> Hashtbl.iter (Hashtbl.replace live) (reachable m f))
+        (fun (_, f) -> Hashtbl.iter (Hashtbl.replace live) (reachable m f))
         kept;
       let triples = Hashtbl.create 256 in
       let canonical =
@@ -440,7 +540,7 @@ let prop_unique_slots_under_growth =
       let same_ids () =
         let live = Hashtbl.create 256 in
         Queue.iter
-          (fun f -> Hashtbl.iter (Hashtbl.replace live) (reachable m f))
+          (fun (_, f) -> Hashtbl.iter (Hashtbl.replace live) (reachable m f))
           kept;
         Hashtbl.fold
           (fun id () ok ->
@@ -451,10 +551,10 @@ let prop_unique_slots_under_growth =
       for round = 1 to 30 do
         for _ = 1 to 4 do
           let f = pinned_random m rng nv 4 in
-          M.protect m f;
-          Queue.add f kept
+          Queue.add (pin_alone m f, f) kept
         done;
-        if Queue.length kept > 2 * round then M.release m (Queue.pop kept);
+        if Queue.length kept > 2 * round then
+          M.Roots.release m (fst (Queue.pop kept));
         if round mod 3 = 0 then ignore (M.collect m : int);
         ok := !ok && same_ids ()
       done;
@@ -539,12 +639,14 @@ let () =
           Alcotest.test_case "freezing defers auto-GC" `Quick
             test_frozen_defers_auto_gc ] );
       ( "pins",
-        [ Alcotest.test_case "protect is refcounted" `Quick
-            test_protect_refcounted;
+        [ Alcotest.test_case "protect pins for good" `Quick
+            test_protect_for_good;
           Alcotest.test_case "root sets are scoped" `Quick
             test_roots_set_scoped;
           Alcotest.test_case "auto-GC respects pins" `Quick
-            test_auto_gc_respects_pins ] );
+            test_auto_gc_respects_pins;
+          Alcotest.test_case "loops leave only the caller's pins" `Quick
+            test_loops_leave_only_caller_pins ] );
       ( "limits",
         [ Alcotest.test_case "node limit bounds live nodes" `Quick
             test_node_limit_is_live_count;
