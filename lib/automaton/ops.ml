@@ -62,7 +62,7 @@ let normalize_edges (t : A.t) =
   in
   A.pin { t with edges = Array.map merge t.edges }
 
-let complete ?(sink_name = "DC") (t : A.t) =
+let complete (t : A.t) =
   M.with_frozen t.man @@ fun () ->
   let n = A.num_states t in
   let undefined = Array.init n (fun s -> O.bnot t.man (A.defined_guard t s)) in
@@ -70,7 +70,7 @@ let complete ?(sink_name = "DC") (t : A.t) =
   else begin
     let sink = n in
     let accepting = Array.append t.accepting [| false |] in
-    let names = Array.append t.names [| sink_name |] in
+    let names = Array.append t.names [| "DC" |] in
     let edges =
       Array.append
         (Array.mapi

@@ -6,8 +6,8 @@
 val trim : Automaton.t -> Automaton.t
 (** Drop unreachable states. *)
 
-val complete : ?sink_name:string -> Automaton.t -> Automaton.t
-(** Add a non-accepting "don't care" sink with a universal self-loop and
+val complete : Automaton.t -> Automaton.t
+(** Add a non-accepting "don't care" sink [DC] with a universal self-loop and
     redirect every undefined symbol of every state to it (the identity when
     the automaton is already complete). *)
 

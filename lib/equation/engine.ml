@@ -7,21 +7,19 @@ module O = Bdd.Ops
 let c_expanded = Obs.Counter.make "subset.states_expanded"
 let c_image = Obs.Counter.make "image.calls"
 
-type target = State of int | Sink of int
-
-type sink = {
-  sink_name : string;
-  sink_accepting : bool;
-}
-
 type oracle = {
   start : int;
   ns_cube : int;
   rename : (int * int) list;
-  sinks : sink list;
-  successors : split:(int -> (int * target) list) -> int -> (int * target) list;
+  relation : int -> int * int;
   is_accepting : int -> bool;
 }
+
+(* The completion sinks, in the order they follow the core states: DCN
+   takes the symbols under Q_ζ, DCA those neither P_ζ nor Q_ζ covers. *)
+let sinks = [| ("DCN", false); ("DCA", true) |]
+let dcn = 0
+and dca = 1
 
 type arena = {
   man : Bdd.Manager.t;
@@ -77,19 +75,26 @@ let run ?runtime ?on_state man ~alphabet make_oracle =
     Subset.memo_splitter ?runtime man ~roots:rs ~alphabet
       ~ns_cube:oracle.ns_cube
   in
-  (* split into (guard, successor) classes, rename each successor back to
-     current-state space and pin it before any further allocation *)
+  (* split into (guard, successor) classes and rename each successor back
+     to current-state space, pinning it before any further allocation *)
   let split p =
     List.map
-      (fun (g, s) -> (g, State (M.Roots.add rs (O.rename man s oracle.rename))))
+      (fun (g, s) -> (g, M.Roots.add rs (O.rename man s oracle.rename)))
       (split_memo p)
   in
-  let sinks = Array.of_list oracle.sinks in
-  let sink_used = Array.map (fun _ -> false) sinks in
+  let sink_used = Array.make (Array.length sinks) false in
   (* arcs accumulate newest-first; sink destinations keep negative
      placeholders until the number of core states is known *)
   let rev_arcs = ref [] in
-  let n_core_arcs = ref 0 in
+  let emit k guard dst = rev_arcs := (k, guard, dst) :: !rev_arcs in
+  (* a completion guard lives only on the operand stack until here *)
+  let complete k guard j =
+    if guard <> M.zero then begin
+      pin guard;
+      sink_used.(j) <- true;
+      emit k guard (-1 - j)
+    end
+  in
   enter Runtime.Subset;
   while not (Queue.is_empty queue) do
     tick ();
@@ -97,74 +102,57 @@ let run ?runtime ?on_state man ~alphabet make_oracle =
     let zeta, k = Queue.pop queue in
     if !Obs.on then Obs.Counter.bump c_expanded;
     notify k;
-    List.iter
-      (fun (guard, tgt) ->
-        pin guard;
-        let dst =
-          match tgt with
-          | State z -> intern z
-          | Sink j ->
-            sink_used.(j) <- true;
-            -1 - j
-        in
-        rev_arcs := (k, guard, dst) :: !rev_arcs;
-        incr n_core_arcs)
-      (oracle.successors ~split zeta)
+    (* P_ζ, Q_ζ and the intermediates below ride the operation stack: each
+       is an operand of a later call, and any allocation may collect *)
+    let p, q = oracle.relation zeta in
+    M.stack_push man q;
+    M.stack_push man p;
+    let domain = O.exists man oracle.ns_cube p in
+    M.stack_push man domain;
+    let arcs = split p in
+    let covered = O.bor man domain q in
+    M.stack_push man covered;
+    let to_dca = O.bnot man covered in
+    M.stack_drop man 4;
+    (* the split's guards are pinned by its memo *)
+    List.iter (fun (guard, z) -> emit k guard (intern z)) arcs;
+    complete k q dcn;
+    complete k to_dca dca
   done;
   let n_core = !count in
-  let states = Array.of_list (List.rev !rev_states) in
-  (* materialize the sinks that were reached, in declaration order *)
+  (* the sinks some arc reached follow the core states, DCN before DCA,
+     each with a guard-[one] self-loop *)
+  let used = List.filter (Array.get sink_used) [ dcn; dca ] in
   let sink_id = Array.make (Array.length sinks) (-1) in
-  let n = ref n_core in
+  List.iteri (fun i j -> sink_id.(j) <- n_core + i) used;
+  let loops = Array.of_list (List.map (Array.get sink_id) used) in
+  let names =
+    Array.append (Array.init n_core (Printf.sprintf "Z%d"))
+      (Array.of_list (List.map (fun j -> fst sinks.(j)) used))
+  in
+  (* queried in state order while the roots are still held, so the state
+     BDDs are live *)
+  let accepting =
+    Array.append
+      (Array.map oracle.is_accepting (Array.of_list (List.rev !rev_states)))
+      (Array.of_list (List.map (fun j -> snd sinks.(j)) used))
+  in
+  let core = Array.of_list (List.rev !rev_arcs) in
+  let column field loop = Array.append (Array.map field core) loop in
+  let arc_src = column (fun (s, _, _) -> s) loops in
+  let arc_guard =
+    column (fun (_, g, _) -> g) (Array.map (fun _ -> M.one) loops)
+  in
+  let arc_dst =
+    column (fun (_, _, d) -> if d >= 0 then d else sink_id.(-1 - d)) loops
+  in
+  (* the arena outlives this root set: protect each distinct guard once
+     for the manager's lifetime (constants are no-ops) *)
+  let guards = Array.copy arc_guard in
+  Array.sort compare guards;
   Array.iteri
-    (fun j used ->
-      if used then begin
-        sink_id.(j) <- !n;
-        incr n
-      end)
-    sink_used;
-  let n = !n in
-  let accepting = Array.make n true in
-  let names = Array.make n "" in
-  for s = 0 to n_core - 1 do
-    (* queried while the roots are still held, so the state BDDs are live *)
-    accepting.(s) <- oracle.is_accepting states.(s);
-    names.(s) <- Printf.sprintf "Z%d" s
-  done;
-  Array.iteri
-    (fun j id ->
-      if id >= 0 then begin
-        accepting.(id) <- sinks.(j).sink_accepting;
-        names.(id) <- sinks.(j).sink_name
-      end)
-    sink_id;
-  let n_sink_arcs = Array.fold_left (fun acc u -> if u then acc + 1 else acc) 0 sink_used in
-  let total = !n_core_arcs + n_sink_arcs in
-  let arc_src = Array.make total 0 in
-  let arc_guard = Array.make total 0 in
-  let arc_dst = Array.make total 0 in
-  let i = ref !n_core_arcs in
-  List.iter
-    (fun (s, g, d) ->
-      decr i;
-      arc_src.(!i) <- s;
-      arc_guard.(!i) <- g;
-      arc_dst.(!i) <- (if d >= 0 then d else sink_id.(-1 - d)))
-    !rev_arcs;
-  let i = ref !n_core_arcs in
-  Array.iter
-    (fun id ->
-      if id >= 0 then begin
-        arc_src.(!i) <- id;
-        arc_guard.(!i) <- M.one;
-        arc_dst.(!i) <- id;
-        incr i
-      end)
-    sink_id;
-  (* the arena outlives this root set: protect its guards for the
-     manager's lifetime (mirrors Automaton.pin; constants are no-ops, a
-     guard on several arcs is pinned once per arc) *)
-  Array.iter (fun g -> M.protect man g) arc_guard;
+    (fun i g -> if i = 0 || g <> guards.(i - 1) then M.protect man g)
+    guards;
   ( { man; alphabet; initial = 0; accepting; names; arc_src; arc_guard;
       arc_dst },
     n_core )

@@ -4,14 +4,14 @@
     monolithic contrast implementation — are instances of one modified
     subset construction: explore subset states from a start state,
     intern each state by its canonical BDD, split the successor relation
-    into (guard, successor) arcs, and route the uncovered symbols to
-    completion sinks. The engine owns what the two flows share: the
-    frontier queue, the interning table, the arc arena, the
+    into (guard, successor) arcs, and complete each state to the sinks
+    DCN and DCA. The engine owns what the two flows share: the frontier
+    queue, the interning table, the arc arena, the completion, the
     root-set/pinning discipline, the memoized splitter
     ({!Subset.memo_splitter}) and the Runtime/Obs accounting. A flow
-    reduces to a {!oracle} — its start state, its sinks, and a successor
-    function — so a third flow is a one-file addition and the {!Solve}
-    ladder swaps oracles instead of calling divergent entry points.
+    reduces to a {!oracle} — its start state and the relations of one
+    subset state — and the {!Solve} ladder swaps oracles instead of
+    calling divergent entry points.
 
     The construction's result is an {!arena}: flat int-indexed arrays of
     states and arcs, cheaper to traverse than the [Fsa.Automaton] record
@@ -19,51 +19,32 @@
     Conversion to a validated automaton happens only at the edges
     ({!to_automaton}). *)
 
-(** Where an arc leads: another subset state (by its canonical BDD) or
-    one of the oracle's completion sinks (by position in
-    [oracle.sinks]). *)
-type target = State of int | Sink of int
-
-type sink = {
-  sink_name : string;
-  sink_accepting : bool;
-}
-
 type oracle = {
   start : int;  (** canonical BDD of the initial subset state *)
   ns_cube : int;  (** next-state cube handed to {!Subset.split_successors} *)
   rename : (int * int) list;
       (** next-state → current-state variable renaming applied by the
-          engine's [split] to every successor class *)
-  sinks : sink list;
-      (** completion sinks, materialized (in this order, after the core
-          states) only when some arc reaches them; each used sink gets a
-          guard-[one] self-loop *)
-  successors : split:(int -> (int * target) list) -> int -> (int * target) list;
-      (** [successors ~split zeta] — the (guard, target) arcs out of one
-          subset state, in emission order. [split] is the engine's memoized
-          {!Subset.split_successors} over [ns_cube] composed with [rename]:
-          the oracle computes the successor relation (its image
-          computations), the engine splits, renames and interns.
-
-          Pinning contract: every {e State} BDD in the returned list must
-          already be registered in the root set the oracle was built with
-          ([split]'s results are; compose extra ones with
-          [Bdd.Manager.Roots.add]), because while the engine allocates
-          nothing between the oracle's return and interning, the oracle
-          itself may, and an unpinned successor could be swept by a
-          collection triggered inside its own later work. Guards are pinned
-          by the engine as soon as the call returns. *)
+          engine to every successor class *)
+  relation : int -> int * int;
+      (** [relation zeta] is [(P_ζ, Q_ζ)], both unpinned: the successor
+          relation over the alphabet and next-state variables, and the
+          symbols that lead to the non-accepting sink DCN ([zero] in the
+          monolithic flow). The engine pins both, splits [P_ζ] into
+          successor classes (in {!Subset.split_successors}' order), then
+          emits [Q_ζ] → DCN and [¬(∃ns P_ζ ∨ Q_ζ)] → DCA, each only when
+          non-[zero]. *)
   is_accepting : int -> bool;
       (** acceptance of a core subset state (queried by its BDD, with the
           construction roots still held) *)
 }
 
 (** The engine's result: core subset states [0 .. n_core-1] in discovery
-    order, then the used sinks in declaration order. Arcs are flat
+    order, then the sinks some arc reaches, DCN (non-accepting) before
+    DCA (accepting), each with a guard-[one] self-loop. Arcs are flat
     parallel arrays in emission order (core arcs first, then the sink
-    self-loops); every guard is protected for the manager's lifetime, so
-    the arena survives the inter-phase collections of the solve ladder.
+    self-loops); every distinct guard is protected once for the manager's
+    lifetime, so the arena survives the inter-phase collections of the
+    solve ladder.
 
     [arc_src] is non-decreasing: the core states are expanded in index
     order (a FIFO queue), each emitting its arcs together, and the sink

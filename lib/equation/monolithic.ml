@@ -2,9 +2,6 @@ module M = Bdd.Manager
 module O = Bdd.Ops
 module S = Network.Symbolic
 
-(* sink position in the oracle's sink table *)
-let dca = 0
-
 let oracle ?runtime (p : Problem.t) rs =
   let tick = Runtime.ticker runtime in
   let man = p.Problem.man in
@@ -72,23 +69,15 @@ let oracle ?runtime (p : Problem.t) rs =
        O.band man (Problem.initial_cube p) (O.bnot man d))
   in
   (* traditional subset construction: one image per expanded state, no
-     early trimming of bad subsets *)
-  let successors ~split zeta =
+     early trimming of bad subsets, so Q_ζ is [zero] *)
+  let relation zeta =
     Engine.note_image ?runtime ();
-    let p_rel = O.and_exists man cs_cube hidden zeta in
-    M.stack_push man p_rel;
-    let domain = O.exists man ns_cube p_rel in
-    M.stack_push man domain;
-    let arcs = split p_rel in
-    let to_dca = O.bnot man domain in
-    M.stack_drop man 2;
-    if to_dca <> M.zero then arcs @ [ (to_dca, Engine.Sink dca) ] else arcs
+    (O.and_exists man cs_cube hidden zeta, M.zero)
   in
   { Engine.start;
     ns_cube;
     rename = Problem.ns_to_cs p @ [ (p.Problem.dc_next_var, p.Problem.dc_var) ];
-    sinks = [ { Engine.sink_name = "DCA"; sink_accepting = true } ];
-    successors;
+    relation;
     (* acceptance after the final complementation: a subset is accepting
        iff it contains no state of the complemented specification's DC
        (= no product state with d = 1); the completion sink is accepting *)

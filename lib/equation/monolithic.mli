@@ -6,8 +6,10 @@
     with an explicit don't-care state bit, complemented by flipping
     acceptance to that bit, conjoined with [TO_F], and the external
     variables [i,o] are hidden by monolithic existential quantification.
-    A traditional subset construction (no early trimming) follows, then
-    completion and complementation as separate passes.
+    A traditional subset construction follows: the oracle's [relation]
+    returns the image [P_ζ] and [Q_ζ = zero] (no early trimming), the
+    engine completes each subset state to the accepting sink [DCA], and
+    complementation is the subset states' acceptance.
 
     Blow-ups surface as {!Runtime.Exceeded} (CPU deadline) or
     {!Bdd.Manager.Node_limit_exceeded} (node budget) — the "CNC" entries.

@@ -12,10 +12,6 @@ let kernel_label = function
     Printf.sprintf "affinity:%d/greedy" cluster_threshold
   | Img.Image.Partitioned Img.Quantify.Given -> "unclustered/given"
 
-(* sink positions in the oracle's sink table *)
-let dcn = 0
-and dca = 1
-
 let oracle ?runtime ~strategy (p : Problem.t) rs =
   let man = p.Problem.man in
   let pin id = ignore (M.Roots.add rs id : int) in
@@ -50,10 +46,10 @@ let oracle ?runtime ~strategy (p : Problem.t) rs =
   let combined_non_conformance =
     lazy (M.Roots.add rs (O.disj man non_conformance))
   in
-  let successors ~split zeta =
-    (* per-iteration intermediates ride the operation stack: each one is an
-       operand of a later call in this iteration, and any allocation in
-       between may trigger a collection *)
+  (* Q_ζ stays on the operation stack while the P_ζ image allocates, and
+     the successor image while [bdiff] does; the engine pins what this
+     returns *)
+  let relation zeta =
     let q =
       conjoin_exists (zeta :: Lazy.force combined_non_conformance :: urel)
     in
@@ -61,25 +57,13 @@ let oracle ?runtime ~strategy (p : Problem.t) rs =
     let sr = conjoin_exists ((zeta :: urel) @ trel) in
     M.stack_push man sr;
     let p_rel = O.bdiff man sr q in
-    M.stack_drop man 1;
-    M.stack_push man p_rel;
-    let domain = O.exists man ns_cube p_rel in
-    M.stack_push man domain;
-    let arcs = split p_rel in
-    let arcs = if q <> M.zero then arcs @ [ (q, Engine.Sink dcn) ] else arcs in
-    let covered = O.bor man domain q in
-    M.stack_push man covered;
-    let to_dca = O.bnot man covered in
-    M.stack_drop man 4;
-    if to_dca <> M.zero then arcs @ [ (to_dca, Engine.Sink dca) ] else arcs
+    M.stack_drop man 2;
+    (p_rel, q)
   in
   { Engine.start = Problem.initial_cube p;
     ns_cube;
     rename = Problem.ns_to_cs p;
-    sinks =
-      [ { Engine.sink_name = "DCN"; sink_accepting = false };
-        { Engine.sink_name = "DCA"; sink_accepting = true } ];
-    successors;
+    relation;
     is_accepting = (fun _ -> true) }
 
 let solve_arena ?runtime ?(strategy = Img.Image.Partitioned Img.Quantify.Greedy)

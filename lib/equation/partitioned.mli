@@ -1,24 +1,24 @@
 (** The paper's core algorithm (§3.2): solving [F • X ⊆ S] directly on the
     partitioned representation. Completion, complementation, product and
     hiding are all folded into one modified subset construction whose inner
-    step is an image computation:
+    step is an image computation. This module supplies the two images of a
+    subset state [ζ(cs)] as the {!Engine.oracle}'s [relation]:
 
     - conformance [C(i,v,cs) = ∧_j (O^F_j ↔ O^S_j)] is kept one output at a
       time; [o] never becomes a BDD variable;
-    - for each subset state [ζ(cs)], the non-conformance condition
-      [Q_ζ(u,v) = ∃i,cs (Urel ∧ ¬C ∧ ζ)] redirects symbols to the
-      non-accepting sink [DCN] (the early trimming justified by the paper's
-      prefix-closedness argument);
+    - the non-conformance condition [Q_ζ(u,v) = ∃i,cs (Urel ∧ ¬C ∧ ζ)]
+      holds the symbols the engine redirects to the non-accepting sink
+      [DCN] (the early trimming justified by the paper's prefix-closedness
+      argument);
     - the successor relation
       [P_ζ(u,v,ns) = ∃i,cs (Urel ∧ Trel ∧ ζ) ∧ ¬Q_ζ] is computed by the
-      partitioned image engine with early quantification and split into
-      distinct successors;
-    - symbols in neither [P_ζ] nor [Q_ζ] go to the accepting completion sink
-      [DCA].
+      partitioned image engine with early quantification.
 
-    The returned arena is already the complemented (most general
-    prefix-closed) solution: subset states and [DCA] accepting, [DCN] not.
-    Apply {!Csf.of_arena} to it to obtain the CSF, or
+    {!Engine.run} splits [P_ζ] into distinct successors and completes
+    each state: symbols in neither [P_ζ] nor [Q_ζ] go to the accepting
+    sink [DCA]. The returned arena is already the complemented (most
+    general prefix-closed) solution: subset states and [DCA] accepting,
+    [DCN] not. Apply {!Csf.of_arena} to it to obtain the CSF, or
     {!Engine.to_automaton} to materialize the solution itself. *)
 
 val kernel_label : Img.Image.strategy -> string
