@@ -281,21 +281,17 @@ let ablation_csf () =
     Equation.Split.problem row.Circuits.Suite.net
       ~x_latches:row.Circuits.Suite.x_latches
   in
-  let arena, _ = Equation.Partitioned.solve_arena p in
+  let x, _ = Equation.Partitioned.solve_arena p in
   run_group "ablation: CSF extraction, worklist vs sweeps (t298)"
-    [ Test.make ~name:"worklist on the arc arena"
+    [ Test.make ~name:"worklist on the solution automaton"
         (Staged.stage (fun () ->
-             ignore (Equation.Csf.of_arena p arena : Fsa.Automaton.t * int)));
-      (* the sweep needs a materialized automaton first, which is part of
-         its cost on the solve path — both arms start from the arena *)
+             ignore (Equation.Csf.of_arena p x : Fsa.Automaton.t * int)));
       Test.make ~name:"iterated full sweeps (reference)"
         (Staged.stage (fun () ->
-             ignore
-               (Reference.Csf.csf_sweep p (Equation.Engine.to_automaton arena)
-                 : Fsa.Automaton.t))) ]
+             ignore (Reference.Csf.csf_sweep p x : Fsa.Automaton.t))) ]
 
 (* Per-row companion to the t298 ablation above: every Table-1 row's
-   partitioned arena, worklist vs sweeps, CPU-timed with adaptive
+   partitioned solution, worklist vs sweeps, CPU-timed with adaptive
    repetition. The paper's rows differ wildly in CSF shape (t298 deletes
    80 of 129 states, t444 deletes none of 980), so one row is not
    representative. *)
@@ -316,7 +312,8 @@ let csf_rows () =
     in
     go ()
   in
-  Printf.printf "\n== CSF extraction per Table-1 row (partitioned arena) ==\n";
+  Printf.printf
+    "\n== CSF extraction per Table-1 row (partitioned solution) ==\n";
   Printf.printf "  %-6s %9s %9s %9s %11s\n" "row" "states" "deleted"
     "worklist" "sweeps";
   List.iter
@@ -325,21 +322,19 @@ let csf_rows () =
         Equation.Split.problem row.Circuits.Suite.net
           ~x_latches:row.Circuits.Suite.x_latches
       in
-      let arena, _ = Equation.Partitioned.solve_arena p in
-      let _, deletions = Equation.Csf.of_arena p arena in
+      let x, _ = Equation.Partitioned.solve_arena p in
+      let _, deletions = Equation.Csf.of_arena p x in
       let wl =
         time_cpu (fun () ->
-            ignore (Equation.Csf.of_arena p arena : Fsa.Automaton.t * int))
+            ignore (Equation.Csf.of_arena p x : Fsa.Automaton.t * int))
       in
       let sw =
         time_cpu (fun () ->
-            ignore
-              (Reference.Csf.csf_sweep p (Equation.Engine.to_automaton arena)
-                : Fsa.Automaton.t))
+            ignore (Reference.Csf.csf_sweep p x : Fsa.Automaton.t))
       in
       Printf.printf "  %-6s %9d %9d %7.1fus %9.1fus\n"
         row.Circuits.Suite.name
-        (Equation.Engine.num_states arena)
+        (Fsa.Automaton.num_states x)
         deletions (wl *. 1e6) (sw *. 1e6);
       flush stdout)
     (Circuits.Suite.table1 ())

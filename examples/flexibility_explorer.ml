@@ -22,8 +22,8 @@ let () =
     Network.Netlist.pp_stats net
     (String.concat ", " x_latches);
   let sp, p = E.Split.problem net ~x_latches in
-  let arena, _ = E.Partitioned.solve_arena p in
-  let csf, _ = E.Csf.of_arena p arena in
+  let x, _ = E.Partitioned.solve_arena p in
+  let csf, _ = E.Csf.of_arena p x in
   Format.printf "CSF: %s@." (Fsa.Print.summary csf);
 
   (* minimize — the canonical subset automaton is rarely minimal *)

@@ -20,8 +20,8 @@ let () =
   Format.printf "Circuit: %a; splitting {%s}@.@." N.pp_stats net
     (String.concat ", " x_latches);
   let _sp, p = E.Split.problem net ~x_latches in
-  let arena, _ = E.Partitioned.solve_arena p in
-  let csf, _ = E.Csf.of_arena p arena in
+  let x, _ = E.Partitioned.solve_arena p in
+  let csf, _ = E.Csf.of_arena p x in
   Format.printf "CSF: %s@.@." (Fsa.Print.summary csf);
   let heuristics =
     [ ("first admissible output", E.Extract.First);

@@ -59,12 +59,12 @@ let () =
   in
   (* the runtime counts the image computations *)
   let rt = Eq.Runtime.create () in
-  let arena, subset_states = Eq.Partitioned.solve_arena ~runtime:rt p in
+  let x, subset_states = Eq.Partitioned.solve_arena ~runtime:rt p in
   Format.printf "Most general prefix-closed solution: %s@."
-    (Fsa.Print.summary (Eq.Engine.to_automaton arena));
+    (Fsa.Print.summary x);
   Format.printf "  (%d subset states, %d image computations)@.@."
     subset_states (Eq.Runtime.images rt);
-  let csf, _ = Eq.Csf.of_arena p arena in
+  let csf, _ = Eq.Csf.of_arena p x in
   if Fsa.Automaton.is_empty_language csf then
     Format.printf "No controller exists.@."
   else begin
@@ -102,8 +102,8 @@ let () =
     Eq.Problem.make ~observed_inputs:[ "demand" ] ~f:(plant ()) ~s:(spec ())
       ~u_names:[ "is_hot" ] ~v_names:[ "heat" ] ()
   in
-  let arena_obs, _ = Eq.Partitioned.solve_arena p_obs in
-  let csf_obs, _ = Eq.Csf.of_arena p_obs arena_obs in
+  let x_obs, _ = Eq.Partitioned.solve_arena p_obs in
+  let csf_obs, _ = Eq.Csf.of_arena p_obs x_obs in
   Format.printf
     "@.With the controller observing `demand` as well (footnote 6):@.";
   Format.printf "CSF: %s (alphabet %s)@."

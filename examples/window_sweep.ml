@@ -39,8 +39,8 @@ let () =
     (fun (a, b) ->
       let x_latches = [ a; b ] in
       let sp, p = E.Split.problem net ~x_latches in
-      let arena, _ = E.Partitioned.solve_arena p in
-      let csf, _ = E.Csf.of_arena p arena in
+      let x, _ = E.Partitioned.solve_arena p in
+      let csf, _ = E.Csf.of_arena p x in
       let strict =
         not
           (Fsa.Language.subset csf (E.Split.particular_solution p sp))

@@ -55,19 +55,6 @@ let make man ~alphabet ~initial ~accepting ~edges ?names () =
   in
   pin { man; alphabet; initial; accepting; edges; names }
 
-let of_arcs man ~alphabet ~initial ~accepting ~names ~src ~guard ~dst =
-  let m = Array.length src in
-  if Array.length guard <> m || Array.length dst <> m then
-    invalid_arg "Automaton.of_arcs: arc array length mismatch";
-  let edges = Array.make (Array.length accepting) [] in
-  for i = m - 1 downto 0 do
-    let s = src.(i) in
-    if s < 0 || s >= Array.length edges then
-      invalid_arg "Automaton.of_arcs: source state out of range";
-    edges.(s) <- (guard.(i), dst.(i)) :: edges.(s)
-  done;
-  make man ~alphabet ~initial ~accepting ~edges ~names ()
-
 let defined_guard t s =
   O.disj t.man (List.map fst t.edges.(s))
 

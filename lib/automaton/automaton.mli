@@ -31,21 +31,6 @@ val make :
 (** Validates shape: array lengths agree, destinations in range, non-zero
     guards, guard supports inside the alphabet. *)
 
-val of_arcs :
-  Bdd.Manager.t ->
-  alphabet:int list ->
-  initial:state ->
-  accepting:bool array ->
-  names:string array ->
-  src:int array ->
-  guard:int array ->
-  dst:int array ->
-  t
-(** Build from flat parallel arc arrays (the subset-construction engine's
-    arena layout): arc [i] is [src.(i) --guard.(i)--> dst.(i)], and each
-    state's edge list keeps the arcs' array order. Validated and pinned by
-    {!make}. *)
-
 val num_states : t -> int
 val state_name : t -> state -> string
 

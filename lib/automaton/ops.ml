@@ -2,9 +2,7 @@ module M = Bdd.Manager
 module O = Bdd.Ops
 module A = Automaton
 
-let remap (t : A.t) keep =
-  (* [keep] is a bool array; rebuild over the kept states, dropping edges
-     that touch removed states. The initial state must be kept. *)
+let restrict (t : A.t) keep =
   let n = A.num_states t in
   let index = Array.make n (-1) in
   let count = ref 0 in
@@ -39,7 +37,7 @@ let trim (t : A.t) =
     end
   in
   go t.initial;
-  remap t seen
+  restrict t seen
 
 (* Operations below that create fresh guards run frozen (they hold guard
    ids in plain lists and tables while still allocating) and pin the
@@ -240,7 +238,7 @@ let change_support (t : A.t) vars =
 
 let prefix_close (t : A.t) =
   if not t.accepting.(t.initial) then A.empty t.man ~alphabet:t.alphabet
-  else trim (remap t (Array.copy t.accepting))
+  else trim (restrict t (Array.copy t.accepting))
 
 let progressive ?(on_pass = fun () -> ()) (t : A.t) ~inputs =
   let man = t.man in
@@ -270,4 +268,4 @@ let progressive ?(on_pass = fun () -> ()) (t : A.t) ~inputs =
     done
   done;
   if not alive.(t.initial) then A.empty man ~alphabet:t.alphabet
-  else trim (remap t alive)
+  else trim (restrict t alive)

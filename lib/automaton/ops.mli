@@ -3,8 +3,16 @@
     PrefixClose and Progressive, plus trimming. All operations are
     language-level: they may renumber states. *)
 
+val restrict : Automaton.t -> bool array -> Automaton.t
+(** [restrict t keep] is the sub-automaton on the states [s] with
+    [keep.(s)], renumbered in their original relative order, with each
+    kept state's edges to kept states in their original order. The guards
+    are shared with [t], not pinned again. The initial state must be
+    kept. *)
+
 val trim : Automaton.t -> Automaton.t
-(** Drop unreachable states. *)
+(** Drop unreachable states; the rest keep their relative order (as
+    {!restrict}). *)
 
 val complete : Automaton.t -> Automaton.t
 (** Add a non-accepting "don't care" sink [DC] with a universal self-loop and

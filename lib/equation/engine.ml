@@ -21,20 +21,6 @@ let sinks = [| ("DCN", false); ("DCA", true) |]
 let dcn = 0
 and dca = 1
 
-type arena = {
-  man : Bdd.Manager.t;
-  alphabet : int list;
-  initial : int;
-  accepting : bool array;
-  names : string array;
-  arc_src : int array;
-  arc_guard : int array;
-  arc_dst : int array;
-}
-
-let num_states a = Array.length a.accepting
-let num_arcs a = Array.length a.arc_src
-
 let note_image ?runtime () =
   if !Obs.on then Obs.Counter.bump c_image;
   Option.iter Runtime.tick_image runtime
@@ -83,16 +69,17 @@ let run ?runtime ?on_state man ~alphabet make_oracle =
       (split_memo p)
   in
   let sink_used = Array.make (Array.length sinks) false in
-  (* arcs accumulate newest-first; sink destinations keep negative
-     placeholders until the number of core states is known *)
-  let rev_arcs = ref [] in
-  let emit k guard dst = rev_arcs := (k, guard, dst) :: !rev_arcs in
+  (* each state's arcs in emission order, states newest-first; sink
+     destinations keep negative placeholders until the number of core
+     states is known *)
+  let rev_edges = ref [] in
   (* a completion guard lives only on the operand stack until here *)
-  let complete k guard j =
-    if guard <> M.zero then begin
+  let complete guard j =
+    if guard = M.zero then []
+    else begin
       pin guard;
       sink_used.(j) <- true;
-      emit k guard (-1 - j)
+      [ (guard, -1 - j) ]
     end
   in
   enter Runtime.Subset;
@@ -115,9 +102,10 @@ let run ?runtime ?on_state man ~alphabet make_oracle =
     let to_dca = O.bnot man covered in
     M.stack_drop man 4;
     (* the split's guards are pinned by its memo *)
-    List.iter (fun (guard, z) -> emit k guard (intern z)) arcs;
-    complete k q dcn;
-    complete k to_dca dca
+    let classes = List.map (fun (guard, z) -> (guard, intern z)) arcs in
+    let dcn_arc = complete q dcn in
+    let dca_arc = complete to_dca dca in
+    rev_edges := (classes @ dcn_arc @ dca_arc) :: !rev_edges
   done;
   let n_core = !count in
   (* the sinks some arc reached follow the core states, DCN before DCA,
@@ -125,7 +113,6 @@ let run ?runtime ?on_state man ~alphabet make_oracle =
   let used = List.filter (Array.get sink_used) [ dcn; dca ] in
   let sink_id = Array.make (Array.length sinks) (-1) in
   List.iteri (fun i j -> sink_id.(j) <- n_core + i) used;
-  let loops = Array.of_list (List.map (Array.get sink_id) used) in
   let names =
     Array.append (Array.init n_core (Printf.sprintf "Z%d"))
       (Array.of_list (List.map (fun j -> fst sinks.(j)) used))
@@ -137,27 +124,27 @@ let run ?runtime ?on_state man ~alphabet make_oracle =
       (Array.map oracle.is_accepting (Array.of_list (List.rev !rev_states)))
       (Array.of_list (List.map (fun j -> snd sinks.(j)) used))
   in
-  let core = Array.of_list (List.rev !rev_arcs) in
-  let column field loop = Array.append (Array.map field core) loop in
-  let arc_src = column (fun (s, _, _) -> s) loops in
-  let arc_guard =
-    column (fun (_, g, _) -> g) (Array.map (fun _ -> M.one) loops)
+  let resolve (g, d) = (g, if d >= 0 then d else sink_id.(-1 - d)) in
+  let edges =
+    Array.append
+      (Array.of_list (List.rev_map (List.map resolve) !rev_edges))
+      (Array.of_list (List.map (fun j -> [ (M.one, sink_id.(j)) ]) used))
   in
-  let arc_dst =
-    column (fun (_, _, d) -> if d >= 0 then d else sink_id.(-1 - d)) loops
+  (* the automaton outlives this root set: protect each distinct guard
+     once for the manager's lifetime (constants are no-ops) *)
+  let guards =
+    Array.of_list (List.concat_map (List.map fst) (Array.to_list edges))
   in
-  (* the arena outlives this root set: protect each distinct guard once
-     for the manager's lifetime (constants are no-ops) *)
-  let guards = Array.copy arc_guard in
   Array.sort compare guards;
   Array.iteri
     (fun i g -> if i = 0 || g <> guards.(i - 1) then M.protect man g)
     guards;
-  ( { man; alphabet; initial = 0; accepting; names; arc_src; arc_guard;
-      arc_dst },
+  ( { Fsa.Automaton.man;
+      alphabet = List.sort_uniq compare alphabet;
+      initial = 0;
+      accepting;
+      edges;
+      names },
     n_core )
 
-let to_automaton a =
-  Fsa.Automaton.of_arcs a.man ~alphabet:a.alphabet ~initial:a.initial
-    ~accepting:(Array.copy a.accepting) ~names:(Array.copy a.names)
-    ~src:a.arc_src ~guard:a.arc_guard ~dst:a.arc_dst
+let to_automaton x = x

@@ -17,6 +17,6 @@
     subset construction in the [Subset] phase, with partial progress
     recorded on the runtime. *)
 
-val solve_arena : ?runtime:Runtime.t -> Problem.t -> Engine.arena * int
-(** The solution's arc arena and the number of subset states explored, as
+val solve_arena : ?runtime:Runtime.t -> Problem.t -> Fsa.Automaton.t * int
+(** The solution automaton and the number of subset states explored, as
     {!Partitioned.solve_arena} returns them. *)

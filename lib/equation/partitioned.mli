@@ -16,10 +16,9 @@
 
     {!Engine.run} splits [P_ζ] into distinct successors and completes
     each state: symbols in neither [P_ζ] nor [Q_ζ] go to the accepting
-    sink [DCA]. The returned arena is already the complemented (most
+    sink [DCA]. The returned automaton is already the complemented (most
     general prefix-closed) solution: subset states and [DCA] accepting,
-    [DCN] not. Apply {!Csf.of_arena} to it to obtain the CSF, or
-    {!Engine.to_automaton} to materialize the solution itself. *)
+    [DCN] not. Apply {!Csf.of_arena} to it to obtain the CSF. *)
 
 val kernel_label : Img.Image.strategy -> string
 (** The image kernel a strategy selects, which is also the partition it
@@ -35,8 +34,8 @@ val solve_arena :
   ?strategy:Img.Image.strategy ->
   ?on_state:(int -> unit) ->
   Problem.t ->
-  Engine.arena * int
-(** The solution's arc arena and the number of subset states explored
+  Fsa.Automaton.t * int
+(** The solution automaton ({!Engine.run}) and the number of subset states explored
     (excluding the sinks). Image computations are counted on the runtime
     ({!Runtime.images}) and on the [image.calls] counter.
 

@@ -174,8 +174,6 @@ let note_subset_states rt n =
 
 let subset_states rt = rt.subset_states
 let images rt = rt.images
-let deadline rt = rt.deadline
-let node_limit rt = rt.node_limit
 
 let ticker = function
   | Some rt -> fun () -> tick rt

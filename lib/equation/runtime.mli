@@ -107,9 +107,6 @@ val subset_states : t -> int
 val images : t -> int
 (** Image computations since the last {!attach}. *)
 
-val deadline : t -> float option
-val node_limit : t -> int option
-
 val ticker : t option -> unit -> unit
 (** [ticker (Some rt)] is [fun () -> tick rt]; [ticker None] is a no-op.
     Convenience for code paths with an optional runtime. *)

@@ -124,7 +124,7 @@ let solve_split ?node_limit ?time_limit ?fault ~method_ net ~x_latches =
   in
   (* one attempt = problem setup + solve + CSF extraction; every rung
      routes through the engine ([solve_arena]) and the CSF worklist runs
-     on the arena the engine produced *)
+     on the solution automaton the engine produced *)
   let run_rung rung =
     if !Obs.on then Obs.Trace.point ~detail:(rung_kernel rung) "solve.kernel";
     let sp, p =
@@ -162,7 +162,7 @@ let solve_split ?node_limit ?time_limit ?fault ~method_ net ~x_latches =
         Runtime.enter_phase rt Runtime.Build;
         (sp, p)
     in
-    let arena, subset_states =
+    let x, subset_states =
       match rung with
       | Mono -> Monolithic.solve_arena ~runtime:rt p
       | Given -> Partitioned.solve_arena ~runtime:rt ~strategy:given p
@@ -170,10 +170,10 @@ let solve_split ?node_limit ?time_limit ?fault ~method_ net ~x_latches =
         Partitioned.solve_arena ~runtime:rt p
     in
     (* phase boundary: the subset construction released its roots, so
-       everything but the arena's guards and the problem's own functions
+       everything but the solution's guards and the problem's own functions
        is dead — reclaim it before the CSF phase *)
     ignore (M.collect p.Problem.man : int);
-    let csf, csf_deletions = Csf.of_arena ~runtime:rt p arena in
+    let csf, csf_deletions = Csf.of_arena ~runtime:rt p x in
     (sp, p, csf, csf_deletions, subset_states)
   in
   let record rung t0 failure =

@@ -17,8 +17,8 @@ let instances =
 
 let csf net x_latches =
   let _, p = Equation.Split.problem net ~x_latches in
-  let arena, _ = Equation.Partitioned.solve_arena p in
-  (p, fst (Equation.Csf.of_arena p arena))
+  let x, _ = Equation.Partitioned.solve_arena p in
+  (p, fst (Equation.Csf.of_arena p x))
 
 (* guesses when the last-but-one symbol has a = 1 (over alphabet {a, b}) *)
 let nondet () =

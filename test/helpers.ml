@@ -52,14 +52,14 @@ let sim_run net steps input_fn =
       out)
 
 (* the CSF of the partitioned and the monolithic flow, extracted from the
-   engine's arena *)
+   engine's solution automaton *)
 let partitioned_csf ?strategy p =
-  let arena, _ = Equation.Partitioned.solve_arena ?strategy p in
-  fst (Equation.Csf.of_arena p arena)
+  let x, _ = Equation.Partitioned.solve_arena ?strategy p in
+  fst (Equation.Csf.of_arena p x)
 
 let monolithic_csf p =
-  let arena, _ = Equation.Monolithic.solve_arena p in
-  fst (Equation.Csf.of_arena p arena)
+  let x, _ = Equation.Monolithic.solve_arena p in
+  fst (Equation.Csf.of_arena p x)
 
 (* split a netlist, solve with the partitioned flow, extract the CSF *)
 let csf_of net x_latches =

@@ -89,19 +89,31 @@ let mismatch_gc p =
          (E.Csf.num_states reference))
   else None
 
-(* Worklist-vs-sweep CSF oracle: the arena worklist extraction
-   ([Csf.of_arena], the solve path) must be language-equivalent to the
-   sweep-based reference ([Reference.Csf.csf_sweep]) on the arenas both
-   engine oracles produce. *)
+(* Worklist-vs-sweep CSF oracle: the worklist extraction ([Csf.of_arena],
+   the solve path) must be language-equivalent to the sweep-based
+   reference ([Reference.Csf.csf_sweep]) on the solutions both engine
+   oracles produce, and, as [csf.mli] promises, equal to it state for
+   state: the same initial state, acceptance, names and edges. *)
 let mismatch_worklist p =
   let _, prob = E.Split.problem (netlist p) ~x_latches:(x_latches p) in
-  let check name arena =
-    let worklist, _ = E.Csf.of_arena prob arena in
-    let sweep = Reference.Csf.csf_sweep prob (E.Engine.to_automaton arena) in
+  let check name x =
+    let worklist, _ = E.Csf.of_arena prob x in
+    let sweep = Reference.Csf.csf_sweep prob x in
     if not (Fsa.Language.equivalent worklist sweep) then
       Some
         (Printf.sprintf
            "%s: worklist CSF differs from sweep CSF (%d vs %d states)"
+           name (E.Csf.num_states worklist) (E.Csf.num_states sweep))
+    else if
+      worklist.Fsa.Automaton.initial <> sweep.Fsa.Automaton.initial
+      || worklist.accepting <> sweep.accepting
+      || worklist.names <> sweep.names
+      || worklist.edges <> sweep.edges
+    then
+      Some
+        (Printf.sprintf
+           "%s: worklist CSF is not the sweep CSF state for state (%d vs %d \
+            states)"
            name (E.Csf.num_states worklist) (E.Csf.num_states sweep))
     else None
   in

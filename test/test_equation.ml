@@ -95,8 +95,8 @@ let test_split_composition_behaviour () =
 
 (* --- cross-validation of the three flows ----------------------------------- *)
 
-(* the explicit Algorithm 1 oracle builds an automaton, not an engine
-   arena: its CSF comes from the reference sweeps *)
+(* the explicit Algorithm 1 oracle builds its automaton without the
+   engine: its CSF comes from the reference sweeps *)
 let generic_csf p = Reference.Csf.csf_sweep p (Reference.Generic.solve p)
 
 let flows_agree name net x_latches =
@@ -125,8 +125,7 @@ let test_strategies_agree () =
   let net = G.lfsr 4 in
   let _, p = E.Split.problem net ~x_latches:[ "r1"; "r3" ] in
   let solve order =
-    E.Engine.to_automaton
-      (fst (E.Partitioned.solve_arena ~strategy:(Img.Image.Partitioned order) p))
+    fst (E.Partitioned.solve_arena ~strategy:(Img.Image.Partitioned order) p)
   in
   let given = solve Img.Quantify.Given in
   let greedy = solve Img.Quantify.Greedy in
@@ -191,14 +190,13 @@ let test_verify_detects_wrong_solution () =
 let test_solution_shape () =
   let _, p = E.Split.problem (G.counter 3) ~x_latches:[ "c1"; "c2" ] in
   let rt = E.Runtime.create () in
-  let arena, _ = E.Partitioned.solve_arena ~runtime:rt p in
-  let sol = E.Engine.to_automaton arena in
+  let sol, _ = E.Partitioned.solve_arena ~runtime:rt p in
   Alcotest.(check bool) "solution deterministic" true
     (A.is_deterministic sol);
   Alcotest.(check bool) "solution complete" true (A.is_complete sol);
   Alcotest.(check bool) "has image computations" true
     (E.Runtime.images rt > 0);
-  let csf, _ = E.Csf.of_arena p arena in
+  let csf, _ = E.Csf.of_arena p sol in
   (* CSF states are all accepting and input-progressive *)
   Alcotest.(check bool) "csf all accepting" true
     (Array.for_all Fun.id csf.A.accepting);

@@ -140,11 +140,11 @@ let solved_counter3 () =
 
 let test_csf_budgeted () =
   let _, p = E.Split.problem (G.counter 3) ~x_latches:[ "c1"; "c2" ] in
-  let arena, _ = E.Partitioned.solve_arena p in
+  let x, _ = E.Partitioned.solve_arena p in
   let rt = R.create ~deadline:expired () in
   Alcotest.check_raises "csf under expired deadline" E.Runtime.Exceeded
     (fun () ->
-      ignore (E.Csf.of_arena ~runtime:rt p arena : Fsa.Automaton.t * int))
+      ignore (E.Csf.of_arena ~runtime:rt p x : Fsa.Automaton.t * int))
 
 let test_verify_budgeted () =
   let r = solved_counter3 () in
