@@ -63,10 +63,10 @@ let run ?runtime ?on_state man ~alphabet make_oracle =
   in
   (* split into (guard, successor) classes and rename each successor back
      to current-state space, pinning it before any further allocation *)
-  let split p =
+  let split ~domain p =
     List.map
       (fun (g, s) -> (g, M.Roots.add rs (O.rename man s oracle.rename)))
-      (split_memo p)
+      (split_memo ~domain p)
   in
   let sink_used = Array.make (Array.length sinks) false in
   (* each state's arcs in emission order, states newest-first; sink
@@ -96,7 +96,7 @@ let run ?runtime ?on_state man ~alphabet make_oracle =
     M.stack_push man p;
     let domain = O.exists man oracle.ns_cube p in
     M.stack_push man domain;
-    let arcs = split p in
+    let arcs = split ~domain p in
     let covered = O.bor man domain q in
     M.stack_push man covered;
     let to_dca = O.bnot man covered in

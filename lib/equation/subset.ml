@@ -12,7 +12,7 @@ let describe_symbol man lits =
          Printf.sprintf "%s=%d" (M.var_name man v) (if b then 1 else 0))
        lits)
 
-let split_successors ?runtime man ~p ~alphabet ~ns_cube =
+let split_successors ?runtime man ~p ~domain ~alphabet ~ns_cube =
   if !Obs.on then Obs.Counter.bump c_calls;
   let tick = Runtime.ticker runtime in
   (* the loop below holds [domain] and the accumulated arcs in OCaml
@@ -47,7 +47,7 @@ let split_successors ?runtime man ~p ~alphabet ~ns_cube =
       go (O.bdiff man domain guard) ((guard, successor) :: acc)
     end
   in
-  go (O.exists man ns_cube p) []
+  go domain []
 
 (* Distinct subset states often induce the same successor relation [P_ζ]
    (canonical BDDs make the coincidence detectable by id equality), so
@@ -58,7 +58,7 @@ let split_successors ?runtime man ~p ~alphabet ~ns_cube =
    otherwise alias a different function on a later hit. *)
 let memo_splitter ?runtime man ~roots ~alphabet ~ns_cube =
   let memo = Hashtbl.create 64 in
-  fun p ->
+  fun ~domain p ->
     match Hashtbl.find_opt memo p with
     | Some arcs ->
       if !Obs.on then begin
@@ -67,7 +67,7 @@ let memo_splitter ?runtime man ~roots ~alphabet ~ns_cube =
       end;
       arcs
     | None ->
-      let arcs = split_successors ?runtime man ~p ~alphabet ~ns_cube in
+      let arcs = split_successors ?runtime man ~p ~domain ~alphabet ~ns_cube in
       ignore (M.Roots.add roots p : int);
       List.iter
         (fun (guard, successor) ->

@@ -7,11 +7,13 @@ val split_successors :
   ?runtime:Runtime.t ->
   Bdd.Manager.t ->
   p:int ->
+  domain:int ->
   alphabet:int list ->
   ns_cube:int ->
   (int * int) list
 (** [(guard(a), successor(ns))] pairs with pairwise-disjoint non-zero guards
-    whose union is [∃ns. P]. Each successor is the cofactor of [P] at any
+    whose union is [domain], which must be [∃ns. P] (the caller has it
+    already and keeps it live). Each successor is the cofactor of [P] at any
     symbol of its guard; by construction all symbols of a guard share that
     cofactor. With [runtime], {!Runtime.tick} runs once per enumerated
     successor class, so a state with very many classes still honours the
@@ -30,10 +32,11 @@ val memo_splitter :
   roots:Bdd.Manager.Roots.set ->
   alphabet:int list ->
   ns_cube:int ->
+  domain:int ->
   int ->
   (int * int) list
-(** [memo_splitter man ~roots ~alphabet ~ns_cube] is [fun p ->
-    split_successors man ~p ~alphabet ~ns_cube], memoized on the
+(** [memo_splitter man ~roots ~alphabet ~ns_cube] is [fun ~domain p ->
+    split_successors man ~p ~domain ~alphabet ~ns_cube], memoized on the
     canonical BDD id of [p] for one construction: distinct subset states
     frequently share a successor relation, and a memo hit skips the whole
     enumeration. Each memoized [p] and every component of its arcs are

@@ -19,10 +19,10 @@ let test_split_successors_properties () =
     let alphabet = [ 0; 1; 2 ] and ns = [ 3; 4; 5 ] in
     let p = random_bdd man 6 rng in
     let ns_cube = O.cube_of_vars man ns in
-    let splits =
-      E.Subset.split_successors man ~p ~alphabet ~ns_cube
-    in
     let domain = O.exists man ns_cube p in
+    let splits =
+      E.Subset.split_successors man ~p ~domain ~alphabet ~ns_cube
+    in
     (* guards are non-zero, pairwise disjoint, and cover the domain *)
     List.iter
       (fun (g, succ) ->
@@ -60,7 +60,8 @@ let test_split_successors_empty () =
   ignore (M.new_vars man 4 : int list);
   let ns_cube = O.cube_of_vars man [ 2; 3 ] in
   Alcotest.(check (list (pair int int))) "empty relation" []
-    (E.Subset.split_successors man ~p:M.zero ~alphabet:[ 0; 1 ] ~ns_cube)
+    (E.Subset.split_successors man ~p:M.zero ~domain:M.zero ~alphabet:[ 0; 1 ]
+       ~ns_cube)
 
 let test_split_successors_single () =
   let man = M.create () in
@@ -68,7 +69,8 @@ let test_split_successors_single () =
   (* P = ns0 (successor {ns0=1} for every symbol over alphabet {0}) *)
   let p = O.var_bdd man 1 in
   let ns_cube = O.cube_of_vars man [ 1 ] in
-  match E.Subset.split_successors man ~p ~alphabet:[ 0 ] ~ns_cube with
+  let domain = O.exists man ns_cube p in
+  match E.Subset.split_successors man ~p ~domain ~alphabet:[ 0 ] ~ns_cube with
   | [ (g, succ) ] ->
     Alcotest.(check int) "guard is all symbols" M.one g;
     Alcotest.(check int) "successor is ns0" p succ
@@ -85,8 +87,9 @@ let test_split_successors_overlap_rejected () =
   M.set_var_name man 0 "a";
   let p = O.var_bdd man 0 in
   let ns_cube = O.cube_of_vars man [ 0 ] in
+  let domain = O.exists man ns_cube p in
   Helpers.check_invalid_arg "alphabet/ns overlap" "a=0" (fun () ->
-      E.Subset.split_successors man ~p ~alphabet:[ 0 ] ~ns_cube)
+      E.Subset.split_successors man ~p ~domain ~alphabet:[ 0 ] ~ns_cube)
 
 (* The memoized splitter enumerates a relation once: a repeated [p] gets
    the very arcs of the first call back from the table, equal to what the
@@ -96,13 +99,14 @@ let test_split_memo () =
   ignore (M.new_vars man 4 : int list);
   let p = O.var_bdd man 2 in
   let ns_cube = O.cube_of_vars man [ 2; 3 ] in
+  let domain = O.exists man ns_cube p in
   M.with_roots man @@ fun roots ->
   let split =
-    E.Subset.memo_splitter man ~roots ~alphabet:[ 0; 1 ] ~ns_cube
+    E.Subset.memo_splitter man ~roots ~alphabet:[ 0; 1 ] ~ns_cube ~domain
   in
   let first = split p in
   Alcotest.(check (list (pair int int))) "memoized = unmemoized"
-    (E.Subset.split_successors man ~p ~alphabet:[ 0; 1 ] ~ns_cube)
+    (E.Subset.split_successors man ~p ~domain ~alphabet:[ 0; 1 ] ~ns_cube)
     first;
   Alcotest.(check bool) "same relation is served from the memo" true
     (split p == first)
