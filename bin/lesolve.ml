@@ -85,7 +85,9 @@ let stats_arg =
     "Record solver statistics (counters, timers, spans) and emit the JSON \
      snapshot to $(docv) after the run; $(b,-) (the default when the flag \
      is given bare) means stdout. Emitted even when the run could not \
-     complete, with the partial counters of the failed attempts."
+     complete, with the partial counters of the failed attempts. Its \
+     $(b,ocaml) object is the OCaml heap traffic from the solve on \
+     (minor words, major words, minor collections)."
   in
   Arg.(
     value
@@ -102,6 +104,8 @@ let trace_arg =
     & opt ~vopt:(Some "-") (some string) None
     & info [ "trace" ] ~docv:"FILE" ~doc)
 
+(* called once the netlist is read: the snapshot's heap traffic is the
+   request's, from the solve on *)
 let obs_setup ~stats ~trace =
   if stats <> None || trace <> None then begin
     Obs.set_enabled true;
@@ -240,8 +244,8 @@ let solve_cmd =
   let run path latches method_ time_limit node_limit verify dot minimize
       aut stats trace =
     guard @@ fun () ->
-    obs_setup ~stats ~trace;
     let net = load path in
+    obs_setup ~stats ~trace;
     let fault = fault_of_env () in
     match
       E.Solve.solve_split ~node_limit ~time_limit ?fault ~method_ net
@@ -317,8 +321,8 @@ let resynth_cmd =
   in
   let run path latches time_limit node_limit heuristic out kiss stats trace =
     guard @@ fun () ->
-    obs_setup ~stats ~trace;
     let net = load path in
+    obs_setup ~stats ~trace;
     let fault = fault_of_env () in
     match
       E.Solve.solve_split ~node_limit ~time_limit ?fault

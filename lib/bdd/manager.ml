@@ -62,7 +62,13 @@ type t = {
      raising from the hook leaves the manager unchanged. Used for
      deterministic fault injection (Equation.Runtime). *)
   mutable alloc_hook : (unit -> unit) option;
-  support_memo : (int, int list) Hashtbl.t;
+  (* [support]'s memo; [[]] (never the support of a decision node)
+     means absent *)
+  support_memo : int list Idtbl.t;
+  (* an int memo for one operation at a time ([with_scratch_memo]);
+     [memo_busy] while one holds it *)
+  scratch_memo : int Idtbl.t;
+  mutable memo_busy : bool;
   (* --- garbage collection state --- *)
   mutable n_entries : int;  (* live node count, constants included *)
   mutable peak_live : int;
@@ -73,6 +79,7 @@ type t = {
   mutable root_sets : root_set list;  (* [lifelong] included *)
   mutable op_stack : int array;  (* operand pins, LIFO (cf. BuDDy PUSHREF) *)
   mutable op_top : int;
+  mutable gc_stack : int array;  (* [collect]'s DFS stack, kept between runs *)
   mutable frozen : int;  (* > 0: allocation may not trigger a collection *)
   mutable window_allocs : int;  (* allocations in the current frozen window *)
   mutable auto_gc : bool;
@@ -258,7 +265,9 @@ let create ?(initial_capacity = 1024) () =
       node_limit = None;
       limit_failure = None;
       alloc_hook = None;
-      support_memo = Hashtbl.create 256;
+      support_memo = Idtbl.create 16 [];
+      scratch_memo = Idtbl.create 16 (-1);
+      memo_busy = false;
       n_entries = 2;
       peak_live = 2;
       live_peak = 2;
@@ -268,6 +277,7 @@ let create ?(initial_capacity = 1024) () =
       root_sets = [ lifelong ];
       op_stack = Array.make 256 0;
       op_top = 0;
+      gc_stack = [||];
       frozen = 0;
       window_allocs = 0;
       (* collection is opt-in: it is only sound once every id the client
@@ -440,6 +450,25 @@ let with_frozen m f =
   m.frozen <- m.frozen + 1;
   Fun.protect ~finally:(fun () -> m.frozen <- m.frozen - 1) f
 
+let leave_scratch m =
+  m.frozen <- m.frozen - 1;
+  m.memo_busy <- false
+
+(* no closure for [Fun.protect]: a rename runs this on every call *)
+let with_scratch_memo m f =
+  if m.memo_busy then invalid_arg "Manager.with_scratch_memo: already in use";
+  Idtbl.clear m.scratch_memo;
+  m.memo_busy <- true;
+  if m.frozen = 0 then m.window_allocs <- 0;
+  m.frozen <- m.frozen + 1;
+  match f m.scratch_memo with
+  | r ->
+    leave_scratch m;
+    r
+  | exception e ->
+    leave_scratch m;
+    raise e
+
 let set_auto_gc m b = m.auto_gc <- b
 
 let set_gc_threshold m r =
@@ -470,16 +499,16 @@ let collect m =
   let mark = m.mark in
   (* iterative DFS from every pinned root; the depth of a BDD is bounded by
      the variable count but sibling chains are not, so use an explicit
-     stack rather than recursion *)
-  let stack = ref (Array.make 1024 0) in
+     stack rather than recursion. The manager keeps it between
+     collections. *)
   let sp = ref 0 in
   let push id =
-    if !sp = Array.length !stack then begin
-      let a = Array.make (2 * !sp) 0 in
-      Array.blit !stack 0 a 0 !sp;
-      stack := a
+    if !sp = Array.length m.gc_stack then begin
+      let a = Array.make (max 64 (2 * !sp)) 0 in
+      Array.blit m.gc_stack 0 a 0 !sp;
+      m.gc_stack <- a
     end;
-    !stack.(!sp) <- id;
+    m.gc_stack.(!sp) <- id;
     incr sp
   in
   let visit root =
@@ -487,7 +516,7 @@ let collect m =
       push root;
       while !sp > 0 do
         decr sp;
-        let id = !stack.(!sp) in
+        let id = m.gc_stack.(!sp) in
         if Bytes.get mark id = '\000' then begin
           Bytes.set mark id '\001';
           let lo = low m id and hi = high m id in
@@ -533,14 +562,8 @@ let collect m =
   invalidate_cache m;
   (* the support memo is keyed by node id: entries for swept ids would be
      resurrected wrongly when the id is reused *)
-  let dead_keys =
-    Hashtbl.fold
-      (fun id _ acc ->
-        if id >= 2 && (id >= top || var m id = free_level) then id :: acc
-        else acc)
-      m.support_memo []
-  in
-  List.iter (Hashtbl.remove m.support_memo) dead_keys;
+  Idtbl.filter_inplace m.support_memo (fun id _ ->
+      id < 2 || (id < top && var m id <> free_level));
   if !Obs.on then begin
     Obs.Counter.bump c_gc_runs;
     Obs.Counter.add c_gc_swept !swept;
@@ -701,9 +724,9 @@ let dag_size m roots =
   List.iter (size_unmark m) roots;
   n
 
-(* [support_once] marks nodes the way [dag_size] does and records each
-   level it meets in a per-call byte map, then unmarks with
-   [size_unmark]. [support] memoizes it by root id. *)
+(* [support_mark] marks nodes the way [dag_size] does and records each
+   level it meets in the caller's byte map, then unmarks with
+   [size_unmark]. [support] gives it a fresh map on a memo miss. *)
 let rec support_walk m seen id =
   if id >= 2 && var m id < size_mark then begin
     let v = var m id in
@@ -713,23 +736,22 @@ let rec support_walk m seen id =
     support_walk m seen (high m id)
   end
 
-let support_once m f =
-  let seen = Bytes.make m.n_vars '\000' in
+let support_mark m f seen =
   support_walk m seen f;
-  size_unmark m f;
-  let vars = ref [] in
-  for v = m.n_vars - 1 downto 0 do
-    if Bytes.get seen v <> '\000' then vars := v :: !vars
-  done;
-  !vars
+  size_unmark m f
 
 let support m f =
-  match Hashtbl.find_opt m.support_memo f with
-  | Some vars -> vars
-  | None ->
-    let vars = support_once m f in
-    Hashtbl.replace m.support_memo f vars;
-    vars
+  match Idtbl.find m.support_memo f with
+  | [] when f >= 2 ->
+    let seen = Bytes.make m.n_vars '\000' in
+    support_mark m f seen;
+    let vars = ref [] in
+    for v = m.n_vars - 1 downto 0 do
+      if Bytes.get seen v <> '\000' then vars := v :: !vars
+    done;
+    Idtbl.replace m.support_memo f !vars;
+    !vars
+  | vars -> vars
 
 let is_const id = id < 2
 let num_vars m = m.n_vars
@@ -798,7 +820,7 @@ let clear_caches m =
     Obs.Trace.point "bdd.cache.clear"
   end;
   invalidate_cache m;
-  Hashtbl.reset m.support_memo
+  Idtbl.clear m.support_memo
 
 (* Tags 4 and 6 are unused. The tag feeds the cache hash, so the others
    keep their numbers: renumbering them would move lossy-cache evictions

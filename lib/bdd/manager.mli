@@ -105,13 +105,15 @@ val support : t -> int -> int list
 (** The variables a node depends on, ascending; {!Ops.support} is this.
     Memoized by node id: nodes are immutable, so entries never go stale,
     and the collector drops the entries of swept ids before the ids can
-    be reused. A miss is {!support_once}. *)
+    be reused. A miss walks the nodes as {!support_mark} does. *)
 
-val support_once : t -> int -> int list
-(** {!support} without the memo, for a node whose support is asked for
-    once: it neither reads nor adds a memo entry. Like {!dag_size}, it
-    marks the nodes it visits in place and unmarks them before
-    returning. *)
+val support_mark : t -> int -> Bytes.t -> unit
+(** [support_mark m f seen] sets byte [v] of [seen] to ['\001'] for every
+    variable [v] of [f], and leaves the other bytes alone: {!support}
+    without the memo and without building a list, for a node whose
+    support is asked for once. [seen] must have at least {!num_vars}
+    bytes. Like {!dag_size}, it marks the nodes it visits in place and
+    unmarks them before returning. *)
 
 val live_nodes : t -> int
 (** Nodes currently resident in the manager (constants included): the
@@ -227,6 +229,15 @@ val with_frozen : t -> (unit -> 'a) -> 'a
     store grows instead; explicit {!collect} raises). Nests. Use around
     code that holds node ids where the collector cannot see them —
     private memo tables, bulk constructions of unpinned collections. *)
+
+val with_scratch_memo : t -> (int Idtbl.t -> 'a) -> 'a
+(** [with_scratch_memo m f] runs [f] frozen (see {!with_frozen}) with the
+    manager's reusable int memo, emptied first. It is for operations
+    that memoize node ids per call, such as {!Ops.rename}: the memo is
+    kept between calls, so the call allocates nothing per memoized
+    node. The memo is the one running operation's own: [f] must not call
+    [with_scratch_memo] on the same manager, which raises
+    [Invalid_argument]. *)
 
 val collect : t -> int
 (** Run a mark-and-sweep collection now and return the number of nodes

@@ -71,12 +71,12 @@ let conj m fs = balanced_fold band M.one m fs
 let disj m fs = balanced_fold bor M.zero m fs
 
 let cube_of_vars m vars =
-  let sorted = List.sort_uniq compare vars in
+  let sorted = List.sort_uniq Int.compare vars in
   List.fold_right (fun v acc -> M.mk m v M.zero acc) sorted M.one
 
 let cube_of_literals m lits =
   let sorted =
-    List.sort_uniq (fun (a, _) (b, _) -> compare a b) lits
+    List.sort_uniq (fun (a, _) (b, _) -> Int.compare a b) lits
   in
   List.fold_right
     (fun (v, pos) acc ->
@@ -92,64 +92,69 @@ let forall m cube f =
   M.stack_drop m 2;
   r
 
-(* the private memo holds intermediate ids the collector cannot see, so
-   the whole traversal runs frozen (allocation grows the store instead) *)
-let subst m f lookup =
-  M.with_frozen m @@ fun () ->
-  let memo = Hashtbl.create 64 in
-  let rec go f =
-    if M.is_const f then f
-    else
-      match Hashtbl.find_opt memo f with
-      | Some r -> r
-      | None ->
-        let lo = go (M.low m f) in
-        let hi = go (M.high m f) in
-        let v = M.var m f in
-        let guard =
-          match lookup v with Some g -> g | None -> var_bdd m v
-        in
-        let r = ite m guard hi lo in
-        Hashtbl.add memo f r;
-        r
-  in
-  go f
-
 let support = M.support
 
-let rename m f pairs =
-  M.with_frozen m @@ fun () ->
-  let map = Hashtbl.create 16 in
-  List.iter (fun (a, b) -> Hashtbl.replace map a b) pairs;
-  let image v = match Hashtbl.find_opt map v with Some b -> b | None -> v in
-  let supp = support m f in
-  let images = List.map image supp in
-  let rec monotone = function
-    | a :: (b :: _ as rest) -> a < b && monotone rest
-    | [ _ ] | [] -> true
+(* [r.(v)] is the variable [v] renames to; variables past the array
+   keep their name *)
+type renaming = int array
+
+let renaming m pairs =
+  let n =
+    List.fold_left (fun n (a, _) -> if a >= n then a + 1 else n) (M.num_vars m)
+      pairs
   in
-  if monotone images then begin
-    (* Order-preserving on the support: direct O(|f|) rebuild. *)
-    let memo = Hashtbl.create 64 in
-    let rec go f =
-      if M.is_const f then f
-      else
-        match Hashtbl.find_opt memo f with
-        | Some r -> r
-        | None ->
-          let r =
-            M.mk m (image (M.var m f)) (go (M.low m f)) (go (M.high m f))
-          in
-          Hashtbl.add memo f r;
-          r
-    in
-    go f
-  end
+  let r = Array.init n Fun.id in
+  List.iter (fun (a, b) -> if a >= 0 then r.(a) <- b) pairs;
+  r
+
+let image r v = if v < Array.length r then Array.unsafe_get r v else v
+
+(* the images of the support (ascending) strictly increase *)
+let rec monotone r prev = function
+  | [] -> true
+  | v :: vs ->
+    let b = image r v in
+    b > prev && monotone r b vs
+
+(* Both rebuilds keep their memo in the manager's scratch memo (-1 is
+   absent), which [with_scratch_memo] runs frozen: it holds ids the
+   collector cannot see. The order of the recursive calls is the node
+   stream: the high child goes first in the direct rebuild, the low one
+   in the substitution. *)
+let rec rebuild m memo r f =
+  if M.is_const f then f
   else
-    subst m f (fun v ->
-        match Hashtbl.find_opt map v with
-        | Some b -> Some (var_bdd m b)
-        | None -> None)
+    let known = Idtbl.find memo f in
+    if known >= 0 then known
+    else begin
+      let hi = rebuild m memo r (M.high m f) in
+      let lo = rebuild m memo r (M.low m f) in
+      let res = M.mk m (image r (M.var m f)) lo hi in
+      Idtbl.replace memo f res;
+      res
+    end
+
+(* the simultaneous substitution of the renamed variables' literals *)
+let rec substitute m memo r f =
+  if M.is_const f then f
+  else
+    let known = Idtbl.find memo f in
+    if known >= 0 then known
+    else begin
+      let lo = substitute m memo r (M.low m f) in
+      let hi = substitute m memo r (M.high m f) in
+      let guard = var_bdd m (image r (M.var m f)) in
+      let res = ite m guard hi lo in
+      Idtbl.replace memo f res;
+      res
+    end
+
+let rename_by m f r =
+  (* order-preserving on the support: direct O(|f|) rebuild *)
+  let go = if monotone r min_int (support m f) then rebuild else substitute in
+  M.with_scratch_memo m (fun memo -> go m memo r f)
+
+let rename m f pairs = rename_by m f (renaming m pairs)
 
 let size_shared = M.dag_size
 
@@ -180,26 +185,41 @@ let eval m f assign =
   in
   go f
 
+(* the path [pick_minterm] walks, as a byte map: ['\001'] at the level
+   of each variable the path sets true *)
+let path_bytes m f =
+  let path = Bytes.make (M.num_vars m) '\000' in
+  let rec go f =
+    if not (M.is_const f) then
+      if M.low m f = M.zero then begin
+        Bytes.unsafe_set path (M.var m f) '\001';
+        go (M.high m f)
+      end
+      else go (M.low m f)
+  in
+  go f;
+  path
+
+let on_path path v = v < Bytes.length path && Bytes.get path v = '\001'
+
 let pick_minterm m f vars =
   if f = M.zero then None
   else begin
-    (* Walk one satisfying path, then default unconstrained vars to false. *)
-    let path = Hashtbl.create 16 in
-    let rec go f =
-      if not (M.is_const f) then
-        if M.low m f = M.zero then begin
-          Hashtbl.replace path (M.var m f) true;
-          go (M.high m f)
-        end
-        else begin
-          Hashtbl.replace path (M.var m f) false;
-          go (M.low m f)
-        end
+    (* walk one satisfying path, then default unconstrained vars to false *)
+    let path = path_bytes m f in
+    Some (List.map (fun v -> (v, on_path path v)) vars)
+  end
+
+(* [cube_of_literals] builds from the last variable up *)
+let pick_cube m f vars =
+  if f = M.zero then M.zero
+  else begin
+    let path = path_bytes m f in
+    let rec build = function
+      | [] -> M.one
+      | v :: vs ->
+        let acc = build vs in
+        if on_path path v then M.mk m v M.zero acc else M.mk m v acc M.zero
     in
-    go f;
-    Some
-      (List.map
-         (fun v ->
-           (v, match Hashtbl.find_opt path v with Some b -> b | None -> false))
-         vars)
+    build vars
   end

@@ -52,14 +52,24 @@ val and_exists : Manager.t -> int -> int -> int -> int
 val cofactor_cube : Manager.t -> int -> int -> int
 (** [cofactor_cube m f cube] fixes every literal of [cube] in [f]. *)
 
-val subst : Manager.t -> int -> (int -> int option) -> int
-(** [subst m f lookup] simultaneously substitutes [lookup v] (a node) for
-    every variable [v] of [f] where [lookup v] is [Some _]. *)
-
 val rename : Manager.t -> int -> (int * int) list -> int
 (** [rename m f pairs] renames variables [fst] to [snd] simultaneously. Uses
     a fast structural rebuild when the mapping preserves variable order on
-    the support of [f], and falls back to [subst] otherwise. *)
+    the support of [f], and falls back to substituting the renamed
+    variables' literals (one [ite] per node) otherwise. It is
+    [rename_by m f (renaming m pairs)]. *)
+
+type renaming
+(** A variable map for {!rename_by}, built once for many renames. *)
+
+val renaming : Manager.t -> (int * int) list -> renaming
+(** [renaming m pairs] maps each [fst] to its [snd] (a later pair for the
+    same variable wins) and every other variable to itself. *)
+
+val rename_by : Manager.t -> int -> renaming -> int
+(** {!rename} with a prebuilt map: the same nodes, in the same order of
+    creation, and no allocation per node (the memo is the manager's
+    {!Manager.with_scratch_memo}). *)
 
 val support : Manager.t -> int -> int list
 (** Variables occurring in [f], sorted by level. *)
@@ -82,3 +92,9 @@ val pick_minterm : Manager.t -> int -> int list -> (int * bool) list option
 (** [pick_minterm m f vars] is a satisfying assignment of [f] extended to a
     total assignment of [vars] ([None] if [f] = zero). [vars] must be sorted
     by level and must cover the support of [f]. *)
+
+val pick_cube : Manager.t -> int -> int list -> int
+(** [pick_cube m f vars] is [cube_of_literals m lits] for
+    [pick_minterm m f vars = Some lits], built with the same [mk] calls
+    without the list; [zero] if [f] is. [vars] must be sorted by level
+    without duplicates. *)

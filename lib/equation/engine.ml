@@ -40,21 +40,22 @@ let run ?runtime ?on_state man ~alphabet make_oracle =
   let oracle = make_oracle rs in
   pin oracle.ns_cube;
   (* Subset states are interned by their (canonical) BDD. *)
-  let index = Hashtbl.create 64 in
+  let index = Bdd.Idtbl.create 16 (-1) in
   let rev_states = ref [] in
   let count = ref 0 in
   let queue = Queue.create () in
   let intern zeta =
-    match Hashtbl.find_opt index zeta with
-    | Some k -> k
-    | None ->
+    let k = Bdd.Idtbl.find index zeta in
+    if k >= 0 then k
+    else begin
       pin zeta;
       let k = !count in
       incr count;
-      Hashtbl.replace index zeta k;
+      Bdd.Idtbl.replace index zeta k;
       rev_states := zeta :: !rev_states;
       Queue.add (zeta, k) queue;
       k
+    end
   in
   ignore (intern oracle.start : int);
   let split_memo =
@@ -63,9 +64,10 @@ let run ?runtime ?on_state man ~alphabet make_oracle =
   in
   (* split into (guard, successor) classes and rename each successor back
      to current-state space, pinning it before any further allocation *)
+  let to_current = O.renaming man oracle.rename in
   let split ~domain p =
     List.map
-      (fun (g, s) -> (g, M.Roots.add rs (O.rename man s oracle.rename)))
+      (fun (g, s) -> (g, M.Roots.add rs (O.rename_by man s to_current)))
       (split_memo ~domain p)
   in
   let sink_used = Array.make (Array.length sinks) false in
@@ -114,7 +116,8 @@ let run ?runtime ?on_state man ~alphabet make_oracle =
   let sink_id = Array.make (Array.length sinks) (-1) in
   List.iteri (fun i j -> sink_id.(j) <- n_core + i) used;
   let names =
-    Array.append (Array.init n_core (Printf.sprintf "Z%d"))
+    Array.append
+      (Array.init n_core (fun k -> "Z" ^ string_of_int k))
       (Array.of_list (List.map (fun j -> fst sinks.(j)) used))
   in
   (* queried in state order while the roots are still held, so the state
@@ -135,7 +138,7 @@ let run ?runtime ?on_state man ~alphabet make_oracle =
   let guards =
     Array.of_list (List.concat_map (List.map fst) (Array.to_list edges))
   in
-  Array.sort compare guards;
+  Array.sort Int.compare guards;
   Array.iteri
     (fun i g -> if i = 0 || g <> guards.(i - 1) then M.protect man g)
     guards;

@@ -20,16 +20,17 @@
 
 type oracle = {
   start : int;  (** canonical BDD of the initial subset state *)
-  ns_cube : int;  (** next-state cube handed to {!Subset.split_successors} *)
+  ns_cube : int;  (** next-state cube handed to {!Subset.memo_splitter} *)
   rename : (int * int) list;
       (** next-state → current-state variable renaming applied by the
-          engine to every successor class *)
+          engine to every successor class; the engine builds its
+          {!Bdd.Ops.renaming} once per run *)
   relation : int -> int * int;
       (** [relation zeta] is [(P_ζ, Q_ζ)], both unpinned: the successor
           relation over the alphabet and next-state variables, and the
           symbols that lead to the non-accepting sink DCN ([zero] in the
           monolithic flow). The engine pins both, splits [P_ζ] into
-          successor classes (in {!Subset.split_successors}' order), then
+          successor classes (in {!Subset.memo_splitter}' order), then
           emits [Q_ζ] → DCN and [¬(∃ns P_ζ ∨ Q_ζ)] → DCA, each only when
           non-[zero]. *)
   is_accepting : int -> bool;
@@ -63,7 +64,7 @@ val run :
     discovery order ([initial] is 0, named ["Z0"], ["Z1"], …), then the
     sinks some arc reaches, DCN (non-accepting) before DCA (accepting),
     each with a guard-[one] self-loop. A core state's edges are its
-    successor classes in {!Subset.split_successors}' order, then its DCN
+    successor classes in {!Subset.memo_splitter}' order, then its DCN
     arc, then its DCA arc. The root set is released on return; each
     distinct guard has been protected once for the manager's lifetime by
     then, so the automaton survives the inter-phase collections of the

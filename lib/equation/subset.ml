@@ -12,7 +12,9 @@ let describe_symbol man lits =
          Printf.sprintf "%s=%d" (M.var_name man v) (if b then 1 else 0))
        lits)
 
-let split_successors ?runtime man ~p ~domain ~alphabet ~ns_cube =
+(* [alphabet] as the caller gave it, for the error message; [sorted]
+   ascending without duplicates, the order [O.pick_cube] builds in *)
+let split_successors ?runtime man ~p ~domain ~alphabet ~sorted ~ns_cube =
   if !Obs.on then Obs.Counter.bump c_calls;
   let tick = Runtime.ticker runtime in
   (* the loop below holds [domain] and the accumulated arcs in OCaml
@@ -22,16 +24,7 @@ let split_successors ?runtime man ~p ~domain ~alphabet ~ns_cube =
     if domain = M.zero then acc
     else begin
       tick ();
-      let lits =
-        match O.pick_minterm man domain alphabet with
-        | Some lits -> lits
-        | None ->
-          invalid_arg
-            "Subset.split_successors: nonzero successor domain has no \
-             minterm over the alphabet (the alphabet does not cover the \
-             domain's support; check the problem's variable split)"
-      in
-      let symbol = O.cube_of_literals man lits in
+      let symbol = O.pick_cube man domain sorted in
       let successor = O.cofactor_cube man p symbol in
       (* all symbols whose successor set is exactly [successor] *)
       let differs = O.exists man ns_cube (O.bxor man p successor) in
@@ -41,8 +34,10 @@ let split_successors ?runtime man ~p ~domain ~alphabet ~ns_cube =
           (Printf.sprintf
              "Subset.split_successors: empty guard for symbol [%s] — the \
               relation is not constant on its own symbol class (an alphabet \
-              variable likely also occurs in the next-state cube)"
-             (describe_symbol man lits));
+              variable likely also occurs in the next-state cube, or the \
+              alphabet does not cover the domain's support)"
+             (describe_symbol man
+                (Option.get (O.pick_minterm man domain alphabet))));
       if !Obs.on then Obs.Counter.bump c_arcs;
       go (O.bdiff man domain guard) ((guard, successor) :: acc)
     end
@@ -57,22 +52,29 @@ let split_successors ?runtime man ~p ~domain ~alphabet ~ns_cube =
    keys and the arcs are added to [roots]: a swept-and-reused id would
    otherwise alias a different function on a later hit. *)
 let memo_splitter ?runtime man ~roots ~alphabet ~ns_cube =
-  let memo = Hashtbl.create 64 in
+  let sorted = List.sort_uniq Int.compare alphabet in
+  (* a list no split returns, physically *)
+  let absent = [ (-1, -1) ] in
+  let memo = Bdd.Idtbl.create 16 absent in
   fun ~domain p ->
-    match Hashtbl.find_opt memo p with
-    | Some arcs ->
+    let arcs = Bdd.Idtbl.find memo p in
+    if arcs != absent then begin
       if !Obs.on then begin
         Obs.Counter.bump c_calls;
         Obs.Counter.bump c_memo_hits
       end;
       arcs
-    | None ->
-      let arcs = split_successors ?runtime man ~p ~domain ~alphabet ~ns_cube in
+    end
+    else begin
+      let arcs =
+        split_successors ?runtime man ~p ~domain ~alphabet ~sorted ~ns_cube
+      in
       ignore (M.Roots.add roots p : int);
       List.iter
         (fun (guard, successor) ->
           ignore (M.Roots.add roots guard : int);
           ignore (M.Roots.add roots successor : int))
         arcs;
-      Hashtbl.replace memo p arcs;
+      Bdd.Idtbl.replace memo p arcs;
       arcs
+    end

@@ -3,29 +3,6 @@
     variables), enumerate the distinct successor subset states and the guard
     under which each is reached. *)
 
-val split_successors :
-  ?runtime:Runtime.t ->
-  Bdd.Manager.t ->
-  p:int ->
-  domain:int ->
-  alphabet:int list ->
-  ns_cube:int ->
-  (int * int) list
-(** [(guard(a), successor(ns))] pairs with pairwise-disjoint non-zero guards
-    whose union is [domain], which must be [∃ns. P] (the caller has it
-    already and keeps it live). Each successor is the cofactor of [P] at any
-    symbol of its guard; by construction all symbols of a guard share that
-    cofactor. With [runtime], {!Runtime.tick} runs once per enumerated
-    successor class, so a state with very many classes still honours the
-    budget.
-
-    The enumeration itself runs with garbage collection frozen.
-
-    Raises [Invalid_argument] with a description of the offending symbol
-    when the inputs break the contract — when [alphabet] does not cover
-    the support of [∃ns. P], or when an alphabet variable also occurs in
-    [ns_cube] (so no symbol has a well-defined successor class). *)
-
 val memo_splitter :
   ?runtime:Runtime.t ->
   Bdd.Manager.t ->
@@ -35,9 +12,25 @@ val memo_splitter :
   domain:int ->
   int ->
   (int * int) list
-(** [memo_splitter man ~roots ~alphabet ~ns_cube] is [fun ~domain p ->
-    split_successors man ~p ~domain ~alphabet ~ns_cube], memoized on the
-    canonical BDD id of [p] for one construction: distinct subset states
-    frequently share a successor relation, and a memo hit skips the whole
-    enumeration. Each memoized [p] and every component of its arcs are
-    added to [roots], so they stay live while the manager collects. *)
+(** [memo_splitter man ~roots ~alphabet ~ns_cube] is a function
+    [fun ~domain p -> arcs] that splits the relation [p]: the arcs are
+    [(guard(a), successor(ns))] pairs with pairwise-disjoint non-zero
+    guards whose union is [domain], which must be [∃ns. P] (the caller
+    has it already and keeps it live). Each successor is the cofactor of
+    [P] at any symbol of its guard; by construction all symbols of a
+    guard share that cofactor. The enumeration picks each class's
+    symbol with {!Bdd.Ops.pick_cube} and runs with garbage collection
+    frozen. With [runtime], {!Runtime.tick} runs once per enumerated
+    successor class, so a state with very many classes still honours
+    the budget.
+
+    The result is memoized on the canonical BDD id of [p] for one
+    construction: distinct subset states frequently share a successor
+    relation, and a memo hit returns the first call's arcs without
+    enumerating. Each memoized [p] and every component of its arcs are
+    added to [roots], so they stay live while the manager collects.
+
+    Raises [Invalid_argument] with a description of the offending symbol
+    when the inputs break the contract — when [alphabet] does not cover
+    the support of [∃ns. P], or when an alphabet variable also occurs in
+    [ns_cube] (so no symbol has a well-defined successor class). *)

@@ -16,10 +16,13 @@ let enter_verify runtime =
    [verify.frontier_steps]. *)
 let product_reachable runtime man ~parts ~quantify ~rename ~bad init =
   let tick = Runtime.ticker runtime in
+  let forward =
+    Img.Image.forward man ~strategy:(Img.Image.Partitioned Img.Quantify.Greedy)
+      ~parts ~quantify ~rename
+  in
   let image frontier =
     Engine.note_image ();
-    Img.Image.forward man ~strategy:(Img.Image.Partitioned Img.Quantify.Greedy)
-      ~parts ~quantify ~rename frontier
+    forward frontier
   in
   let on_frontier _ =
     tick ();
@@ -44,7 +47,9 @@ let particular_contained ?runtime (p : Problem.t) (sp : Split.t) (x : A.t) =
     let v_cube =
       O.cube_of_vars man (p.Problem.v_vars @ p.Problem.observed_i)
     in
-    let u_to_v = List.combine p.Problem.u_vars p.Problem.v_vars in
+    let u_to_v =
+      O.renaming man (List.combine p.Problem.u_vars p.Problem.v_vars)
+    in
     let init_sigma =
       O.cube_of_literals man
         (List.map2 (fun v b -> (v, b)) p.Problem.v_vars sp.Split.x_init)
@@ -73,7 +78,7 @@ let particular_contained ?runtime (p : Problem.t) (sp : Split.t) (x : A.t) =
             if move <> M.zero then begin
               (* successor latch-bank states: the u-part of the move *)
               let u_part = O.exists man v_cube move in
-              let sigma' = O.rename man u_part u_to_v in
+              let sigma' = O.rename_by man u_part u_to_v in
               push (xs', sigma')
             end)
           x.A.edges.(xs)

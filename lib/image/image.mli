@@ -30,4 +30,5 @@ val forward :
     by the [rename] pairs (next-state → current-state). The image rides the
     operand stack while it is renamed, so a collection in between cannot
     sweep it; the caller keeps [frontier] and [parts] alive, and the result
-    is not protected. *)
+    is not protected. Applied to all but [frontier], it builds the
+    {!Bdd.Ops.renaming} once for every frontier that follows. *)

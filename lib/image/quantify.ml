@@ -14,90 +14,135 @@ type order = Given | Greedy
 let c_conj = Obs.Counter.make "image.conjunctions"
 let g_peak_intermediate = Obs.Gauge.make "image.peak_intermediate"
 
-(* [∃ quantify. ∧ rels]. The schedule's state, indexed by variable:
-   - [pending.(v)]: [v] is still to be quantified (in [quantify], not yet
+(* The schedule's per-variable state, in process-global buffers that
+   every call reuses (a call never nests into another: its BDD work is
+   kernel recursions; like Obs, they assume one domain), indexed by
+   variable:
+   - [pending]: [v] is still to be quantified (in [quantify], not yet
      gone from the accumulator);
    - [occ.(v)]: how many unprocessed conjuncts mention [v] (counted for
      the variables of [quantify] only);
-   - [in_acc.(v)]: [v] is in the accumulator's support ([Greedy] only).
-   [Greedy] scores a conjunct [2 * dead - fresh]: [dead] counts its
+   - [in_acc]: [v] is in the accumulator's support ([Greedy] only).
+   A call clears the prefix it uses on entry, so a call that raised
+   leaves nothing behind. *)
+type buffers = {
+  mutable occ : int array;
+  mutable pending : Bytes.t;
+  mutable in_acc : Bytes.t;
+}
+
+let buf = { occ = [||]; pending = Bytes.empty; in_acc = Bytes.empty }
+
+let reset_buffers n =
+  if Array.length buf.occ < n then begin
+    let cap = max n (2 * Array.length buf.occ) in
+    buf.occ <- Array.make cap 0;
+    buf.pending <- Bytes.make cap '\000';
+    buf.in_acc <- Bytes.make cap '\000'
+  end
+  else begin
+    Array.fill buf.occ 0 n 0;
+    Bytes.fill buf.pending 0 n '\000';
+    Bytes.fill buf.in_acc 0 n '\000'
+  end
+
+let is_set b v = Bytes.unsafe_get b v <> '\000'
+
+(* The steps below are top-level functions over [buf] rather than
+   closures: a small image would allocate more for its closures than for
+   its schedule. *)
+
+(* variables outside the manager occur in no conjunct: nothing to do *)
+let rec mark_pending n = function
+  | [] -> ()
+  | v :: vs ->
+    if v >= 0 && v < n then Bytes.unsafe_set buf.pending v '\001';
+    mark_pending n vs
+
+(* add [d] to [occ] of the pending variables of a support *)
+let rec count_occ d = function
+  | [] -> ()
+  | v :: vs ->
+    if is_set buf.pending v then buf.occ.(v) <- buf.occ.(v) + d;
+    count_occ d vs
+
+(* [Greedy] scores a conjunct [2 * dead - fresh]: [dead] counts its
    pending variables that it alone still mentions, [fresh] its variables
-   the accumulator does not have yet. The first conjunct with the highest
-   score wins. *)
+   the accumulator does not have yet *)
+let rec score dead fresh = function
+  | [] -> (2 * dead) - fresh
+  | v :: vs ->
+    score
+      (if is_set buf.pending v && buf.occ.(v) = 1 then dead + 1 else dead)
+      (if is_set buf.in_acc v then fresh else fresh + 1)
+      vs
+
+(* the next conjunct: the first unused one ([Given]), or the first with
+   the highest score ([Greedy]) *)
+let pick order used supports =
+  match order with
+  | Given ->
+    let k = ref 0 in
+    while used.(!k) do
+      incr k
+    done;
+    !k
+  | Greedy ->
+    let best = ref (-1) and best_score = ref min_int in
+    for k = 0 to Array.length supports - 1 do
+      if not used.(k) then begin
+        let s = score 0 0 supports.(k) in
+        if s > !best_score then begin
+          best_score := s;
+          best := k
+        end
+      end
+    done;
+    !best
+
+(* the cube of the pending variables of [vs] (ascending) that no
+   unprocessed conjunct mentions, built from the last one up as
+   [cube_of_vars] does; each leaves [pending] as it is found, so it is
+   quantified once. A pending variable's [occ] reaches 0 only on the
+   step that processes its last conjunct, so the step's own support
+   finds every one. *)
+let rec dying_cube m = function
+  | [] -> M.one
+  | v :: vs ->
+    let cube = dying_cube m vs in
+    if is_set buf.pending v && buf.occ.(v) = 0 then begin
+      Bytes.unsafe_set buf.pending v '\000';
+      M.mk m v M.zero cube
+    end
+    else cube
+
+(* [∃ quantify. ∧ rels] *)
 let and_exists_list m ?(order = Greedy) rels ~quantify =
   let n = M.num_vars m in
-  let pending = Array.make n false in
-  (* variables outside the manager occur in no conjunct: nothing to do *)
-  List.iter (fun v -> if v >= 0 && v < n then pending.(v) <- true) quantify;
+  reset_buffers n;
+  mark_pending n quantify;
   let parts = Array.of_list rels in
+  let steps = Array.length parts in
   (* pin the conjuncts for the whole sweep, and the accumulator above
      them; each step replaces the accumulator's pin, so a dead
      intermediate becomes collectable as soon as the next one supersedes
      it — that rotation is where the GC recovers the image computation's
      peak. Like the kernel's recursions, an exception leaves these pins
      for the next [reset_op_stack]. *)
-  Array.iter (M.stack_push m) parts;
-  let supports = Array.map (O.support m) parts in
-  let used = Array.make (Array.length parts) false in
-  let occ = Array.make n 0 in
-  Array.iter
-    (List.iter (fun v -> if pending.(v) then occ.(v) <- occ.(v) + 1))
-    supports;
+  let supports = Array.make steps [] in
+  for k = 0 to steps - 1 do
+    M.stack_push m parts.(k);
+    supports.(k) <- O.support m parts.(k);
+    count_occ 1 supports.(k)
+  done;
+  let used = Array.make steps false in
   let acc = ref M.one in
   M.stack_push m !acc;
-  let acc_supp = ref [] in
-  let in_acc = Array.make n false in
-  let rec score dead fresh = function
-    | [] -> (2 * dead) - fresh
-    | v :: vs ->
-      score
-        (if pending.(v) && occ.(v) = 1 then dead + 1 else dead)
-        (if in_acc.(v) then fresh else fresh + 1)
-        vs
-  in
-  let pick () =
-    match order with
-    | Given ->
-      let k = ref 0 in
-      while used.(!k) do
-        incr k
-      done;
-      !k
-    | Greedy ->
-      let best = ref (-1) and best_score = ref min_int in
-      for k = 0 to Array.length parts - 1 do
-        if not used.(k) then begin
-          let s = score 0 0 supports.(k) in
-          if s > !best_score then begin
-            best_score := s;
-            best := k
-          end
-        end
-      done;
-      !best
-  in
-  (* the pending variables of [vs] that no unprocessed conjunct mentions;
-     each leaves [pending] as it is found, so it is quantified once. A
-     pending variable's [occ] reaches 0 only on the step that processes
-     its last conjunct, so the step's own support finds every one. *)
-  let dying vs =
-    List.fold_left
-      (fun acc v ->
-        if pending.(v) && occ.(v) = 0 then begin
-          pending.(v) <- false;
-          v :: acc
-        end
-        else acc)
-      [] vs
-  in
-  let steps = Array.length parts in
   for step = 1 to steps do
-    let k = pick () in
+    let k = pick order used supports in
     used.(k) <- true;
-    List.iter
-      (fun v -> if pending.(v) then occ.(v) <- occ.(v) - 1)
-      supports.(k);
-    let cube = O.cube_of_vars m (dying supports.(k)) in
+    count_occ (-1) supports.(k);
+    let cube = dying_cube m supports.(k) in
     M.stack_push m cube;
     let acc' = O.and_exists m cube !acc parts.(k) in
     (* the cube and the old accumulator go, the new one is pinned: no
@@ -109,12 +154,12 @@ let and_exists_list m ?(order = Greedy) rels ~quantify =
       Obs.Counter.bump c_conj;
       Obs.Gauge.set_max g_peak_intermediate (O.size m !acc)
     end;
-    (* an accumulator's support is asked for once, so it is not memoized;
-       with at most one conjunct left the next pick is forced *)
+    (* an accumulator's support is asked for once, so it is marked into
+       [in_acc] rather than memoized; with at most one conjunct left the
+       next pick is forced *)
     if order = Greedy && steps - step > 1 then begin
-      List.iter (fun v -> in_acc.(v) <- false) !acc_supp;
-      acc_supp := M.support_once m !acc;
-      List.iter (fun v -> in_acc.(v) <- true) !acc_supp
+      Bytes.fill buf.in_acc 0 n '\000';
+      M.support_mark m !acc buf.in_acc
     end
   done;
   M.stack_drop m (steps + 1);

@@ -356,7 +356,21 @@ module Span = struct
     cur_depth := 0
 end
 
+(* --- OCaml heap traffic -------------------------------------------------- *)
+
+(* minor words, major words, minor collections. In OCaml 5.1
+   [Gc.quick_stat] updates its word counts only at collections, and
+   [Gc.counters]'s minor count is off, so each figure comes from the
+   reading that is exact. *)
+let heap_now () =
+  let _, _, major = Gc.counters () in
+  (Gc.minor_words (), major, (Gc.quick_stat ()).Gc.minor_collections)
+
+(* the reading at the last [reset] *)
+let heap0 = ref (heap_now ())
+
 let reset () =
+  heap0 := heap_now ();
   (* folded first, so tallies pending at the reset are dropped too *)
   Counter.fold_pending ();
   Hashtbl.iter (fun _ c -> c.v <- 0) Counter.registry;
@@ -371,7 +385,17 @@ module Stats = struct
     let n = Counter.find num and d = Counter.find den in
     if d = 0 then 0.0 else float_of_int n /. float_of_int d
 
+  let heap_traffic () =
+    let minor, major, collections = heap_now () in
+    let minor0, major0, collections0 = !heap0 in
+    Json.Obj
+      [ ("ocaml.minor_words", Json.Int (int_of_float (minor -. minor0)));
+        ("ocaml.major_words", Json.Int (int_of_float (major -. major0)));
+        ("ocaml.minor_collections", Json.Int (collections - collections0)) ]
+
   let snapshot_json () =
+    (* read first, so the snapshot's own allocation is not counted *)
+    let ocaml = heap_traffic () in
     Json.Obj
       [ ("enabled", Json.Bool !on);
         ( "counters",
@@ -407,7 +431,8 @@ module Stats = struct
         ( "trace",
           Json.Obj
             [ ("recorded", Json.Int (Trace.recorded ()));
-              ("capacity", Json.Int (Trace.capacity ())) ] ) ]
+              ("capacity", Json.Int (Trace.capacity ())) ] );
+        ("ocaml", ocaml) ]
 
   let snapshot () = Json.to_string (snapshot_json ())
 end

@@ -22,7 +22,8 @@ val set_enabled : bool -> unit
 
 val reset : unit -> unit
 (** Zero every registered counter, gauge and timer, drop all trace
-    events, and restart the trace clock. Registrations survive. *)
+    events, and restart the trace clock and the heap-traffic reading of
+    {!Stats.snapshot}. Registrations survive. *)
 
 (** Minimal JSON emitter (no parser, no dependencies). Floats are
     rendered finite (NaN/infinities become [0]); strings are escaped per
@@ -171,10 +172,18 @@ module Stats : sig
            "derived": { "bdd_cache_hit_rate": float,
                         "bdd_unique_hit_rate": float,
                         "bdd_dead_ratio": float },
-           "trace": { "recorded": int, "capacity": int } } ]}
+           "trace": { "recorded": int, "capacity": int },
+           "ocaml": { "ocaml.minor_words": int,
+                      "ocaml.major_words": int,
+                      "ocaml.minor_collections": int } } ]}
       The derived rates are quotients of the [bdd.cache.*], [bdd.unique.*]
       and [bdd.gc.*] counters maintained by [Bdd.Manager] ([0.0] when the
       denominators are zero, e.g. in a non-BDD process);
       ["bdd_dead_ratio"] is the fraction of all allocated nodes that the
-      mark-and-sweep collector later reclaimed. *)
+      mark-and-sweep collector later reclaimed. ["ocaml"] is the OCaml
+      heap traffic of the process since the last {!reset}, with Obs on or
+      off: the words allocated in the minor heap and in the major heap
+      (promoted words included) and the minor collections. It stays out
+      of ["counters"], which depend only on the node stream, while the
+      heap traffic depends on the build as well. *)
 end

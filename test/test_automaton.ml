@@ -244,6 +244,54 @@ let test_trim () =
   in
   Alcotest.(check int) "unreachable dropped" 1 (A.num_states (Ops.trim t))
 
+(* [restrict] and [trim] keep the surviving states in their original
+   relative order, on their own: every solver caller composes the two,
+   so a renumbering in one could hide behind the other. Five states with
+   distinct names and acceptance, and edges to kept and dropped states. *)
+let numbering_fixture () =
+  let man, a, _ = setup () in
+  let va = O.var_bdd man a and na = O.nvar_bdd man a in
+  ( man,
+    A.make man ~alphabet:[ a ] ~initial:2
+      ~accepting:[| true; false; false; true; true |]
+      ~edges:
+        [| [ (va, 1) ];
+           [ (M.one, 1) ];
+           [ (va, 4); (na, 0) ];
+           [ (va, 1); (na, 2) ];
+           [ (va, 3); (na, 4) ] |]
+      ~names:[| "s0"; "s1"; "s2"; "s3"; "s4" |] (),
+    va,
+    na )
+
+let test_restrict_numbering () =
+  let _, t, va, na = numbering_fixture () in
+  let r = Ops.restrict t [| true; false; true; false; true |] in
+  Alcotest.(check (array string)) "kept states in order"
+    [| "s0"; "s2"; "s4" |] r.A.names;
+  Alcotest.(check (array bool)) "acceptance follows the states"
+    [| true; false; true |] r.A.accepting;
+  Alcotest.(check int) "initial renumbered" 1 r.A.initial;
+  Alcotest.(check (array (list (pair int int))))
+    "edges to kept states, renumbered, in order"
+    [| []; [ (va, 2); (na, 0) ]; [ (na, 2) ] |]
+    r.A.edges
+
+let test_trim_numbering () =
+  let _, t, va, na = numbering_fixture () in
+  (* from s4, with s2's edge into s0 dropped, s0 is the one state left
+     unreachable *)
+  let t = { t with A.initial = 4; edges = Array.copy t.A.edges } in
+  t.A.edges.(2) <- [ (va, 4) ];
+  let r = Ops.trim t in
+  Alcotest.(check (array string)) "reachable states in order"
+    [| "s1"; "s2"; "s3"; "s4" |] r.A.names;
+  Alcotest.(check int) "initial renumbered" 3 r.A.initial;
+  Alcotest.(check (array (list (pair int int))))
+    "edges renumbered in order"
+    [| [ (M.one, 0) ]; [ (va, 3) ]; [ (va, 0); (na, 1) ]; [ (va, 2); (na, 3) ] |]
+    r.A.edges
+
 (* --- minimization --------------------------------------------------------- *)
 
 let test_minimize () =
@@ -558,6 +606,9 @@ let () =
           Alcotest.test_case "progressive empty" `Quick
             test_progressive_empty;
           Alcotest.test_case "trim" `Quick test_trim;
+          Alcotest.test_case "restrict numbering" `Quick
+            test_restrict_numbering;
+          Alcotest.test_case "trim numbering" `Quick test_trim_numbering;
           Alcotest.test_case "minimize" `Quick test_minimize;
           Alcotest.test_case "normalize edges" `Quick test_normalize_edges;
           Alcotest.test_case "successors + names" `Quick

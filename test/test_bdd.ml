@@ -390,7 +390,11 @@ let test_wide_levels () =
   M.protect m f;
   let vs = [ 70_000; 70_003; 70_004; 70_009 ] in
   Alcotest.(check (list int)) "support" vs (O.support m f);
-  Alcotest.(check (list int)) "support_once" vs (M.support_once m f);
+  let seen = Bytes.make (M.num_vars m) '\000' in
+  M.support_mark m f seen;
+  Alcotest.(check (list int)) "support_mark" vs
+    (List.filter (fun v -> Bytes.get seen v <> '\000')
+       (List.init (M.num_vars m) Fun.id));
   Alcotest.(check int) "dag_size" 7 (M.dag_size m [ f ]);
   Alcotest.(check int) "root level unmarked" 70_000 (M.var m f);
   ignore (M.collect m : int);
@@ -570,6 +574,40 @@ let test_pick_minterm () =
     let env v = List.assoc v lits in
     Alcotest.(check bool) "minterm satisfies f" true (O.eval m f env);
     Alcotest.(check int) "total assignment" nvars (List.length lits)
+
+(* [Idtbl] through growth, replacement, clearing and filtering *)
+let test_idtbl () =
+  let t = Bdd.Idtbl.create 4 (-1) in
+  let keys = List.init 1000 (fun k -> 3 * k) in
+  List.iter (fun k -> Bdd.Idtbl.replace t k (k / 3)) keys;
+  let found () = List.filter (fun k -> Bdd.Idtbl.find t k >= 0) keys in
+  Alcotest.(check bool) "every key found" true
+    (List.for_all (fun k -> Bdd.Idtbl.find t k = k / 3) keys);
+  Alcotest.(check int) "absent key" (-1) (Bdd.Idtbl.find t 1);
+  Bdd.Idtbl.replace t 3 42;
+  Alcotest.(check int) "replaced" 42 (Bdd.Idtbl.find t 3);
+  Bdd.Idtbl.filter_inplace t (fun k _ -> k mod 2 = 0);
+  Alcotest.(check int) "even keys kept" 500 (List.length (found ()));
+  Alcotest.(check (pair int int)) "filtered" (-1, 2)
+    (Bdd.Idtbl.find t 3, Bdd.Idtbl.find t 6);
+  Bdd.Idtbl.clear t;
+  Alcotest.(check int) "cleared" 0 (List.length (found ()));
+  Bdd.Idtbl.replace t 6 7;
+  Alcotest.(check int) "usable after clear" 7 (Bdd.Idtbl.find t 6)
+
+(* the scratch memo belongs to one operation: a nested use raises, and
+   the raise leaves the manager unfrozen with the memo free *)
+let test_scratch_memo_nesting () =
+  let m = fresh_man () in
+  Helpers.check_invalid_arg "nested scratch memo" "already in use" (fun () ->
+      M.with_scratch_memo m (fun _ -> M.with_scratch_memo m (fun _ -> ())));
+  ignore (M.collect m : int);
+  Alcotest.(check int) "memo free again" 5
+    (M.with_scratch_memo m (fun memo ->
+         Bdd.Idtbl.replace memo 2 5;
+         Bdd.Idtbl.find memo 2));
+  Alcotest.(check int) "emptied on entry" (-1)
+    (M.with_scratch_memo m (fun memo -> Bdd.Idtbl.find memo 2))
 
 let test_migrate_preserves_semantics () =
   let m = fresh_man () in
@@ -1066,13 +1104,95 @@ let prop_rename_roundtrip =
       let back = O.rename m r [ (3, 0); (4, 1); (0, 2) ] in
       back = b)
 
+(* The rename against the reference that rebuilt its map and memo per
+   call: on two managers with the same history, the same result id, the
+   same number of [mk] calls and the same nodes under the same ids, so
+   the same node stream. The maps are
+   drawn over vars [0, 8) for BDDs over [0, 5): some are monotone on the
+   support (a shift), some are not (a random permutation), and some name
+   variables the BDD does not have. *)
+let prop_rename_reference =
+  let map_gen =
+    QCheck.Gen.(
+      oneof
+        [ map (fun k -> List.init 5 (fun v -> (v, v + k))) (int_range 0 3);
+          map
+            (fun seed ->
+              let st = Random.State.make [| seed |] in
+              let perm = Array.init 8 Fun.id in
+              for i = 7 downto 1 do
+                let j = Random.State.int st (i + 1) in
+                let t = perm.(i) in
+                perm.(i) <- perm.(j);
+                perm.(j) <- t
+              done;
+              List.filter_map
+                (fun v ->
+                  if Random.State.int st 4 = 0 then None else Some (v, perm.(v)))
+                (List.init 8 Fun.id))
+            int ])
+  in
+  let map_arb =
+    QCheck.make
+      ~print:(fun l ->
+        String.concat " "
+          (List.map (fun (a, b) -> Printf.sprintf "%d->%d" a b) l))
+      map_gen
+  in
+  QCheck.Test.make ~count:300 ~name:"rename matches the Hashtbl reference"
+    QCheck.(pair (formula_arb nvars) map_arb)
+    (fun (f, pairs) ->
+      let run rename =
+        let m = Helpers.fresh_man ~nvars:8 () in
+        let b = fbuild m f in
+        Obs.reset ();
+        Obs.set_enabled true;
+        let r =
+          Fun.protect
+            ~finally:(fun () -> Obs.set_enabled false)
+            (fun () -> rename m b pairs)
+        in
+        (* every node, in the order of creation *)
+        let store =
+          List.init (M.store_size m - 2) (fun i ->
+              let id = i + 2 in
+              (M.var m id, M.low m id, M.high m id))
+        in
+        (r, Obs.Counter.find "bdd.mk_calls", store)
+      in
+      run O.rename = run Reference.Rename.rename)
+
+(* [pick_cube] is [cube_of_literals] of [pick_minterm]: the same cube
+   from the same [mk] calls *)
+let prop_pick_cube =
+  QCheck.Test.make ~count:300 ~name:"pick_cube = cube of pick_minterm"
+    (formula_arb nvars) (fun f ->
+      let run pick =
+        let m = fresh_man () in
+        let b = fbuild m f in
+        Obs.reset ();
+        Obs.set_enabled true;
+        let c =
+          Fun.protect
+            ~finally:(fun () -> Obs.set_enabled false)
+            (fun () -> pick m b)
+        in
+        (c, Obs.Counter.find "bdd.mk_calls", M.store_size m)
+      in
+      let vars = List.init nvars Fun.id in
+      run (fun m b -> O.pick_cube m b vars)
+      = run (fun m b ->
+            match O.pick_minterm m b vars with
+            | Some lits -> O.cube_of_literals m lits
+            | None -> M.zero))
+
 let prop_subst_semantics =
   QCheck.Test.make ~count:200 ~name:"subst matches substituted formula"
     QCheck.(triple (formula_arb 3) (formula_arb nvars) (int_bound 2))
     (fun (f, g, v) ->
       let m = fresh_man () in
       let bf = fbuild m f and bg = fbuild m g in
-      let s = O.subst m bf (fun w -> if w = v then Some bg else None) in
+      let s = Reference.Rename.subst m bf (fun w -> if w = v then Some bg else None) in
       List.for_all
         (fun env ->
           let env' w = if w = v then feval env g else env w in
@@ -1100,7 +1220,7 @@ let prop_compose_sequential =
       (* substitute for vars 0 and 1 of f; g and h may mention any vars, so
          do the simultaneous substitution as the reference *)
       let simultaneous =
-        O.subst m bf (fun v ->
+        Reference.Rename.subst m bf (fun v ->
             if v = 0 then Some bg else if v = 1 then Some bh else None)
       in
       (* semantic check against brute-force evaluation *)
@@ -1195,7 +1315,9 @@ let qcheck_cases =
       prop_cofactor_cube; prop_ite_standard_triples;
       prop_commutative_keys; prop_pair_recursions; prop_support_reference;
       prop_marks_cleared; prop_epoch_wrap; prop_sat_count;
-      prop_rename_roundtrip; prop_subst_semantics; prop_cubes_partition;
+      prop_rename_roundtrip; prop_rename_reference; prop_pick_cube;
+      prop_subst_semantics;
+      prop_cubes_partition;
       prop_exists_nested; prop_compose_sequential;
       prop_isop_exact; prop_isop_interval; prop_isop_irredundant;
       prop_cover_rows ]
@@ -1234,6 +1356,9 @@ let () =
             test_cache_emptied;
           Alcotest.test_case "levels past 16 bits" `Quick test_wide_levels;
           Alcotest.test_case "pick minterm" `Quick test_pick_minterm;
+          Alcotest.test_case "idtbl" `Quick test_idtbl;
+          Alcotest.test_case "scratch memo does not nest" `Quick
+            test_scratch_memo_nesting;
           Alcotest.test_case "migrate semantics" `Quick
             test_migrate_preserves_semantics;
           Alcotest.test_case "force order" `Quick

@@ -6,9 +6,14 @@ module O = Bdd.Ops
 module E = Equation
 module H = Harness.Experiments
 
-(* --- Subset.split_successors ------------------------------------------------- *)
+(* --- Subset.memo_splitter ----------------------------------------------------- *)
 
 let random_bdd = Helpers.random_bdd ~depth:3
+
+(* one split of [p] by a fresh splitter, so nothing is served from a memo *)
+let split_once man ~p ~domain ~alphabet ~ns_cube =
+  M.with_roots man @@ fun roots ->
+  E.Subset.memo_splitter man ~roots ~alphabet ~ns_cube ~domain p
 
 let test_split_successors_properties () =
   let rng = Random.State.make [| 77 |] in
@@ -20,9 +25,7 @@ let test_split_successors_properties () =
     let p = random_bdd man 6 rng in
     let ns_cube = O.cube_of_vars man ns in
     let domain = O.exists man ns_cube p in
-    let splits =
-      E.Subset.split_successors man ~p ~domain ~alphabet ~ns_cube
-    in
+    let splits = split_once man ~p ~domain ~alphabet ~ns_cube in
     (* guards are non-zero, pairwise disjoint, and cover the domain *)
     List.iter
       (fun (g, succ) ->
@@ -60,8 +63,7 @@ let test_split_successors_empty () =
   ignore (M.new_vars man 4 : int list);
   let ns_cube = O.cube_of_vars man [ 2; 3 ] in
   Alcotest.(check (list (pair int int))) "empty relation" []
-    (E.Subset.split_successors man ~p:M.zero ~domain:M.zero ~alphabet:[ 0; 1 ]
-       ~ns_cube)
+    (split_once man ~p:M.zero ~domain:M.zero ~alphabet:[ 0; 1 ] ~ns_cube)
 
 let test_split_successors_single () =
   let man = M.create () in
@@ -70,7 +72,7 @@ let test_split_successors_single () =
   let p = O.var_bdd man 1 in
   let ns_cube = O.cube_of_vars man [ 1 ] in
   let domain = O.exists man ns_cube p in
-  match E.Subset.split_successors man ~p ~domain ~alphabet:[ 0 ] ~ns_cube with
+  match split_once man ~p ~domain ~alphabet:[ 0 ] ~ns_cube with
   | [ (g, succ) ] ->
     Alcotest.(check int) "guard is all symbols" M.one g;
     Alcotest.(check int) "successor is ns0" p succ
@@ -89,11 +91,11 @@ let test_split_successors_overlap_rejected () =
   let ns_cube = O.cube_of_vars man [ 0 ] in
   let domain = O.exists man ns_cube p in
   Helpers.check_invalid_arg "alphabet/ns overlap" "a=0" (fun () ->
-      E.Subset.split_successors man ~p ~domain ~alphabet:[ 0 ] ~ns_cube)
+      split_once man ~p ~domain ~alphabet:[ 0 ] ~ns_cube)
 
 (* The memoized splitter enumerates a relation once: a repeated [p] gets
-   the very arcs of the first call back from the table, equal to what the
-   unmemoized enumeration gives. *)
+   the very arcs of the first call back from the table, equal to what a
+   fresh splitter's enumeration gives. *)
 let test_split_memo () =
   let man = M.create () in
   ignore (M.new_vars man 4 : int list);
@@ -106,7 +108,7 @@ let test_split_memo () =
   in
   let first = split p in
   Alcotest.(check (list (pair int int))) "memoized = unmemoized"
-    (E.Subset.split_successors man ~p ~domain ~alphabet:[ 0; 1 ] ~ns_cube)
+    (split_once man ~p ~domain ~alphabet:[ 0; 1 ] ~ns_cube)
     first;
   Alcotest.(check bool) "same relation is served from the memo" true
     (split p == first)

@@ -301,7 +301,9 @@ let test_snapshot_json () =
           Alcotest.(check bool) (key ^ " present") true
             (Helpers.contains key snap))
         [ "\"enabled\""; "\"counters\""; "\"gauges\""; "\"timers\"";
-          "\"derived\""; "\"trace\""; "\"bdd_cache_hit_rate\"" ]);
+          "\"derived\""; "\"trace\""; "\"bdd_cache_hit_rate\"";
+          "\"ocaml\""; "\"ocaml.minor_words\""; "\"ocaml.major_words\"";
+          "\"ocaml.minor_collections\"" ]);
   (* disabled snapshot is still valid JSON *)
   check_json "disabled snapshot" (Obs.Stats.snapshot ())
 
@@ -414,6 +416,70 @@ let test_cnc_flushes_partial_stats () =
            (Obs.Trace.events ()));
       check_json "partial snapshot" (Obs.Stats.snapshot ()))
 
+(* --- OCaml heap traffic ----------------------------------------------- *)
+
+let heap_field name =
+  match Obs.Stats.snapshot_json () with
+  | Obs.Json.Obj fields -> (
+    match List.assoc_opt "ocaml" fields with
+    | Some (Obs.Json.Obj heap) -> (
+      match List.assoc_opt name heap with
+      | Some (Obs.Json.Int n) -> n
+      | _ -> Alcotest.fail (name ^ " missing"))
+    | _ -> Alcotest.fail "no ocaml object in the snapshot")
+  | _ -> Alcotest.fail "snapshot is not an object"
+
+let test_heap_traffic_since_reset () =
+  Obs.reset ();
+  let l = Sys.opaque_identity (List.init 1000 Fun.id) in
+  let a = Sys.opaque_identity (Array.make 10_000 0) in
+  (* a cons cell is three words; the array goes straight to the major
+     heap *)
+  let minor = heap_field "ocaml.minor_words" in
+  let major = heap_field "ocaml.major_words" in
+  Alcotest.(check bool) "the list's minor words" true
+    (minor >= 3 * List.length l);
+  Alcotest.(check bool) "the array's major words" true
+    (major >= Array.length a);
+  Alcotest.(check bool) "minor collections counted" true
+    (heap_field "ocaml.minor_collections" >= 0);
+  Obs.reset ();
+  Alcotest.(check bool) "reset restarts the reading" true
+    (heap_field "ocaml.minor_words" < 3 * List.length l)
+
+(* A corpus-shaped request: a 3-latch, 2-level random_logic netlist split
+   on two latches (9 subset states), solved and verified with Obs off, as
+   the solver benchmark runs it. The second of two runs is measured, so
+   one-time growth of the reusable buffers does not count. It allocated
+   12,690 minor words when this bound was set (27,418 before the subset
+   construction's memos, renames and schedule stopped allocating per
+   node and per variable); the bound is 1.5 times that. *)
+let corpus_request_minor_words = 12_690
+
+let test_corpus_request_allocation () =
+  let net =
+    G.random_logic ~seed:2 ~inputs:3 ~outputs:2 ~latches:3 ~levels:2 ()
+  in
+  let request () =
+    let w0 = Gc.minor_words () in
+    (match
+       E.Solve.solve_split ~method_:E.Solve.default_partitioned net
+         ~x_latches:[ "x1"; "x2" ]
+     with
+     | E.Solve.Completed r ->
+       Alcotest.(check (pair bool bool)) "verified" (true, true)
+         (E.Solve.verify r)
+     | E.Solve.Could_not_complete _ -> Alcotest.fail "request did not solve");
+    Gc.minor_words () -. w0
+  in
+  Obs.set_enabled false;
+  ignore (request () : float);
+  let words = int_of_float (request ()) in
+  let bound = corpus_request_minor_words * 3 / 2 in
+  if words > bound then
+    Alcotest.failf "a corpus request allocated %d minor words (bound %d)"
+      words bound
+
 let () =
   Alcotest.run "obs"
     [ ( "registry",
@@ -438,4 +504,9 @@ let () =
             test_cache_tallies_fold_on_read;
           Alcotest.test_case "cnc partial stats" `Quick
             test_cnc_flushes_partial_stats;
-          Alcotest.test_case "verify timed" `Quick test_verify_timed ] ) ]
+          Alcotest.test_case "verify timed" `Quick test_verify_timed ] );
+      ( "heap traffic",
+        [ Alcotest.test_case "snapshot reading since reset" `Quick
+            test_heap_traffic_since_reset;
+          Alcotest.test_case "corpus request allocation" `Quick
+            test_corpus_request_allocation ] ) ]
