@@ -15,15 +15,19 @@ let restrict (t : A.t) keep =
   let accepting = Array.make !count false in
   let edges = Array.make !count [] in
   let names = Array.make !count "" in
+  let rec kept = function
+    | [] -> []
+    | ((g, d) as arc) :: rest ->
+      if not keep.(d) then kept rest
+      else if index.(d) = d then arc :: kept rest
+      else (g, index.(d)) :: kept rest
+  in
   for s = 0 to n - 1 do
     if keep.(s) then begin
       let s' = index.(s) in
       accepting.(s') <- t.accepting.(s);
       names.(s') <- t.names.(s);
-      edges.(s') <-
-        List.filter_map
-          (fun (g, d) -> if keep.(d) then Some (g, index.(d)) else None)
-          t.edges.(s)
+      edges.(s') <- kept t.edges.(s)
     end
   done;
   { t with initial = index.(t.initial); accepting; edges; names }

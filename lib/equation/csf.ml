@@ -13,9 +13,10 @@ let c_deletions = Obs.Counter.make "csf.worklist_deletions"
    only the deleted state's predecessors (the only states whose
    progressiveness it can change). Each arc is therefore re-traversed at
    most once per deletion of its destination — O(arcs + deletions ×
-   max-in-degree-neighbourhood) — and the surviving states are cut out of
-   the solution by [Fsa.Ops.restrict] and [Fsa.Ops.trim], which keep the
-   engine's guards (already protected) and relative state order. *)
+   max-in-degree-neighbourhood) — and the alive states reachable through
+   alive states are cut out of the solution by one [Fsa.Ops.restrict],
+   which keeps the engine's guards (already protected) and relative state
+   order. *)
 let of_arena ?runtime (p : Problem.t) (x : A.t) =
   Option.iter (fun rt -> Runtime.enter_phase rt Runtime.Csf) runtime;
   let tick = Runtime.ticker runtime in
@@ -84,6 +85,24 @@ let of_arena ?runtime (p : Problem.t) (x : A.t) =
     end
   done;
   if not alive.(x.A.initial) then (A.empty man ~alphabet:x.A.alphabet, !deletions)
-  else (Fsa.Ops.trim (Fsa.Ops.restrict x alive), !deletions)
+  else begin
+    (* the states reachable from the initial one through alive states:
+       one [restrict] to them numbers the survivors as [trim (restrict x
+       alive)] does. The worklist left [queued] all false. *)
+    let keep = queued in
+    let rec visit s =
+      if alive.(s) && not keep.(s) then begin
+        keep.(s) <- true;
+        visit_arcs x.A.edges.(s)
+      end
+    and visit_arcs = function
+      | [] -> ()
+      | (_, d) :: rest ->
+        visit d;
+        visit_arcs rest
+    in
+    visit x.A.initial;
+    (Fsa.Ops.restrict x keep, !deletions)
+  end
 
 let num_states = Fsa.Automaton.num_states

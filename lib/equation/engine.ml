@@ -41,7 +41,8 @@ let run ?runtime ?on_state man ~alphabet make_oracle =
   pin oracle.ns_cube;
   (* Subset states are interned by their (canonical) BDD. *)
   let index = Bdd.Idtbl.create 16 (-1) in
-  let rev_states = ref [] in
+  (* the state BDDs by index, doubled when full *)
+  let states = ref (Array.make 16 M.zero) in
   let count = ref 0 in
   let queue = Queue.create () in
   let intern zeta =
@@ -52,7 +53,12 @@ let run ?runtime ?on_state man ~alphabet make_oracle =
       let k = !count in
       incr count;
       Bdd.Idtbl.replace index zeta k;
-      rev_states := zeta :: !rev_states;
+      if k = Array.length !states then begin
+        let grown = Array.make (2 * k) M.zero in
+        Array.blit !states 0 grown 0 k;
+        states := grown
+      end;
+      !states.(k) <- zeta;
       Queue.add (zeta, k) queue;
       k
     end
@@ -71,23 +77,24 @@ let run ?runtime ?on_state man ~alphabet make_oracle =
       (split_memo ~domain p)
   in
   let sink_used = Array.make (Array.length sinks) false in
-  (* each state's arcs in emission order, states newest-first; sink
-     destinations keep negative placeholders until the number of core
-     states is known *)
+  (* each state's class arcs in emission order and its DCN and DCA guards
+     ([M.zero] for none), states newest-first: the sinks' numbers are
+     known only once the core states are *)
   let rev_edges = ref [] in
   (* a completion guard lives only on the operand stack until here *)
   let complete guard j =
-    if guard = M.zero then []
-    else begin
+    if guard <> M.zero then begin
       pin guard;
-      sink_used.(j) <- true;
-      [ (guard, -1 - j) ]
-    end
+      sink_used.(j) <- true
+    end;
+    guard
   in
   enter Runtime.Subset;
   while not (Queue.is_empty queue) do
     tick ();
-    Option.iter (fun rt -> Runtime.note_subset_states rt !count) runtime;
+    (match runtime with
+     | Some rt -> Runtime.note_subset_states rt !count
+     | None -> ());
     let zeta, k = Queue.pop queue in
     if !Obs.on then Obs.Counter.bump c_expanded;
     notify k;
@@ -105,45 +112,67 @@ let run ?runtime ?on_state man ~alphabet make_oracle =
     M.stack_drop man 4;
     (* the split's guards are pinned by its memo *)
     let classes = List.map (fun (guard, z) -> (guard, intern z)) arcs in
-    let dcn_arc = complete q dcn in
-    let dca_arc = complete to_dca dca in
-    rev_edges := (classes @ dcn_arc @ dca_arc) :: !rev_edges
+    let to_dcn = complete q dcn in
+    let to_dca = complete to_dca dca in
+    rev_edges := (classes, to_dcn, to_dca) :: !rev_edges
   done;
   let n_core = !count in
   (* the sinks some arc reached follow the core states, DCN before DCA,
-     each with a guard-[one] self-loop *)
-  let used = List.filter (Array.get sink_used) [ dcn; dca ] in
-  let sink_id = Array.make (Array.length sinks) (-1) in
-  List.iteri (fun i j -> sink_id.(j) <- n_core + i) used;
-  let names =
-    Array.append
-      (Array.init n_core (fun k -> "Z" ^ string_of_int k))
-      (Array.of_list (List.map (fun j -> fst sinks.(j)) used))
+     each with a guard-[one] self-loop: a used DCN is state [n_core], a
+     used DCA the last state *)
+  let n =
+    Array.fold_left (fun total used -> if used then total + 1 else total)
+      n_core sink_used
   in
-  (* queried in state order while the roots are still held, so the state
-     BDDs are live *)
-  let accepting =
-    Array.append
-      (Array.map oracle.is_accepting (Array.of_list (List.rev !rev_states)))
-      (Array.of_list (List.map (fun j -> snd sinks.(j)) used))
+  let sink_state j = if j = dcn then n_core else n - 1 in
+  let names = Array.make n "" and accepting = Array.make n false in
+  let edges = Array.make n [] in
+  Array.iteri
+    (fun j (name, acc) ->
+      if sink_used.(j) then begin
+        let s = sink_state j in
+        names.(s) <- name;
+        accepting.(s) <- acc;
+        edges.(s) <- [ (M.one, s) ]
+      end)
+    sinks;
+  for k = 0 to n_core - 1 do
+    names.(k) <- "Z" ^ string_of_int k;
+    (* queried in state order while the roots are still held, so the state
+       BDDs are live *)
+    accepting.(k) <- oracle.is_accepting !states.(k)
+  done;
+  let sink_arc j g tail =
+    if g = M.zero then tail else (g, sink_state j) :: tail
   in
-  let resolve (g, d) = (g, if d >= 0 then d else sink_id.(-1 - d)) in
-  let edges =
-    Array.append
-      (Array.of_list (List.rev_map (List.map resolve) !rev_edges))
-      (Array.of_list (List.map (fun j -> [ (M.one, sink_id.(j)) ]) used))
-  in
+  let k = ref n_core in
+  List.iter
+    (fun (classes, to_dcn, to_dca) ->
+      decr k;
+      edges.(!k) <-
+        (match sink_arc dcn to_dcn (sink_arc dca to_dca []) with
+         | [] -> classes
+         | tail -> classes @ tail))
+    !rev_edges;
   (* the automaton outlives this root set: protect each distinct guard
      once for the manager's lifetime (constants are no-ops) *)
   let guards =
-    Array.of_list (List.concat_map (List.map fst) (Array.to_list edges))
+    Array.make
+      (Array.fold_left (fun total arcs -> total + List.length arcs) 0 edges)
+      M.one
   in
+  let i = ref 0 in
+  Array.iter
+    (List.iter (fun (g, _) ->
+         guards.(!i) <- g;
+         incr i))
+    edges;
   Array.sort Int.compare guards;
   Array.iteri
     (fun i g -> if i = 0 || g <> guards.(i - 1) then M.protect man g)
     guards;
   ( { Fsa.Automaton.man;
-      alphabet = List.sort_uniq compare alphabet;
+      alphabet = List.sort_uniq Int.compare alphabet;
       initial = 0;
       accepting;
       edges;

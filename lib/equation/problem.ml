@@ -29,13 +29,22 @@ let names_of_latches (net : N.t) =
   List.map (fun id -> N.net_name net id) net.N.latches
 
 let check_wiring ~f ~s ~u_names ~v_names =
-  let sort = List.sort compare in
+  let sort = List.sort String.compare in
   let s_ins = names_of_inputs s and f_ins = names_of_inputs f in
   if sort f_ins <> sort (s_ins @ v_names) then
     invalid_arg "Problem.make: F inputs must be S inputs plus v names";
   let s_outs = names_of_outputs s and f_outs = names_of_outputs f in
   if sort f_outs <> sort (s_outs @ u_names) then
     invalid_arg "Problem.make: F outputs must be S outputs plus u names"
+
+(* the position of [name] in [names], or -1 *)
+let index_of name names =
+  let rec go i =
+    if i = Array.length names then -1
+    else if String.equal names.(i) name then i
+    else go (i + 1)
+  in
+  go 0
 
 let make ?man ?(affinities = []) ?(observed_inputs = []) ~f ~s ~u_names
     ~v_names () =
@@ -47,79 +56,75 @@ let make ?man ?(affinities = []) ?(observed_inputs = []) ~f ~s ~u_names
      placing them far apart makes [P_ζ(u,v,ns)] blow up exponentially in
      the number of split latches. [affinities] (from latch splitting) names
      these correlations; affine alphabet variables are allocated adjacent
-     to their latch's state variables. *)
-  let s_in_names = names_of_inputs s in
-  let i_vars0 = List.map (fun n -> M.new_var ~name:n man) s_in_names in
-  let affinity_of_latch =
-    List.map (fun (v, u, l) -> (l, (v, u))) affinities
+     to their latch's state variables. The variables of names are kept
+     in arrays indexed like the name lists. *)
+  let s_ins = Array.of_list (names_of_inputs s) in
+  let i_var = Array.map (fun n -> M.new_var ~name:n man) s_ins in
+  let affine n =
+    List.exists (fun (v, u, _) -> String.equal v n || String.equal u n)
+      affinities
   in
-  let affine_names =
-    List.concat_map (fun (v, u, _) -> [ v; u ]) affinities
+  let vs = Array.of_list v_names and us = Array.of_list u_names in
+  let v_var = Array.make (Array.length vs) (-1) in
+  let u_var = Array.make (Array.length us) (-1) in
+  let alloc_free names vars =
+    Array.iteri
+      (fun k n -> if not (affine n) then vars.(k) <- M.new_var ~name:n man)
+      names
   in
-  let free_v = List.filter (fun n -> not (List.mem n affine_names)) v_names in
-  let free_u = List.filter (fun n -> not (List.mem n affine_names)) u_names in
-  let free_v_vars = List.map (fun n -> (n, M.new_var ~name:n man)) free_v in
-  let free_u_vars = List.map (fun n -> (n, M.new_var ~name:n man)) free_u in
+  alloc_free vs v_var;
+  alloc_free us u_var;
   let s_out_names = names_of_outputs s in
   let o_vars = List.map (fun n -> M.new_var ~name:n man) s_out_names in
   let dc_var = M.new_var ~name:"dc" man in
   let dc_next_var = M.new_var ~name:"dc'" man in
   (* latch variables: pair F's latch with S's latch of the same name, and
      put affine v/u alphabet variables right before their latch group *)
-  let f_latch_names = names_of_latches f in
-  let s_latch_names = names_of_latches s in
   let alloc_latch prefix n =
     let cs = M.new_var ~name:(prefix ^ n) man in
     let ns = M.new_var ~name:(prefix ^ n ^ "'") man in
     (cs, ns)
   in
-  let f_vars = Hashtbl.create 16 and s_vars = Hashtbl.create 16 in
-  let affine_vars = Hashtbl.create 16 in
-  List.iter
-    (fun n ->
-      (match List.assoc_opt n affinity_of_latch with
-       | Some (vn, un) ->
-         let vv = M.new_var ~name:vn man in
-         let uv = M.new_var ~name:un man in
-         Hashtbl.replace affine_vars vn vv;
-         Hashtbl.replace affine_vars un uv
-       | None -> ());
-      if List.mem n f_latch_names then
-        Hashtbl.replace f_vars n (alloc_latch "F." n);
-      Hashtbl.replace s_vars n (alloc_latch "S." n))
-    s_latch_names;
-  List.iter
-    (fun n ->
-      if not (Hashtbl.mem f_vars n) then
-        Hashtbl.replace f_vars n (alloc_latch "F." n))
-    f_latch_names;
-  let name_var n =
-    match Hashtbl.find_opt affine_vars n with
-    | Some v -> v
-    | None -> (
-      match List.assoc_opt n free_v_vars with
-      | Some v -> v
-      | None -> List.assoc n free_u_vars)
+  let set names vars n var =
+    let k = index_of n names in
+    if k >= 0 then vars.(k) <- var
   in
-  let v_vars = List.map name_var v_names in
-  let u_vars = List.map name_var u_names in
-  let i_vars = i_vars0 in
-  let latch_vars tbl names =
-    List.map (fun n -> Hashtbl.find tbl n) names
+  let f_latches = Array.of_list (names_of_latches f) in
+  let f_pairs = Array.make (Array.length f_latches) (-1, -1) in
+  let s_pairs =
+    List.map
+      (fun n ->
+        (match List.find_opt (fun (_, _, l) -> String.equal l n) affinities with
+         | Some (vn, un, _) ->
+           let vv = M.new_var ~name:vn man in
+           let uv = M.new_var ~name:un man in
+           set vs v_var vn vv;
+           set us u_var un uv
+         | None -> ());
+        let k = index_of n f_latches in
+        if k >= 0 then f_pairs.(k) <- alloc_latch "F." n;
+        alloc_latch "S." n)
+      (names_of_latches s)
   in
-  let f_pairs = latch_vars f_vars f_latch_names in
-  let s_pairs = latch_vars s_vars s_latch_names in
+  Array.iteri
+    (fun k n -> if fst f_pairs.(k) < 0 then f_pairs.(k) <- alloc_latch "F." n)
+    f_latches;
+  let to_list vars =
+    if Array.exists (fun v -> v < 0) vars then
+      invalid_arg "Problem.make: an affinity names no latch of S";
+    Array.to_list vars
+  in
+  let v_vars = to_list v_var and u_vars = to_list u_var in
+  let f_pairs = Array.to_list f_pairs in
   (* input variable maps for the two networks *)
-  let i_of_name = List.combine s_in_names i_vars in
-  let v_of_name = List.combine v_names v_vars in
   let f_input_vars =
     List.map
       (fun n ->
-        match List.assoc_opt n i_of_name with
-        | Some v -> v
-        | None -> List.assoc n v_of_name)
+        let k = index_of n s_ins in
+        if k >= 0 then i_var.(k) else v_var.(index_of n vs))
       (names_of_inputs f)
   in
+  let i_vars = Array.to_list i_var in
   let f_sym =
     S.build man ~input_vars:f_input_vars ~state_vars:(List.map fst f_pairs)
       ~next_state_vars:(List.map snd f_pairs) f
@@ -134,11 +139,11 @@ let make ?man ?(affinities = []) ?(observed_inputs = []) ~f ~s ~u_names
   let observed_i =
     List.map
       (fun n ->
-        match List.assoc_opt n (List.combine s_in_names i_vars) with
-        | Some v -> v
-        | None ->
+        let k = index_of n s_ins in
+        if k < 0 then
           invalid_arg
-            (Printf.sprintf "Problem.make: unknown observed input %s" n))
+            (Printf.sprintf "Problem.make: unknown observed input %s" n);
+        i_var.(k))
       observed_inputs
   in
   { man; i_vars; v_vars; u_vars; o_vars; dc_var; dc_next_var; f_sym; s_sym;
@@ -168,12 +173,12 @@ let transition_parts t =
 let initial_cube t = O.band t.man t.f_sym.S.init_cube t.s_sym.S.init_cube
 
 let alphabet t =
-  List.sort compare (t.u_vars @ t.v_vars @ t.observed_i)
+  List.sort Int.compare (t.u_vars @ t.v_vars @ t.observed_i)
 
 let hidden_inputs t =
   List.filter (fun v -> not (List.mem v t.observed_i)) t.i_vars
 
-let x_input_vars t = List.sort compare (t.u_vars @ t.observed_i)
+let x_input_vars t = List.sort Int.compare (t.u_vars @ t.observed_i)
 
 (* Rebuild the instance in a fresh manager whose variable order is the
    FORCE heuristic's placement over the relation-part supports (the

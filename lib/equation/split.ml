@@ -10,28 +10,31 @@ type t = {
 }
 
 let split (net : N.t) ~x_latches =
-  let all_latches = List.map (fun id -> N.net_name net id) net.N.latches in
+  (* the split latches and the new network's nets, by net id *)
+  let is_split = Array.make (Array.length net.N.drivers) false in
   List.iter
     (fun n ->
-      if not (List.mem n all_latches) then
-        invalid_arg (Printf.sprintf "Split.split: no latch named %s" n))
+      match
+        List.find_opt (fun id -> String.equal (N.net_name net id) n)
+          net.N.latches
+      with
+      | Some id -> is_split.(id) <- true
+      | None -> invalid_arg (Printf.sprintf "Split.split: no latch named %s" n))
     x_latches;
   if x_latches = [] then invalid_arg "Split.split: empty latch subset";
-  let is_split id = List.mem (N.net_name net id) x_latches in
   let b = N.create (net.N.name ^ "_F") in
-  let map = Hashtbl.create 64 in
+  let map = Array.make (Array.length net.N.drivers) (-1) in
   (* primary inputs keep their names *)
   List.iter
-    (fun id -> Hashtbl.replace map id (N.add_input b (N.net_name net id)))
+    (fun id -> map.(id) <- N.add_input b (N.net_name net id))
     net.N.inputs;
   (* split latches become inputs v.<latch>; kept latches stay latches *)
   List.iter
     (fun id ->
-      if is_split id then
-        Hashtbl.replace map id (N.add_input b ("v." ^ N.net_name net id))
-      else
-        Hashtbl.replace map id
-          (N.add_latch b ~name:(N.net_name net id) ~init:(N.latch_init net id)
+      map.(id) <-
+        (if is_split.(id) then N.add_input b ("v." ^ N.net_name net id)
+         else
+           N.add_latch b ~name:(N.net_name net id) ~init:(N.latch_init net id)
              ()))
     net.N.latches;
   (* combinational nodes, in topological order *)
@@ -40,30 +43,23 @@ let split (net : N.t) ~x_latches =
       match net.N.drivers.(id) with
       | N.Input | N.Latch _ -> ()
       | N.Node { fanins; fn } ->
-        let fanins' = Array.map (Hashtbl.find map) fanins in
-        Hashtbl.replace map id
-          (N.add_node b ~name:(N.net_name net id) fn fanins'))
+        map.(id) <-
+          N.add_node b ~name:(N.net_name net id) fn
+            (Array.map (Array.get map) fanins))
     (N.topo_order net);
   (* reconnect kept latches *)
   List.iter
     (fun id ->
-      if not (is_split id) then
-        N.set_latch_input b (Hashtbl.find map id)
-          (Hashtbl.find map (N.latch_input net id)))
+      if not is_split.(id) then
+        N.set_latch_input b map.(id) map.(N.latch_input net id))
     net.N.latches;
   (* original outputs *)
-  List.iter
-    (fun (name, id) -> N.add_output b name (Hashtbl.find map id))
-    net.N.outputs;
+  List.iter (fun (name, id) -> N.add_output b name map.(id)) net.N.outputs;
   (* u.<latch> outputs expose the split latches' next-state functions *)
-  let ordered_split =
-    List.filter (fun id -> is_split id) net.N.latches
-  in
+  let ordered_split = List.filter (Array.get is_split) net.N.latches in
   List.iter
     (fun id ->
-      N.add_output b
-        ("u." ^ N.net_name net id)
-        (Hashtbl.find map (N.latch_input net id)))
+      N.add_output b ("u." ^ N.net_name net id) map.(N.latch_input net id))
     ordered_split;
   let x_latch_names = List.map (N.net_name net) ordered_split in
   { f = N.freeze b;

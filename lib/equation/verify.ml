@@ -54,11 +54,14 @@ let particular_contained ?runtime (p : Problem.t) (sp : Split.t) (x : A.t) =
       O.cube_of_literals man
         (List.map2 (fun v b -> (v, b)) p.Problem.v_vars sp.Split.x_init)
     in
-    let seen = Hashtbl.create 64 in
+    (* the visited pairs, keyed by the state above the σ cube's node id
+       (below 2^26) *)
+    let seen = Bdd.Idtbl.create 8 false in
     let queue = Queue.create () in
-    let push pair =
-      if not (Hashtbl.mem seen pair) then begin
-        Hashtbl.replace seen pair ();
+    let push ((xs, sigma) as pair) =
+      let key = (xs lsl 26) lor sigma in
+      if not (Bdd.Idtbl.find seen key) then begin
+        Bdd.Idtbl.replace seen key true;
         Queue.add pair queue
       end
     in

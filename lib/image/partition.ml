@@ -7,64 +7,77 @@ let of_functions man pairs =
   Bdd.Manager.with_frozen man @@ fun () ->
   List.map (fun (v, fn) -> O.bxnor man (O.var_bdd man v) fn) pairs
 
-(* Support-overlap (Jaccard) affinity of two conjuncts. Constant parts have
-   empty support; give them affinity 1 so they merge away for free. *)
-let jaccard s1 s2 =
-  let rec go a b inter union =
-    match (a, b) with
-    | [], rest | rest, [] -> (inter, union + List.length rest)
-    | x :: xs, y :: ys ->
-      if x = y then go xs ys (inter + 1) (union + 1)
-      else if x < y then go xs b inter (union + 1)
-      else go a ys inter (union + 1)
-  in
-  let inter, union = go s1 s2 0 0 in
-  if union = 0 then 1.0 else float_of_int inter /. float_of_int union
+(* The number of variables two ascending supports share: with their
+   lengths, it gives their support-overlap (Jaccard) affinity. *)
+let rec common a b inter =
+  match (a, b) with
+  | [], _ | _, [] -> inter
+  | x :: xs, y :: ys ->
+    if x = y then common xs ys (inter + 1)
+    else if x < y then common xs b inter
+    else common a ys inter
 
+(* Greedy pairwise merging by support overlap: each round conjoins the
+   unblocked pair of highest affinity (the first such pair in item order)
+   and keeps the product when it has at most [threshold] nodes, or blocks
+   the pair. The items live in one array that each merge compacts in
+   place, so item order is that of [parts] with the merged item in the
+   first one's place. *)
 let cluster_affinity man ~threshold parts =
   if threshold <= 1 then parts
   else begin
     Bdd.Manager.with_frozen man @@ fun () ->
-    let supp p = List.sort_uniq compare (O.support man p) in
-    let items = ref (List.map (fun p -> (p, supp p)) parts) in
-    (* pairs whose conjunction exceeded the threshold, by BDD id *)
-    let blocked = Hashtbl.create 16 in
+    let items = Array.of_list parts in
+    (* [O.support] is ascending and duplicate-free *)
+    let supps = Array.map (O.support man) items in
+    let lens = Array.map List.length supps in
+    let n = ref (Array.length items) in
+    (* pairs whose conjunction exceeded the threshold, keyed by their BDD
+       ids (below 2^26) packed smaller first *)
+    let blocked = Bdd.Idtbl.create 4 false in
+    let key pi pj =
+      if pi <= pj then (pi lsl 26) lor pj else (pj lsl 26) lor pi
+    in
     let continue = ref true in
     while !continue do
-      let arr = Array.of_list !items in
-      let n = Array.length arr in
-      let best = ref None and best_aff = ref neg_infinity in
-      for i = 0 to n - 1 do
-        for j = i + 1 to n - 1 do
-          let pi, si = arr.(i) and pj, sj = arr.(j) in
-          let key = if pi <= pj then (pi, pj) else (pj, pi) in
-          if not (Hashtbl.mem blocked key) then begin
-            let a = jaccard si sj in
+      let bi = ref (-1) and bj = ref (-1) and best_aff = ref neg_infinity in
+      for i = 0 to !n - 1 do
+        for j = i + 1 to !n - 1 do
+          if not (Bdd.Idtbl.find blocked (key items.(i) items.(j))) then begin
+            let inter = common supps.(i) supps.(j) 0 in
+            let union = lens.(i) + lens.(j) - inter in
+            (* constant parts have empty support: affinity 1, so they
+               merge away for free *)
+            let a =
+              if union = 0 then 1.0
+              else float_of_int inter /. float_of_int union
+            in
             if a > !best_aff then begin
               best_aff := a;
-              best := Some (i, j, key)
+              bi := i;
+              bj := j
             end
           end
         done
       done;
-      match !best with
-      | None -> continue := false
-      | Some (i, j, key) ->
-        let pi = fst arr.(i) and pj = fst arr.(j) in
-        let candidate = O.band man pi pj in
+      if !bi < 0 then continue := false
+      else begin
+        let i = !bi and j = !bj in
+        let candidate = O.band man items.(i) items.(j) in
         if O.size man candidate <= threshold then begin
-          let merged = (candidate, supp candidate) in
-          let out = ref [] in
-          Array.iteri
-            (fun k it ->
-              if k = i then out := merged :: !out
-              else if k <> j then out := it :: !out)
-            arr;
-          items := List.rev !out
+          items.(i) <- candidate;
+          supps.(i) <- O.support man candidate;
+          lens.(i) <- List.length supps.(i);
+          let last = !n - 1 in
+          Array.blit items (j + 1) items j (last - j);
+          Array.blit supps (j + 1) supps j (last - j);
+          Array.blit lens (j + 1) lens j (last - j);
+          n := last
         end
-        else Hashtbl.replace blocked key ()
+        else Bdd.Idtbl.replace blocked (key items.(i) items.(j)) true
+      end
     done;
-    List.map fst !items
+    List.init !n (Array.get items)
   end
 
 let monolithic man parts =

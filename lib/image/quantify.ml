@@ -14,24 +14,35 @@ type order = Given | Greedy
 let c_conj = Obs.Counter.make "image.conjunctions"
 let g_peak_intermediate = Obs.Gauge.make "image.peak_intermediate"
 
-(* The schedule's per-variable state, in process-global buffers that
-   every call reuses (a call never nests into another: its BDD work is
-   kernel recursions; like Obs, they assume one domain), indexed by
-   variable:
+(* The schedule's state, in process-global buffers that every call
+   reuses (a call never nests into another: its BDD work is kernel
+   recursions; like Obs, they assume one domain). Indexed by variable:
    - [pending]: [v] is still to be quantified (in [quantify], not yet
      gone from the accumulator);
    - [occ.(v)]: how many unprocessed conjuncts mention [v] (counted for
      the variables of [quantify] only);
    - [in_acc]: [v] is in the accumulator's support ([Greedy] only).
-   A call clears the prefix it uses on entry, so a call that raised
-   leaves nothing behind. *)
+   Indexed by conjunct:
+   - [parts.(k)] and [supports.(k)]: the conjunct and its support;
+   - [used]: the conjunct has been conjoined.
+   A call clears (or overwrites) the prefix it uses on entry and reads
+   nothing past it, so a call that raised leaves nothing behind. *)
 type buffers = {
   mutable occ : int array;
   mutable pending : Bytes.t;
   mutable in_acc : Bytes.t;
+  mutable parts : int array;
+  mutable supports : int list array;
+  mutable used : Bytes.t;
 }
 
-let buf = { occ = [||]; pending = Bytes.empty; in_acc = Bytes.empty }
+let buf =
+  { occ = [||];
+    pending = Bytes.empty;
+    in_acc = Bytes.empty;
+    parts = [||];
+    supports = [||];
+    used = Bytes.empty }
 
 let reset_buffers n =
   if Array.length buf.occ < n then begin
@@ -45,6 +56,15 @@ let reset_buffers n =
     Bytes.fill buf.pending 0 n '\000';
     Bytes.fill buf.in_acc 0 n '\000'
   end
+
+let reset_steps steps =
+  if Array.length buf.parts < steps then begin
+    let cap = max steps (2 * Array.length buf.parts) in
+    buf.parts <- Array.make cap 0;
+    buf.supports <- Array.make cap [];
+    buf.used <- Bytes.make cap '\000'
+  end
+  else Bytes.fill buf.used 0 steps '\000'
 
 let is_set b v = Bytes.unsafe_get b v <> '\000'
 
@@ -77,21 +97,21 @@ let rec score dead fresh = function
       (if is_set buf.in_acc v then fresh else fresh + 1)
       vs
 
-(* the next conjunct: the first unused one ([Given]), or the first with
-   the highest score ([Greedy]) *)
-let pick order used supports =
+(* the next of the [steps] conjuncts: the first unused one ([Given]), or
+   the first with the highest score ([Greedy]) *)
+let pick order steps =
   match order with
   | Given ->
     let k = ref 0 in
-    while used.(!k) do
+    while is_set buf.used !k do
       incr k
     done;
     !k
   | Greedy ->
     let best = ref (-1) and best_score = ref min_int in
-    for k = 0 to Array.length supports - 1 do
-      if not used.(k) then begin
-        let s = score 0 0 supports.(k) in
+    for k = 0 to steps - 1 do
+      if not (is_set buf.used k) then begin
+        let s = score 0 0 buf.supports.(k) in
         if s > !best_score then begin
           best_score := s;
           best := k
@@ -121,26 +141,26 @@ let and_exists_list m ?(order = Greedy) rels ~quantify =
   let n = M.num_vars m in
   reset_buffers n;
   mark_pending n quantify;
-  let parts = Array.of_list rels in
-  let steps = Array.length parts in
+  let steps = List.length rels in
+  reset_steps steps;
+  let parts = buf.parts and supports = buf.supports in
+  List.iteri (fun k r -> parts.(k) <- r) rels;
   (* pin the conjuncts for the whole sweep, and the accumulator above
      them; each step replaces the accumulator's pin, so a dead
      intermediate becomes collectable as soon as the next one supersedes
      it — that rotation is where the GC recovers the image computation's
      peak. Like the kernel's recursions, an exception leaves these pins
      for the next [reset_op_stack]. *)
-  let supports = Array.make steps [] in
   for k = 0 to steps - 1 do
     M.stack_push m parts.(k);
     supports.(k) <- O.support m parts.(k);
     count_occ 1 supports.(k)
   done;
-  let used = Array.make steps false in
   let acc = ref M.one in
   M.stack_push m !acc;
   for step = 1 to steps do
-    let k = pick order used supports in
-    used.(k) <- true;
+    let k = pick order steps in
+    Bytes.unsafe_set buf.used k '\001';
     count_occ (-1) supports.(k);
     let cube = dying_cube m supports.(k) in
     M.stack_push m cube;

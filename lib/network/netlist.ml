@@ -51,10 +51,12 @@ let add_latch b ?name ~init () =
   id
 
 let set_latch_input b latch data =
-  match List.nth (List.rev b.elems) latch with
+  let not_a_latch () = invalid_arg "Netlist.set_latch_input: not a latch net" in
+  if latch < 0 || latch >= b.count then not_a_latch ();
+  (* [elems] is newest first: net [latch] is [count - 1 - latch] deep *)
+  match List.nth b.elems (b.count - 1 - latch) with
   | Latch l -> l.input <- data
-  | Input | Node _ ->
-    invalid_arg "Netlist.set_latch_input: not a latch net"
+  | Input | Node _ -> not_a_latch ()
 
 let add_output b name net = b.boutputs <- (name, net) :: b.boutputs
 

@@ -163,6 +163,44 @@ let test_worklist_csf_on_arena () =
   Alcotest.(check bool) "same language" true
     (Fsa.Language.equivalent worklist sweep)
 
+(* A hand-built solution over a problem's alphabet, with one input [u]
+   and one output [v]: A (initial) goes to B under [v] and to C under
+   [not v]; B goes to D under [u] only, so for [not u] no output leads
+   anywhere and the worklist deletes B; C and D loop on [one], and C
+   also goes to E, which is not accepting, under [u and v]. D is
+   accepting and progressive but reachable only through B, so the CSF
+   drops it along with B and E. *)
+let test_csf_drops_states_behind_deleted_ones () =
+  let net =
+    Circuits.Generators.random_logic ~seed:7 ~inputs:2 ~outputs:1 ~latches:3
+      ~levels:2 ()
+  in
+  let _, p = E.Split.problem net ~x_latches:[ "x1"; "x2" ] in
+  let man = p.E.Problem.man in
+  let u = O.var_bdd man (List.hd p.E.Problem.u_vars) in
+  let v = O.var_bdd man (List.hd p.E.Problem.v_vars) in
+  let x =
+    Fsa.Automaton.make man ~alphabet:(E.Problem.alphabet p) ~initial:0
+      ~accepting:[| true; true; true; true; false |]
+      ~edges:
+        [| [ (v, 1); (O.bnot man v, 2) ];
+           [ (u, 3) ];
+           [ (M.one, 2); (O.band man u v, 4) ];
+           [ (M.one, 3) ];
+           [ (M.one, 4) ] |]
+      ~names:[| "A"; "B"; "C"; "D"; "E" |]
+      ()
+  in
+  let csf, deletions = E.Csf.of_arena p x in
+  Alcotest.(check int) "B deleted" 1 deletions;
+  Alcotest.(check (array string)) "D dropped" [| "A"; "C" |] csf.names;
+  let alive = [| true; false; true; true; false |] in
+  let expected = Fsa.Ops.trim (Fsa.Ops.restrict x alive) in
+  Alcotest.(check int) "initial" expected.initial csf.initial;
+  Alcotest.(check (array string)) "names" expected.names csf.names;
+  Alcotest.(check (array bool)) "accepting" expected.accepting csf.accepting;
+  Alcotest.check edges "edges" expected.edges csf.edges
+
 (* both flows complete every core state: its guards are pairwise disjoint
    with disjunction [one]; the monolithic flow never reaches DCN; some
    seed must reach a sink. Every solution passes [Fsa.Automaton.make]'s
@@ -230,4 +268,6 @@ let () =
         [ Alcotest.test_case "worklist matches sweep on an arena" `Quick
             test_worklist_csf_on_arena;
           Alcotest.test_case "both flows complete every core state" `Quick
-            test_complete_core_states ] ) ]
+            test_complete_core_states;
+          Alcotest.test_case "states behind a deleted state dropped" `Quick
+            test_csf_drops_states_behind_deleted_ones ] ) ]

@@ -71,6 +71,36 @@ let prop_and_exists_list_reference =
            (fun order -> Q.and_exists_list man ~order rels ~quantify = mono)
            [ Q.Greedy; Q.Given ])
 
+(* The schedule's per-conjunct buffers are reused across calls: a call
+   with fewer conjuncts than the one before must read nothing past its
+   own, in either order, or a stale conjunct (or an unused slot's
+   [zero]) would be picked and conjoined. Every conjunct holds where the
+   unquantified variable 7 does, so no product is [zero]. *)
+let test_and_exists_reused_buffers () =
+  let rng = Random.State.make [| 29 |] in
+  for _ = 1 to 20 do
+    let man = M.create () in
+    ignore (M.new_vars man 8 : int list);
+    let quantify = [ 0; 2; 4; 6 ] in
+    let x7 = O.var_bdd man 7 in
+    List.iter
+      (fun k ->
+        let parts =
+          List.init k (fun _ -> O.bor man (random_bdd man 7 rng) x7)
+        in
+        let expected =
+          O.exists man (O.cube_of_vars man quantify) (O.conj man parts)
+        in
+        List.iter
+          (fun (label, order) ->
+            Alcotest.(check int)
+              (Printf.sprintf "%s, %d conjuncts" label k)
+              expected
+              (Q.and_exists_list man ~order parts ~quantify))
+          [ ("given", Q.Given); ("greedy", Q.Greedy) ])
+      [ 7; 2; 5 ]
+  done
+
 let strategies =
   [ ("partitioned-given", I.Partitioned Q.Given);
     ("partitioned-greedy", I.Partitioned Q.Greedy) ]
@@ -451,6 +481,8 @@ let () =
             test_and_exists_empty_quantify;
           Alcotest.test_case "full quantification" `Quick
             test_and_exists_all_quantified;
+          Alcotest.test_case "reused buffers: 7, 2, then 5 conjuncts"
+            `Quick test_and_exists_reused_buffers;
           QCheck_alcotest.to_alcotest prop_and_exists_list_reference ] );
       ( "partition",
         [ Alcotest.test_case "clustering" `Quick test_cluster_preserves_product;

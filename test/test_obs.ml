@@ -451,10 +451,12 @@ let test_heap_traffic_since_reset () =
    on two latches (9 subset states), solved and verified with Obs off, as
    the solver benchmark runs it. The second of two runs is measured, so
    one-time growth of the reusable buffers does not count. It allocated
-   12,690 minor words when this bound was set (27,418 before the subset
-   construction's memos, renames and schedule stopped allocating per
-   node and per variable); the bound is 1.5 times that. *)
-let corpus_request_minor_words = 12_690
+   10,167 minor words when this bound was set (12,690 before the fixed
+   path around the subset construction stopped using generic tables and
+   copies, 27,418 before the construction's memos, renames and schedule
+   stopped allocating per node and per variable); the bound is 1.5 times
+   that. *)
+let corpus_request_minor_words = 10_167
 
 let test_corpus_request_allocation () =
   let net =
