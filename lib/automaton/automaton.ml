@@ -98,9 +98,3 @@ let is_empty_language t =
   not
     (Array.exists (fun x -> x)
        (Array.mapi (fun s r -> r && t.accepting.(s)) seen))
-
-let successors t s symbol_cube =
-  List.filter_map
-    (fun (g, d) ->
-      if O.band t.man g symbol_cube <> M.zero then Some d else None)
-    t.edges.(s)

@@ -57,7 +57,3 @@ val empty : Bdd.Manager.t -> alphabet:int list -> t
 
 val is_empty_language : t -> bool
 (** No reachable accepting state. *)
-
-val successors : t -> state -> int -> state list
-(** [successors t s symbol_cube] — destinations whose guard admits the given
-    symbol (a full assignment cube of the alphabet). *)

@@ -1,12 +1,6 @@
-(** Language-level queries: acceptance, exact equivalence and containment,
-    and bounded word enumeration (for tests). A word is a list of symbols;
-    a symbol is the BDD cube of a total assignment of the alphabet. *)
-
-val accepts : Automaton.t -> int list -> bool
-(** Nondeterministic acceptance of a word. *)
-
-val symbols : Automaton.t -> int list
-(** All [2^|alphabet|] symbol cubes. Exponential: tests only. *)
+(** Language-level queries: exact equivalence and containment, with a
+    witness word when containment fails. A word is a list of symbols; a
+    symbol is the BDD cube of a total assignment of the alphabet. *)
 
 val equivalent : Automaton.t -> Automaton.t -> bool
 (** Exact language equality (alphabets are first unified by expansion; both
@@ -17,6 +11,3 @@ val subset : Automaton.t -> Automaton.t -> bool
 
 val counterexample : Automaton.t -> Automaton.t -> int list option
 (** A word accepted by [a] but not by [b], if any. *)
-
-val accepted_words : Automaton.t -> max_len:int -> int list list
-(** All accepted words of length ≤ [max_len], sorted; exponential. *)

@@ -5,10 +5,10 @@
     The extraction runs directly on the solution automaton the engine
     returns, as a worklist algorithm: the reverse-arc index is built once,
     every state is examined once, and a deletion re-examines only the
-    deleted state's predecessors, where iterated sweeps of
-    [Fsa.Ops.prefix_close]/[Fsa.Ops.progressive] cost O(passes × states ×
-    arcs). The survivors are cut out with [Fsa.Ops.restrict] and
-    [Fsa.Ops.trim]; no guard is validated or pinned again. Deletions are
+    deleted state's predecessors, where the explicit PrefixClose followed
+    by iterated Progressive sweeps cost O(passes × states × arcs). The
+    alive states reachable through alive states are cut out with one
+    [Fsa.Ops.restrict]; no guard is validated or pinned again. Deletions are
     counted on the [csf.worklist_deletions] observability counter. *)
 
 val of_arena :

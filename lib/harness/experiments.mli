@@ -80,12 +80,13 @@ val print_attempts : Format.formatter -> row_result list -> unit
     first try. *)
 
 val circuit_json : row_result -> Obs.Json.t
-(** A row's entry in {!bench_json}'s ["circuits"] list. *)
+(** A row's entry in the ["circuits"] list of {!write_bench_json}. *)
 
-val bench_json :
-  ?time_limit:float -> ?node_limit:int -> Obs.Json.t list -> Obs.Json.t
-(** The machine-readable baseline over the {!circuit_json} entries of
-    the rows: [{"suite":"table1", "time_limit_s":...,
+val write_bench_json :
+  ?time_limit:float -> ?node_limit:int -> string -> Obs.Json.t list -> unit
+(** Write the machine-readable baseline, plus a trailing newline, to a
+    file. It is made of the {!circuit_json} entries of the rows:
+    [{"suite":"table1", "time_limit_s":...,
     "node_limit":..., "circuits":[{"name":..., "time_s":..., "peak_nodes":...,
     "image_calls":..., "cache_hit_rate":..., "and_exists_lookups":...,
     "and_exists_hits":..., "and_exists_hit_rate":..., "split_memo_hits":...,
@@ -96,10 +97,6 @@ val bench_json :
     carries the same fields for the monolithic flow. Image-call counts and
     cache rates are populated only when observability was enabled during the
     run. *)
-
-val write_bench_json :
-  ?time_limit:float -> ?node_limit:int -> string -> Obs.Json.t list -> unit
-(** Write {!bench_json} (plus a trailing newline) to a file. *)
 
 val verify_row : ?time_limit:float -> row_result -> (bool * bool) option
 (** Run the §4 checks on the partitioned result, when it completed — under

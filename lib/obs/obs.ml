@@ -4,7 +4,6 @@
    (spans, trace, timers) check it internally. *)
 
 let on = ref false
-let enabled () = !on
 
 (* --- clock ------------------------------------------------------------- *)
 
@@ -138,7 +137,6 @@ module Gauge = struct
       Hashtbl.replace registry name c;
       c
 
-  let dummy = { name = ""; v = 0 }
   let set_max c n = if n > c.v then c.v <- n
   let set c n = c.v <- n
   let value c = c.v
@@ -170,22 +168,6 @@ module Timer = struct
       a.wall <- a.wall +. wall;
       a.cpu <- a.cpu +. cpu;
       a.count <- a.count + 1
-    end
-
-  let time name f =
-    if not !on then f ()
-    else begin
-      let w0 = Unix.gettimeofday () and c0 = Sys.time () in
-      let finish () =
-        add name ~wall:(Unix.gettimeofday () -. w0) ~cpu:(Sys.time () -. c0)
-      in
-      match f () with
-      | r ->
-        finish ();
-        r
-      | exception e ->
-        finish ();
-        raise e
     end
 
   let find name =

@@ -14,8 +14,6 @@ val on : bool ref
     [if !Obs.on then Obs.Counter.bump c]. Prefer {!set_enabled}
     elsewhere — it also stamps the trace time base. *)
 
-val enabled : unit -> bool
-
 val set_enabled : bool -> unit
 (** Enable or disable recording. Enabling does not clear prior data;
     call {!reset} for a fresh measurement window. *)
@@ -78,7 +76,6 @@ module Gauge : sig
   type t
 
   val make : string -> t
-  val dummy : t
 
   val set_max : t -> int -> unit
   (** Raise the gauge to [v] if above its current value. The caller
@@ -87,18 +84,12 @@ module Gauge : sig
   val set : t -> int -> unit
   val value : t -> int
   val find : string -> int
-  val all : unit -> (string * int) list
 end
 
 (** Accumulated durations by name: total wall seconds, total CPU
     seconds, and an invocation count. {!Span.exit} feeds these
     automatically, one timer per span name. *)
 module Timer : sig
-  val add : string -> wall:float -> cpu:float -> unit
-
-  val time : string -> (unit -> 'a) -> 'a
-  (** Run the thunk and accumulate its duration (also on exception). *)
-
   val find : string -> (float * float * int) option
   (** [(wall_s, cpu_s, count)]. *)
 

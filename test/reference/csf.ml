@@ -13,7 +13,7 @@ let csf_sweep ?runtime (p : Equation.Problem.t) x =
     tick ()
   in
   tick ();
-  let closed = Fsa.Ops.prefix_close x in
+  let closed = Ops.prefix_close x in
   tick ();
-  Fsa.Ops.progressive ~on_pass closed
+  Ops.progressive ~on_pass closed
     ~inputs:(Equation.Problem.x_input_vars p)

@@ -6,7 +6,7 @@ val csf_sweep :
   Equation.Problem.t ->
   Fsa.Automaton.t ->
   Fsa.Automaton.t
-(** [Fsa.Ops.prefix_close] followed by iterated [Fsa.Ops.progressive]
+(** {!Ops.prefix_close} followed by iterated {!Ops.progressive}
     sweeps, then a trim. It takes any automaton, including one built
     outside the engine such as the explicit Algorithm 1 oracle's
     ({!Generic.solve}). Language-equivalent to {!Equation.Csf.of_arena};

@@ -1,5 +1,6 @@
 (** Reference implementation: the paper's Algorithm 1 executed literally on
-    explicit automata with the {!Fsa.Ops} operators —
+    explicit automata with the {!Ops} operators and the library's
+    {!Fsa.Ops} —
 
     {v
     X := Complete(S); Determinize; Complement; Support(i,v,u,o);

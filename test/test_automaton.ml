@@ -1,13 +1,16 @@
-(* Tests for the fsa library: each of Algorithm 1's operators is validated
-   against bounded language enumeration on hand-built automata, and the
-   paper's Theorem 1 (completion and determinization commute) is checked as
-   a QCheck property on random automata. *)
+(* Tests for the fsa library and for the explicit Algorithm 1 operators the
+   tests keep as reference code (Reference.Ops, Reference.Language): each
+   operator is validated against bounded language enumeration on hand-built
+   automata, and the paper's Theorem 1 (completion and determinization
+   commute) is checked as a QCheck property on random automata. *)
 
 module M = Bdd.Manager
 module O = Bdd.Ops
 module A = Fsa.Automaton
 module Ops = Fsa.Ops
 module L = Fsa.Language
+module Ref_ops = Reference.Ops
+module Words = Reference.Language
 
 (* --- fixtures ------------------------------------------------------------- *)
 
@@ -37,7 +40,7 @@ let incomplete man a =
     ~edges:[| [ (va, 1); (na, 0) ]; [] |]
     ()
 
-let words_set t ~max_len = L.accepted_words t ~max_len
+let words_set t ~max_len = Words.accepted_words t ~max_len
 
 (* --- basic structure ------------------------------------------------------ *)
 
@@ -74,12 +77,13 @@ let test_accepts () =
   let man, a, _ = setup () in
   let t = even_a man a in
   let sym v = O.cube_of_literals man [ (a, v) ] in
-  Alcotest.(check bool) "empty word accepted" true (L.accepts t []);
-  Alcotest.(check bool) "one a rejected" false (L.accepts t [ sym true ]);
+  Alcotest.(check bool) "empty word accepted" true (Words.accepts t []);
+  Alcotest.(check bool) "one a rejected" false
+    (Words.accepts t [ sym true ]);
   Alcotest.(check bool) "two a accepted" true
-    (L.accepts t [ sym true; sym true ]);
+    (Words.accepts t [ sym true; sym true ]);
   Alcotest.(check bool) "b irrelevant" true
-    (L.accepts t [ sym false; sym true; sym true ])
+    (Words.accepts t [ sym false; sym true; sym true ])
 
 (* --- the Algorithm 1 operators ------------------------------------------- *)
 
@@ -100,25 +104,25 @@ let test_complete_idempotent_on_complete () =
 let test_complement_words () =
   let man, a, _ = setup () in
   let t = even_a man a in
-  let c = Ops.complement t in
+  let c = Ref_ops.complement t in
   (* over the 1-var alphabet, words of length <= 2: every word is in exactly
      one of the two languages *)
   let all_words =
-    let syms = L.symbols t in
+    let syms = Words.symbols t in
     [] :: List.concat_map (fun s -> [ [ s ] ]) syms
     @ List.concat_map (fun s -> List.map (fun s' -> [ s; s' ]) syms) syms
   in
   List.iter
     (fun w ->
       Alcotest.(check bool) "complement partitions words" true
-        (L.accepts t w <> L.accepts c w))
+        (Words.accepts t w <> Words.accepts c w))
     all_words
 
 let test_complement_requires_det () =
   let man, a, _ = setup () in
   Alcotest.check_raises "nondet rejected"
     (Invalid_argument "Ops.complement: automaton not deterministic")
-    (fun () -> ignore (Ops.complement (nondet_a man a) : A.t))
+    (fun () -> ignore (Ref_ops.complement (nondet_a man a) : A.t))
 
 let test_determinize () =
   let man, a, _ = setup () in
@@ -135,12 +139,12 @@ let test_product_intersects () =
   (* expand each to the common alphabet first *)
   let ta2 = Ops.change_support ta [ a; b ] in
   let tb2 = Ops.change_support tb [ a; b ] in
-  let p = Ops.product ta2 tb2 in
-  let syms = L.symbols p in
+  let p = Ref_ops.product ta2 tb2 in
+  let syms = Words.symbols p in
   List.iter
     (fun w ->
       Alcotest.(check bool) "product accepts iff both" true
-        (L.accepts p w = (L.accepts ta2 w && L.accepts tb2 w)))
+        (Words.accepts p w = (Words.accepts ta2 w && Words.accepts tb2 w)))
     ([ [] ] @ List.map (fun s -> [ s ]) syms
     @ List.concat_map (fun s -> List.map (fun s' -> [ s; s' ]) syms) syms)
 
@@ -152,22 +156,24 @@ let test_hide_projects () =
     A.make man ~alphabet:[ a; b ] ~initial:0 ~accepting:[| true |]
       ~edges:[| [ (eq, 0) ] |] ()
   in
-  let h = Ops.hide t [ b ] in
+  (* Support(t, {a}) hides b *)
+  let h = Ops.change_support t [ a ] in
   Alcotest.(check (list int)) "alphabet shrunk" [ a ] h.A.alphabet;
   (* after hiding b, any a-word is accepted *)
   let sym v = O.cube_of_literals man [ (a, v) ] in
   Alcotest.(check bool) "projection accepts" true
-    (L.accepts h [ sym true; sym false ])
+    (Words.accepts h [ sym true; sym false ])
 
 let test_expand_cylinder () =
   let man, a, b = setup () in
   let t = even_a man a in
-  let e = Ops.expand t [ b ] in
+  (* Support(t, {a, b}) expands by b *)
+  let e = Ops.change_support t [ a; b ] in
   let sym va vb = O.cube_of_literals man [ (a, va); (b, vb) ] in
   Alcotest.(check bool) "b free" true
-    (L.accepts e [ sym true true; sym true false ]);
+    (Words.accepts e [ sym true true; sym true false ]);
   Alcotest.(check bool) "still counts a" false
-    (L.accepts e [ sym true true; sym false false ])
+    (Words.accepts e [ sym true true; sym false false ])
 
 let test_prefix_close () =
   let man, a, _ = setup () in
@@ -179,12 +185,12 @@ let test_prefix_close () =
       ~edges:[| [ (M.one, 1) ]; [ (M.one, 2) ]; [] |]
       ()
   in
-  let pc = Ops.prefix_close t in
+  let pc = Ref_ops.prefix_close t in
   (* the largest prefix-closed sub-language is {ε} *)
-  Alcotest.(check bool) "epsilon kept" true (L.accepts pc []);
+  Alcotest.(check bool) "epsilon kept" true (Words.accepts pc []);
   let sym = O.cube_of_literals man [ (a, true) ] in
   Alcotest.(check bool) "length-2 word dropped" false
-    (L.accepts pc [ sym; sym ]);
+    (Words.accepts pc [ sym; sym ]);
   (* prefix-closedness: every prefix of an accepted word is accepted *)
   let words = words_set pc ~max_len:3 in
   List.iter
@@ -193,7 +199,7 @@ let test_prefix_close () =
       | [] -> ()
       | _ :: rev_rest ->
         Alcotest.(check bool) "prefix accepted" true
-          (L.accepts pc (List.rev rev_rest)))
+          (Words.accepts pc (List.rev rev_rest)))
     words
 
 let test_prefix_close_empty () =
@@ -203,7 +209,7 @@ let test_prefix_close_empty () =
       ~edges:[| [ (M.one, 0) ] |] ()
   in
   Alcotest.(check bool) "empty language" true
-    (A.is_empty_language (Ops.prefix_close t))
+    (A.is_empty_language (Ref_ops.prefix_close t))
 
 let test_progressive () =
   let man, a, b = setup () in
@@ -216,7 +222,7 @@ let test_progressive () =
       ~edges:[| [ (M.one, 0); (O.bnot man va, 1) ]; [ (va, 1) ] |]
       ()
   in
-  let pr = Ops.progressive t ~inputs:[ a ] in
+  let pr = Ref_ops.progressive t ~inputs:[ a ] in
   Alcotest.(check int) "state removed" 1 (A.num_states pr);
   (* a progressive automaton: ∀u ∃v defined at every state *)
   let ok s =
@@ -233,7 +239,7 @@ let test_progressive_empty () =
       ~edges:[| [ (va, 0) ] |] ()
   in
   Alcotest.(check bool) "initial not progressive -> empty" true
-    (A.is_empty_language (Ops.progressive t ~inputs:[ a ]))
+    (A.is_empty_language (Ref_ops.progressive t ~inputs:[ a ]))
 
 let test_trim () =
   let man, a, _ = setup () in
@@ -336,8 +342,8 @@ let test_subset_and_counterexample () =
    | None -> Alcotest.fail "expected counterexample"
    | Some w ->
      Alcotest.(check bool) "witness in everything" true
-       (L.accepts everything w);
-     Alcotest.(check bool) "witness not in even_a" false (L.accepts t w))
+       (Words.accepts everything w);
+     Alcotest.(check bool) "witness not in even_a" false (Words.accepts t w))
 
 let test_equivalent_reflexive () =
   let man, a, _ = setup () in
@@ -368,9 +374,9 @@ let test_from_network () =
   in
   (* en=1 twice from 00: outputs carry=0 then 0 *)
   Alcotest.(check bool) "trace accepted" true
-    (L.accepts t [ sym true false; sym true false ]);
+    (Words.accepts t [ sym true false; sym true false ]);
   Alcotest.(check bool) "wrong output rejected" false
-    (L.accepts t [ sym true true ])
+    (Words.accepts t [ sym true true ])
 
 let test_normalize_edges () =
   let man, a, _ = setup () in
@@ -391,7 +397,7 @@ let test_successors_and_names () =
   let t = even_a man a in
   let sym = O.cube_of_literals man [ (a, true) ] in
   Alcotest.(check (list int)) "successor under a" [ 1 ]
-    (A.successors t 0 sym);
+    (Words.successors t 0 sym);
   Alcotest.(check bool) "summary mentions determinism" true
     (let s = Fsa.Print.summary t in
      String.length s > 0)
@@ -500,7 +506,7 @@ let prop_complement_involutive =
     (fun d ->
       let man, a, b = setup () in
       let t = Ops.complete (Ops.determinize (build_auto man a b d)) in
-      let cc = Ops.complement (Ops.complement t) in
+      let cc = Ref_ops.complement (Ref_ops.complement t) in
       L.equivalent t cc)
 
 let prop_complement_commutes_with_complete =
@@ -513,7 +519,7 @@ let prop_complement_commutes_with_complete =
     auto_arb (fun d ->
       let man, a, b = setup () in
       let t = Ops.determinize (build_auto man a b d) in
-      let lhs = Ops.complement (Ops.complete t) in
+      let lhs = Ref_ops.complement (Ops.complete t) in
       (* flipping acceptance first and completing with an *accepting* sink
          is the same language *)
       let flipped = { t with A.accepting = Array.map not t.A.accepting } in
@@ -542,7 +548,7 @@ let prop_product_subset =
     (QCheck.pair auto_arb auto_arb) (fun (d1, d2) ->
       let man, a, b = setup () in
       let t1 = build_auto man a b d1 and t2 = build_auto man a b d2 in
-      let p = Ops.product t1 t2 in
+      let p = Ref_ops.product t1 t2 in
       L.subset p t1 && L.subset p t2)
 
 let prop_determinize_idempotent =
@@ -561,7 +567,7 @@ let prop_counterexample_is_witness =
       let ta = build_auto man a b da and tb = build_auto man a b db in
       match L.counterexample ta tb with
       | None -> L.subset ta tb
-      | Some w -> L.accepts ta w && not (L.accepts tb w))
+      | Some w -> Words.accepts ta w && not (Words.accepts tb w))
 
 let prop_hide_expand_roundtrip =
   QCheck.Test.make ~count:100
@@ -570,7 +576,10 @@ let prop_hide_expand_roundtrip =
       let man, a, b = setup () in
       let t = build_auto man a b d in
       let c = M.new_var ~name:"c" man in
-      let round = Ops.hide (Ops.expand t [ c ]) [ c ] in
+      (* expand by c, then hide it again *)
+      let round =
+        Ops.change_support (Ops.change_support t [ a; b; c ]) [ a; b ]
+      in
       L.equivalent t round)
 
 let qcheck_cases =

@@ -87,7 +87,7 @@ let test_machine_automaton_consistency () =
       s := E.Machine.step m !s (fun _ -> bit)
     done;
     Alcotest.(check bool) "trace accepted" true
-      (Fsa.Language.accepts auto (List.rev !word))
+      (Reference.Language.accepts auto (List.rev !word))
   done
 
 let test_machine_netlist_simulation () =
