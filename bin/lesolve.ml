@@ -141,20 +141,20 @@ let print_attempts attempts skipped =
       Format.printf "  skipped: %s (%s)@." label (E.Solve.describe_skip why))
     skipped
 
-let report_cnc cpu_seconds reason (progress : E.Solve.progress) =
+(* the request's partial progress is its final attempt's *)
+let report_cnc cpu_seconds reason attempts skipped =
   let stopped =
-    List.exists (fun (_, why) -> why = E.Solve.Same_build)
-      progress.E.Solve.skipped
+    List.exists (fun (_, why) -> why = E.Solve.Same_build) skipped
   in
+  let final : E.Solve.attempt = List.hd (List.rev attempts) in
   Format.printf
     "CNC after %.1fs: %s%s (reached %s phase; %d subset states, %d BDD \
      nodes resident at peak)@."
     cpu_seconds reason
     (if stopped then " while building the problem, ladder stopped" else "")
-    (E.Runtime.phase_name progress.E.Solve.phase_reached)
-    progress.E.Solve.subset_states_explored
-    progress.E.Solve.peak_nodes_seen;
-  print_attempts progress.E.Solve.attempts progress.E.Solve.skipped;
+    (E.Runtime.phase_name final.E.Solve.phase)
+    final.E.Solve.subset_states final.E.Solve.peak_nodes;
+  print_attempts attempts skipped;
   exit 2
 
 let report_recovery (r : E.Solve.report) =
@@ -251,10 +251,10 @@ let solve_cmd =
       E.Solve.solve_split ~node_limit ~time_limit ?fault ~method_ net
         ~x_latches:latches
     with
-    | E.Solve.Could_not_complete { cpu_seconds; reason; progress } ->
+    | E.Solve.Could_not_complete { cpu_seconds; reason; attempts; skipped } ->
       (* flush the partial counters of the failed attempts before exiting *)
       obs_emit ~stats ~trace;
-      report_cnc cpu_seconds reason progress
+      report_cnc cpu_seconds reason attempts skipped
     | E.Solve.Completed r ->
       report_recovery r;
       Format.printf
@@ -328,9 +328,9 @@ let resynth_cmd =
       E.Solve.solve_split ~node_limit ~time_limit ?fault
         ~method_:E.Solve.default_partitioned net ~x_latches:latches
     with
-    | E.Solve.Could_not_complete { cpu_seconds; reason; progress } ->
+    | E.Solve.Could_not_complete { cpu_seconds; reason; attempts; skipped } ->
       obs_emit ~stats ~trace;
-      report_cnc cpu_seconds reason progress
+      report_cnc cpu_seconds reason attempts skipped
     | E.Solve.Completed r ->
       report_recovery r;
       Format.printf "CSF: %d states@." r.E.Solve.csf_states;

@@ -72,7 +72,6 @@ type t = {
   (* --- garbage collection state --- *)
   mutable n_entries : int;  (* live node count, constants included *)
   mutable peak_live : int;
-  mutable live_peak : int;  (* largest [live_after_gc] *)
   mutable free_head : int;  (* free list threaded through [kids_of]; -1 = empty *)
   mutable free_count : int;
   lifelong : root_set;  (* [protect]'s pins, never released *)
@@ -120,7 +119,7 @@ let g_cache_bytes = Obs.Gauge.make "bdd.mem.cache_bytes"
 (* per-operation cache counters, indexed by the [Op] tag below; the
    unused slots (0, 4 and 6) map to the dummy cell *)
 let op_names =
-  [| ""; "ite"; "not"; "exists"; ""; "and_exists"; ""; "constrain" |]
+  [| ""; "ite"; "not"; "exists"; ""; "and_exists"; ""; "cofactor_cube" |]
 
 let per_op prefix =
   Array.map
@@ -270,7 +269,6 @@ let create ?(initial_capacity = 1024) () =
       memo_busy = false;
       n_entries = 2;
       peak_live = 2;
-      live_peak = 2;
       free_head = -1;
       free_count = 0;
       lifelong;
@@ -380,7 +378,6 @@ let rebuild_unique m size =
 
 let live_nodes m = m.n_entries
 let peak_live_nodes m = m.peak_live
-let live_peak m = m.live_peak
 let unique_occupied m = m.u_used
 let store_size m = m.n_nodes
 let free_nodes m = m.free_count
@@ -554,7 +551,6 @@ let collect m =
   done;
   m.n_entries <- m.n_entries - !swept;
   m.live_after_gc <- m.n_entries;
-  if m.n_entries > m.live_peak then m.live_peak <- m.n_entries;
   m.gc_runs <- m.gc_runs + 1;
   m.gc_swept_total <- m.gc_swept_total + !swept;
   (* the unique table keeps the swept ids as stale entries (see [t]); a
@@ -830,7 +826,7 @@ module Op = struct
   let bnot = 2
   let exists = 3
   let and_exists = 5
-  let constrain = 7
+  let cofactor_cube = 7
 end
 
 (* --- the computed-cache recursions -------------------------------------- *)
@@ -1079,7 +1075,7 @@ let rec cofactor_cube m f cube =
     else if cv = fv then
       cofactor_cube m (if branch_high then high m f else low m f) next_cube
     else
-      let r = cache_find m Op.constrain f cube 1 in
+      let r = cache_find m Op.cofactor_cube f cube 1 in
       if r >= 0 then r
       else begin
         let lo = cofactor_cube m (low m f) cube in
@@ -1087,7 +1083,7 @@ let rec cofactor_cube m f cube =
         let hi = cofactor_cube m (high m f) cube in
         stack_drop m 1;
         let r = mk m fv lo hi in
-        cache_store m Op.constrain f cube 1 r;
+        cache_store m Op.cofactor_cube f cube 1 r;
         r
       end
   end

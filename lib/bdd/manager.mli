@@ -126,11 +126,6 @@ val peak_live_nodes : t -> int
     collection sweeps it: the peak {e resident} node count, reported by
     the solver and the benchmarks. *)
 
-val live_peak : t -> int
-(** The largest live count right after a collection (constants
-    included; 2 before the first collection): the largest set of nodes
-    a collection found reachable. *)
-
 val store_size : t -> int
 (** One past the highest node id ever allocated (free slots included);
     the size of the id space, an upper bound on {!live_nodes}. *)
@@ -305,5 +300,5 @@ module Op : sig
   val bnot : int
   val exists : int
   val and_exists : int
-  val constrain : int
+  val cofactor_cube : int
 end

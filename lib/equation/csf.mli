@@ -3,13 +3,34 @@
     (paper §2).
 
     The extraction runs directly on the solution automaton the engine
-    returns, as a worklist algorithm: the reverse-arc index is built once,
-    every state is examined once, and a deletion re-examines only the
-    deleted state's predecessors, where the explicit PrefixClose followed
-    by iterated Progressive sweeps cost O(passes × states × arcs). The
-    alive states reachable through alive states are cut out with one
+    returns, as a worklist algorithm ({!prune}): the reverse-arc index is
+    built once, every state is examined once, and a deletion re-examines
+    only the deleted state's predecessors, where the explicit PrefixClose
+    followed by iterated Progressive sweeps cost O(passes × states × arcs).
+    The alive states reachable through alive states are cut out with one
     [Fsa.Ops.restrict]; no guard is validated or pinned again. Deletions are
     counted on the [csf.worklist_deletions] observability counter. *)
+
+val prune :
+  ?tick:(unit -> unit) ->
+  Fsa.Automaton.t ->
+  bool array ->
+  (int -> int -> bool) ->
+  unit
+(** [prune x alive keep] shrinks [alive] (indexed by [x]'s states) to the
+    greatest set of states [s] for which [keep s d] holds, where [d] is the
+    disjunction of [s]'s guards into states still alive. It is the one
+    greatest-fixpoint mechanism of the solver: {!of_arena} keeps the states
+    where [∃out. d = 1], and {!Extract} the Moore-viable states, where
+    [∀u. d ≠ 0].
+
+    Every state alive on entry is examined once, in ascending order, and
+    a deletion re-examines only the deleted state's predecessors, through
+    a reverse-arc index built once; so when [prune] returns, the last [d]
+    [keep] received for each surviving state is over the final alive set.
+    [keep] is called on alive states only and may record [d]. The caller
+    runs [prune] inside {!Bdd.Manager.with_frozen}: [d] is an unpinned id.
+    [tick] runs before each examination (default: nothing). *)
 
 val of_arena :
   ?runtime:Runtime.t -> Problem.t -> Fsa.Automaton.t -> Fsa.Automaton.t * int

@@ -68,14 +68,7 @@ let run ?runtime ?on_state man ~alphabet make_oracle =
     Subset.memo_splitter ?runtime man ~roots:rs ~alphabet
       ~ns_cube:oracle.ns_cube
   in
-  (* split into (guard, successor) classes and rename each successor back
-     to current-state space, pinning it before any further allocation *)
   let to_current = O.renaming man oracle.rename in
-  let split ~domain p =
-    List.map
-      (fun (g, s) -> (g, M.Roots.add rs (O.rename_by man s to_current)))
-      (split_memo ~domain p)
-  in
   let sink_used = Array.make (Array.length sinks) false in
   (* each state's class arcs in emission order and its DCN and DCA guards
      ([M.zero] for none), states newest-first: the sinks' numbers are
@@ -105,13 +98,19 @@ let run ?runtime ?on_state man ~alphabet make_oracle =
     M.stack_push man p;
     let domain = O.exists man oracle.ns_cube p in
     M.stack_push man domain;
-    let arcs = split ~domain p in
+    (* split into (guard, successor) classes and rename each successor
+       back to current-state space, interning it before the next rename
+       allocates: [intern] pins a new state, an old one is pinned already.
+       The split's guards are pinned by its memo *)
+    let classes =
+      List.map
+        (fun (guard, s) -> (guard, intern (O.rename_by man s to_current)))
+        (split_memo ~domain p)
+    in
     let covered = O.bor man domain q in
     M.stack_push man covered;
     let to_dca = O.bnot man covered in
     M.stack_drop man 4;
-    (* the split's guards are pinned by its memo *)
-    let classes = List.map (fun (guard, z) -> (guard, intern z)) arcs in
     let to_dcn = complete q dcn in
     let to_dca = complete to_dca dca in
     rev_edges := (classes, to_dcn, to_dca) :: !rev_edges

@@ -4,57 +4,29 @@ module A = Fsa.Automaton
 
 type heuristic = First | Prefer_self_loops
 
-(* Moore extraction is a safety game: a CSF state is *viable* when some
-   output v̂ exists such that, for every input u, the (unique) transition
-   under (u, v̂) leads to a viable state. The viable set is a greatest
-   fixpoint; choosing any admissible v̂ inside it can never get stuck. The
-   particular solution (the latch bank) is Moore, so for a latch-split CSF
-   the initial state is always viable. *)
-let viable_outputs (p : Problem.t) (csf : A.t) =
-  let man = p.Problem.man in
-  (* [admissible] holds fresh guard ids across further allocation *)
-  M.with_frozen man @@ fun () ->
-  let u_vars = Problem.x_input_vars p in
-  let u_cube = O.cube_of_vars man u_vars in
-  let n = A.num_states csf in
-  let alive = Array.make n true in
-  let admissible = Array.make n M.zero in
-  let compute s =
-    let covered =
-      O.disj man
-        (List.filter_map
-           (fun (g, d) -> if alive.(d) then Some g else None)
-           csf.A.edges.(s))
-    in
-    O.forall man u_cube covered
-  in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for s = 0 to n - 1 do
-      if alive.(s) then begin
-        let adm = compute s in
-        admissible.(s) <- adm;
-        if adm = M.zero then begin
-          alive.(s) <- false;
-          changed := true
-        end
-      end
-    done
-  done;
-  (alive, admissible)
-
 let moore_sub_solution ?(heuristic = First) (p : Problem.t) (csf : A.t) =
   let man = p.Problem.man in
   (* the admissible sets and chosen output cubes live in plain arrays
      until [Machine.make] pins the survivors *)
   M.with_frozen man @@ fun () ->
-  if A.num_states csf = 0 || A.is_empty_language csf then None
+  let n = A.num_states csf in
+  if n = 0 || A.is_empty_language csf then None
   else begin
     let u_vars = Problem.x_input_vars p in
-    let v_vars = List.sort compare p.Problem.v_vars in
+    let v_vars = List.sort Int.compare p.Problem.v_vars in
     let u_cube = O.cube_of_vars man u_vars in
-    let alive, admissible = viable_outputs p csf in
+    (* Moore extraction is a safety game: a CSF state is *viable* when
+       some output v̂ exists such that, for every input u, the (unique)
+       transition under (u, v̂) leads to a viable state. The viable set is
+       a greatest fixpoint, pruned on the CSF's worklist; choosing any
+       admissible v̂ inside it can never get stuck. The particular
+       solution (the latch bank) is Moore, so for a latch-split CSF the
+       initial state is always viable. *)
+    let alive = Array.make n true in
+    let admissible = Array.make n M.zero in
+    Csf.prune csf alive (fun s d ->
+        admissible.(s) <- O.forall man u_cube d;
+        admissible.(s) <> M.zero);
     if not alive.(csf.A.initial) then None
     else begin
       let choose s =
@@ -76,26 +48,29 @@ let moore_sub_solution ?(heuristic = First) (p : Problem.t) (csf : A.t) =
         | Some lits -> O.cube_of_literals man lits
         | None -> assert false (* alive ⇒ admissible ≠ 0 *)
       in
-      let index = Hashtbl.create 16 in
-      let rev = ref [] in
+      (* machine state [k] is CSF state [state.(k)], numbered in discovery
+         order; [index] maps back, -1 for a state not reached yet *)
+      let index = Array.make n (-1) in
+      let state = Array.make n 0 in
       let count = ref 0 in
-      let queue = Queue.create () in
       let intern s =
-        match Hashtbl.find_opt index s with
-        | Some k -> k
-        | None ->
-          let k = !count in
-          incr count;
-          Hashtbl.replace index s k;
-          rev := s :: !rev;
-          Queue.add s queue;
-          k
+        if index.(s) < 0 then begin
+          index.(s) <- !count;
+          state.(!count) <- s;
+          incr count
+        end;
+        index.(s)
       in
       let initial = intern csf.A.initial in
-      let outputs_acc = ref [] and next_acc = ref [] in
-      while not (Queue.is_empty queue) do
-        let s = Queue.pop queue in
+      let outputs = Array.make n M.zero in
+      let next = Array.make n [] in
+      (* breadth first: the machine states below [count] not expanded yet
+         are the queue *)
+      let k = ref 0 in
+      while !k < !count do
+        let s = state.(!k) in
         let v_hat = choose s in
+        outputs.(!k) <- v_hat;
         let edges =
           List.filter_map
             (fun (g, d) ->
@@ -108,19 +83,13 @@ let moore_sub_solution ?(heuristic = First) (p : Problem.t) (csf : A.t) =
               end)
             csf.A.edges.(s)
         in
-        outputs_acc := (s, v_hat) :: !outputs_acc;
-        next_acc := (s, edges) :: !next_acc
+        next.(!k) <- edges;
+        incr k
       done;
-      let n = !count in
-      let outputs = Array.make n M.zero in
-      let next = Array.make n [] in
-      List.iter
-        (fun (s, v_hat) -> outputs.(Hashtbl.find index s) <- v_hat)
-        !outputs_acc;
-      List.iter
-        (fun (s, edges) -> next.(Hashtbl.find index s) <- edges)
-        !next_acc;
-      Some (Machine.make man ~u_vars ~v_vars ~initial ~outputs ~next)
+      Some
+        (Machine.make man ~u_vars ~v_vars ~initial
+           ~outputs:(Array.sub outputs 0 !count)
+           ~next:(Array.sub next 0 !count))
     end
   end
 

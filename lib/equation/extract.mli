@@ -24,13 +24,15 @@ val moore_sub_solution :
   Problem.t ->
   Fsa.Automaton.t ->
   Machine.t option
-(** [moore_sub_solution p csf] is [None] when some reached state admits no
-    Moore output choice (no [v̂] works for every [u]) — this cannot happen
-    for the CSF of a latch split, whose particular solution is Moore, as
-    long as extraction follows choices compatible with it, but may happen
-    for hand-made automata. The CSF must be deterministic and
-    input-progressive w.r.t. [u] (as produced by {!Csf.of_arena}); its
-    states must all be accepting. *)
+(** [moore_sub_solution p csf] is [None] when the initial state is not
+    Moore-viable: no choice of outputs [v̂] answers every [u] forever. The
+    viable states are a greatest fixpoint, computed on the CSF's worklist
+    ({!Csf.prune}); a state's admissible outputs are those that send every
+    [u] to a viable state, and the walk only ever picks among them. This
+    cannot fail for the CSF of a latch split, whose particular solution is
+    Moore, but may for hand-made automata. The walk numbers machine states
+    in breadth-first discovery order. The CSF must be deterministic
+    (as produced by {!Csf.of_arena}); its states must all be accepting. *)
 
 val resynthesize :
   ?heuristic:heuristic ->

@@ -24,14 +24,6 @@ let describe_skip = function
   | Same_live_set -> "live set filled the budget after a collection"
   | Same_build -> "would rebuild the problem under the same limit"
 
-type progress = {
-  phase_reached : Runtime.phase;
-  subset_states_explored : int;
-  peak_nodes_seen : int;
-  attempts : attempt list;
-  skipped : (string * skip_reason) list;
-}
-
 type report = {
   solved_by : string;
   problem : Problem.t;
@@ -51,7 +43,8 @@ type outcome =
   | Could_not_complete of {
       cpu_seconds : float;
       reason : string;
-      progress : progress;
+      attempts : attempt list;
+      skipped : (string * skip_reason) list;
     }
 
 (* The rungs of the degradation ladder. [First] builds the problem in a
@@ -200,18 +193,11 @@ let solve_split ?node_limit ?time_limit ?fault ~method_ net ~x_latches =
       :: !attempts
   in
   let cnc reason =
-    let history = List.rev !attempts in
-    let phase_reached, subset_states_explored, peak_nodes_seen =
-      match !attempts with
-      | a :: _ -> (a.phase, a.subset_states, a.peak_nodes)
-      | [] -> (Runtime.phase rt, 0, 0)
-    in
     Could_not_complete
       { cpu_seconds = Sys.time () -. start;
         reason;
-        progress =
-          { phase_reached; subset_states_explored; peak_nodes_seen;
-            attempts = history; skipped = List.rev !skipped } }
+        attempts = List.rev !attempts;
+        skipped = List.rev !skipped }
   in
   let complete label (sp, p, csf, csf_deletions, subset_states) =
     Completed

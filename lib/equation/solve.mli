@@ -75,17 +75,6 @@ val describe_skip : skip_reason -> string
 (** One line for a skip, e.g. ["live set filled the budget after a
     collection"]. *)
 
-(** Structured partial progress carried by a CNC outcome (the top-level
-    fields summarize the final attempt). *)
-type progress = {
-  phase_reached : Runtime.phase;
-  subset_states_explored : int;
-  peak_nodes_seen : int;
-  attempts : attempt list;
-  skipped : (string * skip_reason) list;
-      (** rungs the ladder skipped (label, reason), in ladder order *)
-}
-
 type report = {
   solved_by : string;
       (** label of the attempt that succeeded (equals the requested
@@ -108,10 +97,19 @@ type report = {
 type outcome =
   | Completed of report
   | Could_not_complete of {
-      cpu_seconds : float;
+      cpu_seconds : float;  (** total, across every attempt *)
       reason : string;
-      progress : progress;
+          (** the final attempt's [failure]: ["node limit exceeded"] or
+              ["time limit exceeded"] *)
+      attempts : attempt list;
+          (** every failed attempt, oldest first; never empty, and the
+              last one is where the request stopped (its phase, subset
+              states and node peak are the request's partial progress) *)
+      skipped : (string * skip_reason) list;
+          (** rungs the ladder skipped (label, reason), in ladder order *)
     }
+      (** The request did not complete (Table 1's "CNC"); the record has
+          the shape of {!report}'s failure history. *)
 
 val solve_split :
   ?node_limit:int ->

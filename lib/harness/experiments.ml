@@ -77,11 +77,10 @@ let with_stats solve =
     match outcome with
     | S.Completed r ->
       (r.S.cpu_seconds, r.S.peak_nodes, r.S.subset_states, true)
-    | S.Could_not_complete { cpu_seconds; progress; _ } ->
-      ( cpu_seconds,
-        progress.S.peak_nodes_seen,
-        progress.S.subset_states_explored,
-        false )
+    | S.Could_not_complete { cpu_seconds; attempts; _ } ->
+      (* the request's partial progress is its final attempt's *)
+      let final = List.hd (List.rev attempts) in
+      (cpu_seconds, final.S.peak_nodes, final.S.subset_states, false)
   in
   ( outcome,
     { time_s; peak_nodes; image_calls; cache_hit_rate; and_exists_lookups;
@@ -123,7 +122,7 @@ let ratio_cell part mono =
 
 let attempts_of = function
   | S.Completed r -> r.S.attempts
-  | S.Could_not_complete { progress; _ } -> progress.S.attempts
+  | S.Could_not_complete { attempts; _ } -> attempts
 
 let print_table1_header fmt =
   Format.fprintf fmt
@@ -162,7 +161,7 @@ let print_attempts fmt results =
       let skipped =
         match outcome with
         | S.Completed r -> r.S.skipped
-        | S.Could_not_complete { progress; _ } -> progress.S.skipped
+        | S.Could_not_complete { skipped; _ } -> skipped
       in
       List.iter
         (fun (label, why) ->
@@ -173,10 +172,11 @@ let print_attempts fmt results =
        | S.Completed r ->
          Format.fprintf fmt "  %s %s: recovered via %s@." name which
            r.S.solved_by
-       | S.Could_not_complete { reason; progress; _ } ->
+       | S.Could_not_complete { reason; _ } ->
+         let final = List.hd (List.rev attempts) in
          Format.fprintf fmt "  %s %s: CNC (%s, reached %s phase)@." name
            which reason
-           (R.phase_name progress.S.phase_reached))
+           (R.phase_name final.S.phase))
   in
   List.iter
     (fun { row; part; mono; _ } ->

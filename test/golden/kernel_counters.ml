@@ -21,7 +21,7 @@ let counters =
     "bdd.gc.nodes_swept" ]
   @ List.concat_map
       (fun op -> [ "bdd.cache.lookups." ^ op; "bdd.cache.hits." ^ op ])
-      [ "ite"; "not"; "exists"; "and_exists"; "constrain" ]
+      [ "ite"; "not"; "exists"; "and_exists"; "cofactor_cube" ]
 
 type budget = Unbounded | Node_limit of int | Fault_rungs of int
 

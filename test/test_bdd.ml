@@ -300,7 +300,7 @@ let test_cache_lossy_is_sound () =
 (* --- computed-cache probe ---------------------------------------------- *)
 
 let ops =
-  M.Op.[ ite; bnot; exists; and_exists; constrain ]
+  M.Op.[ ite; bnot; exists; and_exists; cofactor_cube ]
 
 let test_cache_probe_results () =
   let m = fresh_man () in

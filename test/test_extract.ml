@@ -194,6 +194,36 @@ let test_extraction_no_moore_choice () =
   Alcotest.(check bool) "no Moore sub-solution" true
     (E.Extract.moore_sub_solution p t = None)
 
+let test_extraction_viability_cascades () =
+  (* Moore viability dies backwards over two rounds: 3 forces v = u, so it
+     admits no Moore output; then 1, whose only successor is 3; then v=0
+     out of 0, which leads to 1. Through v=1, 0 reaches 2, which any
+     output keeps. Only an admissible set recomputed after the cascade
+     steers [First] away from v=0, its first minterm while 1 and 3 still
+     count as viable. *)
+  let _, p = E.Split.problem (G.counter 3) ~x_latches:[ "c0" ] in
+  let man = p.E.Problem.man in
+  let u = List.hd p.E.Problem.u_vars and v = List.hd p.E.Problem.v_vars in
+  let eq = O.bxnor man (O.var_bdd man u) (O.var_bdd man v) in
+  let t =
+    Fsa.Automaton.make man ~alphabet:[ u; v ] ~initial:0
+      ~accepting:[| true; true; true; true |]
+      ~edges:
+        [| [ (O.nvar_bdd man v, 1); (O.var_bdd man v, 2) ];
+           [ (M.one, 3) ];
+           [ (M.one, 2) ];
+           [ (eq, 3) ] |]
+      ()
+  in
+  match E.Extract.moore_sub_solution ~heuristic:E.Extract.First p t with
+  | None -> Alcotest.fail "state 0 is viable through v=1"
+  | Some m ->
+    Alcotest.(check (list bool)) "First picks v=1" [ true ]
+      (E.Machine.output_bits m m.E.Machine.initial);
+    Alcotest.(check int) "states 0 and 2" 2 (E.Machine.num_states m);
+    Alcotest.(check bool) "behaviour in the automaton" true
+      (Fsa.Language.subset (E.Machine.to_automaton m) t)
+
 let test_composition_rejects_wrong_bank () =
   (* a latch bank starting from the wrong state must fail check (2) *)
   let sp, p = E.Split.problem (G.lfsr 4) ~x_latches:[ "r0"; "r1" ] in
@@ -219,7 +249,9 @@ let () =
             test_extraction_contained_and_certified;
           Alcotest.test_case "empty CSF" `Quick test_extraction_empty_csf;
           Alcotest.test_case "no Moore choice" `Quick
-            test_extraction_no_moore_choice ] );
+            test_extraction_no_moore_choice;
+          Alcotest.test_case "viability cascades" `Quick
+            test_extraction_viability_cascades ] );
       ( "io+verify",
         [ Alcotest.test_case "wrong bank rejected" `Quick
             test_composition_rejects_wrong_bank ] ) ]

@@ -155,12 +155,15 @@ let test_print_table1_format () =
         E.Solve.Could_not_complete
           { cpu_seconds = 1.0;
             reason = "test";
-            progress =
-              { E.Solve.phase_reached = E.Runtime.Build;
-                subset_states_explored = 0;
-                peak_nodes_seen = 0;
-                attempts = [];
-                skipped = [] } } }
+            attempts =
+              [ { E.Solve.label = "monolithic";
+                  kernel = "monolithic-relation";
+                  phase = E.Runtime.Build;
+                  subset_states = 0;
+                  peak_nodes = 0;
+                  cpu_seconds = 1.0;
+                  failure = "test" } ];
+            skipped = [] } }
   in
   let out = Format.asprintf "%a" H.print_table1 [ r; cnc ] in
   let contains = Helpers.contains in

@@ -359,7 +359,7 @@ let test_solve_populates_counters () =
    the per-op sums, and a reset must also drop tallies not yet read. *)
 let test_cache_tallies_fold_on_read () =
   with_obs (fun () ->
-      let ops = [ "ite"; "not"; "exists"; "and_exists"; "constrain" ] in
+      let ops = [ "ite"; "not"; "exists"; "and_exists"; "cofactor_cube" ] in
       let sum prefix =
         List.fold_left (fun a op -> a + Obs.Counter.find (prefix ^ op)) 0 ops
       in

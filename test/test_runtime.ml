@@ -171,8 +171,17 @@ let solve_c3 fault =
     ~method_:E.Solve.default_partitioned (G.counter 3)
     ~x_latches:[ "c1"; "c2" ]
 
+(* the request's partial progress is its final attempt's; every path to a
+   CNC records an attempt first, and the CNC's reason is that attempt's
+   failure *)
+let final attempts = List.hd (List.rev attempts)
+
 let cnc_of = function
-  | E.Solve.Could_not_complete { reason; progress; _ } -> (reason, progress)
+  | E.Solve.Could_not_complete { reason; attempts; skipped; _ } ->
+    Alcotest.(check bool) "an attempt recorded" true (attempts <> []);
+    Alcotest.(check string) "reason is the final attempt's failure"
+      (final attempts).E.Solve.failure reason;
+    (reason, attempts, skipped)
   | E.Solve.Completed _ -> Alcotest.fail "expected CNC"
 
 let report_of = function
@@ -186,57 +195,53 @@ let labels attempts =
 let test_cnc_build_phase () =
   (* the 40th allocation happens while the problem is still being built,
      and four firings outlast every rung *)
-  let reason, progress = cnc_of (solve_c3 "mk:40:4") in
+  let reason, attempts, _ = cnc_of (solve_c3 "mk:40:4") in
   Alcotest.(check string) "reason" "node limit exceeded" reason;
   Alcotest.(check string) "phase" "build"
-    (R.phase_name progress.E.Solve.phase_reached);
+    (R.phase_name (final attempts).E.Solve.phase);
   List.iter
     (fun (a : E.Solve.attempt) ->
       Alcotest.(check string) (a.E.Solve.label ^ " phase") "build"
         (R.phase_name a.E.Solve.phase);
       Alcotest.(check string) (a.E.Solve.label ^ " failure")
         "node limit exceeded" a.E.Solve.failure)
-    progress.E.Solve.attempts
+    attempts
 
 let test_cnc_subset_phase () =
   (* the first image computation of every rung happens inside the subset
      construction *)
-  let reason, progress = cnc_of (solve_c3 "image:1:4") in
+  let reason, attempts, _ = cnc_of (solve_c3 "image:1:4") in
   Alcotest.(check string) "reason" "node limit exceeded" reason;
   Alcotest.(check string) "phase" "subset"
-    (R.phase_name progress.E.Solve.phase_reached);
-  Alcotest.(check int) "every rung ran" 4
-    (List.length progress.E.Solve.attempts)
+    (R.phase_name (final attempts).E.Solve.phase);
+  Alcotest.(check int) "every rung ran" 4 (List.length attempts)
 
 let test_ladder_shape () =
   (* a fault that outlasts every rung walks the whole fixed ladder, with
      each rung's kernel tag *)
-  let _, progress = cnc_of (solve_c3 "mk:40:4") in
+  let _, attempts, skipped = cnc_of (solve_c3 "mk:40:4") in
   Alcotest.(check (list string)) "labels"
     [ "partitioned/greedy"; "gc-retry"; "reorder-retry"; "partitioned/given" ]
-    (labels progress.E.Solve.attempts);
+    (labels attempts);
   Alcotest.(check (list string)) "kernels"
     [ "affinity:500/greedy"; "affinity:500/greedy"; "affinity:500/greedy";
       "unclustered/given" ]
-    (List.map (fun (a : E.Solve.attempt) -> a.E.Solve.kernel)
-       progress.E.Solve.attempts);
+    (List.map (fun (a : E.Solve.attempt) -> a.E.Solve.kernel) attempts);
   (* an injected fault leaves the manager no failure record: no skips *)
-  Alcotest.(check int) "nothing skipped" 0
-    (List.length progress.E.Solve.skipped)
+  Alcotest.(check int) "nothing skipped" 0 (List.length skipped)
 
 let test_cnc_csf_phase_stops_ladder () =
   (* a deadline failure must stop the ladder: with no time left another
      kernel cannot help *)
-  let reason, progress = cnc_of (solve_c3 "deadline:csf") in
+  let reason, attempts, _ = cnc_of (solve_c3 "deadline:csf") in
   Alcotest.(check string) "reason" "time limit exceeded" reason;
   Alcotest.(check string) "phase" "csf"
-    (R.phase_name progress.E.Solve.phase_reached);
-  Alcotest.(check int) "ladder stopped" 1
-    (List.length progress.E.Solve.attempts);
+    (R.phase_name (final attempts).E.Solve.phase);
+  Alcotest.(check int) "ladder stopped" 1 (List.length attempts);
   Alcotest.(check bool) "partial progress recorded" true
-    (progress.E.Solve.subset_states_explored > 0);
+    ((final attempts).E.Solve.subset_states > 0);
   Alcotest.(check bool) "peak nodes recorded" true
-    (progress.E.Solve.peak_nodes_seen > 0)
+    ((final attempts).E.Solve.peak_nodes > 0)
 
 let test_ladder_reorder_retry () =
   (* two firings fail the greedy attempt and its gc-retry; the reordered
@@ -277,14 +282,13 @@ let test_ladder_alternative_schedule () =
 
 let test_monolithic_single_attempt () =
   (* a Monolithic request is no rung of the ladder: one attempt *)
-  match
-    E.Solve.solve_split ~fault:(F.make (F.Mk_fail 40))
-      ~method_:E.Solve.Monolithic (G.counter 3) ~x_latches:[ "c1"; "c2" ]
-  with
-  | E.Solve.Could_not_complete { reason; progress; _ } ->
-    Alcotest.(check string) "reason" "node limit exceeded" reason;
-    Alcotest.(check int) "one attempt" 1 (List.length progress.E.Solve.attempts)
-  | E.Solve.Completed _ -> Alcotest.fail "expected CNC"
+  let reason, attempts, _ =
+    cnc_of
+      (E.Solve.solve_split ~fault:(F.make (F.Mk_fail 40))
+         ~method_:E.Solve.Monolithic (G.counter 3) ~x_latches:[ "c1"; "c2" ])
+  in
+  Alcotest.(check string) "reason" "node limit exceeded" reason;
+  Alcotest.(check int) "one attempt" 1 (List.length attempts)
 
 let test_invalid_budgets () =
   let solve ?node_limit ?time_limit () =
@@ -317,22 +321,21 @@ let test_skip_after_build_failure () =
      nodes while the problem is still being built: every later rung would
      rebuild it under the same limit, so the ladder ends after one attempt *)
   let net = Network.Blif.parse_string (Network.Blif.to_string (G.counter 3)) in
-  let reason, progress =
+  let reason, attempts, skipped =
     cnc_of
       (E.Solve.solve_split ~node_limit:50 ~method_:E.Solve.default_partitioned
          net ~x_latches:[ "c1"; "c2" ])
   in
   Alcotest.(check string) "reason" "node limit exceeded" reason;
   Alcotest.(check (list string)) "one attempt" [ "partitioned/greedy" ]
-    (labels progress.E.Solve.attempts);
+    (labels attempts);
   Alcotest.(check string) "phase" "build"
-    (R.phase_name progress.E.Solve.phase_reached);
+    (R.phase_name (final attempts).E.Solve.phase);
   Alcotest.(check (list string)) "skipped"
     [ "gc-retry"; "reorder-retry"; "partitioned/given" ]
-    (skipped_labels progress.E.Solve.skipped);
+    (skipped_labels skipped);
   Alcotest.(check bool) "every skip a rebuild" true
-    (List.for_all (fun (_, why) -> why = E.Solve.Same_build)
-       progress.E.Solve.skipped)
+    (List.for_all (fun (_, why) -> why = E.Solve.Same_build) skipped)
 
 let solve_row ~node_limit name =
   let row = Circuits.Suite.find name in
