@@ -179,7 +179,6 @@ let marks n =
   Bytes.fill b 0 2 '\001';
   b
 
-let initial_cache_bits = 12
 let max_cache_bits = 22
 let cache_cap = 1 lsl max_cache_bits
 
@@ -239,13 +238,26 @@ let note_footprint m =
 
 let empty_root_set () = { rs_ids = Array.make 16 0; rs_n = 0 }
 
+(* A cache of [words] words of empty entries. Past one chunk it is made
+   of full chunks: those of [old] (emptied), then fresh ones. *)
+let cache_chunks old words =
+  if words <= chunk_words then [| Array.make words (-1) |]
+  else
+    Array.init (words / chunk_words) (fun k ->
+        if k < Array.length old then begin
+          Array.fill old.(k) 0 chunk_words (-1);
+          old.(k)
+        end
+        else Array.make chunk_words (-1))
+
 let create ?(initial_capacity = 1024) () =
   let cap = max initial_capacity 16 in
-  let usize = 2 * cap in
-  (* round up to a power of two *)
-  let rec pow2 k = if k >= usize then k else pow2 (2 * k) in
-  let usize = pow2 16 in
-  let csize = 1 lsl initial_cache_bits in
+  (* [n] rounded up to a power of two *)
+  let rec pow2 n k = if k >= n then k else pow2 n (2 * k) in
+  let usize = pow2 (2 * cap) 16 in
+  (* the computed cache starts at one entry per store slot, the ratio
+     its growth rule in [insert] keeps *)
+  let csize = min cache_cap (pow2 cap 16) in
   let lifelong = empty_root_set () in
   let m =
     {
@@ -256,7 +268,7 @@ let create ?(initial_capacity = 1024) () =
       u_slot = Array.make (usize / 2) 0;
       u_mask = usize - 1;
       u_used = 0;
-      cache = [| Array.make (2 * csize) (-1) |];
+      cache = cache_chunks [||] (2 * csize);
       c_mask = csize - 1;
       c_epoch = 0;
       n_vars = 0;
@@ -331,18 +343,7 @@ let grow_nodes m =
 let grow_cache m =
   if !Obs.on then Obs.Counter.bump c_grow_cache;
   let size' = 2 * (m.c_mask + 1) in
-  let words = 2 * size' in
-  if words <= chunk_words then m.cache <- [| Array.make words (-1) |]
-  else begin
-    let old = m.cache in
-    m.cache <-
-      Array.init (words / chunk_words) (fun k ->
-          if k < Array.length old then begin
-            Array.fill old.(k) 0 chunk_words (-1);
-            old.(k)
-          end
-          else Array.make chunk_words (-1))
-  end;
+  m.cache <- cache_chunks m.cache (2 * size');
   m.c_mask <- size' - 1;
   note_footprint m;
   ignore (Gc.major_slice 0 : int)

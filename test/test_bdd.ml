@@ -487,18 +487,21 @@ let chunks_of ~entries keys =
        (fun (a, b, c) -> cache_slot ~entries M.Op.ite a b c / chunk_entries)
        keys)
 
-(* a manager with Obs on whose cache is grown to [entries] by fresh
-   nodes, one per variable; checks the footprint gauge on the way *)
-let grow_cache_to m next_var entries =
+let cache_bytes () = Obs.Gauge.find "bdd.mem.cache_bytes"
+
+(* a manager with Obs on whose cache, [initial] entries when the manager
+   was made, is grown to [entries] by fresh nodes, one per variable;
+   checks the footprint gauge on the way *)
+let grow_cache_to m ~initial next_var entries =
   let grows () = Obs.Counter.find "bdd.cache.grows" in
-  let size () = (1 lsl 12) lsl grows () in
+  let size () = initial lsl grows () in
   while size () < entries do
     let before = size () in
     ignore (M.mk m !next_var M.zero M.one : int);
     incr next_var;
     if size () > before then
       Alcotest.(check int) "bdd.mem.cache_bytes = 16 x entries"
-        (16 * size ()) (Obs.Gauge.find "bdd.mem.cache_bytes")
+        (16 * size ()) (cache_bytes ())
   done;
   Alcotest.(check int) "grown to the size asked" entries (size ())
 
@@ -507,10 +510,25 @@ let with_chunked_cache f =
   Obs.reset ();
   Fun.protect ~finally:(fun () -> Obs.set_enabled false) @@ fun () ->
   let m = M.create () in
+  let initial = cache_bytes () / 16 in
   ignore (M.new_vars m 70_000 : int list);
   let next_var = ref 0 in
-  grow_cache_to m next_var (2 * chunk_entries);
-  f m (grow_cache_to m next_var)
+  grow_cache_to m ~initial next_var (2 * chunk_entries);
+  f m (grow_cache_to m ~initial next_var)
+
+(* the cache starts at one entry per store slot, rounded up to a power
+   of two *)
+let test_cache_initial_size () =
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled false) @@ fun () ->
+  List.iter
+    (fun (initial_capacity, entries) ->
+      Obs.reset ();
+      ignore (M.create ~initial_capacity () : M.t);
+      Alcotest.(check int)
+        (Printf.sprintf "bdd.mem.cache_bytes at capacity %d" initial_capacity)
+        (16 * entries) (cache_bytes ()))
+    [ (16, 16); (1000, 1024); (1024, 1024) ]
 
 let store_all m keys =
   List.iter (fun (a, b, c) -> M.cache_store m M.Op.ite a b c (a + 1)) keys
@@ -1367,5 +1385,7 @@ let () =
         [ Alcotest.test_case "growth empties every chunk" `Quick
             test_cache_chunks_grow;
           Alcotest.test_case "epoch wrap empties every chunk" `Quick
-            test_cache_chunks_wrap ] );
+            test_cache_chunks_wrap;
+          Alcotest.test_case "the cache starts at the store's capacity"
+            `Quick test_cache_initial_size ] );
       ("properties", qcheck_cases) ]
