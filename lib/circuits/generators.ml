@@ -373,7 +373,7 @@ let parallel name components =
                ~name:(prefix ^ N.net_name net id)
                ~init:(N.latch_init net id) ()))
         net.N.latches;
-      List.iter
+      N.iter_topo
         (fun id ->
           match net.N.drivers.(id) with
           | N.Input | N.Latch _ -> ()
@@ -383,7 +383,7 @@ let parallel name components =
                  ~name:(prefix ^ N.net_name net id)
                  fn
                  (Array.map (Hashtbl.find map) fanins)))
-        (N.topo_order net);
+        net;
       List.iter
         (fun id ->
           N.set_latch_input b (Hashtbl.find map id)

@@ -38,7 +38,7 @@ let split (net : N.t) ~x_latches =
              ()))
     net.N.latches;
   (* combinational nodes, in topological order *)
-  List.iter
+  N.iter_topo
     (fun id ->
       match net.N.drivers.(id) with
       | N.Input | N.Latch _ -> ()
@@ -46,7 +46,7 @@ let split (net : N.t) ~x_latches =
         map.(id) <-
           N.add_node b ~name:(N.net_name net id) fn
             (Array.map (Array.get map) fanins))
-    (N.topo_order net);
+    net;
   (* reconnect kept latches *)
   List.iter
     (fun id ->

@@ -40,7 +40,14 @@ let add_input b name =
   b.binputs <- id :: b.binputs;
   id
 
+(* a fanin must already exist, so net ids ascend in a topological order
+   of the combinational part and it cannot have a cycle *)
 let add_node b ?name fn fanins =
+  Array.iter
+    (fun f ->
+      if f < 0 || f >= b.count then
+        invalid_arg "Netlist.add_node: fanin not yet created")
+    fanins;
   let name = match name with Some s -> s | None -> Printf.sprintf "n%d" b.count in
   fresh b (Node { fanins; fn }) name
 
@@ -64,38 +71,17 @@ let freeze b =
   let drivers = Array.of_list (List.rev b.elems) in
   let net_names = Array.of_list (List.rev b.bnames) in
   let n = Array.length drivers in
-  (* validation: latch inputs connected and in range, fanins in range *)
+  (* validation: latch inputs connected and in range ([add_node] has
+     checked the fanins) *)
   Array.iteri
     (fun id elem ->
       match elem with
-      | Input -> ()
-      | Latch { input; _ } ->
-        if input < 0 || input >= n then
-          invalid_arg
-            (Printf.sprintf "Netlist.freeze: latch %s disconnected"
-               net_names.(id))
-      | Node { fanins; _ } ->
-        Array.iter
-          (fun f ->
-            if f < 0 || f >= n then
-              invalid_arg "Netlist.freeze: fanin out of range")
-          fanins)
+      | Latch { input; _ } when input < 0 || input >= n ->
+        invalid_arg
+          (Printf.sprintf "Netlist.freeze: latch %s disconnected"
+             net_names.(id))
+      | Input | Latch _ | Node _ -> ())
     drivers;
-  (* acyclicity of the combinational part (latch outputs are sources) *)
-  let color = Array.make n 0 in
-  let rec visit id =
-    match color.(id) with
-    | 1 -> invalid_arg "Netlist.freeze: combinational cycle"
-    | 2 -> ()
-    | _ ->
-      (match drivers.(id) with
-       | Input | Latch _ -> color.(id) <- 2
-       | Node { fanins; _ } ->
-         color.(id) <- 1;
-         Array.iter visit fanins;
-         color.(id) <- 2)
-  in
-  for id = 0 to n - 1 do visit id done;
   { name = b.bname; drivers; net_names;
     inputs = List.rev b.binputs;
     outputs = List.rev b.boutputs;
@@ -111,21 +97,8 @@ let num_nodes t =
     (fun acc e -> match e with Node _ -> acc + 1 | Input | Latch _ -> acc)
     0 t.drivers
 
-let topo_order t =
-  let n = Array.length t.drivers in
-  let done_ = Array.make n false in
-  let order = ref [] in
-  let rec visit id =
-    if not done_.(id) then begin
-      done_.(id) <- true;
-      (match t.drivers.(id) with
-       | Input | Latch _ -> ()
-       | Node { fanins; _ } -> Array.iter visit fanins);
-      order := id :: !order
-    end
-  in
-  for id = 0 to n - 1 do visit id done;
-  List.rev !order
+let iter_topo f t =
+  for id = 0 to Array.length t.drivers - 1 do f id done
 
 let latch_init t id =
   match t.drivers.(id) with
@@ -150,14 +123,14 @@ let eval_all t (st : state) inputs =
   List.iteri (fun k id -> Hashtbl.replace input_index id k) t.inputs;
   let latch_index = Hashtbl.create 16 in
   List.iteri (fun k id -> Hashtbl.replace latch_index id k) t.latches;
-  List.iter
+  iter_topo
     (fun id ->
       match t.drivers.(id) with
       | Input -> values.(id) <- inputs.(Hashtbl.find input_index id)
       | Latch _ -> values.(id) <- st.(Hashtbl.find latch_index id)
       | Node { fanins; fn } ->
         values.(id) <- Expr.eval (fun k -> values.(fanins.(k))) fn)
-    (topo_order t);
+    t;
   values
 
 let step t st inputs =

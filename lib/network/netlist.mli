@@ -30,7 +30,9 @@ val add_input : builder -> string -> net
 
 val add_node : builder -> ?name:string -> Expr.t -> net array -> net
 (** [add_node b fn fanins]: a combinational node computing [fn] over
-    [fanins]. *)
+    [fanins]. Every fanin must be a net already created (raises
+    [Invalid_argument] otherwise), so a node's id is above its fanins'
+    and the combinational part is acyclic. *)
 
 val add_latch : builder -> ?name:string -> init:bool -> unit -> net
 (** Create a latch whose data input is connected later with
@@ -43,8 +45,8 @@ val set_latch_input : builder -> net -> net -> unit
 val add_output : builder -> string -> net -> unit
 
 val freeze : builder -> t
-(** Validate (every latch connected, combinational part acyclic) and seal.
-    Raises [Invalid_argument] on malformed networks. *)
+(** Validate (every latch connected) and seal. Raises [Invalid_argument]
+    on malformed networks. *)
 
 (** {1 Queries} *)
 
@@ -54,8 +56,10 @@ val num_outputs : t -> int
 val num_latches : t -> int
 val num_nodes : t -> int
 
-val topo_order : t -> net list
-(** Combinational nodes in topological order (inputs and latches first). *)
+val iter_topo : (net -> unit) -> t -> unit
+(** [iter_topo f t] applies [f] to every net in a topological order of
+    the combinational part (each node after its fanins): ascending ids,
+    which {!add_node} makes topological. It allocates nothing. *)
 
 val latch_init : t -> net -> bool
 val latch_input : t -> net -> net

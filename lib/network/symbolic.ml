@@ -32,14 +32,14 @@ let build man ~input_vars ~state_vars ~next_state_vars (net : Netlist.t) =
   List.iter2
     (fun id v -> bdd_of_net.(id) <- O.var_bdd man v)
     net.latches state_vars;
-  List.iter
+  Netlist.iter_topo
     (fun id ->
       match net.drivers.(id) with
       | Netlist.Input | Netlist.Latch _ -> ()
       | Netlist.Node { fanins; fn } ->
         bdd_of_net.(id) <-
           Expr.to_bdd man (fun k -> bdd_of_net.(fanins.(k))) fn)
-    (Netlist.topo_order net);
+    net;
   let next_fns =
     List.map (fun id -> bdd_of_net.(Netlist.latch_input net id)) net.latches
   in

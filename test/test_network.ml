@@ -78,9 +78,14 @@ let test_netlist_cycle_detected () =
   N.set_latch_input b l n1;
   (* no cycle yet: freeze succeeds *)
   ignore (N.freeze b : N.t);
-  (* a genuinely cyclic net cannot even be expressed through the builder
-     without forward references, which only latches provide; so instead we
-     check that a disconnected latch is rejected *)
+  (* a genuinely cyclic net cannot even be expressed through the builder:
+     a node's fanins must exist already, so only latches refer forward *)
+  let b1 = N.create "forward" in
+  let _ = N.add_input b1 "a" in
+  Alcotest.check_raises "forward fanin"
+    (Invalid_argument "Netlist.add_node: fanin not yet created") (fun () ->
+      ignore (N.add_node b1 (E.Var 0) [| 1 |] : N.net));
+  (* a disconnected latch is rejected *)
   let b2 = N.create "dangling" in
   let _ = N.add_latch b2 ~name:"q" ~init:false () in
   Alcotest.check_raises "disconnected latch"
