@@ -133,8 +133,11 @@ let table1 () =
       rows
   in
   Obs.set_enabled false;
-  Harness.Experiments.write_bench_json "BENCH_table1.json"
-    (List.map (fun r -> r.circuit) reports);
+  let json =
+    Harness.Experiments.bench_json (List.map (fun r -> r.circuit) reports)
+  in
+  Out_channel.with_open_text "BENCH_table1.json" (fun oc ->
+      Out_channel.output_string oc json);
   Printf.printf "wrote BENCH_table1.json\n";
   Harness.Experiments.print_table1_header Format.std_formatter;
   List.iter (fun r -> print_string r.line) reports;

@@ -29,9 +29,12 @@ let guard f =
     Format.eprintf "lesolve: %s@." msg;
     exit 1
 
+(* A path is a plain string: a file that cannot be read or written is a
+   [Sys_error] from the helpers below, which [guard] reports on one
+   line. *)
 let network_arg =
   let doc = "Input circuit in BLIF format." in
-  Arg.(required & pos 0 (some file) None & info [] ~docv:"BLIF" ~doc)
+  Arg.(required & pos 0 (some string) None & info [] ~docv:"BLIF" ~doc)
 
 let latches_arg =
   let doc =
@@ -63,7 +66,14 @@ let node_limit_arg =
   let doc = "BDD-node budget before giving up (CNC)." in
   Arg.(value & opt int 20_000_000 & info [ "node-limit" ] ~doc)
 
-let load path = Network.Blif.parse_file path
+(* The library maps strings; the CLI owns its files. Both helpers close
+   the channel when the read or the write raises. *)
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path text =
+  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc text)
+
+let load path = Network.Blif.parse_string (read_file path)
 
 (* Deterministic fault injection for the solve and resynth commands
    (syntax of [Runtime.Fault.of_string]). Only the CLI reads it: the
@@ -119,10 +129,7 @@ let obs_emit ~stats ~trace =
       print_string content;
       print_newline ()
     | f ->
-      let oc = open_out f in
-      output_string oc content;
-      output_char oc '\n';
-      close_out oc;
+      write_file f (content ^ "\n");
       Format.eprintf "wrote %s@." f
   in
   Option.iter (fun d -> write d (Obs.Stats.snapshot ())) stats;
@@ -214,7 +221,7 @@ let split_cmd =
       (String.concat ", " sp.E.Split.v_names);
     match out with
     | Some f ->
-      Network.Blif.write_file f sp.E.Split.f;
+      write_file f (Network.Blif.to_string sp.E.Split.f);
       Format.printf "wrote %s@." f
     | None -> ()
   in
@@ -280,14 +287,12 @@ let solve_cmd =
       end;
       (match dot with
        | Some f ->
-         let oc = open_out f in
-         output_string oc (Fsa.Print.to_dot ~name:"csf" csf);
-         close_out oc;
+         write_file f (Fsa.Print.to_dot ~name:"csf" csf);
          Format.printf "wrote %s@." f
        | None -> ());
       (match aut with
        | Some f ->
-         Fsa.Aut.write_file f csf;
+         write_file f (Fsa.Aut.to_string csf);
          Format.printf "wrote %s@." f
        | None -> ());
       obs_emit ~stats ~trace
@@ -355,12 +360,12 @@ let resynth_cmd =
          end;
          (match out with
           | Some f ->
-            Network.Blif.write_file f xnet;
+            write_file f (Network.Blif.to_string xnet);
             Format.printf "wrote %s@." f
           | None -> ());
          (match kiss with
           | Some f ->
-            E.Kiss.write_file f machine;
+            write_file f (E.Kiss.to_kiss2 machine);
             Format.printf "wrote %s@." f
           | None -> ()));
       obs_emit ~stats ~trace
@@ -422,9 +427,7 @@ let gen_cmd =
     let text = Network.Blif.to_string net in
     match out with
     | Some f ->
-      let oc = open_out f in
-      output_string oc text;
-      close_out oc;
+      write_file f text;
       Format.eprintf "wrote %s (%a)@." f N.pp_stats net
     | None -> print_string text
   in
@@ -436,7 +439,7 @@ let gen_cmd =
 let equiv_cmd =
   let second_arg =
     let doc = "Second circuit (BLIF)." in
-    Arg.(required & pos 1 (some file) None & info [] ~docv:"BLIF2" ~doc)
+    Arg.(required & pos 1 (some string) None & info [] ~docv:"BLIF2" ~doc)
   in
   let run path1 path2 =
     guard @@ fun () ->
@@ -548,8 +551,9 @@ let table1_cmd =
     in
     (match json with
      | Some f ->
-       Harness.Experiments.write_bench_json ~time_limit ~node_limit f
-         (List.map Harness.Experiments.circuit_json results);
+       write_file f
+         (Harness.Experiments.bench_json ~time_limit ~node_limit
+            (List.map Harness.Experiments.circuit_json results));
        Format.eprintf "wrote %s@." f
      | None -> ());
     Harness.Experiments.print_table1 Format.std_formatter results;

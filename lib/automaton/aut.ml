@@ -33,8 +33,3 @@ let to_string ?(name = "automaton") (t : A.t) =
   done;
   pr ".end\n";
   Buffer.contents buf
-
-let write_file path t =
-  let oc = open_out path in
-  output_string oc (to_string t);
-  close_out oc

@@ -1,6 +1,7 @@
 (** A textual exchange format for symbolic automata, modeled on the format
     of the BALM/MVSIS tools the paper was implemented in. Write-only: the
-    CSF is written for those tools, and nothing here reads it back.
+    CSF is written for those tools, and nothing here reads it back. The
+    module makes the text; writing the file is the caller's.
 
     {v
     .aut <name>
@@ -18,4 +19,3 @@
     states denote the union of their cubes. *)
 
 val to_string : ?name:string -> Automaton.t -> string
-val write_file : string -> Automaton.t -> unit

@@ -4,10 +4,8 @@ module O = Ops
 (* Minato–Morreale: recursively split on the top variable; minterms of the
    lower bound that cannot be covered by a cube missing the literal are
    covered with it, the rest is delegated to the literal-free part. Returns
-   both the cover and its BDD. *)
+   both the cover and its BDD. [cover] starts it on the interval [f, f]. *)
 let isop_with_bdd m lower upper =
-  if O.bdiff m lower upper <> M.zero then
-    invalid_arg "Isop.isop: lower not contained in upper";
   (* the memo holds unpinned intermediate BDD ids: run frozen *)
   M.with_frozen m @@ fun () ->
   let memo = Hashtbl.create 64 in
@@ -51,9 +49,7 @@ let isop_with_bdd m lower upper =
   in
   go lower upper
 
-let isop m lower upper = fst (isop_with_bdd m lower upper)
-
-let cover m f = isop m f f
+let cover m f = fst (isop_with_bdd m f f)
 
 let cover_rows m ~columns =
   let width = List.length columns in
@@ -69,7 +65,3 @@ let cover_rows m ~columns =
           cube;
         Bytes.to_string row)
       (cover m f)
-
-let cover_bdd m cubes =
-  M.with_frozen m @@ fun () ->
-  O.disj m (List.map (O.cube_of_literals m) cubes)

@@ -73,7 +73,6 @@ type t = {
   mutable n_entries : int;  (* live node count, constants included *)
   mutable peak_live : int;
   mutable free_head : int;  (* free list threaded through [kids_of]; -1 = empty *)
-  mutable free_count : int;
   lifelong : root_set;  (* [protect]'s pins, never released *)
   mutable root_sets : root_set list;  (* [lifelong] included *)
   mutable op_stack : int array;  (* operand pins, LIFO (cf. BuDDy PUSHREF) *)
@@ -84,8 +83,6 @@ type t = {
   mutable auto_gc : bool;
   mutable gc_threshold : float;  (* estimated dead ratio that justifies a GC *)
   mutable live_after_gc : int;  (* live count right after the last sweep *)
-  mutable gc_runs : int;
-  mutable gc_swept_total : int;
 }
 
 exception Node_limit_exceeded
@@ -104,12 +101,12 @@ let c_grow_cache = Obs.Counter.make "bdd.cache.grows"
 let c_clear = Obs.Counter.make "bdd.cache.clears"
 let c_lookup = Obs.Counter.make "bdd.cache.lookups"
 let c_hit = Obs.Counter.make "bdd.cache.hits"
-let g_peak = Obs.Gauge.make "bdd.peak_nodes"
+let g_peak_resident = Obs.Gauge.make "bdd.peak_resident"
 let c_gc_runs = Obs.Counter.make "bdd.gc.runs"
 let c_gc_swept = Obs.Counter.make "bdd.gc.nodes_swept"
 let c_gc_live_after = Obs.Counter.make "bdd.gc.live_after"
 let g_live = Obs.Gauge.make "bdd.live_nodes"
-let g_live_peak = Obs.Gauge.make "bdd.live_peak"
+let g_live_max = Obs.Gauge.make "bdd.gc.live_max"
 let c_frozen_allocs = Obs.Counter.make "bdd.frozen.allocs"
 let g_frozen_window = Obs.Gauge.make "bdd.frozen.window_max"
 let g_store_bytes = Obs.Gauge.make "bdd.mem.store_bytes"
@@ -282,7 +279,6 @@ let create ?(initial_capacity = 1024) () =
       n_entries = 2;
       peak_live = 2;
       free_head = -1;
-      free_count = 0;
       lifelong;
       root_sets = [ lifelong ];
       op_stack = Array.make 256 0;
@@ -296,8 +292,6 @@ let create ?(initial_capacity = 1024) () =
       auto_gc = false;
       gc_threshold = default_gc_threshold;
       live_after_gc = 2;
-      gc_runs = 0;
-      gc_swept_total = 0;
     }
   in
   m.kids_of.(0) <- 0;
@@ -379,9 +373,6 @@ let rebuild_unique m size =
 
 let live_nodes m = m.n_entries
 let peak_live_nodes m = m.peak_live
-let unique_occupied m = m.u_used
-let store_size m = m.n_nodes
-let free_nodes m = m.free_count
 let set_node_limit m lim =
   m.node_limit <- lim;
   m.limit_failure <- None
@@ -474,9 +465,6 @@ let set_gc_threshold m r =
     invalid_arg "Manager.set_gc_threshold: ratio outside [0,1]";
   m.gc_threshold <- r
 
-let gc_runs m = m.gc_runs
-let gc_nodes_swept m = m.gc_swept_total
-
 (* Every entry stored before this call stops matching, since probes
    carry the new epoch. The array itself is only emptied when the epoch
    field wraps and an old epoch could come round again. *)
@@ -538,22 +526,18 @@ let collect m =
      tendency even without moving live nodes), and clear the marks *)
   let swept = ref 0 in
   m.free_head <- -1;
-  m.free_count <- 0;
   for id = top - 1 downto 2 do
     let v = var m id in
     if v = free_level || Bytes.get mark id = '\000' then begin
       if v <> free_level then incr swept;
       set_var m id free_level;
       m.kids_of.(id) <- m.free_head;
-      m.free_head <- id;
-      m.free_count <- m.free_count + 1
+      m.free_head <- id
     end
     else Bytes.set mark id '\000'
   done;
   m.n_entries <- m.n_entries - !swept;
   m.live_after_gc <- m.n_entries;
-  m.gc_runs <- m.gc_runs + 1;
-  m.gc_swept_total <- m.gc_swept_total + !swept;
   (* the unique table keeps the swept ids as stale entries (see [t]); a
      cached result may name a dead id: invalidate every entry *)
   invalidate_cache m;
@@ -566,7 +550,7 @@ let collect m =
     Obs.Counter.add c_gc_swept !swept;
     Obs.Counter.add c_gc_live_after m.n_entries;
     Obs.Gauge.set g_live m.n_entries;
-    Obs.Gauge.set_max g_live_peak m.n_entries;
+    Obs.Gauge.set_max g_live_max m.n_entries;
     Obs.Trace.point "bdd.gc"
       ~detail:(Printf.sprintf "swept=%d live=%d" !swept m.n_entries)
   end;
@@ -634,7 +618,6 @@ let[@inline never] insert m v lo hi tag slot =
     if m.free_head >= 0 then begin
       let id = m.free_head in
       m.free_head <- m.kids_of.(id);
-      m.free_count <- m.free_count - 1;
       id
     end
     else begin
@@ -647,7 +630,7 @@ let[@inline never] insert m v lo hi tag slot =
   if m.n_entries > m.peak_live then m.peak_live <- m.n_entries;
   if !Obs.on then begin
     Obs.Counter.bump c_alloc;
-    Obs.Gauge.set_max g_peak m.n_entries;
+    Obs.Gauge.set_max g_peak_resident m.n_entries;
     Obs.Gauge.set g_live m.n_entries;
     if m.frozen > 0 then begin
       Obs.Counter.bump c_frozen_allocs;
@@ -774,8 +757,6 @@ let new_vars ?(prefix = "x") m n =
 
 let var_name m v =
   if v >= 0 && v < m.n_vars then m.names.(v) else Printf.sprintf "?%d" v
-
-let set_var_name m v s = if v >= 0 && v < m.n_vars then m.names.(v) <- s
 
 (* inlined into the recursions at the end of this file, so a cache probe
    or store costs no call *)

@@ -17,10 +17,11 @@
     manager cannot see ids held in OCaml data structures. There are three
     mechanisms:
 
-    - {!Roots} sets pin groups of roots until the set is released
-      ({!with_roots} scopes one to a call). One set is registered by
-      {!create} and never released: {!protect} adds to it, for nodes
-      that live as long as the manager;
+    - {!Roots} sets pin groups of roots for the extent of a call: a set
+      exists only inside {!with_roots}, which releases it when the call
+      returns or raises, so no set can outlive its scope. One more set
+      is registered by {!create} and never released: {!protect} adds to
+      it, for nodes that live as long as the manager;
     - an operand stack ({!stack_push}/{!stack_drop}) pins
       intermediates inside recursive operations and the loop-carried
       iterates of the image and reachability loops;
@@ -75,8 +76,6 @@ val num_vars : t -> int
 val var_name : t -> int -> string
 (** [var_name m v] is the printable name of variable [v]. *)
 
-val set_var_name : t -> int -> string -> unit
-
 val mk : t -> int -> int -> int -> int
 (** [mk m v lo hi] is the canonical node for [if v then hi else lo].
     Requires that [v] is strictly above the levels of [lo] and [hi].
@@ -99,7 +98,7 @@ val is_const : int -> bool
 
 val dag_size : t -> int list -> int
 (** Number of distinct decision nodes reachable from the given roots
-    (constants excluded). Allocates nothing; {!Ops.size_shared} is this. *)
+    (constants excluded). Allocates nothing. *)
 
 val support : t -> int -> int list
 (** The variables a node depends on, ascending; {!Ops.support} is this.
@@ -125,21 +124,6 @@ val peak_live_nodes : t -> int
 (** High-water mark of {!live_nodes}, which counts a dead node until a
     collection sweeps it: the peak {e resident} node count, reported by
     the solver and the benchmarks. *)
-
-val store_size : t -> int
-(** One past the highest node id ever allocated (free slots included);
-    the size of the id space, an upper bound on {!live_nodes}. *)
-
-val free_nodes : t -> int
-(** Slots currently on the free list, waiting for reuse by {!mk}. *)
-
-val unique_occupied : t -> int
-(** Occupied unique-table slots: one per decision node inserted since the
-    table was last rebuilt, whether it is still live or was swept since.
-    A collection leaves the table alone; {!mk} rebuilds it over the live
-    nodes when the occupied slots pass 3/4 of it, and doubles it when
-    the live count passes 1/2 of it. Right after a rebuild this is the
-    number of live decision nodes. *)
 
 val max_nodes : int
 (** The node store's capacity, 2{^26} ids (constants included): node
@@ -176,20 +160,15 @@ val set_alloc_hook : t -> (unit -> unit) option -> unit
 
 (** {2 Garbage collection API} *)
 
-(** Root sets: a set groups pinned ids so a whole construction can be
-    released at once (or automatically via {!with_roots}). *)
+(** Root sets: a set groups pinned ids so a whole construction is
+    released at once, when the {!with_roots} call that made the set
+    ends. *)
 module Roots : sig
   type set
-
-  val create : t -> set
-  (** Register an empty root set with the manager. *)
 
   val add : set -> int -> int
   (** [add s id] pins [id] for the lifetime of the set and returns [id]
       (so calls compose: [Roots.add s (O.band m f g)]). *)
-
-  val release : t -> set -> unit
-  (** Unregister the set, unpinning every id it holds. *)
 end
 
 val protect : t -> int -> unit
@@ -199,8 +178,9 @@ val protect : t -> int -> unit
     Constants need no pinning and are accepted as no-ops. *)
 
 val with_roots : t -> (Roots.set -> 'a) -> 'a
-(** [with_roots m f] runs [f] with a fresh root set, releasing it when
-    [f] returns or raises. *)
+(** [with_roots m f] runs [f] with a fresh root set, releasing it (and
+    unpinning every id it holds) when [f] returns or raises. It is the
+    only way to make a root set. *)
 
 val stack_push : t -> int -> unit
 (** Pin an intermediate on the internal operand stack. Used by the
@@ -237,8 +217,9 @@ val with_scratch_memo : t -> (int Idtbl.t -> 'a) -> 'a
 val collect : t -> int
 (** Run a mark-and-sweep collection now and return the number of nodes
     swept. All unpinned, unreachable nodes are freed; their unique-table
-    entries stay behind as stale entries that never match (see
-    {!unique_occupied}); the computed cache is invalidated; support-memo
+    entries stay behind as stale entries that never match ({!mk}
+    rebuilds the table over the live nodes when live and stale entries
+    fill 3/4 of it); the computed cache is invalidated; support-memo
     entries for dead ids are dropped. Live ids are never moved. Raises
     [Invalid_argument] inside {!with_frozen}. Timed as the [bdd.gc] span
     when Obs is on. *)
@@ -252,12 +233,6 @@ val set_gc_threshold : t -> float -> unit
 (** Estimated dead ratio (in [0,1]) that a full store must reach before
     {!mk} collects rather than grows. Default 0.25. Raises
     [Invalid_argument] outside [0,1]. *)
-
-val gc_runs : t -> int
-(** Collections performed over the manager's lifetime. *)
-
-val gc_nodes_swept : t -> int
-(** Total nodes reclaimed over the manager's lifetime. *)
 
 val cache_find : t -> int -> int -> int -> int -> int
 (** [cache_find m op a b c] looks up the computed cache: the stored result

@@ -156,9 +156,7 @@ let rename_by m f r =
 
 let rename m f pairs = rename_by m f (renaming m pairs)
 
-let size_shared = M.dag_size
-
-let size m f = size_shared m [ f ]
+let size m f = M.dag_size m [ f ]
 
 let sat_count m f nvars =
   let memo = Hashtbl.create 64 in

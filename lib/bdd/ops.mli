@@ -78,9 +78,6 @@ val size : Manager.t -> int -> int
 (** Number of distinct decision nodes reachable from [f] (constants not
     counted). *)
 
-val size_shared : Manager.t -> int list -> int
-(** Node count of a list of BDDs with sharing counted once. *)
-
 val sat_count : Manager.t -> int -> int -> float
 (** [sat_count m f nvars] is the number of satisfying assignments of [f] over
     a space of [nvars] variables. *)

@@ -6,19 +6,14 @@
     rebuild-based analog of dynamic reordering: run it between phases when
     the current order has degraded. *)
 
-val migrate :
-  src:Manager.t -> dst:Manager.t -> var_map:(int -> int) -> int list -> int list
-(** Rebuild roots from [src] inside [dst], sending source variable [v] to
-    destination variable [var_map v] (which must exist in [dst]). Works for
-    any permutation. *)
-
 val reorder :
   Manager.t ->
   hyperedges:int list list ->
   int list ->
   Manager.t * int list * (int -> int)
 (** [reorder man ~hyperedges roots] creates a fresh manager ordered by a
-    FORCE-style heuristic, migrates the roots, and returns
+    FORCE-style heuristic, migrates the roots (rebuilds them there,
+    sending each variable to its new level), and returns
     [(new_manager, new_roots, var_map)]. Variable names are preserved.
 
     FORCE iteratively places each variable at the centre of gravity of the

@@ -28,8 +28,3 @@ let to_kiss2 (t : Machine.t) =
   List.iter (fun r -> pr "%s\n" r) rows;
   pr ".e\n";
   Buffer.contents buf
-
-let write_file path t =
-  let oc = open_out path in
-  output_string oc (to_kiss2 t);
-  close_out oc

@@ -1,6 +1,7 @@
 (** KISS2 interchange for the extracted machines (the FSM format of SIS /
     MVSIS / BALM, the toolchain of the paper). Write-only: machines are
-    written for those tools, and nothing here reads them back.
+    written for those tools, and nothing here reads them back. The
+    module makes the text; writing the file is the caller's.
 
     A Moore machine is emitted in the (Mealy-style) KISS2 row format with
     the source state's output on every outgoing row:
@@ -17,4 +18,3 @@
     v} *)
 
 val to_kiss2 : Machine.t -> string
-val write_file : string -> Machine.t -> unit

@@ -24,18 +24,6 @@ module Fault = struct
 
   type t = { kind : kind; mutable left : int }
 
-  let make ?(times = 1) kind =
-    if times < 1 then invalid_arg "Runtime.Fault.make: times < 1";
-    (match kind with
-     | Mk_fail n when n < 1 -> invalid_arg "Runtime.Fault.make: mk index < 1"
-     | Image_fail k when k < 1 ->
-       invalid_arg "Runtime.Fault.make: image index < 1"
-     | Mk_fail _ | Image_fail _ | Deadline_at _ -> ());
-    { kind; left = times }
-
-  let kind f = f.kind
-  let remaining f = f.left
-
   (* [fire f] consumes one charge; false once the fault is spent. *)
   let fire f =
     if f.left > 0 then begin
@@ -56,10 +44,10 @@ module Fault = struct
       match int_of_string_opt x with Some n when n > 0 -> Some n | _ -> None
     in
     let with_times kind = function
-      | [] -> Ok (make kind)
+      | [] -> Ok { kind; left = 1 }
       | [ t ] -> (
         match int_field t with
-        | Some times -> Ok (make ~times kind)
+        | Some left -> Ok { kind; left }
         | None -> fail ())
       | _ -> fail ()
     in
@@ -77,15 +65,6 @@ module Fault = struct
       | Some ph -> with_times (Deadline_at ph) rest
       | None -> fail ())
     | _ -> fail ()
-
-  let to_string f =
-    let base =
-      match f.kind with
-      | Mk_fail n -> Printf.sprintf "mk:%d" n
-      | Image_fail k -> Printf.sprintf "image:%d" k
-      | Deadline_at ph -> Printf.sprintf "deadline:%s" (phase_name ph)
-    in
-    if f.left = 1 then base else Printf.sprintf "%s:%d" base f.left
 end
 
 type t = {

@@ -4,8 +4,8 @@
     A {!t} owns the whole resource story of one [solve_split] call: the
     CPU deadline, the BDD node budget, the phase the solver is currently
     in, and an optional injected fault. Every long-running loop in the
-    solver calls {!tick}; image computations additionally call
-    {!tick_image}. Blow-ups surface as {!Exceeded} (deadline) or
+    solver ticks the runtime (through {!ticker}); image computations
+    call {!tick_image}. Blow-ups surface as {!Exceeded} (deadline) or
     {!Bdd.Manager.Node_limit_exceeded} (node budget / injected fault),
     which {!Solve.solve_split} converts into its graceful-degradation
     ladder and, ultimately, a structured "could not complete" outcome. *)
@@ -27,38 +27,24 @@ val phase_name : phase -> string
 (** Deterministic fault injection: make every failure path reachable in
     tests and from the CLI without relying on real blow-ups. *)
 module Fault : sig
-  type kind =
-    | Mk_fail of int
-        (** fail the Nth fresh node allocation after {!attach} with
-            {!Bdd.Manager.Node_limit_exceeded} *)
-    | Image_fail of int
-        (** raise {!Bdd.Manager.Node_limit_exceeded} at the Kth image
-            computation after {!attach} *)
-    | Deadline_at of phase
-        (** simulate deadline expiry ({!Exceeded}) on the first
-            tick inside the given phase *)
-
   type t
-
-  val make : ?times:int -> kind -> t
-  (** A fault that fires [times] times (default 1) and is inert
-      afterwards — so a retry after an injected failure can succeed
-      deterministically. Raises [Invalid_argument] on [times < 1] or a
-      non-positive allocation/image index. *)
-
-  val kind : t -> kind
-
-  val remaining : t -> int
-  (** Firings left; [0] once the fault is spent. *)
+  (** A fault that fires a number of times and is inert afterwards, so a
+      retry after an injected failure can succeed deterministically. *)
 
   val of_string : string -> (t, string) result
   (** Parse the fault syntax of the CLI's [LESOLVE_FAULT] variable:
-      [KIND:ARG[:TIMES]] where the forms are [mk:N], [image:K] and
-      [deadline:PHASE] with [PHASE] one of [build|subset|csf|verify]; the
-      optional [TIMES] field is the firing count. Examples: ["mk:5000"],
-      ["image:3:2"], ["deadline:csf"]. *)
+      [KIND:ARG[:TIMES]], where [TIMES] (default 1, positive) is the
+      firing count and the forms are:
+      - [mk:N]: fail the Nth fresh node allocation after {!attach} with
+        {!Bdd.Manager.Node_limit_exceeded};
+      - [image:K]: raise {!Bdd.Manager.Node_limit_exceeded} at the Kth
+        image computation after {!attach};
+      - [deadline:PHASE]: simulate deadline expiry ({!Exceeded}) on
+        entering [PHASE], one of [build|subset|csf|verify], or on the
+        first tick inside it.
 
-  val to_string : t -> string
+      [N] and [K] must be positive. Examples: ["mk:5000"], ["image:3:2"],
+      ["deadline:csf"]. *)
 end
 
 type t
@@ -87,15 +73,9 @@ val enter_phase : t -> phase -> unit
 
 val phase : t -> phase
 
-val tick : t -> unit
-(** The cheap strided check placed in every solver loop: fires a pending
-    [Deadline_at] fault for the current phase, and every 32nd call
-    compares [Sys.time ()] against the deadline, raising
-    {!Exceeded} past it. *)
-
 val tick_image : t -> unit
-(** {!tick} plus the per-attempt image counter; fires a pending
-    [Image_fail] fault. Call once per image computation. *)
+(** A tick (see {!ticker}) plus the per-attempt image counter; fires a
+    pending [image] fault. Call once per image computation. *)
 
 val note_subset_states : t -> int -> unit
 (** Record the number of subset states explored so far, so a failed
@@ -108,5 +88,7 @@ val images : t -> int
 (** Image computations since the last {!attach}. *)
 
 val ticker : t option -> unit -> unit
-(** [ticker (Some rt)] is [fun () -> tick rt]; [ticker None] is a no-op.
-    Convenience for code paths with an optional runtime. *)
+(** [ticker (Some rt)] is the cheap strided check placed in every solver
+    loop: each call fires a pending [deadline] fault for the current
+    phase, and every 32nd call compares [Sys.time ()] against the
+    deadline, raising {!Exceeded} past it. [ticker None] is a no-op. *)

@@ -20,7 +20,7 @@ val memo_splitter :
     [P] at any symbol of its guard; by construction all symbols of a
     guard share that cofactor. The enumeration picks each class's
     symbol with {!Bdd.Ops.pick_cube} and runs with garbage collection
-    frozen. With [runtime], {!Runtime.tick} runs once per enumerated
+    frozen. With [runtime], the runtime ticks once per enumerated
     successor class, so a state with very many classes still honours
     the budget.
 

@@ -209,18 +209,13 @@ let circuit_json { row; part_stats; mono_stats; _ } =
 
 let bench_json ?(time_limit = default_time_limit)
     ?(node_limit = default_node_limit) circuits =
-  Obs.Json.Obj
-    [ ("suite", Obs.Json.String "table1");
-      ("time_limit_s", Obs.Json.Float time_limit);
-      ("node_limit", Obs.Json.Int node_limit);
-      ("circuits", Obs.Json.List circuits) ]
-
-let write_bench_json ?time_limit ?node_limit path circuits =
-  let oc = open_out path in
-  output_string oc
-    (Obs.Json.to_string (bench_json ?time_limit ?node_limit circuits));
-  output_char oc '\n';
-  close_out oc
+  Obs.Json.to_string
+    (Obs.Json.Obj
+       [ ("suite", Obs.Json.String "table1");
+         ("time_limit_s", Obs.Json.Float time_limit);
+         ("node_limit", Obs.Json.Int node_limit);
+         ("circuits", Obs.Json.List circuits) ])
+  ^ "\n"
 
 let verify_row ?(time_limit = default_time_limit) { part; _ } =
   match part with

@@ -80,12 +80,12 @@ val print_attempts : Format.formatter -> row_result list -> unit
     first try. *)
 
 val circuit_json : row_result -> Obs.Json.t
-(** A row's entry in the ["circuits"] list of {!write_bench_json}. *)
+(** A row's entry in the ["circuits"] list of {!bench_json}. *)
 
-val write_bench_json :
-  ?time_limit:float -> ?node_limit:int -> string -> Obs.Json.t list -> unit
-(** Write the machine-readable baseline, plus a trailing newline, to a
-    file. It is made of the {!circuit_json} entries of the rows:
+val bench_json :
+  ?time_limit:float -> ?node_limit:int -> Obs.Json.t list -> string
+(** The text of the machine-readable baseline, with a trailing newline.
+    It is made of the {!circuit_json} entries of the rows:
     [{"suite":"table1", "time_limit_s":...,
     "node_limit":..., "circuits":[{"name":..., "time_s":..., "peak_nodes":...,
     "image_calls":..., "cache_hit_rate":..., "and_exists_lookups":...,

@@ -169,13 +169,6 @@ let build_netlist raw =
 
 let parse_string text = build_netlist (parse_raw text)
 
-let parse_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
-  parse_string text
-
 let to_string (t : Netlist.t) =
   let buf = Buffer.create 1024 in
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -224,8 +217,3 @@ let to_string (t : Netlist.t) =
     t.outputs;
   pr ".end\n";
   Buffer.contents buf
-
-let write_file path t =
-  let oc = open_out path in
-  output_string oc (to_string t);
-  close_out oc

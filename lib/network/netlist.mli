@@ -54,7 +54,6 @@ val net_name : t -> net -> string
 val num_inputs : t -> int
 val num_outputs : t -> int
 val num_latches : t -> int
-val num_nodes : t -> int
 
 val iter_topo : (net -> unit) -> t -> unit
 (** [iter_topo f t] applies [f] to every net in a topological order of

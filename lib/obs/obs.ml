@@ -111,10 +111,6 @@ module Counter = struct
   let on_read f = folds := f :: !folds
   let fold_pending () = List.iter (fun f -> f ()) !folds
 
-  let value c =
-    fold_pending ();
-    c.v
-
   let find name =
     fold_pending ();
     match Hashtbl.find_opt registry name with Some c -> c.v | None -> 0
@@ -139,7 +135,6 @@ module Gauge = struct
 
   let set_max c n = if n > c.v then c.v <- n
   let set c n = c.v <- n
-  let value c = c.v
 
   let find name =
     match Hashtbl.find_opt registry name with Some c -> c.v | None -> 0
@@ -213,16 +208,9 @@ module Trace = struct
     { seq = -1; wall = 0.0; depth = 0; kind = Point; name = ""; detail = "";
       dur = 0.0 }
 
-  let ring = ref (Array.make 4096 none)
+  let capacity = 4096
+  let ring = Array.make capacity none
   let n_recorded = ref 0
-
-  let set_capacity c =
-    let c = max c 16 in
-    ring := Array.make c none;
-    n_recorded := 0
-
-  let capacity () = Array.length !ring
-  let recorded () = !n_recorded
 
   let record ~kind ~name ~detail ~dur =
     let e =
@@ -230,16 +218,16 @@ module Trace = struct
         detail; dur }
     in
     incr n_recorded;
-    !ring.(e.seq mod Array.length !ring) <- e
+    ring.(e.seq mod capacity) <- e
 
   let point ?(detail = "") name =
     if !on then record ~kind:Point ~name ~detail ~dur:0.0
 
+  (* the retained window, oldest first *)
   let events () =
-    let cap = Array.length !ring in
     let n = !n_recorded in
-    let first = max 0 (n - cap) in
-    List.init (n - first) (fun k -> !ring.((first + k) mod cap))
+    let first = max 0 (n - capacity) in
+    List.init (n - first) (fun k -> ring.((first + k) mod capacity))
 
   let clear () = n_recorded := 0
 
@@ -271,9 +259,9 @@ module Trace = struct
     let evs = events () in
     Json.to_string
       (Json.Obj
-         [ ("recorded", Json.Int (recorded ()));
-           ("capacity", Json.Int (capacity ()));
-           ("dropped", Json.Int (max 0 (recorded () - List.length evs)));
+         [ ("recorded", Json.Int !n_recorded);
+           ("capacity", Json.Int capacity);
+           ("dropped", Json.Int (max 0 (!n_recorded - List.length evs)));
            ("events", Json.List (List.map event_json evs)) ])
 end
 
@@ -285,7 +273,6 @@ module Span = struct
 
   let stack : frame list ref = ref []
   let next_id = ref 0
-  let depth () = !cur_depth
 
   let enter name =
     if not !on then 0
@@ -412,8 +399,8 @@ module Stats = struct
               ) ] );
         ( "trace",
           Json.Obj
-            [ ("recorded", Json.Int (Trace.recorded ()));
-              ("capacity", Json.Int (Trace.capacity ())) ] );
+            [ ("recorded", Json.Int !Trace.n_recorded);
+              ("capacity", Json.Int Trace.capacity) ] );
         ("ocaml", ocaml) ]
 
   let snapshot () = Json.to_string (snapshot_json ())

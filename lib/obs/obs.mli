@@ -1,7 +1,7 @@
 (** Lightweight observability for the solver: monotonic counters, max
     gauges, accumulated wall/CPU timers, a span-scoped event trace in a
-    bounded ring buffer with a pluggable sink, and a hand-rolled JSON
-    snapshot — no dependencies beyond the compiler distribution.
+    bounded ring buffer, and a hand-rolled JSON snapshot — no
+    dependencies beyond the compiler distribution.
 
     The layer is process-global and disabled by default. Hot paths guard
     their updates with a single branch on {!on}, so the cost with stats
@@ -55,20 +55,15 @@ module Counter : sig
 
   val add : t -> int -> unit
 
-  val value : t -> int
-
   val find : string -> int
   (** Current value by name; [0] when no such counter is registered. *)
 
   val on_read : (unit -> unit) -> unit
-  (** Register a fold run before every read ({!value}, {!find}, {!all},
-      the snapshot) and before {!reset}. A hot path that tallies into
+  (** Register a fold run before every read ({!find}, the snapshot) and
+      before {!reset}. A hot path that tallies into
       its own array (one store per event, several counters derived from
       it) registers a function that adds the pending tallies to named
       counters and zeroes them. *)
-
-  val all : unit -> (string * int) list
-  (** All registered counters, sorted by name. *)
 end
 
 (** Named high-water-mark gauges. *)
@@ -82,7 +77,6 @@ module Gauge : sig
       guards with [!Obs.on]. *)
 
   val set : t -> int -> unit
-  val value : t -> int
   val find : string -> int
 end
 
@@ -92,44 +86,24 @@ end
 module Timer : sig
   val find : string -> (float * float * int) option
   (** [(wall_s, cpu_s, count)]. *)
-
-  val all : unit -> (string * (float * float * int)) list
 end
 
-(** The event trace: a bounded ring buffer of span enters/exits and
-    point events, timestamped against the last {!reset}. *)
+(** The event trace: a ring buffer of the last 4096 span enters/exits
+    and point events, timestamped against the last {!reset}. *)
 module Trace : sig
-  type kind = Enter | Exit | Point
-
-  type event = {
-    seq : int;  (** 0-based global sequence number *)
-    wall : float;  (** seconds since the last {!reset} *)
-    depth : int;  (** span-nesting depth at which the event occurred *)
-    kind : kind;
-    name : string;
-    detail : string;  (** free-form payload; [""] when absent *)
-    dur : float;  (** wall duration of the span; [0.] unless [Exit] *)
-  }
-
-  val set_capacity : int -> unit
-  (** Resize the ring buffer (dropping recorded events). The default
-      capacity is 4096 events; the minimum is 16. *)
-
-  val capacity : unit -> int
-
-  val recorded : unit -> int
-  (** Total events recorded since the last {!reset} — may exceed
-      {!capacity}, in which case the oldest were overwritten. *)
-
-  val events : unit -> event list
-  (** The retained window, oldest first. *)
-
   val point : ?detail:string -> string -> unit
   (** Record an instantaneous event at the current span depth. *)
 
   val to_json : unit -> string
   (** The retained window as a JSON object:
-      [{"recorded":N,"capacity":C,"dropped":D,"events":[...]}]. *)
+      [{"recorded":N,"capacity":4096,"dropped":D,"events":[...]}]:
+      [N] events were recorded since the last {!reset}, and the oldest
+      [D = max 0 (N - 4096)] of them were overwritten. Each event, oldest
+      first, is [{"seq","t","depth","kind","name"}] plus ["detail"] when
+      it has one and ["dur_s"] on an exit: its 0-based sequence number,
+      seconds since the last {!reset}, the span-nesting depth it occurred
+      at, ["enter"], ["exit"] or ["point"], and the span's wall
+      duration. *)
 end
 
 (** Scoped spans. [enter] pushes a frame; [exit] pops it, emitting an
@@ -146,14 +120,10 @@ module Span : sig
 
   val with_ : string -> (unit -> 'a) -> 'a
   (** [enter]/[exit] around the thunk, exception-safe. *)
-
-  val depth : unit -> int
 end
 
 (** Snapshots of everything above. *)
 module Stats : sig
-  val snapshot_json : unit -> Json.t
-
   val snapshot : unit -> string
   (** The full state as a JSON object:
       {[ { "enabled": bool,

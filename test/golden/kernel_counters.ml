@@ -55,9 +55,10 @@ let () =
         | Node_limit n ->
           (Printf.sprintf "%s@%dk" name (n / 1000), Some n, None)
         | Fault_rungs k ->
-          ( Printf.sprintf "%s@mk:40:%d" name k,
+          let fault = Printf.sprintf "mk:40:%d" k in
+          ( Printf.sprintf "%s@%s" name fault,
             None,
-            Some (Equation.Runtime.Fault.make ~times:k (Mk_fail 40)) )
+            Some (Result.get_ok (Equation.Runtime.Fault.of_string fault)) )
       in
       Obs.reset ();
       Obs.set_enabled true;

@@ -74,6 +74,16 @@ let check_same_function ?(nvars = default_nvars) msg m1 f1 m2 f2 =
       Alcotest.(check bool) msg (O.eval m1 f1 env) (O.eval m2 f2 env))
     (all_envs ~nvars ())
 
+(* run [f] with Obs on from a fresh window (every counter at zero), and
+   off again afterwards *)
+let with_obs f =
+  Obs.set_enabled true;
+  Obs.reset ();
+  Fun.protect ~finally:(fun () -> Obs.set_enabled false) f
+
+(* collections since the last [Obs.reset], while Obs is on *)
+let gc_runs () = Obs.Counter.find "bdd.gc.runs"
+
 let contains needle haystack =
   let n = String.length needle and h = String.length haystack in
   let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in

@@ -208,13 +208,6 @@ let test_limit_failure () =
     List.fold_left (fun acc v -> O.bxor m acc (O.var_bdd m v)) M.zero
       (List.init 10 Fun.id)
   in
-  let rs = M.Roots.create m in
-  ignore (M.Roots.add rs f : int);
-  ignore (M.collect m : int);
-  M.set_auto_gc m true;
-  M.set_gc_threshold m 0.0;
-  (* the pinned parity function fills the budget; var 15 is a fresh node *)
-  M.set_node_limit m (Some (M.live_nodes m));
   let reason = Alcotest.testable (fun fmt r ->
       Format.pp_print_string fmt
         (match r with
@@ -226,36 +219,42 @@ let test_limit_failure () =
     Alcotest.check_raises what M.Node_limit_exceeded (fun () ->
         ignore (f () : int))
   in
-  Alcotest.check reason "nothing raised yet" None (M.limit_failure m);
-  raises "live set" (fun () -> O.var_bdd m 15);
-  Alcotest.check reason "collected, still full" (Some M.Live_set)
-    (M.limit_failure m);
-  M.set_node_limit m (Some (M.live_nodes m));
-  Alcotest.check reason "set_node_limit clears" None (M.limit_failure m);
-  raises "frozen" (fun () -> M.with_frozen m (fun () -> O.var_bdd m 15));
-  Alcotest.check reason "frozen window" (Some M.Deferred) (M.limit_failure m);
-  M.set_auto_gc m false;
-  raises "auto-GC off" (fun () -> O.var_bdd m 15);
-  Alcotest.check reason "auto-GC off" (Some M.Deferred) (M.limit_failure m);
-  M.set_auto_gc m true;
-  M.set_gc_threshold m 0.5;
-  raises "dead ratio" (fun () -> O.var_bdd m 15);
-  Alcotest.check reason "dead ratio under threshold" (Some M.Deferred)
-    (M.limit_failure m);
-  M.set_gc_threshold m 0.0;
-  raises "live set again" (fun () -> O.var_bdd m 15);
-  (* unpinned, the parity function is swept by the next collection, so the
-     allocation gets past the limit and the hook raises *)
-  M.Roots.release m rs;
+  M.with_roots m (fun rs ->
+      ignore (M.Roots.add rs f : int);
+      ignore (M.collect m : int);
+      M.set_auto_gc m true;
+      M.set_gc_threshold m 0.0;
+      (* the pinned parity function fills the budget; var 15 is a fresh node *)
+      M.set_node_limit m (Some (M.live_nodes m));
+      Alcotest.check reason "nothing raised yet" None (M.limit_failure m);
+      raises "live set" (fun () -> O.var_bdd m 15);
+      Alcotest.check reason "collected, still full" (Some M.Live_set)
+        (M.limit_failure m);
+      M.set_node_limit m (Some (M.live_nodes m));
+      Alcotest.check reason "set_node_limit clears" None (M.limit_failure m);
+      raises "frozen" (fun () -> M.with_frozen m (fun () -> O.var_bdd m 15));
+      Alcotest.check reason "frozen window" (Some M.Deferred)
+        (M.limit_failure m);
+      M.set_auto_gc m false;
+      raises "auto-GC off" (fun () -> O.var_bdd m 15);
+      Alcotest.check reason "auto-GC off" (Some M.Deferred) (M.limit_failure m);
+      M.set_auto_gc m true;
+      M.set_gc_threshold m 0.5;
+      raises "dead ratio" (fun () -> O.var_bdd m 15);
+      Alcotest.check reason "dead ratio under threshold" (Some M.Deferred)
+        (M.limit_failure m);
+      M.set_gc_threshold m 0.0;
+      raises "live set again" (fun () -> O.var_bdd m 15));
+  (* unpinned by the end of the scope, the parity function is swept by the
+     next collection, so the allocation gets past the limit and the hook
+     raises *)
   M.set_alloc_hook m (Some (fun () -> raise M.Node_limit_exceeded));
   raises "hook" (fun () -> O.var_bdd m 15);
   Alcotest.check reason "hook raise" None (M.limit_failure m)
 
 let test_print () =
-  let m = fresh_man () in
-  M.set_var_name m 0 "a";
-  M.set_var_name m 1 "b";
-  let f = O.band m (O.var_bdd m 0) (O.bnot m (O.var_bdd m 1)) in
+  let m, a, b = Helpers.alphabet_man () in
+  let f = O.band m (O.var_bdd m a) (O.bnot m (O.var_bdd m b)) in
   Alcotest.(check string) "cube print" "a & !b" (Bdd.Print.to_string m f);
   Alcotest.(check string) "true" "true" (Bdd.Print.to_string m M.one);
   Alcotest.(check string) "false" "false" (Bdd.Print.to_string m M.zero);
@@ -269,15 +268,15 @@ let test_shared_size () =
   let g = fbuild m (F_and (F_var 1, F_var 2)) in
   (* shared size <= sum of sizes *)
   Alcotest.(check bool) "sharing bound" true
-    (O.size_shared m [ f; g ] <= O.size m f + O.size m g);
+    (M.dag_size m [ f; g ] <= O.size m f + O.size m g);
   Alcotest.(check int) "size of literal" 1 (O.size m (O.var_bdd m 3))
 
 let test_var_names () =
   let m = M.create () in
   let v = M.new_var ~name:"clk" m in
   Alcotest.(check string) "named" "clk" (M.var_name m v);
-  M.set_var_name m v "clock";
-  Alcotest.(check string) "renamed" "clock" (M.var_name m v);
+  Alcotest.(check (list string)) "prefixed" [ "cs0"; "cs1" ]
+    (List.map (M.var_name m) (M.new_vars ~prefix:"cs" m 2));
   Alcotest.(check string) "out of range" "?42" (M.var_name m 42)
 
 let test_cache_lossy_is_sound () =
@@ -661,7 +660,7 @@ let test_force_order_improves_shift_relation () =
   let before = O.size m rel in
   let hyperedges = List.map2 (fun a b -> [ a; b ]) ns cs in
   let dst, roots, _ = Bdd.Reorder.reorder m ~hyperedges [ rel ] in
-  let after = O.size_shared dst roots in
+  let after = M.dag_size dst roots in
   Alcotest.(check bool)
     (Printf.sprintf "reorder shrinks %d -> %d" before after)
     true (after < before)
@@ -833,10 +832,7 @@ let prop_ite_standard_triples =
       && semantics_agree m (F_or (f, h)) ffh
       && semantics_agree m (F_and (f, g)) fgf)
 
-let with_obs f =
-  Obs.set_enabled true;
-  Obs.reset ();
-  Fun.protect ~finally:(fun () -> Obs.set_enabled false) f
+let with_obs = Helpers.with_obs
 
 (* AND and OR key the computed cache with the smaller id first: the second
    operand order returns the same id from one cache probe that hits *)
@@ -941,8 +937,8 @@ let prop_support_reference =
         fs)
 
 (* [support] and [dag_size] mark nodes by moving their level; afterwards
-   every id of the store, constants and free slots included, must read
-   back the level it had before *)
+   every id up to the highest the walks can reach, constants and free
+   slots included, must read back the level it had before *)
 let prop_marks_cleared =
   QCheck.Test.make ~count:200 ~name:"support and dag_size leave no mark"
     QCheck.(pair config_arb
@@ -955,7 +951,12 @@ let prop_marks_cleared =
         M.zero :: M.one :: List.map (fun f -> pin m (fbuild m f)) fs
       in
       if cfg = Pressure then ignore (M.collect m : int);
-      let levels () = Array.init (M.store_size m) (M.var m) in
+      let rec top id =
+        if M.is_const id then id
+        else max id (max (top (M.low m id)) (top (M.high m id)))
+      in
+      let top = List.fold_left (fun acc r -> max acc (top r)) 0 roots in
+      let levels () = Array.init (top + 1) (M.var m) in
       let before = levels () in
       List.iter (fun r -> ignore (O.support m r : int list)) roots;
       ignore (M.dag_size m roots : int);
@@ -1088,11 +1089,12 @@ let prop_epoch_wrap =
     (* a seed has nothing to shrink *)
     (QCheck.make ~print:string_of_int QCheck.Gen.nat)
     (fun seed ->
+      Helpers.with_obs @@ fun () ->
       let rand = Random.State.make [| seed |] in
       let m = config_man Pressure in
       let ok = ref true and next = ref 1 in
-      while !ok && M.gc_runs m < 600 do
-        let runs = M.gc_runs m in
+      while !ok && Helpers.gc_runs () < 600 do
+        let runs = Helpers.gc_runs () in
         if runs >= !next then begin
           next := 2 * runs;
           ok := literal_round m rand
@@ -1162,21 +1164,23 @@ let prop_rename_reference =
     (fun (f, pairs) ->
       let run rename =
         let m = Helpers.fresh_man ~nvars:8 () in
-        let b = fbuild m f in
-        Obs.reset ();
-        Obs.set_enabled true;
-        let r =
-          Fun.protect
-            ~finally:(fun () -> Obs.set_enabled false)
-            (fun () -> rename m b pairs)
+        let r, mk_calls, created =
+          Helpers.with_obs (fun () ->
+              let b = fbuild m f in
+              let mk0 = Obs.Counter.find "bdd.mk_calls" in
+              let r = rename m b pairs in
+              ( r,
+                Obs.Counter.find "bdd.mk_calls" - mk0,
+                Obs.Counter.find "bdd.nodes_created" ))
         in
-        (* every node, in the order of creation *)
+        (* every node, in the order of creation: the manager never
+           collects, so its nodes are ids 2 to [created + 1] *)
         let store =
-          List.init (M.store_size m - 2) (fun i ->
+          List.init created (fun i ->
               let id = i + 2 in
               (M.var m id, M.low m id, M.high m id))
         in
-        (r, Obs.Counter.find "bdd.mk_calls", store)
+        (r, mk_calls, store)
       in
       run O.rename = run Reference.Rename.rename)
 
@@ -1195,7 +1199,9 @@ let prop_pick_cube =
             ~finally:(fun () -> Obs.set_enabled false)
             (fun () -> pick m b)
         in
-        (c, Obs.Counter.find "bdd.mk_calls", M.store_size m)
+        ( c,
+          Obs.Counter.find "bdd.mk_calls",
+          Obs.Counter.find "bdd.nodes_created" )
       in
       let vars = List.init nvars Fun.id in
       run (fun m b -> O.pick_cube m b vars)
@@ -1252,35 +1258,58 @@ let prop_compose_sequential =
           O.eval m simultaneous env = feval env' f)
         (all_envs ()))
 
+(* the literals of a cover row over [columns] *)
+let decode_row columns row =
+  List.concat
+    (List.mapi
+       (fun k v ->
+         match row.[k] with
+         | '1' -> [ (v, true) ]
+         | '0' -> [ (v, false) ]
+         | _ -> [])
+       columns)
+
+(* the ISOP cover of [b], one cube BDD per row of [cover_rows] *)
+let cover_cubes m b =
+  let columns = List.init nvars Fun.id in
+  List.map
+    (fun row -> O.cube_of_literals m (decode_row columns row))
+    (Bdd.Isop.cover_rows m ~columns b)
+
 let prop_isop_exact =
   QCheck.Test.make ~count:200 ~name:"isop cover rebuilds exactly f"
     (formula_arb nvars) (fun f ->
       let m = fresh_man () in
       let b = fbuild m f in
-      Bdd.Isop.cover_bdd m (Bdd.Isop.cover m b) = b)
+      O.disj m (cover_cubes m b) = b)
 
+(* [cover_rows] starts the ISOP recursion on the interval [f, f], and the
+   recursion narrows it to sub-intervals (L, U) with L strictly below U:
+   every cube must lie inside U, so inside f, and name only variables of
+   f's support (the rebuild above checks that the cubes cover L) *)
 let prop_isop_interval =
   QCheck.Test.make ~count:200 ~name:"isop respects the (L,U) interval"
-    QCheck.(pair (formula_arb nvars) (formula_arb nvars))
-    (fun (f, g) ->
+    (formula_arb nvars) (fun f ->
       let m = fresh_man () in
-      let bf = fbuild m f and bg = fbuild m g in
-      let lower = O.band m bf bg in
-      let upper = O.bor m bf bg in
-      let cov = Bdd.Isop.cover_bdd m (Bdd.Isop.isop m lower upper) in
-      O.bdiff m lower cov = M.zero && O.bdiff m cov upper = M.zero)
+      let b = fbuild m f in
+      let support = O.support m b in
+      List.for_all
+        (fun c ->
+          O.bdiff m c b = M.zero
+          && List.for_all (fun v -> List.mem v support) (O.support m c))
+        (cover_cubes m b))
 
 let prop_isop_irredundant =
   QCheck.Test.make ~count:100 ~name:"isop cover is irredundant"
     (formula_arb 4) (fun f ->
       let m = fresh_man () in
       let b = fbuild m f in
-      let cover = Bdd.Isop.cover m b in
+      let cover = cover_cubes m b in
       (* dropping any single cube loses some minterm of f *)
       List.for_all
         (fun cube ->
-          let rest = List.filter (fun c -> c != cube) cover in
-          Bdd.Isop.cover_bdd m rest <> b)
+          let rest = List.filter (fun c -> c <> cube) cover in
+          O.disj m rest <> b)
         cover
       || cover = [])
 
@@ -1298,18 +1327,12 @@ let prop_cover_rows =
         |> List.sort compare |> List.map snd
       in
       let rows = Bdd.Isop.cover_rows m ~columns b in
-      let decode row =
-        List.concat
-          (List.mapi
-             (fun k v ->
-               match row.[k] with
-               | '1' -> [ (v, true) ]
-               | '0' -> [ (v, false) ]
-               | _ -> [])
-             columns)
-      in
       List.for_all (fun row -> String.length row = nvars) rows
-      && Bdd.Isop.cover_bdd m (List.map decode rows) = b)
+      && O.disj m
+           (List.map
+              (fun row -> O.cube_of_literals m (decode_row columns row))
+              rows)
+         = b)
 
 let prop_cubes_partition =
   QCheck.Test.make ~count:150 ~name:"cubes are disjoint and cover f"

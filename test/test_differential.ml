@@ -62,8 +62,9 @@ let mismatch_clustering p =
    often by a deliberately tiny initial store and a near-zero dead-ratio
    threshold) must produce a CSF language-equivalent to a grow-only solve
    of the same problem on the same manager. Collections performed across
-   all instances are accumulated so the test can reject a vacuous pass
-   where the collector never actually ran. *)
+   all instances (the kernel's [bdd.gc.runs] counter, with Obs on for the
+   collecting solve) are accumulated so the test can reject a vacuous
+   pass where the collector never actually ran. *)
 let gc_collections = ref 0
 
 let mismatch_gc p =
@@ -79,8 +80,12 @@ let mismatch_gc p =
     Helpers.partitioned_csf prob
   in
   let reference = csf_with false in
-  let collected = csf_with true in
-  gc_collections := !gc_collections + Bdd.Manager.gc_runs man;
+  let collected =
+    Helpers.with_obs (fun () ->
+        let x = csf_with true in
+        gc_collections := !gc_collections + Helpers.gc_runs ();
+        x)
+  in
   if not (Fsa.Language.equivalent reference collected) then
     Some
       (Printf.sprintf
@@ -177,7 +182,7 @@ let test_flows_agree () =
     Alcotest.(check bool)
       (Printf.sprintf "instance %d: peak nodes positive" i)
       true
-      (Obs.Gauge.find "bdd.peak_nodes" > 0);
+      (Obs.Gauge.find "bdd.peak_resident" > 0);
     prev := (mk, img, states)
   done;
   Alcotest.(check bool) "cache hits bounded by lookups" true

@@ -77,6 +77,9 @@ let test_sweep_and_reuse () =
   in
   Alcotest.(check bool) "the doomed function has own nodes" true (dead <> []);
   make_garbage m 50;
+  (* a node over a variable no node uses yet is new, and no id was freed
+     yet: it takes the highest id of the store *)
+  let top = O.var_bdd m (M.new_var m) in
   let swept = M.collect m in
   Alcotest.(check bool) "something was swept" true (swept >= List.length dead);
   (* no swept id is reachable from the pinned root... *)
@@ -99,13 +102,16 @@ let test_sweep_and_reuse () =
   (* ...the function is intact... *)
   Alcotest.(check (list bool)) "truth table preserved" tt_before
     (truth_table m f);
-  (* ...and a fresh allocation consumes the free list instead of growing *)
-  let size0 = M.store_size m in
-  let free0 = M.free_nodes m in
-  Alcotest.(check bool) "free list populated" true (free0 >= swept);
+  (* ...and fresh allocations take swept ids instead of growing the store:
+     [h] shares no node with [f], so all of its nodes are new *)
   let h = O.band m (O.var_bdd m 3) (O.var_bdd m 4) in
-  Alcotest.(check int) "store did not grow" size0 (M.store_size m);
-  Alcotest.(check bool) "free list consumed" true (M.free_nodes m < free0);
+  Hashtbl.iter
+    (fun id () ->
+      Alcotest.(check bool)
+        (Printf.sprintf "new node %d takes a swept id" id)
+        true
+        (id <= top && not (Hashtbl.mem live_before id)))
+    (reachable m h);
   Alcotest.(check bool) "recycled node works" true
     (O.eval m h (fun v -> v = 3 || v = 4))
 
@@ -146,16 +152,16 @@ let test_collect_inside_frozen_rejected () =
       M.with_frozen m (fun () -> M.collect m))
 
 let test_frozen_defers_auto_gc () =
+  Helpers.with_obs @@ fun () ->
   let m = tiny_man () in
   M.set_gc_threshold m 0.0;
-  let runs0 = M.gc_runs m in
   (* enough churn to overflow a 64-slot store many times over *)
   M.with_frozen m (fun () -> make_garbage m 200);
-  Alcotest.(check int) "no collection while frozen" runs0 (M.gc_runs m);
+  Alcotest.(check int) "no collection while frozen" 0 (Helpers.gc_runs ());
   (* fresh chains after the thaw refill the grown store until it collects *)
   make_garbage ~salt:10_000 m 500;
   Alcotest.(check bool) "collections resume after thaw" true
-    (M.gc_runs m > runs0)
+    (Helpers.gc_runs () > 0)
 
 (* --- pin discipline ----------------------------------------------------------- *)
 
@@ -185,21 +191,50 @@ let test_roots_set_scoped () =
       ignore (M.collect m : int);
       Alcotest.(check (list bool)) "pinned via the set" !tt (truth_table m !f));
   (* the scope released the set: the function is garbage now *)
-  let size_before = M.store_size m in
+  let ids = reachable m !f in
   let swept = M.collect m in
-  Alcotest.(check bool) "released roots are swept" true (swept > 0);
-  Alcotest.(check int) "sweep is in place" size_before (M.store_size m)
+  Alcotest.(check bool) "released roots are swept" true
+    (swept >= Hashtbl.length ids);
+  (* nothing is live, so the lowest swept id is reused first: the sweep
+     was in place, and the new node does not grow the store *)
+  let lowest = Hashtbl.fold (fun id () acc -> min id acc) ids max_int in
+  Alcotest.(check bool) "sweep is in place" true
+    (M.mk m 4 M.zero M.one <= lowest)
+
+(* the scope releases its set when the body raises, too: a function pinned
+   only inside it survives a collection there and is swept by the next
+   one after the exception *)
+let test_roots_released_on_raise () =
+  let m = Helpers.fresh_man ~nvars () in
+  let f = ref M.zero in
+  (match
+     M.with_roots m (fun rs ->
+         f := M.Roots.add rs (majority m);
+         make_garbage m 30;
+         ignore (M.collect m : int);
+         Alcotest.(check int) "pinned via the set while the body runs"
+           (2 + Hashtbl.length (reachable m !f))
+           (M.live_nodes m);
+         failwith "the body raises")
+   with
+   | () -> Alcotest.fail "with_roots lost the body's exception"
+   | exception Failure _ -> ());
+  let ids = Hashtbl.length (reachable m !f) in
+  let swept = M.collect m in
+  Alcotest.(check bool) "released on the raise: swept" true (swept >= ids);
+  Alcotest.(check int) "only the constants live" 2 (M.live_nodes m)
 
 let test_auto_gc_respects_pins () =
   (* a tiny store forced through many automatic collections must never
      corrupt the pinned function *)
+  Helpers.with_obs @@ fun () ->
   let m = tiny_man () in
   M.set_gc_threshold m 0.0;
   let f = majority m in
   M.protect m f;
   let tt = truth_table m f in
   make_garbage m 500;
-  Alcotest.(check bool) "the collector ran" true (M.gc_runs m > 0);
+  Alcotest.(check bool) "the collector ran" true (Helpers.gc_runs () > 0);
   Alcotest.(check (list bool)) "pinned function intact" tt (truth_table m f)
 
 (* After [Quantify.and_exists_list], [Image.forward] and [Reach.fixpoint]
@@ -217,21 +252,21 @@ let test_loops_leave_only_caller_pins () =
     (* [of_netlist] protects the network's functions for good *)
     let sym = S.of_netlist m (Circuits.Generators.counter 4) in
     let parts = Img.Partition.of_functions m (S.transition_parts sym) in
-    let rs = M.Roots.create m in
-    List.iter (fun f -> ignore (M.Roots.add rs f : int)) parts;
+    List.iter (M.protect m) parts;
     if gc then begin
       M.set_auto_gc m true;
       M.set_gc_threshold m 0.0
     end;
-    (m, sym, parts, rs)
+    (m, sym, parts)
   in
-  let m, sym, parts, rs = setup ~gc:true in
-  let m0, sym0, parts0, _ = setup ~gc:false in
+  Helpers.with_obs @@ fun () ->
+  let m, sym, parts = setup ~gc:true in
+  let m0, sym0, parts0 = setup ~gc:false in
   let state5 =
-    M.Roots.add rs
-      (O.cube_of_literals m
-         (List.mapi (fun k v -> (v, (5 lsr k) land 1 = 1)) sym.S.state_vars))
+    O.cube_of_literals m
+      (List.mapi (fun k v -> (v, (5 lsr k) land 1 = 1)) sym.S.state_vars)
   in
+  M.protect m state5;
   let pins =
     state5 :: sym.S.init_cube :: parts
     @ sym.S.next_fns @ List.map snd sym.S.output_fns
@@ -287,8 +322,9 @@ let test_loops_leave_only_caller_pins () =
   only_pins_live "fixpoint, Met_bad";
   Alcotest.(check bool)
     (Printf.sprintf "collections inside the loops (%d runs, 4 explicit)"
-       (M.gc_runs m))
-    true (M.gc_runs m > 4)
+       (Helpers.gc_runs ()))
+    true
+    (Helpers.gc_runs () > 4)
 
 (* --- the node limit bounds live nodes ----------------------------------------- *)
 
@@ -308,11 +344,13 @@ let test_node_limit_is_live_count () =
       done)
 
 let test_gc_off_grows_only () =
+  Helpers.with_obs @@ fun () ->
   let m = tiny_man () in
   M.set_auto_gc m false;
   make_garbage m 300;
-  Alcotest.(check int) "no collections" 0 (M.gc_runs m);
-  Alcotest.(check bool) "the store grew instead" true (M.store_size m > 64)
+  Alcotest.(check int) "no collections" 0 (Helpers.gc_runs ());
+  Alcotest.(check bool) "the store grew instead" true
+    (Obs.Counter.find "bdd.nodes.grows" > 0)
 
 (* --- caches and GC ------------------------------------------------------------ *)
 
@@ -360,11 +398,13 @@ let test_collect_invalidates_entries () =
 
 (* --- [mk]'s insert path under collection pressure ------------------------------ *)
 
-(* pin [f] in a root set of its own, so that it can be released alone *)
-let pin_alone m f =
-  let s = M.Roots.create m in
-  ignore (M.Roots.add s f : int);
-  s
+(* pin exactly the kept functions ([root] picks a function out of an
+   entry) on the operand stack, whatever it held before: called between
+   operations, where dropping every operand pin is sound, each time the
+   kept set changes, so the oldest entry can be released first *)
+let repin m root kept =
+  M.reset_op_stack m;
+  Queue.iter (fun k -> M.stack_push m (root k)) kept
 
 (* a random function over [nv] variables, with every intermediate pinned on
    the operand stack so collections inside [mk] are sound; after an
@@ -393,6 +433,7 @@ let rec pinned_random m rng nv depth =
    limit and then fail. Each collection runs under a pending insertion,
    which must still land on the unique-table slot its probe found. *)
 let test_insert_under_pressure () =
+  Helpers.with_obs @@ fun () ->
   let nv = 8 in
   let m = M.create ~initial_capacity:16 () in
   ignore (M.new_vars m nv : int list);
@@ -402,11 +443,12 @@ let test_insert_under_pressure () =
   let rng = Random.State.make [| 11 |] in
   let envs = Helpers.all_envs ~nvars:nv () in
   let tt f = List.map (O.eval m f) envs in
-  (* pinned roots, each with its root set and truth table *)
+  (* pinned roots, each with its truth table *)
   let kept = Queue.create () in
+  let repin () = repin m fst kept in
   let release_oldest () =
-    let s, _, _ = Queue.pop kept in
-    M.Roots.release m s
+    ignore (Queue.pop kept : int * bool list);
+    repin ()
   in
   let recounts = ref 0 and limit_hits = ref 0 in
   (* a misplaced insertion is healed by the next table rebuild, so
@@ -414,7 +456,7 @@ let test_insert_under_pressure () =
   let check_canonical what =
     let live = Hashtbl.create 256 in
     Queue.iter
-      (fun (_, f, _) -> Hashtbl.iter (Hashtbl.replace live) (reachable m f))
+      (fun (f, _) -> Hashtbl.iter (Hashtbl.replace live) (reachable m f))
       kept;
     Hashtbl.iter
       (fun id () ->
@@ -428,7 +470,7 @@ let test_insert_under_pressure () =
     incr recounts;
     let live = check_canonical what in
     Queue.iter
-      (fun (_, f, t) ->
+      (fun (f, t) ->
         Alcotest.(check (list bool)) (what ^ ": function unchanged") t (tt f))
       kept;
     ignore (M.collect m : int);
@@ -438,15 +480,17 @@ let test_insert_under_pressure () =
   for step = 1 to 400 do
     match pinned_random m rng nv 4 with
     | f ->
-      let s = pin_alone m f in
-      Queue.add (s, f, tt f) kept;
+      Queue.add (f, tt f) kept;
+      repin ();
       if Queue.length kept > 12 then release_oldest ();
       let what = Printf.sprintf "step %d" step in
       if step mod 50 = 0 then check_consistent what
       else ignore (check_canonical what : (int, unit) Hashtbl.t)
     | exception M.Node_limit_exceeded ->
       incr limit_hits;
-      M.reset_op_stack m;
+      (* drops the pins the failed construction left, and pins the kept
+         functions again *)
+      repin ();
       check_consistent (Printf.sprintf "limit hit at step %d" step);
       (* make room: drop the older half of the kept functions *)
       for _ = 1 to Queue.length kept / 2 do
@@ -456,19 +500,28 @@ let test_insert_under_pressure () =
   Alcotest.(check bool) "the node limit was hit" true (!limit_hits > 0);
   Alcotest.(check bool)
     (Printf.sprintf "collections inside mk (%d runs, %d explicit)"
-       (M.gc_runs m) !recounts)
+       (Helpers.gc_runs ()) !recounts)
     true
-    (M.gc_runs m > 2 * !recounts)
+    (Helpers.gc_runs () > 2 * !recounts)
 
 (* Random operations on a 16-slot store that collects at nearly every
    store-full [mk] (threshold 0), so swept ids are reused and the unique
    table fills with stale entries. Afterwards every live node is found
    under its own triple and no two live nodes share one; then one [mk] at
-   a time until a same-size rebuild (a purge) happens, which must leave
-   exactly the live decision nodes in the table. *)
+   a time over two same-size rebuilds (purges): the first must leave
+   exactly the resident decision nodes in the table. That shows in when
+   the second comes: a fresh node takes one more slot, a collection frees
+   none, and a purge runs on the insertion that fills more than 3/4 of
+   the slots. So after a purge that left [n] entries in [size] slots, the
+   next purge comes on fresh node [3 * size / 4 + 1 - n], unless the
+   table grows first (a growth rebuilds it too). The table's size is the
+   [bdd.mem.unique_bytes] gauge over 4 bytes a slot; the table never
+   shrinks, so the gauge, a maximum since the manager was made, is its
+   current size. *)
 let prop_unique_table_under_reuse =
   QCheck.Test.make ~count:50 ~name:"unique table under collections and id reuse"
     QCheck.small_nat (fun seed ->
+      Helpers.with_obs @@ fun () ->
       let nv = 8 in
       let m = M.create ~initial_capacity:16 () in
       ignore (M.new_vars m nv : int list);
@@ -478,13 +531,14 @@ let prop_unique_table_under_reuse =
       let kept = Queue.create () in
       for _ = 1 to 40 do
         let f = pinned_random m rng nv 3 in
-        Queue.add (pin_alone m f, f) kept;
-        if Queue.length kept > 6 then M.Roots.release m (fst (Queue.pop kept))
+        Queue.add f kept;
+        if Queue.length kept > 6 then ignore (Queue.pop kept : int);
+        repin m Fun.id kept
       done;
       ignore (M.collect m : int);
       let live = Hashtbl.create 256 in
       Queue.iter
-        (fun (_, f) -> Hashtbl.iter (Hashtbl.replace live) (reachable m f))
+        (fun f -> Hashtbl.iter (Hashtbl.replace live) (reachable m f))
         kept;
       let triples = Hashtbl.create 256 in
       let canonical =
@@ -496,27 +550,34 @@ let prop_unique_table_under_reuse =
             ok && fresh && M.mk m v lo hi = id)
           live true
       in
-      Obs.set_enabled true;
-      Obs.reset ();
-      Fun.protect ~finally:(fun () -> Obs.set_enabled false) @@ fun () ->
       let purges () = Obs.Counter.find "bdd.unique.purges" in
-      let after_purge = ref None and i = ref 0 in
-      while !after_purge = None && !i < 20_000 do
+      let growths () = Obs.Counter.find "bdd.unique.rehashes" in
+      let created () = Obs.Counter.find "bdd.nodes_created" in
+      let slots () = Obs.Gauge.find "bdd.mem.unique_bytes" / 4 in
+      (* after a purge: the nodes created so far, and the fresh node that
+         must bring the next purge *)
+      let since = ref None and verdict = ref None and i = ref 0 in
+      while !verdict = None && !i < 20_000 do
         (* a fresh minterm chain, one [mk] at a time *)
         let f = ref M.one in
         for v = nv - 1 downto 0 do
-          let p = purges () in
+          let p = purges () and g = growths () in
           f :=
             if (!i lsr v) land 1 = 1 then M.mk m v M.zero !f
             else M.mk m v !f M.zero;
-          if !after_purge = None && purges () > p then
-            after_purge := Some (M.unique_occupied m, M.live_nodes m - 2)
+          if !verdict = None then
+            if growths () > g then since := None
+            else if purges () > p then begin
+              (match !since with
+               | Some (c0, due) -> verdict := Some (created () - c0 = due)
+               | None -> ());
+              since :=
+                Some (created (), (3 * slots () / 4) + 1 - (M.live_nodes m - 2))
+            end
         done;
         incr i
       done;
-      match !after_purge with
-      | None -> false
-      | Some (occupied, live_decision) -> canonical && occupied = live_decision)
+      match !verdict with None -> false | Some on_time -> canonical && on_time)
 
 (* Random [mk]/[collect] rounds on a store that starts at 16 slots: the
    kept set grows round by round, so the unique table doubles, and the
@@ -540,7 +601,7 @@ let prop_unique_slots_under_growth =
       let same_ids () =
         let live = Hashtbl.create 256 in
         Queue.iter
-          (fun (_, f) -> Hashtbl.iter (Hashtbl.replace live) (reachable m f))
+          (fun f -> Hashtbl.iter (Hashtbl.replace live) (reachable m f))
           kept;
         Hashtbl.fold
           (fun id () ok ->
@@ -551,10 +612,13 @@ let prop_unique_slots_under_growth =
       for round = 1 to 30 do
         for _ = 1 to 4 do
           let f = pinned_random m rng nv 4 in
-          Queue.add (pin_alone m f, f) kept
+          Queue.add f kept;
+          repin m Fun.id kept
         done;
-        if Queue.length kept > 2 * round then
-          M.Roots.release m (fst (Queue.pop kept));
+        if Queue.length kept > 2 * round then begin
+          ignore (Queue.pop kept : int);
+          repin m Fun.id kept
+        end;
         if round mod 3 = 0 then ignore (M.collect m : int);
         ok := !ok && same_ids ()
       done;
@@ -646,7 +710,9 @@ let () =
           Alcotest.test_case "auto-GC respects pins" `Quick
             test_auto_gc_respects_pins;
           Alcotest.test_case "loops leave only the caller's pins" `Quick
-            test_loops_leave_only_caller_pins ] );
+            test_loops_leave_only_caller_pins;
+          Alcotest.test_case "root set released when the body raises" `Quick
+            test_roots_released_on_raise ] );
       ( "limits",
         [ Alcotest.test_case "node limit bounds live nodes" `Quick
             test_node_limit_is_live_count;

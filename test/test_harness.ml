@@ -85,8 +85,7 @@ let test_split_successors_single () =
    [Invalid_argument] naming the offending symbol. *)
 let test_split_successors_overlap_rejected () =
   let man = M.create () in
-  ignore (M.new_vars man 1 : int list);
-  M.set_var_name man 0 "a";
+  ignore (M.new_var ~name:"a" man : int);
   let p = O.var_bdd man 0 in
   let ns_cube = O.cube_of_vars man [ 0 ] in
   let domain = O.exists man ns_cube p in

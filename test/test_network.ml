@@ -56,7 +56,8 @@ let test_netlist_counts () =
   Alcotest.(check int) "inputs" 1 (N.num_inputs net);
   Alcotest.(check int) "outputs" 1 (N.num_outputs net);
   Alcotest.(check int) "latches" 1 (N.num_latches net);
-  Alcotest.(check int) "nodes" 1 (N.num_nodes net)
+  Alcotest.(check string) "nodes" "toggle: 1 inputs, 1 outputs, 1 latches, 1 nodes"
+    (Format.asprintf "%a" N.pp_stats net)
 
 let test_netlist_step () =
   let net = toggle_net () in

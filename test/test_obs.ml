@@ -7,12 +7,17 @@
 module E = Equation
 module G = Circuits.Generators
 
-(* --- a minimal JSON syntax checker (the emitter is hand-rolled; assert
-   its output actually parses) ----------------------------------------- *)
+(* --- a minimal JSON parser (the emitter is hand-rolled; assert its
+   output actually parses, and read snapshots and traces back) -------- *)
 
-let json_valid s =
+module J = Obs.Json
+
+(* [Some v] when [s] is one JSON value; a number with a fraction or an
+   exponent is a [Float], any other an [Int] *)
+let json_parse s =
   let n = String.length s in
   let pos = ref 0 in
+  let exception Bad in
   let peek () = if !pos < n then Some s.[!pos] else None in
   let skip_ws () =
     while
@@ -28,118 +33,183 @@ let json_valid s =
     | Some d when d = c -> incr pos; true
     | _ -> false
   in
+  let need c = if not (expect c) then raise Bad in
   let rec value () =
     skip_ws ();
     match peek () with
     | Some '{' -> obj ()
     | Some '[' -> arr ()
-    | Some '"' -> string_lit ()
+    | Some '"' -> J.String (string_lit ())
     | Some ('t' | 'f' | 'n') -> keyword ()
     | Some ('-' | '0' .. '9') -> number ()
-    | _ -> false
+    | _ -> raise Bad
   and obj () =
     incr pos;
     skip_ws ();
-    if expect '}' then true
+    if expect '}' then J.Obj []
     else
-      let rec members () =
+      let rec members acc =
         skip_ws ();
-        if not (string_lit ()) then false
+        let key = string_lit () in
+        skip_ws ();
+        need ':';
+        let v = value () in
+        skip_ws ();
+        if expect ',' then members ((key, v) :: acc)
         else begin
-          skip_ws ();
-          if not (expect ':') then false
-          else if not (value ()) then false
-          else begin
-            skip_ws ();
-            if expect ',' then members () else expect '}'
-          end
+          need '}';
+          J.Obj (List.rev ((key, v) :: acc))
         end
       in
-      members ()
+      members []
   and arr () =
     incr pos;
     skip_ws ();
-    if expect ']' then true
+    if expect ']' then J.List []
     else
-      let rec elems () =
-        if not (value ()) then false
+      let rec elems acc =
+        let v = value () in
+        skip_ws ();
+        if expect ',' then elems (v :: acc)
         else begin
-          skip_ws ();
-          if expect ',' then elems () else expect ']'
+          need ']';
+          J.List (List.rev (v :: acc))
         end
       in
-      elems ()
+      elems []
   and string_lit () =
-    if not (expect '"') then false
-    else begin
-      let ok = ref true and closed = ref false in
-      while !ok && not !closed do
-        match peek () with
-        | None -> ok := false
-        | Some '"' -> incr pos; closed := true
-        | Some '\\' ->
-          incr pos;
-          (match peek () with
-           | Some ('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') -> incr pos
-           | Some 'u' ->
-             incr pos;
-             let hex = ref 0 in
-             while
-               !hex < 4
-               &&
-               match peek () with
-               | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') ->
-                 incr pos; incr hex; true
-               | _ -> false
-             do
-               ()
-             done;
-             if !hex <> 4 then ok := false
-           | _ -> ok := false)
-        | Some c when Char.code c < 0x20 -> ok := false
-        | Some _ -> incr pos
-      done;
-      !ok && !closed
-    end
-  and keyword () =
-    let try_kw kw =
-      let k = String.length kw in
-      !pos + k <= n && String.sub s !pos k = kw && (pos := !pos + k; true)
+    need '"';
+    let buf = Buffer.create 16 in
+    let rec go () =
+      match peek () with
+      | None -> raise Bad
+      | Some '"' -> incr pos
+      | Some '\\' ->
+        incr pos;
+        (match peek () with
+         | Some ('"' | '\\' | '/' as c) -> Buffer.add_char buf c; incr pos
+         | Some 'b' -> Buffer.add_char buf '\b'; incr pos
+         | Some 'f' -> Buffer.add_char buf '\012'; incr pos
+         | Some 'n' -> Buffer.add_char buf '\n'; incr pos
+         | Some 'r' -> Buffer.add_char buf '\r'; incr pos
+         | Some 't' -> Buffer.add_char buf '\t'; incr pos
+         | Some 'u' ->
+           incr pos;
+           if !pos + 4 > n then raise Bad;
+           (match int_of_string_opt ("0x" ^ String.sub s !pos 4) with
+            | Some c when c < 0x80 -> Buffer.add_char buf (Char.chr c)
+            | Some _ -> Buffer.add_char buf '?'
+            | None -> raise Bad);
+           pos := !pos + 4
+         | _ -> raise Bad);
+        go ()
+      | Some c when Char.code c < 0x20 -> raise Bad
+      | Some c ->
+        Buffer.add_char buf c;
+        incr pos;
+        go ()
     in
-    try_kw "true" || try_kw "false" || try_kw "null"
+    go ();
+    Buffer.contents buf
+  and keyword () =
+    let try_kw kw v =
+      let k = String.length kw in
+      if !pos + k <= n && String.sub s !pos k = kw then begin
+        pos := !pos + k;
+        Some v
+      end
+      else None
+    in
+    match try_kw "true" (J.Bool true) with
+    | Some v -> v
+    | None -> (
+      match try_kw "false" (J.Bool false) with
+      | Some v -> v
+      | None -> (
+        match try_kw "null" J.Null with Some v -> v | None -> raise Bad))
   and number () =
+    let start = !pos in
     let digits () =
       let saw = ref false in
       while match peek () with Some '0' .. '9' -> true | _ -> false do
         incr pos; saw := true
       done;
-      !saw
+      if not !saw then raise Bad
     in
     ignore (expect '-');
-    if not (digits ()) then false
-    else begin
-      (if expect '.' then ignore (digits ()));
-      (match peek () with
-       | Some ('e' | 'E') ->
-         incr pos;
-         ignore (expect '+' || expect '-');
-         ignore (digits ())
-       | _ -> ());
-      true
-    end
+    digits ();
+    let frac = expect '.' in
+    if frac then digits ();
+    let exp =
+      match peek () with
+      | Some ('e' | 'E') ->
+        incr pos;
+        ignore (expect '+' || expect '-');
+        digits ();
+        true
+      | _ -> false
+    in
+    let text = String.sub s start (!pos - start) in
+    if frac || exp then J.Float (float_of_string text)
+    else J.Int (int_of_string text)
   in
-  let ok = value () in
-  skip_ws ();
-  ok && !pos = n
+  match value () with
+  | v ->
+    skip_ws ();
+    if !pos = n then Some v else None
+  | exception Bad -> None
 
 let check_json what s =
-  Alcotest.(check bool) (what ^ " is valid JSON") true (json_valid s)
+  Alcotest.(check bool) (what ^ " is valid JSON") true (json_parse s <> None)
 
-(* run [f] with observability enabled and a clean slate, then disable *)
-let with_obs f =
-  Obs.set_enabled true;
-  Obs.reset ();
-  Fun.protect ~finally:(fun () -> Obs.set_enabled false) f
+(* the member [key] of a JSON object *)
+let member key = function
+  | J.Obj fields -> (
+    match List.assoc_opt key fields with
+    | Some v -> v
+    | None -> Alcotest.failf "no member %S" key)
+  | _ -> Alcotest.failf "not an object where %S was looked up" key
+
+let int_of = function J.Int n -> n | _ -> Alcotest.fail "not an integer"
+
+let parse what s =
+  match json_parse s with
+  | Some v -> v
+  | None -> Alcotest.failf "%s is not valid JSON" what
+
+(* the snapshot, read back *)
+let snapshot () = parse "snapshot" (Obs.Stats.snapshot ())
+
+(* the names in one of the snapshot's objects, in order *)
+let snapshot_names section =
+  match member section (snapshot ()) with
+  | J.Obj fields -> List.map fst fields
+  | _ -> Alcotest.failf "%s is not an object" section
+
+(* the trace, read back: the retained events as (seq, depth, kind, name),
+   and the whole object *)
+let trace () = parse "trace" (Obs.Trace.to_json ())
+
+let trace_events () =
+  match member "events" (trace ()) with
+  | J.List evs ->
+    List.map
+      (fun e ->
+        ( int_of (member "seq" e),
+          int_of (member "depth" e),
+          (match member "kind" e with J.String k -> k | _ -> "?"),
+          match member "name" e with J.String k -> k | _ -> "?" ))
+      evs
+  | _ -> Alcotest.fail "trace events are not a list"
+
+(* the current span-nesting depth: a point event records it *)
+let span_depth () =
+  Obs.Trace.point "probe";
+  match List.rev (trace_events ()) with
+  | (_, depth, "point", "probe") :: _ -> depth
+  | _ -> Alcotest.fail "the probe event is not the last one traced"
+
+let with_obs = Helpers.with_obs
 
 let solve_counter () =
   E.Solve.solve_split ~time_limit:60.0 ~method_:E.Solve.default_partitioned
@@ -150,26 +220,29 @@ let solve_counter () =
 let test_counters_and_gauges () =
   with_obs (fun () ->
       let c = Obs.Counter.make "test.counter" in
-      Alcotest.(check int) "fresh counter" 0 (Obs.Counter.value c);
+      let value () = Obs.Counter.find "test.counter" in
+      Alcotest.(check int) "fresh counter" 0 (value ());
       Obs.Counter.bump c;
       Obs.Counter.add c 4;
-      Alcotest.(check int) "bump + add" 5 (Obs.Counter.value c);
-      Alcotest.(check int) "find by name" 5 (Obs.Counter.find "test.counter");
+      Alcotest.(check int) "bump + add" 5 (value ());
       Alcotest.(check int) "unknown name is 0" 0 (Obs.Counter.find "no.such");
       let c' = Obs.Counter.make "test.counter" in
       Obs.Counter.bump c';
-      Alcotest.(check int) "make is idempotent" 6 (Obs.Counter.value c);
+      Alcotest.(check int) "make is idempotent" 6 (value ());
       Obs.Counter.bump Obs.Counter.dummy;
       Alcotest.(check bool) "dummy not in snapshot" false
-        (List.mem_assoc "" (Obs.Counter.all ()));
+        (List.mem "" (snapshot_names "counters"));
       let g = Obs.Gauge.make "test.gauge" in
       Obs.Gauge.set_max g 10;
       Obs.Gauge.set_max g 3;
       Alcotest.(check int) "set_max keeps high-water mark" 10
-        (Obs.Gauge.value g);
+        (Obs.Gauge.find "test.gauge");
+      Alcotest.(check int) "the snapshot's gauge" 10
+        (int_of (member "test.gauge" (member "gauges" (snapshot ()))));
       Obs.reset ();
-      Alcotest.(check int) "reset zeroes counters" 0 (Obs.Counter.value c);
-      Alcotest.(check int) "reset zeroes gauges" 0 (Obs.Gauge.value g))
+      Alcotest.(check int) "reset zeroes counters" 0 (value ());
+      Alcotest.(check int) "reset zeroes gauges" 0
+        (Obs.Gauge.find "test.gauge"))
 
 (* Regression: "subset.states_expanded" and "image.calls" used to be
    registered separately by the partitioned and monolithic flows; the
@@ -183,13 +256,12 @@ let test_engine_counters_shared () =
           let a = Obs.Counter.make name in
           let b = Obs.Counter.make name in
           Obs.Counter.bump a;
-          Alcotest.(check int) (name ^ ": handles share one value") 1
-            (Obs.Counter.value b);
+          Obs.Counter.bump b;
+          Alcotest.(check int) (name ^ ": handles share one value") 2
+            (Obs.Counter.find name);
           Alcotest.(check int) (name ^ ": one registry entry") 1
             (List.length
-               (List.filter
-                  (fun (n, _) -> n = name)
-                  (Obs.Counter.all ()))))
+               (List.filter (String.equal name) (snapshot_names "counters"))))
         [ "subset.states_expanded"; "image.calls"; "csf.worklist_deletions" ])
 
 let test_disabled_is_inert () =
@@ -204,9 +276,9 @@ let test_disabled_is_inert () =
         (Obs.Counter.find name))
     [ "bdd.mk_calls"; "image.calls"; "subset.split_calls"; "csf.passes" ];
   Alcotest.(check int) "no trace events when disabled" 0
-    (Obs.Trace.recorded ());
-  Alcotest.(check (list (pair string (triple (float 0.0) (float 0.0) int))))
-    "no timers when disabled" [] (Obs.Timer.all ())
+    (int_of (member "recorded" (trace ())));
+  Alcotest.(check (list string)) "no timers when disabled" []
+    (snapshot_names "timers")
 
 (* --- spans, trace, timers --------------------------------------------- *)
 
@@ -215,38 +287,35 @@ let test_span_nesting_and_unwinding () =
       let a = Obs.Span.enter "a" in
       let b = Obs.Span.enter "b" in
       let _c = Obs.Span.enter "c" in
-      Alcotest.(check int) "three deep" 3 (Obs.Span.depth ());
+      Alcotest.(check int) "three deep" 3 (span_depth ());
       (* exiting [b] must close the abandoned child [c] first *)
       Obs.Span.exit b;
-      Alcotest.(check int) "unwound to a" 1 (Obs.Span.depth ());
+      Alcotest.(check int) "unwound to a" 1 (span_depth ());
       (* a stale token is a no-op *)
       Obs.Span.exit b;
-      Alcotest.(check int) "stale exit ignored" 1 (Obs.Span.depth ());
+      Alcotest.(check int) "stale exit ignored" 1 (span_depth ());
       Obs.Span.exit a;
-      Alcotest.(check int) "balanced" 0 (Obs.Span.depth ());
-      (* replay the trace: every Exit matches the innermost open Enter,
+      Alcotest.(check int) "balanced" 0 (span_depth ());
+      (* replay the trace: every exit matches the innermost open enter,
          and both events of a span carry the span's nesting level *)
       let stack = ref [] in
       List.iter
-        (fun (e : Obs.Trace.event) ->
-          match e.Obs.Trace.kind with
-          | Obs.Trace.Enter ->
-            Alcotest.(check int)
-              (e.Obs.Trace.name ^ " enter depth")
-              (List.length !stack) e.Obs.Trace.depth;
-            stack := e.Obs.Trace.name :: !stack
-          | Obs.Trace.Exit ->
+        (fun (_, depth, kind, name) ->
+          match kind with
+          | "enter" ->
+            Alcotest.(check int) (name ^ " enter depth") (List.length !stack)
+              depth;
+            stack := name :: !stack
+          | "exit" ->
             (match !stack with
              | top :: rest ->
-               Alcotest.(check string) "exit matches innermost enter" top
-                 e.Obs.Trace.name;
+               Alcotest.(check string) "exit matches innermost enter" top name;
                stack := rest;
-               Alcotest.(check int)
-                 (e.Obs.Trace.name ^ " exit depth")
-                 (List.length !stack) e.Obs.Trace.depth
+               Alcotest.(check int) (name ^ " exit depth") (List.length !stack)
+                 depth
              | [] -> Alcotest.fail "exit without open span")
-          | Obs.Trace.Point -> ())
-        (Obs.Trace.events ());
+          | _ -> ())
+        (trace_events ());
       Alcotest.(check (list string)) "all spans closed" [] !stack;
       (* span exits fed the timers, one entry per name *)
       List.iter
@@ -262,28 +331,33 @@ let test_span_with_exception_safe () =
       (match Obs.Span.with_ "boom" (fun () -> failwith "x") with
        | _ -> Alcotest.fail "expected exception"
        | exception Failure _ -> ());
-      Alcotest.(check int) "depth restored" 0 (Obs.Span.depth ());
+      Alcotest.(check int) "depth restored" 0 (span_depth ());
       match Obs.Timer.find "boom" with
       | Some (_, _, 1) -> ()
       | _ -> Alcotest.fail "span timing recorded despite exception")
 
+(* the ring holds the last 4096 events *)
 let test_trace_ring_bounded () =
   with_obs (fun () ->
-      let old = Obs.Trace.capacity () in
-      Fun.protect
-        ~finally:(fun () -> Obs.Trace.set_capacity old)
-        (fun () ->
-          Obs.Trace.set_capacity 16;
-          for i = 1 to 40 do
-            Obs.Trace.point ~detail:(string_of_int i) "tick"
-          done;
-          Alcotest.(check int) "all recorded" 40 (Obs.Trace.recorded ());
-          let evs = Obs.Trace.events () in
-          Alcotest.(check int) "window bounded" 16 (List.length evs);
-          Alcotest.(check int) "oldest retained is 24"
-            24
-            (match evs with e :: _ -> e.Obs.Trace.seq | [] -> -1);
-          check_json "trace" (Obs.Trace.to_json ())))
+      for i = 1 to 4096 + 24 do
+        Obs.Trace.point ~detail:(string_of_int i) "tick"
+      done;
+      let t = trace () in
+      Alcotest.(check int) "all recorded" (4096 + 24)
+        (int_of (member "recorded" t));
+      Alcotest.(check int) "capacity" 4096 (int_of (member "capacity" t));
+      Alcotest.(check int) "dropped" 24 (int_of (member "dropped" t));
+      let evs = trace_events () in
+      Alcotest.(check int) "window bounded" 4096 (List.length evs);
+      Alcotest.(check int) "oldest retained is 24" 24
+        (match evs with (seq, _, _, _) :: _ -> seq | [] -> -1);
+      let newest =
+        match member "events" t with
+        | J.List l -> member "detail" (List.nth l (List.length l - 1))
+        | _ -> J.Null
+      in
+      Alcotest.(check bool) "the newest event is the last one" true
+        (newest = J.String (string_of_int (4096 + 24))))
 
 (* --- snapshots and real solves ---------------------------------------- *)
 
@@ -324,21 +398,20 @@ let test_solve_populates_counters () =
          counts deletions (possibly zero), so the counter must be
          registered but csf.passes stays untouched *)
       Alcotest.(check bool) "csf.worklist_deletions registered" true
-        (List.mem_assoc "csf.worklist_deletions" (Obs.Counter.all ()));
+        (List.mem "csf.worklist_deletions" (snapshot_names "counters"));
       Alcotest.(check int) "csf.passes untouched by solve" 0
         (Obs.Counter.find "csf.passes");
       Alcotest.(check bool) "peak nodes tracked" true
-        (Obs.Gauge.find "bdd.peak_nodes" > 0);
+        (Obs.Gauge.find "bdd.peak_resident" > 0);
       Alcotest.(check bool) "cache hits cannot exceed lookups" true
         (Obs.Counter.find "bdd.cache.hits"
          <= Obs.Counter.find "bdd.cache.lookups");
       (* the nested span structure of a solve reached phase depth *)
       let seen = Hashtbl.create 8 in
       List.iter
-        (fun (e : Obs.Trace.event) ->
-          if e.Obs.Trace.kind = Obs.Trace.Enter then
-            Hashtbl.replace seen e.Obs.Trace.name e.Obs.Trace.depth)
-        (Obs.Trace.events ());
+        (fun (_, depth, kind, name) ->
+          if kind = "enter" then Hashtbl.replace seen name depth)
+        (trace_events ());
       Alcotest.(check (option int)) "solve span at depth 0" (Some 0)
         (Hashtbl.find_opt seen "solve");
       Alcotest.(check bool) "an attempt span nests under solve" true
@@ -411,23 +484,13 @@ let test_cnc_flushes_partial_stats () =
         (Obs.Counter.find "bdd.mk_calls" > 0);
       Alcotest.(check bool) "attempt failure traced" true
         (List.exists
-           (fun (e : Obs.Trace.event) ->
-             e.Obs.Trace.name = "solve.attempt_failed")
-           (Obs.Trace.events ()));
+           (fun (_, _, _, name) -> name = "solve.attempt_failed")
+           (trace_events ()));
       check_json "partial snapshot" (Obs.Stats.snapshot ()))
 
 (* --- OCaml heap traffic ----------------------------------------------- *)
 
-let heap_field name =
-  match Obs.Stats.snapshot_json () with
-  | Obs.Json.Obj fields -> (
-    match List.assoc_opt "ocaml" fields with
-    | Some (Obs.Json.Obj heap) -> (
-      match List.assoc_opt name heap with
-      | Some (Obs.Json.Int n) -> n
-      | _ -> Alcotest.fail (name ^ " missing"))
-    | _ -> Alcotest.fail "no ocaml object in the snapshot")
-  | _ -> Alcotest.fail "snapshot is not an object"
+let heap_field name = int_of (member name (member "ocaml" (snapshot ())))
 
 let test_heap_traffic_since_reset () =
   Obs.reset ();

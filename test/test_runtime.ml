@@ -17,26 +17,72 @@ let expired = Sys.time () -. 1.0
 
 (* --- fault parsing ---------------------------------------------------------- *)
 
-let check_parse s kind times =
+let fault_of s =
   match F.of_string s with
+  | Ok f -> f
   | Error e -> Alcotest.failf "%S did not parse: %s" s e
-  | Ok f ->
-    Alcotest.(check bool) (s ^ " kind") true (F.kind f = kind);
-    Alcotest.(check int) (s ^ " times") times (F.remaining f);
-    (* round trip *)
-    (match F.of_string (F.to_string f) with
-     | Ok f' ->
-       Alcotest.(check bool) (s ^ " round trip") true
-         (F.kind f' = kind && F.remaining f' = times)
-     | Error e -> Alcotest.failf "%S did not round trip: %s" (F.to_string f) e)
+
+(* where a fault fires: the Nth fresh allocation after [attach] ([mk:N]),
+   the Kth image after it ([image:K]), or entering a phase
+   ([deadline:PHASE]) *)
+type trigger = Alloc of int | Image of int | Enter of R.phase
+
+(* A parsed fault, checked by what it does. Each attempt attaches the
+   runtime afresh and runs the events before the trigger, which must not
+   raise, then the trigger: it must raise on the first [times] attempts
+   and never after. *)
+let check_parse s trigger times =
+  let rt = R.create ~fault:(fault_of s) () in
+  let man = M.create () in
+  let alloc () = ignore (O.var_bdd man (M.new_var man) : int) in
+  let image () = R.tick_image rt in
+  let before, fire =
+    match trigger with
+    | Alloc n -> (List.init (n - 1) (fun _ -> alloc), alloc)
+    | Image k -> (List.init (k - 1) (fun _ -> image), image)
+    | Enter ph ->
+      ( List.filter_map
+          (fun p ->
+            if p = ph then None
+            else Some (fun () -> R.enter_phase rt p; R.ticker (Some rt) ()))
+          R.[ Build; Subset; Csf; Verify ],
+        fun () -> R.enter_phase rt ph )
+  in
+  let attempt () =
+    R.attach rt man;
+    List.iter (fun event -> event ()) before;
+    match fire () with
+    | () -> false
+    | exception (M.Node_limit_exceeded | R.Exceeded) -> true
+  in
+  let attempts = times + 2 in
+  Alcotest.(check (list bool)) (s ^ ": fires on the first attempts only")
+    (List.init attempts (fun k -> k < times))
+    (List.init attempts (fun _ -> attempt ()))
 
 let test_fault_parse () =
-  check_parse "mk:5000" (F.Mk_fail 5000) 1;
-  check_parse "image:3:2" (F.Image_fail 3) 2;
-  check_parse "deadline:csf" (F.Deadline_at R.Csf) 1;
-  check_parse "deadline:build:4" (F.Deadline_at R.Build) 4;
-  check_parse "deadline:subset" (F.Deadline_at R.Subset) 1;
-  check_parse "deadline:verify" (F.Deadline_at R.Verify) 1
+  check_parse "mk:5000" (Alloc 5000) 1;
+  check_parse "image:3:2" (Image 3) 2;
+  check_parse "deadline:csf" (Enter R.Csf) 1;
+  check_parse "deadline:build:4" (Enter R.Build) 4;
+  check_parse "deadline:subset" (Enter R.Subset) 1;
+  check_parse "deadline:verify" (Enter R.Verify) 1;
+  (* mk:N:T fails exactly T attempts of a solve: counter:3's 40th
+     allocation comes on every rung *)
+  List.iter
+    (fun times ->
+      let s = Printf.sprintf "mk:40:%d" times in
+      match
+        E.Solve.solve_split ~fault:(fault_of s)
+          ~method_:E.Solve.default_partitioned (G.counter 3)
+          ~x_latches:[ "c1"; "c2" ]
+      with
+      | E.Solve.Completed r ->
+        Alcotest.(check int) (s ^ ": failed attempts") times
+          (List.length r.E.Solve.attempts)
+      | E.Solve.Could_not_complete { reason; _ } ->
+        Alcotest.failf "%s: could not complete (%s)" s reason)
+    [ 1; 2; 3 ]
 
 let test_fault_parse_errors () =
   List.iter
@@ -47,19 +93,21 @@ let test_fault_parse_errors () =
     [ "garbage"; ""; "mk"; "mk:0"; "mk:-3"; "mk:x"; "image:0"; "mk:5:0";
       "deadline:nope"; "deadline"; "mk:1:2:3" ]
 
+(* the parser is the only way to make a fault: every count and index must
+   be positive *)
 let test_fault_make_validation () =
-  let invalid f = try ignore (f () : F.t); false with Invalid_argument _ -> true in
-  Alcotest.(check bool) "times 0" true
-    (invalid (fun () -> F.make ~times:0 (F.Mk_fail 1)));
-  Alcotest.(check bool) "mk 0" true (invalid (fun () -> F.make (F.Mk_fail 0)));
-  Alcotest.(check bool) "image 0" true
-    (invalid (fun () -> F.make (F.Image_fail 0)))
+  List.iter
+    (fun s ->
+      match F.of_string s with
+      | Ok _ -> Alcotest.failf "%S parsed but should not" s
+      | Error _ -> ())
+    [ "mk:1:0"; "image:1:0"; "deadline:csf:0"; "mk:0"; "image:0"; "mk:-1";
+      "image:-2:1"; "deadline:build:-1" ]
 
 (* --- runtime primitives ----------------------------------------------------- *)
 
 let test_mk_fault_fires_once () =
-  let fault = F.make (F.Mk_fail 3) in
-  let rt = R.create ~fault () in
+  let rt = R.create ~fault:(fault_of "mk:3") () in
   let man = M.create () in
   R.attach rt man;
   let fired = ref false in
@@ -69,8 +117,12 @@ let test_mk_fault_fires_once () =
      done
    with M.Node_limit_exceeded -> fired := true);
   Alcotest.(check bool) "fault fired" true !fired;
-  Alcotest.(check int) "fault spent" 0 (F.remaining fault);
-  (* a spent fault no longer interferes *)
+  (* a spent fault no longer interferes, not even after a re-attach, which
+     would arm a live one again *)
+  for _ = 1 to 10 do
+    ignore (O.var_bdd man (M.new_var man) : int)
+  done;
+  R.attach rt man;
   for _ = 1 to 10 do
     ignore (O.var_bdd man (M.new_var man) : int)
   done;
@@ -85,26 +137,28 @@ let test_deadline_enter_phase () =
 
 let test_deadline_strided_tick () =
   let rt = R.create ~deadline:expired () in
+  let tick = R.ticker (Some rt) in
   (* the deadline comparison is strided: a lone tick does not reach it... *)
-  R.tick rt;
+  tick ();
   (* ...but a loop's worth of ticks must *)
   Alcotest.check_raises "32 ticks" E.Runtime.Exceeded (fun () ->
       for _ = 1 to 32 do
-        R.tick rt
+        tick ()
       done)
 
 let test_deadline_fault_fires_once () =
-  let rt = R.create ~fault:(F.make (F.Deadline_at R.Subset)) () in
+  let rt = R.create ~fault:(fault_of "deadline:subset") () in
+  let tick = R.ticker (Some rt) in
   R.enter_phase rt R.Build;
-  R.tick rt;
+  tick ();
   Alcotest.check_raises "deadline fault" E.Runtime.Exceeded (fun () ->
       R.enter_phase rt R.Subset);
   (* spent: re-entering the phase is now fine *)
   R.enter_phase rt R.Subset;
-  R.tick rt
+  tick ()
 
 let test_image_fault () =
-  let rt = R.create ~fault:(F.make (F.Image_fail 2)) () in
+  let rt = R.create ~fault:(fault_of "image:2") () in
   let man = M.create () in
   R.attach rt man;
   R.tick_image rt;
@@ -152,7 +206,7 @@ let test_verify_budgeted () =
   Alcotest.check_raises "verify under expired deadline" E.Runtime.Exceeded
     (fun () -> ignore (E.Solve.verify ~runtime:rt r : bool * bool));
   (* the Verify phase is also reachable by fault injection *)
-  let rt = R.create ~fault:(F.make (F.Deadline_at R.Verify)) () in
+  let rt = R.create ~fault:(fault_of "deadline:verify") () in
   Alcotest.check_raises "verify deadline fault" E.Runtime.Exceeded (fun () ->
       ignore (E.Solve.verify ~runtime:rt r : bool * bool));
   (* and with a fresh budget verification still passes *)
@@ -284,7 +338,7 @@ let test_monolithic_single_attempt () =
   (* a Monolithic request is no rung of the ladder: one attempt *)
   let reason, attempts, _ =
     cnc_of
-      (E.Solve.solve_split ~fault:(F.make (F.Mk_fail 40))
+      (E.Solve.solve_split ~fault:(fault_of "mk:40")
          ~method_:E.Solve.Monolithic (G.counter 3) ~x_latches:[ "c1"; "c2" ])
   in
   Alcotest.(check string) "reason" "node limit exceeded" reason;
