@@ -1,27 +1,25 @@
-(* Benchmark harness.
+(* Micro-benchmarks and ablations.
 
-   Regenerates the paper's experimental content:
-
-   - TABLE 1 (the paper's only results table): the latch-split suite run
-     with both the partitioned and the monolithic flow under a resource
-     budget, printed with the paper's columns (Name, i/o/cs, Fcs/Xcs,
-     States(X), Part,s, Mono,s, Ratio; CNC on budget exhaustion). These are
-     single runs, as in the paper, each row in its own forked process.
+   Table 1, the paper's only results table, is `lesolve table1` (one
+   process, every row verified; `--json` writes BENCH_table1.json). This
+   executable times the rest of the paper's experimental content:
 
    - FIGURE 3 (the worked example): a Bechamel micro-benchmark of deriving
      and completing the example automaton (the printable reproduction
      itself lives in examples/quickstart.ml).
 
-   - Ablations for the design choices the paper calls out (DESIGN.md §5):
-     early-quantification scheduling, one-image-per-output vs combined
-     non-conformance, deferred completion (Theorem 1), and the cs/ns
-     variable interleaving. (The partition-clustering threshold sweep that
-     fixed the solver's 500-node constant is recorded in EXPERIMENTS.md.)
+   - The small Table-1 rows (t510, t208, t298) under Bechamel's
+     statistical timing, both flows.
 
-   Usage:  dune exec bench/main.exe [-- --quick | --table-only | --csf-rows]
-     --quick       skip the full Table 1 (run micro-benchmarks only)
-     --table-only  run only Table 1
-     --csf-rows    per-row worklist-vs-sweep CSF extraction timings *)
+   - Ablations for the design choices the paper calls out (DESIGN.md §5):
+     early-quantification scheduling, worklist vs sweep CSF extraction,
+     deferred completion (Theorem 1), the u/v-to-latch affinity, the GC
+     dead-ratio threshold and the cs/ns variable interleaving. (The
+     partition-clustering threshold sweep that fixed the solver's 500-node
+     constant is recorded in EXPERIMENTS.md.)
+
+   Usage:  dune exec bench/main.exe [-- --csf-rows]
+     --csf-rows    per-row worklist-vs-sweep CSF extraction timings only *)
 
 open Bechamel
 
@@ -58,113 +56,6 @@ let run_group ?(quota = 2.0) name tests =
         Printf.printf "  %-52s %10.2f ms/run\n" case (ns /. 1e6)
       else Printf.printf "  %-52s %10.2f s/run\n" case (ns /. 1e9))
     (List.sort compare rows);
-  flush stdout
-
-(* --- Table 1 ---------------------------------------------------------------- *)
-
-(* What a row's child process sends back: its BENCH_table1.json entry,
-   its table line, its failed attempts (count and description) and the
-   S4 checks of its partitioned CSF *)
-type row_report = {
-  circuit : Obs.Json.t;
-  line : string;
-  failed : int;
-  attempts : string;
-  checks : (bool * bool) option;
-}
-
-(* [f ()] in a forked child, its result marshalled back through a pipe:
-   each row is timed in a fresh copy of this process's small heap, not in
-   the heap the rows before it filled *)
-let in_child f =
-  flush_all ();
-  let rd, wr = Unix.pipe () in
-  match Unix.fork () with
-  | 0 ->
-    Unix.close rd;
-    let oc = Unix.out_channel_of_descr wr in
-    (match f () with
-     | v ->
-       Marshal.to_channel oc v [];
-       close_out oc;
-       Unix._exit 0
-     | exception e ->
-       prerr_endline (Printexc.to_string e);
-       Unix._exit 2)
-  | pid ->
-    Unix.close wr;
-    let ic = Unix.in_channel_of_descr rd in
-    let v = try Some (Marshal.from_channel ic) with End_of_file -> None in
-    close_in ic;
-    ignore (Unix.waitpid [] pid : int * Unix.process_status);
-    v
-
-let report_row row =
-  let r = Harness.Experiments.run_row row in
-  let failed =
-    List.length (Harness.Experiments.attempts_of r.part)
-    + List.length (Harness.Experiments.attempts_of r.mono)
-  in
-  { circuit = Harness.Experiments.circuit_json r;
-    line = Format.asprintf "%a" Harness.Experiments.print_table1_row r;
-    failed;
-    attempts = Format.asprintf "%a" Harness.Experiments.print_attempts [ r ];
-    checks = Harness.Experiments.verify_row r }
-
-let table1 () =
-  Printf.printf
-    "== TABLE 1: partitioned vs monolithic computation of the CSF ==\n\
-     (budget per run: %.0f CPU s, %d BDD nodes; CNC = could not complete)\n\n"
-    Harness.Experiments.default_time_limit
-    Harness.Experiments.default_node_limit;
-  flush stdout;
-  (* observability on: the machine-readable baseline needs the image-call
-     and cache-hit counters *)
-  Obs.set_enabled true;
-  Obs.reset ();
-  let rows = Circuits.Suite.table1 () in
-  let reports =
-    List.map
-      (fun (row : Circuits.Suite.row) ->
-        Printf.eprintf "  running %s...\n%!" row.name;
-        match (in_child (fun () -> report_row row) : row_report option) with
-        | Some r -> r
-        | None -> failwith ("Table-1 row " ^ row.name ^ " failed"))
-      rows
-  in
-  Obs.set_enabled false;
-  let json =
-    Harness.Experiments.bench_json (List.map (fun r -> r.circuit) reports)
-  in
-  Out_channel.with_open_text "BENCH_table1.json" (fun oc ->
-      Out_channel.output_string oc json);
-  Printf.printf "wrote BENCH_table1.json\n";
-  Harness.Experiments.print_table1_header Format.std_formatter;
-  List.iter (fun r -> print_string r.line) reports;
-  (* degradation-ladder activity: failed attempts behind every outcome *)
-  let failed = List.fold_left (fun acc r -> acc + r.failed) 0 reports in
-  if failed = 0 then
-    Printf.printf "\nno run needed the degradation ladder\n"
-  else begin
-    Printf.printf "\ndegradation-ladder activity (%d failed attempt(s)):\n"
-      failed;
-    List.iter (fun r -> print_string r.attempts) reports
-  end;
-  Printf.printf "\npaper analogs (original rows this suite stands in for):\n";
-  List.iter
-    (fun (row : Circuits.Suite.row) ->
-      Printf.printf "  %-8s ~ %s\n" row.name row.paper_analog)
-    rows;
-  (* the paper formally verified each CSF; do the same for completed rows *)
-  Printf.printf "\nverification of completed partitioned runs (paper S4):\n";
-  List.iter2
-    (fun (row : Circuits.Suite.row) r ->
-      match r.checks with
-      | Some (contained, equal) ->
-        Printf.printf "  %-8s X_P in X: %b   F x X_P = S: %b\n" row.name
-          contained equal
-      | None -> ())
-    rows reports;
   flush stdout
 
 (* --- Figure 3 micro-benchmark ------------------------------------------------ *)
@@ -453,14 +344,8 @@ let ablation_order () =
         (Staged.stage (bench false)) ]
 
 let () =
-  let args = Array.to_list Sys.argv in
-  let quick = List.mem "--quick" args in
-  let table_only = List.mem "--table-only" args in
-  let csf_only = List.mem "--csf-rows" args in
-  if csf_only then csf_rows ()
+  if List.mem "--csf-rows" (Array.to_list Sys.argv) then csf_rows ()
   else begin
-  if not quick then table1 ();
-  if not table_only then begin
     fig3_bench ();
     solve_bench ();
     ablation_quantification ();
@@ -469,5 +354,4 @@ let () =
     ablation_affinity ();
     ablation_gc_threshold ();
     ablation_order ()
-  end
   end

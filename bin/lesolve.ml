@@ -122,54 +122,73 @@ let obs_setup ~stats ~trace =
     Obs.reset ()
   end
 
-let obs_emit ~stats ~trace =
-  let write dest content =
-    match dest with
-    | "-" ->
-      print_string content;
-      print_newline ()
-    | f ->
-      write_file f (content ^ "\n");
-      Format.eprintf "wrote %s@." f
-  in
-  Option.iter (fun d -> write d (Obs.Stats.snapshot ())) stats;
-  Option.iter (fun d -> write d (Obs.Trace.to_json ())) trace
+(* The --stats and --trace output, taken once the request's work (solve,
+   verification, certification) is done and before any output file is
+   written, so that writing the CSF or the machine adds nothing to it;
+   the returned function prints it *)
+let obs_snapshot ~stats ~trace =
+  let stats = Option.map (fun d -> (d, Obs.Stats.snapshot ())) stats in
+  let trace = Option.map (fun d -> (d, Obs.Trace.to_json ())) trace in
+  fun () ->
+    let write (dest, content) =
+      match dest with
+      | "-" ->
+        print_string content;
+        print_newline ()
+      | f ->
+        write_file f (content ^ "\n");
+        Format.eprintf "wrote %s@." f
+    in
+    Option.iter write stats;
+    Option.iter write trace
 
-(* attempt history shared by the solve/resynth outcome reports: the failed
-   attempts, then the rungs the ladder skipped (these lines must not start
-   with "attempt:") *)
-let print_attempts attempts skipped =
+(* --- ladder history ---------------------------------------------------------- *)
+
+(* The ladder's history is printed here only, each line starting with
+   [prefix]: empty for solve and resynth, the row and flow in table1
+   ("t526 partitioned: "). *)
+
+let describe_attempt (a : E.Solve.attempt) =
+  Printf.sprintf
+    "%s [%s] failed in %s phase (%s; %d subset states, %d nodes, %.2fs)"
+    a.E.Solve.label a.E.Solve.kernel
+    (E.Runtime.phase_name a.E.Solve.phase)
+    a.E.Solve.failure a.E.Solve.subset_states a.E.Solve.peak_nodes
+    a.E.Solve.cpu_seconds
+
+(* the failed attempts, then the rungs the ladder skipped (these lines
+   must not start with "attempt:") *)
+let print_attempts ~prefix attempts skipped =
   List.iter
-    (fun a ->
-      Format.printf "  attempt: %s@." (Harness.Experiments.describe_attempt a))
+    (fun a -> Format.printf "%s  attempt: %s@." prefix (describe_attempt a))
     attempts;
   List.iter
     (fun (label, why) ->
-      Format.printf "  skipped: %s (%s)@." label (E.Solve.describe_skip why))
+      Format.printf "%s  skipped: %s (%s)@." prefix label
+        (E.Solve.describe_skip why))
     skipped
 
 (* the request's partial progress is its final attempt's *)
-let report_cnc cpu_seconds reason attempts skipped =
+let report_cnc ~prefix cpu_seconds reason attempts skipped =
   let stopped =
     List.exists (fun (_, why) -> why = E.Solve.Same_build) skipped
   in
   let final : E.Solve.attempt = List.hd (List.rev attempts) in
   Format.printf
-    "CNC after %.1fs: %s%s (reached %s phase; %d subset states, %d BDD \
+    "%sCNC after %.1fs: %s%s (reached %s phase; %d subset states, %d BDD \
      nodes resident at peak)@."
-    cpu_seconds reason
+    prefix cpu_seconds reason
     (if stopped then " while building the problem, ladder stopped" else "")
     (E.Runtime.phase_name final.E.Solve.phase)
     final.E.Solve.subset_states final.E.Solve.peak_nodes;
-  print_attempts attempts skipped;
-  exit 2
+  print_attempts ~prefix attempts skipped
 
-let report_recovery (r : E.Solve.report) =
+let report_recovery ~prefix (r : E.Solve.report) =
   match r.E.Solve.attempts with
   | [] -> ()
   | attempts ->
-    print_attempts attempts r.E.Solve.skipped;
-    Format.printf "recovered via %s after %d failed attempt(s)@."
+    print_attempts ~prefix attempts r.E.Solve.skipped;
+    Format.printf "%srecovered via %s after %d failed attempt(s)@." prefix
       r.E.Solve.solved_by (List.length attempts)
 
 (* --- info ------------------------------------------------------------------ *)
@@ -260,10 +279,11 @@ let solve_cmd =
     with
     | E.Solve.Could_not_complete { cpu_seconds; reason; attempts; skipped } ->
       (* flush the partial counters of the failed attempts before exiting *)
-      obs_emit ~stats ~trace;
-      report_cnc cpu_seconds reason attempts skipped
+      obs_snapshot ~stats ~trace ();
+      report_cnc ~prefix:"" cpu_seconds reason attempts skipped;
+      exit 2
     | E.Solve.Completed r ->
-      report_recovery r;
+      report_recovery ~prefix:"" r;
       Format.printf
         "CSF: %d states (%d subset states, %d worklist deletions), %.3fs, \
          %d BDD nodes resident at peak@."
@@ -277,13 +297,18 @@ let solve_cmd =
         end
         else r.E.Solve.csf
       in
-      if verify then begin
-        let contained, equal = E.Solve.verify r in
-        Format.printf "X_P ⊆ X: %b@.F × X_P ≡ S: %b@." contained equal;
-        if not (contained && equal) then begin
-          obs_emit ~stats ~trace;
-          exit 3
+      let verified =
+        if verify then begin
+          let contained, equal = E.Solve.verify r in
+          Format.printf "X_P ⊆ X: %b@.F × X_P ≡ S: %b@." contained equal;
+          contained && equal
         end
+        else true
+      in
+      let obs_emit = obs_snapshot ~stats ~trace in
+      if not verified then begin
+        obs_emit ();
+        exit 3
       end;
       (match dot with
        | Some f ->
@@ -295,7 +320,7 @@ let solve_cmd =
          write_file f (Fsa.Aut.to_string csf);
          Format.printf "wrote %s@." f
        | None -> ());
-      obs_emit ~stats ~trace
+      obs_emit ()
   in
   Cmd.v
     (Cmd.info "solve"
@@ -334,17 +359,18 @@ let resynth_cmd =
         ~method_:E.Solve.default_partitioned net ~x_latches:latches
     with
     | E.Solve.Could_not_complete { cpu_seconds; reason; attempts; skipped } ->
-      obs_emit ~stats ~trace;
-      report_cnc cpu_seconds reason attempts skipped
+      obs_snapshot ~stats ~trace ();
+      report_cnc ~prefix:"" cpu_seconds reason attempts skipped;
+      exit 2
     | E.Solve.Completed r ->
-      report_recovery r;
+      report_recovery ~prefix:"" r;
       Format.printf "CSF: %d states@." r.E.Solve.csf_states;
       (match
          E.Extract.resynthesize ~heuristic r.E.Solve.problem r.E.Solve.csf
        with
        | None ->
          Format.printf "no Moore sub-solution found@.";
-         obs_emit ~stats ~trace;
+         obs_snapshot ~stats ~trace ();
          exit 3
        | Some (xnet, machine) ->
          Format.printf "extracted machine: %d states -> %a@."
@@ -354,8 +380,9 @@ let resynth_cmd =
            E.Verify.composition_with_machine r.E.Solve.problem machine
          in
          Format.printf "F x X' = S: %b@." certified;
+         let obs_emit = obs_snapshot ~stats ~trace in
          if not certified then begin
-           obs_emit ~stats ~trace;
+           obs_emit ();
            exit 4
          end;
          (match out with
@@ -367,8 +394,8 @@ let resynth_cmd =
           | Some f ->
             write_file f (E.Kiss.to_kiss2 machine);
             Format.printf "wrote %s@." f
-          | None -> ()));
-      obs_emit ~stats ~trace
+          | None -> ());
+         obs_emit ())
   in
   Cmd.v
     (Cmd.info "resynth"
@@ -516,19 +543,17 @@ let simulate_cmd =
 (* --- table1 ------------------------------------------------------------------ *)
 
 let table1_cmd =
+  let module H = Harness.Experiments in
   let time_arg =
-    let doc = "CPU-seconds budget per run (CNC beyond it)." in
-    Arg.(value & opt float Harness.Experiments.default_time_limit
-         & info [ "time-limit" ] ~doc)
+    let doc =
+      "CPU-seconds budget per run, and per verification of a row (CNC \
+       beyond it)."
+    in
+    Arg.(value & opt float H.default_time_limit & info [ "time-limit" ] ~doc)
   in
   let nodes_arg =
     let doc = "BDD-node budget per run (CNC beyond it)." in
-    Arg.(value & opt int Harness.Experiments.default_node_limit
-         & info [ "node-limit" ] ~doc)
-  in
-  let verify_arg =
-    let doc = "Also verify each completed partitioned result." in
-    Arg.(value & flag & info [ "verify" ] ~doc)
+    Arg.(value & opt int H.default_node_limit & info [ "node-limit" ] ~doc)
   in
   let json_arg =
     let doc =
@@ -538,40 +563,67 @@ let table1_cmd =
     in
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
   in
-  let run time_limit node_limit verify json =
+  let run time_limit node_limit json =
     guard @@ fun () ->
     if json <> None then begin
       Obs.set_enabled true;
       Obs.reset ()
     end;
+    let rows = Circuits.Suite.table1 () in
     let results =
-      Harness.Experiments.run_table1 ~time_limit ~node_limit
-        ~progress:(fun name -> Format.eprintf "running %s...@." name)
-        ()
+      List.map
+        (fun (row : Circuits.Suite.row) ->
+          Format.eprintf "running %s...@." row.name;
+          H.run_row ~time_limit ~node_limit row)
+        rows
     in
     (match json with
      | Some f ->
        write_file f
-         (Harness.Experiments.bench_json ~time_limit ~node_limit
-            (List.map Harness.Experiments.circuit_json results));
+         (H.bench_json ~time_limit ~node_limit
+            (List.map H.circuit_json results));
        Format.eprintf "wrote %s@." f
      | None -> ());
-    Harness.Experiments.print_table1 Format.std_formatter results;
-    Harness.Experiments.print_attempts Format.std_formatter results;
-    if verify then
-      List.iter
-        (fun r ->
-          match Harness.Experiments.verify_row r with
-          | Some (c, e) ->
-            Format.printf "%s: X_P ⊆ X = %b, F × X_P ≡ S = %b@."
-              r.Harness.Experiments.row.Circuits.Suite.name c e
-          | None -> ())
-        results
+    H.print_table1 Format.std_formatter results;
+    let report prefix = function
+      | E.Solve.Completed r -> report_recovery ~prefix r
+      | E.Solve.Could_not_complete { cpu_seconds; reason; attempts; skipped }
+        ->
+        report_cnc ~prefix cpu_seconds reason attempts skipped
+    in
+    List.iter
+      (fun (r : H.row_result) ->
+        report (r.row.name ^ " partitioned: ") r.part;
+        report (r.row.name ^ " monolithic: ") r.mono)
+      results;
+    Format.printf "paper analogs (the original rows these stand in for):@.";
+    List.iter
+      (fun (row : Circuits.Suite.row) ->
+        Format.printf "  %-8s ~ %s@." row.name row.paper_analog)
+      rows;
+    (* the paper verified every CSF (§4): so does every completed row, and
+       a false check fails the command as it fails solve --verify *)
+    let verified (r : H.row_result) =
+      match (r.part, H.verify_row ~time_limit r) with
+      | E.Solve.Could_not_complete _, _ -> true
+      | E.Solve.Completed _, Some (contained, equal) ->
+        Format.printf "%s: X_P ⊆ X = %b, F × X_P ≡ S = %b@." r.row.name
+          contained equal;
+        contained && equal
+      | E.Solve.Completed _, None ->
+        Format.printf "%s: verification ran out of its %gs budget@."
+          r.row.name time_limit;
+        true
+    in
+    if not (List.fold_left (fun ok r -> verified r && ok) true results) then
+      exit 3
   in
   Cmd.v
-    (Cmd.info "table1" ~doc:"Reproduce the paper's Table 1 on the analog suite")
-    Term.(
-      const run $ time_arg $ nodes_arg $ verify_arg $ json_arg)
+    (Cmd.info "table1"
+       ~doc:
+         "Reproduce the paper's Table 1 on the analog suite and verify every \
+          completed partitioned CSF (exit 3 when a check is false)")
+    Term.(const run $ time_arg $ nodes_arg $ json_arg)
 
 let () =
   let doc = "language-equation solving with partitioned representations" in

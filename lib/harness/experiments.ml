@@ -98,13 +98,6 @@ let run_row ?(time_limit = default_time_limit)
   let mono, mono_stats = with_stats (solve S.Monolithic) in
   { row; part; mono; part_stats; mono_stats }
 
-let run_table1 ?time_limit ?node_limit ?(progress = fun _ -> ()) () =
-  List.map
-    (fun row ->
-      progress row.Circuits.Suite.name;
-      run_row ?time_limit ?node_limit row)
-    (Circuits.Suite.table1 ())
-
 let states_cell = function
   | S.Completed r -> string_of_int r.S.csf_states
   | S.Could_not_complete _ -> "-"
@@ -119,10 +112,6 @@ let ratio_cell part mono =
     if p.S.cpu_seconds < 1e-6 then "-"
     else Printf.sprintf "%.1f" (m.S.cpu_seconds /. p.S.cpu_seconds)
   | _, _ -> "-"
-
-let attempts_of = function
-  | S.Completed r -> r.S.attempts
-  | S.Could_not_complete { attempts; _ } -> attempts
 
 let print_table1_header fmt =
   Format.fprintf fmt
@@ -141,48 +130,6 @@ let print_table1_row fmt { row; part; mono; _ } =
 let print_table1 fmt results =
   print_table1_header fmt;
   List.iter (print_table1_row fmt) results
-
-let describe_attempt (a : S.attempt) =
-  Printf.sprintf
-    "%s [%s] failed in %s phase (%s; %d subset states, %d nodes, %.2fs)"
-    a.S.label a.S.kernel
-    (R.phase_name a.S.phase)
-    a.S.failure a.S.subset_states a.S.peak_nodes a.S.cpu_seconds
-
-let print_attempts fmt results =
-  let print_outcome name which outcome =
-    match attempts_of outcome with
-    | [] -> ()
-    | attempts ->
-      List.iter
-        (fun a ->
-          Format.fprintf fmt "  %s %s: %s@." name which (describe_attempt a))
-        attempts;
-      let skipped =
-        match outcome with
-        | S.Completed r -> r.S.skipped
-        | S.Could_not_complete { skipped; _ } -> skipped
-      in
-      List.iter
-        (fun (label, why) ->
-          Format.fprintf fmt "  %s %s: skipped %s (%s)@." name which label
-            (S.describe_skip why))
-        skipped;
-      (match outcome with
-       | S.Completed r ->
-         Format.fprintf fmt "  %s %s: recovered via %s@." name which
-           r.S.solved_by
-       | S.Could_not_complete { reason; _ } ->
-         let final = List.hd (List.rev attempts) in
-         Format.fprintf fmt "  %s %s: CNC (%s, reached %s phase)@." name
-           which reason
-           (R.phase_name final.S.phase))
-  in
-  List.iter
-    (fun { row; part; mono; _ } ->
-      print_outcome row.Circuits.Suite.name "partitioned" part;
-      print_outcome row.Circuits.Suite.name "monolithic" mono)
-    results
 
 let method_stats_fields (s : method_stats) =
   [ ("time_s", Obs.Json.Float s.time_s);

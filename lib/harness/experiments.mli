@@ -1,7 +1,7 @@
-(** The Table-1 reproduction harness, shared by the benchmark executable and
-    the CLI: runs each suite row with both methods under a resource budget
-    and formats the table with the paper's columns, plus the attempt
-    history recorded by the solver's degradation ladder. *)
+(** The Table-1 reproduction harness behind [lesolve table1]: runs a suite
+    row with both methods under a resource budget, formats the table with
+    the paper's columns, writes the machine-readable baseline and runs the
+    §4 checks. *)
 
 type method_stats = {
   time_s : float;  (** CPU seconds of the solve (budget time on CNC) *)
@@ -53,31 +53,10 @@ val run_row :
   Circuits.Suite.row ->
   row_result
 
-val run_table1 :
-  ?time_limit:float ->
-  ?node_limit:int ->
-  ?progress:(string -> unit) ->
-  unit ->
-  row_result list
-
 val print_table1 : Format.formatter -> row_result list -> unit
 (** The paper's Table 1 layout: Name, i/o/cs, Fcs/Xcs, States(X), Part,s,
-    Mono,s, Ratio (with CNC entries where a run exhausted its budget).
-    {!print_table1_header} followed by {!print_table1_row} per row. *)
-
-val print_table1_header : Format.formatter -> unit
-val print_table1_row : Format.formatter -> row_result -> unit
-
-val attempts_of : Equation.Solve.outcome -> Equation.Solve.attempt list
-(** The failed attempts behind an outcome (empty for a first-try success). *)
-
-val describe_attempt : Equation.Solve.attempt -> string
-(** One-line human-readable description of a failed attempt. *)
-
-val print_attempts : Format.formatter -> row_result list -> unit
-(** Per-row attempt history: every failed attempt, and how (or whether) the
-    run eventually completed. Prints nothing for rows that completed on the
-    first try. *)
+    Mono,s, Ratio (with CNC entries where a run exhausted its budget): a
+    header, then one line per row. *)
 
 val circuit_json : row_result -> Obs.Json.t
 (** A row's entry in the ["circuits"] list of {!bench_json}. *)

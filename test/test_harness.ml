@@ -145,6 +145,33 @@ let test_run_row_cnc () =
   Alcotest.(check bool) "no verification for CNC" true
     (H.verify_row r = None)
 
+(* One process runs the whole table, so a row's counts must not depend on
+   the rows solved before it: every integer field of t298's baseline entry
+   (peak nodes, image calls, cache lookups and hits, subset states, GC
+   runs, ...) reads the same alone and after t510. *)
+let test_run_row_order_independent () =
+  let rec ints path = function
+    | Obs.Json.Int n -> [ (path, n) ]
+    | Obs.Json.Obj fields ->
+      List.concat_map (fun (k, v) -> ints (path ^ "." ^ k) v) fields
+    | _ -> []
+  in
+  let counts name =
+    ints "" (H.circuit_json (H.run_row (Circuits.Suite.find name)))
+  in
+  Obs.set_enabled true;
+  Obs.reset ();
+  Fun.protect
+    ~finally:(fun () -> Obs.set_enabled false)
+    (fun () ->
+      let alone = counts "t298" in
+      ignore (counts "t510" : (string * int) list);
+      let after = counts "t298" in
+      Alcotest.(check bool) "image calls counted" true
+        (List.assoc ".image_calls" alone > 0);
+      Alcotest.(check (list (pair string int)))
+        "t298 counts alone and after t510" alone after)
+
 let test_print_table1_format () =
   let row = Circuits.Suite.find "t510" in
   let r = H.run_row ~time_limit:60.0 row in
@@ -187,4 +214,6 @@ let () =
       ( "experiments",
         [ Alcotest.test_case "run row" `Quick test_run_row_completes;
           Alcotest.test_case "cnc row" `Quick test_run_row_cnc;
+          Alcotest.test_case "row counts independent of earlier rows" `Quick
+            test_run_row_order_independent;
           Alcotest.test_case "table format" `Quick test_print_table1_format ] ) ]
