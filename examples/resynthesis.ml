@@ -3,7 +3,8 @@
 
    1. split two latches out of a circuit,
    2. compute the CSF of the hole with the partitioned flow,
-   3. extract an implementable Moore sub-solution with each heuristic,
+   3. extract an implementable Moore sub-solution (each state takes the
+      first of its admissible outputs) and minimize it,
    4. synthesize it back into a circuit (binary state encoding), and
    5. certify the result twice:
         - language containment of the machine in the CSF, and
@@ -23,26 +24,18 @@ let () =
   let x, _ = E.Partitioned.solve_arena p in
   let csf, _ = E.Csf.of_arena p x in
   Format.printf "CSF: %s@.@." (Fsa.Print.summary csf);
-  let heuristics =
-    [ ("first admissible output", E.Extract.First);
-      ("prefer self-loops", E.Extract.Prefer_self_loops) ]
-  in
-  List.iter
-    (fun (label, heuristic) ->
-      match E.Extract.resynthesize ~heuristic p csf with
-      | None -> Format.printf "%s: no Moore sub-solution found@." label
-      | Some (xnet, machine) ->
-        Format.printf "heuristic %-28s -> machine with %d states -> %a@."
-          label
-          (E.Machine.num_states machine)
-          N.pp_stats xnet;
-        let contained =
-          Fsa.Language.subset (E.Machine.to_automaton machine) csf
-        in
-        let equivalent = E.Verify.composition_with_machine p machine in
-        Format.printf "  behaviour ⊆ CSF: %b@." contained;
-        Format.printf "  F × X' ≡ S     : %b@.@." equivalent)
-    heuristics;
+  (match E.Extract.resynthesize p csf with
+   | None -> Format.printf "no Moore sub-solution found@."
+   | Some (xnet, machine) ->
+     Format.printf "extracted machine with %d states -> %a@."
+       (E.Machine.num_states machine)
+       N.pp_stats xnet;
+     let contained =
+       Fsa.Language.subset (E.Machine.to_automaton machine) csf
+     in
+     let equivalent = E.Verify.composition_with_machine p machine in
+     Format.printf "  behaviour ⊆ CSF: %b@." contained;
+     Format.printf "  F × X' ≡ S     : %b@.@." equivalent);
   (* the extracted machine often differs from the original latch bank —
      that is the sequential flexibility being exercised *)
   match E.Extract.moore_sub_solution p csf with

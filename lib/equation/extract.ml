@@ -2,9 +2,7 @@ module M = Bdd.Manager
 module O = Bdd.Ops
 module A = Fsa.Automaton
 
-type heuristic = First | Prefer_self_loops
-
-let moore_sub_solution ?(heuristic = First) (p : Problem.t) (csf : A.t) =
+let moore_sub_solution (p : Problem.t) (csf : A.t) =
   let man = p.Problem.man in
   (* the admissible sets and chosen output cubes live in plain arrays
      until [Machine.make] pins the survivors *)
@@ -29,22 +27,9 @@ let moore_sub_solution ?(heuristic = First) (p : Problem.t) (csf : A.t) =
         admissible.(s) <> M.zero);
     if not alive.(csf.A.initial) then None
     else begin
+      (* every state takes the first minterm of its admissible outputs *)
       let choose s =
-        let v_ok = admissible.(s) in
-        let pool =
-          match heuristic with
-          | First -> v_ok
-          | Prefer_self_loops ->
-            let self =
-              O.disj man
-                (List.filter_map
-                   (fun (g, d) -> if d = s then Some g else None)
-                   csf.A.edges.(s))
-            in
-            let with_self = O.band man v_ok (O.exists man u_cube self) in
-            if with_self <> M.zero then with_self else v_ok
-        in
-        match O.pick_minterm man pool v_vars with
+        match O.pick_minterm man admissible.(s) v_vars with
         | Some lits -> O.cube_of_literals man lits
         | None -> assert false (* alive ⇒ admissible ≠ 0 *)
       in
@@ -93,8 +78,8 @@ let moore_sub_solution ?(heuristic = First) (p : Problem.t) (csf : A.t) =
     end
   end
 
-let resynthesize ?heuristic p csf =
-  match moore_sub_solution ?heuristic p csf with
+let resynthesize p csf =
+  match moore_sub_solution p csf with
   | None -> None
   | Some m ->
     let m = Machine.minimize m in

@@ -1,6 +1,6 @@
 (** Extraction of an implementable sub-solution from the CSF — the paper's
     closing "outstanding problem for future research" ("finding an optimum
-    sub-solution of the CSF"), solved here heuristically:
+    sub-solution of the CSF"), answered here with one fixed output rule:
 
     walk the CSF from its initial state and, at each reached state, commit
     to one Moore output [v̂] that keeps the state input-progressive (some
@@ -9,21 +9,13 @@
     behaviour is contained in the CSF by construction, hence a legal
     replacement for the split-out latches.
 
-    Heuristics for choosing [v̂] (tie-breaking the flexibility):
+    The output [v̂] of a state is the first minterm of its admissible
+    outputs. Picking a good implementation out of the flexibility is an
+    optimisation problem of its own; a rule that preferred self-loops was
+    never smaller on 78 measured instances and is not kept (EXPERIMENTS.md,
+    "One output rule for extraction"). *)
 
-    - [First]: any admissible output (the BDD's first minterm);
-    - [Prefer_self_loops]: prefer an output whose transitions maximize
-      self-loops (tends to reduce the synthesized next-state logic). *)
-
-type heuristic =
-  | First
-  | Prefer_self_loops
-
-val moore_sub_solution :
-  ?heuristic:heuristic ->
-  Problem.t ->
-  Fsa.Automaton.t ->
-  Machine.t option
+val moore_sub_solution : Problem.t -> Fsa.Automaton.t -> Machine.t option
 (** [moore_sub_solution p csf] is [None] when the initial state is not
     Moore-viable: no choice of outputs [v̂] answers every [u] forever. The
     viable states are a greatest fixpoint, computed on the CSF's worklist
@@ -35,7 +27,6 @@ val moore_sub_solution :
     (as produced by {!Csf.of_arena}); its states must all be accepting. *)
 
 val resynthesize :
-  ?heuristic:heuristic ->
   Problem.t ->
   Fsa.Automaton.t ->
   (Network.Netlist.t * Machine.t) option

@@ -107,11 +107,11 @@ let bits_needed n =
   let rec go b = if 1 lsl b >= n then b else go (b + 1) in
   max 1 (go 0)
 
-let to_netlist ?(name = "extracted_x") t =
+let to_netlist t =
   let man = t.man in
   let n = num_states t in
   let bits = bits_needed n in
-  let b = N.create name in
+  let b = N.create "extracted_x" in
   let u_nets =
     List.map (fun v -> N.add_input b (M.var_name man v)) t.u_vars
   in

@@ -46,8 +46,8 @@ val minimize : t -> t
     output cubes). The result
     computes the same input/output function with the fewest states. *)
 
-val to_netlist : ?name:string -> t -> Network.Netlist.t
-(** Synthesize the machine as a circuit: binary state encoding
-    (state [k] gets code [k]), inputs named after [u_vars], outputs after
-    [v_vars]. The result can be placed back into the hole left by latch
-    splitting. *)
+val to_netlist : t -> Network.Netlist.t
+(** Synthesize the machine as a circuit named [extracted_x]: binary state
+    encoding (state [k] gets code [k]), inputs named after [u_vars],
+    outputs after [v_vars]. The result can be placed back into the hole
+    left by latch splitting. *)

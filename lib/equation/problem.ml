@@ -181,7 +181,7 @@ let hidden_inputs t =
 let x_input_vars t = List.sort Int.compare (t.u_vars @ t.observed_i)
 
 (* Rebuild the instance in a fresh manager whose variable order is the
-   FORCE heuristic's placement over the relation-part supports (the
+   FORCE algorithm's placement over the relation-part supports (the
    rebuild-based analog of dynamic reordering — see Bdd.Reorder). Used by
    the degradation ladder after a node-limit blow-up: the old manager keeps
    only the compact final parts' worth of nodes alive in the copy, and the

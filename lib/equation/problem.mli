@@ -88,7 +88,7 @@ val x_input_vars : t -> int list
 
 val reorder : t -> t
 (** Rebuild the instance in a {e fresh} manager whose variable order comes
-    from the FORCE heuristic applied to the relation-part supports (the
+    from the FORCE algorithm applied to the relation-part supports (the
     rebuild-based analog of dynamic reordering). Only the final partition
     BDDs are migrated, so the new manager starts from a compact node count
     and a fresh allocation budget — the degradation ladder's reorder-retry

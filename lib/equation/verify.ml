@@ -8,30 +8,6 @@ let c_frontier = Obs.Counter.make "verify.frontier_steps"
 let enter_verify runtime =
   Option.iter (fun rt -> Runtime.enter_phase rt Runtime.Verify) runtime
 
-(* Both product-machine checks: reachability over [parts] that fails as
-   soon as a frontier holds a bad state. The images are counted without
-   the runtime ([Engine.note_image ()]): they share the unified
-   [image.calls] name but stay out of the fault-injection path. Every
-   frontier, the final empty one included, is one tick and one
-   [verify.frontier_steps]. *)
-let product_reachable runtime man ~parts ~quantify ~rename ~bad init =
-  let tick = Runtime.ticker runtime in
-  let forward =
-    Img.Image.forward man ~strategy:(Img.Image.Partitioned Img.Quantify.Greedy)
-      ~parts ~quantify ~rename
-  in
-  let image frontier =
-    Engine.note_image ();
-    forward frontier
-  in
-  let on_frontier _ =
-    tick ();
-    if !Obs.on then Obs.Counter.bump c_frontier
-  in
-  match Img.Reach.fixpoint man ~bad ~on_frontier ~image init with
-  | Img.Reach.Reached _ -> true
-  | Img.Reach.Met_bad -> false
-
 let particular_contained ?runtime (p : Problem.t) (sp : Split.t) (x : A.t) =
   enter_verify runtime;
   let tick = Runtime.ticker runtime in
@@ -89,13 +65,78 @@ let particular_contained ?runtime (p : Problem.t) (sp : Split.t) (x : A.t) =
     !ok
   end
 
-let composition_with_machine ?runtime (p : Problem.t) (machine : Machine.t) =
-  enter_verify runtime;
+(* The one product-machine check behind (2) and the certification of an
+   extracted machine: reachability over F × S × X that fails as soon as a
+   frontier holds a bad state. X is given by its current- and next-state
+   variables and by [x ()], built in the check's frozen window: the parts
+   that define v from X's state, X's transition parts and its initial
+   cube. The latch bank is the X whose state is v and whose next state is
+   u, with no parts. A composed state is bad when for some input the
+   outputs of F (driven by X's v) and S differ; that set, ∃(i, the v that
+   are not X's state). ¬C ∧ v-definitions, is formed once. The images are
+   counted without the runtime ([Engine.note_image ()]): they share the
+   unified [image.calls] name but stay out of the fault-injection path.
+   Every frontier, the final empty one included, is one tick and one
+   [verify.frontier_steps]. *)
+let composition runtime (p : Problem.t) ~x_state ~x_next x =
   let man = p.Problem.man in
   let f = p.Problem.f_sym and s = p.Problem.s_sym in
   let module NS = Network.Symbolic in
+  let outside vars = List.filter (fun v -> not (List.mem v vars)) in
+  let hidden_v = outside x_state p.Problem.v_vars in
   M.with_roots man @@ fun rs ->
   let pin id = ignore (M.Roots.add rs id : int) in
+  (* the prologue chains part-list builders whose results live in plain
+     lists: build frozen, then pin what the fixpoint keeps *)
+  let parts, bad, init =
+    M.with_frozen man @@ fun () ->
+    let v_definitions, x_parts, x_init = x () in
+    let nonconformance =
+      O.bnot man (O.conj man (Problem.conformance_parts p))
+    in
+    let bad =
+      Img.Quantify.and_exists_list man
+        (nonconformance :: v_definitions)
+        ~quantify:(p.Problem.i_vars @ hidden_v)
+    in
+    let init = O.conj man [ f.NS.init_cube; s.NS.init_cube; x_init ] in
+    ( Problem.transition_parts p @ Problem.u_relation_parts p @ v_definitions
+      @ x_parts,
+      bad,
+      init )
+  in
+  List.iter pin parts;
+  pin bad;
+  pin init;
+  let tick = Runtime.ticker runtime in
+  let forward =
+    Img.Image.forward man ~strategy:(Img.Image.Partitioned Img.Quantify.Greedy)
+      ~parts
+      ~quantify:
+        (p.Problem.i_vars @ outside x_next p.Problem.u_vars @ hidden_v
+        @ Problem.state_vars p @ x_state)
+      ~rename:(Problem.ns_to_cs p @ List.combine x_next x_state)
+  in
+  let image frontier =
+    Engine.note_image ();
+    forward frontier
+  in
+  let on_frontier _ =
+    tick ();
+    if !Obs.on then Obs.Counter.bump c_frontier
+  in
+  match
+    Img.Reach.fixpoint man
+      ~bad:(fun frontier -> O.band man frontier bad <> M.zero)
+      ~on_frontier ~image init
+  with
+  | Img.Reach.Reached _ -> true
+  | Img.Reach.Met_bad -> false
+
+let composition_with_machine ?runtime (p : Problem.t) (machine : Machine.t) =
+  enter_verify runtime;
+  let man = p.Problem.man in
+  let module NS = Network.Symbolic in
   (* synthesize the machine and give it fresh interleaved state variables *)
   let xnet = Machine.to_netlist machine in
   let pairs =
@@ -114,86 +155,25 @@ let composition_with_machine ?runtime (p : Problem.t) (machine : Machine.t) =
       ~next_state_vars:(List.map snd pairs)
       xnet
   in
-  (* the prologue chains part-list builders whose results live in plain
-     lists: build frozen, then pin what the fixpoint keeps *)
-  let parts, v_definitions, conformance, nonconformance, init =
-    M.with_frozen man @@ fun () ->
-    (* the machine's outputs are named after the v variables *)
-    let v_definitions =
-      List.map2
-        (fun vvar vname ->
-          O.bxnor man (O.var_bdd man vvar) (NS.output_fn x_sym vname))
-        p.Problem.v_vars p.Problem.v_names
-    in
-    let x_transitions =
-      List.map
-        (fun (nsv, fn) -> O.bxnor man (O.var_bdd man nsv) fn)
-        (NS.transition_parts x_sym)
-    in
-    let parts =
-      Problem.transition_parts p @ Problem.u_relation_parts p @ v_definitions
-      @ x_transitions
-    in
-    let conformance = O.conj man (Problem.conformance_parts p) in
-    let init =
-      O.conj man [ f.NS.init_cube; s.NS.init_cube; x_sym.NS.init_cube ]
-    in
-    (parts, v_definitions, conformance, O.bnot man conformance, init)
-  in
-  List.iter pin parts;
-  pin conformance;
-  pin nonconformance;
-  pin init;
-  let quantify =
-    p.Problem.i_vars @ p.Problem.u_vars @ p.Problem.v_vars
-    @ Problem.state_vars p @ x_sym.NS.state_vars
-  in
-  (* a composed state is bad when for some input the outputs of F (driven
-     by the machine's v) and S differ *)
-  let bad frontier =
-    Img.Quantify.and_exists_list man
-      (frontier :: nonconformance :: v_definitions)
-      ~quantify:(p.Problem.i_vars @ p.Problem.v_vars)
-    <> M.zero
-  in
-  product_reachable runtime man ~parts ~quantify
-    ~rename:(Problem.ns_to_cs p @ NS.ns_to_cs x_sym)
-    ~bad init
+  composition runtime p ~x_state:x_sym.NS.state_vars
+    ~x_next:x_sym.NS.next_state_vars
+  @@ fun () ->
+  (* the machine's outputs are named after the v variables *)
+  ( List.map2
+      (fun vvar vname ->
+        O.bxnor man (O.var_bdd man vvar) (NS.output_fn x_sym vname))
+      p.Problem.v_vars p.Problem.v_names,
+    List.map
+      (fun (nsv, fn) -> O.bxnor man (O.var_bdd man nsv) fn)
+      (NS.transition_parts x_sym),
+    x_sym.NS.init_cube )
 
 let composition_equals_spec ?runtime (p : Problem.t) (sp : Split.t) =
   enter_verify runtime;
   let man = p.Problem.man in
-  let f = p.Problem.f_sym and s = p.Problem.s_sym in
-  let module NS = Network.Symbolic in
-  M.with_roots man @@ fun rs ->
-  let pin id = ignore (M.Roots.add rs id : int) in
-  let parts, init, good =
-    M.with_frozen man @@ fun () ->
-    let parts =
-      Problem.transition_parts p @ Problem.u_relation_parts p
-    in
-    let conformance = O.conj man (Problem.conformance_parts p) in
-    let init =
-      O.conj man
-        [ f.NS.init_cube;
-          s.NS.init_cube;
-          O.cube_of_literals man
-            (List.map2 (fun v b -> (v, b)) p.Problem.v_vars sp.Split.x_init) ]
-    in
-    (* states whose outputs conform for every input *)
-    let good =
-      O.forall man (O.cube_of_vars man p.Problem.i_vars) conformance
-    in
-    (parts, init, good)
-  in
-  List.iter pin parts;
-  pin init;
-  pin good;
-  let quantify =
-    p.Problem.i_vars @ p.Problem.v_vars @ Problem.state_vars p
-  in
-  (* ∃ reachable composed state, ∃ input: outputs of F×X_P and S differ *)
-  let bad frontier = O.bdiff man frontier good <> M.zero in
-  product_reachable runtime man ~parts ~quantify
-    ~rename:(Problem.ns_to_cs p @ List.combine p.Problem.u_vars p.Problem.v_vars)
-    ~bad init
+  composition runtime p ~x_state:p.Problem.v_vars ~x_next:p.Problem.u_vars
+  @@ fun () ->
+  ( [],
+    [],
+    O.cube_of_literals man
+      (List.map2 (fun v b -> (v, b)) p.Problem.v_vars sp.Split.x_init) )

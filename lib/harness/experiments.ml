@@ -1,78 +1,42 @@
 module S = Equation.Solve
 module R = Equation.Runtime
 
-type method_stats = {
-  time_s : float;
-  peak_nodes : int;
-  image_calls : int;
-  cache_hit_rate : float;
-  and_exists_lookups : int;
-  and_exists_hits : int;
-  and_exists_hit_rate : float;
-  split_memo_hits : int;
-  subset_states : int;
-  csf_time_s : float;
-  csf_worklist_deletions : int;
-  gc_runs : int;
-  gc_nodes_swept : int;
-  gc_dead_ratio : float;
-  completed : bool;
-}
-
 type row_result = {
   row : Circuits.Suite.row;
   part : S.outcome;
   mono : S.outcome;
-  part_stats : method_stats;
-  mono_stats : method_stats;
+  part_fields : (string * Obs.Json.t) list;
+  mono_fields : (string * Obs.Json.t) list;
 }
 
 let default_time_limit = 120.0
 let default_node_limit = 10_000_000
 
-(* Per-method stats come from the outcome itself plus deltas of the global
-   obs counters across the solve; with observability disabled the counter
-   deltas (image calls, cache rate) are zero but the outcome-derived fields
-   are still meaningful. *)
+(* The Obs counters a flow's entry reads, as deltas across its solve *)
+let counters =
+  [ "image.calls"; "bdd.cache.hits"; "bdd.cache.lookups";
+    "bdd.cache.hits.and_exists"; "bdd.cache.lookups.and_exists";
+    "subset.split_memo_hits"; "csf.worklist_deletions"; "bdd.gc.runs";
+    "bdd.gc.nodes_swept"; "bdd.nodes_created" ]
+
+let csf_cpu () =
+  match Obs.Timer.find "phase.csf" with
+  | Some (_, cpu_s, _) -> cpu_s
+  | None -> 0.0
+
+(* A flow's outcome and the fields of its Table-1 entry: the outcome's
+   own figures plus deltas of the global obs counters across the solve.
+   With observability disabled the deltas (image calls, cache rates, CSF
+   time, GC figures) are zero; the outcome's fields still hold. *)
 let with_stats solve =
-  let img0 = Obs.Counter.find "image.calls" in
-  let hits0 = Obs.Counter.find "bdd.cache.hits" in
-  let lookups0 = Obs.Counter.find "bdd.cache.lookups" in
-  let ae_hits0 = Obs.Counter.find "bdd.cache.hits.and_exists" in
-  let ae_lookups0 = Obs.Counter.find "bdd.cache.lookups.and_exists" in
-  let memo0 = Obs.Counter.find "subset.split_memo_hits" in
-  let csf_cpu () =
-    match Obs.Timer.find "phase.csf" with
-    | Some (_, cpu_s, _) -> cpu_s
-    | None -> 0.0
-  in
-  let csf_cpu0 = csf_cpu () in
-  let csf_del0 = Obs.Counter.find "csf.worklist_deletions" in
-  let gc_runs0 = Obs.Counter.find "bdd.gc.runs" in
-  let gc_swept0 = Obs.Counter.find "bdd.gc.nodes_swept" in
-  let alloc0 = Obs.Counter.find "bdd.nodes_created" in
+  let read () = List.map Obs.Counter.find counters in
+  let before = read () and csf_cpu0 = csf_cpu () in
   let outcome = solve () in
-  let image_calls = Obs.Counter.find "image.calls" - img0 in
-  let hits = Obs.Counter.find "bdd.cache.hits" - hits0 in
-  let lookups = Obs.Counter.find "bdd.cache.lookups" - lookups0 in
-  let and_exists_hits = Obs.Counter.find "bdd.cache.hits.and_exists" - ae_hits0 in
-  let and_exists_lookups =
-    Obs.Counter.find "bdd.cache.lookups.and_exists" - ae_lookups0
-  in
-  let split_memo_hits = Obs.Counter.find "subset.split_memo_hits" - memo0 in
-  let csf_time_s = csf_cpu () -. csf_cpu0 in
-  let csf_worklist_deletions =
-    Obs.Counter.find "csf.worklist_deletions" - csf_del0
-  in
-  let gc_runs = Obs.Counter.find "bdd.gc.runs" - gc_runs0 in
-  let gc_nodes_swept = Obs.Counter.find "bdd.gc.nodes_swept" - gc_swept0 in
-  let allocated = Obs.Counter.find "bdd.nodes_created" - alloc0 in
+  let deltas = List.combine counters (List.map2 ( - ) (read ()) before) in
+  let delta name = List.assoc name deltas in
   let rate hits lookups =
     if lookups = 0 then 0.0 else float_of_int hits /. float_of_int lookups
   in
-  let cache_hit_rate = rate hits lookups in
-  let and_exists_hit_rate = rate and_exists_hits and_exists_lookups in
-  let gc_dead_ratio = rate gc_nodes_swept allocated in
   let time_s, peak_nodes, subset_states, completed =
     match outcome with
     | S.Completed r ->
@@ -82,11 +46,30 @@ let with_stats solve =
       let final = List.hd (List.rev attempts) in
       (cpu_seconds, final.S.peak_nodes, final.S.subset_states, false)
   in
+  let open Obs.Json in
   ( outcome,
-    { time_s; peak_nodes; image_calls; cache_hit_rate; and_exists_lookups;
-      and_exists_hits; and_exists_hit_rate; split_memo_hits; subset_states;
-      csf_time_s; csf_worklist_deletions; gc_runs; gc_nodes_swept;
-      gc_dead_ratio; completed } )
+    [ ("time_s", Float time_s);
+      ("peak_nodes", Int peak_nodes);
+      ("image_calls", Int (delta "image.calls"));
+      ( "cache_hit_rate",
+        Float (rate (delta "bdd.cache.hits") (delta "bdd.cache.lookups")) );
+      ("and_exists_lookups", Int (delta "bdd.cache.lookups.and_exists"));
+      ("and_exists_hits", Int (delta "bdd.cache.hits.and_exists"));
+      ( "and_exists_hit_rate",
+        Float
+          (rate
+             (delta "bdd.cache.hits.and_exists")
+             (delta "bdd.cache.lookups.and_exists")) );
+      ("split_memo_hits", Int (delta "subset.split_memo_hits"));
+      ("subset_states", Int subset_states);
+      ("csf_time_s", Float (csf_cpu () -. csf_cpu0));
+      ("csf_worklist_deletions", Int (delta "csf.worklist_deletions"));
+      ("gc_runs", Int (delta "bdd.gc.runs"));
+      ("gc_nodes_swept", Int (delta "bdd.gc.nodes_swept"));
+      ( "gc_dead_ratio",
+        Float (rate (delta "bdd.gc.nodes_swept") (delta "bdd.nodes_created"))
+      );
+      ("completed", Bool completed) ] )
 
 let run_row ?(time_limit = default_time_limit)
     ?(node_limit = default_node_limit) (row : Circuits.Suite.row) =
@@ -94,9 +77,9 @@ let run_row ?(time_limit = default_time_limit)
     S.solve_split ~node_limit ~time_limit ~method_
       row.Circuits.Suite.net ~x_latches:row.Circuits.Suite.x_latches
   in
-  let part, part_stats = with_stats (solve S.default_partitioned) in
-  let mono, mono_stats = with_stats (solve S.Monolithic) in
-  { row; part; mono; part_stats; mono_stats }
+  let part, part_fields = with_stats (solve S.default_partitioned) in
+  let mono, mono_fields = with_stats (solve S.Monolithic) in
+  { row; part; mono; part_fields; mono_fields }
 
 let states_cell = function
   | S.Completed r -> string_of_int r.S.csf_states
@@ -131,28 +114,11 @@ let print_table1 fmt results =
   print_table1_header fmt;
   List.iter (print_table1_row fmt) results
 
-let method_stats_fields (s : method_stats) =
-  [ ("time_s", Obs.Json.Float s.time_s);
-    ("peak_nodes", Obs.Json.Int s.peak_nodes);
-    ("image_calls", Obs.Json.Int s.image_calls);
-    ("cache_hit_rate", Obs.Json.Float s.cache_hit_rate);
-    ("and_exists_lookups", Obs.Json.Int s.and_exists_lookups);
-    ("and_exists_hits", Obs.Json.Int s.and_exists_hits);
-    ("and_exists_hit_rate", Obs.Json.Float s.and_exists_hit_rate);
-    ("split_memo_hits", Obs.Json.Int s.split_memo_hits);
-    ("subset_states", Obs.Json.Int s.subset_states);
-    ("csf_time_s", Obs.Json.Float s.csf_time_s);
-    ("csf_worklist_deletions", Obs.Json.Int s.csf_worklist_deletions);
-    ("gc_runs", Obs.Json.Int s.gc_runs);
-    ("gc_nodes_swept", Obs.Json.Int s.gc_nodes_swept);
-    ("gc_dead_ratio", Obs.Json.Float s.gc_dead_ratio);
-    ("completed", Obs.Json.Bool s.completed) ]
-
-let circuit_json { row; part_stats; mono_stats; _ } =
+let circuit_json { row; part_fields; mono_fields; _ } =
   Obs.Json.Obj
     (("name", Obs.Json.String row.Circuits.Suite.name)
-     :: method_stats_fields part_stats
-    @ [ ("monolithic", Obs.Json.Obj (method_stats_fields mono_stats)) ])
+     :: part_fields
+    @ [ ("monolithic", Obs.Json.Obj mono_fields) ])
 
 let bench_json ?(time_limit = default_time_limit)
     ?(node_limit = default_node_limit) circuits =

@@ -3,42 +3,14 @@
     the paper's columns, writes the machine-readable baseline and runs the
     §4 checks. *)
 
-type method_stats = {
-  time_s : float;  (** CPU seconds of the solve (budget time on CNC) *)
-  peak_nodes : int;
-  image_calls : int;  (** delta of the global [image.calls] obs counter *)
-  cache_hit_rate : float;
-      (** op-cache hit rate over the solve; [0.] when observability was
-          disabled for the run *)
-  and_exists_lookups : int;
-      (** fused-kernel computed-cache lookups over the solve *)
-  and_exists_hits : int;
-  and_exists_hit_rate : float;
-      (** [and_exists_hits / and_exists_lookups]; [0.] when observability
-          was disabled *)
-  split_memo_hits : int;
-      (** successor-splitting memo hits ([Subset.split_memo_hits] delta) *)
-  subset_states : int;
-  csf_time_s : float;
-      (** CPU seconds spent in the [Csf] phase ([phase.csf] timer delta);
-          [0.] when observability was disabled *)
-  csf_worklist_deletions : int;
-      (** state deletions the worklist CSF extraction performed
-          ([csf.worklist_deletions] delta) *)
-  gc_runs : int;  (** mark-and-sweep collections over the solve *)
-  gc_nodes_swept : int;  (** nodes reclaimed by those collections *)
-  gc_dead_ratio : float;
-      (** [gc_nodes_swept / nodes allocated during the solve]; [0.] when
-          observability was disabled or the collector never ran *)
-  completed : bool;  (** [false] when the outcome was CNC *)
-}
-
 type row_result = {
   row : Circuits.Suite.row;
   part : Equation.Solve.outcome;
   mono : Equation.Solve.outcome;
-  part_stats : method_stats;
-  mono_stats : method_stats;
+  part_fields : (string * Obs.Json.t) list;
+      (** the partitioned flow's fields of its {!circuit_json} entry *)
+  mono_fields : (string * Obs.Json.t) list;
+      (** the monolithic flow's, for the entry's ["monolithic"] object *)
 }
 
 val default_time_limit : float
@@ -63,19 +35,30 @@ val circuit_json : row_result -> Obs.Json.t
 
 val bench_json :
   ?time_limit:float -> ?node_limit:int -> Obs.Json.t list -> string
-(** The text of the machine-readable baseline, with a trailing newline.
-    It is made of the {!circuit_json} entries of the rows:
-    [{"suite":"table1", "time_limit_s":...,
-    "node_limit":..., "circuits":[{"name":..., "time_s":..., "peak_nodes":...,
-    "image_calls":..., "cache_hit_rate":..., "and_exists_lookups":...,
-    "and_exists_hits":..., "and_exists_hit_rate":..., "split_memo_hits":...,
-    "subset_states":..., "csf_time_s":..., "csf_worklist_deletions":...,
-    "gc_runs":..., "gc_nodes_swept":...,
-    "gc_dead_ratio":..., "completed":..., "monolithic":{...}}]}]. Per-circuit
-    fields describe the partitioned flow; the nested ["monolithic"] object
-    carries the same fields for the monolithic flow. Image-call counts and
-    cache rates are populated only when observability was enabled during the
-    run. *)
+(** The text of the machine-readable baseline, with a trailing newline:
+    [{"suite":"table1", "time_limit_s":..., "node_limit":...,
+    "circuits":[...]}], the list made of the {!circuit_json} entries of the
+    rows. An entry is [{"name":..., FIELDS, "monolithic":{FIELDS}}]: the
+    partitioned flow's fields, then the monolithic flow's in a nested
+    object. FIELDS are, in this order:
+
+    - [time_s]: CPU seconds of the solve (the budget's time on CNC);
+    - [peak_nodes]: the outcome's, or its final attempt's on CNC;
+    - [image_calls]: delta of the [image.calls] obs counter;
+    - [cache_hit_rate]: computed-cache hits over lookups;
+    - [and_exists_lookups], [and_exists_hits], [and_exists_hit_rate]: the
+      same for the fused kernel;
+    - [split_memo_hits]: delta of [subset.split_memo_hits];
+    - [subset_states]: as [peak_nodes];
+    - [csf_time_s]: CPU seconds of the [Csf] phase ([phase.csf] timer);
+    - [csf_worklist_deletions]: delta of [csf.worklist_deletions];
+    - [gc_runs], [gc_nodes_swept]: deltas of [bdd.gc.runs] and
+      [bdd.gc.nodes_swept];
+    - [gc_dead_ratio]: nodes swept over nodes created during the solve;
+    - [completed]: [false] when the outcome was CNC.
+
+    The fields read from obs counters and timers are [0] unless
+    observability was enabled during the run. *)
 
 val verify_row : ?time_limit:float -> row_result -> (bool * bool) option
 (** Run the §4 checks on the partitioned result, when it completed — under

@@ -141,7 +141,7 @@ let step t st inputs =
   in
   (outputs, next)
 
-let reachable_states ?(limit = 1 lsl 20) t =
+let reachable_states t =
   let ni = num_inputs t in
   if ni > 16 then
     invalid_arg "Netlist.reachable_states: too many inputs to enumerate";
@@ -157,7 +157,7 @@ let reachable_states ?(limit = 1 lsl 20) t =
       let inputs = Array.init ni (fun k -> bits land (1 lsl k) <> 0) in
       let _, st' = step t st inputs in
       if not (Hashtbl.mem seen st') then begin
-        if Hashtbl.length seen >= limit then
+        if Hashtbl.length seen >= 1 lsl 20 then
           invalid_arg "Netlist.reachable_states: limit exceeded";
         Hashtbl.replace seen st' ();
         Queue.add st' queue;

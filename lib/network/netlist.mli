@@ -74,10 +74,10 @@ val step : t -> state -> bool array -> bool array * state
 (** [step n st inputs] is [(outputs, next_state)]; [inputs] in PI order,
     [outputs] in PO order. *)
 
-val reachable_states : ?limit:int -> t -> state list
+val reachable_states : t -> state list
 (** Explicit breadth-first reachable-state enumeration over all input
     vectors. Exponential; intended for tests on small networks. Stops with
-    [Invalid_argument] past [limit] states (default 1 lsl 20). *)
+    [Invalid_argument] past [2^20] states. *)
 
 val pp_stats : Format.formatter -> t -> unit
 (** One line: name, #PI/#PO/#latches/#nodes. *)

@@ -1,6 +1,6 @@
 (* Golden-file generator. A KISS2 instance computes the CSF of a named
    small instance with the default (clustered) partitioned flow, extracts
-   a Moore sub-solution with the deterministic [First] heuristic, and
+   a Moore sub-solution (each state takes its first admissible output), and
    prints it as KISS2. An .aut instance prints an automaton in the .aut
    format: the CSF itself, or a small hand-built nondeterministic one. The
    output is fully deterministic — BDD ids, subset enumeration order, ISOP
@@ -46,9 +46,6 @@ let () =
       | None -> failwith ("unknown golden instance: " ^ name)
     in
     let p, csf = csf net x_latches in
-    (match
-       Equation.Extract.moore_sub_solution
-         ~heuristic:Equation.Extract.First p csf
-     with
+    (match Equation.Extract.moore_sub_solution p csf with
      | None -> failwith ("no Moore sub-solution for " ^ name)
      | Some machine -> print_string (Equation.Kiss.to_kiss2 machine))

@@ -151,25 +151,16 @@ let test_extraction_contained_and_certified () =
   List.iter
     (fun (name, net, xl) ->
       let _, p, csf = csf_of net xl in
-      List.iter
-        (fun (hname, heuristic) ->
-          match E.Extract.resynthesize ~heuristic p csf with
-          | None -> Alcotest.fail (name ^ "/" ^ hname ^ ": no machine")
-          | Some (xnet, m) ->
-            Alcotest.(check bool)
-              (name ^ "/" ^ hname ^ ": behaviour in CSF")
-              true
-              (Fsa.Language.subset (E.Machine.to_automaton m) csf);
-            Alcotest.(check bool)
-              (name ^ "/" ^ hname ^ ": F x X' = S")
-              true
-              (E.Verify.composition_with_machine p m);
-            Alcotest.(check int)
-              (name ^ "/" ^ hname ^ ": netlist interface")
-              (List.length m.E.Machine.u_vars)
-              (N.num_inputs xnet))
-        [ ("first", E.Extract.First);
-          ("self-loops", E.Extract.Prefer_self_loops) ])
+      match E.Extract.resynthesize p csf with
+      | None -> Alcotest.fail (name ^ ": no machine")
+      | Some (xnet, m) ->
+        Alcotest.(check bool) (name ^ ": behaviour in CSF") true
+          (Fsa.Language.subset (E.Machine.to_automaton m) csf);
+        Alcotest.(check bool) (name ^ ": F x X' = S") true
+          (E.Verify.composition_with_machine p m);
+        Alcotest.(check int) (name ^ ": netlist interface")
+          (List.length m.E.Machine.u_vars)
+          (N.num_inputs xnet))
     (instances ())
 
 let test_extraction_empty_csf () =
@@ -199,7 +190,7 @@ let test_extraction_viability_cascades () =
      admits no Moore output; then 1, whose only successor is 3; then v=0
      out of 0, which leads to 1. Through v=1, 0 reaches 2, which any
      output keeps. Only an admissible set recomputed after the cascade
-     steers [First] away from v=0, its first minterm while 1 and 3 still
+     steers the walk away from v=0, its first minterm while 1 and 3 still
      count as viable. *)
   let _, p = E.Split.problem (G.counter 3) ~x_latches:[ "c0" ] in
   let man = p.E.Problem.man in
@@ -215,23 +206,46 @@ let test_extraction_viability_cascades () =
            [ (eq, 3) ] |]
       ()
   in
-  match E.Extract.moore_sub_solution ~heuristic:E.Extract.First p t with
+  match E.Extract.moore_sub_solution p t with
   | None -> Alcotest.fail "state 0 is viable through v=1"
   | Some m ->
-    Alcotest.(check (list bool)) "First picks v=1" [ true ]
+    Alcotest.(check (list bool)) "the walk picks v=1" [ true ]
       (E.Machine.output_bits m m.E.Machine.initial);
     Alcotest.(check int) "states 0 and 2" 2 (E.Machine.num_states m);
     Alcotest.(check bool) "behaviour in the automaton" true
       (Fsa.Language.subset (E.Machine.to_automaton m) t)
 
+(* A latch bank starting from the wrong state must fail check (2), and so
+   must the same bank as a [Machine.t] (state [k] outputs the v cube of
+   [k], and every u cube leads to the state it encodes) when it is
+   certified as an extracted machine. *)
 let test_composition_rejects_wrong_bank () =
-  (* a latch bank starting from the wrong state must fail check (2) *)
   let sp, p = E.Split.problem (G.lfsr 4) ~x_latches:[ "r0"; "r1" ] in
-  Alcotest.(check bool) "correct bank passes" true
-    (E.Verify.composition_equals_spec p sp);
-  let wrong = { sp with E.Split.x_init = List.map not sp.E.Split.x_init } in
-  Alcotest.(check bool) "mis-initialized bank fails" false
-    (E.Verify.composition_equals_spec p wrong)
+  let man = p.E.Problem.man in
+  let u_vars = p.E.Problem.u_vars and v_vars = p.E.Problem.v_vars in
+  let n = 1 lsl List.length v_vars in
+  let cube vars k =
+    O.cube_of_literals man
+      (List.mapi (fun j v -> (v, k land (1 lsl j) <> 0)) vars)
+  in
+  let code bits =
+    List.fold_left (fun k (j, b) -> if b then k lor (1 lsl j) else k) 0
+      (List.mapi (fun j b -> (j, b)) bits)
+  in
+  let bank x_init =
+    M.with_frozen man @@ fun () ->
+    E.Machine.make man ~u_vars ~v_vars ~initial:(code x_init)
+      ~outputs:(Array.init n (cube v_vars))
+      ~next:(Array.make n (List.init n (fun d -> (cube u_vars d, d))))
+  in
+  List.iter
+    (fun (label, x_init, expected) ->
+      Alcotest.(check bool) (label ^ ": check (2)") expected
+        (E.Verify.composition_equals_spec p { sp with E.Split.x_init });
+      Alcotest.(check bool) (label ^ ": as a machine") expected
+        (E.Verify.composition_with_machine p (bank x_init)))
+    [ ("correct bank", sp.E.Split.x_init, true);
+      ("mis-initialized bank", List.map not sp.E.Split.x_init, false) ]
 
 let () =
   Alcotest.run "extract"

@@ -172,6 +172,30 @@ let test_run_row_order_independent () =
       Alcotest.(check (list (pair string int)))
         "t298 counts alone and after t510" alone after)
 
+(* A flow's entry carries the fields [bench_json] documents, in that
+   order: the partitioned flow's at the top level after the name, and the
+   same list in the ["monolithic"] object. compare_table1.py matches
+   fields by name, so only this test holds the order. *)
+let test_circuit_json_fields () =
+  let flow =
+    [ "time_s"; "peak_nodes"; "image_calls"; "cache_hit_rate";
+      "and_exists_lookups"; "and_exists_hits"; "and_exists_hit_rate";
+      "split_memo_hits"; "subset_states"; "csf_time_s";
+      "csf_worklist_deletions"; "gc_runs"; "gc_nodes_swept"; "gc_dead_ratio";
+      "completed" ]
+  in
+  match H.circuit_json (H.run_row (Circuits.Suite.find "t510")) with
+  | Obs.Json.Obj fields ->
+    Alcotest.(check (list string)) "entry fields"
+      (("name" :: flow) @ [ "monolithic" ])
+      (List.map fst fields);
+    (match List.assoc "monolithic" fields with
+     | Obs.Json.Obj mono ->
+       Alcotest.(check (list string)) "monolithic fields" flow
+         (List.map fst mono)
+     | _ -> Alcotest.fail "monolithic is not an object")
+  | _ -> Alcotest.fail "entry is not an object"
+
 let test_print_table1_format () =
   let row = Circuits.Suite.find "t510" in
   let r = H.run_row ~time_limit:60.0 row in
@@ -216,4 +240,6 @@ let () =
           Alcotest.test_case "cnc row" `Quick test_run_row_cnc;
           Alcotest.test_case "row counts independent of earlier rows" `Quick
             test_run_row_order_independent;
-          Alcotest.test_case "table format" `Quick test_print_table1_format ] ) ]
+          Alcotest.test_case "table format" `Quick test_print_table1_format;
+          Alcotest.test_case "entry fields in order" `Quick
+            test_circuit_json_fields ] ) ]
