@@ -32,11 +32,12 @@ let product_pairs (a : A.t) (b : A.t) =
 
 let prepare (a : A.t) (b : A.t) =
   if a.man != b.man then invalid_arg "Language: distinct managers";
-  let alphabet = List.sort_uniq compare (a.alphabet @ b.alphabet) in
-  let norm t =
-    Ops.complete (Ops.determinize (Ops.change_support t alphabet))
-  in
-  (norm a, norm b)
+  if List.sort_uniq Int.compare a.alphabet
+     <> List.sort_uniq Int.compare b.alphabet
+  then invalid_arg "Language: distinct alphabets";
+  if not (A.is_deterministic a && A.is_deterministic b) then
+    invalid_arg "Language: automaton not deterministic";
+  (Ops.complete a, Ops.complete b)
 
 let find_mismatch bad (a : A.t) (b : A.t) =
   (* the pair trace holds unpinned guard ids across further allocation *)

@@ -18,8 +18,6 @@ let pp fmt (t : A.t) =
   done;
   Format.fprintf fmt "@]"
 
-let to_string t = Format.asprintf "%a" pp t
-
 let to_dot ?(name = "automaton") (t : A.t) =
   let buf = Buffer.create 512 in
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in

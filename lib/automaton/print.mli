@@ -4,8 +4,6 @@ val pp : Format.formatter -> Automaton.t -> unit
 (** Multi-line listing: states (initial marked [->], accepting [*]) and
     edges with guards printed as sums of cubes. *)
 
-val to_string : Automaton.t -> string
-
 val to_dot : ?name:string -> Automaton.t -> string
 (** GraphViz export; accepting states are double circles, the DC-style sink
     conventions of the paper are preserved via state names. *)

@@ -22,32 +22,3 @@ let pp m fmt f =
   end
 
 let to_string m f = Format.asprintf "%a" (pp m) f
-
-let to_dot m ?(name = "bdd") roots =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "digraph %s {\n" name);
-  Buffer.add_string buf "  node [shape=circle];\n";
-  Buffer.add_string buf "  n0 [shape=box,label=\"0\"];\n";
-  Buffer.add_string buf "  n1 [shape=box,label=\"1\"];\n";
-  let visited = Hashtbl.create 64 in
-  let rec go f =
-    if (not (M.is_const f)) && not (Hashtbl.mem visited f) then begin
-      Hashtbl.add visited f ();
-      Buffer.add_string buf
-        (Printf.sprintf "  n%d [label=\"%s\"];\n" f (M.var_name m (M.var m f)));
-      Buffer.add_string buf
-        (Printf.sprintf "  n%d -> n%d [style=dashed];\n" f (M.low m f));
-      Buffer.add_string buf (Printf.sprintf "  n%d -> n%d;\n" f (M.high m f));
-      go (M.low m f);
-      go (M.high m f)
-    end
-  in
-  List.iter go roots;
-  List.iteri
-    (fun k r ->
-      Buffer.add_string buf
-        (Printf.sprintf "  root%d [shape=plaintext,label=\"f%d\"];\n" k k);
-      Buffer.add_string buf (Printf.sprintf "  root%d -> n%d;\n" k r))
-    roots;
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf

@@ -16,18 +16,6 @@ let rec eval env = function
   | Xor (a, b) -> eval env a <> eval env b
   | Ite (c, a, b) -> if eval env c then eval env a else eval env b
 
-let support e =
-  let seen = Hashtbl.create 8 in
-  let rec go = function
-    | Var k -> Hashtbl.replace seen k ()
-    | Const _ -> ()
-    | Not e -> go e
-    | And (a, b) | Or (a, b) | Xor (a, b) -> go a; go b
-    | Ite (c, a, b) -> go c; go a; go b
-  in
-  go e;
-  List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) seen [])
-
 let to_bdd m env e =
   let module O = Bdd.Ops in
   let rec go = function

@@ -15,9 +15,6 @@ type t =
 val eval : (int -> bool) -> t -> bool
 (** Evaluate under an environment for the fanin variables. *)
 
-val support : t -> int list
-(** Sorted list of fanin indices actually used. *)
-
 val to_bdd : Bdd.Manager.t -> (int -> int) -> t -> int
 (** [to_bdd m env e] builds the BDD of [e], with [env k] the BDD of fanin
     [k]. *)

@@ -115,19 +115,17 @@ type state = bool array
 let initial_state t =
   Array.of_list (List.map (latch_init t) t.latches)
 
-(* Evaluate every net once, returning the value array. *)
+(* Evaluate every net once, returning the value array: the inputs and the
+   state are written by position (PI order, latch order), then the nodes
+   are evaluated in id order. *)
 let eval_all t (st : state) inputs =
-  let n = Array.length t.drivers in
-  let values = Array.make n false in
-  let input_index = Hashtbl.create 16 in
-  List.iteri (fun k id -> Hashtbl.replace input_index id k) t.inputs;
-  let latch_index = Hashtbl.create 16 in
-  List.iteri (fun k id -> Hashtbl.replace latch_index id k) t.latches;
+  let values = Array.make (Array.length t.drivers) false in
+  List.iteri (fun k id -> values.(id) <- inputs.(k)) t.inputs;
+  List.iteri (fun k id -> values.(id) <- st.(k)) t.latches;
   iter_topo
     (fun id ->
       match t.drivers.(id) with
-      | Input -> values.(id) <- inputs.(Hashtbl.find input_index id)
-      | Latch _ -> values.(id) <- st.(Hashtbl.find latch_index id)
+      | Input | Latch _ -> ()
       | Node { fanins; fn } ->
         values.(id) <- Expr.eval (fun k -> values.(fanins.(k))) fn)
     t;

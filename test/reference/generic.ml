@@ -1,6 +1,6 @@
 module Problem = Equation.Problem
-(* [Ops] below is Reference.Ops (Complement, Product); [F] is Fsa.Ops
-   (Complete, Determinize, Support, trim) *)
+(* [Ops] below is Reference.Ops (Determinize, Complement, Support,
+   Product); [F] is Fsa.Ops (Complete, trim) *)
 module F = Fsa.Ops
 module S = Network.Symbolic
 
@@ -30,13 +30,13 @@ let solve ?(complete_f = true) (p : Problem.t) =
     p.Problem.i_vars @ p.Problem.v_vars @ p.Problem.u_vars @ p.Problem.o_vars
   in
   let x = F.complete s_auto in
-  let x = F.determinize x in
+  let x = Ops.determinize x in
   let x = Ops.complement (F.complete x) in
-  let x = F.change_support x full_support in
+  let x = Ops.change_support x full_support in
   let f_for_product = if complete_f then F.complete f_auto else f_auto in
   let x = Ops.product f_for_product x in
-  let x = F.change_support x (Problem.alphabet p) in
-  let x = F.determinize x in
+  let x = Ops.change_support x (Problem.alphabet p) in
+  let x = Ops.determinize x in
   let x = F.complete x in
   let x = Ops.complement x in
   F.trim x

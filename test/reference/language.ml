@@ -1,6 +1,7 @@
 (* Word-level queries over explicit automata: acceptance of one word and
-   bounded enumeration of the accepted words. Bodies as they stood in
-   Fsa.Language and Fsa.Automaton. *)
+   bounded enumeration of the accepted words (bodies as they stood in
+   Fsa.Language and Fsa.Automaton), and Fsa.Language's exact queries
+   widened to nondeterministic automata over different alphabets. *)
 
 module M = Bdd.Manager
 module O = Bdd.Ops
@@ -51,3 +52,22 @@ let accepted_words (t : A.t) ~max_len =
         acc syms
   in
   List.sort compare (go [ t.initial ] [] 0 [])
+
+(* Fsa.Language takes deterministic automata over one alphabet: expand
+   both to the union of the alphabets, then determinize *)
+let prepare (a : A.t) (b : A.t) =
+  let alphabet = List.sort_uniq compare (a.alphabet @ b.alphabet) in
+  let norm t = Ops.determinize (Ops.change_support t alphabet) in
+  (norm a, norm b)
+
+let equivalent a b =
+  let a, b = prepare a b in
+  Fsa.Language.equivalent a b
+
+let subset a b =
+  let a, b = prepare a b in
+  Fsa.Language.subset a b
+
+let counterexample a b =
+  let a, b = prepare a b in
+  Fsa.Language.counterexample a b

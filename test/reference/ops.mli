@@ -1,9 +1,11 @@
 (** The operators of the paper's generic Algorithm 1 that the library
     folds into one partitioned subset construction ({!Equation.Engine.run}
-    and {!Equation.Csf.of_arena}): Complement, Product, PrefixClose and
-    Progressive, on explicit automata. {!Generic.solve} and
-    {!Csf.csf_sweep} run them literally; the rest of Algorithm 1
-    (Complete, Determinize, Support) is the library's {!Fsa.Ops}. *)
+    and {!Equation.Csf.of_arena}): Complement, Product, PrefixClose,
+    Progressive, Determinize and Support, on explicit automata that may be
+    nondeterministic. {!Generic.solve} and {!Csf.csf_sweep} run them
+    literally, and {!Language} determinizes with them before it compares
+    languages; the rest of Algorithm 1 (Complete, and the trim after it)
+    is the library's {!Fsa.Ops}. *)
 
 val complement : Fsa.Automaton.t -> Fsa.Automaton.t
 (** Flip acceptance. Requires a deterministic, complete automaton
@@ -30,3 +32,15 @@ val progressive :
     Returns the empty automaton when the initial state is removed.
     [on_pass] runs at the start of every deletion sweep — callers use it to
     enforce a resource budget on the iteration. *)
+
+val determinize : Fsa.Automaton.t -> Fsa.Automaton.t
+(** Subset construction. The result is deterministic, has no zero guards and
+    is defined exactly on the symbols where some run existed (it is not
+    completed). *)
+
+val change_support : Fsa.Automaton.t -> int list -> Fsa.Automaton.t
+(** The paper's [Support(A, vars)]: hide the alphabet variables not listed
+    (restriction ⇓: each is existentially quantified out of every guard,
+    typically introducing nondeterminism) and expand by the listed
+    variables not present (⇑: guards are unchanged, so each edge admits
+    both values of each new variable). *)

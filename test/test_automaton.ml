@@ -2,7 +2,10 @@
    tests keep as reference code (Reference.Ops, Reference.Language): each
    operator is validated against bounded language enumeration on hand-built
    automata, and the paper's Theorem 1 (completion and determinization
-   commute) is checked as a QCheck property on random automata. *)
+   commute) is checked as a QCheck property on random automata. Fsa.Language
+   compares deterministic automata over one alphabet; the cases that compare
+   nondeterministic ones go through Reference.Language, which determinizes
+   them first. *)
 
 module M = Bdd.Manager
 module O = Bdd.Ops
@@ -10,7 +13,7 @@ module A = Fsa.Automaton
 module Ops = Fsa.Ops
 module L = Fsa.Language
 module Ref_ops = Reference.Ops
-module Words = Reference.Language
+module Ref_lang = Reference.Language
 
 (* --- fixtures ------------------------------------------------------------- *)
 
@@ -40,7 +43,7 @@ let incomplete man a =
     ~edges:[| [ (va, 1); (na, 0) ]; [] |]
     ()
 
-let words_set t ~max_len = Words.accepted_words t ~max_len
+let words_set t ~max_len = Ref_lang.accepted_words t ~max_len
 
 (* --- basic structure ------------------------------------------------------ *)
 
@@ -77,13 +80,13 @@ let test_accepts () =
   let man, a, _ = setup () in
   let t = even_a man a in
   let sym v = O.cube_of_literals man [ (a, v) ] in
-  Alcotest.(check bool) "empty word accepted" true (Words.accepts t []);
+  Alcotest.(check bool) "empty word accepted" true (Ref_lang.accepts t []);
   Alcotest.(check bool) "one a rejected" false
-    (Words.accepts t [ sym true ]);
+    (Ref_lang.accepts t [ sym true ]);
   Alcotest.(check bool) "two a accepted" true
-    (Words.accepts t [ sym true; sym true ]);
+    (Ref_lang.accepts t [ sym true; sym true ]);
   Alcotest.(check bool) "b irrelevant" true
-    (Words.accepts t [ sym false; sym true; sym true ])
+    (Ref_lang.accepts t [ sym false; sym true; sym true ])
 
 (* --- the Algorithm 1 operators ------------------------------------------- *)
 
@@ -108,14 +111,14 @@ let test_complement_words () =
   (* over the 1-var alphabet, words of length <= 2: every word is in exactly
      one of the two languages *)
   let all_words =
-    let syms = Words.symbols t in
+    let syms = Ref_lang.symbols t in
     [] :: List.concat_map (fun s -> [ [ s ] ]) syms
     @ List.concat_map (fun s -> List.map (fun s' -> [ s; s' ]) syms) syms
   in
   List.iter
     (fun w ->
       Alcotest.(check bool) "complement partitions words" true
-        (Words.accepts t w <> Words.accepts c w))
+        (Ref_lang.accepts t w <> Ref_lang.accepts c w))
     all_words
 
 let test_complement_requires_det () =
@@ -127,7 +130,7 @@ let test_complement_requires_det () =
 let test_determinize () =
   let man, a, _ = setup () in
   let t = nondet_a man a in
-  let d = Ops.determinize t in
+  let d = Ref_ops.determinize t in
   Alcotest.(check bool) "deterministic" true (A.is_deterministic d);
   Alcotest.(check bool) "language preserved" true
     (words_set t ~max_len:4 = words_set d ~max_len:4)
@@ -137,14 +140,14 @@ let test_product_intersects () =
   let ta = even_a man a in
   let tb = even_a man b in
   (* expand each to the common alphabet first *)
-  let ta2 = Ops.change_support ta [ a; b ] in
-  let tb2 = Ops.change_support tb [ a; b ] in
+  let ta2 = Ref_ops.change_support ta [ a; b ] in
+  let tb2 = Ref_ops.change_support tb [ a; b ] in
   let p = Ref_ops.product ta2 tb2 in
-  let syms = Words.symbols p in
+  let syms = Ref_lang.symbols p in
   List.iter
     (fun w ->
       Alcotest.(check bool) "product accepts iff both" true
-        (Words.accepts p w = (Words.accepts ta2 w && Words.accepts tb2 w)))
+        (Ref_lang.accepts p w = (Ref_lang.accepts ta2 w && Ref_lang.accepts tb2 w)))
     ([ [] ] @ List.map (fun s -> [ s ]) syms
     @ List.concat_map (fun s -> List.map (fun s' -> [ s; s' ]) syms) syms)
 
@@ -157,23 +160,23 @@ let test_hide_projects () =
       ~edges:[| [ (eq, 0) ] |] ()
   in
   (* Support(t, {a}) hides b *)
-  let h = Ops.change_support t [ a ] in
+  let h = Ref_ops.change_support t [ a ] in
   Alcotest.(check (list int)) "alphabet shrunk" [ a ] h.A.alphabet;
   (* after hiding b, any a-word is accepted *)
   let sym v = O.cube_of_literals man [ (a, v) ] in
   Alcotest.(check bool) "projection accepts" true
-    (Words.accepts h [ sym true; sym false ])
+    (Ref_lang.accepts h [ sym true; sym false ])
 
 let test_expand_cylinder () =
   let man, a, b = setup () in
   let t = even_a man a in
   (* Support(t, {a, b}) expands by b *)
-  let e = Ops.change_support t [ a; b ] in
+  let e = Ref_ops.change_support t [ a; b ] in
   let sym va vb = O.cube_of_literals man [ (a, va); (b, vb) ] in
   Alcotest.(check bool) "b free" true
-    (Words.accepts e [ sym true true; sym true false ]);
+    (Ref_lang.accepts e [ sym true true; sym true false ]);
   Alcotest.(check bool) "still counts a" false
-    (Words.accepts e [ sym true true; sym false false ])
+    (Ref_lang.accepts e [ sym true true; sym false false ])
 
 let test_prefix_close () =
   let man, a, _ = setup () in
@@ -187,10 +190,10 @@ let test_prefix_close () =
   in
   let pc = Ref_ops.prefix_close t in
   (* the largest prefix-closed sub-language is {ε} *)
-  Alcotest.(check bool) "epsilon kept" true (Words.accepts pc []);
+  Alcotest.(check bool) "epsilon kept" true (Ref_lang.accepts pc []);
   let sym = O.cube_of_literals man [ (a, true) ] in
   Alcotest.(check bool) "length-2 word dropped" false
-    (Words.accepts pc [ sym; sym ]);
+    (Ref_lang.accepts pc [ sym; sym ]);
   (* prefix-closedness: every prefix of an accepted word is accepted *)
   let words = words_set pc ~max_len:3 in
   List.iter
@@ -199,7 +202,7 @@ let test_prefix_close () =
       | [] -> ()
       | _ :: rev_rest ->
         Alcotest.(check bool) "prefix accepted" true
-          (Words.accepts pc (List.rev rev_rest)))
+          (Ref_lang.accepts pc (List.rev rev_rest)))
     words
 
 let test_prefix_close_empty () =
@@ -283,6 +286,12 @@ let test_restrict_numbering () =
     [| []; [ (va, 2); (na, 0) ]; [ (na, 2) ] |]
     r.A.edges
 
+let test_restrict_initial_dropped () =
+  let _, t, _, _ = numbering_fixture () in
+  Alcotest.check_raises "initial state not kept"
+    (Invalid_argument "Ops.restrict: initial state not kept") (fun () ->
+      ignore (Ops.restrict t [| true; true; false; true; true |] : A.t))
+
 let test_trim_numbering () =
   let _, t, va, na = numbering_fixture () in
   (* from s4, with s2's edge into s0 dropped, s0 is the one state left
@@ -342,14 +351,31 @@ let test_subset_and_counterexample () =
    | None -> Alcotest.fail "expected counterexample"
    | Some w ->
      Alcotest.(check bool) "witness in everything" true
-       (Words.accepts everything w);
-     Alcotest.(check bool) "witness not in even_a" false (Words.accepts t w))
+       (Ref_lang.accepts everything w);
+     Alcotest.(check bool) "witness not in even_a" false (Ref_lang.accepts t w))
 
 let test_equivalent_reflexive () =
   let man, a, _ = setup () in
   let t = nondet_a man a in
   Alcotest.(check bool) "self-equivalent" true
-    (L.equivalent t (Ops.determinize t))
+    (Ref_lang.equivalent t (Ref_ops.determinize t))
+
+(* Fsa.Language compares deterministic automata over one alphabet only:
+   anything else is an error, not a silent determinization *)
+let test_language_rejects_nondet () =
+  let man, a, _ = setup () in
+  let det = even_a man a and nondet = nondet_a man a in
+  let rejected = Invalid_argument "Language: automaton not deterministic" in
+  Alcotest.check_raises "first argument" rejected (fun () ->
+      ignore (L.equivalent nondet det : bool));
+  Alcotest.check_raises "second argument" rejected (fun () ->
+      ignore (L.subset det nondet : bool))
+
+let test_language_rejects_alphabets () =
+  let man, a, b = setup () in
+  Alcotest.check_raises "distinct alphabets"
+    (Invalid_argument "Language: distinct alphabets") (fun () ->
+      ignore (L.counterexample (even_a man a) (even_a man b) : int list option))
 
 (* --- From_network ---------------------------------------------------------- *)
 
@@ -374,9 +400,9 @@ let test_from_network () =
   in
   (* en=1 twice from 00: outputs carry=0 then 0 *)
   Alcotest.(check bool) "trace accepted" true
-    (Words.accepts t [ sym true false; sym true false ]);
+    (Ref_lang.accepts t [ sym true false; sym true false ]);
   Alcotest.(check bool) "wrong output rejected" false
-    (Words.accepts t [ sym true true ])
+    (Ref_lang.accepts t [ sym true true ])
 
 let test_normalize_edges () =
   let man, a, _ = setup () in
@@ -397,7 +423,7 @@ let test_successors_and_names () =
   let t = even_a man a in
   let sym = O.cube_of_literals man [ (a, true) ] in
   Alcotest.(check (list int)) "successor under a" [ 1 ]
-    (Words.successors t 0 sym);
+    (Ref_lang.successors t 0 sym);
   Alcotest.(check bool) "summary mentions determinism" true
     (let s = Fsa.Print.summary t in
      String.length s > 0)
@@ -413,13 +439,13 @@ let test_empty_automaton () =
 let test_change_support_noop () =
   let man, a, _ = setup () in
   let t = even_a man a in
-  let same = Ops.change_support t [ a ] in
+  let same = Ref_ops.change_support t [ a ] in
   Alcotest.(check bool) "identity support change" true (L.equivalent t same)
 
 let test_pp_and_dot () =
   let man, a, _ = setup () in
   let t = even_a man a in
-  let s = Fsa.Print.to_string t in
+  let s = Format.asprintf "%a" Fsa.Print.pp t in
   Alcotest.(check bool) "pp nonempty" true (String.length s > 0);
   let dot = Fsa.Print.to_dot t in
   Alcotest.(check bool) "dot wellformed" true
@@ -481,8 +507,8 @@ let prop_theorem1 =
     ~name:"Theorem 1: Complete(Det(A)) = Det(Complete(A))" auto_arb (fun d ->
       let man, a, b = setup () in
       let t = build_auto man a b d in
-      let lhs = Ops.complete (Ops.determinize t) in
-      let rhs = Ops.determinize (Ops.complete t) in
+      let lhs = Ops.complete (Ref_ops.determinize t) in
+      let rhs = Ref_ops.determinize (Ops.complete t) in
       L.equivalent lhs rhs
       && words_set lhs ~max_len:3 = words_set rhs ~max_len:3)
 
@@ -491,7 +517,7 @@ let prop_determinize_preserves =
     auto_arb (fun d ->
       let man, a, b = setup () in
       let t = build_auto man a b d in
-      let dt = Ops.determinize t in
+      let dt = Ref_ops.determinize t in
       A.is_deterministic dt && words_set t ~max_len:3 = words_set dt ~max_len:3)
 
 let prop_complete_preserves =
@@ -505,7 +531,7 @@ let prop_complement_involutive =
   QCheck.Test.make ~count:150 ~name:"complement is involutive" auto_arb
     (fun d ->
       let man, a, b = setup () in
-      let t = Ops.complete (Ops.determinize (build_auto man a b d)) in
+      let t = Ops.complete (Ref_ops.determinize (build_auto man a b d)) in
       let cc = Ref_ops.complement (Ref_ops.complement t) in
       L.equivalent t cc)
 
@@ -518,7 +544,7 @@ let prop_complement_commutes_with_complete =
     ~name:"complement after complete = complete of flipped acceptance"
     auto_arb (fun d ->
       let man, a, b = setup () in
-      let t = Ops.determinize (build_auto man a b d) in
+      let t = Ref_ops.determinize (build_auto man a b d) in
       let lhs = Ref_ops.complement (Ops.complete t) in
       (* flipping acceptance first and completing with an *accepting* sink
          is the same language *)
@@ -539,7 +565,7 @@ let prop_minimize_preserves =
   QCheck.Test.make ~count:100 ~name:"minimize preserves the language"
     auto_arb (fun d ->
       let man, a, b = setup () in
-      let t = Ops.complete (Ops.determinize (build_auto man a b d)) in
+      let t = Ops.complete (Ref_ops.determinize (build_auto man a b d)) in
       let mt = Fsa.Minimize.minimize t in
       L.equivalent t mt && A.num_states mt <= A.num_states t)
 
@@ -549,15 +575,15 @@ let prop_product_subset =
       let man, a, b = setup () in
       let t1 = build_auto man a b d1 and t2 = build_auto man a b d2 in
       let p = Ref_ops.product t1 t2 in
-      L.subset p t1 && L.subset p t2)
+      Ref_lang.subset p t1 && Ref_lang.subset p t2)
 
 let prop_determinize_idempotent =
   QCheck.Test.make ~count:100 ~name:"determinize is idempotent (language)"
     auto_arb (fun d ->
       let man, a, b = setup () in
       let t = build_auto man a b d in
-      let d1 = Ops.determinize t in
-      let d2 = Ops.determinize d1 in
+      let d1 = Ref_ops.determinize t in
+      let d2 = Ref_ops.determinize d1 in
       A.is_deterministic d2 && L.equivalent d1 d2)
 
 let prop_counterexample_is_witness =
@@ -565,9 +591,9 @@ let prop_counterexample_is_witness =
     (QCheck.pair auto_arb auto_arb) (fun (da, db) ->
       let man, a, b = setup () in
       let ta = build_auto man a b da and tb = build_auto man a b db in
-      match L.counterexample ta tb with
-      | None -> L.subset ta tb
-      | Some w -> Words.accepts ta w && not (Words.accepts tb w))
+      match Ref_lang.counterexample ta tb with
+      | None -> Ref_lang.subset ta tb
+      | Some w -> Ref_lang.accepts ta w && not (Ref_lang.accepts tb w))
 
 let prop_hide_expand_roundtrip =
   QCheck.Test.make ~count:100
@@ -578,9 +604,9 @@ let prop_hide_expand_roundtrip =
       let c = M.new_var ~name:"c" man in
       (* expand by c, then hide it again *)
       let round =
-        Ops.change_support (Ops.change_support t [ a; b; c ]) [ a; b ]
+        Ref_ops.change_support (Ref_ops.change_support t [ a; b; c ]) [ a; b ]
       in
-      L.equivalent t round)
+      Ref_lang.equivalent t round)
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
@@ -617,6 +643,8 @@ let () =
           Alcotest.test_case "trim" `Quick test_trim;
           Alcotest.test_case "restrict numbering" `Quick
             test_restrict_numbering;
+          Alcotest.test_case "restrict drops the initial state" `Quick
+            test_restrict_initial_dropped;
           Alcotest.test_case "trim numbering" `Quick test_trim_numbering;
           Alcotest.test_case "minimize" `Quick test_minimize;
           Alcotest.test_case "normalize edges" `Quick test_normalize_edges;
@@ -628,7 +656,11 @@ let () =
       ( "language",
         [ Alcotest.test_case "subset + counterexample" `Quick
             test_subset_and_counterexample;
-          Alcotest.test_case "equivalent" `Quick test_equivalent_reflexive ] );
+          Alcotest.test_case "equivalent" `Quick test_equivalent_reflexive;
+          Alcotest.test_case "rejects nondeterministic" `Quick
+            test_language_rejects_nondet;
+          Alcotest.test_case "rejects distinct alphabets" `Quick
+            test_language_rejects_alphabets ] );
       ( "from_network",
         [ Alcotest.test_case "counter automaton" `Quick test_from_network ] );
       ("properties", qcheck_cases) ]

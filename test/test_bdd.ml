@@ -257,10 +257,7 @@ let test_print () =
   let f = O.band m (O.var_bdd m a) (O.bnot m (O.var_bdd m b)) in
   Alcotest.(check string) "cube print" "a & !b" (Bdd.Print.to_string m f);
   Alcotest.(check string) "true" "true" (Bdd.Print.to_string m M.one);
-  Alcotest.(check string) "false" "false" (Bdd.Print.to_string m M.zero);
-  let dot = Bdd.Print.to_dot m [ f ] in
-  Alcotest.(check bool) "dot has digraph" true
-    (String.length dot > 8 && String.sub dot 0 8 = "digraph ")
+  Alcotest.(check string) "false" "false" (Bdd.Print.to_string m M.zero)
 
 let test_shared_size () =
   let m = fresh_man () in

@@ -17,10 +17,6 @@ let test_expr_eval () =
   Alcotest.(check bool) "ite false branch" true
     (E.eval (env [ false; true; true ]) e)
 
-let test_expr_support () =
-  let e = E.Or (E.Var 3, E.Not (E.Var 1)) in
-  Alcotest.(check (list int)) "support" [ 1; 3 ] (E.support e)
-
 let test_expr_cover () =
   (* cover rows: 1-0 -> 1 ; 011 -> 1 *)
   let e = E.of_cover ~ncols:3 [ ("1-0", true); ("011", true) ] in
@@ -265,7 +261,6 @@ let () =
   Alcotest.run "network"
     [ ( "expr",
         [ Alcotest.test_case "eval" `Quick test_expr_eval;
-          Alcotest.test_case "support" `Quick test_expr_support;
           Alcotest.test_case "cover" `Quick test_expr_cover;
           Alcotest.test_case "cover complement" `Quick test_expr_cover_complement;
           Alcotest.test_case "cover empty" `Quick test_expr_cover_empty ] );

@@ -4,20 +4,30 @@
 Usage: python3 test/unused_exports.py [--check DESIGN.md]
 
 Every `val` declared in lib/*/*.mli (including those inside a nested
-`module X : sig ... end`) is looked up as a qualified use, `M.name`, in the
-library's other modules and in bin/, bench/, examples/ and perfbench/. A
-top-level value counts as used under any module qualifier, because callers
-alias modules (`module M = Bdd.Manager`); a value of a nested module must
-be qualified by that module's name (`Roots.add`). A module's own .ml and
-.mli do not count as callers: a name only its own module uses need not be
-exported.
+`module X : sig ... end`) is looked up as a qualified use, `X.name` or
+`X.Sub.name`, in the library's other modules and in bin/, bench/,
+examples/ and perfbench/. The qualifier is resolved to the module it
+names, and a use counts only for that module. The first component is
+looked up, in this order, among:
 
-Without --check, print each unused name as `Module.name` (or
-`Module.Sub.name`), one a line. With --check FILE, print only the unused
-names that FILE's "Exported for tests" list does not name, and exit 1 if
-there are any. That list is the bullets under a heading containing
-"Exported for tests", each starting with the name in backquotes; a
-listed module (`Manager.Op`) covers every value in it.
+- the file's module aliases (`module M = Bdd.Manager`, also under `let`);
+- inside lib/, the modules of the file's own library (`Ops` in
+  lib/automaton/ is Fsa.Ops);
+- the library wrappers, read from lib/*/dune (`Bdd.Manager`); a library
+  with a module of its own name is not wrapped (`Obs.Counter`).
+
+So `Fsa.Print.to_dot` does not count as a use of `Bdd.Print.to_dot`. A
+module's own .ml and .mli do not count as callers: a name only its own
+module uses need not be exported. Unqualified uses (under `open`) are not
+counted.
+
+Without --check, print each unused name with its library qualifier
+(`Bdd.Manager.cache_find`, `Bdd.Manager.Op.ite`), one a line. With
+--check FILE, print only the unused names that FILE's "Exported for
+tests" list does not name, and exit 1 if there are any. That list is the
+bullets under a heading containing "Exported for tests", each starting
+with the name in backquotes; a listed module (`Bdd.Manager.Op`) covers
+every value in it.
 """
 
 import os
@@ -25,7 +35,12 @@ import re
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+LIB = os.path.join(ROOT, "lib")
 CALLER_DIRS = ["lib", "bin", "bench", "examples", "perfbench"]
+
+PATH = r"[A-Z][\w']*(?:\.[A-Z][\w']*)*"
+ALIAS = re.compile(r"\bmodule\s+([A-Z][\w']*)\s*=\s*(" + PATH + r")(?![\w'.(])")
+USE = re.compile(r"(?<![\w'])(" + PATH + r")\.([a-z_][\w']*)(?![\w'])")
 
 
 def module_name(path):
@@ -33,9 +48,29 @@ def module_name(path):
     return base[0].upper() + base[1:]
 
 
+def libraries():
+    """{library directory: (wrapper or None, {module name: .mli stem})}."""
+    libs = {}
+    for d in sorted(os.listdir(LIB)):
+        dune = os.path.join(LIB, d, "dune")
+        if not os.path.isfile(dune):
+            continue
+        with open(dune) as f:
+            text = f.read()
+        name = re.search(r"\(name\s+([\w]+)\)", text).group(1)
+        mods = {
+            module_name(fn): os.path.join(LIB, d, os.path.splitext(fn)[0])
+            for fn in os.listdir(os.path.join(LIB, d))
+            if fn.endswith(".mli")
+        }
+        main = name[0].upper() + name[1:]
+        unwrapped = "(wrapped false)" in text or main in mods
+        libs[os.path.join(LIB, d)] = (None if unwrapped else main, mods)
+    return libs
+
+
 def exports(mli):
-    """(qualified name, value name, innermost module) for each val."""
-    mod = module_name(mli)
+    """The path inside the module (`Op.ite`) of each val."""
     stack = []
     out = []
     with open(mli) as f:
@@ -49,9 +84,7 @@ def exports(mli):
                 continue
             m = re.match(r"\s*val\s+([a-z_][\w']*)", line)
             if m:
-                name = m.group(1)
-                path = ".".join([mod] + stack + [name])
-                out.append((path, name, stack[-1] if stack else None))
+                out.append(".".join(stack + [m.group(1)]))
     return out
 
 
@@ -95,24 +128,64 @@ def sources():
                         yield p, code(f.read())
 
 
+class Resolver:
+    """Maps a qualifier, as written in one file, to the modules it names."""
+
+    def __init__(self, libs, path, text):
+        self.globals = {}
+        for wrapper, mods in libs.values():
+            if wrapper:
+                self.globals[wrapper] = ("lib", mods)
+            else:
+                for name, stem in mods.items():
+                    self.globals[name] = ("mod", stem)
+        own = libs.get(os.path.dirname(path))
+        self.own = own[1] if own else {}
+        self.aliases = {}
+        for name, target in ALIAS.findall(text):
+            self.aliases.setdefault(name, set()).add(target)
+
+    def resolve(self, comps, seen=()):
+        """{(.mli stem, nested module path)} the qualifier can name."""
+        head, rest = comps[0], comps[1:]
+        if head in self.aliases and head not in seen:
+            out = set()
+            for target in self.aliases[head]:
+                out |= self.resolve(target.split(".") + rest, seen + (head,))
+            return out
+        if head in self.own:
+            return {(self.own[head], ".".join(rest))}
+        kind, v = self.globals.get(head, (None, None))
+        if kind == "mod":
+            return {(v, ".".join(rest))}
+        if kind == "lib" and rest and rest[0] in v:
+            return {(v[rest[0]], ".".join(rest[1:]))}
+        return set()
+
+
+def uses(libs):
+    """{(.mli stem, path inside the module)} used outside that module."""
+    found = set()
+    for p, text in sources():
+        r = Resolver(libs, p, text)
+        own = os.path.splitext(p)[0]
+        for qual, name in USE.findall(text):
+            for stem, sub in r.resolve(qual.split(".")):
+                if stem != own:
+                    found.add((stem, sub + "." + name if sub else name))
+    return found
+
+
 def unused():
-    texts = list(sources())
+    libs = libraries()
+    used = uses(libs)
     names = []
-    for mli in sorted(
-        os.path.join(ROOT, "lib", d, f)
-        for d in os.listdir(os.path.join(ROOT, "lib"))
-        if os.path.isdir(os.path.join(ROOT, "lib", d))
-        for f in os.listdir(os.path.join(ROOT, "lib", d))
-        if f.endswith(".mli")
-    ):
-        own = os.path.splitext(mli)[0]
-        for path, name, inner in exports(mli):
-            qual = re.escape(inner) if inner else r"[A-Z][\w']*"
-            pat = re.compile(r"\b" + qual + r"\." + re.escape(name) + r"(?![\w'])")
-            if not any(
-                os.path.splitext(p)[0] != own and pat.search(t) for p, t in texts
-            ):
-                names.append(path)
+    for d, (wrapper, mods) in sorted(libs.items()):
+        for mod, stem in sorted(mods.items(), key=lambda kv: kv[1]):
+            prefix = (wrapper + "." if wrapper else "") + mod
+            for path in exports(stem + ".mli"):
+                if (stem, path) not in used:
+                    names.append(prefix + "." + path)
     return names
 
 
